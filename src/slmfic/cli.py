@@ -12,6 +12,7 @@ from .errors import (
     BandwidthError,
     ConvergenceError,
     DegenerateVarianceError,
+    ReplicationFailureError,
     SingularFactorizationError,
     SingularInformationError,
     SlmficError,
@@ -30,6 +31,7 @@ _NUMERICAL_ERRORS = (
     DegenerateVarianceError,
     StencilError,
     BandwidthError,
+    ReplicationFailureError,
 )
 
 _FOCUS_BY_FLAG = {

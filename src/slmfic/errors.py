@@ -70,8 +70,12 @@ class ZeroVarianceError(SlmficError, ValueError):
 
 
 class DataFormatError(SlmficError, ValueError):
-    """Input file failed validation; message names the offending location."""
+    """Input data or file failed validation; message names the offending location."""
 
 
 class ConfigError(SlmficError, ValueError):
     """Simulation configuration is inconsistent."""
+
+
+class ReplicationFailureError(SlmficError, RuntimeError):
+    """More Monte-Carlo replications failed than the study tolerates."""

@@ -6,7 +6,8 @@ Four focus kinds are supported:
     The linear predictor rho*(WY)_i + x_i' beta at a chosen unit i.
 ``max_eigen``
     The largest eigenvalue of the inverse estimated information, a summary of
-    estimator variability.
+    estimator variability.  Its Jacobian is central differences over the
+    closed-form observed information, the only numerical derivative here.
 ``beta_coeffs``
     The regression coefficients themselves (optionally a subset).
 ``spillover``
@@ -143,7 +144,7 @@ def eval_focus(
             jac[2 + j, 2 + r] = 1.0
         return FocusEval(value, jac)
 
-    # max_eigen: numerically differentiated through the re-estimated information
+    # max_eigen: central differences through the closed-form information
     if info is None:
         info = observed_info(theta, data, S)
 

@@ -75,13 +75,15 @@ def median_bandwidth(X: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class RhoBetaBlocks:
-    """(rho, beta) partition of the information with its Schur-complement inverse Q."""
+    """(rho, beta) partition of the information, the beta Schur complement
+    Q_inv = I_bb - I_br I_rb / I_rr and its inverse Q."""
 
     I_rr: float
     I_rb: np.ndarray  # 1 x p
     I_br: np.ndarray  # p x 1
     I_bb: np.ndarray  # p x p
     Q: np.ndarray     # p x p
+    Q_inv: np.ndarray  # p x p
 
     @property
     def p(self) -> int:
@@ -102,7 +104,7 @@ def rho_beta_blocks(info_full: FisherInfo) -> RhoBetaBlocks:
         raise SingularInformationError(f"beta Schur complement condition number {cond:.3e}")
     Q = np.linalg.inv(schur)
     Q = 0.5 * (Q + Q.T)
-    return RhoBetaBlocks(I_rr=I_rr, I_rb=I_rb, I_br=I_br, I_bb=I_bb, Q=Q)
+    return RhoBetaBlocks(I_rr=I_rr, I_rb=I_rb, I_br=I_br, I_bb=I_bb, Q=Q, Q_inv=schur)
 
 
 def g_matrix(blocks: RhoBetaBlocks, S: SubmodelId) -> np.ndarray:
@@ -111,15 +113,14 @@ def g_matrix(blocks: RhoBetaBlocks, S: SubmodelId) -> np.ndarray:
     if len(S) == 0:
         return np.zeros((p, p))
     Pi = projection_matrix(S)
-    Q_inv = np.linalg.inv(blocks.Q)
-    M = Pi @ Q_inv @ Pi.T
+    M = Pi @ blocks.Q_inv @ Pi.T
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularInformationError(
             f"projected inverse-Q block for {S.label()} is singular (cond {cond:.3e})"
         )
     Q_S = np.linalg.inv(M)
-    return Pi.T @ Q_S @ Pi @ Q_inv
+    return Pi.T @ Q_S @ Pi @ blocks.Q_inv
 
 
 def omega_i(i: int, data: Dataset, blocks: RhoBetaBlocks) -> np.ndarray:

@@ -9,13 +9,14 @@ seed regardless of worker count.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diagnostics import aic
-from .errors import ConfigError, SlmficError
+from .errors import ConfigError, ReplicationFailureError, SlmficError
 from .fic import delta_hat, fic_score, rank_models
 from .focus import FocusSpec, eval_focus
 from .safic import (
@@ -132,7 +133,7 @@ def _needs_submodel_info(criteria) -> bool:
     return any(c.kind == "fic" and c.focus.kind == "max_eigen" for c in criteria)
 
 
-def _score_one_rep(cfg: SimConfig, rep: int, W: SpatialWeights | None = None):
+def _score_one_rep(cfg: SimConfig, rep: int, W: SpatialWeights):
     """Rank every criterion on one replication.
 
     Returns (rankings, realized) where rankings maps criterion name to the
@@ -198,14 +199,6 @@ class _ScoreRow:
     score: float
 
 
-def _rep_worker(args):
-    cfg, rep = args
-    try:
-        return rep, _score_one_rep(cfg, rep), None
-    except SlmficError as exc:
-        return rep, None, f"{type(exc).__name__}: {exc}"
-
-
 @dataclass
 class RunReport:
     """Aggregated simulation output in frequency-table form."""
@@ -224,22 +217,25 @@ class RunReport:
 
 def monte_carlo(cfg: SimConfig, jobs: int = 1) -> RunReport:
     """Run the full experiment; per-rep failures are recorded and skipped,
-    more than 10% of them aborts."""
-    W = build_weights(cfg)
-    tasks = [(cfg, rep) for rep in range(cfg.reps)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_rep_worker, tasks))
-    else:
-        results = [
-            (rep, *_try_rep(cfg, rep, W)) for rep in range(cfg.reps)
-        ]
-    results.sort(key=lambda t: t[0])
+    more than 10% of them raises ReplicationFailureError.
 
-    failures = [(rep, msg) for rep, out, msg in results if out is None]
+    The weights are built once; with jobs > 1 each worker process receives
+    them once, through the pool initializer.
+    """
+    W = build_weights(cfg)
+    reps = range(cfg.reps)
+    if jobs > 1:
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_set_worker_weights, initargs=(W,)
+        ) as pool:
+            results = list(pool.map(_try_rep_in_worker, itertools.repeat(cfg), reps))
+    else:
+        results = [_try_rep(cfg, rep, W) for rep in reps]
+
+    failures = [(rep, msg) for rep, (out, msg) in enumerate(results) if out is None]
     if len(failures) > 0.10 * cfg.reps:
         detail = "; ".join(f"rep {r}: {m}" for r, m in failures[:5])
-        raise RuntimeError(
+        raise ReplicationFailureError(
             f"{len(failures)}/{cfg.reps} replications failed (limit 10%): {detail}"
         )
 
@@ -247,7 +243,7 @@ def monte_carlo(cfg: SimConfig, jobs: int = 1) -> RunReport:
     per_rep = []
     realized_sum: dict[int, float] = {}
     completed = 0
-    for rep, out, _msg in results:
+    for out, _msg in results:
         if out is None:
             continue
         rankings, realized = out
@@ -276,6 +272,18 @@ def _try_rep(cfg, rep, W):
         return _score_one_rep(cfg, rep, W), None
     except SlmficError as exc:
         return None, f"{type(exc).__name__}: {exc}"
+
+
+_worker_weights: SpatialWeights | None = None  # set once per worker process
+
+
+def _set_worker_weights(W: SpatialWeights) -> None:
+    global _worker_weights
+    _worker_weights = W
+
+
+def _try_rep_in_worker(cfg, rep):
+    return _try_rep(cfg, rep, _worker_weights)
 
 
 def fic_table(spec: FocusSpec, data: Dataset):

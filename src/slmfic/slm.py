@@ -3,9 +3,10 @@
 The model is Y = rho*W*Y + X*beta + eps with iid Gaussian innovations.  For a
 fixed rho the problem reduces to ordinary regression of (I - rho*W)Y on X, so
 beta and sigma^2 are profiled out in closed form and rho is found by bounded
-1-D search on the concentrated log-likelihood.  The Fisher information is
-estimated by the scaled negative finite-difference Hessian of the full
-log-likelihood, ordered (rho, sigma^2, beta).
+1-D search on the concentrated log-likelihood.  The score and the observed
+information, ordered (rho, sigma^2, beta), are closed forms (Anselin 1988,
+*Spatial Econometrics*; Lee 2004, *Econometrica* 72(6)) built from WY, X_S,
+the residual and the cached spectrum of W.
 """
 
 from __future__ import annotations
@@ -18,16 +19,15 @@ from scipy.optimize import minimize_scalar
 
 from .errors import (
     ConvergenceError,
+    DataFormatError,
     DegenerateVarianceError,
     RankError,
     SingularInformationError,
-    StencilError,
 )
 from .submodels import SubmodelId
 from .weights import SpatialWeights
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_EPS_THIRD = np.finfo(float).eps ** (1.0 / 3.0)
 _SIGMA2_FLOOR = 1e-12
 _MAX_ITER = 500
 
@@ -53,6 +53,15 @@ class Dataset:
         names = tuple(self.names) if self.names else tuple(f"x{j + 1}" for j in range(X.shape[1]))
         if len(names) != X.shape[1]:
             raise ValueError("number of names must match columns of X")
+        bad = np.flatnonzero(~np.isfinite(Y))
+        if bad.size:
+            raise DataFormatError(f"non-finite response {Y[bad[0]]} at row {bad[0]}")
+        bad = np.argwhere(~np.isfinite(X))
+        if bad.size:
+            i, j = bad[0]
+            raise DataFormatError(
+                f"non-finite covariate {X[i, j]} at row {i}, column {j} ({names[j]!r})"
+            )
         if X.shape[1] > 0:
             sv = np.linalg.svd(X, compute_uv=False)
             if sv[-1] <= 1e-10 * sv[0]:
@@ -123,45 +132,23 @@ def _design(data: Dataset, S: SubmodelId) -> np.ndarray:
 def profile_beta(rho: float, data: Dataset, S: SubmodelId) -> np.ndarray:
     """Profiled MLE of beta_S at a given rho: regress (I - rho*W)Y on X_S.
 
-    Computed as beta_R - rho*beta_L, the two least-squares fits of Y and WY
-    on the selected columns.
+    Computed as beta_R - rho*beta_L, the least-squares fits of Y and WY on the
+    selected columns.
     """
     data.W.require_rho(rho)
-    Xs = _design(data, S)
-    if Xs.shape[1] == 0:
-        return np.empty(0)
-    sv = np.linalg.svd(Xs, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
-        raise RankError(f"X_S rank deficient for submodel {S}")
-    WY = data.W.matrix @ data.Y
-    beta_R, *_ = np.linalg.lstsq(Xs, data.Y, rcond=None)
-    beta_L, *_ = np.linalg.lstsq(Xs, WY, rcond=None)
-    return beta_R - rho * beta_L
+    return _ProfileCache(data, S).beta(rho)
 
 
 def profile_sigma2(rho: float, data: Dataset, S: SubmodelId) -> float:
     """Profiled MLE of sigma^2 (divisor n) at a given rho."""
     data.W.require_rho(rho)
-    resid = _profile_residuals(rho, data, S)
-    s2 = float(resid @ resid) / data.n
-    if s2 < _SIGMA2_FLOOR:
-        raise DegenerateVarianceError(f"residual variance {s2:.3e} below floor")
-    return s2
-
-
-def _profile_residuals(rho: float, data: Dataset, S: SubmodelId) -> np.ndarray:
-    z = data.Y - rho * (data.W.matrix @ data.Y)
-    Xs = _design(data, S)
-    if Xs.shape[1] == 0:
-        return z
-    return z - Xs @ profile_beta(rho, data, S)
+    return _ProfileCache(data, S).sigma2(rho)
 
 
 def concentrated_loglik(rho: float, data: Dataset, S: SubmodelId) -> float:
     """Profile log-likelihood of rho with beta and sigma^2 concentrated out."""
-    n = data.n
-    s2 = profile_sigma2(rho, data, S)
-    return -n / 2.0 - (n / 2.0) * _LOG_2PI - (n / 2.0) * math.log(s2) + data.W.log_det_factor(rho)
+    data.W.require_rho(rho)
+    return _ProfileCache(data, S).loglik(rho)
 
 
 def full_loglik(theta: Theta, data: Dataset, S: SubmodelId) -> float:
@@ -180,11 +167,12 @@ def full_loglik(theta: Theta, data: Dataset, S: SubmodelId) -> float:
 
 
 class _ProfileCache:
-    """Closed-form concentrated likelihood as a function of rho.
+    """The profile regression of submodel S, as a function of rho.
 
-    The residual sum of squares of (I - rho*W)Y on X_S is the quadratic
-    a - 2*b*rho + c*rho^2 in rho, with coefficients from the two base
-    regressions; this keeps the 1-D optimizer cheap.
+    Y and WY are regressed on X_S once, giving beta_R and beta_L.  The profiled
+    beta is beta_R - rho*beta_L, and the residual sum of squares of
+    (I - rho*W)Y on X_S is the quadratic a - 2*b*rho + c*rho^2, so the 1-D
+    optimizer costs no regression per step.
     """
 
     def __init__(self, data: Dataset, S: SubmodelId):
@@ -193,18 +181,21 @@ class _ProfileCache:
         Y = data.Y
         WY = data.W.matrix @ Y
         if Xs.shape[1]:
-            sv = np.linalg.svd(Xs, compute_uv=False)
+            coef, _, _, sv = np.linalg.lstsq(Xs, np.column_stack((Y, WY)), rcond=None)
             if sv[-1] <= 1e-10 * sv[0]:
                 raise RankError(f"X_S rank deficient for submodel {S}")
-            beta_R, *_ = np.linalg.lstsq(Xs, Y, rcond=None)
-            beta_L, *_ = np.linalg.lstsq(Xs, WY, rcond=None)
-            e_R = Y - Xs @ beta_R
-            e_L = WY - Xs @ beta_L
+            self.beta_R, self.beta_L = coef[:, 0], coef[:, 1]
+            e_R = Y - Xs @ self.beta_R
+            e_L = WY - Xs @ self.beta_L
         else:
+            self.beta_R = self.beta_L = np.empty(0)
             e_R, e_L = Y, WY
         self.a = float(e_R @ e_R)
         self.b = float(e_R @ e_L)
         self.c = float(e_L @ e_L)
+
+    def beta(self, rho: float) -> np.ndarray:
+        return self.beta_R - rho * self.beta_L
 
     def sigma2(self, rho: float) -> float:
         s2 = (self.a - 2.0 * rho * self.b + rho * rho * self.c) / self.data.n
@@ -249,9 +240,7 @@ def fit_mle(data: Dataset, S: SubmodelId, with_info: bool = True) -> FitResult:
             best_rho=float(res.x),
         )
     rho_hat = float(res.x)
-    beta_hat = profile_beta(rho_hat, data, S)
-    sigma2_hat = cache.sigma2(rho_hat)
-    theta_hat = Theta(rho_hat, sigma2_hat, beta_hat)
+    theta_hat = Theta(rho_hat, cache.sigma2(rho_hat), cache.beta(rho_hat))
     loglik = full_loglik(theta_hat, data, S)
     warnings: tuple[str, ...] = ()
     info = None
@@ -268,50 +257,40 @@ def fit_mle(data: Dataset, S: SubmodelId, with_info: bool = True) -> FitResult:
     )
 
 
-def _fd_steps(theta_vec: np.ndarray, data: Dataset) -> np.ndarray:
-    """Per-coordinate central-difference steps, kept inside the domain."""
-    h = _EPS_THIRD * np.maximum(1.0, np.abs(theta_vec))
-    lo, hi = data.W.rho_interval
-    gap = min(theta_vec[0] - lo, hi - theta_vec[0])
-    if np.isfinite(gap):
-        h[0] = min(h[0], 0.49 * gap)
-    h[1] = min(h[1], 0.49 * theta_vec[1])  # keep sigma2 positive
-    return h
+def _derivative_terms(theta: Theta, data: Dataset, S: SubmodelId):
+    """WY, X_S, the residual e = Y - rho*WY - X_S beta and g_i = w_i / (1 - rho*w_i)
+    over the spectrum of W, the ingredients of the score and the Hessian."""
+    data.W.require_rho(theta.rho)
+    WY = data.W.matrix @ data.Y
+    Xs = _design(data, S)
+    e = data.Y - theta.rho * WY - Xs @ theta.beta
+    w = data.W.spectrum
+    return WY, Xs, e, w / (1.0 - theta.rho * w)
 
 
 def observed_info(theta_hat: Theta, data: Dataset, S: SubmodelId) -> FisherInfo:
-    """Estimate the per-observation Fisher information at theta_hat.
+    """Per-observation observed information -H/n at theta_hat.
 
-    Central finite-difference Hessian of the full log-likelihood, symmetrized
-    and scaled by -1/n.
+    H is the Hessian of the full log-likelihood over (rho, sigma^2, beta_S) in
+    closed form (Anselin 1988; Lee 2004), with s2 = sigma^2:
+    H_rr = -sum g_i^2 - WY'WY / s2, H_rs = -WY'e / s2^2,
+    H_ss = n / (2 s2^2) - e'e / s2^3, H_rb = -X_S'WY / s2,
+    H_sb = -X_S'e / s2^2, H_bb = -X_S'X_S / s2.
     """
     info, _ = _observed_info_checked(theta_hat, data, S)
     return info
 
 
 def _observed_info_checked(theta_hat, data, S):
-    v = theta_hat.to_vector()
-    m = len(v)
-    h = _fd_steps(v, data)
-
-    def f(vec):
-        val = full_loglik(Theta.from_vector(vec), data, S)
-        if not np.isfinite(val):
-            raise StencilError("non-finite log-likelihood inside Hessian stencil")
-        return val
-
-    H = np.empty((m, m))
-    f0 = f(v)
-    for i in range(m):
-        ei = np.zeros(m)
-        ei[i] = h[i]
-        H[i, i] = (f(v + ei) - 2.0 * f0 + f(v - ei)) / (h[i] * h[i])
-        for j in range(i + 1, m):
-            ej = np.zeros(m)
-            ej[j] = h[j]
-            H[i, j] = H[j, i] = (
-                f(v + ei + ej) - f(v + ei - ej) - f(v - ei + ej) + f(v - ei - ej)
-            ) / (4.0 * h[i] * h[j])
+    WY, Xs, e, g = _derivative_terms(theta_hat, data, S)
+    s2 = theta_hat.sigma2
+    H = np.empty((Xs.shape[1] + 2,) * 2)
+    H[0, 0] = -(g @ g) - (WY @ WY) / s2
+    H[0, 1] = H[1, 0] = -(WY @ e) / s2**2
+    H[1, 1] = data.n / (2.0 * s2**2) - (e @ e) / s2**3
+    H[0, 2:] = H[2:, 0] = -(Xs.T @ WY) / s2
+    H[1, 2:] = H[2:, 1] = -(Xs.T @ e) / s2**2
+    H[2:, 2:] = -(Xs.T @ Xs) / s2
     H = 0.5 * (H + H.T)
     I_hat = -H / data.n
     warnings: tuple[str, ...] = ()
@@ -325,15 +304,10 @@ def _observed_info_checked(theta_hat, data, S):
 
 
 def score_vector(theta: Theta, data: Dataset, S: SubmodelId) -> np.ndarray:
-    """Central finite-difference gradient of the full log-likelihood."""
-    v = theta.to_vector()
-    h = _fd_steps(v, data)
-    g = np.empty(len(v))
-    for i in range(len(v)):
-        e = np.zeros(len(v))
-        e[i] = h[i]
-        g[i] = (
-            full_loglik(Theta.from_vector(v + e), data, S)
-            - full_loglik(Theta.from_vector(v - e), data, S)
-        ) / (2.0 * h[i])
-    return g
+    """Gradient of the full log-likelihood over (rho, sigma^2, beta_S) in closed
+    form: (WY'e / s2 - sum g_i, (e'e / s2 - n) / (2 s2), X_S'e / s2)."""
+    WY, Xs, e, g = _derivative_terms(theta, data, S)
+    s2 = theta.sigma2
+    return np.concatenate(
+        ([(WY @ e) / s2 - g.sum(), ((e @ e) / s2 - data.n) / (2.0 * s2)], (Xs.T @ e) / s2)
+    )

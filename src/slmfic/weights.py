@@ -3,8 +3,9 @@
 A :class:`SpatialWeights` wraps a zero-diagonal adjacency matrix, optionally
 row-normalized, together with its (real) spectrum and the open interval of
 admissible values for the spatial autoregression parameter rho.  The spectrum
-is computed eagerly at construction so instances are immutable and safe to
-share across threads.
+is always computed at construction, so instances are immutable and safe to
+share across threads, and log|I - rho*W| and its derivatives in rho are sums
+over it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import scipy.linalg
 
 from .errors import (
     ComplexSpectrumError,
+    DataFormatError,
     InvalidSizeError,
     IsolatedUnitError,
     RhoOutOfRangeError,
@@ -28,14 +30,18 @@ _IMAG_TOL = 1e-8
 def validate_adjacency(A: np.ndarray) -> np.ndarray:
     """Check the adjacency-matrix invariants and return a float copy.
 
-    Requires a square matrix with n >= 2, nonnegative entries and an exactly
-    zero diagonal.
+    Requires a square matrix with n >= 2, finite nonnegative entries and an
+    exactly zero diagonal.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidSizeError(f"adjacency must be square, got shape {A.shape}")
     if A.shape[0] < 2:
         raise InvalidSizeError(f"need at least 2 spatial units, got {A.shape[0]}")
+    bad = np.argwhere(~np.isfinite(A))
+    if bad.size:
+        i, j = bad[0]
+        raise DataFormatError(f"non-finite adjacency entry {A[i, j]} at row {i}, column {j}")
     if np.any(A < 0):
         raise InvalidSizeError("adjacency entries must be nonnegative")
     if np.any(np.diag(A) != 0):
@@ -78,19 +84,18 @@ def _real_spectrum(W: np.ndarray, base: np.ndarray, row_normalized: bool) -> np.
     return np.sort(ev.real)
 
 
-def _rho_interval(spectrum: np.ndarray | None, row_normalized: bool) -> tuple[float, float]:
+def _rho_interval(spectrum: np.ndarray, row_normalized: bool) -> tuple[float, float]:
     """Open interval on which 1 - rho*omega_i > 0 for every eigenvalue.
 
     Zero eigenvalues contribute no bound.  Row-normalized matrices are always
     clipped to (-1, 1).
     """
     lo, hi = -np.inf, np.inf
-    if spectrum is not None:
-        wmin, wmax = spectrum[0], spectrum[-1]
-        if wmin < 0:
-            lo = 1.0 / wmin
-        if wmax > 0:
-            hi = 1.0 / wmax
+    wmin, wmax = spectrum[0], spectrum[-1]
+    if wmin < 0:
+        lo = 1.0 / wmin
+    if wmax > 0:
+        hi = 1.0 / wmax
     if row_normalized:
         lo, hi = max(lo, -1.0), min(hi, 1.0)
     return lo, hi
@@ -107,16 +112,15 @@ class SpatialWeights:
     base : (n, n) ndarray
         The adjacency the weights were built from.
     row_normalized : bool
-    spectrum : (n,) ndarray or None
-        Real eigenvalues sorted ascending; None if eigendecomposition was
-        skipped (``compute_spectrum=False``).
+    spectrum : (n,) ndarray
+        Real eigenvalues sorted ascending.
     rho_interval : (float, float)
     """
 
     matrix: np.ndarray
     base: np.ndarray
     row_normalized: bool
-    spectrum: np.ndarray | None
+    spectrum: np.ndarray
     rho_interval: tuple[float, float] = field(default=(-np.inf, np.inf))
 
     @property
@@ -124,12 +128,7 @@ class SpatialWeights:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_adjacency(
-        cls,
-        A: np.ndarray,
-        row_normalize: bool = False,
-        compute_spectrum: bool = True,
-    ) -> "SpatialWeights":
+    def from_adjacency(cls, A: np.ndarray, row_normalize: bool = False) -> "SpatialWeights":
         A = validate_adjacency(A)
         if row_normalize:
             sums = A.sum(axis=1)
@@ -139,7 +138,7 @@ class SpatialWeights:
             W = A / sums[:, None]
         else:
             W = A.copy()
-        spectrum = _real_spectrum(W, A, row_normalize) if compute_spectrum else None
+        spectrum = _real_spectrum(W, A, row_normalize)
         interval = _rho_interval(spectrum, row_normalize)
         W.setflags(write=False)
         A.setflags(write=False)
@@ -154,18 +153,14 @@ class SpatialWeights:
             lo, hi = self.rho_interval
             raise RhoOutOfRangeError(f"rho={rho} outside admissible interval ({lo}, {hi})")
 
-    def log_det_factor(self, rho: float, backend: str = "auto") -> float:
+    def log_det_factor(self, rho: float, backend: str = "spectrum") -> float:
         """log|I_n - rho*W| via the eigenvalue product or an LU factorization.
 
         The spectrum backend uses the identity |I - rho*W| = prod(1 - rho*w_i);
-        the LU backend accumulates log|pivot| and works without a spectrum.
+        the LU backend accumulates log|pivot| and is kept as its oracle.
         """
         self.require_rho(rho)
-        if backend == "auto":
-            backend = "spectrum" if self.spectrum is not None else "lu"
         if backend == "spectrum":
-            if self.spectrum is None:
-                raise ValueError("spectrum backend requested but no spectrum cached")
             factors = 1.0 - rho * self.spectrum
             if np.any(factors <= 0):
                 raise SingularFactorizationError(f"I - rho*W singular at rho={rho}")
@@ -182,9 +177,6 @@ class SpatialWeights:
     def log_det_rho_derivative(self, rho: float) -> float:
         """d/drho log|I - rho*W| = -sum_i w_i / (1 - rho*w_i)."""
         self.require_rho(rho)
-        if self.spectrum is None:
-            h = 1e-6 * max(1.0, abs(rho))
-            return (self.log_det_factor(rho + h) - self.log_det_factor(rho - h)) / (2 * h)
         return float(-np.sum(self.spectrum / (1.0 - rho * self.spectrum)))
 
 

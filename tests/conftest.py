@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from slmfic import Dataset, SpatialWeights, build_chain_lag1
+from slmfic import Dataset, SpatialWeights, Theta, build_chain_lag1, full_loglik
 
 
 def random_symmetric_adjacency(rng, n, density=0.4):
@@ -31,6 +31,62 @@ def random_dataset(rng, n=30, p=3, rho=0.3, beta=None, sigma2=1.0, row_normalize
 _ORACLE_GRID = 201
 
 
+def closed_form_information(rho, s2, beta, X, Y, WY, w):
+    """Observed information per observation, -H / n, of the spatial lag model
+    over (rho, sigma2, beta) at an arbitrary point, with numpy alone.
+
+    X holds the submodel's columns, w the eigenvalues of W and e the residual
+    Y - rho WY - X beta (Lee 2004, Econometrica 72(6)):
+    H_rr = -sum w_i^2 / (1 - rho w_i)^2 - (WY)'WY / sigma2,
+    H_rs = -(WY)'e / sigma2^2, H_ss = n / (2 sigma2^2) - e'e / sigma2^3,
+    H_rb = -X'WY / sigma2, H_sb = -X'e / sigma2^2, H_bb = -X'X / sigma2.
+    """
+    n, k = X.shape
+    e = Y - rho * WY - X @ beta
+    H = np.empty((k + 2, k + 2))
+    H[0, 0] = -np.sum(w**2 / (1.0 - rho * w) ** 2) - (WY @ WY) / s2
+    H[0, 1] = H[1, 0] = -(WY @ e) / s2**2
+    H[1, 1] = n / (2.0 * s2**2) - (e @ e) / s2**3
+    H[0, 2:] = H[2:, 0] = -(X.T @ WY) / s2
+    H[1, 2:] = H[2:, 1] = -(X.T @ e) / s2**2
+    H[2:, 2:] = -(X.T @ X) / s2
+    return -H / n
+
+
+def fd_information(theta, data, S):
+    """Observed information per observation, -H / n, with H the central
+    finite-difference Hessian of slmfic's full log-likelihood.
+
+    Steps are eps^(1/4) per coordinate, scaled by max(1, |theta_j|) and shrunk
+    to stay inside the rho interval and to keep sigma2 positive: a second
+    difference has truncation error O(h^2) and rounding error O(eps / h^2),
+    which this step balances.
+    """
+    v = theta.to_vector()
+    m = len(v)
+    h = np.finfo(float).eps ** 0.25 * np.maximum(1.0, np.abs(v))
+    lo, hi = data.W.rho_interval
+    h[0] = min(h[0], 0.49 * (v[0] - lo), 0.49 * (hi - v[0]))
+    h[1] = min(h[1], 0.49 * v[1])
+
+    def f(vec):
+        return full_loglik(Theta.from_vector(vec), data, S)
+
+    H = np.empty((m, m))
+    f0 = f(v)
+    for i in range(m):
+        ei = np.zeros(m)
+        ei[i] = h[i]
+        H[i, i] = (f(v + ei) - 2.0 * f0 + f(v - ei)) / (h[i] * h[i])
+        for j in range(i + 1, m):
+            ej = np.zeros(m)
+            ej[j] = h[j]
+            H[i, j] = H[j, i] = (
+                f(v + ei + ej) - f(v + ei - ej) - f(v - ei + ej) + f(v - ei - ej)
+            ) / (4.0 * h[i] * h[j])
+    return -H / data.n
+
+
 def oracle_top1_counts(cfg):
     """Top-1 counts of AIC and uniform-weight sAFIC over the replications of a
     chain-graph study, computed with numpy and scipy alone.
@@ -55,11 +111,8 @@ def oracle_top1_counts(cfg):
 
     sAFIC uses only the wide fit (rho, sigma2, beta):
 
-    - closed-form observed information per observation, -H / n, with e the
-      residual at the fit (Lee 2004, Econometrica 72(6)):
-      H_rr = -sum w_i^2 / (1 - rho w_i)^2 - (WY)'WY / sigma2,
-      H_rs = -(WY)'e / sigma2^2, H_ss = n / (2 sigma2^2) - e'e / sigma2^3,
-      H_rb = -X'WY / sigma2, H_sb = -X'e / sigma2^2, H_bb = -X'X / sigma2;
+    - closed-form observed information per observation
+      (``closed_form_information``);
     - sigma2 deleted, Q = (I_bb - I_br I_rb / I_rr)^-1;
     - omega_i = I_br / I_rr (WY)_i - x_i, delta = sqrt(n) beta;
     - G_S = Pi_S' (Pi_S Q^-1 Pi_S')^-1 Pi_S Q^-1, G = 0 for the empty subset;
@@ -127,15 +180,7 @@ def oracle_top1_counts(cfg):
         aic = [-2.0 * fit(X[:, cols], Y, WY)[3] + 2.0 * (len(cols) + 2) for cols in subsets]
 
         rho, s2, beta, _ = fit(X, Y, WY)
-        e = Y - rho * WY - X @ beta
-        H = np.empty((p + 2, p + 2))
-        H[0, 0] = -np.sum(w**2 / (1.0 - rho * w) ** 2) - (WY @ WY) / s2
-        H[0, 1] = H[1, 0] = -(WY @ e) / s2**2
-        H[1, 1] = n / (2.0 * s2**2) - (e @ e) / s2**3
-        H[0, 2:] = H[2:, 0] = -(X.T @ WY) / s2
-        H[1, 2:] = H[2:, 1] = -(X.T @ e) / s2**2
-        H[2:, 2:] = -(X.T @ X) / s2
-        info = -H / n
+        info = closed_form_information(rho, s2, beta, X, Y, WY, w)
         I_rr, I_br, I_bb = info[0, 0], info[2:, 0], info[2:, 2:]
         Q_inv = I_bb - np.outer(I_br, I_br) / I_rr
         Q = np.linalg.inv(Q_inv)

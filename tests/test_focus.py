@@ -12,7 +12,7 @@ from slmfic import (
 )
 from slmfic.errors import FocusSpecError
 
-from conftest import random_dataset
+from conftest import closed_form_information, random_dataset
 
 
 def random_theta(rng, data, S):
@@ -145,6 +145,29 @@ class TestMaxEigen:
             e[j] = h[j]
             fwd = (lam(Theta.from_vector(v + e))[0] - lam(theta)[0]) / h[j]
             assert central[0, j] == pytest.approx(fwd, rel=1e-4, abs=1e-10)
+
+    def test_jacobian_matches_closed_form_oracle(self, rng):
+        # central differences over an information built with numpy alone
+        for _ in range(6):
+            data = random_dataset(rng, n=75, p=3)
+            S = SubmodelId(int(rng.integers(0, 8)), 3)
+            theta = fit_mle(data, S, with_info=False).theta_hat
+            Xs = data.X[:, list(S.indices())]
+            WY = data.W.matrix @ data.Y
+            w = np.linalg.eigvals(data.W.matrix).real
+
+            def lam_max(v):
+                info = closed_form_information(v[0], v[1], v[2:], Xs, data.Y, WY, w)
+                return np.max(np.linalg.eigvalsh(np.linalg.inv(info)))
+
+            v = theta.to_vector()
+            want = np.empty(len(v))
+            for j in range(len(v)):
+                e = np.zeros(len(v))
+                e[j] = 1e-5 * max(1.0, abs(v[j]))
+                want[j] = (lam_max(v + e) - lam_max(v - e)) / (2.0 * e[j])
+            got = eval_focus(FocusSpec("max_eigen"), theta, data, S).jacobian[0]
+            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
     def test_repeated_top_eigenvalue_warns(self, rng):
         from slmfic import FisherInfo

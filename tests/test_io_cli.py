@@ -265,6 +265,44 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["reps_completed"] == 2
 
+    def test_failed_replications_exit_2(self, tmp_path, capsys):
+        # innovations of variance 1e-30 and no signal: every fit is degenerate
+        cfg = {"n": 20, "p": 2, "beta_true": [0.0, 0.0], "sigma2_true": 1e-30, "reps": 3}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "3/3 replications failed" in err
+        assert "Traceback" not in err
+
+    def test_nan_response_is_input_error(self, small_files, tmp_path, capsys):
+        data_path, weights_path = small_files
+        lines = open(data_path).read().splitlines()
+        lines[3] = "nan," + lines[3].split(",", 1)[1]
+        bad = write_csv(tmp_path / "nan.csv", "\n".join(lines) + "\n")
+        rc = main(["fit", "--data", bad, "--weights", weights_path, "--response", "y"])
+        assert rc == 1
+        assert "input error: non-finite response nan at row 2" in capsys.readouterr().err
+
+    def test_inf_weight_is_input_error(self, small_files, tmp_path, capsys):
+        data_path, _ = small_files
+        edges = ["i,j,w"] + [f"{i},{i + 1},1\n{i + 1},{i},1" for i in range(4)]
+        edges[2] = "1,2,inf\n2,1,1"
+        weights = write_csv(tmp_path / "w.csv", "\n".join(edges) + "\n")
+        rc = main(
+            [
+                "fit",
+                "--data", data_path,
+                "--weights", weights,
+                "--response", "y",
+                "--row-normalize",
+            ]
+        )
+        assert rc == 1
+        assert "non-finite adjacency entry inf at row 1, column 2" in capsys.readouterr().err
+
     def test_missing_file_is_input_error(self, capsys):
         rc = main(
             [

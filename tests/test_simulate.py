@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from slmfic import simulate
 from slmfic import (
     CriterionSpec,
     FocusSpec,
@@ -128,6 +131,22 @@ class TestDeterminism:
         serial = run_report_to_json(monte_carlo(cfg, jobs=1))
         parallel = run_report_to_json(monte_carlo(cfg, jobs=2))
         assert serial == parallel
+
+    def test_workers_do_not_rebuild_weights(self, monkeypatch):
+        # the patch reaches the workers because they are forked from this process
+        parent = os.getpid()
+        build = simulate.build_weights
+
+        def build_in_parent_only(cfg):
+            if os.getpid() != parent:
+                raise ConfigError("weights rebuilt in a worker process")
+            return build(cfg)
+
+        monkeypatch.setattr(simulate, "build_weights", build_in_parent_only)
+        cfg = small_config(reps=4)
+        parallel = monte_carlo(cfg, jobs=2)
+        assert parallel.failures == []
+        assert run_report_to_json(parallel) == run_report_to_json(monte_carlo(cfg, jobs=1))
 
     def test_seed_changes_output(self):
         r1 = run_report_to_json(monte_carlo(small_config(seed=1)))

@@ -10,14 +10,20 @@ from slmfic import (
     concentrated_loglik,
     fit_mle,
     full_loglik,
+    jacobian_fd,
     observed_info,
     profile_beta,
     profile_sigma2,
     score_vector,
 )
-from slmfic.errors import DegenerateVarianceError, RankError, RhoOutOfRangeError
+from slmfic.errors import (
+    DataFormatError,
+    DegenerateVarianceError,
+    RankError,
+    RhoOutOfRangeError,
+)
 
-from conftest import random_dataset
+from conftest import fd_information, random_dataset
 
 
 def zero_w_dataset(rng, n=40, p=3):
@@ -80,6 +86,20 @@ class TestProfiles:
         x = rng.standard_normal(10)
         with pytest.raises(RankError):
             Dataset(Y=rng.standard_normal(10), X=np.column_stack([x, x]), W=W)
+
+    def test_non_finite_response_named(self, rng):
+        data = random_dataset(rng, n=10)
+        Y = data.Y.copy()
+        Y[4] = np.nan
+        with pytest.raises(DataFormatError, match="response nan at row 4"):
+            Dataset(Y=Y, X=data.X, W=data.W)
+
+    def test_non_finite_covariate_named(self, rng):
+        data = random_dataset(rng, n=10)
+        X = data.X.copy()
+        X[6, 1] = -np.inf
+        with pytest.raises(DataFormatError, match=r"-inf at row 6, column 1 \('x2'\)"):
+            Dataset(Y=data.Y, X=X, W=data.W)
 
 
 class TestLikelihoods:
@@ -219,3 +239,48 @@ class TestObservedInfo:
             SubmodelId.wide(data.p),
         )
         assert np.linalg.eigvalsh(info.matrix)[0] > 0
+
+
+# wide, narrow and mixed submodels of p = 3
+CLOSED_FORM_MASKS = (0b111, 0b000, 0b101)
+
+
+def fitted_and_away(rng, data, S):
+    """The MLE of submodel S and a point well away from it."""
+    theta = fit_mle(data, S, with_info=False).theta_hat
+    v = theta.to_vector() + 0.3 * rng.standard_normal(len(S) + 2)
+    v[0] = np.clip(v[0], -0.8, 0.8)
+    v[1] = abs(v[1]) + 0.1
+    return theta, Theta.from_vector(v)
+
+
+class TestClosedForms:
+    """The closed-form information and score against finite differences of
+    full_loglik."""
+
+    @pytest.mark.parametrize("mask", CLOSED_FORM_MASKS)
+    def test_information_matches_fd_hessian(self, rng, mask):
+        S = SubmodelId(mask, 3)
+        for _ in range(5):
+            data = random_dataset(rng, n=int(rng.integers(20, 80)), p=3)
+            for theta in fitted_and_away(rng, data, S):
+                got = observed_info(theta, data, S).matrix
+                want = fd_information(theta, data, S)
+                assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("mask", CLOSED_FORM_MASKS)
+    def test_score_matches_fd_gradient(self, rng, mask):
+        S = SubmodelId(mask, 3)
+        for _ in range(5):
+            data = random_dataset(rng, n=int(rng.integers(20, 80)), p=3)
+            _, theta = fitted_and_away(rng, data, S)
+            lo, hi = data.W.rho_interval
+            want = jacobian_fd(
+                lambda th: full_loglik(th, data, S),
+                theta,
+                lower=[lo] + [-np.inf] * (len(S) + 1),
+                upper=[hi] + [np.inf] * (len(S) + 1),
+            )[0]
+            assert np.max(np.abs(want)) > 1e-2  # away from the optimum
+            got = score_vector(theta, data, S)
+            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from slmfic import SpatialWeights, build_chain_lag1, row_normalize
 from slmfic.errors import (
     ComplexSpectrumError,
+    DataFormatError,
     InvalidSizeError,
     IsolatedUnitError,
     RhoOutOfRangeError,
@@ -60,6 +61,13 @@ class TestRowNormalize:
         A = np.eye(3)
         with pytest.raises(InvalidSizeError):
             SpatialWeights.from_adjacency(A)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_non_finite_entry_named(self, bad):
+        A = build_chain_lag1(4)
+        A[1, 2] = bad
+        with pytest.raises(DataFormatError, match="row 1, column 2"):
+            SpatialWeights.from_adjacency(A, row_normalize=True)
 
 
 class TestSpectrum:
