@@ -9,11 +9,9 @@ from .diagnostics import MoranResult, aic, morans_i
 from .fic import (
     FicRow,
     delta_hat,
-    enumerate_submodels,
     fic_components,
     fic_score,
     m_matrix,
-    projection_matrix,
     rank_models,
     submodel_info,
 )
@@ -57,7 +55,7 @@ from .slm import (
     profile_sigma2,
     score_vector,
 )
-from .submodels import SubmodelId
+from .submodels import SubmodelId, enumerate_submodels, projection_matrix
 from .weights import SpatialWeights, build_chain_lag1, row_normalize
 
 __version__ = "0.1.0"

@@ -144,12 +144,12 @@ def _cmd_fic(args) -> int:
 
 def _cmd_safic(args) -> int:
     data = _dataset_from_args(args)
-    z0 = None
-    if args.scheme == "kernel":
-        if args.z0:
-            z0 = [float(v) for v in args.z0.split(",")]
-        else:
-            z0 = data.X[args.location]
+    if args.z0:
+        z0 = [float(v) for v in args.z0.split(",")]
+    elif 0 <= args.location < data.n:
+        z0 = data.X[args.location]
+    else:
+        raise SlmficError(f"--location {args.location} out of range for n={data.n}")
     rows = safic_table(data, scheme=args.scheme, z0=z0, bandwidth=args.bandwidth)
     _emit(write_report(rows, None, fmt=args.format), args.out)
     return 0

@@ -14,22 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularInformationError
-from .focus import FocusSpec, eval_focus, wide_beta_jacobian
-from .slm import Dataset, FisherInfo, FitResult
-from .submodels import SubmodelId, enumerate_submodels, projection_matrix
-
-__all__ = [
-    "SubmodelId",
-    "enumerate_submodels",
-    "projection_matrix",
-    "submodel_info",
-    "m_matrix",
-    "delta_hat",
-    "fic_components",
-    "fic_score",
-    "rank_models",
-    "FicRow",
-]
+from .focus import FocusSpec, depends_on_theta, eval_focus, wide_beta_jacobian
+from .slm import Dataset, FisherInfo, FitResult, Theta
+from .submodels import SubmodelId
 
 
 @dataclass(frozen=True)
@@ -112,13 +99,23 @@ def fic_components(
 def fic_score(
     spec: FocusSpec,
     S: SubmodelId,
-    fit_S: FitResult,
+    fit_S: FitResult | None,
     fit_wide: FitResult,
     info_full: FisherInfo,
     data: Dataset,
 ) -> FicRow:
-    """Score one submodel: evaluate the focus Jacobians and assemble the AMSE."""
-    J_S = eval_focus(spec, fit_S.theta_hat, data, S, info=fit_S.info).jacobian
+    """Score one submodel: evaluate the focus Jacobians and assemble the AMSE.
+
+    fit_S may be None for a focus whose Jacobian does not depend on theta_S;
+    it is then evaluated at the wide fit's (rho, sigma^2, beta_S)."""
+    if fit_S is None:
+        if depends_on_theta(spec):
+            raise ValueError(f"a {spec.kind} focus needs the fit of {S.label()}")
+        wide = fit_wide.theta_hat
+        theta_S, info_S = Theta(wide.rho, wide.sigma2, wide.beta[list(S.indices())]), None
+    else:
+        theta_S, info_S = fit_S.theta_hat, fit_S.info
+    J_S = eval_focus(spec, theta_S, data, S, info=info_S).jacobian
     if S.is_wide:
         # identical evaluation point for both sides of the centering
         J_beta_wide = J_S[:, 2:]

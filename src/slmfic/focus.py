@@ -100,6 +100,12 @@ def jacobian_fd(f, theta: Theta, lower=None, upper=None) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def depends_on_theta(spec: FocusSpec) -> bool:
+    """Whether the focus Jacobian varies with theta_S: spillover reads the log-det
+    derivative at rho_S, max_eigen the information at theta_S."""
+    return spec.kind in ("spillover", "max_eigen")
+
+
 def eval_focus(
     spec: FocusSpec,
     theta: Theta,
@@ -115,7 +121,7 @@ def eval_focus(
         i = spec.location
         if not 0 <= i < data.n:
             raise FocusSpecError(f"location {i} out of range for n={data.n}")
-        wy_i = float(data.W.matrix[i] @ data.Y)
+        wy_i = float(data.WY[i])
         x_iS = data.X[i, sel]
         value = np.array([theta.rho * wy_i + float(x_iS @ theta.beta)])
         jac = np.concatenate(([wy_i, 0.0], x_iS))[None, :]

@@ -127,7 +127,7 @@ def omega_i(i: int, data: Dataset, blocks: RhoBetaBlocks) -> np.ndarray:
     """Sensitivity vector of unit i: I_br * I_rr^{-1} * (WY)_i - x_i."""
     if not 0 <= i < data.n:
         raise ValueError(f"unit index {i} out of range for n={data.n}")
-    wy_i = float(data.W.matrix[i] @ data.Y)
+    wy_i = float(data.WY[i])
     return (blocks.I_br[:, 0] / blocks.I_rr) * wy_i - data.X[i]
 
 
@@ -135,9 +135,8 @@ def h_empirical(data: Dataset, psi: PsiWeights) -> np.ndarray:
     """Weighted second-moment matrix of the linear-predictor gradients (rho; beta)."""
     if len(psi.psi) != data.n:
         raise ValueError("weights length must equal the number of units")
-    WY = data.W.matrix @ data.Y
-    Psi_WY = psi.psi * WY
-    top_left = float(WY @ Psi_WY)
+    Psi_WY = psi.psi * data.WY
+    top_left = float(data.WY @ Psi_WY)
     top_right = Psi_WY @ data.X
     bottom_right = data.X.T @ (psi.psi[:, None] * data.X)
     H = np.empty((data.p + 1, data.p + 1))
@@ -176,7 +175,7 @@ def pointwise_risk(
     p = blocks.p
     resid_dir = (np.eye(p) - G).T @ w
     bias = float(resid_dir @ delta) ** 2
-    wy_i = float(data.W.matrix[i] @ data.Y)
+    wy_i = float(data.WY[i])
     rho_term = wy_i * wy_i / blocks.I_rr
     Gw = G.T @ w
     penalty = float(Gw @ blocks.Q @ Gw)

@@ -1,10 +1,11 @@
 """Monte-Carlo experiment driver: seeded replications, criterion sweeps, frequency tables.
 
 Each replication draws a fresh design matrix and innovation vector from an RNG
-stream keyed by (seed, rep), fits every candidate submodel, scores the enabled
-criteria, and records the rank-1 model.  Aggregation is an ordered reduction
-over replication index, so reports are byte-identical for a given config and
-seed regardless of worker count.
+stream keyed by (seed, rep), ranks all candidate submodels by the enabled
+criteria, and records the rank-1 model.  One engine, _sweep, ranks the
+submodels for replications, fic_table and safic_table alike.  Aggregation is an
+ordered reduction over replication index, so reports are byte-identical for a
+given config and seed regardless of worker count.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import numpy as np
 
 from .diagnostics import aic
 from .errors import ConfigError, ReplicationFailureError, SlmficError
-from .fic import delta_hat, fic_score, rank_models
-from .focus import FocusSpec, eval_focus
+from .fic import FicRow, delta_hat, fic_score, rank_models
+from .focus import FocusSpec, depends_on_theta, eval_focus
 from .safic import (
+    PsiWeights,
     h_empirical,
     k_empirical,
     median_bandwidth,
@@ -96,30 +98,30 @@ class SimConfig:
             raise ConfigError("sigma2_true must be positive")
         object.__setattr__(self, "beta_true", tuple(float(b) for b in self.beta_true))
         object.__setattr__(self, "criteria", tuple(self.criteria))
+        if self.track_realized_error and not any(c.kind == "fic" for c in self.criteria):
+            raise ConfigError("track_realized_error requires a fic criterion")
 
 
 def build_weights(cfg: SimConfig) -> SpatialWeights:
+    """The config's weights; rho_true must lie in their admissible interval."""
     if cfg.weights_kind == "chain":
-        return SpatialWeights.from_adjacency(
-            build_chain_lag1(cfg.n), row_normalize=cfg.row_normalize
-        )
-    from .io import load_weights
+        W = SpatialWeights.from_adjacency(build_chain_lag1(cfg.n), row_normalize=cfg.row_normalize)
+    else:
+        from .io import load_weights
 
-    W = load_weights(cfg.weights_kind, row_normalize=cfg.row_normalize)
-    if W.n != cfg.n:
-        raise ConfigError(f"weights file has n={W.n}, config says n={cfg.n}")
+        W = load_weights(cfg.weights_kind, row_normalize=cfg.row_normalize)
+        if W.n != cfg.n:
+            raise ConfigError(f"weights file has n={W.n}, config says n={cfg.n}")
+    if not W.contains_rho(cfg.rho_true):
+        raise ConfigError(f"rho_true={cfg.rho_true} outside admissible interval {W.rho_interval}")
     return W
 
 
 def generate_dataset(cfg: SimConfig, rep: int, W: SpatialWeights | None = None) -> Dataset:
     """Draw one replication: iid standard normal X, Gaussian innovations,
-    Y solved from (I - rho*W) Y = X beta + eps."""
+    Y solved from (I - rho*W) Y = X beta + eps.  W defaults to build_weights(cfg)."""
     if W is None:
         W = build_weights(cfg)
-    if not W.contains_rho(cfg.rho_true):
-        raise ConfigError(
-            f"rho_true={cfg.rho_true} outside admissible interval {W.rho_interval}"
-        )
     rng = np.random.default_rng([cfg.seed, rep])
     X = rng.standard_normal((cfg.n, cfg.p))
     eps = np.sqrt(cfg.sigma2_true) * rng.standard_normal(cfg.n)
@@ -127,10 +129,6 @@ def generate_dataset(cfg: SimConfig, rep: int, W: SpatialWeights | None = None) 
     A = np.eye(cfg.n) - cfg.rho_true * W.matrix
     Y = np.linalg.solve(A, rhs)
     return Dataset(Y=Y, X=X, W=W)
-
-
-def _needs_submodel_info(criteria) -> bool:
-    return any(c.kind == "fic" and c.focus.kind == "max_eigen" for c in criteria)
 
 
 def _score_one_rep(cfg: SimConfig, rep: int, W: SpatialWeights):
@@ -141,62 +139,21 @@ def _score_one_rep(cfg: SimConfig, rep: int, W: SpatialWeights):
     the estimated focus at the truth (first fic criterion only).
     """
     data = generate_dataset(cfg, rep, W)
-    submodels = enumerate_submodels(cfg.p)
-    with_info = _needs_submodel_info(cfg.criteria)
-    fits = {}
-    for S in submodels:
-        fits[S.mask] = fit_mle(data, S, with_info=with_info or S.is_wide)
-    wide = SubmodelId.wide(cfg.p)
-    fit_wide = fits[wide.mask]
-    info_full = fit_wide.info
-
-    rankings: dict[str, list[int]] = {}
-    for crit in cfg.criteria:
-        if crit.kind == "aic":
-            rows = [
-                _ScoreRow(S, float(aic(fits[S.mask]))) for S in submodels
-            ]
-        elif crit.kind == "fic":
-            rows = [
-                _ScoreRow(
-                    S,
-                    fic_score(crit.focus, S, fits[S.mask], fit_wide, info_full, data).score,
-                )
-                for S in submodels
-            ]
-        else:  # safic
-            if crit.scheme == "uniform":
-                psi = psi_uniform(cfg.n)
-            else:
-                z0 = np.asarray(crit.z0) if crit.z0 is not None else data.X[0]
-                h = crit.bandwidth if crit.bandwidth is not None else median_bandwidth(data.X)
-                psi = psi_kernel(data.X, z0, h)
-            blocks = rho_beta_blocks(info_full)
-            K = k_empirical(blocks, h_empirical(data, psi))
-            delta = delta_hat(fit_wide)
-            rows = [
-                _ScoreRow(S, safic_score(S, delta, blocks, K).score) for S in submodels
-            ]
-        order = sorted(rows, key=lambda r: (r.score, len(r.S), r.S.mask))
-        rankings[crit.name] = [r.S.mask for r in order]
-
+    tables, fits = _sweep(data, cfg.criteria, fit_all=cfg.track_realized_error)
+    rankings = {
+        name: [r.submodel.mask for r in sorted(rows, key=lambda r: r.rank)]
+        for name, rows in tables.items()
+    }
     realized: dict[int, float] = {}
     if cfg.track_realized_error:
-        focus = next((c.focus for c in cfg.criteria if c.kind == "fic"), None)
-        if focus is None:
-            raise ConfigError("track_realized_error requires a fic criterion")
+        focus = next(c.focus for c in cfg.criteria if c.kind == "fic")
+        wide = SubmodelId.wide(cfg.p)
         theta_true = Theta(cfg.rho_true, cfg.sigma2_true, np.asarray(cfg.beta_true))
-        mu_true = eval_focus(focus, theta_true, data, wide, info=info_full).value
-        for S in submodels:
-            mu_hat = eval_focus(focus, fits[S.mask].theta_hat, data, S, info=fits[S.mask].info).value
-            realized[S.mask] = float(np.sum((mu_hat - mu_true) ** 2))
+        mu_true = eval_focus(focus, theta_true, data, wide, info=fits[wide.mask].info).value
+        for mask, fit in fits.items():
+            mu_hat = eval_focus(focus, fit.theta_hat, data, fit.submodel, info=fit.info).value
+            realized[mask] = float(np.sum((mu_hat - mu_true) ** 2))
     return rankings, realized
-
-
-@dataclass(frozen=True)
-class _ScoreRow:
-    S: SubmodelId
-    score: float
 
 
 @dataclass
@@ -286,36 +243,75 @@ def _try_rep_in_worker(cfg, rep):
     return _try_rep(cfg, rep, _worker_weights)
 
 
-def fic_table(spec: FocusSpec, data: Dataset):
-    """Exhaustive FIC sweep on a dataset: fit everything, score, rank."""
+def _psi(crit: CriterionSpec, data: Dataset) -> PsiWeights:
+    """sAFIC weights of a criterion: uniform, or a Gaussian kernel centred on
+    z0 (default: the first unit's covariates) with the median-distance
+    bandwidth unless one is given."""
+    if crit.scheme == "uniform":
+        return psi_uniform(data.n)
+    z0 = np.asarray(crit.z0, dtype=float) if crit.z0 is not None else data.X[0]
+    h = crit.bandwidth if crit.bandwidth is not None else median_bandwidth(data.X)
+    return psi_kernel(data.X, z0, h)
+
+
+def _sweep(data: Dataset, criteria, fit_all: bool = False):
+    """Rank all 2^p subsets of a dataset by each criterion.
+
+    The wide model is fitted once, with information.  Another subset is
+    fitted, without information, only when a score reads that fit: AIC reads
+    its log-likelihood, FIC its theta_S when focus.depends_on_theta, and
+    fit_all asks for every fit.  FIC with a theta-free focus and sAFIC read the
+    wide fit only.  AIC rows are FicRows whose score is the AIC (bias2 and
+    variance are NaN).
+
+    Returns ({criterion name: rows ranked by rank_models}, {mask: fit}), the
+    fits in ascending mask order.
+    """
     submodels = enumerate_submodels(data.p)
-    with_info = spec.kind == "max_eigen"
-    fits = {S.mask: fit_mle(data, S, with_info=with_info or S.is_wide) for S in submodels}
-    wide = SubmodelId.wide(data.p)
-    fit_wide = fits[wide.mask]
-    rows = [
-        fic_score(spec, S, fits[S.mask], fit_wide, fit_wide.info, data) for S in submodels
-    ]
-    return rank_models(rows)
+    fit_all = fit_all or any(
+        c.kind == "aic" or (c.kind == "fic" and depends_on_theta(c.focus)) for c in criteria
+    )
+    fits = {
+        S.mask: fit_mle(data, S, with_info=S.is_wide)
+        for S in submodels
+        if fit_all or S.is_wide
+    }
+    fit_wide = fits[submodels[-1].mask]
+    blocks = delta = None
+    tables = {}
+    for crit in criteria:
+        if crit.kind == "aic":
+            rows = [
+                FicRow(S, S.variable_names(data.names), np.nan, np.nan, aic(fits[S.mask]))
+                for S in submodels
+            ]
+        elif crit.kind == "fic":
+            rows = [
+                fic_score(crit.focus, S, fits.get(S.mask), fit_wide, fit_wide.info, data)
+                for S in submodels
+            ]
+        else:  # safic
+            if blocks is None:
+                blocks, delta = rho_beta_blocks(fit_wide.info), delta_hat(fit_wide)
+            psi = _psi(crit, data)
+            K = k_empirical(blocks, h_empirical(data, psi))
+            rows = [
+                safic_score(
+                    S, delta, blocks, K, labels=S.variable_names(data.names), scheme=psi.scheme
+                )
+                for S in submodels
+            ]
+        tables[crit.name] = rank_models(rows)
+    return tables, fits
+
+
+def fic_table(spec: FocusSpec, data: Dataset):
+    """Exhaustive FIC sweep on a dataset, ranked."""
+    crit = CriterionSpec(kind="fic", name="FIC", focus=spec)
+    return _sweep(data, (crit,))[0][crit.name]
 
 
 def safic_table(data: Dataset, scheme: str = "uniform", z0=None, bandwidth=None):
-    """Exhaustive sAFIC sweep on a dataset."""
-    wide = SubmodelId.wide(data.p)
-    fit_wide = fit_mle(data, wide, with_info=True)
-    if scheme == "uniform":
-        psi = psi_uniform(data.n)
-    elif scheme == "kernel":
-        z0 = np.asarray(z0, dtype=float) if z0 is not None else data.X[0]
-        h = bandwidth if bandwidth is not None else median_bandwidth(data.X)
-        psi = psi_kernel(data.X, z0, h)
-    else:
-        raise ConfigError(f"unknown weight scheme {scheme!r}")
-    blocks = rho_beta_blocks(fit_wide.info)
-    K = k_empirical(blocks, h_empirical(data, psi))
-    delta = delta_hat(fit_wide)
-    rows = [
-        safic_score(S, delta, blocks, K, labels=S.variable_names(data.names), scheme=psi.scheme)
-        for S in enumerate_submodels(data.p)
-    ]
-    return rank_models(rows)
+    """Exhaustive sAFIC sweep on a dataset, ranked."""
+    crit = CriterionSpec(kind="safic", name="sAFIC", scheme=scheme, z0=z0, bandwidth=bandwidth)
+    return _sweep(data, (crit,))[0][crit.name]

@@ -34,12 +34,14 @@ _MAX_ITER = 500
 
 @dataclass(frozen=True)
 class Dataset:
-    """Response vector, design matrix, spatial weights and variable names."""
+    """Response vector, design matrix, spatial weights, variable names and the
+    spatial lag WY of the response, computed once on construction."""
 
     Y: np.ndarray
     X: np.ndarray
     W: SpatialWeights
     names: tuple[str, ...] = ()
+    WY: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Y = np.asarray(self.Y, dtype=float).reshape(-1)
@@ -66,8 +68,10 @@ class Dataset:
             sv = np.linalg.svd(X, compute_uv=False)
             if sv[-1] <= 1e-10 * sv[0]:
                 raise RankError("design matrix X is rank deficient")
-        Y.setflags(write=False)
-        X.setflags(write=False)
+        WY = self.W.matrix @ Y
+        for a in (Y, X, WY):
+            a.setflags(write=False)
+        object.__setattr__(self, "WY", WY)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "names", names)
@@ -156,7 +160,7 @@ def full_loglik(theta: Theta, data: Dataset, S: SubmodelId) -> float:
     if theta.sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     n = data.n
-    z = data.Y - theta.rho * (data.W.matrix @ data.Y)
+    z = data.Y - theta.rho * data.WY
     Xs = _design(data, S)
     resid = z - Xs @ theta.beta if Xs.shape[1] else z
     return (
@@ -178,8 +182,7 @@ class _ProfileCache:
     def __init__(self, data: Dataset, S: SubmodelId):
         self.data = data
         Xs = _design(data, S)
-        Y = data.Y
-        WY = data.W.matrix @ Y
+        Y, WY = data.Y, data.WY
         if Xs.shape[1]:
             coef, _, _, sv = np.linalg.lstsq(Xs, np.column_stack((Y, WY)), rcond=None)
             if sv[-1] <= 1e-10 * sv[0]:
@@ -261,11 +264,10 @@ def _derivative_terms(theta: Theta, data: Dataset, S: SubmodelId):
     """WY, X_S, the residual e = Y - rho*WY - X_S beta and g_i = w_i / (1 - rho*w_i)
     over the spectrum of W, the ingredients of the score and the Hessian."""
     data.W.require_rho(theta.rho)
-    WY = data.W.matrix @ data.Y
     Xs = _design(data, S)
-    e = data.Y - theta.rho * WY - Xs @ theta.beta
+    e = data.Y - theta.rho * data.WY - Xs @ theta.beta
     w = data.W.spectrum
-    return WY, Xs, e, w / (1.0 - theta.rho * w)
+    return data.WY, Xs, e, w / (1.0 - theta.rho * w)
 
 
 def observed_info(theta_hat: Theta, data: Dataset, S: SubmodelId) -> FisherInfo:

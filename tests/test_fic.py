@@ -165,6 +165,25 @@ class TestScoreSweep:
         best = min(ranked, key=lambda r: r.rank)
         assert best.score == min(r.score for r in ranked)
 
+    @pytest.mark.parametrize(
+        "spec", [FocusSpec("conditional_mean", location=2), FocusSpec("beta_coeffs")]
+    )
+    def test_theta_free_focus_needs_no_submodel_fit(self, rng, spec):
+        data = random_dataset(rng, n=40, p=3)
+        fit_w = fit_mle(data, SubmodelId.wide(3))
+        for S in enumerate_submodels(3):
+            fit_S = fit_mle(data, S, with_info=False)
+            with_fit = fic_score(spec, S, fit_S, fit_w, fit_w.info, data)
+            assert fic_score(spec, S, None, fit_w, fit_w.info, data) == with_fit
+
+    @pytest.mark.parametrize("kind", ["spillover", "max_eigen"])
+    def test_theta_dependent_focus_requires_submodel_fit(self, rng, kind):
+        data = random_dataset(rng, n=40, p=3)
+        fit_w = fit_mle(data, SubmodelId.wide(3))
+        S = SubmodelId(1, 3)
+        with pytest.raises(ValueError, match="needs the fit of S2"):
+            fic_score(FocusSpec(kind), S, None, fit_w, fit_w.info, data)
+
     def test_column_permutation_invariance(self, rng):
         from slmfic import Dataset
 

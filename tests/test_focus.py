@@ -11,6 +11,7 @@ from slmfic import (
     wide_beta_jacobian,
 )
 from slmfic.errors import FocusSpecError
+from slmfic.focus import depends_on_theta
 
 from conftest import closed_form_information, random_dataset
 
@@ -55,6 +56,30 @@ class TestSpecValidation:
         assert FocusSpec("beta_coeffs").dim(5) == 5
         assert FocusSpec("beta_coeffs", coeff_subset=(1, 3)).dim(5) == 2
         assert FocusSpec("spillover").dim(5) == 7
+
+
+class TestDependsOnTheta:
+    """depends_on_theta is true exactly for the kinds whose Jacobian moves with theta_S."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FocusSpec("conditional_mean", location=3),
+            FocusSpec("beta_coeffs"),
+            FocusSpec("beta_coeffs", coeff_subset=(0, 2)),
+            FocusSpec("spillover"),
+            FocusSpec("max_eigen"),
+        ],
+        ids=lambda spec: f"{spec.kind}-{spec.coeff_subset}",
+    )
+    def test_jacobian_constant_iff_theta_free(self, rng, spec):
+        data = random_dataset(rng, n=30, p=3)
+        S = SubmodelId.from_indices([0, 2], 3)
+        theta = fit_mle(data, S, with_info=False).theta_hat
+        moved = Theta(theta.rho + 0.05, 1.2 * theta.sigma2, theta.beta + 0.1)
+        J = eval_focus(spec, theta, data, S).jacobian
+        J_moved = eval_focus(spec, moved, data, S).jacobian
+        assert np.array_equal(J, J_moved) == (not depends_on_theta(spec))
 
 
 class TestAnalyticJacobians:

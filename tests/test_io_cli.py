@@ -277,6 +277,33 @@ class TestCli:
         assert "3/3 replications failed" in err
         assert "Traceback" not in err
 
+    def test_inadmissible_rho_true_is_input_error(self, tmp_path, capsys):
+        cfg = {"n": 20, "p": 2, "rho_true": 1.5, "beta_true": [0.0, 0.4], "reps": 2}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: rho_true=1.5 outside admissible interval")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("location", [99, -1])
+    def test_safic_location_out_of_range_is_input_error(self, small_files, capsys, location):
+        data_path, weights_path = small_files
+        rc = main(
+            [
+                "safic",
+                "--data", data_path,
+                "--weights", weights_path,
+                "--response", "y",
+                "--row-normalize",
+                "--scheme", "kernel",
+                f"--location={location}",
+            ]
+        )
+        assert rc == 1
+        assert f"input error: --location {location} out of range" in capsys.readouterr().err
+
     def test_nan_response_is_input_error(self, small_files, tmp_path, capsys):
         data_path, weights_path = small_files
         lines = open(data_path).read().splitlines()

@@ -8,10 +8,15 @@ from slmfic import (
     CriterionSpec,
     FocusSpec,
     SimConfig,
+    aic,
     build_weights,
     default_criteria,
+    enumerate_submodels,
+    fic_table,
+    fit_mle,
     generate_dataset,
     monte_carlo,
+    safic_table,
 )
 from slmfic.errors import ConfigError
 from slmfic.io import run_report_to_json
@@ -42,6 +47,15 @@ class TestConfig:
         cfg = small_config(rho_true=1.5)
         with pytest.raises(ConfigError):
             generate_dataset(cfg, 0)
+
+    def test_rho_admissibility_checked_before_the_study(self):
+        # one input error, not a failure of every replication
+        with pytest.raises(ConfigError, match="rho_true=1.5"):
+            monte_carlo(small_config(rho_true=1.5))
+
+    def test_realized_error_needs_a_fic_criterion(self):
+        with pytest.raises(ConfigError, match="track_realized_error"):
+            small_config(track_realized_error=True, criteria=(CriterionSpec("aic", "AIC"),))
 
     def test_criterion_kind_checked(self):
         with pytest.raises(ConfigError):
@@ -117,6 +131,74 @@ class TestMonteCarlo:
 
     def test_default_criteria_names(self):
         assert [c.name for c in default_criteria()] == ["FIC1", "sAFIC1", "AIC"]
+
+
+def ranked_masks(rows):
+    return [r.submodel.mask for r in sorted(rows, key=lambda r: r.rank)]
+
+
+class TestSweepEngine:
+    @pytest.fixture
+    def fitted(self, monkeypatch):
+        """Masks of the submodels simulate.fit_mle is called on, in call order."""
+        masks = []
+        fit = simulate.fit_mle
+
+        def counting_fit(data, S, with_info=True):
+            masks.append(S.mask)
+            return fit(data, S, with_info)
+
+        monkeypatch.setattr(simulate, "fit_mle", counting_fit)
+        return masks
+
+    @pytest.mark.parametrize(
+        "sweep, fits",
+        [
+            (lambda d: fic_table(FocusSpec("conditional_mean", location=0), d), 1),
+            (lambda d: fic_table(FocusSpec("beta_coeffs"), d), 1),
+            (lambda d: safic_table(d, "uniform"), 1),
+            (lambda d: safic_table(d, "kernel"), 1),
+            (lambda d: fic_table(FocusSpec("spillover"), d), 8),
+            (lambda d: fic_table(FocusSpec("max_eigen"), d), 8),
+        ],
+        ids=["fic-mean", "fic-beta", "safic-uniform", "safic-kernel", "fic-spill", "fic-maxvar"],
+    )
+    def test_fits_per_sweep(self, fitted, sweep, fits):
+        rows = sweep(generate_dataset(small_config(), 0))
+        assert sorted(r.rank for r in rows) == list(range(1, 9))
+        assert len(fitted) == fits
+        assert fitted[-1] == 7  # the wide model, always fitted
+
+    def test_fits_per_replication(self, fitted):
+        report = monte_carlo(small_config(reps=2))
+        assert report.failures == []
+        assert fitted == list(range(8)) * 2
+
+    def test_replication_rankings_match_the_tables(self):
+        cfg = small_config(
+            reps=3,
+            criteria=(
+                CriterionSpec("fic", "F", focus=FocusSpec("conditional_mean", location=2)),
+                CriterionSpec("safic", "U", scheme="uniform"),
+                CriterionSpec("safic", "K", scheme="kernel"),
+                CriterionSpec("aic", "A"),
+            ),
+        )
+        report = monte_carlo(cfg)
+        assert report.failures == []
+        W = build_weights(cfg)
+        for rep, rankings in enumerate(report.per_rep_rankings):
+            data = generate_dataset(cfg, rep, W)
+            aics = {
+                S.mask: aic(fit_mle(data, S, with_info=False))
+                for S in enumerate_submodels(cfg.p)
+            }
+            assert rankings == {
+                "F": ranked_masks(fic_table(cfg.criteria[0].focus, data)),
+                "U": ranked_masks(safic_table(data, "uniform")),
+                "K": ranked_masks(safic_table(data, "kernel")),
+                "A": sorted(aics, key=lambda m: (aics[m], bin(m).count("1"), m)),
+            }
 
 
 class TestDeterminism:

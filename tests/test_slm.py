@@ -102,6 +102,13 @@ class TestProfiles:
             Dataset(Y=data.Y, X=X, W=data.W)
 
 
+    def test_spatial_lag_computed_once_read_only(self, rng):
+        data = random_dataset(rng, n=20, p=2)
+        assert np.array_equal(data.WY, data.W.matrix @ data.Y)
+        with pytest.raises(ValueError):
+            data.WY[0] = 0.0
+
+
 class TestLikelihoods:
     def test_concentrated_equals_full_at_profile(self, rng):
         for _ in range(5):
