@@ -16,7 +16,6 @@ from .errors import (
     SingularFactorizationError,
     SingularInformationError,
     SlmficError,
-    StencilError,
 )
 from .focus import FocusSpec
 from .io import config_from_json, load_dataset, run_report_to_json, write_report
@@ -29,7 +28,6 @@ _NUMERICAL_ERRORS = (
     SingularInformationError,
     SingularFactorizationError,
     DegenerateVarianceError,
-    StencilError,
     BandwidthError,
     ReplicationFailureError,
 )

@@ -13,9 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularInformationError
-from .focus import FocusSpec, depends_on_theta, eval_focus, wide_beta_jacobian
-from .slm import Dataset, FisherInfo, FitResult, Theta
+from .focus import FocusSpec, depends_on_theta, eval_focus
+from .slm import Dataset, FisherInfo, FitResult, Theta, _require_conditioned
 from .submodels import SubmodelId
 
 
@@ -58,11 +57,7 @@ def m_matrix(info_full: FisherInfo, S: SubmodelId) -> np.ndarray:
         ]
     )
     I_S = submodel_info(info_full, S).matrix
-    cond = np.linalg.cond(I_S)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularInformationError(
-            f"submodel information for {S.label()} has condition number {cond:.3e}"
-        )
+    _require_conditioned(I_S, f"submodel information for {S.label()}")
     return np.linalg.solve(I_S, B)
 
 
@@ -101,10 +96,10 @@ def fic_score(
     S: SubmodelId,
     fit_S: FitResult | None,
     fit_wide: FitResult,
-    info_full: FisherInfo,
+    J_beta_wide: np.ndarray,
     data: Dataset,
 ) -> FicRow:
-    """Score one submodel: evaluate the focus Jacobians and assemble the AMSE.
+    """Score one submodel against the centering term J_beta_wide (wide_beta_jacobian).
 
     fit_S may be None for a focus whose Jacobian does not depend on theta_S;
     it is then evaluated at the wide fit's (rho, sigma^2, beta_S)."""
@@ -116,13 +111,8 @@ def fic_score(
     else:
         theta_S, info_S = fit_S.theta_hat, fit_S.info
     J_S = eval_focus(spec, theta_S, data, S, info=info_S).jacobian
-    if S.is_wide:
-        # identical evaluation point for both sides of the centering
-        J_beta_wide = J_S[:, 2:]
-    else:
-        J_beta_wide = wide_beta_jacobian(spec, fit_wide.theta_hat, data, fit_wide.info)
     D_n = delta_hat(fit_wide)
-    bias2, variance = fic_components(J_S, J_beta_wide, info_full, S, D_n)
+    bias2, variance = fic_components(J_S, J_beta_wide, fit_wide.info, S, D_n)
     return FicRow(
         submodel=S,
         labels=S.variable_names(data.names),

@@ -6,8 +6,8 @@ Four focus kinds are supported:
     The linear predictor rho*(WY)_i + x_i' beta at a chosen unit i.
 ``max_eigen``
     The largest eigenvalue of the inverse estimated information, a summary of
-    estimator variability.  Its Jacobian is central differences over the
-    closed-form observed information, the only numerical derivative here.
+    estimator variability.  Its Jacobian is eigenvalue perturbation through the
+    closed-form third derivatives of the log-likelihood.
 ``beta_coeffs``
     The regression coefficients themselves (optionally a subset).
 ``spillover``
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FocusSpecError, StencilError
-from .slm import Dataset, FisherInfo, Theta, observed_info
+from .slm import Dataset, FisherInfo, Theta, _derivative_terms, observed_info
 from .submodels import SubmodelId
 
 _EPS_THIRD = np.finfo(float).eps ** (1.0 / 3.0)
@@ -74,7 +74,8 @@ def _embed_beta(theta: Theta, S: SubmodelId) -> np.ndarray:
 def jacobian_fd(f, theta: Theta, lower=None, upper=None) -> np.ndarray:
     """Central-difference Jacobian of f over the stacked vector (rho, sigma^2, beta).
 
-    Used as the oracle against every analytic Jacobian.  Steps follow the
+    Not used in production: every focus Jacobian is a closed form, and this is
+    the test oracle they are checked against.  Steps follow the
     cube-root-of-epsilon rule per coordinate; optional bounds shrink the
     stencil to stay in the domain.
     """
@@ -150,27 +151,27 @@ def eval_focus(
             jac[2 + j, 2 + r] = 1.0
         return FocusEval(value, jac)
 
-    # max_eigen: central differences through the closed-form information
+    # max_eigen: lambda = 1/mu, mu the smallest eigenvalue of I = -H/n with unit
+    # eigenvector u.  For a simple eigenvalue d(lambda) = (lambda^2 / n) d(u'Hu) with
+    # u held fixed (Magnus 1985); the gradient of u'Hu contracts the third derivatives
+    # of the log-likelihood (Lee 2004) twice with u.
     if info is None:
         info = observed_info(theta, data, S)
-
-    def lam_max(th: Theta) -> float:
-        I_hat = observed_info(th, data, S).matrix
-        return float(np.max(np.linalg.eigvalsh(np.linalg.inv(I_hat))))
-
-    eigs = np.linalg.eigvalsh(np.linalg.inv(info.matrix))
-    value = np.array([eigs[-1]])
+    eigs, vecs = np.linalg.eigh(np.linalg.inv(info.matrix))
+    lam, (ur, us), ub = eigs[-1], vecs[:2, -1], vecs[2:, -1]
     warnings: tuple[str, ...] = ()
     if len(eigs) > 1 and eigs[-1] - eigs[-2] < _EIGEN_GAP_TOL:
         warnings = (
             "top eigenvalue nearly repeated; max_eigen focus Jacobian is unreliable",
         )
-    lo, hi = data.W.rho_interval
-    lower = np.full(m, -np.inf)
-    upper = np.full(m, np.inf)
-    lower[0], upper[0] = lo, hi
-    jac = jacobian_fd(lam_max, theta, lower=lower, upper=upper)
-    return FocusEval(value, jac, warnings)
+    WY, Xs, e, g = _derivative_terms(theta, data, S)
+    s2 = theta.sigma2
+    a = ur * WY + Xs @ ub
+    t = (2.0 * us / s2**2) * a + (2.0 * us**2 / s2**3) * e
+    d_s2 = (a @ a) / s2**2 + 4.0 * us * (a @ e) / s2**3
+    d_s2 += us**2 * (3.0 * (e @ e) / s2**4 - data.n / s2**3)
+    grad = np.concatenate(([WY @ t - 2.0 * ur**2 * (g**3).sum(), d_s2], Xs.T @ t))
+    return FocusEval(np.array([lam]), (lam**2 / data.n) * grad[None, :], warnings)
 
 
 def wide_beta_jacobian(

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 from .focus import FocusSpec
 from .simulate import CriterionSpec, RunReport, SimConfig
 from .slm import Dataset
@@ -205,26 +205,36 @@ def _config_to_dict(cfg: SimConfig) -> dict:
 
 
 def config_from_json(path: str) -> SimConfig:
-    """Parse a SimConfig (with nested criteria) from a JSON file."""
+    """Parse a SimConfig (with nested criteria) from a JSON file.
+
+    A non-object where an object belongs, an unknown key or a missing required
+    field raises ConfigError naming the file and the key."""
     with open(path) as fh:
-        raw = json.load(fh)
+        raw = _checked_fields(path, "the config", json.load(fh), SimConfig)
     criteria = raw.pop("criteria", None)
     if criteria is not None:
-        specs = []
-        for c in criteria:
-            focus = c.pop("focus", None)
-            if focus is not None:
-                focus = FocusSpec(
-                    kind=focus["kind"],
-                    location=focus.get("location"),
-                    coeff_subset=tuple(focus["coeff_subset"])
-                    if focus.get("coeff_subset")
-                    else None,
-                )
-            if "z0" in c and c["z0"] is not None:
+        raw["criteria"] = []
+        for i, c in enumerate(criteria):
+            c = _checked_fields(path, f"criteria[{i}]", c, CriterionSpec)
+            if c.get("focus") is not None:
+                focus = _checked_fields(path, f"criteria[{i}].focus", c["focus"], FocusSpec)
+                subset = focus.get("coeff_subset") or None  # empty selects every coefficient
+                c["focus"] = FocusSpec(**{**focus, "coeff_subset": subset})
+            if c.get("z0") is not None:
                 c["z0"] = tuple(c["z0"])
-            specs.append(CriterionSpec(focus=focus, **c))
-        raw["criteria"] = tuple(specs)
-    if "beta_true" in raw:
-        raw["beta_true"] = tuple(raw["beta_true"])
+            raw["criteria"].append(CriterionSpec(**c))
     return SimConfig(**raw)
+
+
+def _checked_fields(path: str, where: str, obj, cls) -> dict:
+    """A copy of the JSON value obj, which must be an object whose keys are
+    fields of the dataclass cls and include every field without a default."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: {where} must be a JSON object, not {type(obj).__name__}")
+    unknown = [key for key in obj if key not in {f.name for f in fields(cls)}]
+    if unknown:
+        raise ConfigError(f"{path}: unknown key {unknown[0]!r} in {where}")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in obj:
+            raise ConfigError(f"{path}: {where} is missing the field {f.name!r}")
+    return dict(obj)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandwidthError, SingularInformationError
-from .slm import Dataset, FisherInfo
+from .errors import BandwidthError
+from .slm import Dataset, FisherInfo, _require_conditioned
 from .submodels import SubmodelId, projection_matrix
 
 
@@ -99,9 +99,7 @@ def rho_beta_blocks(info_full: FisherInfo) -> RhoBetaBlocks:
     I_br = I[2:, 0:1]
     I_bb = I[2:, 2:]
     schur = I_bb - (I_br @ I_rb) / I_rr
-    cond = np.linalg.cond(schur)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularInformationError(f"beta Schur complement condition number {cond:.3e}")
+    _require_conditioned(schur, "beta Schur complement of the wide information")
     Q = np.linalg.inv(schur)
     Q = 0.5 * (Q + Q.T)
     return RhoBetaBlocks(I_rr=I_rr, I_rb=I_rb, I_br=I_br, I_bb=I_bb, Q=Q, Q_inv=schur)
@@ -114,11 +112,7 @@ def g_matrix(blocks: RhoBetaBlocks, S: SubmodelId) -> np.ndarray:
         return np.zeros((p, p))
     Pi = projection_matrix(S)
     M = Pi @ blocks.Q_inv @ Pi.T
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularInformationError(
-            f"projected inverse-Q block for {S.label()} is singular (cond {cond:.3e})"
-        )
+    _require_conditioned(M, f"projected inverse-Q block for {S.label()}")
     Q_S = np.linalg.inv(M)
     return Pi.T @ Q_S @ Pi @ blocks.Q_inv
 

@@ -19,7 +19,7 @@ import numpy as np
 from .diagnostics import aic
 from .errors import ConfigError, ReplicationFailureError, SlmficError
 from .fic import FicRow, delta_hat, fic_score, rank_models
-from .focus import FocusSpec, depends_on_theta, eval_focus
+from .focus import FocusSpec, depends_on_theta, eval_focus, wide_beta_jacobian
 from .safic import (
     PsiWeights,
     h_empirical,
@@ -149,7 +149,7 @@ def _score_one_rep(cfg: SimConfig, rep: int, W: SpatialWeights):
         focus = next(c.focus for c in cfg.criteria if c.kind == "fic")
         wide = SubmodelId.wide(cfg.p)
         theta_true = Theta(cfg.rho_true, cfg.sigma2_true, np.asarray(cfg.beta_true))
-        mu_true = eval_focus(focus, theta_true, data, wide, info=fits[wide.mask].info).value
+        mu_true = eval_focus(focus, theta_true, data, wide).value
         for mask, fit in fits.items():
             mu_hat = eval_focus(focus, fit.theta_hat, data, fit.submodel, info=fit.info).value
             realized[mask] = float(np.sum((mu_hat - mu_true) ** 2))
@@ -286,8 +286,9 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
                 for S in submodels
             ]
         elif crit.kind == "fic":
+            J_beta_wide = wide_beta_jacobian(crit.focus, fit_wide.theta_hat, data, fit_wide.info)
             rows = [
-                fic_score(crit.focus, S, fits.get(S.mask), fit_wide, fit_wide.info, data)
+                fic_score(crit.focus, S, fits.get(S.mask), fit_wide, J_beta_wide, data)
                 for S in submodels
             ]
         else:  # safic

@@ -30,6 +30,15 @@ from .weights import SpatialWeights
 _LOG_2PI = math.log(2.0 * math.pi)
 _SIGMA2_FLOOR = 1e-12
 _MAX_ITER = 500
+_COND_LIMIT = 1e12  # information matrices and blocks above it count as singular
+
+
+def _require_conditioned(M: np.ndarray, what: str) -> None:
+    """Raise SingularInformationError, naming `what`, when the condition number
+    of M is not finite or exceeds _COND_LIMIT."""
+    cond = np.linalg.cond(M)
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise SingularInformationError(f"{what} has condition number {cond:.3e}")
 
 
 @dataclass(frozen=True)
@@ -296,12 +305,9 @@ def _observed_info_checked(theta_hat, data, S):
     H = 0.5 * (H + H.T)
     I_hat = -H / data.n
     warnings: tuple[str, ...] = ()
-    eigs = np.linalg.eigvalsh(I_hat)
-    if eigs[0] <= 0:
+    if np.linalg.eigvalsh(I_hat)[0] <= 0:
         warnings = ("information matrix not positive definite at the fitted point",)
-    cond = abs(eigs[-1] / eigs[0]) if eigs[0] != 0 else np.inf
-    if cond > 1e12:
-        raise SingularInformationError(f"information condition number {cond:.3e}")
+    _require_conditioned(I_hat, f"information of {S.label()}")
     return FisherInfo(matrix=I_hat, n_obs=data.n), warnings
 
 

@@ -14,6 +14,7 @@ from slmfic import (
     projection_matrix,
     rank_models,
     submodel_info,
+    wide_beta_jacobian,
 )
 from slmfic.errors import SweepTooLargeError
 
@@ -149,17 +150,19 @@ class TestScoreSweep:
         wide = SubmodelId.wide(3)
         fit_w = fit_mle(data, wide)
         spec = FocusSpec("conditional_mean", location=0)
-        row = fic_score(spec, wide, fit_w, fit_w, fit_w.info, data)
+        J_w = wide_beta_jacobian(spec, fit_w.theta_hat, data, fit_w.info)
+        row = fic_score(spec, wide, fit_w, fit_w, J_w, data)
         assert row.bias2 < 1e-10
 
     def test_full_sweep_rows(self, rng):
         data = random_dataset(rng, n=50, p=3)
         fit_w = fit_mle(data, SubmodelId.wide(3))
         spec = FocusSpec("conditional_mean", location=5)
+        J_w = wide_beta_jacobian(spec, fit_w.theta_hat, data, fit_w.info)
         rows = []
         for S in enumerate_submodels(3):
             fit_S = fit_mle(data, S, with_info=False)
-            rows.append(fic_score(spec, S, fit_S, fit_w, fit_w.info, data))
+            rows.append(fic_score(spec, S, fit_S, fit_w, J_w, data))
         ranked = rank_models(rows)
         assert sorted(r.rank for r in ranked) == list(range(1, 9))
         best = min(ranked, key=lambda r: r.rank)
@@ -171,18 +174,20 @@ class TestScoreSweep:
     def test_theta_free_focus_needs_no_submodel_fit(self, rng, spec):
         data = random_dataset(rng, n=40, p=3)
         fit_w = fit_mle(data, SubmodelId.wide(3))
+        J_w = wide_beta_jacobian(spec, fit_w.theta_hat, data, fit_w.info)
         for S in enumerate_submodels(3):
             fit_S = fit_mle(data, S, with_info=False)
-            with_fit = fic_score(spec, S, fit_S, fit_w, fit_w.info, data)
-            assert fic_score(spec, S, None, fit_w, fit_w.info, data) == with_fit
+            with_fit = fic_score(spec, S, fit_S, fit_w, J_w, data)
+            assert fic_score(spec, S, None, fit_w, J_w, data) == with_fit
 
     @pytest.mark.parametrize("kind", ["spillover", "max_eigen"])
     def test_theta_dependent_focus_requires_submodel_fit(self, rng, kind):
         data = random_dataset(rng, n=40, p=3)
         fit_w = fit_mle(data, SubmodelId.wide(3))
         S = SubmodelId(1, 3)
+        J_w = wide_beta_jacobian(FocusSpec(kind), fit_w.theta_hat, data, fit_w.info)
         with pytest.raises(ValueError, match="needs the fit of S2"):
-            fic_score(FocusSpec(kind), S, None, fit_w, fit_w.info, data)
+            fic_score(FocusSpec(kind), S, None, fit_w, J_w, data)
 
     def test_column_permutation_invariance(self, rng):
         from slmfic import Dataset
@@ -196,10 +201,11 @@ class TestScoreSweep:
             S = SubmodelId.from_indices(indices, 3)
             fit_w = fit_mle(d, SubmodelId.wide(3))
             fit_S = fit_mle(d, S, with_info=False)
-            return fic_score(spec, S, fit_S, fit_w, fit_w.info, d).score
+            J_w = wide_beta_jacobian(spec, fit_w.theta_hat, d, fit_w.info)
+            return fic_score(spec, S, fit_S, fit_w, J_w, d).score
 
         # variables {0, 2} of data are columns {1, 0} of the permuted design
-        # tolerance reflects finite-difference noise in the information matrix
+        # the two fits differ only by the rounding of the permuted columns
         s1 = score_of(data, [0, 2])
         s2 = score_of(data2, [0, 1])
         assert s1 == pytest.approx(s2, rel=1e-4)

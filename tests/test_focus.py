@@ -150,7 +150,7 @@ class TestMaxEigen:
         assert ev.value[0] == pytest.approx(direct, abs=1e-12)
 
     def test_two_scheme_cross_check_on_spd_map(self, rng):
-        # central differences (the scheme behind the max_eigen Jacobian) against
+        # central differences (the oracle scheme of the Jacobian tests) against
         # a forward-difference oracle, on a smooth map through a random SPD matrix
         m = 4
         B = rng.standard_normal((m, m))
@@ -193,6 +193,28 @@ class TestMaxEigen:
                 want[j] = (lam_max(v + e) - lam_max(v - e)) / (2.0 * e[j])
             got = eval_focus(FocusSpec("max_eigen"), theta, data, S).jacobian[0]
             assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("mask", [0, 5, 15], ids=["narrow", "mixed", "wide"])
+    @pytest.mark.parametrize("at_fit", [True, False], ids=["at-fit", "away"])
+    def test_jacobian_matches_fd_over_the_focus_value(self, rng, mask, at_fit):
+        # central differences over eval_focus(...).value, the closed-form information
+        spec = FocusSpec("max_eigen")
+        for _ in range(4):
+            data = random_dataset(rng, n=40, p=4)
+            S = SubmodelId(mask, 4)
+            theta = fit_mle(data, S, with_info=False).theta_hat
+            if not at_fit:
+                theta = Theta(0.8 * theta.rho, 1.3 * theta.sigma2, theta.beta + 0.2)
+            lo, hi = data.W.rho_interval
+            m = len(S) + 2
+            fd = jacobian_fd(
+                embedded(spec, data, S),
+                theta,
+                lower=[lo] + [-np.inf] * (m - 1),
+                upper=[hi] + [np.inf] * (m - 1),
+            )
+            got = eval_focus(spec, theta, data, S).jacobian
+            assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_repeated_top_eigenvalue_warns(self, rng):
         from slmfic import FisherInfo

@@ -287,6 +287,29 @@ class TestCli:
         assert err.startswith("input error: rho_true=1.5 outside admissible interval")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "raw, named",
+        [
+            ({"n": 20, "p": 2, "rhoo_true": 0.3, "beta_true": [0.0, 0.4]}, "'rhoo_true'"),
+            (
+                {"n": 20, "p": 2, "beta_true": [0.0, 0.4],
+                 "criteria": [{"kind": "fic", "name": "F", "focus": {"location": 0}}]},
+                "criteria[0].focus is missing the field 'kind'",
+            ),
+            ([1, 2], "must be a JSON object"),
+        ],
+        ids=["misspelt-key", "focus-without-kind", "not-an-object"],
+    )
+    def test_malformed_config_is_input_error(self, tmp_path, capsys, raw, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        rc = main(["simulate", "--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: ")
+        assert named in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("location", [99, -1])
     def test_safic_location_out_of_range_is_input_error(self, small_files, capsys, location):
         data_path, weights_path = small_files

@@ -11,6 +11,7 @@ from slmfic import (
     g_matrix,
     h_empirical,
     k_empirical,
+    m_matrix,
     median_bandwidth,
     omega_i,
     pointwise_risk,
@@ -19,7 +20,9 @@ from slmfic import (
     rho_beta_blocks,
     safic_score,
 )
-from slmfic.errors import BandwidthError
+from slmfic.errors import BandwidthError, SingularInformationError
+from slmfic.safic import RhoBetaBlocks
+from slmfic.slm import _require_conditioned
 
 from conftest import random_dataset, random_info
 
@@ -258,3 +261,29 @@ class TestScore:
             row = safic_score(S, delta, blocks, K)
             assert row.bias2 >= -1e-10
             assert row.variance >= -1e-10
+
+
+class TestConditioning:
+    """One policy for fic and safic: a matrix whose condition number exceeds
+    1e12 raises SingularInformationError naming the matrix and the subset."""
+
+    def test_threshold(self):
+        _require_conditioned(np.diag([1.0, 1.01e-12]), "M")
+        with pytest.raises(SingularInformationError, match=r"M has condition number 1\.010e\+12"):
+            _require_conditioned(np.diag([1.0, 0.99e-12]), "M")
+        with pytest.raises(SingularInformationError, match="M has condition number inf"):
+            _require_conditioned(np.zeros((2, 2)), "M")
+
+    def test_each_site_names_its_matrix(self):
+        I = np.eye(5)
+        I[2:4, 2:4] = 1.0  # beta_1 and beta_2 information rows coincide
+        info = FisherInfo(I, 50)
+        S = SubmodelId.from_indices([0, 1], 3)
+        with pytest.raises(SingularInformationError, match="submodel information for S4 "):
+            m_matrix(info, S)
+        with pytest.raises(SingularInformationError, match="beta Schur complement"):
+            rho_beta_blocks(info)
+        I_bb = I[2:, 2:]
+        blocks = RhoBetaBlocks(1.0, np.zeros((1, 3)), np.zeros((3, 1)), I_bb, I_bb, I_bb)
+        with pytest.raises(SingularInformationError, match="inverse-Q block for S4 "):
+            g_matrix(blocks, S)

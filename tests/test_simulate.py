@@ -3,15 +3,18 @@ import os
 import numpy as np
 import pytest
 
-from slmfic import simulate
+from slmfic import fic, focus, simulate
 from slmfic import (
     CriterionSpec,
     FocusSpec,
     SimConfig,
+    SubmodelId,
+    Theta,
     aic,
     build_weights,
     default_criteria,
     enumerate_submodels,
+    eval_focus,
     fic_table,
     fit_mle,
     generate_dataset,
@@ -129,6 +132,21 @@ class TestMonteCarlo:
         assert set(report.realized_mse) == set(range(8))
         assert all(v >= 0 for v in report.realized_mse.values())
 
+    def test_realized_error_max_eigen_truth_is_at_theta_true(self):
+        spec = FocusSpec("max_eigen")
+        cfg = small_config(
+            reps=1, criteria=(CriterionSpec("fic", "F", focus=spec),), track_realized_error=True
+        )
+        report = monte_carlo(cfg)
+        data = generate_dataset(cfg, 0)
+        wide = SubmodelId.wide(3)
+        fit = fit_mle(data, wide)
+        theta_true = Theta(cfg.rho_true, cfg.sigma2_true, np.asarray(cfg.beta_true))
+        mu_true = eval_focus(spec, theta_true, data, wide).value
+        mu_hat = eval_focus(spec, fit.theta_hat, data, wide, info=fit.info).value
+        assert report.realized_mse[7] > 0
+        assert report.realized_mse[7] == pytest.approx(float(np.sum((mu_hat - mu_true) ** 2)))
+
     def test_default_criteria_names(self):
         assert [c.name for c in default_criteria()] == ["FIC1", "sAFIC1", "AIC"]
 
@@ -173,6 +191,44 @@ class TestSweepEngine:
         report = monte_carlo(small_config(reps=2))
         assert report.failures == []
         assert fitted == list(range(8)) * 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FocusSpec("conditional_mean", location=0),
+            FocusSpec("beta_coeffs"),
+            FocusSpec("spillover"),
+            FocusSpec("max_eigen"),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_focus_evaluations_per_sweep(self, monkeypatch, spec):
+        """2^p subsets plus the centring Jacobian, evaluated once per sweep."""
+        calls = []
+        for module in (fic, focus):
+            original = module.eval_focus
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(args[3].mask)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "eval_focus", counting)
+        fic_table(spec, generate_dataset(small_config(), 0))
+        assert len(calls) == 2**3 + 1
+        assert sorted(calls) == list(range(8)) + [7]
+
+    def test_no_finite_differences(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("jacobian_fd is the test oracle, not a production path")
+
+        monkeypatch.setattr(focus, "jacobian_fd", refuse)
+        maxvar = FocusSpec("max_eigen")
+        rows = fic_table(maxvar, generate_dataset(small_config(), 0))
+        assert sorted(r.rank for r in rows) == list(range(1, 9))
+        report = monte_carlo(
+            small_config(reps=2, criteria=(CriterionSpec("fic", "F", focus=maxvar),))
+        )
+        assert report.failures == [] and report.reps_completed == 2
 
     def test_replication_rankings_match_the_tables(self):
         cfg = small_config(
