@@ -19,9 +19,7 @@ from .focus import FocusEval, FocusSpec, eval_focus, jacobian_fd, wide_beta_jaco
 from .safic import (
     PsiWeights,
     RhoBetaBlocks,
-    SaficRow,
     g_matrix,
-    h_empirical,
     k_empirical,
     median_bandwidth,
     omega_i,
@@ -55,7 +53,7 @@ from .slm import (
     profile_sigma2,
     score_vector,
 )
-from .submodels import SubmodelId, enumerate_submodels, projection_matrix
+from .submodels import SubmodelId, enumerate_submodels
 from .weights import SpatialWeights, build_chain_lag1, row_normalize
 
 __version__ = "0.1.0"

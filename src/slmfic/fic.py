@@ -20,7 +20,8 @@ from .submodels import SubmodelId
 
 @dataclass(frozen=True)
 class FicRow:
-    """Per-submodel squared bias, variance and total score."""
+    """Per-submodel squared bias, variance and total score of any criterion;
+    scheme names the sAFIC weights and is None for FIC and AIC rows."""
 
     submodel: SubmodelId
     labels: tuple[str, ...]
@@ -28,6 +29,7 @@ class FicRow:
     variance: float
     score: float
     rank: int = 0
+    scheme: str | None = None
 
 
 def _info_indices(S: SubmodelId) -> list[int]:
@@ -40,25 +42,24 @@ def submodel_info(info_full: FisherInfo, S: SubmodelId) -> FisherInfo:
     return FisherInfo(matrix=info_full.matrix[np.ix_(idx, idx)], n_obs=info_full.n_obs)
 
 
-def m_matrix(info_full: FisherInfo, S: SubmodelId) -> np.ndarray:
-    """Mean-shift matrix of the submodel MLE under local misspecification.
+def _shift_rhs(info_full: FisherInfo, S: SubmodelId) -> np.ndarray:
+    """B_S: the information rows of (rho, sigma^2, beta_S) against the wide beta,
+    the sigma^2 row zeroed because beta and sigma^2 are orthogonal."""
+    B = info_full.matrix[_info_indices(S), 2:]
+    B[1] = 0.0
+    return B
 
-    Solves I_S m_S = B_S where B_S stacks the rho-beta cross information, a
-    zero row for sigma^2 and the selected rows of the beta block.
+
+def m_matrix(info_full: FisherInfo, S: SubmodelId) -> np.ndarray:
+    """Mean-shift matrix m_S = I_S^{-1} B_S of the submodel MLE under local
+    misspecification.
+
+    Not used in the sweep: fic_components forms J_S m_S with one solve.  This
+    is the form the tests check it against.
     """
-    I = info_full.matrix
-    p = I.shape[0] - 2
-    sel = list(S.indices())
-    B = np.vstack(
-        [
-            I[0, 2:],               # I_{rho,beta}
-            np.zeros(p),            # sigma^2 row: beta and sigma^2 are orthogonal
-            I[np.ix_([2 + j for j in sel], range(2, 2 + p))],
-        ]
-    )
     I_S = submodel_info(info_full, S).matrix
     _require_conditioned(I_S, f"submodel information for {S.label()}")
-    return np.linalg.solve(I_S, B)
+    return np.linalg.solve(I_S, _shift_rhs(info_full, S))
 
 
 def delta_hat(fit_wide: FitResult) -> np.ndarray:
@@ -79,16 +80,15 @@ def fic_components(
 ) -> tuple[float, float]:
     """Squared-bias and variance pieces of the criterion from raw matrices.
 
-    The bias matrix is centered by the wide-model beta Jacobian so that the
-    wide model itself is asymptotically unbiased.
+    With A = J_S I_S^{-1} from one solve, the bias matrix is A B_S - J_beta_wide,
+    centered by the wide-model beta Jacobian so that the wide model itself is
+    asymptotically unbiased, and the variance is tr(J_S I_S^{-1} J_S').
     """
-    m_S = m_matrix(info_full, S)
-    b_tilde = J_S @ m_S - J_beta_wide
-    bD = b_tilde @ D_n
-    bias2 = float(bD @ bD)
     I_S = submodel_info(info_full, S).matrix
-    variance = float(np.trace(J_S @ np.linalg.solve(I_S, J_S.T)))
-    return bias2, variance
+    _require_conditioned(I_S, f"submodel information for {S.label()}")
+    A = np.linalg.solve(I_S, J_S.T).T
+    bD = (A @ _shift_rhs(info_full, S) - J_beta_wide) @ D_n
+    return float(bD @ bD), float(np.sum(A * J_S))
 
 
 def fic_score(

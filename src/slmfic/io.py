@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import MISSING, asdict, fields
+import types
+import typing
+from dataclasses import MISSING, asdict, fields, is_dataclass
 
 import numpy as np
 
@@ -139,7 +141,7 @@ def report_rows_to_dicts(rows) -> list[dict]:
             "variance": r.variance,
             "score": r.score,
         }
-        if hasattr(r, "scheme"):
+        if r.scheme is not None:
             d["scheme"] = r.scheme
         out.append(d)
     return out
@@ -207,8 +209,9 @@ def _config_to_dict(cfg: SimConfig) -> dict:
 def config_from_json(path: str) -> SimConfig:
     """Parse a SimConfig (with nested criteria) from a JSON file.
 
-    A non-object where an object belongs, an unknown key or a missing required
-    field raises ConfigError naming the file and the key."""
+    A non-object where an object belongs, an unknown key, a missing required
+    field or a value of the wrong JSON type raises ConfigError naming the file
+    and the key."""
     with open(path) as fh:
         raw = _checked_fields(path, "the config", json.load(fh), SimConfig)
     criteria = raw.pop("criteria", None)
@@ -228,13 +231,33 @@ def config_from_json(path: str) -> SimConfig:
 
 def _checked_fields(path: str, where: str, obj, cls) -> dict:
     """A copy of the JSON value obj, which must be an object whose keys are
-    fields of the dataclass cls and include every field without a default."""
+    fields of the dataclass cls, include every field without a default and
+    hold values of the JSON types the fields' annotations allow."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: {where} must be a JSON object, not {type(obj).__name__}")
     unknown = [key for key in obj if key not in {f.name for f in fields(cls)}]
     if unknown:
         raise ConfigError(f"{path}: unknown key {unknown[0]!r} in {where}")
+    hints = typing.get_type_hints(cls)
     for f in fields(cls):
         if f.default is MISSING and f.default_factory is MISSING and f.name not in obj:
             raise ConfigError(f"{path}: {where} is missing the field {f.name!r}")
+        if f.name in obj and not _json_matches(obj[f.name], hints[f.name]):
+            value = json.dumps(obj[f.name])
+            raise ConfigError(f"{path}: {f.name!r} in {where} must be {f.type}, not {value}")
     return dict(obj)
+
+
+def _json_matches(value, hint) -> bool:
+    """Whether a parsed JSON value fits a field annotated hint: a list for a
+    tuple, an object for a dataclass, any number for a float."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_json_matches(value, a) for a in args)
+    if origin is tuple:
+        return isinstance(value, list) and all(_json_matches(v, args[0]) for v in value)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, dict if is_dataclass(hint) else hint)

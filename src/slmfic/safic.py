@@ -4,7 +4,8 @@ The pointwise AMSE of the linear predictor at unit i decomposes into a
 misspecification (deviance) term, a shared rho term, and an overfitting
 penalty.  Averaging over units with weights psi turns the sum into two traces
 against the empirical second-moment matrix K of the omega vectors; the shared
-rho term is constant across submodels and dropped from the score.
+rho term is constant across submodels and dropped from the score.  Both traces
+reduce to one solve against the subset's block of the beta Schur complement.
 
 All (rho, beta) information blocks are taken from the wide-model estimate with
 the sigma^2 coordinate removed by deletion.
@@ -15,10 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .errors import BandwidthError
+from .fic import FicRow
 from .slm import Dataset, FisherInfo, _require_conditioned
-from .submodels import SubmodelId, projection_matrix
+from .submodels import SubmodelId
 
 
 @dataclass(frozen=True)
@@ -63,11 +66,7 @@ def psi_kernel(X: np.ndarray, z0: np.ndarray, h: float) -> PsiWeights:
 
 def median_bandwidth(X: np.ndarray) -> float:
     """Median pairwise Euclidean distance among the rows of X."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    iu = np.triu_indices(n, k=1)
-    d = np.sqrt(np.sum((X[iu[0]] - X[iu[1]]) ** 2, axis=1))
-    h = float(np.median(d))
+    h = float(np.median(pdist(np.asarray(X, dtype=float))))
     if h <= 0:
         raise BandwidthError("median pairwise distance is zero; supply a bandwidth")
     return h
@@ -76,7 +75,7 @@ def median_bandwidth(X: np.ndarray) -> float:
 @dataclass(frozen=True)
 class RhoBetaBlocks:
     """(rho, beta) partition of the information, the beta Schur complement
-    Q_inv = I_bb - I_br I_rb / I_rr and its inverse Q."""
+    Q_inv = I_bb - I_br I_rb / I_rr and its inverse Q (read by pointwise_risk)."""
 
     I_rr: float
     I_rb: np.ndarray  # 1 x p
@@ -106,15 +105,19 @@ def rho_beta_blocks(info_full: FisherInfo) -> RhoBetaBlocks:
 
 
 def g_matrix(blocks: RhoBetaBlocks, S: SubmodelId) -> np.ndarray:
-    """Submodel projection G_S = Pi_S' Q_S Pi_S Q^{-1}; zero for the narrow model."""
-    p = blocks.p
-    if len(S) == 0:
-        return np.zeros((p, p))
-    Pi = projection_matrix(S)
-    M = Pi @ blocks.Q_inv @ Pi.T
-    _require_conditioned(M, f"projected inverse-Q block for {S.label()}")
-    Q_S = np.linalg.inv(M)
-    return Pi.T @ Q_S @ Pi @ blocks.Q_inv
+    """Submodel projection G_S = Pi_S' M_S^{-1} Pi_S Q^{-1} with M_S = Q^{-1}[S, S];
+    zero for the narrow model.
+
+    Not used in the sweep: safic_score reads M_S without forming G_S.  This is
+    the form pointwise_risk and the tests check it against.
+    """
+    G = np.zeros((blocks.p, blocks.p))
+    sel = list(S.indices())
+    if sel:
+        M = blocks.Q_inv[np.ix_(sel, sel)]
+        _require_conditioned(M, f"projected inverse-Q block for {S.label()}")
+        G[sel] = np.linalg.solve(M, blocks.Q_inv[sel])
+    return G
 
 
 def omega_i(i: int, data: Dataset, blocks: RhoBetaBlocks) -> np.ndarray:
@@ -125,34 +128,13 @@ def omega_i(i: int, data: Dataset, blocks: RhoBetaBlocks) -> np.ndarray:
     return (blocks.I_br[:, 0] / blocks.I_rr) * wy_i - data.X[i]
 
 
-def h_empirical(data: Dataset, psi: PsiWeights) -> np.ndarray:
-    """Weighted second-moment matrix of the linear-predictor gradients (rho; beta)."""
+def k_empirical(blocks: RhoBetaBlocks, data: Dataset, psi: PsiWeights) -> np.ndarray:
+    """Second-moment matrix K = sum_i psi_i omega_i omega_i' of the omega vectors,
+    symmetrized to guard floating-point drift."""
     if len(psi.psi) != data.n:
         raise ValueError("weights length must equal the number of units")
-    Psi_WY = psi.psi * data.WY
-    top_left = float(data.WY @ Psi_WY)
-    top_right = Psi_WY @ data.X
-    bottom_right = data.X.T @ (psi.psi[:, None] * data.X)
-    H = np.empty((data.p + 1, data.p + 1))
-    H[0, 0] = top_left
-    H[0, 1:] = top_right
-    H[1:, 0] = top_right
-    H[1:, 1:] = bottom_right
-    return H
-
-
-def k_empirical(blocks: RhoBetaBlocks, H: np.ndarray) -> np.ndarray:
-    """Second-moment matrix of the omega vectors from the H partition.
-
-    Equals sum_i psi_i omega_i omega_i'; the cross term is symmetrized before
-    assembly to guard floating-point drift.
-    """
-    A = blocks.I_br / blocks.I_rr  # p x 1
-    H_rr = H[0, 0]
-    H_rb = H[0:1, 1:]
-    H_bb = H[1:, 1:]
-    cross = A @ H_rb
-    K = (A * H_rr) @ A.T - (cross + cross.T) + H_bb
+    Omega = np.outer(data.WY, blocks.I_br[:, 0] / blocks.I_rr) - data.X
+    K = Omega.T @ (psi.psi[:, None] * Omega)
     return 0.5 * (K + K.T)
 
 
@@ -176,17 +158,6 @@ def pointwise_risk(
     return bias + rho_term + penalty
 
 
-@dataclass(frozen=True)
-class SaficRow:
-    submodel: SubmodelId
-    labels: tuple[str, ...]
-    bias2: float
-    variance: float  # overfitting penalty trace
-    score: float
-    scheme: str
-    rank: int = 0
-
-
 def safic_score(
     S: SubmodelId,
     delta: np.ndarray,
@@ -194,15 +165,25 @@ def safic_score(
     K: np.ndarray,
     labels: tuple[str, ...] = (),
     scheme: str = "uniform",
-) -> SaficRow:
-    """Weighted-average risk of submodel S, excluding the shared rho term."""
-    p = blocks.p
-    G = g_matrix(blocks, S)
-    IG = np.eye(p) - G
-    Dd = np.outer(delta, delta)
-    bias2 = float(np.trace(IG @ Dd @ IG.T @ K))
-    penalty = float(np.trace(G @ blocks.Q @ G.T @ K))
-    return SaficRow(
+) -> FicRow:
+    """Weighted-average risk of submodel S, excluding the shared rho term.
+
+    With M_S = Q^{-1}[S, S] the residual direction (I - G_S) delta is
+    r = delta - Pi_S' M_S^{-1} (Q^{-1} delta)_S, the bias term is r'K r and the
+    penalty tr(G_S Q G_S' K) is tr(M_S^{-1} K_SS): one solve per subset.
+    """
+    r = np.array(delta, dtype=float)
+    penalty = 0.0
+    sel = list(S.indices())
+    if sel:
+        M = blocks.Q_inv[np.ix_(sel, sel)]
+        _require_conditioned(M, f"projected inverse-Q block for {S.label()}")
+        rhs = np.column_stack([blocks.Q_inv[sel] @ delta, K[np.ix_(sel, sel)]])
+        sol = np.linalg.solve(M, rhs)
+        r[sel] -= sol[:, 0]
+        penalty = float(np.trace(sol[:, 1:]))
+    bias2 = float(r @ K @ r)
+    return FicRow(
         submodel=S,
         labels=labels,
         bias2=bias2,

@@ -22,7 +22,6 @@ from .fic import FicRow, delta_hat, fic_score, rank_models
 from .focus import FocusSpec, depends_on_theta, eval_focus, wide_beta_jacobian
 from .safic import (
     PsiWeights,
-    h_empirical,
     k_empirical,
     median_bandwidth,
     psi_kernel,
@@ -100,6 +99,11 @@ class SimConfig:
         object.__setattr__(self, "criteria", tuple(self.criteria))
         if self.track_realized_error and not any(c.kind == "fic" for c in self.criteria):
             raise ConfigError("track_realized_error requires a fic criterion")
+        for c in self.criteria:
+            focus = c.focus
+            if focus and focus.kind == "conditional_mean" and not 0 <= focus.location < self.n:
+                raise ConfigError(f"criterion {c.name!r}: focus location {focus.location} "
+                                  f"out of range for n={self.n}")
 
 
 def build_weights(cfg: SimConfig) -> SpatialWeights:
@@ -295,7 +299,7 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
             if blocks is None:
                 blocks, delta = rho_beta_blocks(fit_wide.info), delta_hat(fit_wide)
             psi = _psi(crit, data)
-            K = k_empirical(blocks, h_empirical(data, psi))
+            K = k_empirical(blocks, data, psi)
             rows = [
                 safic_score(
                     S, delta, blocks, K, labels=S.variable_names(data.names), scheme=psi.scheme

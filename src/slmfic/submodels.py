@@ -1,10 +1,8 @@
-"""Submodel indexing: bit-mask subsets of the covariates and their projections."""
+"""Submodel indexing: bit-mask subsets of the covariates."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import SweepTooLargeError
 
@@ -66,15 +64,7 @@ def enumerate_submodels(p: int) -> list[SubmodelId]:
     """All 2^p candidate subsets in ascending mask order (narrow first)."""
     if p > _SWEEP_CAP:
         raise SweepTooLargeError(
-            f"exhaustive sweep over 2^{p} submodels refused (cap p={_SWEEP_CAP}); "
-            "pass an explicit candidate list instead"
+            f"exhaustive sweep over 2^{p} submodels refused (cap p={_SWEEP_CAP})"
         )
     return [SubmodelId(mask, p) for mask in range(1 << p)]
 
-
-def projection_matrix(S: SubmodelId) -> np.ndarray:
-    """|S| x p selector whose rows pick the indices of S in ascending order."""
-    P = np.zeros((len(S), S.p))
-    for row, j in enumerate(S.indices()):
-        P[row, j] = 1.0
-    return P

@@ -61,17 +61,17 @@ def build_chain_lag1(n: int) -> np.ndarray:
     return A
 
 
-def _real_spectrum(W: np.ndarray, base: np.ndarray, row_normalized: bool) -> np.ndarray:
-    """Eigenvalues of W, guaranteed real when the base adjacency is symmetric.
+def _real_spectrum(W: np.ndarray, A: np.ndarray, row_normalized: bool) -> np.ndarray:
+    """Eigenvalues of W, guaranteed real when the adjacency A is symmetric.
 
     A row-normalized W = D^-1 A with symmetric A is similar to the symmetric
     matrix D^-1/2 A D^-1/2, so its spectrum is computed from that form and is
     real by construction.
     """
-    if row_normalized and np.allclose(base, base.T):
-        d = base.sum(axis=1)
+    if row_normalized and np.allclose(A, A.T):
+        d = A.sum(axis=1)
         s = 1.0 / np.sqrt(d)
-        sym = (s[:, None] * base) * s[None, :]
+        sym = (s[:, None] * A) * s[None, :]
         return np.sort(scipy.linalg.eigvalsh(sym))
     if np.allclose(W, W.T):
         return np.sort(scipy.linalg.eigvalsh(W))
@@ -108,9 +108,8 @@ class SpatialWeights:
     Attributes
     ----------
     matrix : (n, n) ndarray
-        The weights actually used in the model (normalized or raw).
-    base : (n, n) ndarray
-        The adjacency the weights were built from.
+        The weights actually used in the model (normalized or raw); the
+        adjacency they were built from is not kept.
     row_normalized : bool
     spectrum : (n,) ndarray
         Real eigenvalues sorted ascending.
@@ -118,7 +117,6 @@ class SpatialWeights:
     """
 
     matrix: np.ndarray
-    base: np.ndarray
     row_normalized: bool
     spectrum: np.ndarray
     rho_interval: tuple[float, float] = field(default=(-np.inf, np.inf))
@@ -129,20 +127,18 @@ class SpatialWeights:
 
     @classmethod
     def from_adjacency(cls, A: np.ndarray, row_normalize: bool = False) -> "SpatialWeights":
-        A = validate_adjacency(A)
+        A = validate_adjacency(A)  # a private copy
+        W = A
         if row_normalize:
             sums = A.sum(axis=1)
             zero = np.flatnonzero(sums == 0)
             if zero.size:
                 raise IsolatedUnitError(int(zero[0]))
             W = A / sums[:, None]
-        else:
-            W = A.copy()
         spectrum = _real_spectrum(W, A, row_normalize)
         interval = _rho_interval(spectrum, row_normalize)
         W.setflags(write=False)
-        A.setflags(write=False)
-        return cls(W, A, row_normalize, spectrum, interval)
+        return cls(W, row_normalize, spectrum, interval)
 
     def contains_rho(self, rho: float) -> bool:
         lo, hi = self.rho_interval

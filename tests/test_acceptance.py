@@ -23,7 +23,6 @@ from slmfic import (
     fit_mle,
     g_matrix,
     generate_dataset,
-    h_empirical,
     jacobian_fd,
     k_empirical,
     m_matrix,
@@ -203,7 +202,7 @@ class TestCriterion4:
         data = random_dataset(rng, n=25, p=4)
         psi = psi_uniform(25)
         blocks = rho_beta_blocks(random_info(rng, 4))
-        K = k_empirical(blocks, h_empirical(data, psi))
+        K = k_empirical(blocks, data, psi)
 
         # (b) K equals the weighted outer-product sum
         direct = sum(

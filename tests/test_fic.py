@@ -11,7 +11,6 @@ from slmfic import (
     fic_score,
     fit_mle,
     m_matrix,
-    projection_matrix,
     rank_models,
     submodel_info,
     wide_beta_jacobian,
@@ -28,20 +27,16 @@ class TestSubmodels:
         assert subs[0].mask == 0 and subs[-1].mask == 15
 
     def test_enumeration_cap(self):
-        with pytest.raises(SweepTooLargeError):
+        with pytest.raises(
+            SweepTooLargeError,
+            match=r"^exhaustive sweep over 2\^21 submodels refused \(cap p=20\)$",
+        ):
             enumerate_submodels(21)
 
     def test_labels(self):
         assert SubmodelId.narrow(5).label() == "S1"
         assert SubmodelId.wide(5).label() == "S32"
         assert SubmodelId.from_indices([0], 5).label() == "S2"
-
-    def test_projection_rows(self):
-        P = projection_matrix(SubmodelId.from_indices([0, 2], 4))
-        assert P.tolist() == [[1, 0, 0, 0], [0, 0, 1, 0]]
-
-    def test_projection_wide_identity(self):
-        assert np.array_equal(projection_matrix(SubmodelId.wide(3)), np.eye(3))
 
     def test_membership(self):
         S = SubmodelId.from_indices([1, 3], 5)
@@ -132,6 +127,22 @@ class TestComponents:
         assert variance == pytest.approx(
             float(np.trace(J_S @ np.linalg.inv(I_S) @ J_S.T)), abs=1e-12
         )
+
+    def test_matches_mean_shift_oracle(self, rng):
+        # every subset, k = 2: the bias matrix J_S m_S - J_w and the variance
+        # tr(J_S I_S^{-1} J_S') from m_matrix and an explicit inverse
+        info = random_info(rng, 4)
+        D_n = rng.standard_normal(4)
+        J_w = rng.standard_normal((2, 4))
+        for S in enumerate_submodels(4):
+            J_S = rng.standard_normal((2, len(S) + 2))
+            bias2, variance = fic_components(J_S, J_w, info, S, D_n)
+            bD = (J_S @ m_matrix(info, S) - J_w) @ D_n
+            I_S = submodel_info(info, S).matrix
+            assert bias2 == pytest.approx(float(bD @ bD), rel=1e-10)
+            assert variance == pytest.approx(
+                float(np.trace(J_S @ np.linalg.inv(I_S) @ J_S.T)), rel=1e-10
+            )
 
     def test_nonnegative(self, rng):
         info = random_info(rng, 3)

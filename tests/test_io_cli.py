@@ -297,8 +297,16 @@ class TestCli:
                 "criteria[0].focus is missing the field 'kind'",
             ),
             ([1, 2], "must be a JSON object"),
+            (
+                {"n": 20, "p": 2, "beta_true": 3},
+                "'beta_true' in the config must be tuple[float, ...], not 3",
+            ),
+            (
+                {"n": "20", "p": 2, "beta_true": [0.0, 0.4]},
+                "'n' in the config must be int, not \"20\"",
+            ),
         ],
-        ids=["misspelt-key", "focus-without-kind", "not-an-object"],
+        ids=["misspelt-key", "focus-without-kind", "not-an-object", "scalar-beta", "string-n"],
     )
     def test_malformed_config_is_input_error(self, tmp_path, capsys, raw, named):
         path = tmp_path / "cfg.json"
@@ -309,6 +317,22 @@ class TestCli:
         assert err.startswith(f"input error: {path}: ")
         assert named in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("location", [99, -1])
+    def test_fic_focus_location_out_of_range_is_input_error(self, tmp_path, capsys, location):
+        cfg = {
+            "n": 20, "p": 2, "beta_true": [0.0, 0.4], "reps": 2,
+            "criteria": [{"kind": "fic", "name": "F",
+                          "focus": {"kind": "conditional_mean", "location": location}}],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"input error: criterion 'F': focus location {location} out of range for n=20\n"
+        )
 
     @pytest.mark.parametrize("location", [99, -1])
     def test_safic_location_out_of_range_is_input_error(self, small_files, capsys, location):

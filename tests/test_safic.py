@@ -8,8 +8,8 @@ from slmfic import (
     SpatialWeights,
     SubmodelId,
     enumerate_submodels,
+    fic_components,
     g_matrix,
-    h_empirical,
     k_empirical,
     m_matrix,
     median_bandwidth,
@@ -73,6 +73,12 @@ class TestPsi:
         with pytest.raises(BandwidthError):
             median_bandwidth(np.ones((5, 2)))
 
+    def test_median_bandwidth_matches_all_pairs(self, rng):
+        X = rng.standard_normal((200, 4))
+        iu = np.triu_indices(200, k=1)
+        pairs = np.sqrt(np.sum((X[iu[0]] - X[iu[1]]) ** 2, axis=1))
+        assert median_bandwidth(X) == pytest.approx(float(np.median(pairs)), rel=1e-14)
+
 
 class TestBlocks:
     def test_scalar_schur(self):
@@ -116,19 +122,15 @@ class TestG:
             assert np.max(np.abs(G @ G - G)) < 1e-8
 
     def test_projects_onto_selected_rows(self, rng):
-        # rows of G for unselected variables vanish only in the Q^{-1} metric;
-        # the defining property is G' Pi' = Pi' on selected coordinates
+        # G fixes vectors already in the projected space (nonzero only on the
+        # selected coordinates) and has zero rows for the unselected ones
         blocks = rho_beta_blocks(random_info(rng, 4))
         S = SubmodelId.from_indices([1, 2], 4)
         G = g_matrix(blocks, S)
         v = np.zeros(4)
-        v[1] = 1.0
-        # G fixes vectors already in the projected space: G (Pi' a) = Pi' a
-        from slmfic import projection_matrix
-
-        Pi = projection_matrix(S)
-        a = np.array([0.3, -1.2])
-        assert np.allclose(G @ (Pi.T @ a), Pi.T @ a, atol=1e-10)
+        v[[1, 2]] = [0.3, -1.2]
+        assert np.allclose(G @ v, v, atol=1e-10)
+        assert np.all(G[[0, 3]] == 0)
 
 
 class TestMoments:
@@ -138,36 +140,43 @@ class TestMoments:
         Y = np.array([3.0, -1.0])
         data = Dataset(Y=Y, X=X, W=W)
         psi = PsiWeights(np.array([0.25, 0.75]))
-        H = h_empirical(data, psi)
-        # gradient of the predictor at unit i is ((WY)_i, x_i)
-        g0 = np.array([-1.0, 1.0, 0.0])
-        g1 = np.array([3.0, 0.0, 2.0])
-        expected = 0.25 * np.outer(g0, g0) + 0.75 * np.outer(g1, g1)
-        assert np.allclose(H, expected, atol=1e-12)
+        # I_br / I_rr = (1, 0.5) and WY = (-1, 3), so omega_i = (WY)_i (1, 0.5) - x_i
+        I = np.array([[2.0, 0.0, 2.0, 1.0], [0.0, 1.0, 0.0, 0.0],
+                      [2.0, 0.0, 5.0, 0.0], [1.0, 0.0, 0.0, 5.0]])
+        blocks = rho_beta_blocks(FisherInfo(I, n_obs=2))
+        w0 = np.array([-2.0, -0.5])
+        w1 = np.array([3.0, -0.5])
+        expected = 0.25 * np.outer(w0, w0) + 0.75 * np.outer(w1, w1)
+        assert np.allclose(k_empirical(blocks, data, psi), expected, atol=1e-12)
 
     def test_h_summation_oracle(self, rng):
+        # K from the predictor gradients g_i = ((WY)_i, x_i): omega_i = T g_i
+        # with T = [I_br / I_rr, -I]
         data = random_dataset(rng, n=15, p=3)
         psi = psi_uniform(15)
+        blocks = rho_beta_blocks(random_info(rng, 3))
+        T = np.hstack([blocks.I_br / blocks.I_rr, -np.eye(3)])
         WY = data.W.matrix @ data.Y
-        expected = np.zeros((4, 4))
+        expected = np.zeros((3, 3))
         for i in range(15):
-            g = np.concatenate(([WY[i]], data.X[i]))
+            g = T @ np.concatenate(([WY[i]], data.X[i]))
             expected += psi.psi[i] * np.outer(g, g)
-        assert np.allclose(h_empirical(data, psi), expected, atol=1e-10)
+        assert np.allclose(k_empirical(blocks, data, psi), expected, atol=1e-10)
 
     def test_h_zero_weights_matrix(self, rng):
+        # with W = 0 the spatial lag vanishes, omega_i = -x_i and K = X' Psi X
         W = SpatialWeights.from_adjacency(np.zeros((10, 10)))
         X = rng.standard_normal((10, 2))
         data = Dataset(Y=rng.standard_normal(10), X=X, W=W)
-        H = h_empirical(data, psi_uniform(10))
-        assert np.all(H[0] == 0) and np.all(H[:, 0] == 0)
-        assert np.allclose(H[1:, 1:], X.T @ X / 10, atol=1e-12)
+        blocks = rho_beta_blocks(random_info(rng, 2))
+        K = k_empirical(blocks, data, psi_uniform(10))
+        assert np.allclose(K, X.T @ X / 10, atol=1e-12)
 
     def test_k_equals_weighted_outer_sum(self, rng):
         data = random_dataset(rng, n=20, p=3)
         psi = psi_kernel(data.X, z0=np.zeros(3), h=median_bandwidth(data.X))
         blocks = rho_beta_blocks(random_info(rng, 3))
-        K = k_empirical(blocks, h_empirical(data, psi))
+        K = k_empirical(blocks, data, psi)
         expected = np.zeros((3, 3))
         for i in range(20):
             w = omega_i(i, data, blocks)
@@ -177,7 +186,7 @@ class TestMoments:
     def test_k_psd(self, rng):
         data = random_dataset(rng, n=25, p=4)
         blocks = rho_beta_blocks(random_info(rng, 4))
-        K = k_empirical(blocks, h_empirical(data, psi_uniform(25)))
+        K = k_empirical(blocks, data, psi_uniform(25))
         assert np.linalg.eigvalsh(K)[0] > -1e-10
 
     def test_omega_zero_weights(self, rng):
@@ -223,7 +232,7 @@ class TestRisk:
         psi = psi_uniform(15)
         blocks = rho_beta_blocks(random_info(rng, 3))
         delta = rng.standard_normal(3)
-        K = k_empirical(blocks, h_empirical(data, psi))
+        K = k_empirical(blocks, data, psi)
         WY = data.W.matrix @ data.Y
         shared = float(psi.psi @ (WY * WY)) / blocks.I_rr
         for S in enumerate_submodels(3):
@@ -238,7 +247,7 @@ class TestScore:
     def test_wide_is_penalty_only(self, rng):
         blocks = rho_beta_blocks(random_info(rng, 3))
         data = random_dataset(rng, n=12, p=3)
-        K = k_empirical(blocks, h_empirical(data, psi_uniform(12)))
+        K = k_empirical(blocks, data, psi_uniform(12))
         row = safic_score(SubmodelId.wide(3), rng.standard_normal(3), blocks, K)
         assert row.bias2 == pytest.approx(0.0, abs=1e-10)
         assert row.variance == pytest.approx(float(np.trace(blocks.Q @ K)), rel=1e-8)
@@ -246,16 +255,32 @@ class TestScore:
     def test_narrow_is_bias_only(self, rng):
         blocks = rho_beta_blocks(random_info(rng, 3))
         data = random_dataset(rng, n=12, p=3)
-        K = k_empirical(blocks, h_empirical(data, psi_uniform(12)))
+        K = k_empirical(blocks, data, psi_uniform(12))
         delta = rng.standard_normal(3)
         row = safic_score(SubmodelId.narrow(3), delta, blocks, K)
         assert row.variance == 0.0
         assert row.bias2 == pytest.approx(float(delta @ K @ delta), rel=1e-8)
 
+    def test_matches_projection_oracle(self, rng):
+        # every subset at p = 4 against the traces through G = g_matrix
+        data = random_dataset(rng, n=20, p=4)
+        blocks = rho_beta_blocks(random_info(rng, 4))
+        K = k_empirical(blocks, data, psi_kernel(data.X, data.X[3], h=1.0))
+        delta = rng.standard_normal(4)
+        for S in enumerate_submodels(4):
+            G = g_matrix(blocks, S)
+            IG = np.eye(4) - G
+            bias2 = float(np.trace(IG @ np.outer(delta, delta) @ IG.T @ K))
+            penalty = float(np.trace(G @ blocks.Q @ G.T @ K))
+            row = safic_score(S, delta, blocks, K, scheme="kernel")
+            assert row.bias2 == pytest.approx(bias2, rel=1e-10)
+            assert row.variance == pytest.approx(penalty, rel=1e-10)
+            assert row.scheme == "kernel"
+
     def test_scores_nonnegative(self, rng):
         data = random_dataset(rng, n=20, p=4)
         blocks = rho_beta_blocks(random_info(rng, 4))
-        K = k_empirical(blocks, h_empirical(data, psi_uniform(20)))
+        K = k_empirical(blocks, data, psi_uniform(20))
         delta = rng.standard_normal(4)
         for S in enumerate_submodels(4):
             row = safic_score(S, delta, blocks, K)
@@ -283,7 +308,11 @@ class TestConditioning:
             m_matrix(info, S)
         with pytest.raises(SingularInformationError, match="beta Schur complement"):
             rho_beta_blocks(info)
+        with pytest.raises(SingularInformationError, match="submodel information for S4 "):
+            fic_components(np.ones((1, 4)), np.ones((1, 3)), info, S, np.ones(3))
         I_bb = I[2:, 2:]
         blocks = RhoBetaBlocks(1.0, np.zeros((1, 3)), np.zeros((3, 1)), I_bb, I_bb, I_bb)
         with pytest.raises(SingularInformationError, match="inverse-Q block for S4 "):
             g_matrix(blocks, S)
+        with pytest.raises(SingularInformationError, match="inverse-Q block for S4 "):
+            safic_score(S, np.ones(3), blocks, np.eye(3))
