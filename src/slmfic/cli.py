@@ -8,29 +8,12 @@ import json
 import sys
 
 from .diagnostics import aic, morans_i
-from .errors import (
-    BandwidthError,
-    ConvergenceError,
-    DegenerateVarianceError,
-    ReplicationFailureError,
-    SingularFactorizationError,
-    SingularInformationError,
-    SlmficError,
-)
+from .errors import InputError, NumericalError
 from .focus import FocusSpec
 from .io import config_from_json, load_dataset, run_report_to_json, write_report
 from .simulate import fic_table, monte_carlo, safic_table
 from .slm import fit_mle
 from .submodels import SubmodelId
-
-_NUMERICAL_ERRORS = (
-    ConvergenceError,
-    SingularInformationError,
-    SingularFactorizationError,
-    DegenerateVarianceError,
-    BandwidthError,
-    ReplicationFailureError,
-)
 
 _FOCUS_BY_FLAG = {
     "mean": "conditional_mean",
@@ -110,7 +93,7 @@ def _cmd_fit(args) -> int:
         wanted = args.subset.split(",")
         missing = [c for c in wanted if c not in data.names]
         if missing:
-            raise SlmficError(f"unknown covariates in --subset: {missing}")
+            raise InputError(f"unknown covariates in --subset: {missing}")
         S = SubmodelId.from_indices([data.names.index(c) for c in wanted], data.p)
     else:
         S = SubmodelId.wide(data.p)
@@ -143,11 +126,14 @@ def _cmd_fic(args) -> int:
 def _cmd_safic(args) -> int:
     data = _dataset_from_args(args)
     if args.z0:
-        z0 = [float(v) for v in args.z0.split(",")]
+        try:
+            z0 = [float(v) for v in args.z0.split(",")]
+        except ValueError as exc:
+            raise InputError(f"--z0 {args.z0!r}: {exc}") from None
     elif 0 <= args.location < data.n:
         z0 = data.X[args.location]
     else:
-        raise SlmficError(f"--location {args.location} out of range for n={data.n}")
+        raise InputError(f"--location {args.location} out of range for n={data.n}")
     rows = safic_table(data, scheme=args.scheme, z0=z0, bandwidth=args.bandwidth)
     _emit(write_report(rows, None, fmt=args.format), args.out)
     return 0
@@ -193,10 +179,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (SlmficError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

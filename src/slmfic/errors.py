@@ -1,15 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Every concrete error derives
+from exactly one of InputError and NumericalError; any other exception is a bug."""
 
 
 class SlmficError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidSizeError(SlmficError, ValueError):
+class InputError(SlmficError, ValueError):
+    """Bad input from outside the program: the CLI exits 1 and a study stops."""
+
+
+class NumericalError(SlmficError):
+    """A computation failed on valid input: the CLI exits 2 and a replication is skipped."""
+
+
+class InvalidSizeError(InputError):
     """Adjacency matrix too small or mis-shaped."""
 
 
-class IsolatedUnitError(SlmficError, ValueError):
+class IsolatedUnitError(InputError):
     """A spatial unit has no neighbors, so its row cannot be normalized."""
 
     def __init__(self, index):
@@ -17,27 +26,27 @@ class IsolatedUnitError(SlmficError, ValueError):
         super().__init__(f"unit {index} has no neighbors (zero row)")
 
 
-class ComplexSpectrumError(SlmficError, ValueError):
+class ComplexSpectrumError(InputError):
     """Eigenvalues of the weights matrix have non-negligible imaginary parts."""
 
 
-class RhoOutOfRangeError(SlmficError, ValueError):
+class RhoOutOfRangeError(InputError):
     """Spatial autoregression parameter outside the admissible interval."""
 
 
-class SingularFactorizationError(SlmficError, ValueError):
+class SingularFactorizationError(NumericalError, ValueError):
     """I - rho*W is numerically singular."""
 
 
-class RankError(SlmficError, ValueError):
+class RankError(InputError):
     """Design matrix (or a submodel slice of it) is rank deficient."""
 
 
-class DegenerateVarianceError(SlmficError, ValueError):
+class DegenerateVarianceError(NumericalError, ValueError):
     """Profiled residual variance collapsed to zero."""
 
 
-class ConvergenceError(SlmficError, RuntimeError):
+class ConvergenceError(NumericalError, RuntimeError):
     """Scalar optimizer failed to converge; carries the best iterate found."""
 
     def __init__(self, message, best_rho=None):
@@ -45,37 +54,37 @@ class ConvergenceError(SlmficError, RuntimeError):
         super().__init__(message)
 
 
-class SingularInformationError(SlmficError, ValueError):
+class SingularInformationError(NumericalError, ValueError):
     """Estimated Fisher information is numerically singular."""
 
 
-class StencilError(SlmficError, ValueError):
+class StencilError(NumericalError, ValueError):
     """A finite-difference stencil hit a non-finite function value."""
 
 
-class FocusSpecError(SlmficError, ValueError):
+class FocusSpecError(InputError):
     """Focus specification inconsistent with the data or missing fields."""
 
 
-class SweepTooLargeError(SlmficError, ValueError):
+class SweepTooLargeError(InputError):
     """Exhaustive submodel sweep requested for too many covariates."""
 
 
-class BandwidthError(SlmficError, ValueError):
-    """Kernel bandwidth so small that all weights underflow."""
+class BandwidthError(NumericalError, ValueError):
+    """Kernel bandwidth so small that the weights underflow."""
 
 
-class ZeroVarianceError(SlmficError, ValueError):
+class ZeroVarianceError(InputError):
     """Input vector is constant; autocorrelation statistic undefined."""
 
 
-class DataFormatError(SlmficError, ValueError):
+class DataFormatError(InputError):
     """Input data or file failed validation; message names the offending location."""
 
 
-class ConfigError(SlmficError, ValueError):
+class ConfigError(InputError):
     """Simulation configuration is inconsistent."""
 
 
-class ReplicationFailureError(SlmficError, RuntimeError):
+class ReplicationFailureError(NumericalError, RuntimeError):
     """More Monte-Carlo replications failed than the study tolerates."""

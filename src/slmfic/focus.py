@@ -48,6 +48,8 @@ class FocusSpec:
             raise FocusSpecError("conditional_mean focus requires a location index")
         if self.coeff_subset is not None:
             object.__setattr__(self, "coeff_subset", tuple(self.coeff_subset))
+            if any(j < 0 for j in self.coeff_subset):
+                raise FocusSpecError(f"coeff_subset {list(self.coeff_subset)} has a negative index")
 
     def dim(self, p: int) -> int:
         if self.kind in ("conditional_mean", "max_eigen"):
@@ -130,6 +132,8 @@ def eval_focus(
 
     if spec.kind == "beta_coeffs":
         subset = spec.coeff_subset if spec.coeff_subset is not None else tuple(range(S.p))
+        if any(j >= S.p for j in subset):
+            raise FocusSpecError(f"coeff_subset {list(subset)} out of range for p={S.p}")
         beta_full = _embed_beta(theta, S)
         value = beta_full[list(subset)]
         jac = np.zeros((len(subset), m))

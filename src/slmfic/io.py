@@ -17,13 +17,21 @@ from .slm import Dataset
 from .weights import SpatialWeights
 
 
+def _read_text(path: str) -> str:
+    """The text of a file; bytes that do not decode raise DataFormatError naming it."""
+    try:
+        with open(path, newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
 def load_weights(path: str, row_normalize: bool = False) -> SpatialWeights:
     """Load spatial weights from a dense n x n CSV or an `i,j,w` edge list.
 
     Edge lists are recognized by their header row; indices are zero-based.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(_read_text(path).splitlines()))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
         raise DataFormatError(f"{path}: empty weights file")
@@ -86,14 +94,13 @@ def load_dataset(
     The response column is named; the remaining numeric columns (or an
     explicit list) become the design matrix.
     """
-    with open(data_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{data_path}: empty file") from None
-        header = [h.strip() for h in header]
-        table = list(reader)
+    reader = csv.reader(_read_text(data_path).splitlines())
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{data_path}: empty file") from None
+    header = [h.strip() for h in header]
+    table = list(reader)
     if response not in header:
         raise DataFormatError(f"{data_path}: no column named {response!r}")
     if columns is None:
@@ -212,8 +219,7 @@ def config_from_json(path: str) -> SimConfig:
     A non-object where an object belongs, an unknown key, a missing required
     field or a value of the wrong JSON type raises ConfigError naming the file
     and the key."""
-    with open(path) as fh:
-        raw = _checked_fields(path, "the config", json.load(fh), SimConfig)
+    raw = _checked_fields(path, "the config", json.loads(_read_text(path)), SimConfig)
     criteria = raw.pop("criteria", None)
     if criteria is not None:
         raw["criteria"] = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .errors import BandwidthError
+from .errors import BandwidthError, ConfigError
 from .fic import FicRow
 from .slm import Dataset, FisherInfo, _require_conditioned
 from .submodels import SubmodelId
@@ -26,17 +26,17 @@ from .submodels import SubmodelId
 
 @dataclass(frozen=True)
 class PsiWeights:
-    """Nonnegative unit-sum weights over the spatial units."""
+    """Finite nonnegative unit-sum weights over the spatial units."""
 
     psi: np.ndarray
     scheme: str = "uniform"
 
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=float).reshape(-1)
-        if np.any(psi < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(np.isfinite(psi)) or np.any(psi < 0):
+            raise ConfigError("weights must be finite and nonnegative")
         if abs(psi.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {psi.sum()!r}")
+            raise ConfigError(f"weights must sum to 1, got {psi.sum()!r}")
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
 
@@ -49,18 +49,21 @@ def psi_uniform(n: int) -> PsiWeights:
 
 def psi_kernel(X: np.ndarray, z0: np.ndarray, h: float) -> PsiWeights:
     """Gaussian-kernel weights centered at covariate level z0, renormalized to sum 1."""
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    if not h > 0:
+        raise ConfigError(f"bandwidth must be positive, got {h}")
     X = np.asarray(X, dtype=float)
     z0 = np.asarray(z0, dtype=float).reshape(-1)
     if z0.shape[0] != X.shape[1]:
-        raise ValueError(f"kernel center has {z0.shape[0]} entries, X has {X.shape[1]} columns")
+        raise ConfigError(f"kernel center has {z0.shape[0]} entries, X has {X.shape[1]} columns")
+    if not np.all(np.isfinite(z0)):
+        raise ConfigError(f"kernel center must be finite, got {z0.tolist()}")
     p = X.shape[1]
     d2 = np.sum((X - z0[None, :]) ** 2, axis=1)
-    raw = (2.0 * np.pi) ** (-p / 2.0) * np.exp(-0.5 * d2 / (h * h))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        raw = (2.0 * np.pi) ** (-p / 2.0) * np.exp(-0.5 * d2 / (h * h))
     total = raw.sum()
-    if total < 1e-300:
-        raise BandwidthError(f"bandwidth h={h} too small: all kernel weights underflow")
+    if not np.isfinite(total) or total < 1e-300:  # h*h underflows to 0: 0/0 is NaN
+        raise BandwidthError(f"bandwidth h={h} too small: kernel weights underflow")
     return PsiWeights(raw / total, scheme="kernel")
 
 

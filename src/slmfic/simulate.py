@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import aic
-from .errors import ConfigError, ReplicationFailureError, SlmficError
+from .errors import ConfigError, NumericalError, ReplicationFailureError
 from .fic import FicRow, delta_hat, fic_score, rank_models
 from .focus import FocusSpec, depends_on_theta, eval_focus, wide_beta_jacobian
 from .safic import (
@@ -104,6 +104,9 @@ class SimConfig:
             if focus and focus.kind == "conditional_mean" and not 0 <= focus.location < self.n:
                 raise ConfigError(f"criterion {c.name!r}: focus location {focus.location} "
                                   f"out of range for n={self.n}")
+            if focus and any(j >= self.p for j in focus.coeff_subset or ()):
+                raise ConfigError(f"criterion {c.name!r}: coeff_subset {list(focus.coeff_subset)} "
+                                  f"out of range for p={self.p}")
 
 
 def build_weights(cfg: SimConfig) -> SpatialWeights:
@@ -177,8 +180,8 @@ class RunReport:
 
 
 def monte_carlo(cfg: SimConfig, jobs: int = 1) -> RunReport:
-    """Run the full experiment; per-rep failures are recorded and skipped,
-    more than 10% of them raises ReplicationFailureError.
+    """Run the full experiment; a NumericalError in a replication is recorded and
+    skipped, more than 10% of them raise ReplicationFailureError, an InputError stops it.
 
     The weights are built once; with jobs > 1 each worker process receives
     them once, through the pool initializer.
@@ -231,7 +234,7 @@ def monte_carlo(cfg: SimConfig, jobs: int = 1) -> RunReport:
 def _try_rep(cfg, rep, W):
     try:
         return _score_one_rep(cfg, rep, W), None
-    except SlmficError as exc:
+    except NumericalError as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 

@@ -35,7 +35,9 @@ _COND_LIMIT = 1e12  # information matrices and blocks above it count as singular
 
 def _require_conditioned(M: np.ndarray, what: str) -> None:
     """Raise SingularInformationError, naming `what`, when the condition number
-    of M is not finite or exceeds _COND_LIMIT."""
+    of M is not finite or exceeds _COND_LIMIT.  An empty M (p = 0) has nothing to invert."""
+    if M.size == 0:
+        return
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularInformationError(f"{what} has condition number {cond:.3e}")
@@ -56,14 +58,14 @@ class Dataset:
         Y = np.asarray(self.Y, dtype=float).reshape(-1)
         X = np.asarray(self.X, dtype=float)
         if X.ndim != 2:
-            raise ValueError("X must be 2-dimensional")
+            raise DataFormatError("X must be 2-dimensional")
         if not (len(Y) == X.shape[0] == self.W.n):
-            raise ValueError(
+            raise DataFormatError(
                 f"dimension mismatch: len(Y)={len(Y)}, rows(X)={X.shape[0]}, n(W)={self.W.n}"
             )
         names = tuple(self.names) if self.names else tuple(f"x{j + 1}" for j in range(X.shape[1]))
         if len(names) != X.shape[1]:
-            raise ValueError("number of names must match columns of X")
+            raise DataFormatError("number of names must match columns of X")
         bad = np.flatnonzero(~np.isfinite(Y))
         if bad.size:
             raise DataFormatError(f"non-finite response {Y[bad[0]]} at row {bad[0]}")
@@ -73,6 +75,9 @@ class Dataset:
             raise DataFormatError(
                 f"non-finite covariate {X[i, j]} at row {i}, column {j} ({names[j]!r})"
             )
+        if X.shape[0] < X.shape[1]:
+            raise RankError(f"design matrix X is rank deficient: {X.shape[1]} columns, "
+                            f"{X.shape[0]} rows")
         if X.shape[1] > 0:
             sv = np.linalg.svd(X, compute_uv=False)
             if sv[-1] <= 1e-10 * sv[0]:

@@ -50,6 +50,18 @@ class TestSpecValidation:
         with pytest.raises(FocusSpecError):
             eval_focus(spec, random_theta(rng, data, S), data, S)
 
+    def test_negative_coeff_index_rejected(self):
+        # Python indexing would read beta[-1] and give every submodel a zero row
+        with pytest.raises(FocusSpecError, match="negative"):
+            FocusSpec("beta_coeffs", coeff_subset=(0, -1))
+
+    def test_coeff_index_out_of_range(self, rng):
+        data = random_dataset(rng, n=10, p=2)
+        S = SubmodelId.wide(data.p)
+        with pytest.raises(FocusSpecError, match="out of range for p=2"):
+            eval_focus(FocusSpec("beta_coeffs", coeff_subset=(5,)), random_theta(rng, data, S),
+                       data, S)
+
     def test_dims(self):
         assert FocusSpec("conditional_mean", location=0).dim(5) == 1
         assert FocusSpec("max_eigen").dim(5) == 1

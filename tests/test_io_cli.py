@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from slmfic import SimConfig, monte_carlo
+from slmfic import SimConfig, cli, errors, monte_carlo
 from slmfic.cli import main
-from slmfic.errors import DataFormatError
+from slmfic.errors import DataFormatError, InputError, NumericalError
 from slmfic.io import (
     config_from_json,
     load_dataset,
@@ -430,3 +430,138 @@ class TestCli:
             ]
         )
         assert rc == 2
+
+
+# Exit code of every error class through cli.main: 1 for bad input, 2 for a
+# failed computation (StencilError, raised by the finite-difference oracle, too).
+EXIT_CODES = {
+    "InvalidSizeError": 1,
+    "IsolatedUnitError": 1,
+    "ComplexSpectrumError": 1,
+    "RhoOutOfRangeError": 1,
+    "SingularFactorizationError": 2,
+    "RankError": 1,
+    "DegenerateVarianceError": 2,
+    "ConvergenceError": 2,
+    "SingularInformationError": 2,
+    "StencilError": 2,
+    "FocusSpecError": 1,
+    "SweepTooLargeError": 1,
+    "BandwidthError": 2,
+    "ZeroVarianceError": 1,
+    "DataFormatError": 1,
+    "ConfigError": 1,
+    "ReplicationFailureError": 2,
+}
+_BASES = (errors.SlmficError, InputError, NumericalError)
+
+
+def _one_input_error(capsys, rc, named):
+    """Exit 1 with a single `input error:` line that contains named."""
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+
+
+class TestFailureContract:
+    def test_every_error_class_has_exactly_one_base(self):
+        classes = {
+            name: cls for name, cls in vars(errors).items()
+            if isinstance(cls, type) and issubclass(cls, Exception) and cls not in _BASES
+        }
+        assert set(classes) == set(EXIT_CODES)
+        for cls in classes.values():
+            assert issubclass(cls, InputError) != issubclass(cls, NumericalError), cls
+            assert issubclass(cls, (ValueError, RuntimeError)), cls
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_exit_code(self, monkeypatch, capsys, name):
+        def raise_it(args):
+            raise getattr(errors, name)("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", raise_it)
+        rc = main(["simulate", "--config", "unused.json"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CODES[name]
+        assert err.startswith("input error: " if rc == 1 else "numerical failure: ")
+        assert err.count("\n") == 1
+
+    def test_internal_value_error_is_a_bug(self, small_files, monkeypatch):
+        def broken(spec, data):
+            raise ValueError("internal invariant broken")
+
+        monkeypatch.setattr(cli, "fic_table", broken)
+        data_path, weights_path = small_files
+        with pytest.raises(ValueError, match="internal invariant broken"):
+            main(["fic", "--data", data_path, "--weights", weights_path, "--response", "y"])
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["--z0", "a,b"], "--z0 'a,b': could not convert string to float: 'a'"),
+            (["--z0", "1,2,3"], "kernel center has 3 entries, X has 2 columns"),
+            (["--bandwidth", "-1"], "bandwidth must be positive, got -1.0"),
+            (["--bandwidth", "0"], "bandwidth must be positive, got 0.0"),
+        ],
+        ids=["z0-not-a-number", "z0-wrong-length", "negative-bandwidth", "zero-bandwidth"],
+    )
+    def test_safic_input_error(self, small_files, capsys, args, named):
+        data_path, weights_path = small_files
+        rc = main(["safic", "--data", data_path, "--weights", weights_path, "--response", "y",
+                   "--row-normalize", "--scheme", "kernel", *args])
+        _one_input_error(capsys, rc, named)
+
+    @pytest.mark.parametrize("h", ["1e-200", "1e-300"])
+    def test_tiny_bandwidth_is_numerical_failure(self, small_files, capsys, h):
+        data_path, weights_path = small_files
+        rc = main(["safic", "--data", data_path, "--weights", weights_path, "--response", "y",
+                   "--row-normalize", "--scheme", "kernel", "--bandwidth", h])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"numerical failure: bandwidth h={float(h)} too small: " \
+                               "kernel weights underflow\n"
+        assert "NaN" not in captured.out
+
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            ({"criteria": [{"kind": "safic", "name": "K", "scheme": "kernel", "z0": [1.0]}]},
+             "kernel center has 1 entries, X has 2 columns"),
+            ({"criteria": [{"kind": "safic", "name": "K", "scheme": "kernel", "bandwidth": 0.0}]},
+             "bandwidth must be positive, got 0.0"),
+            ({"criteria": [{"kind": "fic", "name": "B",
+                            "focus": {"kind": "beta_coeffs", "coeff_subset": [5]}}]},
+             "criterion 'B': coeff_subset [5] out of range for p=2"),
+            ({"criteria": [{"kind": "fic", "name": "B",
+                            "focus": {"kind": "beta_coeffs", "coeff_subset": [-1]}}]},
+             "coeff_subset [-1] has a negative index"),
+            ({"n": 4, "p": 5, "beta_true": [0.0] * 5},
+             "design matrix X is rank deficient: 5 columns, 4 rows"),
+            ({"n": 30, "p": 21, "beta_true": [0.0] * 21, "reps": 3},
+             "exhaustive sweep over 2^21 submodels refused"),
+        ],
+        ids=["z0-wrong-length", "zero-bandwidth", "coeff-subset-5", "coeff-subset-negative",
+             "fewer-rows-than-columns", "p21"],
+    )
+    def test_simulate_input_error(self, tmp_path, capsys, changes, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 20, "p": 2, "beta_true": [0.0, 0.4], "reps": 2, **changes}))
+        rc = main(["simulate", "--config", str(path)])
+        _one_input_error(capsys, rc, named)
+
+    def test_study_without_covariates(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 20, "p": 0, "beta_true": [], "reps": 2}))
+        assert main(["simulate", "--config", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["reps_completed"] == 2
+
+    def test_undecodable_file_is_input_error(self, small_files, tmp_path, capsys):
+        _, weights_path = small_files
+        data_path = tmp_path / "binary.csv"
+        data_path.write_bytes(b"\xff\xfe\x00y,a\n")
+        rc = main(["fit", "--data", str(data_path), "--weights", weights_path, "--response", "y"])
+        _one_input_error(capsys, rc, f"{data_path}: 'utf-8' codec can't decode")

@@ -20,7 +20,7 @@ from slmfic import (
     rho_beta_blocks,
     safic_score,
 )
-from slmfic.errors import BandwidthError, SingularInformationError
+from slmfic.errors import BandwidthError, ConfigError, SingularInformationError
 from slmfic.safic import RhoBetaBlocks
 from slmfic.slm import _require_conditioned
 
@@ -36,6 +36,20 @@ class TestPsi:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             PsiWeights(np.array([0.5, 0.7, -0.2]))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            PsiWeights(np.array([np.nan, 0.5, 0.5]))
+
+    def test_kernel_bandwidth_checked(self):
+        X = np.array([[0.0], [1.0]])
+        for h in (0.0, -1.0, np.nan):
+            with pytest.raises(ConfigError, match="bandwidth must be positive"):
+                psi_kernel(X, z0=[0.0], h=h)
+        with pytest.raises(ConfigError, match="kernel center has 2 entries"):
+            psi_kernel(X, z0=[0.0, 0.0], h=1.0)
+        with pytest.raises(ConfigError, match="kernel center must be finite"):
+            psi_kernel(X, z0=[np.nan], h=1.0)
 
     def test_sum_enforced(self):
         with pytest.raises(ValueError):
@@ -63,6 +77,13 @@ class TestPsi:
         X = np.array([[0.0], [100.0]])
         with pytest.raises(BandwidthError):
             psi_kernel(X, z0=[-1e6], h=1e-3)
+
+    @pytest.mark.parametrize("h", [1e-200, 1e-300])
+    def test_kernel_squared_bandwidth_underflow(self, h):
+        # h*h underflows to 0, so the centre row reads 0/0: NaN, not a weight
+        X = np.array([[0.0], [1.0]])
+        with pytest.raises(BandwidthError, match="too small"):
+            psi_kernel(X, z0=[0.0], h=h)
 
     def test_median_bandwidth(self):
         X = np.array([[0.0], [1.0], [3.0]])
@@ -298,6 +319,7 @@ class TestConditioning:
             _require_conditioned(np.diag([1.0, 0.99e-12]), "M")
         with pytest.raises(SingularInformationError, match="M has condition number inf"):
             _require_conditioned(np.zeros((2, 2)), "M")
+        _require_conditioned(np.empty((0, 0)), "M")  # p = 0: nothing to invert
 
     def test_each_site_names_its_matrix(self):
         I = np.eye(5)

@@ -21,7 +21,7 @@ from slmfic import (
     monte_carlo,
     safic_table,
 )
-from slmfic.errors import ConfigError
+from slmfic.errors import ConfigError, RankError
 from slmfic.io import run_report_to_json
 
 
@@ -67,6 +67,11 @@ class TestConfig:
     def test_fic_needs_focus(self):
         with pytest.raises(ConfigError):
             CriterionSpec(kind="fic", name="F")
+
+    def test_coeff_subset_checked_before_the_study(self):
+        crit = CriterionSpec("fic", "B", focus=FocusSpec("beta_coeffs", coeff_subset=(0, 3)))
+        with pytest.raises(ConfigError, match=r"criterion 'B': coeff_subset \[0, 3\] out of range"):
+            small_config(criteria=(crit,))
 
 
 class TestGeneration:
@@ -125,6 +130,24 @@ class TestMonteCarlo:
         for rankings in report.per_rep_rankings:
             for masks in rankings.values():
                 assert sorted(masks) == list(range(8))
+
+    def test_no_covariates(self):
+        report = monte_carlo(small_config(p=0, beta_true=(), reps=2))
+        assert report.reps_completed == 2
+        assert report.top1_counts == {"FIC1": {0: 2}, "sAFIC1": {0: 2}, "AIC": {0: 2}}
+
+    def test_one_covariate(self):
+        report = monte_carlo(small_config(p=1, beta_true=(0.5,), reps=2))
+        assert report.reps_completed == 2
+        for rankings in report.per_rep_rankings:
+            assert all(sorted(masks) == [0, 1] for masks in rankings.values())
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_input_error_in_a_replication_stops_the_study(self, jobs):
+        # more columns than rows: replication 0 raises, it is not a failed replication
+        cfg = small_config(n=4, p=5, beta_true=(0.0,) * 5, reps=3)
+        with pytest.raises(RankError, match="design matrix X is rank deficient: 5 columns, 4 rows"):
+            monte_carlo(cfg, jobs=jobs)
 
     def test_realized_error_tracked(self):
         cfg = small_config(reps=2, track_realized_error=True)

@@ -87,6 +87,12 @@ class TestProfiles:
         with pytest.raises(RankError):
             Dataset(Y=rng.standard_normal(10), X=np.column_stack([x, x]), W=W)
 
+    def test_more_columns_than_rows_is_rank_deficient(self, rng):
+        # the SVD of a 4 x 5 matrix has only 4 singular values, none of them small
+        W = SpatialWeights.from_adjacency(build_chain_lag1(4), row_normalize=True)
+        with pytest.raises(RankError, match="5 columns, 4 rows"):
+            Dataset(Y=rng.standard_normal(4), X=rng.standard_normal((4, 5)), W=W)
+
     def test_non_finite_response_named(self, rng):
         data = random_dataset(rng, n=10)
         Y = data.Y.copy()
