@@ -23,6 +23,13 @@ _FOCUS_BY_FLAG = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error (exit 1); argparse would exit 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _add_data_args(p: argparse.ArgumentParser):
     p.add_argument("--data", required=True, help="CSV table with a header row")
     p.add_argument("--weights", required=True, help="dense n x n CSV or i,j,w edge list")
@@ -34,7 +41,7 @@ def _add_data_args(p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="slmfic",
         description="Spatial lag model fitting and focused variable selection",
     )
@@ -176,8 +183,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .focus import FocusSpec, depends_on_theta, eval_focus
-from .slm import Dataset, FisherInfo, FitResult, Theta, _require_conditioned
+from .slm import FisherInfo, FitResult, _require_conditioned
 from .submodels import SubmodelId
 
 
@@ -92,34 +91,17 @@ def fic_components(
 
 
 def fic_score(
-    spec: FocusSpec,
     S: SubmodelId,
-    fit_S: FitResult | None,
-    fit_wide: FitResult,
+    J_S: np.ndarray,
     J_beta_wide: np.ndarray,
-    data: Dataset,
+    info_wide: FisherInfo,
+    D_n: np.ndarray,
+    labels: tuple[str, ...] = (),
 ) -> FicRow:
-    """Score one submodel against the centering term J_beta_wide (wide_beta_jacobian).
-
-    fit_S may be None for a focus whose Jacobian does not depend on theta_S;
-    it is then evaluated at the wide fit's (rho, sigma^2, beta_S)."""
-    if fit_S is None:
-        if depends_on_theta(spec):
-            raise ValueError(f"a {spec.kind} focus needs the fit of {S.label()}")
-        wide = fit_wide.theta_hat
-        theta_S, info_S = Theta(wide.rho, wide.sigma2, wide.beta[list(S.indices())]), None
-    else:
-        theta_S, info_S = fit_S.theta_hat, fit_S.info
-    J_S = eval_focus(spec, theta_S, data, S, info=info_S).jacobian
-    D_n = delta_hat(fit_wide)
-    bias2, variance = fic_components(J_S, J_beta_wide, fit_wide.info, S, D_n)
-    return FicRow(
-        submodel=S,
-        labels=S.variable_names(data.names),
-        bias2=bias2,
-        variance=variance,
-        score=bias2 + variance,
-    )
+    """Score one submodel from its focus Jacobian J_S over (rho, sigma^2, beta_S),
+    the centring term J_beta_wide and D_n = delta_hat(fit_wide)."""
+    bias2, variance = fic_components(J_S, J_beta_wide, info_wide, S, D_n)
+    return FicRow(S, labels, bias2, variance, bias2 + variance)
 
 
 def rank_models(rows: list[FicRow]) -> list[FicRow]:

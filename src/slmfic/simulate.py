@@ -18,8 +18,8 @@ import numpy as np
 
 from .diagnostics import aic
 from .errors import ConfigError, NumericalError, ReplicationFailureError
-from .fic import FicRow, delta_hat, fic_score, rank_models
-from .focus import FocusSpec, depends_on_theta, eval_focus, wide_beta_jacobian
+from .fic import FicRow, _info_indices, delta_hat, fic_score, rank_models
+from .focus import FocusSpec, depends_on_theta, eval_focus
 from .safic import (
     PsiWeights,
     k_empirical,
@@ -93,13 +93,17 @@ class SimConfig:
             raise ConfigError(
                 f"beta_true has {len(self.beta_true)} entries, expected p={self.p}"
             )
-        if self.sigma2_true <= 0:
-            raise ConfigError("sigma2_true must be positive")
+        if not (np.isfinite(self.sigma2_true) and self.sigma2_true > 0):
+            raise ConfigError(f"sigma2_true must be finite and positive, got {self.sigma2_true}")
         object.__setattr__(self, "beta_true", tuple(float(b) for b in self.beta_true))
+        if not np.all(np.isfinite(self.beta_true)):
+            raise ConfigError(f"beta_true {list(self.beta_true)} has a non-finite entry")
         object.__setattr__(self, "criteria", tuple(self.criteria))
         if self.track_realized_error and not any(c.kind == "fic" for c in self.criteria):
             raise ConfigError("track_realized_error requires a fic criterion")
-        for c in self.criteria:
+        for i, c in enumerate(self.criteria):
+            if any(d.name == c.name for d in self.criteria[:i]):
+                raise ConfigError(f"criterion name {c.name!r} is repeated")
             focus = c.focus
             if focus and focus.kind == "conditional_mean" and not 0 <= focus.location < self.n:
                 raise ConfigError(f"criterion {c.name!r}: focus location {focus.location} "
@@ -268,8 +272,10 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
     fitted, without information, only when a score reads that fit: AIC reads
     its log-likelihood, FIC its theta_S when focus.depends_on_theta, and
     fit_all asks for every fit.  FIC with a theta-free focus and sAFIC read the
-    wide fit only.  AIC rows are FicRows whose score is the AIC (bias2 and
-    variance are NaN).
+    wide fit only: each FIC focus is evaluated once at the wide fit, and a
+    subset's Jacobian is the (rho, sigma^2, beta_S) columns of that evaluation
+    unless the focus depends on theta.  delta_hat and the labels are computed
+    once.  AIC rows are FicRows whose score is the AIC (bias2 and variance are NaN).
 
     Returns ({criterion name: rows ranked by rank_models}, {mask: fit}), the
     fits in ascending mask order.
@@ -284,30 +290,35 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
         if fit_all or S.is_wide
     }
     fit_wide = fits[submodels[-1].mask]
-    blocks = delta = None
+    D_n = delta_hat(fit_wide)
+    labels = [S.variable_names(data.names) for S in submodels]
+    blocks = None
     tables = {}
     for crit in criteria:
         if crit.kind == "aic":
             rows = [
-                FicRow(S, S.variable_names(data.names), np.nan, np.nan, aic(fits[S.mask]))
-                for S in submodels
+                FicRow(S, lab, np.nan, np.nan, aic(fits[S.mask]))
+                for S, lab in zip(submodels, labels)
             ]
         elif crit.kind == "fic":
-            J_beta_wide = wide_beta_jacobian(crit.focus, fit_wide.theta_hat, data, fit_wide.info)
-            rows = [
-                fic_score(crit.focus, S, fits.get(S.mask), fit_wide, J_beta_wide, data)
-                for S in submodels
-            ]
+            J_wide = eval_focus(crit.focus, fit_wide.theta_hat, data, submodels[-1],
+                                fit_wide.info).jacobian
+            rows = []
+            for S, lab in zip(submodels, labels):
+                if S.is_wide or not depends_on_theta(crit.focus):
+                    # a C-contiguous copy: a strided view rounds the variance differently
+                    J_S = np.take(J_wide, _info_indices(S), axis=1)
+                else:
+                    J_S = eval_focus(crit.focus, fits[S.mask].theta_hat, data, S).jacobian
+                rows.append(fic_score(S, J_S, J_wide[:, 2:], fit_wide.info, D_n, lab))
         else:  # safic
             if blocks is None:
-                blocks, delta = rho_beta_blocks(fit_wide.info), delta_hat(fit_wide)
+                blocks = rho_beta_blocks(fit_wide.info)
             psi = _psi(crit, data)
             K = k_empirical(blocks, data, psi)
             rows = [
-                safic_score(
-                    S, delta, blocks, K, labels=S.variable_names(data.names), scheme=psi.scheme
-                )
-                for S in submodels
+                safic_score(S, D_n, blocks, K, labels=lab, scheme=psi.scheme)
+                for S, lab in zip(submodels, labels)
             ]
         tables[crit.name] = rank_models(rows)
     return tables, fits

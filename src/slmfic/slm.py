@@ -170,7 +170,7 @@ def concentrated_loglik(rho: float, data: Dataset, S: SubmodelId) -> float:
 
 
 def full_loglik(theta: Theta, data: Dataset, S: SubmodelId) -> float:
-    """Gaussian log-likelihood of the spatial lag model at an arbitrary theta."""
+    """Gaussian log-likelihood of the spatial lag model at an arbitrary theta (fit_mle's oracle)."""
     if theta.sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     n = data.n
@@ -258,14 +258,13 @@ def fit_mle(data: Dataset, S: SubmodelId, with_info: bool = True) -> FitResult:
         )
     rho_hat = float(res.x)
     theta_hat = Theta(rho_hat, cache.sigma2(rho_hat), cache.beta(rho_hat))
-    loglik = full_loglik(theta_hat, data, S)
     warnings: tuple[str, ...] = ()
     info = None
     if with_info:
         info, warnings = _observed_info_checked(theta_hat, data, S)
     return FitResult(
         theta_hat=theta_hat,
-        loglik=loglik,
+        loglik=-float(res.fun),
         info=info,
         submodel=S,
         converged=True,

@@ -5,8 +5,10 @@ from slmfic import (
     FicRow,
     FocusSpec,
     SubmodelId,
+    Theta,
     delta_hat,
     enumerate_submodels,
+    eval_focus,
     fic_components,
     fic_score,
     fit_mle,
@@ -155,50 +157,77 @@ class TestComponents:
             assert variance >= 0
 
 
+def _columns(S):
+    """Columns (rho, sigma^2, beta_S) of a wide-model Jacobian."""
+    return [0, 1] + [2 + j for j in S.indices()]
+
+
+def _row(data, spec, S, fit_S, fit_w):
+    """FIC row of S with its Jacobian evaluated at the subset's own fit."""
+    J_S = eval_focus(spec, fit_S.theta_hat, data, S, info=fit_S.info).jacobian
+    J_w = wide_beta_jacobian(spec, fit_w.theta_hat, data, fit_w.info)
+    return fic_score(S, J_S, J_w, fit_w.info, delta_hat(fit_w))
+
+
 class TestScoreSweep:
     def test_wide_model_unbiased(self, rng):
         data = random_dataset(rng, n=50, p=3)
         wide = SubmodelId.wide(3)
         fit_w = fit_mle(data, wide)
         spec = FocusSpec("conditional_mean", location=0)
-        J_w = wide_beta_jacobian(spec, fit_w.theta_hat, data, fit_w.info)
-        row = fic_score(spec, wide, fit_w, fit_w, J_w, data)
+        row = _row(data, spec, wide, fit_w, fit_w)
         assert row.bias2 < 1e-10
 
     def test_full_sweep_rows(self, rng):
         data = random_dataset(rng, n=50, p=3)
         fit_w = fit_mle(data, SubmodelId.wide(3))
         spec = FocusSpec("conditional_mean", location=5)
-        J_w = wide_beta_jacobian(spec, fit_w.theta_hat, data, fit_w.info)
         rows = []
         for S in enumerate_submodels(3):
             fit_S = fit_mle(data, S, with_info=False)
-            rows.append(fic_score(spec, S, fit_S, fit_w, J_w, data))
+            rows.append(_row(data, spec, S, fit_S, fit_w))
         ranked = rank_models(rows)
         assert sorted(r.rank for r in ranked) == list(range(1, 9))
         best = min(ranked, key=lambda r: r.rank)
         assert best.score == min(r.score for r in ranked)
 
     @pytest.mark.parametrize(
-        "spec", [FocusSpec("conditional_mean", location=2), FocusSpec("beta_coeffs")]
+        "spec",
+        [
+            FocusSpec("conditional_mean", location=2),
+            FocusSpec("beta_coeffs"),
+            FocusSpec("beta_coeffs", coeff_subset=(2, 0)),
+        ],
     )
     def test_theta_free_focus_needs_no_submodel_fit(self, rng, spec):
+        """The wide Jacobian's column slice is the subset's Jacobian exactly,
+        at the subset's fit and at any theta, so its row is the same."""
         data = random_dataset(rng, n=40, p=3)
         fit_w = fit_mle(data, SubmodelId.wide(3))
-        J_w = wide_beta_jacobian(spec, fit_w.theta_hat, data, fit_w.info)
+        J_wide = eval_focus(spec, fit_w.theta_hat, data, fit_w.submodel, info=fit_w.info).jacobian
+        D_n = delta_hat(fit_w)
         for S in enumerate_submodels(3):
+            J_slice = np.take(J_wide, _columns(S), axis=1)
             fit_S = fit_mle(data, S, with_info=False)
-            with_fit = fic_score(spec, S, fit_S, fit_w, J_w, data)
-            assert fic_score(spec, S, None, fit_w, J_w, data) == with_fit
+            away = Theta(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0), rng.standard_normal(len(S)))
+            for theta in (fit_S.theta_hat, away):
+                J_S = eval_focus(spec, theta, data, S).jacobian
+                assert np.array_equal(J_slice, J_S)
+                assert fic_score(S, J_slice, J_wide[:, 2:], fit_w.info, D_n) == fic_score(
+                    S, J_S, J_wide[:, 2:], fit_w.info, D_n
+                )
 
     @pytest.mark.parametrize("kind", ["spillover", "max_eigen"])
-    def test_theta_dependent_focus_requires_submodel_fit(self, rng, kind):
+    def test_theta_dependent_focus_is_not_a_slice(self, rng, kind):
+        """Why the sweep evaluates these foci at every subset's own fit."""
         data = random_dataset(rng, n=40, p=3)
         fit_w = fit_mle(data, SubmodelId.wide(3))
-        S = SubmodelId(1, 3)
-        J_w = wide_beta_jacobian(FocusSpec(kind), fit_w.theta_hat, data, fit_w.info)
-        with pytest.raises(ValueError, match="needs the fit of S2"):
-            fic_score(FocusSpec(kind), S, None, fit_w, J_w, data)
+        spec = FocusSpec(kind)
+        J_wide = eval_focus(spec, fit_w.theta_hat, data, fit_w.submodel, info=fit_w.info).jacobian
+        for S in enumerate_submodels(3)[:-1]:
+            fit_S = fit_mle(data, S, with_info=False)
+            J_S = eval_focus(spec, fit_S.theta_hat, data, S).jacobian
+            assert not np.allclose(np.take(J_wide, _columns(S), axis=1), J_S)
 
     def test_column_permutation_invariance(self, rng):
         from slmfic import Dataset
@@ -212,8 +241,7 @@ class TestScoreSweep:
             S = SubmodelId.from_indices(indices, 3)
             fit_w = fit_mle(d, SubmodelId.wide(3))
             fit_S = fit_mle(d, S, with_info=False)
-            J_w = wide_beta_jacobian(spec, fit_w.theta_hat, d, fit_w.info)
-            return fic_score(spec, S, fit_S, fit_w, J_w, d).score
+            return _row(d, spec, S, fit_S, fit_w).score
 
         # variables {0, 2} of data are columns {1, 0} of the permuted design
         # the two fits differ only by the rounding of the permuted columns

@@ -542,15 +542,52 @@ class TestFailureContract:
              "design matrix X is rank deficient: 5 columns, 4 rows"),
             ({"n": 30, "p": 21, "beta_true": [0.0] * 21, "reps": 3},
              "exhaustive sweep over 2^21 submodels refused"),
+            ({"criteria": [{"kind": "aic", "name": "A"}, {"kind": "safic", "name": "A"}]},
+             "criterion name 'A' is repeated"),
+            ({"sigma2_true": float("nan")}, "sigma2_true must be finite and positive, got nan"),
+            ({"beta_true": [float("inf"), 0.0]}, "beta_true [inf, 0.0] has a non-finite entry"),
         ],
         ids=["z0-wrong-length", "zero-bandwidth", "coeff-subset-5", "coeff-subset-negative",
-             "fewer-rows-than-columns", "p21"],
+             "fewer-rows-than-columns", "p21", "duplicate-names", "nan-sigma2", "infinite-beta"],
     )
     def test_simulate_input_error(self, tmp_path, capsys, changes, named):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n": 20, "p": 2, "beta_true": [0.0, 0.4], "reps": 2, **changes}))
         rc = main(["simulate", "--config", str(path)])
         _one_input_error(capsys, rc, named)
+
+    def test_weights_file_of_another_size(self, tmp_path, capsys):
+        weights = tmp_path / "w.csv"
+        weights.write_text("i,j,w\n" + "".join(f"{i},{i + 1},1\n{i + 1},{i},1\n" for i in range(9)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 20, "p": 2, "beta_true": [0.0, 0.4], "reps": 2,
+                                    "weights_kind": str(weights)}))
+        rc = main(["simulate", "--config", str(path)])
+        _one_input_error(capsys, rc, "weights file has n=10, config says n=20")
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["safic", "--bandwidth", "abc"], "argument --bandwidth: invalid float value: 'abc'"),
+            (["fic", "--data", "a.csv"],
+             "slmfic fic: the following arguments are required: --weights, --response"),
+            (["bogus"], "slmfic: argument command: invalid choice: 'bogus'"),
+        ],
+        ids=["bad-float", "missing-flag", "unknown-command"],
+    )
+    def test_usage_error_is_input_error(self, small_files, capsys, argv, named):
+        data_path, weights_path = small_files
+        if argv[0] == "safic":
+            argv = argv + ["--data", data_path, "--weights", weights_path, "--response", "y"]
+        rc = main(argv)
+        _one_input_error(capsys, rc, named)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["safic", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: slmfic")
 
     def test_study_without_covariates(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -1,9 +1,10 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
-from slmfic import fic, focus, simulate
+from slmfic import focus, simulate
 from slmfic import (
     CriterionSpec,
     FocusSpec,
@@ -170,6 +171,19 @@ class TestMonteCarlo:
         assert report.realized_mse[7] > 0
         assert report.realized_mse[7] == pytest.approx(float(np.sum((mu_hat - mu_true) ** 2)))
 
+    def test_weights_file_matches_the_built_in_chain(self, tmp_path):
+        """The 75-unit chain written as an i,j,w edge list runs the same study."""
+        path = tmp_path / "chain.csv"
+        path.write_text("i,j,w\n" + "".join(f"{i},{i + 1},1\n{i + 1},{i},1\n" for i in range(74)))
+
+        def report(cfg):
+            return json.loads(run_report_to_json(monte_carlo(cfg)))
+
+        built_in = report(SimConfig(reps=20))
+        from_file = report(SimConfig(reps=20, weights_kind=str(path)))
+        for key in ("criteria", "per_rep_top1"):
+            assert from_file[key] == built_in[key]
+
     def test_default_criteria_names(self):
         assert [c.name for c in default_criteria()] == ["FIC1", "sAFIC1", "AIC"]
 
@@ -226,19 +240,18 @@ class TestSweepEngine:
         ids=lambda spec: spec.kind,
     )
     def test_focus_evaluations_per_sweep(self, monkeypatch, spec):
-        """2^p subsets plus the centring Jacobian, evaluated once per sweep."""
+        """A theta-free focus is evaluated once, at the wide fit; a theta-dependent
+        one once per subset, the wide Jacobian serving as the wide subset's."""
         calls = []
-        for module in (fic, focus):
-            original = module.eval_focus
+        original = simulate.eval_focus
 
-            def counting(*args, _original=original, **kwargs):
-                calls.append(args[3].mask)
-                return _original(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(args[3].mask)
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(module, "eval_focus", counting)
+        monkeypatch.setattr(simulate, "eval_focus", counting)
         fic_table(spec, generate_dataset(small_config(), 0))
-        assert len(calls) == 2**3 + 1
-        assert sorted(calls) == list(range(8)) + [7]
+        assert sorted(calls) == (list(range(8)) if focus.depends_on_theta(spec) else [7])
 
     def test_no_finite_differences(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -174,6 +174,15 @@ class TestFit:
                 continue
             assert full_loglik(Theta.from_vector(pert), data, S) <= fit.loglik + 1e-10
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_loglik_is_the_full_loglik_at_the_optimum(self, seed):
+        data = random_dataset(np.random.default_rng(seed), n=40, p=3)
+        for mask in range(8):
+            S = SubmodelId(mask, 3)
+            fit = fit_mle(data, S, with_info=False)
+            oracle = full_loglik(fit.theta_hat, data, S)
+            assert abs(fit.loglik - oracle) <= 1e-12 * abs(oracle)
+
     def test_reduction_to_ols(self, rng):
         data = zero_w_dataset(rng)
         S = SubmodelId.wide(data.p)
