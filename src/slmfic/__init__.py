@@ -47,6 +47,7 @@ from .slm import (
     Theta,
     concentrated_loglik,
     fit_mle,
+    fit_subsets,
     full_loglik,
     observed_info,
     profile_beta,

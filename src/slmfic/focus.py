@@ -51,13 +51,6 @@ class FocusSpec:
             if any(j < 0 for j in self.coeff_subset):
                 raise FocusSpecError(f"coeff_subset {list(self.coeff_subset)} has a negative index")
 
-    def dim(self, p: int) -> int:
-        if self.kind in ("conditional_mean", "max_eigen"):
-            return 1
-        if self.kind == "beta_coeffs":
-            return len(self.coeff_subset) if self.coeff_subset is not None else p
-        return p + 2  # spillover
-
 
 @dataclass(frozen=True)
 class FocusEval:

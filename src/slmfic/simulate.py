@@ -29,7 +29,7 @@ from .safic import (
     rho_beta_blocks,
     safic_score,
 )
-from .slm import Dataset, Theta, fit_mle
+from .slm import Dataset, Theta, fit_mle, fit_subsets
 from .submodels import SubmodelId, enumerate_submodels
 from .weights import SpatialWeights, build_chain_lag1
 
@@ -89,6 +89,8 @@ class SimConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ConfigError("reps must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if len(self.beta_true) != self.p:
             raise ConfigError(
                 f"beta_true has {len(self.beta_true)} entries, expected p={self.p}"
@@ -268,14 +270,14 @@ def _psi(crit: CriterionSpec, data: Dataset) -> PsiWeights:
 def _sweep(data: Dataset, criteria, fit_all: bool = False):
     """Rank all 2^p subsets of a dataset by each criterion.
 
-    The wide model is fitted once, with information.  Another subset is
-    fitted, without information, only when a score reads that fit: AIC reads
-    its log-likelihood, FIC its theta_S when focus.depends_on_theta, and
-    fit_all asks for every fit.  FIC with a theta-free focus and sAFIC read the
-    wide fit only: each FIC focus is evaluated once at the wide fit, and a
-    subset's Jacobian is the (rho, sigma^2, beta_S) columns of that evaluation
-    unless the focus depends on theta.  delta_hat and the labels are computed
-    once.  AIC rows are FicRows whose score is the AIC (bias2 and variance are NaN).
+    fit_mle fits the wide model, with information; one fit_subsets call fits
+    the others only when a score reads them: AIC the log-likelihood, FIC
+    theta_S when focus.depends_on_theta, and fit_all every fit.  FIC with a
+    theta-free focus and sAFIC read the wide fit only: each FIC focus is
+    evaluated once at the wide fit, and a subset's Jacobian is the
+    (rho, sigma^2, beta_S) columns of that evaluation unless the focus depends
+    on theta.  delta_hat and the labels are computed once.  AIC rows are
+    FicRows whose score is the AIC (bias2 and variance are NaN).
 
     Returns ({criterion name: rows ranked by rank_models}, {mask: fit}), the
     fits in ascending mask order.
@@ -284,12 +286,8 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
     fit_all = fit_all or any(
         c.kind == "aic" or (c.kind == "fic" and depends_on_theta(c.focus)) for c in criteria
     )
-    fits = {
-        S.mask: fit_mle(data, S, with_info=S.is_wide)
-        for S in submodels
-        if fit_all or S.is_wide
-    }
-    fit_wide = fits[submodels[-1].mask]
+    fits = fit_subsets(data, submodels[:-1]) if fit_all else {}
+    fit_wide = fits[submodels[-1].mask] = fit_mle(data, submodels[-1])
     D_n = delta_hat(fit_wide)
     labels = [S.variable_names(data.names) for S in submodels]
     blocks = None

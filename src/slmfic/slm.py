@@ -2,20 +2,20 @@
 
 The model is Y = rho*W*Y + X*beta + eps with iid Gaussian innovations.  For a
 fixed rho the problem reduces to ordinary regression of (I - rho*W)Y on X, so
-beta and sigma^2 are profiled out in closed form and rho is found by bounded
-1-D search on the concentrated log-likelihood.  The score and the observed
-information, ordered (rho, sigma^2, beta), are closed forms (Anselin 1988,
-*Spatial Econometrics*; Lee 2004, *Econometrica* 72(6)) built from WY, X_S,
-the residual and the cached spectrum of W.
+beta and sigma^2 are profiled out in closed form; fit_subsets finds rho for
+many subsets at once, as the root of the profile score, from one QR of X and
+one vectorised Newton search.  The score and the observed information, ordered
+(rho, sigma^2, beta), are closed forms (Anselin 1988, *Spatial Econometrics*;
+Lee 2004, *Econometrica* 72(6)) built from WY, X_S, the residual and the
+cached spectrum of W.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     ConvergenceError,
@@ -30,6 +30,8 @@ from .weights import SpatialWeights
 _LOG_2PI = math.log(2.0 * math.pi)
 _SIGMA2_FLOOR = 1e-12
 _MAX_ITER = 500
+_RHO_TOL = 1e-12  # step size, relative to the bracket, that ends the rho search
+_CHUNK = 1 << 16  # elements of one stacked temporary in fit_subsets
 _COND_LIMIT = 1e12  # information matrices and blocks above it count as singular
 
 
@@ -127,10 +129,6 @@ class FisherInfo:
     matrix: np.ndarray
     n_obs: int
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -154,19 +152,21 @@ def profile_beta(rho: float, data: Dataset, S: SubmodelId) -> np.ndarray:
     selected columns.
     """
     data.W.require_rho(rho)
-    return _ProfileCache(data, S).beta(rho)
+    _, (coef,) = _regressions(_project(data), [S])
+    return coef[:, 0] - rho * coef[:, 1]
 
 
 def profile_sigma2(rho: float, data: Dataset, S: SubmodelId) -> float:
     """Profiled MLE of sigma^2 (divisor n) at a given rho."""
     data.W.require_rho(rho)
-    return _ProfileCache(data, S).sigma2(rho)
+    return float(_sigma2(_regressions(_project(data), [S])[0], rho, data.n, [S])[0])
 
 
 def concentrated_loglik(rho: float, data: Dataset, S: SubmodelId) -> float:
     """Profile log-likelihood of rho with beta and sigma^2 concentrated out."""
     data.W.require_rho(rho)
-    return _ProfileCache(data, S).loglik(rho)
+    gram, _ = _regressions(_project(data), [S])
+    return float(_loglik(data, _sigma2(gram, rho, data.n, [S]), rho)[0])
 
 
 def full_loglik(theta: Theta, data: Dataset, S: SubmodelId) -> float:
@@ -184,93 +184,116 @@ def full_loglik(theta: Theta, data: Dataset, S: SubmodelId) -> float:
     )
 
 
-class _ProfileCache:
-    """The profile regression of submodel S, as a function of rho.
+def _project(data: Dataset):
+    """One thin QR X = QR: R, z = Q'[Y, WY] and the residual Gram matrix of [Y, WY] on X."""
+    Z = np.column_stack((data.Y, data.WY))
+    Q, R = np.linalg.qr(data.X)
+    z = Q.T @ Z
+    outside = Z - Q @ z
+    return R, z, outside.T @ outside
 
-    Y and WY are regressed on X_S once, giving beta_R and beta_L.  The profiled
-    beta is beta_R - rho*beta_L, and the residual sum of squares of
-    (I - rho*W)Y on X_S is the quadratic a - 2*b*rho + c*rho^2, so the 1-D
-    optimizer costs no regression per step.
-    """
 
-    def __init__(self, data: Dataset, S: SubmodelId):
-        self.data = data
-        Xs = _design(data, S)
-        Y, WY = data.Y, data.WY
-        if Xs.shape[1]:
-            coef, _, _, sv = np.linalg.lstsq(Xs, np.column_stack((Y, WY)), rcond=None)
-            if sv[-1] <= 1e-10 * sv[0]:
-                raise RankError(f"X_S rank deficient for submodel {S}")
-            self.beta_R, self.beta_L = coef[:, 0], coef[:, 1]
-            e_R = Y - Xs @ self.beta_R
-            e_L = WY - Xs @ self.beta_L
-        else:
-            self.beta_R = self.beta_L = np.empty(0)
-            e_R, e_L = Y, WY
-        self.a = float(e_R @ e_R)
-        self.b = float(e_R @ e_L)
-        self.c = float(e_L @ e_L)
+def _regressions(projection, subsets):
+    """Regressions of Y and WY on X_S = Q R_S: their residual is the residual on
+    X plus Q times that of z on R_S, a p-row problem with the singular values
+    of X_S, solved by one stacked SVD per subset size.  Returns the (m, 2, 2)
+    residual Gram matrices [[a, b], [b, c]], the residual sum of squares of
+    (I - rho*W)Y being a - 2*b*rho + c*rho^2, and each (|S|, 2) coefficient array."""
+    R, z, base = projection
+    gram, coefs = np.empty((len(subsets), 2, 2)), [None] * len(subsets)
+    sizes = np.array([len(S) for S in subsets])
+    for k in np.unique(sizes):
+        idx = np.flatnonzero(sizes == k)
+        cols = np.array([subsets[i].indices() for i in idx], dtype=int).reshape(len(idx), k)
+        U, sv, Vt = np.linalg.svd(np.moveaxis(R[:, cols], 0, 1))
+        if k and np.any(bad := sv[:, -1] <= 1e-10 * sv[:, 0]):
+            raise RankError(f"X_S rank deficient for submodel {subsets[idx[bad.argmax()]].label()}")
+        Uz = np.swapaxes(U, 1, 2) @ z
+        gram[idx] = base + np.swapaxes(Uz[:, k:], 1, 2) @ Uz[:, k:]
+        for i, c in zip(idx, np.swapaxes(Vt, 1, 2) @ (Uz[:, :k] / sv[:, :, None])):
+            coefs[i] = c
+    return gram, coefs
 
-    def beta(self, rho: float) -> np.ndarray:
-        return self.beta_R - rho * self.beta_L
 
-    def sigma2(self, rho: float) -> float:
-        s2 = (self.a - 2.0 * rho * self.b + rho * rho * self.c) / self.data.n
-        if s2 < _SIGMA2_FLOOR:
-            raise DegenerateVarianceError(f"residual variance {s2:.3e} below floor")
-        return s2
+def _sigma2(gram: np.ndarray, rho, n: int, subsets) -> np.ndarray:
+    """Profiled sigma^2 of each subset at its rho, none below the floor."""
+    s2 = (gram[:, 0, 0] - 2.0 * rho * gram[:, 0, 1] + rho * rho * gram[:, 1, 1]) / n
+    if np.any(low := s2 < _SIGMA2_FLOOR):
+        raise DegenerateVarianceError(f"residual variance {s2[low.argmax()]:.3e} below floor "
+                                      f"for submodel {subsets[low.argmax()].label()}")
+    return s2
 
-    def loglik(self, rho: float) -> float:
-        n = self.data.n
-        return (
-            -n / 2.0
-            - (n / 2.0) * _LOG_2PI
-            - (n / 2.0) * math.log(self.sigma2(rho))
-            + self.data.W.log_det_factor(rho)
-        )
+
+def _loglik(data: Dataset, s2: np.ndarray, rho) -> np.ndarray:
+    return -(data.n / 2.0) * (1.0 + _LOG_2PI + np.log(s2)) + data.W.log_det_factor(rho)
+
+
+def _rho_hat(data: Dataset, gram: np.ndarray, subsets):
+    """rho-hat of every subset and its steps: the root of the profile score
+    -(n/2) q'/q - sum_i w_i / (1 - rho*w_i) in the admissible interval shrunk by
+    1e-6 of its range (the likelihood is singular at its ends).  Where the score
+    does not fall from positive to negative over it, the upper end if the score
+    is not negative there, else the lower end, after no step.  Safeguarded
+    Newton keeps such a bracket and bisects it when the curvature is not
+    negative or a step leaves it."""
+    W, n = data.W, data.n
+    lo, hi = W.rho_interval
+    if not (np.isfinite(lo) and np.isfinite(hi)):  # unbounded (e.g. spectrum all zero): a box
+        lo, hi = max(lo, -1e6), min(hi, 1e6)
+    lo, hi = lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo)
+    a, b, c = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+    # q is smallest at b/c: a variance below the floor anywhere in the bracket is degenerate
+    _sigma2(gram, np.clip(b / np.where(c > 0, c, 1.0), lo, hi), n, subsets)
+
+    def score(rho, i):
+        q, dq = a[i] - 2.0 * b[i] * rho + c[i] * rho * rho, 2.0 * (c[i] * rho - b[i])
+        return (W.log_det_rho_derivative(rho) - 0.5 * n * dq / q,
+                W.log_det_rho_derivative(rho, 2) - 0.5 * n * (2.0 * c[i] * q - dq * dq) / (q * q))
+
+    s_lo, s_hi = (score(np.full(len(a), r), np.arange(len(a)))[0] for r in (lo, hi))
+    rho, steps = np.where(s_hi >= 0, hi, lo), np.zeros(len(a), dtype=int)
+    active = np.flatnonzero((s_lo > 0) & (s_hi < 0))
+    x, L, H = (np.full(active.size, r) for r in (0.5 * (lo + hi), lo, hi))
+    for _ in range(_MAX_ITER):
+        if not active.size:
+            return rho, steps
+        steps[active] += 1
+        s, ds = score(x, active)
+        L, H = np.where(s > 0, x, L), np.where(s < 0, x, H)
+        newton = x - s / ds
+        nxt = np.where((ds < 0) & (L <= newton) & (newton <= H), newton, 0.5 * (L + H))
+        rho[active] = np.where(s == 0, x, nxt)
+        going = (s != 0) & (np.abs(nxt - x) > _RHO_TOL * (hi - lo))
+        active, x, L, H = active[going], nxt[going], L[going], H[going]
+    raise ConvergenceError(f"rho search for submodel {subsets[active[0]].label()} did not "
+                           f"converge in {_MAX_ITER} steps", best_rho=float(x[0]))
+
+
+def fit_subsets(data: Dataset, subsets) -> dict[int, FitResult]:
+    """Maximum-likelihood fits, without information, of the model restricted to
+    each subset: {mask: FitResult} in the order given.  One QR of X serves every
+    regression (_regressions), one search every rho (_rho_hat; its steps are
+    FitResult.iterations); no stacked temporary holds more than _CHUNK elements."""
+    subsets, projection, fits = list(subsets), _project(data), {}
+    step = max(1, _CHUNK // max(data.n, data.p * data.p))
+    for chunk in (subsets[i:i + step] for i in range(0, len(subsets), step)):
+        gram, coefs = _regressions(projection, chunk)
+        rho, steps = _rho_hat(data, gram, chunk)
+        s2 = _sigma2(gram, rho, data.n, chunk)
+        for S, r, v, ll, coef, k in zip(chunk, rho, s2, _loglik(data, s2, rho), coefs, steps):
+            theta = Theta(float(r), float(v), coef[:, 0] - r * coef[:, 1])
+            fits[S.mask] = FitResult(theta, float(ll), None, S, converged=True, iterations=int(k))
+    return fits
 
 
 def fit_mle(data: Dataset, S: SubmodelId, with_info: bool = True) -> FitResult:
-    """Fit the spatial lag model restricted to submodel S by maximum likelihood.
-
-    rho is found by bounded scalar search on the concentrated likelihood over
-    the admissible interval shrunk by 1e-6 of its range at both ends (the
-    likelihood is singular at the boundary); beta and sigma^2 follow in closed
-    form.
-    """
-    lo, hi = data.W.rho_interval
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        # unbounded admissible range (e.g. spectrum all zero): search a wide box
-        lo = max(lo, -1e6)
-        hi = min(hi, 1e6)
-    margin = 1e-6 * (hi - lo)
-    cache = _ProfileCache(data, S)
-    res = minimize_scalar(
-        lambda r: -cache.loglik(r),
-        bounds=(lo + margin, hi - margin),
-        method="bounded",
-        options={"xatol": 1e-8, "maxiter": _MAX_ITER},
-    )
-    if not res.success:
-        raise ConvergenceError(
-            f"rho optimizer failed after {res.nfev} evaluations: {res.message}",
-            best_rho=float(res.x),
-        )
-    rho_hat = float(res.x)
-    theta_hat = Theta(rho_hat, cache.sigma2(rho_hat), cache.beta(rho_hat))
-    warnings: tuple[str, ...] = ()
-    info = None
-    if with_info:
-        info, warnings = _observed_info_checked(theta_hat, data, S)
-    return FitResult(
-        theta_hat=theta_hat,
-        loglik=-float(res.fun),
-        info=info,
-        submodel=S,
-        converged=True,
-        iterations=int(res.nfev),
-        warnings=warnings,
-    )
+    """Fit the spatial lag model restricted to submodel S by maximum likelihood:
+    fit_subsets on S alone, plus the observed information when with_info."""
+    fit = fit_subsets(data, [S])[S.mask]
+    if not with_info:
+        return fit
+    info, warnings = _observed_info_checked(fit.theta_hat, data, S)
+    return replace(fit, info=info, warnings=warnings)
 
 
 def _derivative_terms(theta: Theta, data: Dataset, S: SubmodelId):

@@ -140,27 +140,30 @@ class SpatialWeights:
         W.setflags(write=False)
         return cls(W, row_normalize, spectrum, interval)
 
-    def contains_rho(self, rho: float) -> bool:
+    def contains_rho(self, rho) -> bool:
+        """Whether rho, or every entry of an array of rho, lies in the admissible interval."""
         lo, hi = self.rho_interval
-        return lo < rho < hi
+        return bool(np.all((lo < rho) & (rho < hi)))
 
-    def require_rho(self, rho: float) -> None:
+    def require_rho(self, rho) -> None:
         if not self.contains_rho(rho):
             lo, hi = self.rho_interval
             raise RhoOutOfRangeError(f"rho={rho} outside admissible interval ({lo}, {hi})")
 
-    def log_det_factor(self, rho: float, backend: str = "spectrum") -> float:
+    def log_det_factor(self, rho, backend: str = "spectrum"):
         """log|I_n - rho*W| via the eigenvalue product or an LU factorization.
 
-        The spectrum backend uses the identity |I - rho*W| = prod(1 - rho*w_i);
-        the LU backend accumulates log|pivot| and is kept as its oracle.
+        The spectrum backend uses the identity |I - rho*W| = prod(1 - rho*w_i)
+        and takes an array of rho too, giving one log-det per entry; the LU
+        backend accumulates log|pivot| and is kept as its oracle.
         """
         self.require_rho(rho)
         if backend == "spectrum":
-            factors = 1.0 - rho * self.spectrum
+            factors = 1.0 - np.multiply.outer(rho, self.spectrum)
             if np.any(factors <= 0):
                 raise SingularFactorizationError(f"I - rho*W singular at rho={rho}")
-            return float(np.sum(np.log(factors)))
+            out = np.sum(np.log(factors), axis=-1)
+            return out if np.ndim(rho) else float(out)
         if backend == "lu":
             M = np.eye(self.n) - rho * self.matrix
             _, _, U = scipy.linalg.lu(M)
@@ -170,10 +173,12 @@ class SpatialWeights:
             return float(np.sum(np.log(piv)))
         raise ValueError(f"unknown backend {backend!r}")
 
-    def log_det_rho_derivative(self, rho: float) -> float:
-        """d/drho log|I - rho*W| = -sum_i w_i / (1 - rho*w_i)."""
+    def log_det_rho_derivative(self, rho, order: int = 1):
+        """The first (order 1) or second (order 2) derivative of log|I - rho*W| in
+        rho, -sum_i g_i^order with g_i = w_i / (1 - rho*w_i); one per entry of an array rho."""
         self.require_rho(rho)
-        return float(-np.sum(self.spectrum / (1.0 - rho * self.spectrum)))
+        g = self.spectrum / (1.0 - np.multiply.outer(rho, self.spectrum))
+        return -np.sum(g**order, axis=-1) if np.ndim(rho) else float(-np.sum(g**order))
 
 
 def row_normalize(A: np.ndarray) -> SpatialWeights:

@@ -87,6 +87,42 @@ def fd_information(theta, data, S):
     return -H / data.n
 
 
+def brent_profile_fit(Xs, Y, WY, w, lo, hi):
+    """Maximum-likelihood fit of the spatial lag model on the columns Xs, with
+    numpy and scipy alone: (rho, sigma2, beta, loglik).
+
+    w holds the eigenvalues of W.  The concentrated log-likelihood is
+    -n/2 (1 + log 2 pi + log(e'e / n)) + sum_i log(1 - rho w_i), with e the
+    least-squares residual of (I - rho W) Y on Xs.  It is maximized over
+    [lo, hi] by a grid search over _ORACLE_GRID points refined with a bounded
+    scalar search (Brent) between the grid neighbours of the best point.
+    """
+    n = len(Y)
+    if Xs.shape[1]:
+        coef = np.linalg.lstsq(Xs, np.column_stack([Y, WY]), rcond=None)[0]
+        e_R, e_L = Y - Xs @ coef[:, 0], WY - Xs @ coef[:, 1]
+    else:
+        coef, e_R, e_L = np.zeros((0, 2)), Y, WY
+    a, b, c = e_R @ e_R, e_R @ e_L, e_L @ e_L
+    const = -n / 2.0 * (1.0 + math.log(2.0 * math.pi))
+
+    def loglik(rho, log_det):
+        return const - n / 2.0 * np.log((a - 2.0 * b * rho + c * rho * rho) / n) + log_det
+
+    grid = np.linspace(lo, hi, _ORACLE_GRID)
+    step = grid[1] - grid[0]
+    k = int(np.argmax(loglik(grid, np.log1p(-np.outer(grid, w)).sum(axis=1))))
+    res = minimize_scalar(
+        lambda r: -loglik(r, np.log1p(-r * w).sum()),
+        bounds=(max(grid[k] - step, lo), min(grid[k] + step, hi)),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    rho = float(res.x)
+    e = e_R - rho * e_L
+    return rho, float(e @ e) / n, coef[:, 0] - rho * coef[:, 1], -float(res.fun)
+
+
 def oracle_top1_counts(cfg):
     """Top-1 counts of AIC and uniform-weight sAFIC over the replications of a
     chain-graph study, computed with numpy and scipy alone.
@@ -103,11 +139,8 @@ def oracle_top1_counts(cfg):
     symmetric D^-1/2 A D^-1/2, and rho ranges over (1/w_min, 1/w_max) within
     (-1, 1).
 
-    Every subset S is fitted by maximum likelihood.  The concentrated
-    log-likelihood is -n/2 (1 + log 2 pi + log(e'e / n)) + sum_i log(1 - rho w_i),
-    with e the least-squares residual of (I - rho W) Y on X_S; it is maximized
-    over the rho interval shrunk by 1e-6 of its width by a grid search refined
-    with a bounded scalar search.  AIC = -2 loglik + 2 (|S| + 2).
+    Every subset S is fitted by maximum likelihood over the rho interval shrunk
+    by 1e-6 of its width (``brent_profile_fit``).  AIC = -2 loglik + 2 (|S| + 2).
 
     sAFIC uses only the wide fit (rho, sigma2, beta):
 
@@ -137,34 +170,11 @@ def oracle_top1_counts(cfg):
     lo, hi = max(1.0 / w[0], -1.0), min(1.0 / w[-1], 1.0)
     margin = 1e-6 * (hi - lo)
     lo, hi = lo + margin, hi - margin
-    grid = np.linspace(lo, hi, _ORACLE_GRID)
-    step = grid[1] - grid[0]
-    grid_log_det = np.log1p(-np.outer(grid, w)).sum(axis=1)
-    const = -n / 2.0 * (1.0 + math.log(2.0 * math.pi))
     beta_true = np.asarray(cfg.beta_true, dtype=float)
     subsets = [[j for j in range(p) if mask >> j & 1] for mask in range(1 << p)]
 
     def fit(Xs, Y, WY):
-        if Xs.shape[1]:
-            coef = np.linalg.lstsq(Xs, np.column_stack([Y, WY]), rcond=None)[0]
-            e_R, e_L = Y - Xs @ coef[:, 0], WY - Xs @ coef[:, 1]
-        else:
-            coef, e_R, e_L = np.zeros((0, 2)), Y, WY
-        a, b, c = e_R @ e_R, e_R @ e_L, e_L @ e_L
-
-        def loglik(rho, log_det):
-            return const - n / 2.0 * np.log((a - 2.0 * b * rho + c * rho * rho) / n) + log_det
-
-        k = int(np.argmax(loglik(grid, grid_log_det)))
-        res = minimize_scalar(
-            lambda r: -loglik(r, np.log1p(-r * w).sum()),
-            bounds=(max(grid[k] - step, lo), min(grid[k] + step, hi)),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        rho = float(res.x)
-        e = e_R - rho * e_L
-        return rho, float(e @ e) / n, coef[:, 0] - rho * coef[:, 1], -float(res.fun)
+        return brent_profile_fit(Xs, Y, WY, w, lo, hi)
 
     def top1(scores):
         return min(range(1 << p), key=lambda m: (scores[m], len(subsets[m]), m))

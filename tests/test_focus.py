@@ -62,13 +62,6 @@ class TestSpecValidation:
             eval_focus(FocusSpec("beta_coeffs", coeff_subset=(5,)), random_theta(rng, data, S),
                        data, S)
 
-    def test_dims(self):
-        assert FocusSpec("conditional_mean", location=0).dim(5) == 1
-        assert FocusSpec("max_eigen").dim(5) == 1
-        assert FocusSpec("beta_coeffs").dim(5) == 5
-        assert FocusSpec("beta_coeffs", coeff_subset=(1, 3)).dim(5) == 2
-        assert FocusSpec("spillover").dim(5) == 7
-
 
 class TestDependsOnTheta:
     """depends_on_theta is true exactly for the kinds whose Jacobian moves with theta_S."""

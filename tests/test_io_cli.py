@@ -546,15 +546,23 @@ class TestFailureContract:
              "criterion name 'A' is repeated"),
             ({"sigma2_true": float("nan")}, "sigma2_true must be finite and positive, got nan"),
             ({"beta_true": [float("inf"), 0.0]}, "beta_true [inf, 0.0] has a non-finite entry"),
+            ({"seed": -1}, "seed must be non-negative, got -1"),
         ],
         ids=["z0-wrong-length", "zero-bandwidth", "coeff-subset-5", "coeff-subset-negative",
-             "fewer-rows-than-columns", "p21", "duplicate-names", "nan-sigma2", "infinite-beta"],
+             "fewer-rows-than-columns", "p21", "duplicate-names", "nan-sigma2", "infinite-beta",
+             "negative-seed"],
     )
     def test_simulate_input_error(self, tmp_path, capsys, changes, named):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n": 20, "p": 2, "beta_true": [0.0, 0.4], "reps": 2, **changes}))
         rc = main(["simulate", "--config", str(path)])
         _one_input_error(capsys, rc, named)
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 20, "p": 2, "beta_true": [0.0, 0.4], "reps": 2}))
+        rc = main(["simulate", "--config", str(path), "--seed", "-1"])
+        _one_input_error(capsys, rc, "seed must be non-negative, got -1")
 
     def test_weights_file_of_another_size(self, tmp_path, capsys):
         weights = tmp_path / "w.csv"

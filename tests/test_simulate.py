@@ -195,15 +195,22 @@ def ranked_masks(rows):
 class TestSweepEngine:
     @pytest.fixture
     def fitted(self, monkeypatch):
-        """Masks of the submodels simulate.fit_mle is called on, in call order."""
+        """Masks of the submodels the sweep fits, in call order: those passed to
+        simulate.fit_subsets and the wide model's simulate.fit_mle call."""
         masks = []
-        fit = simulate.fit_mle
+        fit, fit_many = simulate.fit_mle, simulate.fit_subsets
 
         def counting_fit(data, S, with_info=True):
             masks.append(S.mask)
             return fit(data, S, with_info)
 
+        def counting_fit_many(data, subsets):
+            subsets = list(subsets)
+            masks.extend(S.mask for S in subsets)
+            return fit_many(data, subsets)
+
         monkeypatch.setattr(simulate, "fit_mle", counting_fit)
+        monkeypatch.setattr(simulate, "fit_subsets", counting_fit_many)
         return masks
 
     @pytest.mark.parametrize(

@@ -2,28 +2,38 @@ import numpy as np
 import pytest
 
 from slmfic import (
+    CriterionSpec,
     Dataset,
+    FocusSpec,
     SpatialWeights,
     SubmodelId,
     Theta,
+    aic,
     build_chain_lag1,
     concentrated_loglik,
+    enumerate_submodels,
+    fic_table,
     fit_mle,
+    fit_subsets,
     full_loglik,
     jacobian_fd,
     observed_info,
     profile_beta,
     profile_sigma2,
+    safic_table,
     score_vector,
+    slm,
 )
 from slmfic.errors import (
+    ConvergenceError,
     DataFormatError,
     DegenerateVarianceError,
     RankError,
     RhoOutOfRangeError,
 )
 
-from conftest import fd_information, random_dataset
+from conftest import brent_profile_fit, fd_information, random_dataset
+from slmfic.simulate import _sweep
 
 
 def zero_w_dataset(rng, n=40, p=3):
@@ -306,3 +316,153 @@ class TestClosedForms:
             assert np.max(np.abs(want)) > 1e-2  # away from the optimum
             got = score_vector(theta, data, S)
             assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+def search_bracket(W):
+    """The rho search's bracket for the weights used here: the admissible
+    interval, within a +-1e6 box, shrunk by 1e-6 of its width at both ends."""
+    lo, hi = W.rho_interval
+    lo, hi = max(lo, -1e6), min(hi, 1e6)
+    margin = 1e-6 * (hi - lo)
+    return lo + margin, hi - margin
+
+
+def lag_data(W, X, rho, beta, rng):
+    Y = np.linalg.solve(np.eye(W.n) - rho * W.matrix, X @ beta + rng.standard_normal(W.n))
+    return Dataset(Y=Y, X=X, W=W)
+
+
+def complete_graph_data(seed, n=30, rho=-5.0):
+    """Row-normalized complete graph: spectrum {1, -1/(n-1)}, so rho's interval
+    is clipped to (-1, 1) with no singularity at -1.  Data drawn at rho = -5
+    leave the profile score negative over the whole bracket."""
+    rng = np.random.default_rng(seed)
+    W = SpatialWeights.from_adjacency(np.ones((n, n)) - np.eye(n), row_normalize=True)
+    return lag_data(W, rng.standard_normal((n, 4)), rho, np.array([1.0, 0.5, 0.0, 0.0]), rng)
+
+
+def near_boundary_chain_data(seed, n=200, rho=0.999):
+    rng = np.random.default_rng(seed)
+    W = SpatialWeights.from_adjacency(build_chain_lag1(n), row_normalize=True)
+    return lag_data(W, rng.standard_normal((n, 4)), rho, np.array([1.0, 0.5, 0.0, 0.0]), rng)
+
+
+def aic_order(logliks):
+    aics = {m: -2.0 * ll + 2.0 * (bin(m).count("1") + 2) for m, ll in logliks.items()}
+    return sorted(aics, key=lambda m: (aics[m], bin(m).count("1"), m))
+
+
+class TestFitSubsets:
+    """fit_subsets against the Brent-plus-grid oracle of conftest on every subset."""
+
+    def check_against_oracle(self, data, ll_rtol=1e-12):
+        lo, hi = search_bracket(data.W)
+        fits = fit_subsets(data, enumerate_submodels(data.p))
+        oracle = {}
+        for S in enumerate_submodels(data.p):
+            rho, s2, beta, ll = brent_profile_fit(
+                data.X[:, S.indices()], data.Y, data.WY, data.W.spectrum, lo, hi
+            )
+            fit = fits[S.mask]
+            oracle[S.mask] = ll
+            assert abs(fit.theta_hat.rho - rho) <= 1e-7, S
+            if fit.theta_hat.rho in (lo, hi):
+                # Brent stops ~1.5e-8 inside a bound, where the likelihood is lower
+                assert fit.loglik >= ll, S
+            else:
+                assert abs(fit.loglik - ll) <= ll_rtol * abs(ll), S
+        assert aic_order({m: f.loglik for m, f in fits.items()}) == aic_order(oracle)
+        return fits
+
+    @pytest.mark.parametrize("rho", [0.5, -0.6])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_oracle(self, seed, rho):
+        self.check_against_oracle(random_dataset(np.random.default_rng(seed), n=40, p=4, rho=rho))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_boundary_chain(self, seed):
+        # Y is of order 1 / (1 - rho): a, b and c are ~7e6 while q(rho-hat) is ~200, so
+        # q and both log-likelihoods carry ~1e-11 relative rounding here
+        data = near_boundary_chain_data(seed)
+        fits = self.check_against_oracle(data, ll_rtol=1e-10)
+        _, hi = search_bracket(data.W)
+        # the score changes sign just below the bound, so the root is found, not the bound
+        for f in fits.values():
+            assert 0.99 < f.theta_hat.rho < hi and f.iterations > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bound_when_the_score_keeps_its_sign(self, seed):
+        data = complete_graph_data(seed)
+        lo, _ = search_bracket(data.W)
+        fits = self.check_against_oracle(data)
+        for f in fits.values():
+            assert f.theta_hat.rho == lo and f.iterations == 0
+
+    def test_zero_weights_is_ols(self, rng):
+        data = zero_w_dataset(rng, p=3)
+        _, hi = search_bracket(data.W)
+        n = data.n
+        fits = fit_subsets(data, enumerate_submodels(3))
+        for S in enumerate_submodels(3):
+            fit = fits[S.mask]
+            Xs = data.X[:, S.indices()]
+            ols = np.linalg.lstsq(Xs, data.Y, rcond=None)[0]
+            rss = float(np.sum((data.Y - Xs @ ols) ** 2))
+            assert np.allclose(fit.theta_hat.beta, ols, rtol=1e-12, atol=1e-14)
+            assert fit.theta_hat.sigma2 == pytest.approx(rss / n, rel=1e-12)
+            ll = -n / 2.0 * (1.0 + np.log(2.0 * np.pi) + np.log(rss / n))
+            assert fit.loglik == pytest.approx(ll, rel=1e-12)
+            # the score is identically zero: the upper bound, after no step
+            assert fit.theta_hat.rho == hi and fit.iterations == 0
+
+    def test_response_in_the_span_of_x_names_the_first_subset(self, rng):
+        W = SpatialWeights.from_adjacency(build_chain_lag1(30), row_normalize=True)
+        X = rng.standard_normal((30, 4))
+        data = Dataset(Y=2.0 * X[:, 1], X=X, W=W)
+        with pytest.raises(DegenerateVarianceError, match="below floor for submodel S3$"):
+            fit_subsets(data, enumerate_submodels(4))
+        assert fit_subsets(data, [SubmodelId(0, 4), SubmodelId(1, 4)])  # x2 excluded: no error
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda d: fic_table(FocusSpec("conditional_mean", location=0), d),
+            lambda d: fic_table(FocusSpec("spillover"), d),
+            lambda d: safic_table(d),
+            lambda d: _sweep(d, (CriterionSpec("aic", "A"),)),
+        ],
+        ids=["fic-mean", "fic-spill", "safic", "aic"],
+    )
+    @pytest.mark.parametrize("column", [1, None], ids=["x2", "all"])
+    def test_sweep_error_class_on_degenerate_data(self, rng, sweep, column):
+        W = SpatialWeights.from_adjacency(build_chain_lag1(30), row_normalize=True)
+        X = rng.standard_normal((30, 4))
+        Y = 2.0 * X[:, column] if column is not None else X @ np.array([1.0, 2.0, -1.0, 0.5])
+        with pytest.raises(DegenerateVarianceError):
+            sweep(Dataset(Y=Y, X=X, W=W))
+
+    def test_non_convergence_raises(self, rng, monkeypatch):
+        data = random_dataset(rng, n=40, p=2)
+        monkeypatch.setattr(slm, "_MAX_ITER", 2)
+        lo, hi = search_bracket(data.W)
+        with pytest.raises(ConvergenceError, match="rho search for submodel S1 did not converge") \
+                as exc:
+            fit_subsets(data, enumerate_submodels(2))
+        assert lo < exc.value.best_rho < hi
+
+    @pytest.mark.parametrize("chunk", [1, 100, 1 << 16])
+    def test_each_fit_is_independent_of_the_batch(self, rng, monkeypatch, chunk):
+        """fit_mle, the one-subset call, and any chunking give every subset the
+        same fit, bit for bit."""
+        data = random_dataset(rng, n=40, p=4)
+        alone = {S.mask: fit_mle(data, S, with_info=False) for S in enumerate_submodels(4)}
+        monkeypatch.setattr(slm, "_CHUNK", chunk)
+        batch = fit_subsets(data, enumerate_submodels(4)[::-1])
+        assert list(batch) == list(range(15, -1, -1))
+        for mask, fit in batch.items():
+            one = alone[mask]
+            assert fit.theta_hat.rho == one.theta_hat.rho
+            assert fit.theta_hat.sigma2 == one.theta_hat.sigma2
+            assert np.array_equal(fit.theta_hat.beta, one.theta_hat.beta)
+            assert fit.loglik == one.loglik and fit.iterations == one.iterations
+            assert aic(fit) == aic(one)
