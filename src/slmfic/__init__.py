@@ -9,8 +9,8 @@ from .diagnostics import MoranResult, aic, morans_i
 from .fic import (
     FicRow,
     delta_hat,
-    fic_components,
     fic_score,
+    fic_terms,
     m_matrix,
     rank_models,
     submodel_info,
@@ -28,6 +28,7 @@ from .safic import (
     psi_uniform,
     rho_beta_blocks,
     safic_score,
+    safic_terms,
 )
 from .simulate import (
     CriterionSpec,

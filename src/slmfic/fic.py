@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .slm import FisherInfo, FitResult, _require_conditioned
+from .slm import (FisherInfo, FitResult, _raise_first_failure, _require_conditioned,
+                  _size_groups, _solve_conditioned)
 from .submodels import SubmodelId
 
 
@@ -31,34 +32,24 @@ class FicRow:
     scheme: str | None = None
 
 
-def _info_indices(S: SubmodelId) -> list[int]:
-    return [0, 1] + [2 + j for j in S.indices()]
-
-
 def submodel_info(info_full: FisherInfo, S: SubmodelId) -> FisherInfo:
     """Keep the (rho, sigma^2) rows/columns and the beta entries selected by S."""
-    idx = _info_indices(S)
+    idx = [0, 1] + [2 + j for j in S.indices()]
     return FisherInfo(matrix=info_full.matrix[np.ix_(idx, idx)], n_obs=info_full.n_obs)
-
-
-def _shift_rhs(info_full: FisherInfo, S: SubmodelId) -> np.ndarray:
-    """B_S: the information rows of (rho, sigma^2, beta_S) against the wide beta,
-    the sigma^2 row zeroed because beta and sigma^2 are orthogonal."""
-    B = info_full.matrix[_info_indices(S), 2:]
-    B[1] = 0.0
-    return B
 
 
 def m_matrix(info_full: FisherInfo, S: SubmodelId) -> np.ndarray:
     """Mean-shift matrix m_S = I_S^{-1} B_S of the submodel MLE under local
-    misspecification.
-
-    Not used in the sweep: fic_components forms J_S m_S with one solve.  This
-    is the form the tests check it against.
+    misspecification, B_S the information rows of (rho, sigma^2, beta_S)
+    against the wide beta with the sigma^2 row zeroed (beta and sigma^2 are
+    orthogonal).  Not used in the sweep: it is fic_terms' test oracle.
     """
-    I_S = submodel_info(info_full, S).matrix
+    idx = [0, 1] + [2 + j for j in S.indices()]
+    I_S = info_full.matrix[np.ix_(idx, idx)]
     _require_conditioned(I_S, f"submodel information for {S.label()}")
-    return np.linalg.solve(I_S, _shift_rhs(info_full, S))
+    B = info_full.matrix[idx, 2:]
+    B[1] = 0.0
+    return np.linalg.solve(I_S, B)
 
 
 def delta_hat(fit_wide: FitResult) -> np.ndarray:
@@ -70,38 +61,38 @@ def delta_hat(fit_wide: FitResult) -> np.ndarray:
     return np.sqrt(fit_wide.info.n_obs) * fit_wide.theta_hat.beta
 
 
-def fic_components(
-    J_S: np.ndarray,
-    J_beta_wide: np.ndarray,
-    info_full: FisherInfo,
-    S: SubmodelId,
-    D_n: np.ndarray,
-) -> tuple[float, float]:
-    """Squared-bias and variance pieces of the criterion from raw matrices.
+def fic_terms(subsets, J, J_beta_wide: np.ndarray, info_wide: FisherInfo,
+              D_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared-bias and variance arrays of the criterion, one entry per subset.
 
-    With A = J_S I_S^{-1} from one solve, the bias matrix is A B_S - J_beta_wide,
-    centered by the wide-model beta Jacobian so that the wide model itself is
-    asymptotically unbiased, and the variance is tr(J_S I_S^{-1} J_S').
+    J is the (d, p + 2) wide-model focus Jacobian, whose (rho, sigma^2, beta_S)
+    columns are each subset's Jacobian J_S (a theta-free focus), or a sequence
+    of each subset's own (d, |S| + 2) Jacobian.  Per subset size, one stacked
+    cond and one stacked solve give every A = J_S I_S^{-1}: the bias matrix is
+    A B_S - J_beta_wide, centered so that the wide model is asymptotically
+    unbiased, and the variance tr(J_S I_S^{-1} J_S') = sum(A * J_S).  An
+    ill-conditioned I_S raises SingularInformationError for the smallest mask.
     """
-    I_S = submodel_info(info_full, S).matrix
-    _require_conditioned(I_S, f"submodel information for {S.label()}")
-    A = np.linalg.solve(I_S, J_S.T).T
-    bD = (A @ _shift_rhs(info_full, S) - J_beta_wide) @ D_n
-    return float(bD @ bD), float(np.sum(A * J_S))
+    subsets, I = list(subsets), info_wide.matrix
+    bias2, variance, failed = np.empty(len(subsets)), np.empty(len(subsets)), {}
+    for idx, cols in _size_groups(subsets, I.shape[0] * (I.shape[0] + len(J_beta_wide))):
+        ii = np.column_stack((np.zeros_like(idx), np.ones_like(idx), cols + 2))
+        B = I[ii, 2:]
+        B[:, 1] = 0.0  # beta and sigma^2 are orthogonal
+        J_S = (np.ascontiguousarray(np.moveaxis(J[:, ii], 0, 1)) if isinstance(J, np.ndarray)
+               else np.stack([J[i] for i in idx]))
+        I_S = I[ii[:, :, None], ii[:, None, :]]
+        A = np.swapaxes(_solve_conditioned(I_S, np.swapaxes(J_S, 1, 2), idx, failed), 1, 2)
+        bD = (A @ B - J_beta_wide) @ D_n
+        bias2[idx] = (bD[:, None, :] @ bD[:, :, None])[:, 0, 0]
+        variance[idx] = np.sum((A * J_S).reshape(idx.size, -1), axis=1)
+    _raise_first_failure(failed, subsets, "submodel information")
+    return bias2, variance
 
 
-def fic_score(
-    S: SubmodelId,
-    J_S: np.ndarray,
-    J_beta_wide: np.ndarray,
-    info_wide: FisherInfo,
-    D_n: np.ndarray,
-    labels: tuple[str, ...] = (),
-) -> FicRow:
-    """Score one submodel from its focus Jacobian J_S over (rho, sigma^2, beta_S),
-    the centring term J_beta_wide and D_n = delta_hat(fit_wide)."""
-    bias2, variance = fic_components(J_S, J_beta_wide, info_wide, S, D_n)
-    return FicRow(S, labels, bias2, variance, bias2 + variance)
+def fic_score(S: SubmodelId, bias2: float, variance: float, labels: tuple[str, ...] = ()) -> FicRow:
+    """The row of submodel S from its two terms of fic_terms; the score is their sum."""
+    return FicRow(S, labels, float(bias2), float(variance), float(bias2 + variance))
 
 
 def rank_models(rows: list[FicRow]) -> list[FicRow]:

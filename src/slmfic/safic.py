@@ -20,7 +20,8 @@ from scipy.spatial.distance import pdist
 
 from .errors import BandwidthError, ConfigError
 from .fic import FicRow
-from .slm import Dataset, FisherInfo, _require_conditioned
+from .slm import (Dataset, FisherInfo, _raise_first_failure, _require_conditioned,
+                  _size_groups, _solve_conditioned)
 from .submodels import SubmodelId
 
 
@@ -111,7 +112,7 @@ def g_matrix(blocks: RhoBetaBlocks, S: SubmodelId) -> np.ndarray:
     """Submodel projection G_S = Pi_S' M_S^{-1} Pi_S Q^{-1} with M_S = Q^{-1}[S, S];
     zero for the narrow model.
 
-    Not used in the sweep: safic_score reads M_S without forming G_S.  This is
+    Not used in the sweep: safic_terms reads M_S without forming G_S.  This is
     the form pointwise_risk and the tests check it against.
     """
     G = np.zeros((blocks.p, blocks.p))
@@ -161,36 +162,32 @@ def pointwise_risk(
     return bias + rho_term + penalty
 
 
-def safic_score(
-    S: SubmodelId,
-    delta: np.ndarray,
-    blocks: RhoBetaBlocks,
-    K: np.ndarray,
-    labels: tuple[str, ...] = (),
-    scheme: str = "uniform",
-) -> FicRow:
-    """Weighted-average risk of submodel S, excluding the shared rho term.
+def safic_terms(subsets, delta: np.ndarray, blocks: RhoBetaBlocks,
+                K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bias and penalty arrays of the weighted-average risk, one entry per subset,
+    the shared rho term excluded.
 
     With M_S = Q^{-1}[S, S] the residual direction (I - G_S) delta is
     r = delta - Pi_S' M_S^{-1} (Q^{-1} delta)_S, the bias term is r'K r and the
-    penalty tr(G_S Q G_S' K) is tr(M_S^{-1} K_SS): one solve per subset.
+    penalty tr(G_S Q G_S' K) is tr(M_S^{-1} K_SS): per subset size, one stacked
+    cond and one stacked solve of the blocks M_S against [(Q^{-1} delta)_S | K_SS].
+    An ill-conditioned M_S raises SingularInformationError for the smallest mask.
     """
-    r = np.array(delta, dtype=float)
-    penalty = 0.0
-    sel = list(S.indices())
-    if sel:
-        M = blocks.Q_inv[np.ix_(sel, sel)]
-        _require_conditioned(M, f"projected inverse-Q block for {S.label()}")
-        rhs = np.column_stack([blocks.Q_inv[sel] @ delta, K[np.ix_(sel, sel)]])
-        sol = np.linalg.solve(M, rhs)
-        r[sel] -= sol[:, 0]
-        penalty = float(np.trace(sol[:, 1:]))
-    bias2 = float(r @ K @ r)
-    return FicRow(
-        submodel=S,
-        labels=labels,
-        bias2=bias2,
-        variance=penalty,
-        score=bias2 + penalty,
-        scheme=scheme,
-    )
+    subsets, delta = list(subsets), np.asarray(delta, dtype=float)
+    bias2, penalty, failed = np.empty(len(subsets)), np.empty(len(subsets)), {}
+    for idx, cols in _size_groups(subsets, blocks.p * (blocks.p + 2)):
+        sq = (cols[:, :, None], cols[:, None, :])
+        rhs = np.concatenate(((blocks.Q_inv[cols] @ delta)[:, :, None], K[sq]), axis=2)
+        sol = _solve_conditioned(blocks.Q_inv[sq], rhs, idx, failed)
+        r = np.tile(delta, (idx.size, 1))
+        r[np.arange(idx.size)[:, None], cols] -= sol[:, :, 0]
+        penalty[idx] = np.trace(sol[:, :, 1:], axis1=1, axis2=2)
+        bias2[idx] = (r[:, None, :] @ K @ r[:, :, None])[:, 0, 0]
+    _raise_first_failure(failed, subsets, "projected inverse-Q block")
+    return bias2, penalty
+
+
+def safic_score(S: SubmodelId, bias2: float, penalty: float, labels: tuple[str, ...] = (),
+                scheme: str = "uniform") -> FicRow:
+    """The row of submodel S from its two terms of safic_terms; the score is their sum."""
+    return FicRow(S, labels, float(bias2), float(penalty), float(bias2 + penalty), scheme=scheme)

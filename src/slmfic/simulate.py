@@ -18,7 +18,7 @@ import numpy as np
 
 from .diagnostics import aic
 from .errors import ConfigError, NumericalError, ReplicationFailureError
-from .fic import FicRow, _info_indices, delta_hat, fic_score, rank_models
+from .fic import FicRow, delta_hat, fic_score, fic_terms, rank_models
 from .focus import FocusSpec, depends_on_theta, eval_focus
 from .safic import (
     PsiWeights,
@@ -28,6 +28,7 @@ from .safic import (
     psi_uniform,
     rho_beta_blocks,
     safic_score,
+    safic_terms,
 )
 from .slm import Dataset, Theta, fit_mle, fit_subsets
 from .submodels import SubmodelId, enumerate_submodels
@@ -276,7 +277,9 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
     theta-free focus and sAFIC read the wide fit only: each FIC focus is
     evaluated once at the wide fit, and a subset's Jacobian is the
     (rho, sigma^2, beta_S) columns of that evaluation unless the focus depends
-    on theta.  delta_hat and the labels are computed once.  AIC rows are
+    on theta.  delta_hat and the labels are computed once.  fic_terms and
+    safic_terms score all subsets with one stacked solve per subset size;
+    fic_score and safic_score build each row from its two terms.  AIC rows are
     FicRows whose score is the AIC (bias2 and variance are NaN).
 
     Returns ({criterion name: rows ranked by rank_models}, {mask: fit}), the
@@ -290,34 +293,28 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
     fit_wide = fits[submodels[-1].mask] = fit_mle(data, submodels[-1])
     D_n = delta_hat(fit_wide)
     labels = [S.variable_names(data.names) for S in submodels]
-    blocks = None
-    tables = {}
+    blocks, tables = None, {}
     for crit in criteria:
         if crit.kind == "aic":
-            rows = [
-                FicRow(S, lab, np.nan, np.nan, aic(fits[S.mask]))
-                for S, lab in zip(submodels, labels)
-            ]
+            rows = [FicRow(S, lab, np.nan, np.nan, aic(fits[S.mask]))
+                    for S, lab in zip(submodels, labels)]
         elif crit.kind == "fic":
             J_wide = eval_focus(crit.focus, fit_wide.theta_hat, data, submodels[-1],
                                 fit_wide.info).jacobian
-            rows = []
-            for S, lab in zip(submodels, labels):
-                if S.is_wide or not depends_on_theta(crit.focus):
-                    # a C-contiguous copy: a strided view rounds the variance differently
-                    J_S = np.take(J_wide, _info_indices(S), axis=1)
-                else:
-                    J_S = eval_focus(crit.focus, fits[S.mask].theta_hat, data, S).jacobian
-                rows.append(fic_score(S, J_S, J_wide[:, 2:], fit_wide.info, D_n, lab))
+            J = J_wide
+            if depends_on_theta(crit.focus):
+                J = [J_wide if S.is_wide else
+                     eval_focus(crit.focus, fits[S.mask].theta_hat, data, S).jacobian
+                     for S in submodels]
+            terms = fic_terms(submodels, J, J_wide[:, 2:], fit_wide.info, D_n)
+            rows = [fic_score(S, b, v, lab) for S, lab, b, v in zip(submodels, labels, *terms)]
         else:  # safic
             if blocks is None:
                 blocks = rho_beta_blocks(fit_wide.info)
             psi = _psi(crit, data)
-            K = k_empirical(blocks, data, psi)
-            rows = [
-                safic_score(S, D_n, blocks, K, labels=lab, scheme=psi.scheme)
-                for S, lab in zip(submodels, labels)
-            ]
+            terms = safic_terms(submodels, D_n, blocks, k_empirical(blocks, data, psi))
+            rows = [safic_score(S, b, v, lab, psi.scheme)
+                    for S, lab, b, v in zip(submodels, labels, *terms)]
         tables[crit.name] = rank_models(rows)
     return tables, fits
 

@@ -31,7 +31,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _SIGMA2_FLOOR = 1e-12
 _MAX_ITER = 500
 _RHO_TOL = 1e-12  # step size, relative to the bracket, that ends the rho search
-_CHUNK = 1 << 16  # elements of one stacked temporary in fit_subsets
+_CHUNK = 1 << 16  # elements of one stacked temporary in a fit or scoring batch
 _COND_LIMIT = 1e12  # information matrices and blocks above it count as singular
 
 
@@ -43,6 +43,42 @@ def _require_conditioned(M: np.ndarray, what: str) -> None:
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularInformationError(f"{what} has condition number {cond:.3e}")
+
+
+def _solve_conditioned(M: np.ndarray, rhs: np.ndarray, idx: np.ndarray, failed: dict) -> np.ndarray:
+    """Solve each block of the stack M against rhs: one stacked cond, one stacked
+    solve.  A block whose condition number is not finite or exceeds _COND_LIMIT
+    is solved as the identity, its position in idx mapped to that number in failed."""
+    if not M.shape[-1]:
+        return rhs
+    cond = np.linalg.cond(M)
+    if np.any(bad := ~np.isfinite(cond) | (cond > _COND_LIMIT)):
+        failed.update(zip(idx[bad].tolist(), cond[bad].tolist()))
+        M = np.where(bad[:, None, None], np.eye(M.shape[-1]), M)
+    return np.linalg.solve(M, rhs)
+
+
+def _raise_first_failure(failed: dict, subsets, what: str) -> None:
+    """Raise SingularInformationError for the failed subset of smallest mask."""
+    if failed:
+        i = min(failed, key=lambda i: subsets[i].mask)
+        raise SingularInformationError(
+            f"{what} for {subsets[i].label()} has condition number {failed[i]:.3e}")
+
+
+def _size_groups(subsets, width: int):
+    """The subsets by size k, ascending: (idx, cols), idx the positions of at
+    most _CHUNK // width subsets of size k and cols their (len(idx), k) sorted
+    covariate indices, read from the masks.  width is what one subset adds to
+    the largest stacked temporary, so none holds more than _CHUNK elements."""
+    masks = np.array([S.mask for S in subsets], dtype=np.int64)
+    sizes = np.array([len(S) for S in subsets], dtype=int)
+    bits = np.arange(subsets[0].p if subsets else 0)
+    step = max(1, _CHUNK // max(1, width))
+    for k in np.unique(sizes):
+        same = np.flatnonzero(sizes == k)
+        for idx in (same[i:i + step] for i in range(0, same.size, step)):
+            yield idx, np.nonzero(masks[idx, None] >> bits & 1)[1].reshape(idx.size, k)
 
 
 @dataclass(frozen=True)
@@ -201,10 +237,8 @@ def _regressions(projection, subsets):
     (I - rho*W)Y being a - 2*b*rho + c*rho^2, and each (|S|, 2) coefficient array."""
     R, z, base = projection
     gram, coefs = np.empty((len(subsets), 2, 2)), [None] * len(subsets)
-    sizes = np.array([len(S) for S in subsets])
-    for k in np.unique(sizes):
-        idx = np.flatnonzero(sizes == k)
-        cols = np.array([subsets[i].indices() for i in idx], dtype=int).reshape(len(idx), k)
+    for idx, cols in _size_groups(subsets, R.size):
+        k = cols.shape[1]
         U, sv, Vt = np.linalg.svd(np.moveaxis(R[:, cols], 0, 1))
         if k and np.any(bad := sv[:, -1] <= 1e-10 * sv[:, 0]):
             raise RankError(f"X_S rank deficient for submodel {subsets[idx[bad.argmax()]].label()}")

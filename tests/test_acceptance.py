@@ -18,8 +18,8 @@ from slmfic import (
     build_chain_lag1,
     enumerate_submodels,
     eval_focus,
-    fic_components,
     fic_table,
+    fic_terms,
     fit_mle,
     g_matrix,
     generate_dataset,
@@ -32,7 +32,7 @@ from slmfic import (
     psi_uniform,
     rho_beta_blocks,
     row_normalize,
-    safic_score,
+    safic_terms,
     score_vector,
 )
 from slmfic.io import run_report_to_json
@@ -217,13 +217,14 @@ class TestCriterion4:
         shared = float(psi.psi @ (WY * WY)) / blocks.I_rr
         risk_gap = 0.0
         idem_gap = 0.0
-        for S in enumerate_submodels(4):
+        subsets = enumerate_submodels(4)
+        scores = np.add(*safic_terms(subsets, delta, blocks, K))
+        for S, score in zip(subsets, scores):
             avg = sum(
                 psi.psi[i] * pointwise_risk(i, S, delta, blocks, data)
                 for i in range(25)
             )
-            row = safic_score(S, delta, blocks, K)
-            risk_gap = max(risk_gap, abs(avg - (row.score + shared)))
+            risk_gap = max(risk_gap, abs(avg - (score + shared)))
             G = g_matrix(blocks, S)
             idem_gap = max(idem_gap, float(np.max(np.abs(G @ G - G))))
 
@@ -272,7 +273,7 @@ class TestCriterion5:
         D_n = rng.standard_normal(3)
         for spec in specs:
             J = eval_focus(spec, fit.theta_hat, data, wide, info=fit.info).jacobian
-            bias2, _ = fic_components(J, J[:, 2:], info, wide, D_n)
+            (bias2,), _ = fic_terms([wide], J, J[:, 2:], info, D_n)
             worst[spec.kind] = bias2
         ok = m_gap < 1e-10 and all(b < 1e-10 for b in worst.values())
         report(

@@ -9,9 +9,10 @@ from slmfic import (
     delta_hat,
     enumerate_submodels,
     eval_focus,
-    fic_components,
     fic_score,
+    fic_terms,
     fit_mle,
+    fit_subsets,
     m_matrix,
     rank_models,
     submodel_info,
@@ -100,13 +101,19 @@ class TestDelta:
             delta_hat(fit)
 
 
+def _terms(J_S, J_w, info, S, D_n):
+    """fic_terms on the one subset S, as two floats."""
+    (bias2,), (variance,) = fic_terms([S], [J_S], J_w, info, D_n)
+    return bias2, variance
+
+
 class TestComponents:
     def test_wide_bias_zero(self, rng):
         info = random_info(rng, 3, zero_sigma_beta=True)
         S = SubmodelId.wide(3)
         J_S = rng.standard_normal((1, 5))
         D_n = rng.standard_normal(3)
-        bias2, variance = fic_components(J_S, J_S[:, 2:], info, S, D_n)
+        bias2, variance = _terms(J_S, J_S[:, 2:], info, S, D_n)
         assert bias2 < 1e-10
         assert variance > 0
 
@@ -118,7 +125,7 @@ class TestComponents:
         J_S = np.array([[0.5, -0.2, 1.5]])
         J_w = np.array([[1.5, 0.7]])
         D_n = np.array([2.0, -1.0])
-        bias2, variance = fic_components(J_S, J_w, info, S, D_n)
+        bias2, variance = _terms(J_S, J_w, info, S, D_n)
 
         idx = [0, 1, 2]
         I_S = I[np.ix_(idx, idx)]
@@ -138,7 +145,7 @@ class TestComponents:
         J_w = rng.standard_normal((2, 4))
         for S in enumerate_submodels(4):
             J_S = rng.standard_normal((2, len(S) + 2))
-            bias2, variance = fic_components(J_S, J_w, info, S, D_n)
+            bias2, variance = _terms(J_S, J_w, info, S, D_n)
             bD = (J_S @ m_matrix(info, S) - J_w) @ D_n
             I_S = submodel_info(info, S).matrix
             assert bias2 == pytest.approx(float(bD @ bD), rel=1e-10)
@@ -152,7 +159,7 @@ class TestComponents:
         for S in enumerate_submodels(3):
             J_S = rng.standard_normal((2, len(S) + 2))
             J_w = rng.standard_normal((2, 3))
-            bias2, variance = fic_components(J_S, J_w, info, S, D_n)
+            bias2, variance = _terms(J_S, J_w, info, S, D_n)
             assert bias2 >= 0
             assert variance >= 0
 
@@ -166,7 +173,7 @@ def _row(data, spec, S, fit_S, fit_w):
     """FIC row of S with its Jacobian evaluated at the subset's own fit."""
     J_S = eval_focus(spec, fit_S.theta_hat, data, S, info=fit_S.info).jacobian
     J_w = wide_beta_jacobian(spec, fit_w.theta_hat, data, fit_w.info)
-    return fic_score(S, J_S, J_w, fit_w.info, delta_hat(fit_w))
+    return fic_score(S, *_terms(J_S, J_w, fit_w.info, S, delta_hat(fit_w)))
 
 
 class TestScoreSweep:
@@ -201,7 +208,8 @@ class TestScoreSweep:
     )
     def test_theta_free_focus_needs_no_submodel_fit(self, rng, spec):
         """The wide Jacobian's column slice is the subset's Jacobian exactly,
-        at the subset's fit and at any theta, so its row is the same."""
+        at the subset's fit and at any theta, so fic_terms given the wide
+        Jacobian scores it as given the subset's own."""
         data = random_dataset(rng, n=40, p=3)
         fit_w = fit_mle(data, SubmodelId.wide(3))
         J_wide = eval_focus(spec, fit_w.theta_hat, data, fit_w.submodel, info=fit_w.info).jacobian
@@ -213,9 +221,8 @@ class TestScoreSweep:
             for theta in (fit_S.theta_hat, away):
                 J_S = eval_focus(spec, theta, data, S).jacobian
                 assert np.array_equal(J_slice, J_S)
-                assert fic_score(S, J_slice, J_wide[:, 2:], fit_w.info, D_n) == fic_score(
-                    S, J_S, J_wide[:, 2:], fit_w.info, D_n
-                )
+                (bias2,), (variance,) = fic_terms([S], J_wide, J_wide[:, 2:], fit_w.info, D_n)
+                assert (bias2, variance) == _terms(J_S, J_wide[:, 2:], fit_w.info, S, D_n)
 
     @pytest.mark.parametrize("kind", ["spillover", "max_eigen"])
     def test_theta_dependent_focus_is_not_a_slice(self, rng, kind):
@@ -248,6 +255,55 @@ class TestScoreSweep:
         s1 = score_of(data, [0, 2])
         s2 = score_of(data2, [0, 1])
         assert s1 == pytest.approx(s2, rel=1e-4)
+
+
+def _fitted_sweep(seed, p):
+    """A random n = 30 dataset, its wide fit and every subset's fit."""
+    data = random_dataset(np.random.default_rng([seed, p]), n=30, p=p)
+    subsets = enumerate_submodels(p)
+    fits = fit_subsets(data, subsets[:-1])
+    fits[subsets[-1].mask] = fit_mle(data, subsets[-1])
+    return data, subsets, fits
+
+
+class TestStackedTerms:
+    """fic_terms, one stacked solve per subset size, against the per-subset
+    oracles J_S m_S and tr(J_S I_S^{-1} J_S'), within 1e-12 relative (bias2
+    near zero, as at the wide model, on the scale of the centring term)."""
+
+    @pytest.mark.parametrize("p", range(7))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_oracle_for_every_focus(self, seed, p):
+        data, subsets, fits = _fitted_sweep(seed, p)
+        fit_w = fits[subsets[-1].mask]
+        info, D_n = fit_w.info, delta_hat(fit_w)
+        specs = [FocusSpec("conditional_mean", location=seed), FocusSpec("beta_coeffs"),
+                 FocusSpec("spillover"), FocusSpec("max_eigen")]
+        for spec in specs:
+            J_wide = eval_focus(spec, fit_w.theta_hat, data, fit_w.submodel, info=info).jacobian
+            J_w = J_wide[:, 2:]
+            Js = [J_wide if S.is_wide else eval_focus(spec, fits[S.mask].theta_hat, data, S).jacobian
+                  for S in subsets]
+            bias2, variance = fic_terms(subsets, Js, J_w, info, D_n)
+            if spec.kind in ("conditional_mean", "beta_coeffs"):  # theta-free: the same Jacobians
+                assert np.array_equal(fic_terms(subsets, J_wide, J_w, info, D_n), (bias2, variance))
+            bD = [(J_S @ m_matrix(info, S) - J_w) @ D_n for S, J_S in zip(subsets, Js)]
+            variance_oracle = [np.trace(J_S @ np.linalg.inv(submodel_info(info, S).matrix) @ J_S.T)
+                               for S, J_S in zip(subsets, Js)]
+            scale = np.sum((J_w @ D_n) ** 2)
+            np.testing.assert_allclose(bias2, [b @ b for b in bD], rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(variance, variance_oracle, rtol=1e-12,
+                                       atol=1e-12 * max(variance_oracle))
+
+    def test_subset_order_and_duplicates(self, rng):
+        """Each entry belongs to its subset whatever the order of the list."""
+        info = random_info(rng, 3)
+        J_wide, D_n = rng.standard_normal((2, 5)), rng.standard_normal(3)
+        subsets = enumerate_submodels(3)
+        terms = np.array(fic_terms(subsets, J_wide, J_wide[:, 2:], info, D_n))
+        order = [5, 0, 7, 5, 2]
+        picked = [subsets[i] for i in order]
+        assert np.array_equal(fic_terms(picked, J_wide, J_wide[:, 2:], info, D_n), terms[:, order])
 
 
 from hypothesis import given

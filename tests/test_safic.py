@@ -7,8 +7,10 @@ from slmfic import (
     PsiWeights,
     SpatialWeights,
     SubmodelId,
+    delta_hat,
     enumerate_submodels,
-    fic_components,
+    fic_terms,
+    fit_mle,
     g_matrix,
     k_empirical,
     m_matrix,
@@ -19,12 +21,19 @@ from slmfic import (
     psi_uniform,
     rho_beta_blocks,
     safic_score,
+    safic_terms,
 )
 from slmfic.errors import BandwidthError, ConfigError, SingularInformationError
 from slmfic.safic import RhoBetaBlocks
 from slmfic.slm import _require_conditioned
 
 from conftest import random_dataset, random_info
+
+
+def _row(S, delta, blocks, K, scheme="uniform"):
+    """The safic_score row of S from safic_terms on S alone."""
+    (bias2,), (penalty,) = safic_terms([S], delta, blocks, K)
+    return safic_score(S, bias2, penalty, scheme=scheme)
 
 
 class TestPsi:
@@ -260,7 +269,7 @@ class TestRisk:
             avg = sum(
                 psi.psi[i] * pointwise_risk(i, S, delta, blocks, data) for i in range(15)
             )
-            row = safic_score(S, delta, blocks, K)
+            row = _row(S, delta, blocks, K)
             assert abs(avg - (row.score + shared)) < 1e-10
 
 
@@ -269,7 +278,7 @@ class TestScore:
         blocks = rho_beta_blocks(random_info(rng, 3))
         data = random_dataset(rng, n=12, p=3)
         K = k_empirical(blocks, data, psi_uniform(12))
-        row = safic_score(SubmodelId.wide(3), rng.standard_normal(3), blocks, K)
+        row = _row(SubmodelId.wide(3), rng.standard_normal(3), blocks, K)
         assert row.bias2 == pytest.approx(0.0, abs=1e-10)
         assert row.variance == pytest.approx(float(np.trace(blocks.Q @ K)), rel=1e-8)
 
@@ -278,7 +287,7 @@ class TestScore:
         data = random_dataset(rng, n=12, p=3)
         K = k_empirical(blocks, data, psi_uniform(12))
         delta = rng.standard_normal(3)
-        row = safic_score(SubmodelId.narrow(3), delta, blocks, K)
+        row = _row(SubmodelId.narrow(3), delta, blocks, K)
         assert row.variance == 0.0
         assert row.bias2 == pytest.approx(float(delta @ K @ delta), rel=1e-8)
 
@@ -293,7 +302,7 @@ class TestScore:
             IG = np.eye(4) - G
             bias2 = float(np.trace(IG @ np.outer(delta, delta) @ IG.T @ K))
             penalty = float(np.trace(G @ blocks.Q @ G.T @ K))
-            row = safic_score(S, delta, blocks, K, scheme="kernel")
+            row = _row(S, delta, blocks, K, scheme="kernel")
             assert row.bias2 == pytest.approx(bias2, rel=1e-10)
             assert row.variance == pytest.approx(penalty, rel=1e-10)
             assert row.scheme == "kernel"
@@ -304,7 +313,7 @@ class TestScore:
         K = k_empirical(blocks, data, psi_uniform(20))
         delta = rng.standard_normal(4)
         for S in enumerate_submodels(4):
-            row = safic_score(S, delta, blocks, K)
+            row = _row(S, delta, blocks, K)
             assert row.bias2 >= -1e-10
             assert row.variance >= -1e-10
 
@@ -331,10 +340,56 @@ class TestConditioning:
         with pytest.raises(SingularInformationError, match="beta Schur complement"):
             rho_beta_blocks(info)
         with pytest.raises(SingularInformationError, match="submodel information for S4 "):
-            fic_components(np.ones((1, 4)), np.ones((1, 3)), info, S, np.ones(3))
+            fic_terms([S], [np.ones((1, 4))], np.ones((1, 3)), info, np.ones(3))
         I_bb = I[2:, 2:]
         blocks = RhoBetaBlocks(1.0, np.zeros((1, 3)), np.zeros((3, 1)), I_bb, I_bb, I_bb)
         with pytest.raises(SingularInformationError, match="inverse-Q block for S4 "):
             g_matrix(blocks, S)
         with pytest.raises(SingularInformationError, match="inverse-Q block for S4 "):
-            safic_score(S, np.ones(3), blocks, np.eye(3))
+            safic_terms([S], np.ones(3), blocks, np.eye(3))
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+    def test_smallest_failing_mask_is_named(self, order):
+        """Every size is checked before raising, so the error names the failing
+        subset of smallest mask, S4 (size 2: the beta_1 and beta_2 rows
+        coincide), not S5 (size 1: the beta_3 block is singular on its own)."""
+        I = np.eye(5)
+        I[2:4, 2:4] = 1.0
+        I[4, 4] = 0.0
+        subsets = enumerate_submodels(3)[::order]
+        with pytest.raises(SingularInformationError,
+                           match=r"^submodel information for S4 has condition number "):
+            fic_terms(subsets, np.ones((1, 5)), np.ones((1, 3)), FisherInfo(I, 50), np.ones(3))
+        I_bb = I[2:, 2:]
+        blocks = RhoBetaBlocks(1.0, np.zeros((1, 3)), np.zeros((3, 1)), I_bb, I_bb, I_bb)
+        with pytest.raises(SingularInformationError,
+                           match=r"^projected inverse-Q block for S4 has condition number "):
+            safic_terms(subsets, np.ones(3), blocks, np.eye(3))
+
+
+class TestStackedTerms:
+    """safic_terms, one stacked solve per subset size, against the traces
+    through G = g_matrix, within 1e-12 relative (bias2 near zero, as at the
+    wide model, on the scale of the narrow model's delta'K delta)."""
+
+    @pytest.mark.parametrize("scheme", ["uniform", "kernel"])
+    @pytest.mark.parametrize("p", range(7))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_projection_oracle(self, seed, p, scheme):
+        data = random_dataset(np.random.default_rng([seed, p]), n=30, p=p)
+        fit_w = fit_mle(data, SubmodelId.wide(p))
+        blocks, delta = rho_beta_blocks(fit_w.info), delta_hat(fit_w)
+        if scheme == "uniform":
+            psi = psi_uniform(data.n)
+        else:
+            psi = psi_kernel(data.X, data.X[seed], median_bandwidth(data.X) if p else 1.0)
+        K = k_empirical(blocks, data, psi)
+        subsets = enumerate_submodels(p)
+        bias2, penalty = safic_terms(subsets, delta, blocks, K)
+        G = [g_matrix(blocks, S) for S in subsets]
+        r = [delta - g @ delta for g in G]
+        penalty_oracle = [np.trace(g @ blocks.Q @ g.T @ K) for g in G]
+        np.testing.assert_allclose(bias2, [v @ K @ v for v in r], rtol=1e-12,
+                                   atol=1e-12 * (delta @ K @ delta))
+        np.testing.assert_allclose(penalty, penalty_oracle, rtol=1e-12,
+                                   atol=1e-12 * max(penalty_oracle))

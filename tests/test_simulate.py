@@ -1,12 +1,16 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slmfic import focus, simulate
+from slmfic import focus, simulate, slm
 from slmfic import (
     CriterionSpec,
+    Dataset,
     FocusSpec,
     SimConfig,
     SubmodelId,
@@ -24,6 +28,8 @@ from slmfic import (
 )
 from slmfic.errors import ConfigError, RankError
 from slmfic.io import run_report_to_json
+
+from conftest import random_dataset
 
 
 def small_config(**kw):
@@ -298,6 +304,96 @@ class TestSweepEngine:
                 "K": ranked_masks(safic_table(data, "kernel")),
                 "A": sorted(aics, key=lambda m: (aics[m], bin(m).count("1"), m)),
             }
+
+
+ALL_KINDS = (
+    CriterionSpec("fic", "mean", focus=FocusSpec("conditional_mean", location=2)),
+    CriterionSpec("fic", "beta", focus=FocusSpec("beta_coeffs", coeff_subset=(3, 1))),
+    CriterionSpec("fic", "spill", focus=FocusSpec("spillover")),
+    CriterionSpec("fic", "maxvar", focus=FocusSpec("max_eigen")),
+    CriterionSpec("safic", "U", scheme="uniform"),
+    CriterionSpec("safic", "K", scheme="kernel"),
+    CriterionSpec("aic", "A"),
+)
+
+
+def table_array(rows):
+    return np.array([(r.submodel.mask, r.bias2, r.variance, r.score, r.rank) for r in rows])
+
+
+class TestBatchedScoring:
+    """The sweep scores every subset of a criterion with one fic_terms or
+    safic_terms call and builds each row with simulate.fic_score or
+    simulate.safic_score, the per-row hooks that the benchmark's gates corrupt
+    and its tracer counts."""
+
+    def test_one_row_builder_call_per_subset(self, monkeypatch):
+        calls = {"fic_score": 0, "safic_score": 0}
+        for name in calls:
+            original = getattr(simulate, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(simulate, name, counting)
+        data = random_dataset(np.random.default_rng(7), n=30, p=4)
+        tables, _ = simulate._sweep(data, ALL_KINDS)
+        assert calls == {"fic_score": 4 * 2**4, "safic_score": 2 * 2**4}
+        assert all(len(rows) == 2**4 for rows in tables.values())
+
+    @pytest.mark.parametrize("name, kind", [("fic_score", "fic"), ("safic_score", "safic")])
+    def test_a_corrupted_row_builder_reaches_the_table(self, monkeypatch, name, kind):
+        data = random_dataset(np.random.default_rng(8), n=30, p=4)
+        crits = [c for c in ALL_KINDS if c.kind == kind]
+        clean, _ = simulate._sweep(data, crits)
+        original = getattr(simulate, name)
+
+        def shifted(*args, **kwargs):
+            row = original(*args, **kwargs)
+            return dataclasses.replace(row, score=row.score + 1e-3)
+
+        monkeypatch.setattr(simulate, name, shifted)
+        corrupted, _ = simulate._sweep(data, crits)
+        for crit in crits:
+            before = {r.submodel.mask: r.score for r in clean[crit.name]}
+            after = {r.submodel.mask: r.score for r in corrupted[crit.name]}
+            assert after.keys() == before.keys()
+            assert all(after[m] == before[m] + 1e-3 for m in before)
+
+    @pytest.mark.parametrize("chunk", [1, 100])
+    def test_chunk_size_leaves_rows_bit_identical(self, monkeypatch, chunk):
+        data = random_dataset(np.random.default_rng(9), n=30, p=5)
+        default, _ = simulate._sweep(data, ALL_KINDS)
+        monkeypatch.setattr(slm, "_CHUNK", chunk)
+        chunked, _ = simulate._sweep(data, ALL_KINDS)
+        for crit in ALL_KINDS:
+            assert np.array_equal(table_array(chunked[crit.name]),
+                                  table_array(default[crit.name]), equal_nan=True)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.permutations(range(4)))
+def test_covariate_permutation_permutes_safic_and_aic_tables(seed, perm):
+    """Column j of the permuted design is column perm[j] of the original, so
+    its subset mask m is the original subset {perm[j] : j in m}: each table's
+    ranked masks map onto the original's and the scores agree."""
+    data = random_dataset(np.random.default_rng(seed), n=30, p=4)
+    permuted = Dataset(Y=data.Y, X=data.X[:, list(perm)], W=data.W)
+    crits = [c for c in ALL_KINDS if c.kind in ("safic", "aic")]
+    tables, _ = simulate._sweep(data, crits)
+    tables_perm, _ = simulate._sweep(permuted, crits)
+
+    def original_mask(mask):
+        return sum(1 << perm[j] for j in range(4) if mask >> j & 1)
+
+    for crit in crits:
+        scores = {r.submodel.mask: r.score for r in tables[crit.name]}
+        for r in tables_perm[crit.name]:
+            assert r.score == pytest.approx(scores[original_mask(r.submodel.mask)], rel=1e-10)
+        assert [original_mask(m) for m in ranked_masks(tables_perm[crit.name])] == ranked_masks(
+            tables[crit.name]
+        )
 
 
 class TestDeterminism:
