@@ -115,7 +115,6 @@ def _cmd_fit(args) -> int:
         "aic": aic(fit),
         "converged": fit.converged,
         "iterations": fit.iterations,
-        "warnings": list(fit.warnings),
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0

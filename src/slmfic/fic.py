@@ -3,8 +3,9 @@
 For each candidate subset S the criterion estimates the asymptotic mean
 squared error of the scaled focus estimator: a squared-bias term driven by the
 local misspecification direction (estimated by sqrt(n) times the wide-model
-coefficients) plus a variance term from the submodel information.  Submodels
-are ranked by ascending score.
+coefficients) plus a variance term from the submodel information, a block of
+the wide information that is certified once for every subset.  Submodels are
+ranked by ascending score.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .slm import (FisherInfo, FitResult, _raise_first_failure, _require_conditioned,
-                  _size_groups, _solve_conditioned)
+from .slm import FisherInfo, FitResult, _certify, _size_groups
 from .submodels import SubmodelId
 
 
@@ -46,7 +46,7 @@ def m_matrix(info_full: FisherInfo, S: SubmodelId) -> np.ndarray:
     """
     idx = [0, 1] + [2 + j for j in S.indices()]
     I_S = info_full.matrix[np.ix_(idx, idx)]
-    _require_conditioned(I_S, f"submodel information for {S.label()}")
+    _certify(I_S, f"submodel information for {S.label()}")
     B = info_full.matrix[idx, 2:]
     B[1] = 0.0
     return np.linalg.solve(I_S, B)
@@ -67,14 +67,15 @@ def fic_terms(subsets, J, J_beta_wide: np.ndarray, info_wide: FisherInfo,
 
     J is the (d, p + 2) wide-model focus Jacobian, whose (rho, sigma^2, beta_S)
     columns are each subset's Jacobian J_S (a theta-free focus), or a sequence
-    of each subset's own (d, |S| + 2) Jacobian.  Per subset size, one stacked
-    cond and one stacked solve give every A = J_S I_S^{-1}: the bias matrix is
-    A B_S - J_beta_wide, centered so that the wide model is asymptotically
-    unbiased, and the variance tr(J_S I_S^{-1} J_S') = sum(A * J_S).  An
-    ill-conditioned I_S raises SingularInformationError for the smallest mask.
+    of each subset's own (d, |S| + 2) Jacobian.  info_wide is certified once
+    (_certify), which certifies every block I_S; per subset size, one stacked
+    solve gives every A = J_S I_S^{-1}: the bias matrix is A B_S - J_beta_wide,
+    centered so that the wide model is asymptotically unbiased, and the
+    variance tr(J_S I_S^{-1} J_S') = sum(A * J_S).
     """
     subsets, I = list(subsets), info_wide.matrix
-    bias2, variance, failed = np.empty(len(subsets)), np.empty(len(subsets)), {}
+    _certify(I, "wide information")
+    bias2, variance = np.empty(len(subsets)), np.empty(len(subsets))
     for idx, cols in _size_groups(subsets, I.shape[0] * (I.shape[0] + len(J_beta_wide))):
         ii = np.column_stack((np.zeros_like(idx), np.ones_like(idx), cols + 2))
         B = I[ii, 2:]
@@ -82,11 +83,10 @@ def fic_terms(subsets, J, J_beta_wide: np.ndarray, info_wide: FisherInfo,
         J_S = (np.ascontiguousarray(np.moveaxis(J[:, ii], 0, 1)) if isinstance(J, np.ndarray)
                else np.stack([J[i] for i in idx]))
         I_S = I[ii[:, :, None], ii[:, None, :]]
-        A = np.swapaxes(_solve_conditioned(I_S, np.swapaxes(J_S, 1, 2), idx, failed), 1, 2)
+        A = np.swapaxes(np.linalg.solve(I_S, np.swapaxes(J_S, 1, 2)), 1, 2)
         bD = (A @ B - J_beta_wide) @ D_n
         bias2[idx] = (bD[:, None, :] @ bD[:, :, None])[:, 0, 0]
         variance[idx] = np.sum((A * J_S).reshape(idx.size, -1), axis=1)
-    _raise_first_failure(failed, subsets, "submodel information")
     return bias2, variance
 
 

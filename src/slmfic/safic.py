@@ -5,7 +5,8 @@ misspecification (deviance) term, a shared rho term, and an overfitting
 penalty.  Averaging over units with weights psi turns the sum into two traces
 against the empirical second-moment matrix K of the omega vectors; the shared
 rho term is constant across submodels and dropped from the score.  Both traces
-reduce to one solve against the subset's block of the beta Schur complement.
+reduce to one solve against the subset's block of the beta Schur complement,
+which is certified once for every subset.
 
 All (rho, beta) information blocks are taken from the wide-model estimate with
 the sigma^2 coordinate removed by deletion.
@@ -20,8 +21,7 @@ from scipy.spatial.distance import pdist
 
 from .errors import BandwidthError, ConfigError
 from .fic import FicRow
-from .slm import (Dataset, FisherInfo, _raise_first_failure, _require_conditioned,
-                  _size_groups, _solve_conditioned)
+from .slm import Dataset, FisherInfo, _certify, _size_groups
 from .submodels import SubmodelId
 
 
@@ -102,7 +102,7 @@ def rho_beta_blocks(info_full: FisherInfo) -> RhoBetaBlocks:
     I_br = I[2:, 0:1]
     I_bb = I[2:, 2:]
     schur = I_bb - (I_br @ I_rb) / I_rr
-    _require_conditioned(schur, "beta Schur complement of the wide information")
+    _certify(schur, "beta Schur complement of the wide information")
     Q = np.linalg.inv(schur)
     Q = 0.5 * (Q + Q.T)
     return RhoBetaBlocks(I_rr=I_rr, I_rb=I_rb, I_br=I_br, I_bb=I_bb, Q=Q, Q_inv=schur)
@@ -119,7 +119,7 @@ def g_matrix(blocks: RhoBetaBlocks, S: SubmodelId) -> np.ndarray:
     sel = list(S.indices())
     if sel:
         M = blocks.Q_inv[np.ix_(sel, sel)]
-        _require_conditioned(M, f"projected inverse-Q block for {S.label()}")
+        _certify(M, f"projected inverse-Q block for {S.label()}")
         G[sel] = np.linalg.solve(M, blocks.Q_inv[sel])
     return G
 
@@ -169,21 +169,21 @@ def safic_terms(subsets, delta: np.ndarray, blocks: RhoBetaBlocks,
 
     With M_S = Q^{-1}[S, S] the residual direction (I - G_S) delta is
     r = delta - Pi_S' M_S^{-1} (Q^{-1} delta)_S, the bias term is r'K r and the
-    penalty tr(G_S Q G_S' K) is tr(M_S^{-1} K_SS): per subset size, one stacked
-    cond and one stacked solve of the blocks M_S against [(Q^{-1} delta)_S | K_SS].
-    An ill-conditioned M_S raises SingularInformationError for the smallest mask.
+    penalty tr(G_S Q G_S' K) is tr(M_S^{-1} K_SS).  Q^{-1} is certified once
+    (_certify), which certifies every block M_S; per subset size, one stacked
+    solve of the blocks M_S against [(Q^{-1} delta)_S | K_SS].
     """
     subsets, delta = list(subsets), np.asarray(delta, dtype=float)
-    bias2, penalty, failed = np.empty(len(subsets)), np.empty(len(subsets)), {}
+    _certify(blocks.Q_inv, "beta Schur complement of the wide information")
+    bias2, penalty = np.empty(len(subsets)), np.empty(len(subsets))
     for idx, cols in _size_groups(subsets, blocks.p * (blocks.p + 2)):
         sq = (cols[:, :, None], cols[:, None, :])
         rhs = np.concatenate(((blocks.Q_inv[cols] @ delta)[:, :, None], K[sq]), axis=2)
-        sol = _solve_conditioned(blocks.Q_inv[sq], rhs, idx, failed)
+        sol = np.linalg.solve(blocks.Q_inv[sq], rhs)
         r = np.tile(delta, (idx.size, 1))
         r[np.arange(idx.size)[:, None], cols] -= sol[:, :, 0]
         penalty[idx] = np.trace(sol[:, :, 1:], axis1=1, axis2=2)
         bias2[idx] = (r[:, None, :] @ K @ r[:, :, None])[:, 0, 0]
-    _raise_first_failure(failed, subsets, "projected inverse-Q block")
     return bias2, penalty
 
 

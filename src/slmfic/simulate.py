@@ -191,8 +191,10 @@ def monte_carlo(cfg: SimConfig, jobs: int = 1) -> RunReport:
     skipped, more than 10% of them raise ReplicationFailureError, an InputError stops it.
 
     The weights are built once; with jobs > 1 each worker process receives
-    them once, through the pool initializer.
+    them once, through the pool initializer.  jobs < 1 is a ConfigError.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     W = build_weights(cfg)
     reps = range(cfg.reps)
     if jobs > 1:

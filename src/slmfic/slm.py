@@ -32,38 +32,30 @@ _SIGMA2_FLOOR = 1e-12
 _MAX_ITER = 500
 _RHO_TOL = 1e-12  # step size, relative to the bracket, that ends the rho search
 _CHUNK = 1 << 16  # elements of one stacked temporary in a fit or scoring batch
-_COND_LIMIT = 1e12  # information matrices and blocks above it count as singular
+_COND_LIMIT = 1e12  # an information matrix whose condition number exceeds it counts as singular
 
 
-def _require_conditioned(M: np.ndarray, what: str) -> None:
-    """Raise SingularInformationError, naming `what`, when the condition number
-    of M is not finite or exceeds _COND_LIMIT.  An empty M (p = 0) has nothing to invert."""
-    if M.size == 0:
+def _certify(M: np.ndarray, what: str) -> None:
+    """Raise SingularInformationError, naming `what`, unless the symmetric M is
+    finite and positive definite with lambda_max <= _COND_LIMIT * lambda_min, by
+    one eigvalsh.  An empty M (p = 0) has nothing to invert.
+
+    One check per wide matrix serves every subset: each principal block of a
+    symmetric positive-definite matrix, and each principal block of its Schur
+    complements, is positive definite with a condition number no larger than
+    the whole matrix's (Cauchy interlacing; Horn & Johnson, *Matrix Analysis*,
+    2nd ed., Thm 4.3.28 and Cor. 7.3.6).  So the blocks I_S of the wide
+    information and M_S of its beta Schur complement are solved unchecked."""
+    if not M.size:
         return
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularInformationError(f"{what} has condition number {cond:.3e}")
-
-
-def _solve_conditioned(M: np.ndarray, rhs: np.ndarray, idx: np.ndarray, failed: dict) -> np.ndarray:
-    """Solve each block of the stack M against rhs: one stacked cond, one stacked
-    solve.  A block whose condition number is not finite or exceeds _COND_LIMIT
-    is solved as the identity, its position in idx mapped to that number in failed."""
-    if not M.shape[-1]:
-        return rhs
-    cond = np.linalg.cond(M)
-    if np.any(bad := ~np.isfinite(cond) | (cond > _COND_LIMIT)):
-        failed.update(zip(idx[bad].tolist(), cond[bad].tolist()))
-        M = np.where(bad[:, None, None], np.eye(M.shape[-1]), M)
-    return np.linalg.solve(M, rhs)
-
-
-def _raise_first_failure(failed: dict, subsets, what: str) -> None:
-    """Raise SingularInformationError for the failed subset of smallest mask."""
-    if failed:
-        i = min(failed, key=lambda i: subsets[i].mask)
+    if not np.all(np.isfinite(M)):
+        raise SingularInformationError(f"{what} has a non-finite entry")
+    lo, hi = np.linalg.eigvalsh(M)[[0, -1]]
+    if not lo > 0:
         raise SingularInformationError(
-            f"{what} for {subsets[i].label()} has condition number {failed[i]:.3e}")
+            f"{what} is not positive definite: smallest eigenvalue {lo:.3e}")
+    if hi > _COND_LIMIT * lo:
+        raise SingularInformationError(f"{what} has condition number {hi / lo:.3e}")
 
 
 def _size_groups(subsets, width: int):
@@ -174,7 +166,6 @@ class FitResult:
     submodel: SubmodelId
     converged: bool
     iterations: int
-    warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
 def _design(data: Dataset, S: SubmodelId) -> np.ndarray:
@@ -232,16 +223,16 @@ def _project(data: Dataset):
 def _regressions(projection, subsets):
     """Regressions of Y and WY on X_S = Q R_S: their residual is the residual on
     X plus Q times that of z on R_S, a p-row problem with the singular values
-    of X_S, solved by one stacked SVD per subset size.  Returns the (m, 2, 2)
-    residual Gram matrices [[a, b], [b, c]], the residual sum of squares of
-    (I - rho*W)Y being a - 2*b*rho + c*rho^2, and each (|S|, 2) coefficient array."""
+    of X_S, solved by one stacked SVD per subset size.  These interlace the
+    singular values of X, which Dataset holds to the rank rule, so no X_S is
+    checked again.  Returns the (m, 2, 2) residual Gram matrices
+    [[a, b], [b, c]], the residual sum of squares of (I - rho*W)Y being
+    a - 2*b*rho + c*rho^2, and each (|S|, 2) coefficient array."""
     R, z, base = projection
     gram, coefs = np.empty((len(subsets), 2, 2)), [None] * len(subsets)
     for idx, cols in _size_groups(subsets, R.size):
         k = cols.shape[1]
         U, sv, Vt = np.linalg.svd(np.moveaxis(R[:, cols], 0, 1))
-        if k and np.any(bad := sv[:, -1] <= 1e-10 * sv[:, 0]):
-            raise RankError(f"X_S rank deficient for submodel {subsets[idx[bad.argmax()]].label()}")
         Uz = np.swapaxes(U, 1, 2) @ z
         gram[idx] = base + np.swapaxes(Uz[:, k:], 1, 2) @ Uz[:, k:]
         for i, c in zip(idx, np.swapaxes(Vt, 1, 2) @ (Uz[:, :k] / sv[:, :, None])):
@@ -326,8 +317,7 @@ def fit_mle(data: Dataset, S: SubmodelId, with_info: bool = True) -> FitResult:
     fit = fit_subsets(data, [S])[S.mask]
     if not with_info:
         return fit
-    info, warnings = _observed_info_checked(fit.theta_hat, data, S)
-    return replace(fit, info=info, warnings=warnings)
+    return replace(fit, info=observed_info(fit.theta_hat, data, S))
 
 
 def _derivative_terms(theta: Theta, data: Dataset, S: SubmodelId):
@@ -347,13 +337,9 @@ def observed_info(theta_hat: Theta, data: Dataset, S: SubmodelId) -> FisherInfo:
     closed form (Anselin 1988; Lee 2004), with s2 = sigma^2:
     H_rr = -sum g_i^2 - WY'WY / s2, H_rs = -WY'e / s2^2,
     H_ss = n / (2 s2^2) - e'e / s2^3, H_rb = -X_S'WY / s2,
-    H_sb = -X_S'e / s2^2, H_bb = -X_S'X_S / s2.
+    H_sb = -X_S'e / s2^2, H_bb = -X_S'X_S / s2.  The result is certified
+    (_certify): one that is not positive definite or well conditioned raises.
     """
-    info, _ = _observed_info_checked(theta_hat, data, S)
-    return info
-
-
-def _observed_info_checked(theta_hat, data, S):
     WY, Xs, e, g = _derivative_terms(theta_hat, data, S)
     s2 = theta_hat.sigma2
     H = np.empty((Xs.shape[1] + 2,) * 2)
@@ -365,11 +351,8 @@ def _observed_info_checked(theta_hat, data, S):
     H[2:, 2:] = -(Xs.T @ Xs) / s2
     H = 0.5 * (H + H.T)
     I_hat = -H / data.n
-    warnings: tuple[str, ...] = ()
-    if np.linalg.eigvalsh(I_hat)[0] <= 0:
-        warnings = ("information matrix not positive definite at the fitted point",)
-    _require_conditioned(I_hat, f"information of {S.label()}")
-    return FisherInfo(matrix=I_hat, n_obs=data.n), warnings
+    _certify(I_hat, f"information of {S.label()}")
+    return FisherInfo(matrix=I_hat, n_obs=data.n)
 
 
 def score_vector(theta: Theta, data: Dataset, S: SubmodelId) -> np.ndarray:

@@ -178,6 +178,8 @@ class TestCli:
         )
         assert rc == 0
         payload = json.loads(out.read_text())
+        assert set(payload) == {"submodel", "variables", "rho", "sigma2", "beta", "loglik",
+                                "aic", "converged", "iterations"}
         assert set(payload["beta"]) == {"a", "b"}
         assert payload["converged"]
 
@@ -563,6 +565,13 @@ class TestFailureContract:
         path.write_text(json.dumps({"n": 20, "p": 2, "beta_true": [0.0, 0.4], "reps": 2}))
         rc = main(["simulate", "--config", str(path), "--seed", "-1"])
         _one_input_error(capsys, rc, "seed must be non-negative, got -1")
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_flag_below_one(self, tmp_path, capsys, jobs):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 20, "p": 2, "beta_true": [0.0, 0.4], "reps": 2}))
+        rc = main(["simulate", "--config", str(path), "--jobs", jobs])
+        _one_input_error(capsys, rc, f"jobs must be at least 1, got {jobs}")
 
     def test_weights_file_of_another_size(self, tmp_path, capsys):
         weights = tmp_path / "w.csv"

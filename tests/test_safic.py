@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import slmfic.fic as fic
+import slmfic.safic as safic
+import slmfic.slm as slm
 from slmfic import (
     Dataset,
     FisherInfo,
+    FocusSpec,
     PsiWeights,
     SpatialWeights,
     SubmodelId,
     delta_hat,
     enumerate_submodels,
+    fic_table,
     fic_terms,
     fit_mle,
     g_matrix,
@@ -21,11 +28,12 @@ from slmfic import (
     psi_uniform,
     rho_beta_blocks,
     safic_score,
+    safic_table,
     safic_terms,
 )
 from slmfic.errors import BandwidthError, ConfigError, SingularInformationError
 from slmfic.safic import RhoBetaBlocks
-from slmfic.slm import _require_conditioned
+from slmfic.slm import _certify
 
 from conftest import random_dataset, random_info
 
@@ -319,52 +327,108 @@ class TestScore:
 
 
 class TestConditioning:
-    """One policy for fic and safic: a matrix whose condition number exceeds
-    1e12 raises SingularInformationError naming the matrix and the subset."""
+    """One check, _certify, per wide matrix: it raises SingularInformationError
+    naming the matrix unless the matrix is finite and positive definite with a
+    condition number of at most 1e12.  Interlacing certifies every block."""
 
     def test_threshold(self):
-        _require_conditioned(np.diag([1.0, 1.01e-12]), "M")
-        with pytest.raises(SingularInformationError, match=r"M has condition number 1\.010e\+12"):
-            _require_conditioned(np.diag([1.0, 0.99e-12]), "M")
-        with pytest.raises(SingularInformationError, match="M has condition number inf"):
-            _require_conditioned(np.zeros((2, 2)), "M")
-        _require_conditioned(np.empty((0, 0)), "M")  # p = 0: nothing to invert
+        _certify(np.diag([1.0, 1.01e-12]), "M")
+        with pytest.raises(SingularInformationError, match=r"^M has condition number 1\.010e\+12$"):
+            _certify(np.diag([1.0, 0.99e-12]), "M")
+        with pytest.raises(SingularInformationError, match="^M is not positive definite"):
+            _certify(np.zeros((2, 2)), "M")
+        _certify(np.empty((0, 0)), "M")  # p = 0: nothing to invert
+
+    def test_indefinite(self):
+        with pytest.raises(SingularInformationError,
+                           match=r"^M is not positive definite: smallest eigenvalue -1\.000e\+00$"):
+            _certify(np.diag([1.0, -1.0]), "M")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite(self, bad):
+        with pytest.raises(SingularInformationError, match="^M has a non-finite entry$"):
+            _certify(np.array([[bad, 0.0], [0.0, 1.0]]), "M")
+
+    def test_indefinite_wide_information_stops_the_sweeps(self):
+        info = FisherInfo(np.diag([1.0, 1.0, -1.0, 1.0, 1.0]), 50)
+        with pytest.raises(SingularInformationError, match="^wide information is not positive"):
+            fic_terms(enumerate_submodels(3), np.ones((1, 5)), np.ones((1, 3)), info, np.ones(3))
+        with pytest.raises(SingularInformationError, match="^beta Schur complement"):
+            rho_beta_blocks(info)
+        I_bb = np.diag([-1.0, 1.0, 1.0])
+        blocks = RhoBetaBlocks(1.0, np.zeros((1, 3)), np.zeros((3, 1)), I_bb, I_bb, I_bb)
+        with pytest.raises(SingularInformationError, match="^beta Schur complement"):
+            safic_terms(enumerate_submodels(3), np.ones(3), blocks, np.eye(3))
 
     def test_each_site_names_its_matrix(self):
         I = np.eye(5)
         I[2:4, 2:4] = 1.0  # beta_1 and beta_2 information rows coincide
         info = FisherInfo(I, 50)
         S = SubmodelId.from_indices([0, 1], 3)
-        with pytest.raises(SingularInformationError, match="submodel information for S4 "):
+        with pytest.raises(SingularInformationError, match="^submodel information for S4 "):
             m_matrix(info, S)
-        with pytest.raises(SingularInformationError, match="beta Schur complement"):
+        with pytest.raises(SingularInformationError, match="^beta Schur complement"):
             rho_beta_blocks(info)
-        with pytest.raises(SingularInformationError, match="submodel information for S4 "):
+        with pytest.raises(SingularInformationError, match="^wide information "):
             fic_terms([S], [np.ones((1, 4))], np.ones((1, 3)), info, np.ones(3))
         I_bb = I[2:, 2:]
         blocks = RhoBetaBlocks(1.0, np.zeros((1, 3)), np.zeros((3, 1)), I_bb, I_bb, I_bb)
-        with pytest.raises(SingularInformationError, match="inverse-Q block for S4 "):
+        with pytest.raises(SingularInformationError, match="^projected inverse-Q block for S4 "):
             g_matrix(blocks, S)
-        with pytest.raises(SingularInformationError, match="inverse-Q block for S4 "):
+        with pytest.raises(SingularInformationError, match="^beta Schur complement"):
             safic_terms([S], np.ones(3), blocks, np.eye(3))
 
-    @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
-    def test_smallest_failing_mask_is_named(self, order):
-        """Every size is checked before raising, so the error names the failing
-        subset of smallest mask, S4 (size 2: the beta_1 and beta_2 rows
-        coincide), not S5 (size 1: the beta_3 block is singular on its own)."""
-        I = np.eye(5)
-        I[2:4, 2:4] = 1.0
-        I[4, 4] = 0.0
-        subsets = enumerate_submodels(3)[::order]
-        with pytest.raises(SingularInformationError,
-                           match=r"^submodel information for S4 has condition number "):
-            fic_terms(subsets, np.ones((1, 5)), np.ones((1, 3)), FisherInfo(I, 50), np.ones(3))
-        I_bb = I[2:, 2:]
-        blocks = RhoBetaBlocks(1.0, np.zeros((1, 3)), np.zeros((3, 1)), I_bb, I_bb, I_bb)
-        with pytest.raises(SingularInformationError,
-                           match=r"^projected inverse-Q block for S4 has condition number "):
-            safic_terms(subsets, np.ones(3), blocks, np.eye(3))
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=5),
+           st.floats(min_value=0.0, max_value=6.0), st.booleans())
+    def test_interlacing(self, seed, p, log_cond, aligned):
+        """Every (rho, sigma^2, beta_S) block of an SPD I with cond(I) <= 1e6, and
+        every block Q^-1[S, S] of its beta Schur complement, passes _certify with
+        a condition number at most cond(I) (1 + 1e-9).  aligned puts the extreme
+        eigenvalues on coordinate axes, where some blocks attain the bound."""
+        rng = np.random.default_rng(seed)
+        lam = np.sort(10.0 ** rng.uniform(0.0, log_cond, p + 2))
+        lam[[0, -1]] = 1.0, 10.0 ** log_cond
+        V = np.eye(p + 2) if aligned else np.linalg.qr(rng.standard_normal((p + 2, p + 2)))[0]
+        I = (V * lam) @ V.T
+        I = 0.5 * (I + I.T)
+
+        def cond(M):
+            e = np.linalg.eigvalsh(M)
+            return e[-1] / e[0]
+
+        bound = cond(I) * (1.0 + 1e-9)
+        blocks = rho_beta_blocks(FisherInfo(I, 50))
+        for S in enumerate_submodels(p):
+            idx = [0, 1] + [2 + j for j in S.indices()]
+            sel = list(S.indices())
+            for what, M in (("I_S", I[np.ix_(idx, idx)]), ("M_S", blocks.Q_inv[np.ix_(sel, sel)])):
+                _certify(M, what)
+                assert not M.size or cond(M) <= bound, (what, S.label())
+
+    def test_one_certificate_per_wide_matrix(self, monkeypatch):
+        """A theta-free FIC sweep and an sAFIC sweep certify the same number of
+        matrices at p = 3 (8 subsets) as at p = 10 (1,024 subsets): FIC the wide
+        fit's information and fic_terms' input, sAFIC the wide fit's
+        information, rho_beta_blocks' Schur complement and safic_terms' input."""
+        calls = []
+
+        def counting(M, what, certify=slm._certify):
+            calls.append(what)
+            certify(M, what)
+
+        for module in (slm, fic, safic):
+            monkeypatch.setattr(module, "_certify", counting)
+        counts = {}
+        for p in (3, 10):
+            data = random_dataset(np.random.default_rng(p), n=40, p=p)
+            calls.clear()
+            fic_table(FocusSpec("conditional_mean", location=0), data)
+            n_fic = len(calls)
+            calls.clear()
+            safic_table(data, "uniform")
+            counts[p] = (n_fic, len(calls))
+        assert counts[3] == counts[10] == (2, 3)
 
 
 class TestStackedTerms:

@@ -149,6 +149,11 @@ class TestMonteCarlo:
         for rankings in report.per_rep_rankings:
             assert all(sorted(masks) == [0, 1] for masks in rankings.values())
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ConfigError, match=f"^jobs must be at least 1, got {jobs}$"):
+            monte_carlo(small_config(reps=2), jobs=jobs)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_input_error_in_a_replication_stops_the_study(self, jobs):
         # more columns than rows: replication 0 raises, it is not a failed replication

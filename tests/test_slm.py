@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slmfic import (
     CriterionSpec,
@@ -102,6 +104,30 @@ class TestProfiles:
         W = SpatialWeights.from_adjacency(build_chain_lag1(4), row_normalize=True)
         with pytest.raises(RankError, match="5 columns, 4 rows"):
             Dataset(Y=rng.standard_normal(4), X=rng.standard_normal((4, 5)), W=W)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=6),
+           st.floats(min_value=0.0, max_value=9.0))
+    def test_column_subsets_inherit_the_rank_rule(self, seed, p, log_cond):
+        """The singular values of X_S = Q R_S interlace those of X, so when
+        Dataset accepts X (cond(X) < 1e10), every R_S that the profile
+        regressions decompose has cond(R_S) <= cond(X) up to rounding and passes
+        the same rule: no subset is checked again.  cond(X) <= 1e9 here, where
+        rounding (about eps cond(X) relative) cannot reach the 1e10 edge."""
+        rng = np.random.default_rng(seed)
+        n = p + 5
+        U = np.linalg.qr(rng.standard_normal((n, p)))[0]
+        V = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        X = (U * np.logspace(0.0, -log_cond, p)) @ V.T
+        W = SpatialWeights.from_adjacency(np.zeros((n, n)))
+        data = Dataset(Y=rng.standard_normal(n), X=X, W=W)
+        sv = np.linalg.svd(data.X, compute_uv=False)
+        R = slm._project(data)[0]
+        for S in enumerate_submodels(p)[1:]:
+            sv_S = np.linalg.svd(R[:, S.indices()], compute_uv=False)
+            assert sv_S[0] <= sv[0] * (1.0 + 1e-12)
+            assert sv_S[-1] >= sv[-1] * (1.0 - 1e-6)
+            assert sv_S[-1] > 1e-10 * sv_S[0]
 
     def test_non_finite_response_named(self, rng):
         data = random_dataset(rng, n=10)
