@@ -7,7 +7,7 @@ many subsets at once, as the root of the profile score, from one QR of X and
 one vectorised Newton search.  The score and the observed information, ordered
 (rho, sigma^2, beta), are closed forms (Anselin 1988, *Spatial Econometrics*;
 Lee 2004, *Econometrica* 72(6)) built from WY, X_S, the residual and the
-cached spectrum of W.
+spectrum of W, which the weights compute on its first read and keep.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from slmfic import (
+    SpatialWeights,
     SubmodelId,
     aic,
     build_chain_lag1,
@@ -11,7 +13,7 @@ from slmfic import (
 )
 from slmfic.errors import ZeroVarianceError
 
-from conftest import random_dataset
+from conftest import random_dataset, random_symmetric_adjacency
 
 
 class TestMoran:
@@ -56,6 +58,30 @@ class TestMoran:
             res = morans_i(rng.standard_normal(75), chain75)
             inside += abs(res.z) < 1.96
         assert abs(inside / reps - 0.95) < 0.04
+
+    @pytest.mark.parametrize("kind", ["raw", "row_normalized", "directed"])
+    def test_moments_match_the_dense_formula(self, kind):
+        rng = np.random.default_rng(11)
+        U = rng.uniform(0.5, 2.0, (40, 40))
+        A = random_symmetric_adjacency(rng, 40, density=0.1) * (U + U.T)
+        if kind == "directed":  # not symmetric, spectrum all zero
+            A = np.triu(A, k=1)
+        W = row_normalize(A) if kind == "row_normalized" else SpatialWeights.from_adjacency(A)
+        x = rng.standard_normal(40)
+        res = morans_i(x, W)
+        # the dense formula, with n x n temporaries
+        w, n = W.matrix, 40
+        xt = x - x.mean()
+        S0 = float(w.sum())
+        I = (n / S0) * float(xt @ (w @ xt)) / float(xt @ xt)
+        S1 = 0.5 * float(((w + w.T) ** 2).sum())
+        S2 = float(((w.sum(axis=1) + w.sum(axis=0)) ** 2).sum())
+        EI = -1.0 / (n - 1)
+        var = (n * n * S1 - n * S2 + 3.0 * S0 * S0) / ((n * n - 1.0) * S0 * S0) - EI * EI
+        z = (I - EI) / np.sqrt(var)
+        assert res.I == I  # bit for bit
+        assert res.z == pytest.approx(z, rel=1e-12, abs=0)
+        assert res.p_value == pytest.approx(2.0 * norm.sf(abs(z)), rel=1e-12, abs=0)
 
 
 class TestAic:

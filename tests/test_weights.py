@@ -1,9 +1,15 @@
+import contextlib
+import pickle
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slmfic import SpatialWeights, build_chain_lag1, row_normalize
+from slmfic import SimConfig, SpatialWeights, build_chain_lag1, cli, monte_carlo, row_normalize, simulate
+from slmfic import weights as weights_module
+from slmfic.io import run_report_to_json
 from slmfic.errors import (
     ComplexSpectrumError,
     DataFormatError,
@@ -87,7 +93,8 @@ class TestSpectrum:
     def test_complex_spectrum_rejected(self):
         # directed 3-cycle has complex eigenvalues
         A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(ComplexSpectrumError):
+        with pytest.raises(ComplexSpectrumError,
+                           match=r"^weights matrix has complex eigenvalues \(max imaginary part 8\.660e-01\)$"):
             SpatialWeights.from_adjacency(A)
 
     def test_row_normalized_bounded(self, rng):
@@ -139,3 +146,215 @@ class TestLogDet:
         rho, h = 0.3, 1e-6
         fd = (W.log_det_factor(rho + h) - W.log_det_factor(rho - h)) / (2 * h)
         assert W.log_det_rho_derivative(rho) == pytest.approx(fd, abs=1e-6)
+
+
+def _rook_lattice(side):
+    """Binary rook-contiguity adjacency of a side x side grid, row-major units."""
+    n = side * side
+    A = np.zeros((n, n))
+    idx = np.arange(n).reshape(side, side)
+    for a, b in ((idx[:, :-1], idx[:, 1:]), (idx[:-1, :], idx[1:, :])):
+        A[a.ravel(), b.ravel()] = A[b.ravel(), a.ravel()] = 1.0
+    return A
+
+
+def _sparse_graph(rng, n, degree=3.0):
+    """Random symmetric graph: a random spanning path (no isolated unit) plus
+    each other pair with probability degree / n, weights in [0.5, 2)."""
+    A = np.triu(rng.random((n, n)) < degree / n, k=1).astype(float)
+    path = rng.permutation(n)
+    A[np.minimum(path[:-1], path[1:]), np.maximum(path[:-1], path[1:])] = 1.0
+    A *= rng.uniform(0.5, 2.0, size=(n, n))
+    return A + A.T
+
+
+def _permuted(rng, A):
+    order = rng.permutation(A.shape[0])
+    return A[np.ix_(order, order)]
+
+
+def _graph(kind, rng):
+    if kind == "sparse":
+        return _sparse_graph(rng, int(rng.integers(2, 90)))
+    if kind == "lattice":
+        return _permuted(rng, _rook_lattice(12))
+    if kind == "disconnected":
+        A = np.zeros((60, 60))
+        A[:25, :25] = _sparse_graph(rng, 25)
+        A[25:, 25:] = _sparse_graph(rng, 35)
+        return _permuted(rng, A)
+    if kind == "chain":
+        return _permuted(rng, build_chain_lag1(int(rng.integers(2, 120))))
+    n = int(rng.integers(2, 40))
+    return np.ones((n, n)) - np.eye(n) if kind == "complete" else np.zeros((n, n))
+
+
+def _dense_oracle(A, row_normalized):
+    """The spectrum of W from dense scipy.linalg.eigvalsh of D^-1/2 A D^-1/2 or of A."""
+    if row_normalized:
+        s = 1.0 / np.sqrt(A.sum(axis=1))
+        A = (s[:, None] * A) * s[None, :]
+    return np.sort(scipy.linalg.eigvalsh(A))
+
+
+@contextlib.contextmanager
+def _counting_solvers(**weights_patches):
+    """Count the calls of scipy's eigen-solvers, by name, inside the block;
+    `weights_patches` set attributes of slmfic.weights for its duration."""
+    calls = dict.fromkeys(("eig_banded", "eigvalsh", "eigvals"), 0)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            real = getattr(scipy.linalg, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            mp.setattr(scipy.linalg, name, counted)
+        for name, value in weights_patches.items():
+            mp.setattr(weights_module, name, value)
+        yield calls
+
+
+class TestBandedSpectrum:
+    """The lazily built spectrum (RCM band, dense beyond n / _BAND_RATIO) against dense eigvalsh."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["sparse", "lattice", "disconnected", "chain", "complete", "zero"]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_dense_eigvalsh(self, kind, row_normalized, seed):
+        A = _graph(kind, np.random.default_rng(seed))
+        row_normalized = row_normalized and kind != "zero"
+        oracle = _dense_oracle(A, row_normalized)
+        tol = 1e-12 * np.max(np.abs(oracle))
+        W = SpatialWeights.from_adjacency(A, row_normalize=row_normalized)
+        assert "spectrum" not in vars(W)  # nothing computed before the first read
+        with _counting_solvers() as calls:
+            spectrum = W.spectrum
+        assert np.max(np.abs(spectrum - oracle)) <= tol
+        assert sum(calls.values()) == 1
+        if kind == "complete":
+            assert calls["eigvalsh"] == 1
+        # the banded solver on every graph, whatever its bandwidth
+        fresh = SpatialWeights.from_adjacency(A, row_normalize=row_normalized)
+        with _counting_solvers(_BAND_RATIO=0) as calls:
+            banded = fresh.spectrum
+        assert calls["eig_banded"] == 1
+        assert np.max(np.abs(banded - oracle)) <= tol
+
+    @pytest.mark.parametrize("row_normalized", [False, True])
+    def test_chain75_is_bit_identical_to_dense(self, row_normalized):
+        A = build_chain_lag1(75)
+        W = SpatialWeights.from_adjacency(A, row_normalize=row_normalized)
+        with _counting_solvers() as calls:
+            spectrum = W.spectrum
+        assert calls["eig_banded"] == 1
+        assert spectrum.tobytes() == _dense_oracle(A, row_normalized).tobytes()
+
+    def test_read_once_and_cached(self):
+        W = row_normalize(_rook_lattice(4))
+        first = W.spectrum
+        with _counting_solvers() as calls:
+            again = W.spectrum
+        assert again is first and sum(calls.values()) == 0
+        assert W.rho_interval is W.rho_interval
+
+    def test_non_symmetric_weights_read_at_construction(self):
+        A = np.triu(np.ones((4, 4)), k=1)  # a DAG: not symmetric, spectrum all zero
+        W = SpatialWeights.from_adjacency(A)
+        assert W.symmetric_form is None and "spectrum" in vars(W)
+        assert np.array_equal(W.spectrum, np.zeros(4))
+
+    def test_symmetric_row_normalized_weights_from_non_symmetric_adjacency(self):
+        # D^-1 A is symmetric although A is not: W itself is the symmetric form
+        W = row_normalize(np.array([[0.0, 2.0], [1.0, 0.0]]))
+        assert W.symmetric_form is not None
+        assert np.allclose(W.spectrum, [-1.0, 1.0], atol=1e-15)
+
+    @pytest.mark.parametrize("row_normalized", [False, True])
+    def test_near_symmetric_adjacency_uses_its_symmetric_part(self, row_normalized):
+        rng = np.random.default_rng(5)
+        A = _sparse_graph(rng, 40)
+        upper = np.triu(np.ones_like(A), k=1) * 1e-9  # above the diagonal only, zeros too
+        A_up = A + upper
+        S = A_up
+        if row_normalized:
+            s = 1.0 / np.sqrt(A_up.sum(axis=1))
+            S = (s[:, None] * A_up) * s[None, :]
+        oracle = np.sort(scipy.linalg.eigvalsh(0.5 * (S + S.T)))
+        lower_only = np.sort(scipy.linalg.eigvalsh(S))  # what reading one triangle gives
+        tol = 1e-12 * np.max(np.abs(oracle))
+        assert np.max(np.abs(lower_only - oracle)) > 100 * tol
+        got = SpatialWeights.from_adjacency(A_up, row_normalize=row_normalized).spectrum
+        assert np.max(np.abs(got - oracle)) <= tol
+        for seed in range(3):  # in any unit order
+            order = np.random.default_rng(seed).permutation(len(A))
+            W = SpatialWeights.from_adjacency(A_up[np.ix_(order, order)], row_normalize=row_normalized)
+            assert np.max(np.abs(W.spectrum - oracle)) <= tol
+        if not row_normalized:  # bit for bit: the symmetric part, or the perturbation below
+            for same in (0.5 * (A_up + A_up.T), A_up.T.copy()):
+                assert np.array_equal(SpatialWeights.from_adjacency(same).spectrum, got)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.0, 0.5, 0.999, 1.001, 2.0]),
+    )
+    def test_symmetry_test_accepts_what_allclose_accepts(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        A = _sparse_graph(rng, n, degree=n / 2) * rng.choice([1e-9, 1.0, 1e6])
+        i, j = (int(k) for k in rng.choice(n, size=2, replace=False))
+        # move A[i, j] by `scale` times the allclose tolerance of position (i, j)
+        A[i, j] += scale * (1e-8 + 1e-5 * A[j, i])
+        assert (weights_module._symmetric_form(A, A, None) is not None) == np.allclose(A, A.T)
+
+
+def test_moran_command_reads_no_spectrum(tmp_path):
+    side, n = 6, 36
+    lattice = _rook_lattice(side)
+    rows, cols = np.nonzero(lattice)
+    weights_path = tmp_path / "w.csv"
+    weights_path.write_text("i,j,w\n" + "".join(f"{i},{j},1\n" for i, j in zip(rows, cols)))
+    rng = np.random.default_rng(0)
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("y,x1\n" + "".join(f"{y!r},{x!r}\n" for y, x in rng.standard_normal((n, 2)).tolist()))
+    common = ["--data", str(data_path), "--weights", str(weights_path), "--response", "y",
+              "--row-normalize"]
+    with _counting_solvers() as calls:
+        assert cli.main(["moran", *common, "--out", str(tmp_path / "moran.json")]) == 0
+        assert sum(calls.values()) == 0
+        assert cli.main(["fit", *common, "--out", str(tmp_path / "fit.json")]) == 0
+        assert sum(calls.values()) == 1  # the counters are live: fit reads the spectrum
+
+
+class _PicklingExecutor:
+    """In-process stand-in for ProcessPoolExecutor: the initializer's arguments
+    go through pickle, as they do on their way to a worker process."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.initializer, self.initargs = initializer, pickle.loads(pickle.dumps(initargs))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        self.initializer(*self.initargs)
+        return list(map(fn, *iterables))
+
+
+def test_workers_receive_weights_with_their_spectrum(monkeypatch):
+    cfg = SimConfig(n=40, p=3, rho_true=0.4, beta_true=(0.0, 0.3, 0.3), reps=4, seed=99)
+    serial = run_report_to_json(monte_carlo(cfg, jobs=1))
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _PicklingExecutor)
+    monkeypatch.setattr(simulate, "_worker_weights", None, raising=False)
+    with _counting_solvers() as calls:
+        assert run_report_to_json(monte_carlo(cfg, jobs=2)) == serial
+    assert sum(calls.values()) == 1  # read once, by build_weights, before the weights are sent
+    assert "spectrum" in vars(simulate._worker_weights)
