@@ -34,15 +34,10 @@ def morans_i(x: np.ndarray, W: SpatialWeights) -> MoranResult:
     S0 = float(w.sum())
     I = (n / S0) * float(xt @ (w @ xt)) / denom
 
-    # moments under the normality assumption, from the nonzeros w_ij (and w_ji):
-    # S1 = 1/2 sum (w_ij + w_ji)^2 = sum w_ij^2 + sum w_ij w_ji
-    flat = np.flatnonzero(w)
-    rows, cols = np.divmod(flat, n)
-    a, b = w.ravel()[flat], w.ravel()[cols * n + rows]
-    S1 = float(a @ a + a @ b)
-    row = np.bincount(rows, weights=a, minlength=n)
-    col = np.bincount(cols, weights=a, minlength=n)
-    S2 = float(((row + col) ** 2).sum())
+    # moments under the normality assumption, from the stored entries of W:
+    # S1 = 1/2 ||W + W'||_F^2 and S2 = sum_i (row sum i + column sum i)^2
+    S1 = 0.5 * float(((w + w.T) ** 2).sum())
+    S2 = float(((w.sum(axis=1) + w.sum(axis=0)) ** 2).sum())
     EI = -1.0 / (n - 1)
     var = (n * n * S1 - n * S2 + 3.0 * S0 * S0) / ((n * n - 1.0) * S0 * S0) - EI * EI
     z = (I - EI) / np.sqrt(var)

@@ -9,6 +9,7 @@ import typing
 from dataclasses import MISSING, asdict, fields, is_dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ConfigError, DataFormatError
 from .focus import FocusSpec
@@ -29,7 +30,7 @@ def _read_text(path: str) -> str:
 def load_weights(path: str, row_normalize: bool = False) -> SpatialWeights:
     """Load spatial weights from a dense n x n CSV or an `i,j,w` edge list.
 
-    Edge lists are recognized by their header row; indices are zero-based.
+    Edge lists have a header row, zero-based indices and each pair i,j once.
     """
     rows = list(csv.reader(_read_text(path).splitlines()))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
@@ -40,8 +41,8 @@ def load_weights(path: str, row_normalize: bool = False) -> SpatialWeights:
         A = _parse_edge_list(path, rows[1:])
     else:
         A = _parse_dense(path, rows)
-    if np.any(np.diag(A) != 0):
-        bad = int(np.flatnonzero(np.diag(A))[0])
+    if np.any(A.diagonal() != 0):
+        bad = int(np.flatnonzero(A.diagonal())[0])
         raise DataFormatError(
             f"{path}: nonzero diagonal at unit {bad}; self-neighbors are not allowed"
         )
@@ -50,7 +51,7 @@ def load_weights(path: str, row_normalize: bool = False) -> SpatialWeights:
 
 def _parse_dense(path, rows):
     n = len(rows)
-    A = np.empty((n, n))
+    A = np.empty((n, n))  # dense: the file holds all n^2 numbers anyway
     for i, r in enumerate(rows):
         if len(r) != n:
             raise DataFormatError(f"{path}: row {i} has {len(r)} columns, expected {n}")
@@ -62,8 +63,7 @@ def _parse_dense(path, rows):
 
 
 def _parse_edge_list(path, rows):
-    edges = []
-    max_idx = -1
+    values, first_line = [], {}  # first_line: (i, j) -> the line that gave it
     for line_no, r in enumerate(rows, start=2):
         if len(r) < 3:
             raise DataFormatError(f"{path}: line {line_no}: expected i,j,w")
@@ -73,13 +73,14 @@ def _parse_edge_list(path, rows):
             raise DataFormatError(f"{path}: line {line_no}: {exc}") from exc
         if i < 0 or j < 0:
             raise DataFormatError(f"{path}: line {line_no}: negative index")
-        edges.append((i, j, w))
-        max_idx = max(max_idx, i, j)
-    n = max_idx + 1
-    A = np.zeros((n, n))
-    for i, j, w in edges:
-        A[i, j] = w
-    return A
+        if (i, j) in first_line:
+            raise DataFormatError(f"{path}: lines {first_line[i, j]} and {line_no} "
+                                  f"both give the edge {i},{j}")
+        first_line[i, j] = line_no
+        values.append(w)
+    ij = np.array(list(first_line), dtype=np.intp).reshape(-1, 2)
+    n = int(ij.max(initial=-1)) + 1
+    return scipy.sparse.csr_array((values, (ij[:, 0], ij[:, 1])), shape=(n, n))
 
 
 def load_dataset(

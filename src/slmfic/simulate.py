@@ -11,10 +11,12 @@ given config and seed regardless of worker count.
 from __future__ import annotations
 
 import itertools
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse.linalg
 
 from .diagnostics import aic
 from .errors import ConfigError, NumericalError, ReplicationFailureError
@@ -140,8 +142,8 @@ def generate_dataset(cfg: SimConfig, rep: int, W: SpatialWeights | None = None) 
     X = rng.standard_normal((cfg.n, cfg.p))
     eps = np.sqrt(cfg.sigma2_true) * rng.standard_normal(cfg.n)
     rhs = X @ np.asarray(cfg.beta_true) + eps
-    A = np.eye(cfg.n) - cfg.rho_true * W.matrix
-    Y = np.linalg.solve(A, rhs)
+    A = scipy.sparse.eye_array(cfg.n, format="csc") - cfg.rho_true * W.matrix  # CSC
+    Y = scipy.sparse.linalg.spsolve(A, rhs)
     return Dataset(Y=Y, X=X, W=W)
 
 
@@ -282,7 +284,8 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
     on theta.  delta_hat and the labels are computed once.  fic_terms and
     safic_terms score all subsets with one stacked solve per subset size;
     fic_score and safic_score build each row from its two terms.  AIC rows are
-    FicRows whose score is the AIC (bias2 and variance are NaN).
+    FicRows whose score is the AIC (bias2 and variance are NaN).  Each distinct
+    warning of the focus evaluations is issued once, as a RuntimeWarning.
 
     Returns ({criterion name: rows ranked by rank_models}, {mask: fit}), the
     fits in ascending mask order.
@@ -295,19 +298,19 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
     fit_wide = fits[submodels[-1].mask] = fit_mle(data, submodels[-1])
     D_n = delta_hat(fit_wide)
     labels = [S.variable_names(data.names) for S in submodels]
-    blocks, tables = None, {}
+    blocks, tables, messages = None, {}, {}
     for crit in criteria:
         if crit.kind == "aic":
             rows = [FicRow(S, lab, np.nan, np.nan, aic(fits[S.mask]))
                     for S, lab in zip(submodels, labels)]
         elif crit.kind == "fic":
-            J_wide = eval_focus(crit.focus, fit_wide.theta_hat, data, submodels[-1],
-                                fit_wide.info).jacobian
-            J = J_wide
-            if depends_on_theta(crit.focus):
-                J = [J_wide if S.is_wide else
-                     eval_focus(crit.focus, fits[S.mask].theta_hat, data, S).jacobian
-                     for S in submodels]
+            theta_dependent = depends_on_theta(crit.focus)
+            evals = [eval_focus(crit.focus, fits[S.mask].theta_hat, data, S,
+                                fit_wide.info if S.is_wide else None)
+                     for S in (submodels if theta_dependent else submodels[-1:])]
+            J_wide = evals[-1].jacobian
+            J = [ev.jacobian for ev in evals] if theta_dependent else J_wide
+            messages.update(dict.fromkeys(msg for ev in evals for msg in ev.warnings))
             terms = fic_terms(submodels, J, J_wide[:, 2:], fit_wide.info, D_n)
             rows = [fic_score(S, b, v, lab) for S, lab, b, v in zip(submodels, labels, *terms)]
         else:  # safic
@@ -318,6 +321,8 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
             rows = [safic_score(S, b, v, lab, psi.scheme)
                     for S, lab, b, v in zip(submodels, labels, *terms)]
         tables[crit.name] = rank_models(rows)
+    for msg in messages:
+        warnings.warn(msg, RuntimeWarning)
     return tables, fits
 
 

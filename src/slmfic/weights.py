@@ -5,6 +5,11 @@ row-normalized, together with its (real) spectrum and the open interval of
 admissible values for the spatial autoregression parameter rho;
 log|I - rho*W| and its derivatives in rho are sums over the spectrum.
 
+W is one scipy.sparse CSR array from the weights file to the fit.  Only three
+places build a dense n x n matrix: the parse of a dense CSV file, which holds
+n^2 numbers anyway, the spectrum of a W that is not symmetric, and that of a
+band wider than n / _BAND_RATIO.
+
 When the spectrum is real by construction (A symmetric, or W = D^-1 A
 row-normalized from a symmetric A), it is computed on first read from a symmetric
 CSR matrix similar to W.  Reordered by reverse Cuthill-McKee, a contiguity
@@ -23,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
+import scipy.sparse.linalg
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import (
@@ -38,38 +43,39 @@ from .errors import (
 _IMAG_TOL = 1e-8
 
 
-def validate_adjacency(A: np.ndarray) -> np.ndarray:
-    """Check the adjacency-matrix invariants and return a float copy.
+def validate_adjacency(A) -> scipy.sparse.csr_array:
+    """Check the adjacency-matrix invariants and return a float CSR copy.
 
-    Requires a square matrix with n >= 2, finite nonnegative entries and an
-    exactly zero diagonal.
+    A is dense or any scipy.sparse matrix.  Requires a square matrix with n >= 2,
+    finite nonnegative stored entries and an exactly zero diagonal.  The copy
+    sums duplicate entries and drops explicit zeros.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidSizeError(f"adjacency must be square, got shape {A.shape}")
-    if A.shape[0] < 2:
-        raise InvalidSizeError(f"need at least 2 spatial units, got {A.shape[0]}")
-    bad = np.argwhere(~np.isfinite(A))
+    shape = np.shape(A)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise InvalidSizeError(f"adjacency must be square, got shape {shape}")
+    if shape[0] < 2:
+        raise InvalidSizeError(f"need at least 2 spatial units, got {shape[0]}")
+    A = scipy.sparse.csr_array(A, dtype=float, copy=True)
+    A.sum_duplicates()  # canonical: column indices sorted within each row
+    A.eliminate_zeros()
+    bad = np.flatnonzero(~np.isfinite(A.data))
     if bad.size:
-        i, j = bad[0]
-        raise DataFormatError(f"non-finite adjacency entry {A[i, j]} at row {i}, column {j}")
-    if np.any(A < 0):
+        k = bad[0]
+        raise DataFormatError(f"non-finite adjacency entry {A.data[k]} at row "
+                              f"{A.tocoo().row[k]}, column {A.indices[k]}")
+    if np.any(A.data < 0):
         raise InvalidSizeError("adjacency entries must be nonnegative")
-    if np.any(np.diag(A) != 0):
-        bad = int(np.flatnonzero(np.diag(A))[0])
+    if np.any(A.diagonal() != 0):
+        bad = int(np.flatnonzero(A.diagonal())[0])
         raise InvalidSizeError(f"diagonal must be zero, unit {bad} has a self-loop")
-    return A.copy()
+    return A
 
 
-def build_chain_lag1(n: int) -> np.ndarray:
+def build_chain_lag1(n: int) -> scipy.sparse.csr_array:
     """Binary adjacency of a chain graph: unit i neighbors i-1 and i+1."""
     if n < 2:
         raise InvalidSizeError(f"chain needs n >= 2, got {n}")
-    A = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    A[idx, idx + 1] = 1.0
-    A[idx + 1, idx] = 1.0
-    return A
+    return scipy.sparse.diags_array([np.ones(n - 1)] * 2, offsets=[-1, 1], format="csr")
 
 
 _ALLCLOSE_RTOL, _ALLCLOSE_ATOL = 1e-5, 1e-8  # the defaults of np.allclose
@@ -89,38 +95,25 @@ def _allclose_pairs(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(np.abs(a - b) <= _ALLCLOSE_ATOL + _ALLCLOSE_RTOL * np.abs(b)))
 
 
-def _symmetric_form(A: np.ndarray, W: np.ndarray, row_sums: np.ndarray | None):
+def _symmetric_form(A, W, row_sums: np.ndarray | None):
     """A symmetric CSR matrix with the spectrum of W, or None if there is none by construction.
 
     That is D^-1/2 A D^-1/2 when W = D^-1 A (row_sums = diag D) and A is
     symmetric, and W itself when W is symmetric, both taken within np.allclose
     and symmetrized as 0.5 (S + S^T), so that no solver depends on the triangle
-    it reads.  Built in O(nnz) from the nonzeros of A.
+    it reads.  A and W are canonical CSR arrays with one pattern; O(nnz) work.
     """
-    n = A.shape[0]
-    flat = np.flatnonzero(A)
-    rows, cols = np.divmod(flat, n)
-    flat_t = cols * n + rows  # the transposed positions
-    a, b = A.ravel()[flat], A.ravel()[flat_t]
-    one_way = b == 0
-    if row_sums is not None and _allclose_pairs(a, b):
+    if A.nnz == 0:  # the zero matrix is its own symmetric form
+        return A
+    rows, cols = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.indices
+    if row_sums is not None and _allclose_pairs(A.data, A[cols, rows]):  # A[j, i] at (i, j)
         s = 1.0 / np.sqrt(row_sums)
-        s_i, s_j = s[rows], s[cols]
-        values = 0.5 * ((s_i * a) * s_j + (s_j * b) * s_i)
+        S = scipy.sparse.csr_array(((s[rows] * A.data) * s[cols], cols, A.indptr), shape=A.shape)
+    elif _allclose_pairs(W.data, W[cols, rows]):
+        S = W
     else:
-        if row_sums is not None:
-            a, b = W.ravel()[flat], W.ravel()[flat_t]
-        if not _allclose_pairs(a, b):
-            return None
-        values = 0.5 * (a + b)
-    if one_way.any():  # a pattern that is not symmetric: add the transposed entries
-        rows, cols = np.concatenate((rows, cols[one_way])), np.concatenate((cols, rows[one_way]))
-        values = np.concatenate((values, values[one_way]))
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return scipy.sparse.csr_array((values, cols.astype(np.int32), indptr), shape=(n, n))
+        return None
+    return 0.5 * (S + S.T)
 
 
 def _symmetric_spectrum(S) -> np.ndarray:
@@ -137,7 +130,7 @@ def _symmetric_spectrum(S) -> np.ndarray:
     j = pos[S.indices]
     offset = i - j
     bw = int(np.max(offset, initial=0))
-    if _BAND_RATIO * bw > n:
+    if _BAND_RATIO * bw > n:  # a wide band does not pay; the dense solver takes S dense
         return np.sort(scipy.linalg.eigvalsh(S.toarray()))
     lower = offset >= 0
     band = np.zeros((bw + 1, n))
@@ -145,9 +138,9 @@ def _symmetric_spectrum(S) -> np.ndarray:
     return np.sort(scipy.linalg.eig_banded(band, lower=True, eigvals_only=True, check_finite=False))
 
 
-def _real_spectrum(W: np.ndarray) -> np.ndarray:
+def _real_spectrum(W) -> np.ndarray:
     """Eigenvalues of a W that is not symmetric; ComplexSpectrumError if they are not real."""
-    ev = scipy.linalg.eigvals(W)
+    ev = scipy.linalg.eigvals(W.toarray())  # no sparse solver returns a full general spectrum
     if np.max(np.abs(ev.imag)) > _IMAG_TOL:
         raise ComplexSpectrumError(
             f"weights matrix has complex eigenvalues "
@@ -179,9 +172,11 @@ class SpatialWeights:
 
     Attributes
     ----------
-    matrix : (n, n) ndarray
-        The weights actually used in the model (normalized or raw); the
-        adjacency they were built from is not kept.
+    matrix : (n, n) scipy.sparse.csr_array
+        The weights actually used in the model (normalized or raw), read-only,
+        with sorted indices and no explicit zeros; the adjacency they were
+        built from is not kept.  Only the three places named in the module
+        docstring make it dense.
     row_normalized : bool
     symmetric_form : (n, n) scipy.sparse.csr_array or None
         A symmetric matrix similar to ``matrix`` (D^-1/2 A D^-1/2 for
@@ -194,7 +189,7 @@ class SpatialWeights:
     rho_interval : (float, float)
     """
 
-    matrix: np.ndarray
+    matrix: scipy.sparse.csr_array
     row_normalized: bool
     symmetric_form: scipy.sparse.csr_array | None
 
@@ -213,7 +208,8 @@ class SpatialWeights:
         return _rho_interval(self.spectrum, self.row_normalized)
 
     @classmethod
-    def from_adjacency(cls, A: np.ndarray, row_normalize: bool = False) -> "SpatialWeights":
+    def from_adjacency(cls, A, row_normalize: bool = False) -> "SpatialWeights":
+        """Weights from a dense or scipy.sparse adjacency matrix (see validate_adjacency)."""
         A = validate_adjacency(A)  # a private copy
         W, sums = A, None
         if row_normalize:
@@ -221,8 +217,10 @@ class SpatialWeights:
             zero = np.flatnonzero(sums == 0)
             if zero.size:
                 raise IsolatedUnitError(int(zero[0]))
-            W = A / sums[:, None]
-        W.setflags(write=False)
+            W = scipy.sparse.csr_array((A.data / np.repeat(sums, np.diff(A.indptr)), A.indices,
+                                        A.indptr), shape=A.shape)
+        for part in (W.data, W.indices, W.indptr):
+            part.setflags(write=False)
         weights = cls(W, row_normalize, _symmetric_form(A, W, sums))
         if weights.symmetric_form is None:
             _ = weights.spectrum  # not real by construction: a complex spectrum fails here
@@ -243,7 +241,7 @@ class SpatialWeights:
 
         The spectrum backend uses the identity |I - rho*W| = prod(1 - rho*w_i)
         and takes an array of rho too, giving one log-det per entry; the LU
-        backend accumulates log|pivot| and is kept as its oracle.
+        backend accumulates log|pivot| of a sparse LU and is kept as its oracle.
         """
         self.require_rho(rho)
         if backend == "spectrum":
@@ -253,12 +251,12 @@ class SpatialWeights:
             out = np.sum(np.log(factors), axis=-1)
             return out if np.ndim(rho) else float(out)
         if backend == "lu":
-            M = np.eye(self.n) - rho * self.matrix
-            _, _, U = scipy.linalg.lu(M)
-            piv = np.abs(np.diag(U))
-            if np.any(piv == 0):
-                raise SingularFactorizationError(f"I - rho*W singular at rho={rho}")
-            return float(np.sum(np.log(piv)))
+            M = scipy.sparse.eye_array(self.n, format="csc") - rho * self.matrix  # CSC
+            try:
+                U = scipy.sparse.linalg.splu(M).U  # L has a unit diagonal
+            except RuntimeError as exc:  # SuperLU stops at an exactly zero pivot
+                raise SingularFactorizationError(f"I - rho*W singular at rho={rho}") from exc
+            return float(np.sum(np.log(np.abs(U.diagonal()))))
         raise ValueError(f"unknown backend {backend!r}")
 
     def log_det_rho_derivative(self, rho, order: int = 1):
@@ -269,6 +267,6 @@ class SpatialWeights:
         return -np.sum(g**order, axis=-1) if np.ndim(rho) else float(-np.sum(g**order))
 
 
-def row_normalize(A: np.ndarray) -> SpatialWeights:
+def row_normalize(A) -> SpatialWeights:
     """Row-normalize an adjacency matrix into stochastic spatial weights."""
     return SpatialWeights.from_adjacency(A, row_normalize=True)

@@ -24,7 +24,7 @@ def random_dataset(rng, n=30, p=3, rho=0.3, beta=None, sigma2=1.0, row_normalize
         beta = rng.normal(size=p)
     X = rng.standard_normal((n, p))
     eps = np.sqrt(sigma2) * rng.standard_normal(n)
-    Y = np.linalg.solve(np.eye(n) - rho * W.matrix, X @ beta + eps)
+    Y = np.linalg.solve(np.eye(n) - rho * W.matrix.toarray(), X @ beta + eps)
     return Dataset(Y=Y, X=X, W=W)
 
 

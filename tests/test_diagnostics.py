@@ -44,7 +44,7 @@ class TestMoran:
         for rep in range(20):
             rng = np.random.default_rng([91, rep])
             eps = rng.standard_normal(75)
-            y = np.linalg.solve(np.eye(75) - 0.5 * chain75.matrix, eps)
+            y = np.linalg.solve(np.eye(75) - 0.5 * chain75.matrix.toarray(), eps)
             res = morans_i(y, chain75)
             hits += res.z > 1.645
         assert hits >= 18
@@ -69,11 +69,12 @@ class TestMoran:
         W = row_normalize(A) if kind == "row_normalized" else SpatialWeights.from_adjacency(A)
         x = rng.standard_normal(40)
         res = morans_i(x, W)
-        # the dense formula, with n x n temporaries
         w, n = W.matrix, 40
         xt = x - x.mean()
         S0 = float(w.sum())
         I = (n / S0) * float(xt @ (w @ xt)) / float(xt @ xt)
+        # the dense formula for the moments, with n x n temporaries
+        w = w.toarray()
         S1 = 0.5 * float(((w + w.T) ** 2).sum())
         S2 = float(((w.sum(axis=1) + w.sum(axis=0)) ** 2).sum())
         EI = -1.0 / (n - 1)

@@ -112,7 +112,7 @@ class TestAnalyticJacobians:
         theta = Theta(0.4, 1.0, np.array([1.0, -2.0]))
         spec = FocusSpec("conditional_mean", location=3)
         ev = eval_focus(spec, theta, data, S)
-        wy = float(data.W.matrix[3] @ data.Y)
+        wy = float(data.W.matrix.toarray()[3] @ data.Y)
         assert ev.value[0] == pytest.approx(0.4 * wy + data.X[3] @ theta.beta, abs=1e-12)
 
     def test_absent_coefficient_row_is_zero(self, rng):
@@ -184,7 +184,7 @@ class TestMaxEigen:
             theta = fit_mle(data, S, with_info=False).theta_hat
             Xs = data.X[:, list(S.indices())]
             WY = data.W.matrix @ data.Y
-            w = np.linalg.eigvals(data.W.matrix).real
+            w = np.linalg.eigvals(data.W.matrix.toarray()).real
 
             def lam_max(v):
                 info = closed_form_information(v[0], v[1], v[2:], Xs, data.Y, WY, w)

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from slmfic import SimConfig, cli, errors, monte_carlo
+from slmfic import SimConfig, cli, errors, monte_carlo, morans_i
 from slmfic.cli import main
 from slmfic.errors import DataFormatError, InputError, NumericalError
 from slmfic.io import (
@@ -44,17 +45,17 @@ class TestLoadWeights:
     def test_dense(self, tmp_path):
         path = write_csv(tmp_path / "w.csv", "0,1,0\n1,0,1\n0,1,0\n")
         W = load_weights(path)
-        assert W.matrix.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+        assert W.matrix.toarray().tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
     def test_dense_row_normalized(self, tmp_path):
         path = write_csv(tmp_path / "w.csv", "0,1,0\n1,0,1\n0,1,0\n")
         W = load_weights(path, row_normalize=True)
-        assert W.matrix[1].tolist() == [0.5, 0, 0.5]
+        assert W.matrix.toarray()[1].tolist() == [0.5, 0, 0.5]
 
     def test_edge_list(self, tmp_path):
         path = write_csv(tmp_path / "w.csv", "i,j,w\n0,1,1\n1,0,1\n1,2,1\n2,1,1\n")
         W = load_weights(path)
-        assert W.matrix.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+        assert W.matrix.toarray().tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
     def test_nonzero_diagonal_reported(self, tmp_path):
         path = write_csv(tmp_path / "w.csv", "1,1\n1,0\n")
@@ -75,6 +76,31 @@ class TestLoadWeights:
         path = write_csv(tmp_path / "w.csv", "")
         with pytest.raises(DataFormatError):
             load_weights(path)
+
+    def test_repeated_edge_names_both_lines(self, tmp_path):
+        path = write_csv(tmp_path / "w.csv", "i,j,w\n1,0,1\n0,1,1\n0,1,2\n")
+        with pytest.raises(DataFormatError, match="lines 3 and 4 both give the edge 0,1"):
+            load_weights(path)
+
+    def test_edge_list_path_allocates_no_dense_matrix(self, tmp_path):
+        side = 55
+        n = side * side
+        idx = np.arange(n).reshape(side, side)
+        pairs = np.concatenate([np.c_[idx[:, :-1].ravel(), idx[:, 1:].ravel()],
+                                np.c_[idx[:-1].ravel(), idx[1:].ravel()]])
+        edges = np.concatenate([pairs, pairs[:, ::-1]])
+        path = write_csv(tmp_path / "w.csv",
+                         "i,j,w\n" + "".join(f"{i},{j},1\n" for i, j in edges.tolist()))
+        x = np.random.default_rng(0).standard_normal(n)
+        tracemalloc.start()
+        try:
+            W = load_weights(path, row_normalize=True)
+            morans_i(x, W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert W.matrix.nnz == len(edges)
+        assert peak < n * n * 8 / 4  # a quarter of one dense n x n matrix
 
 
 class TestLoadDataset:

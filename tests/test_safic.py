@@ -247,7 +247,7 @@ class TestRisk:
         blocks = rho_beta_blocks(random_info(rng, 2))
         delta = rng.standard_normal(2)
         w = omega_i(2, data, blocks)
-        wy = float(data.W.matrix[2] @ data.Y)
+        wy = float(data.W.matrix.toarray()[2] @ data.Y)
         expected = float(w @ delta) ** 2 + wy * wy / blocks.I_rr
         assert pointwise_risk(2, SubmodelId.narrow(2), delta, blocks, data) == pytest.approx(
             expected, abs=1e-10
@@ -258,7 +258,7 @@ class TestRisk:
         blocks = rho_beta_blocks(random_info(rng, 2))
         delta = rng.standard_normal(2)
         w = omega_i(4, data, blocks)
-        wy = float(data.W.matrix[4] @ data.Y)
+        wy = float(data.W.matrix.toarray()[4] @ data.Y)
         expected = wy * wy / blocks.I_rr + float(w @ blocks.Q @ w)
         assert pointwise_risk(4, SubmodelId.wide(2), delta, blocks, data) == pytest.approx(
             expected, abs=1e-8

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ class TestGeneration:
     def test_solve_inverts_spatial_filter(self):
         cfg = small_config()
         data = generate_dataset(cfg, 2)
-        lhs = (np.eye(30) - 0.4 * data.W.matrix) @ data.Y
+        lhs = (np.eye(30) - 0.4 * data.W.matrix.toarray()) @ data.Y
         rng = np.random.default_rng([42, 2])
         X = rng.standard_normal((30, 3))
         eps = rng.standard_normal(30)
@@ -270,6 +271,17 @@ class TestSweepEngine:
         monkeypatch.setattr(simulate, "eval_focus", counting)
         fic_table(spec, generate_dataset(small_config(), 0))
         assert sorted(calls) == (list(range(8)) if focus.depends_on_theta(spec) else [7])
+
+    def test_focus_warnings_are_issued_once_per_sweep(self, monkeypatch):
+        data = generate_dataset(small_config(), 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning at the default tolerance
+            fic_table(FocusSpec("max_eigen"), data)
+        monkeypatch.setattr(focus, "_EIGEN_GAP_TOL", np.inf)  # every evaluation is flagged
+        with pytest.warns(RuntimeWarning, match="top eigenvalue nearly repeated") as record:
+            rows = fic_table(FocusSpec("max_eigen"), data)
+        assert len(record) == 1
+        assert sorted(r.rank for r in rows) == list(range(1, 9))
 
     def test_no_finite_differences(self, monkeypatch):
         def refuse(*args, **kwargs):

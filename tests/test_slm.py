@@ -62,7 +62,7 @@ class TestProfiles:
     def test_beta_direct_solve_oracle(self, rng):
         data = random_dataset(rng, n=20, p=2)
         S = SubmodelId.wide(2)
-        z = (np.eye(20) - 0.3 * data.W.matrix) @ data.Y
+        z = (np.eye(20) - 0.3 * data.W.matrix.toarray()) @ data.Y
         direct = np.linalg.solve(data.X.T @ data.X, data.X.T @ z)
         assert np.allclose(profile_beta(0.3, data, S), direct, atol=1e-10)
 
@@ -264,7 +264,7 @@ class TestFit:
             X = rng.standard_normal((75, 5))
             eps = rng.standard_normal(75)
             beta = np.array([0.0, 0.2, 0.2, 0.0, 0.0])
-            Y = np.linalg.solve(np.eye(75) - 0.5 * chain75.matrix, X @ beta + eps)
+            Y = np.linalg.solve(np.eye(75) - 0.5 * chain75.matrix.toarray(), X @ beta + eps)
             data = Dataset(Y=Y, X=X, W=chain75)
             rhos.append(fit_mle(data, SubmodelId.wide(5), with_info=False).theta_hat.rho)
         assert abs(np.mean(rhos) - 0.5) < 0.1
@@ -354,7 +354,7 @@ def search_bracket(W):
 
 
 def lag_data(W, X, rho, beta, rng):
-    Y = np.linalg.solve(np.eye(W.n) - rho * W.matrix, X @ beta + rng.standard_normal(W.n))
+    Y = np.linalg.solve(np.eye(W.n) - rho * W.matrix.toarray(), X @ beta + rng.standard_normal(W.n))
     return Dataset(Y=Y, X=X, W=W)
 
 

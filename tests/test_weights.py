@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,13 +24,13 @@ from conftest import random_symmetric_adjacency
 
 class TestChain:
     def test_three_chain(self):
-        assert build_chain_lag1(3).tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+        assert build_chain_lag1(3).toarray().tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
     def test_smallest_chain(self):
-        assert build_chain_lag1(2).tolist() == [[0, 1], [1, 0]]
+        assert build_chain_lag1(2).toarray().tolist() == [[0, 1], [1, 0]]
 
     def test_simulation_size(self):
-        A = build_chain_lag1(75)
+        A = build_chain_lag1(75).toarray()
         assert A.shape == (75, 75)
         assert np.allclose(A, A.T)
         # interior units have exactly two neighbors
@@ -43,14 +44,26 @@ class TestChain:
 class TestRowNormalize:
     def test_three_chain_rows(self):
         W = row_normalize(build_chain_lag1(3))
-        assert W.matrix.tolist() == [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]]
+        assert W.matrix.toarray().tolist() == [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]]
         assert W.row_normalized
         assert W.rho_interval == (-1.0, 1.0)
 
     def test_two_cycle_unchanged(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         W = row_normalize(A)
-        assert np.array_equal(W.matrix, A)
+        assert np.array_equal(W.matrix.toarray(), A)
+
+    def test_sparse_input_with_duplicates_and_explicit_zeros(self):
+        # the 3-chain with (0, 1) stored twice as 0.5 + 0.5, an explicit zero at (0, 2)
+        # and row 1's columns out of order
+        A = scipy.sparse.csr_array((np.array([0.5, 0.5, 0.0, 1.0, 1.0, 1.0]),
+                                    np.array([1, 1, 2, 2, 0, 1]), np.array([0, 3, 5, 6])),
+                                   shape=(3, 3))
+        W = row_normalize(A)
+        expected = row_normalize(build_chain_lag1(3).toarray()).matrix
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(W.matrix, part), getattr(expected, part))
+        assert A.nnz == 6  # the caller's array is left as it was
 
     def test_isolated_unit_named(self):
         A = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -61,7 +74,7 @@ class TestRowNormalize:
     def test_diagonal_stays_zero(self, rng):
         A = random_symmetric_adjacency(rng, 12)
         W = row_normalize(A)
-        assert np.all(np.diag(W.matrix) == 0)
+        assert np.all(np.diag(W.matrix.toarray()) == 0)
 
     def test_nonzero_diagonal_rejected(self):
         A = np.eye(3)
@@ -70,7 +83,7 @@ class TestRowNormalize:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
     def test_non_finite_entry_named(self, bad):
-        A = build_chain_lag1(4)
+        A = build_chain_lag1(4).toarray()
         A[1, 2] = bad
         with pytest.raises(DataFormatError, match="row 1, column 2"):
             SpatialWeights.from_adjacency(A, row_normalize=True)
@@ -184,7 +197,7 @@ def _graph(kind, rng):
         A[25:, 25:] = _sparse_graph(rng, 35)
         return _permuted(rng, A)
     if kind == "chain":
-        return _permuted(rng, build_chain_lag1(int(rng.integers(2, 120))))
+        return _permuted(rng, build_chain_lag1(int(rng.integers(2, 120))).toarray())
     n = int(rng.integers(2, 40))
     return np.ones((n, n)) - np.eye(n) if kind == "complete" else np.zeros((n, n))
 
@@ -238,6 +251,19 @@ class TestBandedSpectrum:
         assert sum(calls.values()) == 1
         if kind == "complete":
             assert calls["eigvalsh"] == 1
+        # a sparse adjacency gives the same weights and spectrum as the dense one
+        from_sparse = SpatialWeights.from_adjacency(scipy.sparse.csr_array(A),
+                                                    row_normalize=row_normalized)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(from_sparse.matrix, part), getattr(W.matrix, part))
+        assert from_sparse.spectrum.tobytes() == spectrum.tobytes()
+        # the CSR arithmetic rounds as the dense formulas A / sums and (s_i a) s_j do
+        sums = scipy.sparse.csr_array(A).sum(axis=1)
+        s = 1.0 / np.sqrt(sums) if row_normalized else np.ones(len(A))
+        if row_normalized:
+            assert np.array_equal(W.matrix.toarray(), A / sums[:, None])
+        S = (s[:, None] * A) * s[None, :]
+        assert np.array_equal(W.symmetric_form.toarray(), 0.5 * (S + S.T))
         # the banded solver on every graph, whatever its bandwidth
         fresh = SpatialWeights.from_adjacency(A, row_normalize=row_normalized)
         with _counting_solvers(_BAND_RATIO=0) as calls:
@@ -247,7 +273,7 @@ class TestBandedSpectrum:
 
     @pytest.mark.parametrize("row_normalized", [False, True])
     def test_chain75_is_bit_identical_to_dense(self, row_normalized):
-        A = build_chain_lag1(75)
+        A = build_chain_lag1(75).toarray()
         W = SpatialWeights.from_adjacency(A, row_normalize=row_normalized)
         with _counting_solvers() as calls:
             spectrum = W.spectrum
@@ -310,7 +336,8 @@ class TestBandedSpectrum:
         i, j = (int(k) for k in rng.choice(n, size=2, replace=False))
         # move A[i, j] by `scale` times the allclose tolerance of position (i, j)
         A[i, j] += scale * (1e-8 + 1e-5 * A[j, i])
-        assert (weights_module._symmetric_form(A, A, None) is not None) == np.allclose(A, A.T)
+        S = scipy.sparse.csr_array(A)
+        assert (weights_module._symmetric_form(S, S, None) is not None) == np.allclose(A, A.T)
 
 
 def test_moran_command_reads_no_spectrum(tmp_path):
