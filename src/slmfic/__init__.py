@@ -12,7 +12,6 @@ from .fic import (
     fic_score,
     fic_terms,
     m_matrix,
-    rank_models,
     submodel_info,
 )
 from .focus import FocusEval, FocusSpec, eval_focus, jacobian_fd, wide_beta_jacobian
@@ -56,6 +55,6 @@ from .slm import (
     score_vector,
 )
 from .submodels import SubmodelId, enumerate_submodels
-from .weights import SpatialWeights, build_chain_lag1, row_normalize
+from .weights import SpatialWeights, build_chain_lag1
 
 __version__ = "0.1.0"

@@ -113,7 +113,6 @@ def _cmd_fit(args) -> int:
         "beta": dict(zip(S.variable_names(data.names), fit.theta_hat.beta.tolist())),
         "loglik": fit.loglik,
         "aic": aic(fit),
-        "converged": fit.converged,
         "iterations": fit.iterations,
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)

@@ -10,7 +10,7 @@ ranked by ascending score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,20 +90,7 @@ def fic_terms(subsets, J, J_beta_wide: np.ndarray, info_wide: FisherInfo,
     return bias2, variance
 
 
-def fic_score(S: SubmodelId, bias2: float, variance: float, labels: tuple[str, ...] = ()) -> FicRow:
-    """The row of submodel S from its two terms of fic_terms; the score is their sum."""
-    return FicRow(S, labels, float(bias2), float(variance), float(bias2 + variance))
-
-
-def rank_models(rows: list[FicRow]) -> list[FicRow]:
-    """Assign ranks by ascending score; ties favor smaller models, then masks."""
-    if not rows:
-        raise ValueError("cannot rank an empty model list")
-    order = sorted(
-        range(len(rows)),
-        key=lambda i: (rows[i].score, len(rows[i].submodel), rows[i].submodel.mask),
-    )
-    ranked = list(rows)
-    for rank, i in enumerate(order, start=1):
-        ranked[i] = replace(rows[i], rank=rank)
-    return ranked
+def fic_score(S: SubmodelId, bias2: float, variance: float, labels: tuple[str, ...] = (),
+              rank: int = 0) -> FicRow:
+    """The ranked row of S from its two terms of fic_terms; the score is their sum."""
+    return FicRow(S, labels, float(bias2), float(variance), float(bias2 + variance), rank)

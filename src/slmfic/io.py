@@ -7,6 +7,7 @@ import json
 import types
 import typing
 from dataclasses import MISSING, asdict, fields, is_dataclass
+from io import StringIO
 
 import numpy as np
 import scipy.sparse
@@ -139,7 +140,7 @@ _REPORT_COLUMNS = ("rank", "label", "mask", "variables", "bias2", "variance", "s
 
 def report_rows_to_dicts(rows) -> list[dict]:
     out = []
-    for r in sorted(rows, key=lambda r: r.rank):
+    for r in rows:
         d = {
             "rank": r.rank,
             "label": r.submodel.label(),
@@ -156,17 +157,18 @@ def report_rows_to_dicts(rows) -> list[dict]:
 
 
 def write_report(rows, out_path: str | None, fmt: str = "json") -> str:
-    """Serialize a ranked FIC/sAFIC table; returns the text written."""
+    """Serialize a FIC/sAFIC table, rows in the order given (rank order from
+    a sweep); returns the text written.  CSV cells are quoted where needed."""
     dicts = report_rows_to_dicts(rows)
     if fmt == "json":
         text = json.dumps(dicts, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
         cols = list(_REPORT_COLUMNS) + (["scheme"] if dicts and "scheme" in dicts[0] else [])
-        lines = [",".join(cols)]
-        for d in dicts:
-            row = dict(d, variables="+".join(d["variables"]))
-            lines.append(",".join(str(row[c]) for c in cols))
-        text = "\n".join(lines) + "\n"
+        buf = StringIO()
+        writer = csv.DictWriter(buf, cols, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(dict(d, variables="+".join(d["variables"])) for d in dicts)
+        text = buf.getvalue()
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if out_path:

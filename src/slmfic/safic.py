@@ -48,17 +48,26 @@ def psi_uniform(n: int) -> PsiWeights:
     return PsiWeights(np.full(n, 1.0 / n), scheme="uniform")
 
 
+def check_kernel(z0, h: float | None, p: int, where: str = "") -> None:
+    """Raise ConfigError, its message led by where, unless the bandwidth h is
+    finite and positive (None, the median-distance default, needs p > 0) and
+    the center z0, if given, holds p finite numbers."""
+    if h is None and p == 0:
+        raise ConfigError(f"{where}the median-distance bandwidth is 0 for p=0; supply a bandwidth")
+    if h is not None and not (np.isfinite(h) and h > 0):
+        raise ConfigError(f"{where}bandwidth must be finite and positive, got {h}")
+    if z0 is not None and len(z0) != p:
+        raise ConfigError(f"{where}kernel center has {len(z0)} entries, X has {p} columns")
+    if z0 is not None and not np.all(np.isfinite(z0)):
+        raise ConfigError(f"{where}kernel center must be finite, got {np.asarray(z0).tolist()}")
+
+
 def psi_kernel(X: np.ndarray, z0: np.ndarray, h: float) -> PsiWeights:
     """Gaussian-kernel weights centered at covariate level z0, renormalized to sum 1."""
-    if not h > 0:
-        raise ConfigError(f"bandwidth must be positive, got {h}")
     X = np.asarray(X, dtype=float)
     z0 = np.asarray(z0, dtype=float).reshape(-1)
-    if z0.shape[0] != X.shape[1]:
-        raise ConfigError(f"kernel center has {z0.shape[0]} entries, X has {X.shape[1]} columns")
-    if not np.all(np.isfinite(z0)):
-        raise ConfigError(f"kernel center must be finite, got {z0.tolist()}")
     p = X.shape[1]
+    check_kernel(z0, h, p)
     d2 = np.sum((X - z0[None, :]) ** 2, axis=1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         raw = (2.0 * np.pi) ** (-p / 2.0) * np.exp(-0.5 * d2 / (h * h))
@@ -188,6 +197,6 @@ def safic_terms(subsets, delta: np.ndarray, blocks: RhoBetaBlocks,
 
 
 def safic_score(S: SubmodelId, bias2: float, penalty: float, labels: tuple[str, ...] = (),
-                scheme: str = "uniform") -> FicRow:
-    """The row of submodel S from its two terms of safic_terms; the score is their sum."""
-    return FicRow(S, labels, float(bias2), float(penalty), float(bias2 + penalty), scheme=scheme)
+                scheme: str = "uniform", rank: int = 0) -> FicRow:
+    """The ranked row of S from its two terms of safic_terms; the score is their sum."""
+    return FicRow(S, labels, float(bias2), float(penalty), float(bias2 + penalty), rank, scheme)

@@ -20,10 +20,11 @@ import scipy.sparse.linalg
 
 from .diagnostics import aic
 from .errors import ConfigError, NumericalError, ReplicationFailureError
-from .fic import FicRow, delta_hat, fic_score, fic_terms, rank_models
+from .fic import FicRow, delta_hat, fic_score, fic_terms
 from .focus import FocusSpec, depends_on_theta, eval_focus
 from .safic import (
     PsiWeights,
+    check_kernel,
     k_empirical,
     median_bandwidth,
     psi_kernel,
@@ -116,6 +117,8 @@ class SimConfig:
             if focus and any(j >= self.p for j in focus.coeff_subset or ()):
                 raise ConfigError(f"criterion {c.name!r}: coeff_subset {list(focus.coeff_subset)} "
                                   f"out of range for p={self.p}")
+            if c.kind == "safic" and c.scheme == "kernel":
+                check_kernel(c.z0, c.bandwidth, self.p, f"criterion {c.name!r}: ")
 
 
 def build_weights(cfg: SimConfig) -> SpatialWeights:
@@ -156,10 +159,7 @@ def _score_one_rep(cfg: SimConfig, rep: int, W: SpatialWeights):
     """
     data = generate_dataset(cfg, rep, W)
     tables, fits = _sweep(data, cfg.criteria, fit_all=cfg.track_realized_error)
-    rankings = {
-        name: [r.submodel.mask for r in sorted(rows, key=lambda r: r.rank)]
-        for name, rows in tables.items()
-    }
+    rankings = {name: [r.submodel.mask for r in rows] for name, rows in tables.items()}
     realized: dict[int, float] = {}
     if cfg.track_realized_error:
         focus = next(c.focus for c in cfg.criteria if c.kind == "fic")
@@ -282,13 +282,14 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
     evaluated once at the wide fit, and a subset's Jacobian is the
     (rho, sigma^2, beta_S) columns of that evaluation unless the focus depends
     on theta.  delta_hat and the labels are computed once.  fic_terms and
-    safic_terms score all subsets with one stacked solve per subset size;
-    fic_score and safic_score build each row from its two terms.  AIC rows are
+    safic_terms score all subsets with one stacked solve per subset size; each
+    score array is ranked once (_rank_order), and fic_score and safic_score
+    build each row from its terms and its rank, in rank order.  AIC rows are
     FicRows whose score is the AIC (bias2 and variance are NaN).  Each distinct
     warning of the focus evaluations is issued once, as a RuntimeWarning.
 
-    Returns ({criterion name: rows ranked by rank_models}, {mask: fit}), the
-    fits in ascending mask order.
+    Returns ({criterion name: rows in rank order}, {mask: fit}), the fits in
+    ascending mask order.
     """
     submodels = enumerate_submodels(data.p)
     fit_all = fit_all or any(
@@ -298,11 +299,13 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
     fit_wide = fits[submodels[-1].mask] = fit_mle(data, submodels[-1])
     D_n = delta_hat(fit_wide)
     labels = [S.variable_names(data.names) for S in submodels]
+    sizes = [len(S) for S in submodels]
     blocks, tables, messages = None, {}, {}
     for crit in criteria:
         if crit.kind == "aic":
-            rows = [FicRow(S, lab, np.nan, np.nan, aic(fits[S.mask]))
-                    for S, lab in zip(submodels, labels)]
+            score = np.array([aic(fits[S.mask]) for S in submodels])
+            rows = [FicRow(submodels[i], labels[i], np.nan, np.nan, float(score[i]), rank)
+                    for rank, i in enumerate(_rank_order(score, sizes), start=1)]
         elif crit.kind == "fic":
             theta_dependent = depends_on_theta(crit.focus)
             evals = [eval_focus(crit.focus, fits[S.mask].theta_hat, data, S,
@@ -311,28 +314,35 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
             J_wide = evals[-1].jacobian
             J = [ev.jacobian for ev in evals] if theta_dependent else J_wide
             messages.update(dict.fromkeys(msg for ev in evals for msg in ev.warnings))
-            terms = fic_terms(submodels, J, J_wide[:, 2:], fit_wide.info, D_n)
-            rows = [fic_score(S, b, v, lab) for S, lab, b, v in zip(submodels, labels, *terms)]
+            bias2, variance = fic_terms(submodels, J, J_wide[:, 2:], fit_wide.info, D_n)
+            rows = [fic_score(submodels[i], bias2[i], variance[i], labels[i], rank)
+                    for rank, i in enumerate(_rank_order(bias2 + variance, sizes), start=1)]
         else:  # safic
             if blocks is None:
                 blocks = rho_beta_blocks(fit_wide.info)
             psi = _psi(crit, data)
-            terms = safic_terms(submodels, D_n, blocks, k_empirical(blocks, data, psi))
-            rows = [safic_score(S, b, v, lab, psi.scheme)
-                    for S, lab, b, v in zip(submodels, labels, *terms)]
-        tables[crit.name] = rank_models(rows)
+            bias2, penalty = safic_terms(submodels, D_n, blocks, k_empirical(blocks, data, psi))
+            rows = [safic_score(submodels[i], bias2[i], penalty[i], labels[i], psi.scheme, rank)
+                    for rank, i in enumerate(_rank_order(bias2 + penalty, sizes), start=1)]
+        tables[crit.name] = rows
     for msg in messages:
         warnings.warn(msg, RuntimeWarning)
     return tables, fits
 
 
+def _rank_order(score: np.ndarray, sizes) -> list[int]:
+    """A sweep's subset indices (= masks) in rank order: ascending score, then
+    fewer covariates, then the smaller mask; NaN scores last, in that order."""
+    return np.lexsort((np.arange(len(sizes)), sizes, score)).tolist()
+
+
 def fic_table(spec: FocusSpec, data: Dataset):
-    """Exhaustive FIC sweep on a dataset, ranked."""
+    """Exhaustive FIC sweep on a dataset: every subset's row, in rank order."""
     crit = CriterionSpec(kind="fic", name="FIC", focus=spec)
     return _sweep(data, (crit,))[0][crit.name]
 
 
 def safic_table(data: Dataset, scheme: str = "uniform", z0=None, bandwidth=None):
-    """Exhaustive sAFIC sweep on a dataset, ranked."""
+    """Exhaustive sAFIC sweep on a dataset: every subset's row, in rank order."""
     crit = CriterionSpec(kind="safic", name="sAFIC", scheme=scheme, z0=z0, bandwidth=bandwidth)
     return _sweep(data, (crit,))[0][crit.name]

@@ -164,7 +164,6 @@ class FitResult:
     loglik: float
     info: FisherInfo | None
     submodel: SubmodelId
-    converged: bool
     iterations: int
 
 
@@ -307,7 +306,7 @@ def fit_subsets(data: Dataset, subsets) -> dict[int, FitResult]:
         s2 = _sigma2(gram, rho, data.n, chunk)
         for S, r, v, ll, coef, k in zip(chunk, rho, s2, _loglik(data, s2, rho), coefs, steps):
             theta = Theta(float(r), float(v), coef[:, 0] - r * coef[:, 1])
-            fits[S.mask] = FitResult(theta, float(ll), None, S, converged=True, iterations=int(k))
+            fits[S.mask] = FitResult(theta, float(ll), None, S, iterations=int(k))
     return fits
 
 

@@ -265,8 +265,3 @@ class SpatialWeights:
         self.require_rho(rho)
         g = self.spectrum / (1.0 - np.multiply.outer(rho, self.spectrum))
         return -np.sum(g**order, axis=-1) if np.ndim(rho) else float(-np.sum(g**order))
-
-
-def row_normalize(A) -> SpatialWeights:
-    """Row-normalize an adjacency matrix into stochastic spatial weights."""
-    return SpatialWeights.from_adjacency(A, row_normalize=True)

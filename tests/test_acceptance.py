@@ -31,7 +31,6 @@ from slmfic import (
     pointwise_risk,
     psi_uniform,
     rho_beta_blocks,
-    row_normalize,
     safic_terms,
     score_vector,
 )
@@ -188,7 +187,8 @@ class TestCriterion4:
         worst_logdet = 0.0
         for _ in range(100):
             n = int(rng.integers(4, 25))
-            W = row_normalize(random_symmetric_adjacency(rng, n))
+            A = random_symmetric_adjacency(rng, n)
+            W = SpatialWeights.from_adjacency(A, row_normalize=True)
             lo, hi = W.rho_interval
             rho = rng.uniform(lo + 1e-3, hi - 1e-3)
             worst_logdet = max(

@@ -9,7 +9,6 @@ from slmfic import (
     build_chain_lag1,
     fit_mle,
     morans_i,
-    row_normalize,
 )
 from slmfic.errors import ZeroVarianceError
 
@@ -27,7 +26,7 @@ class TestMoran:
 
     def test_alternating_chain_is_minus_one(self):
         # perfect negative autocorrelation: every neighbor average is -x_i
-        W = row_normalize(build_chain_lag1(10))
+        W = SpatialWeights.from_adjacency(build_chain_lag1(10), row_normalize=True)
         x = np.array([1.0, -1.0] * 5)
         res = morans_i(x, W)
         assert res.I == pytest.approx(-1.0, abs=1e-12)
@@ -66,7 +65,7 @@ class TestMoran:
         A = random_symmetric_adjacency(rng, 40, density=0.1) * (U + U.T)
         if kind == "directed":  # not symmetric, spectrum all zero
             A = np.triu(A, k=1)
-        W = row_normalize(A) if kind == "row_normalized" else SpatialWeights.from_adjacency(A)
+        W = SpatialWeights.from_adjacency(A, row_normalize=kind == "row_normalized")
         x = rng.standard_normal(40)
         res = morans_i(x, W)
         w, n = W.matrix, 40

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from slmfic import (
-    FicRow,
     FocusSpec,
     SubmodelId,
     Theta,
@@ -10,15 +9,16 @@ from slmfic import (
     enumerate_submodels,
     eval_focus,
     fic_score,
+    fic_table,
     fic_terms,
     fit_mle,
     fit_subsets,
     m_matrix,
-    rank_models,
     submodel_info,
     wide_beta_jacobian,
 )
 from slmfic.errors import SweepTooLargeError
+from slmfic.simulate import _rank_order
 
 from conftest import random_dataset, random_info
 
@@ -193,10 +193,12 @@ class TestScoreSweep:
         for S in enumerate_submodels(3):
             fit_S = fit_mle(data, S, with_info=False)
             rows.append(_row(data, spec, S, fit_S, fit_w))
-        ranked = rank_models(rows)
-        assert sorted(r.rank for r in ranked) == list(range(1, 9))
-        best = min(ranked, key=lambda r: r.rank)
-        assert best.score == min(r.score for r in ranked)
+        oracle = {r.submodel.mask: r.score for r in rows}
+        table = fic_table(spec, data)
+        assert [r.rank for r in table] == list(range(1, 9))
+        assert [r.score for r in table] == pytest.approx([oracle[r.submodel.mask] for r in table],
+                                                         rel=1e-10)
+        assert table[0].score == pytest.approx(min(oracle.values()), rel=1e-10)
 
     @pytest.mark.parametrize(
         "spec",
@@ -309,43 +311,44 @@ class TestStackedTerms:
 from hypothesis import given
 from hypothesis import strategies as st
 
+SIZES4 = [len(S) for S in enumerate_submodels(4)]
 
-@given(
-    st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        min_size=1,
-        max_size=16,
-    )
-)
+
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                min_size=16, max_size=16))
 def test_ranking_is_a_permutation(scores):
-    rows = [
-        FicRow(SubmodelId(i % 16, 4), (), 0.0, s, s) for i, s in enumerate(scores)
-    ]
-    ranks = [r.rank for r in rank_models(rows)]
-    assert sorted(ranks) == list(range(1, len(scores) + 1))
+    assert sorted(_rank_order(np.array(scores), SIZES4)) == list(range(16))
+
+
+@given(st.lists(st.one_of(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 2.5, np.inf]),
+                          st.floats(allow_nan=False)), min_size=16, max_size=16))
+def test_ranking_breaks_ties_by_size_then_mask(scores):
+    assert _rank_order(np.array(scores), SIZES4) == sorted(
+        range(16), key=lambda m: (scores[m], SIZES4[m], m))
+
+
+@given(st.lists(st.one_of(st.just(np.nan), st.sampled_from([-1.0, 0.0, 2.5]),
+                          st.floats(allow_nan=False)), min_size=16, max_size=16))
+def test_nan_scores_rank_last(scores):
+    """NaN scores follow every number, in the tie order among themselves."""
+    nan = [m for m in range(16) if np.isnan(scores[m])]
+    numbers = [m for m in range(16) if not np.isnan(scores[m])]
+    order = _rank_order(np.array(scores), SIZES4)
+    assert order[:len(numbers)] == sorted(numbers, key=lambda m: (scores[m], SIZES4[m], m))
+    assert order[len(numbers):] == sorted(nan, key=lambda m: (SIZES4[m], m))
 
 
 class TestRanking:
-    def _row(self, mask, p, score):
-        S = SubmodelId(mask, p)
-        return FicRow(S, S.variable_names(None), 0.0, score, score)
+    """_rank_order on the four subsets of p = 2, whose index is their mask."""
+
+    def order(self, *scores):
+        return _rank_order(np.array(scores), [0, 1, 1, 2])
 
     def test_ascending(self):
-        rows = [self._row(0, 2, 3.0), self._row(1, 2, 1.0), self._row(2, 2, 2.0)]
-        assert [r.rank for r in rank_models(rows)] == [3, 1, 2]
+        assert self.order(3.0, 1.0, 2.0, 4.0) == [1, 2, 0, 3]
 
     def test_tie_prefers_smaller_model(self):
-        rows = [self._row(3, 2, 1.0), self._row(1, 2, 1.0)]
-        ranked = rank_models(rows)
-        assert ranked[1].rank == 1  # single variable beats both
-        assert ranked[0].rank == 2
+        assert self.order(5.0, 1.0, 5.0, 1.0) == [1, 3, 0, 2]  # {x1} beats {x1, x2}, S1 beats {x2}
 
     def test_tie_then_mask(self):
-        rows = [self._row(2, 2, 1.0), self._row(1, 2, 1.0)]
-        ranked = rank_models(rows)
-        assert ranked[1].rank == 1
-        assert ranked[0].rank == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            rank_models([])
+        assert self.order(5.0, 1.0, 1.0, 5.0) == [1, 2, 0, 3]

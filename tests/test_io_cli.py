@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import tracemalloc
 
@@ -205,9 +207,8 @@ class TestCli:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert set(payload) == {"submodel", "variables", "rho", "sigma2", "beta", "loglik",
-                                "aic", "converged", "iterations"}
+                                "aic", "iterations"}
         assert set(payload["beta"]) == {"a", "b"}
-        assert payload["converged"]
 
     def test_fit_subset(self, small_files, tmp_path):
         data_path, weights_path = small_files
@@ -241,6 +242,21 @@ class TestCli:
         assert rc == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 5  # header + 4 submodels
+
+    def test_csv_report_quotes_names_with_commas_and_quotes(self, small_files, tmp_path, capsys):
+        """Covariate names that a quoted CSV header allows come back whole."""
+        data_path, weights_path = small_files
+        text = open(data_path).read().replace("y,a,b", 'y,"a,b","q""x"', 1)
+        data_path = write_csv(tmp_path / "quoted.csv", text)
+        rc = main(["safic", "--data", data_path, "--weights", weights_path, "--response", "y",
+                   "--row-normalize", "--format", "csv"])
+        assert rc == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header == ["rank", "label", "mask", "variables", "bias2", "variance", "score",
+                          "scheme"]
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[3] for row in sorted(rows, key=lambda row: int(row[2]))] == [
+            "", "a,b", 'q"x', 'a,b+q"x']
 
     def test_safic_kernel(self, small_files, tmp_path):
         data_path, weights_path = small_files
@@ -531,8 +547,8 @@ class TestFailureContract:
         [
             (["--z0", "a,b"], "--z0 'a,b': could not convert string to float: 'a'"),
             (["--z0", "1,2,3"], "kernel center has 3 entries, X has 2 columns"),
-            (["--bandwidth", "-1"], "bandwidth must be positive, got -1.0"),
-            (["--bandwidth", "0"], "bandwidth must be positive, got 0.0"),
+            (["--bandwidth", "-1"], "bandwidth must be finite and positive, got -1.0"),
+            (["--bandwidth", "0"], "bandwidth must be finite and positive, got 0.0"),
         ],
         ids=["z0-not-a-number", "z0-wrong-length", "negative-bandwidth", "zero-bandwidth"],
     )
@@ -557,9 +573,18 @@ class TestFailureContract:
         "changes, named",
         [
             ({"criteria": [{"kind": "safic", "name": "K", "scheme": "kernel", "z0": [1.0]}]},
-             "kernel center has 1 entries, X has 2 columns"),
+             "criterion 'K': kernel center has 1 entries, X has 2 columns"),
             ({"criteria": [{"kind": "safic", "name": "K", "scheme": "kernel", "bandwidth": 0.0}]},
-             "bandwidth must be positive, got 0.0"),
+             "criterion 'K': bandwidth must be finite and positive, got 0.0"),
+            ({"criteria": [{"kind": "safic", "name": "K", "scheme": "kernel",
+                            "bandwidth": float("inf")}]},
+             "criterion 'K': bandwidth must be finite and positive, got inf"),
+            ({"criteria": [{"kind": "safic", "name": "K", "scheme": "kernel",
+                            "z0": [0.0, float("nan")]}]},
+             "criterion 'K': kernel center must be finite, got [0.0, nan]"),
+            ({"p": 0, "beta_true": [], "criteria": [{"kind": "safic", "name": "K",
+                                                     "scheme": "kernel"}]},
+             "criterion 'K': the median-distance bandwidth is 0 for p=0; supply a bandwidth"),
             ({"criteria": [{"kind": "fic", "name": "B",
                             "focus": {"kind": "beta_coeffs", "coeff_subset": [5]}}]},
              "criterion 'B': coeff_subset [5] out of range for p=2"),
@@ -576,7 +601,8 @@ class TestFailureContract:
             ({"beta_true": [float("inf"), 0.0]}, "beta_true [inf, 0.0] has a non-finite entry"),
             ({"seed": -1}, "seed must be non-negative, got -1"),
         ],
-        ids=["z0-wrong-length", "zero-bandwidth", "coeff-subset-5", "coeff-subset-negative",
+        ids=["z0-wrong-length", "zero-bandwidth", "infinite-bandwidth", "nan-z0",
+             "p0-kernel-without-bandwidth", "coeff-subset-5", "coeff-subset-negative",
              "fewer-rows-than-columns", "p21", "duplicate-names", "nan-sigma2", "infinite-beta",
              "negative-seed"],
     )

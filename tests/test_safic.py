@@ -60,8 +60,8 @@ class TestPsi:
 
     def test_kernel_bandwidth_checked(self):
         X = np.array([[0.0], [1.0]])
-        for h in (0.0, -1.0, np.nan):
-            with pytest.raises(ConfigError, match="bandwidth must be positive"):
+        for h in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="bandwidth must be finite and positive"):
                 psi_kernel(X, z0=[0.0], h=h)
         with pytest.raises(ConfigError, match="kernel center has 2 entries"):
             psi_kernel(X, z0=[0.0, 0.0], h=1.0)

@@ -81,6 +81,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"criterion 'B': coeff_subset \[0, 3\] out of range"):
             small_config(criteria=(crit,))
 
+    @pytest.mark.parametrize(
+        "p, kernel, message",
+        [
+            (3, dict(z0=(0.0, 1.0)), "kernel center has 2 entries, X has 3 columns"),
+            (3, dict(z0=(0.0, np.inf, 1.0)),
+             r"kernel center must be finite, got \[0.0, inf, 1.0\]"),
+            (3, dict(bandwidth=0.0), "bandwidth must be finite and positive, got 0.0"),
+            (3, dict(bandwidth=-1.0), "bandwidth must be finite and positive, got -1.0"),
+            (3, dict(bandwidth=np.inf), "bandwidth must be finite and positive, got inf"),
+            (3, dict(bandwidth=np.nan), "bandwidth must be finite and positive, got nan"),
+            (0, {}, "the median-distance bandwidth is 0 for p=0; supply a bandwidth"),
+        ],
+        ids=["z0-length", "z0-inf", "h-zero", "h-negative", "h-inf", "h-nan", "p0-no-h"],
+    )
+    def test_kernel_criterion_checked_before_the_study(self, p, kernel, message):
+        crit = CriterionSpec("safic", "K", scheme="kernel", **kernel)
+        with pytest.raises(ConfigError, match=rf"^criterion 'K': {message}$"):
+            small_config(p=p, beta_true=(0.0,) * p, criteria=(crit,))
+
+    def test_kernel_criterion_at_p0_with_a_bandwidth_runs(self):
+        crit = CriterionSpec("safic", "K", scheme="kernel", z0=(), bandwidth=1.0)
+        report = monte_carlo(small_config(p=0, beta_true=(), criteria=(crit,)))
+        assert report.failures == [] and report.top1_counts == {"K": {0: 3}}
+
 
 class TestGeneration:
     def test_same_seed_rep_bit_identical(self):
@@ -201,7 +225,7 @@ class TestMonteCarlo:
 
 
 def ranked_masks(rows):
-    return [r.submodel.mask for r in sorted(rows, key=lambda r: r.rank)]
+    return [r.submodel.mask for r in rows]
 
 
 class TestSweepEngine:
@@ -358,6 +382,15 @@ class TestBatchedScoring:
         tables, _ = simulate._sweep(data, ALL_KINDS)
         assert calls == {"fic_score": 4 * 2**4, "safic_score": 2 * 2**4}
         assert all(len(rows) == 2**4 for rows in tables.values())
+
+    def test_every_table_is_built_in_rank_order(self):
+        data = random_dataset(np.random.default_rng(10), n=30, p=4)
+        tables, _ = simulate._sweep(data, ALL_KINDS)
+        assert list(tables) == [c.name for c in ALL_KINDS]
+        for rows in tables.values():
+            assert [r.rank for r in rows] == list(range(1, 2**4 + 1))
+            tie_order = sorted(rows, key=lambda r: (r.score, len(r.submodel), r.submodel.mask))
+            assert ranked_masks(rows) == ranked_masks(tie_order)
 
     @pytest.mark.parametrize("name, kind", [("fic_score", "fic"), ("safic_score", "safic")])
     def test_a_corrupted_row_builder_reaches_the_table(self, monkeypatch, name, kind):

@@ -231,7 +231,7 @@ class TestFit:
     def test_narrow_model_fits(self, rng):
         data = random_dataset(rng)
         fit = fit_mle(data, SubmodelId.narrow(data.p), with_info=False)
-        assert fit.converged
+        assert np.isfinite(fit.loglik)
         assert fit.theta_hat.beta.size == 0
 
     def test_monotone_nesting(self, rng):

@@ -8,7 +8,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slmfic import SimConfig, SpatialWeights, build_chain_lag1, cli, monte_carlo, row_normalize, simulate
+from slmfic import SimConfig, SpatialWeights, build_chain_lag1, cli, monte_carlo, simulate
 from slmfic import weights as weights_module
 from slmfic.io import run_report_to_json
 from slmfic.errors import (
@@ -43,14 +43,14 @@ class TestChain:
 
 class TestRowNormalize:
     def test_three_chain_rows(self):
-        W = row_normalize(build_chain_lag1(3))
+        W = SpatialWeights.from_adjacency(build_chain_lag1(3), row_normalize=True)
         assert W.matrix.toarray().tolist() == [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]]
         assert W.row_normalized
         assert W.rho_interval == (-1.0, 1.0)
 
     def test_two_cycle_unchanged(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        W = row_normalize(A)
+        W = SpatialWeights.from_adjacency(A, row_normalize=True)
         assert np.array_equal(W.matrix.toarray(), A)
 
     def test_sparse_input_with_duplicates_and_explicit_zeros(self):
@@ -59,8 +59,9 @@ class TestRowNormalize:
         A = scipy.sparse.csr_array((np.array([0.5, 0.5, 0.0, 1.0, 1.0, 1.0]),
                                     np.array([1, 1, 2, 2, 0, 1]), np.array([0, 3, 5, 6])),
                                    shape=(3, 3))
-        W = row_normalize(A)
-        expected = row_normalize(build_chain_lag1(3).toarray()).matrix
+        W = SpatialWeights.from_adjacency(A, row_normalize=True)
+        expected = SpatialWeights.from_adjacency(build_chain_lag1(3).toarray(),
+                                                 row_normalize=True).matrix
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(W.matrix, part), getattr(expected, part))
         assert A.nnz == 6  # the caller's array is left as it was
@@ -68,12 +69,12 @@ class TestRowNormalize:
     def test_isolated_unit_named(self):
         A = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(IsolatedUnitError) as exc:
-            row_normalize(A)
+            SpatialWeights.from_adjacency(A, row_normalize=True)
         assert exc.value.index == 2
 
     def test_diagonal_stays_zero(self, rng):
         A = random_symmetric_adjacency(rng, 12)
-        W = row_normalize(A)
+        W = SpatialWeights.from_adjacency(A, row_normalize=True)
         assert np.all(np.diag(W.matrix.toarray()) == 0)
 
     def test_nonzero_diagonal_rejected(self):
@@ -91,7 +92,7 @@ class TestRowNormalize:
 
 class TestSpectrum:
     def test_three_chain_spectrum(self):
-        W = row_normalize(build_chain_lag1(3))
+        W = SpatialWeights.from_adjacency(build_chain_lag1(3), row_normalize=True)
         assert np.allclose(W.spectrum, [-1.0, 0.0, 1.0], atol=1e-12)
 
     def test_zero_matrix(self):
@@ -112,7 +113,8 @@ class TestSpectrum:
 
     def test_row_normalized_bounded(self, rng):
         for _ in range(10):
-            W = row_normalize(random_symmetric_adjacency(rng, 15))
+            A = random_symmetric_adjacency(rng, 15)
+            W = SpatialWeights.from_adjacency(A, row_normalize=True)
             assert np.max(np.abs(W.spectrum)) <= 1 + 1e-10
             lo, hi = W.rho_interval
             assert lo < 0 < hi
@@ -125,21 +127,21 @@ def test_row_sums_are_one(n, seed):
     from conftest import random_symmetric_adjacency
 
     A = random_symmetric_adjacency(np.random.default_rng(seed), n)
-    W = row_normalize(A)
+    W = SpatialWeights.from_adjacency(A, row_normalize=True)
     assert np.allclose(W.matrix.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestLogDet:
     def test_identity_at_zero(self, rng):
-        W = row_normalize(random_symmetric_adjacency(rng, 8))
+        W = SpatialWeights.from_adjacency(random_symmetric_adjacency(rng, 8), row_normalize=True)
         assert W.log_det_factor(0.0) == 0.0
 
     def test_three_chain_half(self):
-        W = row_normalize(build_chain_lag1(3))
+        W = SpatialWeights.from_adjacency(build_chain_lag1(3), row_normalize=True)
         assert W.log_det_factor(0.5) == pytest.approx(np.log(0.75), abs=1e-12)
 
     def test_boundary_excluded(self):
-        W = row_normalize(build_chain_lag1(4))
+        W = SpatialWeights.from_adjacency(build_chain_lag1(4), row_normalize=True)
         with pytest.raises(RhoOutOfRangeError):
             W.log_det_factor(1.0)
 
@@ -147,7 +149,8 @@ class TestLogDet:
         # spectrum product vs LU pivots on 100 random (W, rho) pairs
         for _ in range(100):
             n = int(rng.integers(4, 20))
-            W = row_normalize(random_symmetric_adjacency(rng, n))
+            A = random_symmetric_adjacency(rng, n)
+            W = SpatialWeights.from_adjacency(A, row_normalize=True)
             lo, hi = W.rho_interval
             rho = rng.uniform(lo + 1e-3, hi - 1e-3)
             assert W.log_det_factor(rho, backend="spectrum") == pytest.approx(
@@ -155,7 +158,7 @@ class TestLogDet:
             )
 
     def test_derivative_matches_fd(self, rng):
-        W = row_normalize(random_symmetric_adjacency(rng, 10))
+        W = SpatialWeights.from_adjacency(random_symmetric_adjacency(rng, 10), row_normalize=True)
         rho, h = 0.3, 1e-6
         fd = (W.log_det_factor(rho + h) - W.log_det_factor(rho - h)) / (2 * h)
         assert W.log_det_rho_derivative(rho) == pytest.approx(fd, abs=1e-6)
@@ -281,7 +284,7 @@ class TestBandedSpectrum:
         assert spectrum.tobytes() == _dense_oracle(A, row_normalized).tobytes()
 
     def test_read_once_and_cached(self):
-        W = row_normalize(_rook_lattice(4))
+        W = SpatialWeights.from_adjacency(_rook_lattice(4), row_normalize=True)
         first = W.spectrum
         with _counting_solvers() as calls:
             again = W.spectrum
@@ -296,7 +299,7 @@ class TestBandedSpectrum:
 
     def test_symmetric_row_normalized_weights_from_non_symmetric_adjacency(self):
         # D^-1 A is symmetric although A is not: W itself is the symmetric form
-        W = row_normalize(np.array([[0.0, 2.0], [1.0, 0.0]]))
+        W = SpatialWeights.from_adjacency(np.array([[0.0, 2.0], [1.0, 0.0]]), row_normalize=True)
         assert W.symmetric_form is not None
         assert np.allclose(W.spectrum, [-1.0, 1.0], atol=1e-15)
 
