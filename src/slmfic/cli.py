@@ -10,7 +10,7 @@ import sys
 from .diagnostics import aic, morans_i
 from .errors import InputError, NumericalError
 from .focus import FocusSpec
-from .io import config_from_json, load_dataset, run_report_to_json, write_report
+from .io import config_from_json, json_text, load_dataset, run_report_to_json, write_report
 from .simulate import fic_table, monte_carlo, safic_table
 from .slm import fit_mle
 from .submodels import SubmodelId
@@ -30,14 +30,15 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def _add_data_args(p: argparse.ArgumentParser):
+def _add_data_args(p: argparse.ArgumentParser, table: bool = False):
     p.add_argument("--data", required=True, help="CSV table with a header row")
     p.add_argument("--weights", required=True, help="dense n x n CSV or i,j,w edge list")
     p.add_argument("--response", required=True, help="name of the response column")
     p.add_argument("--columns", help="comma-separated covariate columns (default: all others)")
     p.add_argument("--row-normalize", action="store_true")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    if table:  # a ranked table, as JSON or CSV
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,12 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--subset", help="comma-separated covariate names to include (default: all)")
 
     p_fic = sub.add_parser("fic", help="rank all submodels by the focused criterion")
-    _add_data_args(p_fic)
+    _add_data_args(p_fic, table=True)
     p_fic.add_argument("--focus", choices=tuple(_FOCUS_BY_FLAG), default="mean")
     p_fic.add_argument("--location", type=int, default=0, help="unit index for --focus mean")
 
     p_saf = sub.add_parser("safic", help="rank all submodels by the spatially averaged criterion")
-    _add_data_args(p_saf)
+    _add_data_args(p_saf, table=True)
     p_saf.add_argument("--scheme", choices=("uniform", "kernel"), default="uniform")
     p_saf.add_argument("--z0", help="comma-separated kernel center (default: row of --location)")
     p_saf.add_argument("--location", type=int, default=0)
@@ -88,7 +89,7 @@ def _dataset_from_args(args):
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -115,7 +116,7 @@ def _cmd_fit(args) -> int:
         "aic": aic(fit),
         "iterations": fit.iterations,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json_text(payload), args.out)
     return 0
 
 
@@ -167,7 +168,7 @@ def _cmd_moran(args) -> int:
         "z": res.z,
         "p_value": res.p_value,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json_text(payload), args.out)
     return 0
 
 

@@ -19,13 +19,41 @@ from .slm import Dataset
 from .weights import SpatialWeights
 
 
-def _read_text(path: str) -> str:
-    """The text of a file; bytes that do not decode raise DataFormatError naming it."""
+def _read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 file, endings kept and a leading byte-order mark
+    dropped; bytes that do not decode raise DataFormatError naming it."""
     try:
-        with open(path, newline="") as fh:
-            return fh.read()
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return fh.readlines()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _read_table(path: str) -> list[tuple[int, list[str]]]:
+    """The CSV records of a file that have a non-blank cell, each paired with
+    its 1-based line in the file (the header and blank lines counted)."""
+    reader = csv.reader(_read_lines(path))
+    return [(reader.line_num, cells) for cells in reader if "".join(cells).strip()]
+
+
+def _numbers(path: str, records, cols, names, kind=float) -> np.ndarray:
+    """The cells at columns cols of the (line, cells) records as one
+    len(records) x len(cols) array of kind.  The first missing or malformed
+    cell, in file order, raises DataFormatError naming its line and its
+    column, names[k] for cols[k]."""
+    try:
+        flat = [cells[c] for _, cells in records for c in cols]  # no per-record lists to collect
+        return np.array(flat, dtype=kind).reshape(len(records), len(cols))
+    except (IndexError, ValueError, OverflowError):
+        for line, cells in records:
+            for c, name in zip(cols, names):
+                cell = cells[c] if c < len(cells) else ""
+                try:
+                    np.array([cell], dtype=kind)
+                except (ValueError, OverflowError) as exc:
+                    reason = exc if cell.strip() else "missing value"
+                    raise DataFormatError(f"{path}: line {line}, column {name}: {reason}") from None
+        raise
 
 
 def load_weights(path: str, row_normalize: bool = False) -> SpatialWeights:
@@ -33,15 +61,17 @@ def load_weights(path: str, row_normalize: bool = False) -> SpatialWeights:
 
     Edge lists have a header row, zero-based indices and each pair i,j once.
     """
-    rows = list(csv.reader(_read_text(path).splitlines()))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if not rows:
+    records = _read_table(path)
+    if not records:
         raise DataFormatError(f"{path}: empty weights file")
-    header = [c.strip().lower() for c in rows[0]]
-    if header[:3] == ["i", "j", "w"]:
-        A = _parse_edge_list(path, rows[1:])
+    if [c.strip().lower() for c in records[0][1][:3]] == ["i", "j", "w"]:
+        A = _edge_list_matrix(path, records[1:])
     else:
-        A = _parse_dense(path, rows)
+        n = len(records)  # dense: the file holds all n^2 numbers anyway
+        for line, cells in records:
+            if len(cells) != n:
+                raise DataFormatError(f"{path}: line {line} has {len(cells)} columns, expected {n}")
+        A = _numbers(path, records, range(n), range(n))
     if np.any(A.diagonal() != 0):
         bad = int(np.flatnonzero(A.diagonal())[0])
         raise DataFormatError(
@@ -50,38 +80,23 @@ def load_weights(path: str, row_normalize: bool = False) -> SpatialWeights:
     return SpatialWeights.from_adjacency(A, row_normalize=row_normalize)
 
 
-def _parse_dense(path, rows):
-    n = len(rows)
-    A = np.empty((n, n))  # dense: the file holds all n^2 numbers anyway
-    for i, r in enumerate(rows):
-        if len(r) != n:
-            raise DataFormatError(f"{path}: row {i} has {len(r)} columns, expected {n}")
-        try:
-            A[i] = [float(c) for c in r]
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: row {i}: {exc}") from exc
-    return A
-
-
-def _parse_edge_list(path, rows):
-    values, first_line = [], {}  # first_line: (i, j) -> the line that gave it
-    for line_no, r in enumerate(rows, start=2):
-        if len(r) < 3:
-            raise DataFormatError(f"{path}: line {line_no}: expected i,j,w")
-        try:
-            i, j, w = int(r[0]), int(r[1]), float(r[2])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: line {line_no}: {exc}") from exc
-        if i < 0 or j < 0:
-            raise DataFormatError(f"{path}: line {line_no}: negative index")
-        if (i, j) in first_line:
-            raise DataFormatError(f"{path}: lines {first_line[i, j]} and {line_no} "
-                                  f"both give the edge {i},{j}")
-        first_line[i, j] = line_no
-        values.append(w)
-    ij = np.array(list(first_line), dtype=np.intp).reshape(-1, 2)
+def _edge_list_matrix(path: str, edges) -> scipy.sparse.csr_array:
+    """The sparse n x n matrix of the (line, [i, j, w]) records, n the largest
+    index plus one; a negative index or a repeated pair i,j names its line."""
+    ij = _numbers(path, edges, (0, 1), "ij", kind=int)
+    w = _numbers(path, edges, (2,), "w")[:, 0]
+    lines = [line for line, _ in edges]
+    negative = np.flatnonzero((ij < 0).any(axis=1))
+    if negative.size:
+        raise DataFormatError(f"{path}: line {lines[negative[0]]}: negative index")
     n = int(ij.max(initial=-1)) + 1
-    return scipy.sparse.csr_array((values, (ij[:, 0], ij[:, 1])), shape=(n, n))
+    _, first, pair = np.unique(ij[:, 0] * n + ij[:, 1], return_index=True, return_inverse=True)
+    repeated = np.flatnonzero(first[pair] != np.arange(len(edges)))
+    if repeated.size:
+        k = repeated[0]
+        raise DataFormatError(f"{path}: lines {lines[first[pair[k]]]} and {lines[k]} "
+                              f"both give the edge {ij[k, 0]},{ij[k, 1]}")
+    return scipy.sparse.csr_array((w, (ij[:, 0], ij[:, 1])), shape=(n, n))
 
 
 def load_dataset(
@@ -96,13 +111,10 @@ def load_dataset(
     The response column is named; the remaining numeric columns (or an
     explicit list) become the design matrix.
     """
-    reader = csv.reader(_read_text(data_path).splitlines())
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError(f"{data_path}: empty file") from None
-    header = [h.strip() for h in header]
-    table = list(reader)
+    records = _read_table(data_path)
+    if not records:
+        raise DataFormatError(f"{data_path}: empty file")
+    header = [h.strip() for h in records[0][1]]
     if response not in header:
         raise DataFormatError(f"{data_path}: no column named {response!r}")
     if columns is None:
@@ -111,31 +123,24 @@ def load_dataset(
     if missing:
         raise DataFormatError(f"{data_path}: missing columns {missing}")
     col_idx = {h: k for k, h in enumerate(header)}
-
-    def parse(row_no, row, name):
-        try:
-            return float(row[col_idx[name]])
-        except (ValueError, IndexError) as exc:
-            raise DataFormatError(
-                f"{data_path}: row {row_no}, column {name!r}: {exc}"
-            ) from exc
-
-    Y = np.array([parse(r + 2, row, response) for r, row in enumerate(table)])
-    X = np.array(
-        [[parse(r + 2, row, c) for c in columns] for r, row in enumerate(table)]
-    )
+    names = [response, *columns]
+    values = _numbers(data_path, records[1:], [col_idx[c] for c in names], names)
     W = load_weights(weights_path, row_normalize=row_normalize)
-    if len(Y) != W.n:
-        raise DataFormatError(
-            f"{data_path} has {len(Y)} rows but weights are {W.n} x {W.n}"
-        )
-    return Dataset(Y=Y, X=X, W=W, names=tuple(columns))
+    if len(values) != W.n:
+        raise DataFormatError(f"{data_path} has {len(values)} rows but weights are {W.n} x {W.n}")
+    return Dataset(Y=values[:, 0].copy(), X=values[:, 1:].copy(), W=W, names=tuple(columns))
 
 
 # ---------------------------------------------------------------------------
 # report emission
 
 _REPORT_COLUMNS = ("rank", "label", "mask", "variables", "bias2", "variance", "score")
+
+
+def json_text(value) -> str:
+    """The JSON text of every report: keys sorted, two-space indent, one
+    final newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def report_rows_to_dicts(rows) -> list[dict]:
@@ -161,7 +166,7 @@ def write_report(rows, out_path: str | None, fmt: str = "json") -> str:
     a sweep); returns the text written.  CSV cells are quoted where needed."""
     dicts = report_rows_to_dicts(rows)
     if fmt == "json":
-        text = json.dumps(dicts, indent=2, sort_keys=True) + "\n"
+        text = json_text(dicts)
     elif fmt == "csv":
         cols = list(_REPORT_COLUMNS) + (["scheme"] if dicts and "scheme" in dicts[0] else [])
         buf = StringIO()
@@ -172,7 +177,7 @@ def write_report(rows, out_path: str | None, fmt: str = "json") -> str:
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if out_path:
-        with open(out_path, "w") as fh:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
 
@@ -205,7 +210,7 @@ def run_report_to_json(report: RunReport, top_k: int = 5) -> str:
     }
     if report.realized_mse is not None:
         payload["realized_focus_mse"] = {str(k): v for k, v in report.realized_mse.items()}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def _config_to_dict(cfg: SimConfig) -> dict:
@@ -222,7 +227,7 @@ def config_from_json(path: str) -> SimConfig:
     A non-object where an object belongs, an unknown key, a missing required
     field or a value of the wrong JSON type raises ConfigError naming the file
     and the key."""
-    raw = _checked_fields(path, "the config", json.loads(_read_text(path)), SimConfig)
+    raw = _checked_fields(path, "the config", json.loads("".join(_read_lines(path))), SimConfig)
     criteria = raw.pop("criteria", None)
     if criteria is not None:
         raw["criteria"] = []

@@ -91,30 +91,25 @@ class RhoBetaBlocks:
     Q_inv = I_bb - I_br I_rb / I_rr and its inverse Q (read by pointwise_risk)."""
 
     I_rr: float
-    I_rb: np.ndarray  # 1 x p
     I_br: np.ndarray  # p x 1
-    I_bb: np.ndarray  # p x p
     Q: np.ndarray     # p x p
     Q_inv: np.ndarray  # p x p
 
     @property
     def p(self) -> int:
-        return self.I_bb.shape[0]
+        return self.Q.shape[0]
 
 
 def rho_beta_blocks(info_full: FisherInfo) -> RhoBetaBlocks:
     """Drop the sigma^2 row/column and invert the beta Schur complement."""
     I = info_full.matrix
-    p = I.shape[0] - 2
     I_rr = float(I[0, 0])
-    I_rb = I[0:1, 2:]
     I_br = I[2:, 0:1]
-    I_bb = I[2:, 2:]
-    schur = I_bb - (I_br @ I_rb) / I_rr
+    schur = I[2:, 2:] - (I_br @ I[0:1, 2:]) / I_rr
     _certify(schur, "beta Schur complement of the wide information")
     Q = np.linalg.inv(schur)
     Q = 0.5 * (Q + Q.T)
-    return RhoBetaBlocks(I_rr=I_rr, I_rb=I_rb, I_br=I_br, I_bb=I_bb, Q=Q, Q_inv=schur)
+    return RhoBetaBlocks(I_rr=I_rr, I_br=I_br, Q=Q, Q_inv=schur)
 
 
 def g_matrix(blocks: RhoBetaBlocks, S: SubmodelId) -> np.ndarray:

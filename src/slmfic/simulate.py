@@ -267,6 +267,7 @@ def _psi(crit: CriterionSpec, data: Dataset) -> PsiWeights:
     bandwidth unless one is given."""
     if crit.scheme == "uniform":
         return psi_uniform(data.n)
+    check_kernel(crit.z0, crit.bandwidth, data.p)
     z0 = np.asarray(crit.z0, dtype=float) if crit.z0 is not None else data.X[0]
     h = crit.bandwidth if crit.bandwidth is not None else median_bandwidth(data.X)
     return psi_kernel(data.X, z0, h)

@@ -43,9 +43,6 @@ class SubmodelId:
     def __len__(self) -> int:
         return bin(self.mask).count("1")
 
-    def __contains__(self, j: int) -> bool:
-        return bool(self.mask >> j & 1)
-
     @property
     def is_wide(self) -> bool:
         return self.mask == (1 << self.p) - 1

@@ -43,7 +43,7 @@ class TestSubmodels:
 
     def test_membership(self):
         S = SubmodelId.from_indices([1, 3], 5)
-        assert 1 in S and 3 in S and 0 not in S
+        assert S.indices() == (1, 3)
         assert len(S) == 2
 
 

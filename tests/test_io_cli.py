@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slmfic import SimConfig, cli, errors, monte_carlo, morans_i
+from slmfic import SimConfig, SpatialWeights, cli, errors, monte_carlo, morans_i
 from slmfic.cli import main
 from slmfic.errors import DataFormatError, InputError, NumericalError
 from slmfic.io import (
@@ -17,7 +19,7 @@ from slmfic.io import (
     write_report,
 )
 
-from conftest import random_dataset
+from conftest import random_dataset, random_symmetric_adjacency
 
 
 def write_csv(path, text):
@@ -66,7 +68,7 @@ class TestLoadWeights:
 
     def test_ragged_rows(self, tmp_path):
         path = write_csv(tmp_path / "w.csv", "0,1\n1,0,1\n")
-        with pytest.raises(DataFormatError, match="row 1"):
+        with pytest.raises(DataFormatError, match="line 2 has 3 columns, expected 2"):
             load_weights(path)
 
     def test_bad_edge_line(self, tmp_path):
@@ -105,6 +107,66 @@ class TestLoadWeights:
         assert peak < n * n * 8 / 4  # a quarter of one dense n x n matrix
 
 
+    def test_line_counts_blank_lines(self, tmp_path):
+        path = write_csv(tmp_path / "w.csv", "i,j,w\n\n0,1,1\n1,0,1\n1,2,x\n2,1,1\n")
+        with pytest.raises(DataFormatError, match="line 5, column w: could not convert"):
+            load_weights(path)
+
+    def test_negative_index_names_its_line(self, tmp_path):
+        path = write_csv(tmp_path / "w.csv", "i,j,w\n0,1,1\n\n1,-2,1\n")
+        with pytest.raises(DataFormatError, match="line 4: negative index"):
+            load_weights(path)
+
+    def test_float_index_rejected(self, tmp_path):
+        path = write_csv(tmp_path / "w.csv", "i,j,w\n0,1,1\n1.0,0,1\n")
+        with pytest.raises(DataFormatError, match=r"line 3, column i: invalid literal for int\(\)"):
+            load_weights(path)
+
+    def test_edge_list_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_bytes("\ufeffi,j,w\r\n0,1,1\r\n1,0,1\r\n".encode("utf-8"))
+        assert load_weights(str(path)).matrix.toarray().tolist() == [[0, 1], [1, 0]]
+
+
+class TestReader:
+    """Both weights formats of one adjacency load to the CSR arrays of
+    SpatialWeights.from_adjacency, whatever the file's blank lines, byte-order
+    mark and line endings, and a bad cell is named at its line in the file."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), bom=st.booleans(),
+           crlf=st.booleans())
+    def test_round_trip(self, tmp_path_factory, n, seed, bom, crlf):
+        rng = np.random.default_rng(seed)
+        scale = np.triu(rng.uniform(0.5, 2.0, (n, n)))
+        A = random_symmetric_adjacency(rng, n) * (scale + scale.T)
+        ref = SpatialWeights.from_adjacency(A).matrix
+        i, j = np.nonzero(A)
+        forms = {  # name: (column names, the file's lines)
+            "dense": (range(n), [",".join(map(repr, row)) for row in A.tolist()]),
+            "edges": ("ijw", ["i,j,w"] + [f"{i[k]},{j[k]},{A[i[k], j[k]].item()!r}"
+                                          for k in rng.permutation(len(i))]),
+        }
+        end = "\r\n" if crlf else "\n"
+        for name, (columns, lines) in forms.items():
+            for _ in range(rng.integers(4)):
+                lines.insert(int(rng.integers(len(lines) + 1)), str(rng.choice(["", "  ", ","])))
+            path = tmp_path_factory.mktemp(name) / "w.csv"
+            path.write_bytes(("\ufeff" * bom + end.join(lines) + end).encode("utf-8"))
+            W = load_weights(str(path)).matrix
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(W, part), getattr(ref, part))
+
+            numeric = [k for k, line in enumerate(lines) if line.strip(" ,")][name == "edges":]
+            k = numeric[rng.integers(len(numeric))]
+            cells = lines[k].split(",")
+            c = int(rng.integers(len(cells)))
+            lines[k] = ",".join(cells[:c] + ["x"] + cells[c + 1:])
+            path.write_bytes(("\ufeff" * bom + end.join(lines) + end).encode("utf-8"))
+            with pytest.raises(DataFormatError, match=f"line {k + 1}, column {columns[c]}: "):
+                load_weights(str(path))
+
+
 class TestLoadDataset:
     def test_roundtrip(self, small_files):
         data_path, weights_path = small_files
@@ -137,8 +199,23 @@ class TestLoadDataset:
         bad = write_csv(
             tmp_path / "bad.csv", "y,a,b\n" + "1,2,3\n1,oops,3\n" + "1,2,3\n" * 3
         )
-        with pytest.raises(DataFormatError, match="row 3"):
+        with pytest.raises(DataFormatError, match="line 3, column a: could not convert"):
             load_dataset(bad, weights_path, response="y")
+
+
+    def test_byte_order_mark(self, small_files, tmp_path):
+        data_path, weights_path = small_files
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + open(data_path, "rb").read())
+        assert load_dataset(str(bom), weights_path, response="y").names == ("a", "b")
+
+    def test_blank_lines_skipped(self, small_files, tmp_path):
+        data_path, weights_path = small_files
+        lines = open(data_path, encoding="utf-8").read().splitlines()
+        spaced = write_csv(tmp_path / "spaced.csv", "\n".join(lines[:3] + ["", " , ,"] + lines[3:]))
+        data = load_dataset(spaced, weights_path, response="y")
+        expected = load_dataset(data_path, weights_path, response="y")
+        assert np.array_equal(data.Y, expected.Y) and np.array_equal(data.X, expected.X)
 
 
 class TestReportSerialization:
@@ -475,6 +552,14 @@ class TestCli:
         )
         assert rc == 2
 
+    def test_kernel_safic_without_covariates_is_input_error(self, small_files, tmp_path, capsys):
+        data_path, weights_path = small_files
+        lines = open(data_path, encoding="utf-8").read().splitlines()
+        y_only = write_csv(tmp_path / "y.csv", "".join(ln.split(",")[0] + "\n" for ln in lines))
+        rc = main(["safic", "--data", y_only, "--weights", weights_path, "--response", "y",
+                   "--scheme", "kernel"])
+        _one_input_error(capsys, rc, "the median-distance bandwidth is 0 for p=0")
+
 
 # Exit code of every error class through cli.main: 1 for bad input, 2 for a
 # failed computation (StencilError, raised by the finite-difference oracle, too).
@@ -664,6 +749,13 @@ class TestFailureContract:
         assert main(["simulate", "--config", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["reps_completed"] == 2
+
+    @pytest.mark.parametrize("command", ["fit", "moran"])
+    def test_format_flag_only_on_reports(self, small_files, capsys, command):
+        data_path, weights_path = small_files
+        rc = main([command, "--data", data_path, "--weights", weights_path, "--response", "y",
+                   "--format", "csv"])
+        _one_input_error(capsys, rc, "unrecognized arguments: --format csv")
 
     def test_undecodable_file_is_input_error(self, small_files, tmp_path, capsys):
         _, weights_path = small_files

@@ -68,6 +68,15 @@ class TestPsi:
         with pytest.raises(ConfigError, match="kernel center must be finite"):
             psi_kernel(X, z0=[np.nan], h=1.0)
 
+    def test_kernel_table_without_covariates_needs_a_bandwidth(self, rng):
+        """At p = 0 every pairwise distance is 0, so the median-distance default
+        is an input error before any distance is computed."""
+        data = random_dataset(rng, n=6, p=0)
+        with pytest.raises(ConfigError, match="median-distance bandwidth is 0 for p=0"):
+            safic_table(data, "kernel")
+        rows = safic_table(data, "kernel", bandwidth=1.0)
+        assert [r.submodel.mask for r in rows] == [0]
+
     def test_sum_enforced(self):
         with pytest.raises(ValueError):
             PsiWeights(np.array([0.5, 0.6]))
@@ -123,7 +132,7 @@ class TestBlocks:
         I = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 1.0]])
         blocks = rho_beta_blocks(FisherInfo(I, n_obs=10))
         assert blocks.I_rr == 2.0
-        assert blocks.I_bb[0, 0] == 1.0
+        assert blocks.I_br[0, 0] == 1.0
         # schur = 1 - 1/2 = 0.5, so Q = 2
         assert blocks.Q[0, 0] == pytest.approx(2.0, abs=1e-12)
 
@@ -356,7 +365,7 @@ class TestConditioning:
         with pytest.raises(SingularInformationError, match="^beta Schur complement"):
             rho_beta_blocks(info)
         I_bb = np.diag([-1.0, 1.0, 1.0])
-        blocks = RhoBetaBlocks(1.0, np.zeros((1, 3)), np.zeros((3, 1)), I_bb, I_bb, I_bb)
+        blocks = RhoBetaBlocks(1.0, np.zeros((3, 1)), I_bb, I_bb)
         with pytest.raises(SingularInformationError, match="^beta Schur complement"):
             safic_terms(enumerate_submodels(3), np.ones(3), blocks, np.eye(3))
 
@@ -372,7 +381,7 @@ class TestConditioning:
         with pytest.raises(SingularInformationError, match="^wide information "):
             fic_terms([S], [np.ones((1, 4))], np.ones((1, 3)), info, np.ones(3))
         I_bb = I[2:, 2:]
-        blocks = RhoBetaBlocks(1.0, np.zeros((1, 3)), np.zeros((3, 1)), I_bb, I_bb, I_bb)
+        blocks = RhoBetaBlocks(1.0, np.zeros((3, 1)), I_bb, I_bb)
         with pytest.raises(SingularInformationError, match="^projected inverse-Q block for S4 "):
             g_matrix(blocks, S)
         with pytest.raises(SingularInformationError, match="^beta Schur complement"):
