@@ -109,7 +109,8 @@ def load_dataset(
     """Assemble a Dataset from a CSV data table and a weights file.
 
     The response column is named; the remaining numeric columns (or an
-    explicit list) become the design matrix.
+    explicit list, which may neither hold the response nor repeat a name)
+    become the design matrix.
     """
     records = _read_table(data_path)
     if not records:
@@ -119,6 +120,11 @@ def load_dataset(
         raise DataFormatError(f"{data_path}: no column named {response!r}")
     if columns is None:
         columns = [h for h in header if h != response]
+    for k, c in enumerate(columns):
+        if c == response:
+            raise DataFormatError(f"{data_path}: the response {c!r} is also listed as a covariate")
+        if c in columns[:k]:
+            raise DataFormatError(f"{data_path}: covariate {c!r} is listed twice")
     missing = [c for c in columns if c not in header]
     if missing:
         raise DataFormatError(f"{data_path}: missing columns {missing}")

@@ -87,29 +87,26 @@ def median_bandwidth(X: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class RhoBetaBlocks:
-    """(rho, beta) partition of the information, the beta Schur complement
-    Q_inv = I_bb - I_br I_rb / I_rr and its inverse Q (read by pointwise_risk)."""
+    """(rho, beta) partition of the information and the beta Schur complement
+    Q_inv = I_bb - I_br I_rb / I_rr."""
 
     I_rr: float
     I_br: np.ndarray  # p x 1
-    Q: np.ndarray     # p x p
     Q_inv: np.ndarray  # p x p
 
     @property
     def p(self) -> int:
-        return self.Q.shape[0]
+        return self.Q_inv.shape[0]
 
 
 def rho_beta_blocks(info_full: FisherInfo) -> RhoBetaBlocks:
-    """Drop the sigma^2 row/column and invert the beta Schur complement."""
+    """Drop the sigma^2 row/column and certify the beta Schur complement."""
     I = info_full.matrix
     I_rr = float(I[0, 0])
     I_br = I[2:, 0:1]
     schur = I[2:, 2:] - (I_br @ I[0:1, 2:]) / I_rr
     _certify(schur, "beta Schur complement of the wide information")
-    Q = np.linalg.inv(schur)
-    Q = 0.5 * (Q + Q.T)
-    return RhoBetaBlocks(I_rr=I_rr, I_br=I_br, Q=Q, Q_inv=schur)
+    return RhoBetaBlocks(I_rr=I_rr, I_br=I_br, Q_inv=schur)
 
 
 def g_matrix(blocks: RhoBetaBlocks, S: SubmodelId) -> np.ndarray:
@@ -153,7 +150,10 @@ def pointwise_risk(
     blocks: RhoBetaBlocks,
     data: Dataset,
 ) -> float:
-    """AMSE of the estimated linear predictor at unit i under submodel S."""
+    """AMSE of the estimated linear predictor at unit i under submodel S; Q is
+    the symmetrized inverse of blocks.Q_inv."""
+    Q = np.linalg.inv(blocks.Q_inv)
+    Q = 0.5 * (Q + Q.T)
     w = omega_i(i, data, blocks)
     G = g_matrix(blocks, S)
     p = blocks.p
@@ -162,7 +162,7 @@ def pointwise_risk(
     wy_i = float(data.WY[i])
     rho_term = wy_i * wy_i / blocks.I_rr
     Gw = G.T @ w
-    penalty = float(Gw @ blocks.Q @ Gw)
+    penalty = float(Gw @ Q @ Gw)
     return bias + rho_term + penalty
 
 

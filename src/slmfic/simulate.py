@@ -1,16 +1,18 @@
 """Monte-Carlo experiment driver: seeded replications, criterion sweeps, frequency tables.
 
-Each replication draws a fresh design matrix and innovation vector from an RNG
-stream keyed by (seed, rep), ranks all candidate submodels by the enabled
-criteria, and records the rank-1 model.  One engine, _sweep, ranks the
-submodels for replications, fic_table and safic_table alike.  Aggregation is an
-ordered reduction over replication index, so reports are byte-identical for a
-given config and seed regardless of worker count.
+Each replication (_replicate) draws a fresh design matrix and innovation
+vector from an RNG stream keyed by (seed, rep), ranks all candidate submodels
+by the enabled criteria, and records the rank order.  One engine, _sweep,
+ranks the submodels for replications, fic_table and safic_table alike and
+returns arrays; only the two tables build rows.  Aggregation is an ordered
+reduction over replication index, so reports are byte-identical for a given
+config and seed regardless of worker count.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -20,7 +22,7 @@ import scipy.sparse.linalg
 
 from .diagnostics import aic
 from .errors import ConfigError, NumericalError, ReplicationFailureError
-from .fic import FicRow, delta_hat, fic_score, fic_terms
+from .fic import delta_hat, fic_score, fic_terms
 from .focus import FocusSpec, depends_on_theta, eval_focus
 from .safic import (
     PsiWeights,
@@ -141,35 +143,46 @@ def generate_dataset(cfg: SimConfig, rep: int, W: SpatialWeights | None = None) 
     Y solved from (I - rho*W) Y = X beta + eps.  W defaults to build_weights(cfg)."""
     if W is None:
         W = build_weights(cfg)
+    return _draw(cfg, rep, W, _spatial_filter(cfg, W))
+
+
+def _spatial_filter(cfg: SimConfig, W: SpatialWeights):
+    """The CSC operator I - rho_true * W, built once per study."""
+    return scipy.sparse.eye_array(cfg.n, format="csc") - cfg.rho_true * W.matrix
+
+
+def _draw(cfg: SimConfig, rep: int, W: SpatialWeights, A) -> Dataset:
+    """generate_dataset's body, with A = _spatial_filter(cfg, W) given."""
     rng = np.random.default_rng([cfg.seed, rep])
     X = rng.standard_normal((cfg.n, cfg.p))
     eps = np.sqrt(cfg.sigma2_true) * rng.standard_normal(cfg.n)
     rhs = X @ np.asarray(cfg.beta_true) + eps
-    A = scipy.sparse.eye_array(cfg.n, format="csc") - cfg.rho_true * W.matrix  # CSC
-    Y = scipy.sparse.linalg.spsolve(A, rhs)
-    return Dataset(Y=Y, X=X, W=W)
+    return Dataset(Y=scipy.sparse.linalg.spsolve(A, rhs), X=X, W=W)
 
 
-def _score_one_rep(cfg: SimConfig, rep: int, W: SpatialWeights):
-    """Rank every criterion on one replication.
+def _replicate(cfg: SimConfig, W: SpatialWeights, A, rep: int):
+    """Draw replication rep and rank every criterion on it.
 
-    Returns (rankings, realized) where rankings maps criterion name to the
-    list of masks in rank order and realized maps mask to the squared error of
-    the estimated focus at the truth (first fic criterion only).
+    Returns ((rankings, realized), None), where rankings maps criterion name
+    to the masks in rank order and realized maps mask to the squared error of
+    the estimated focus at the truth (first fic criterion, track_realized_error
+    only); or (None, "Class: message") if a NumericalError stops it.
     """
-    data = generate_dataset(cfg, rep, W)
-    tables, fits = _sweep(data, cfg.criteria, fit_all=cfg.track_realized_error)
-    rankings = {name: [r.submodel.mask for r in rows] for name, rows in tables.items()}
-    realized: dict[int, float] = {}
-    if cfg.track_realized_error:
-        focus = next(c.focus for c in cfg.criteria if c.kind == "fic")
-        wide = SubmodelId.wide(cfg.p)
-        theta_true = Theta(cfg.rho_true, cfg.sigma2_true, np.asarray(cfg.beta_true))
-        mu_true = eval_focus(focus, theta_true, data, wide).value
-        for mask, fit in fits.items():
-            mu_hat = eval_focus(focus, fit.theta_hat, data, fit.submodel, info=fit.info).value
-            realized[mask] = float(np.sum((mu_hat - mu_true) ** 2))
-    return rankings, realized
+    try:
+        data = _draw(cfg, rep, W, A)
+        tables, fits = _sweep(data, cfg.criteria, fit_all=cfg.track_realized_error)
+        realized: dict[int, float] = {}
+        if cfg.track_realized_error:
+            focus = next(c.focus for c in cfg.criteria if c.kind == "fic")
+            wide = SubmodelId.wide(cfg.p)
+            theta_true = Theta(cfg.rho_true, cfg.sigma2_true, np.asarray(cfg.beta_true))
+            mu_true = eval_focus(focus, theta_true, data, wide).value
+            for mask, fit in fits.items():
+                mu_hat = eval_focus(focus, fit.theta_hat, data, fit.submodel, info=fit.info).value
+                realized[mask] = float(np.sum((mu_hat - mu_true) ** 2))
+    except NumericalError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+    return ({name: order for name, (order, _terms) in tables.items()}, realized), None
 
 
 @dataclass
@@ -192,20 +205,23 @@ def monte_carlo(cfg: SimConfig, jobs: int = 1) -> RunReport:
     """Run the full experiment; a NumericalError in a replication is recorded and
     skipped, more than 10% of them raise ReplicationFailureError, an InputError stops it.
 
-    The weights are built once; with jobs > 1 each worker process receives
-    them once, through the pool initializer.  jobs < 1 is a ConfigError.
+    The weights and I - rho W are built once and carried, with the config, in
+    the one replication function mapped over range(reps): serially with
+    jobs = 1, else by a pool of min(jobs, reps) processes in which each worker
+    takes one contiguous chunk of replications, and so one pickled copy of W
+    with its spectrum.  jobs < 1 is a ConfigError.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     W = build_weights(cfg)
-    reps = range(cfg.reps)
-    if jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_set_worker_weights, initargs=(W,)
-        ) as pool:
-            results = list(pool.map(_try_rep_in_worker, itertools.repeat(cfg), reps))
+    replicate = functools.partial(_replicate, cfg, W, _spatial_filter(cfg, W))
+    workers = min(jobs, cfg.reps)  # no idle worker processes
+    if workers == 1:
+        results = list(map(replicate, range(cfg.reps)))
     else:
-        results = [_try_rep(cfg, rep, W) for rep in reps]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(replicate, range(cfg.reps),
+                                    chunksize=math.ceil(cfg.reps / workers)))
 
     failures = [(rep, msg) for rep, (out, msg) in enumerate(results) if out is None]
     if len(failures) > 0.10 * cfg.reps:
@@ -214,51 +230,19 @@ def monte_carlo(cfg: SimConfig, jobs: int = 1) -> RunReport:
             f"{len(failures)}/{cfg.reps} replications failed (limit 10%): {detail}"
         )
 
+    done = [out for out, _msg in results if out is not None]
     top1: dict[str, dict[int, int]] = {c.name: {} for c in cfg.criteria}
-    per_rep = []
     realized_sum: dict[int, float] = {}
-    completed = 0
-    for out, _msg in results:
-        if out is None:
-            continue
-        rankings, realized = out
-        completed += 1
-        per_rep.append(rankings)
+    for rankings, realized in done:
         for name, masks in rankings.items():
             top1[name][masks[0]] = top1[name].get(masks[0], 0) + 1
         for mask, err in realized.items():
             realized_sum[mask] = realized_sum.get(mask, 0.0) + err
-
     realized_mse = None
-    if cfg.track_realized_error and completed:
-        realized_mse = {mask: s / completed for mask, s in sorted(realized_sum.items())}
-    return RunReport(
-        config=cfg,
-        reps_completed=completed,
-        failures=failures,
-        top1_counts=top1,
-        per_rep_rankings=per_rep,
-        realized_mse=realized_mse,
-    )
-
-
-def _try_rep(cfg, rep, W):
-    try:
-        return _score_one_rep(cfg, rep, W), None
-    except NumericalError as exc:
-        return None, f"{type(exc).__name__}: {exc}"
-
-
-_worker_weights: SpatialWeights | None = None  # set once per worker process
-
-
-def _set_worker_weights(W: SpatialWeights) -> None:
-    global _worker_weights
-    _worker_weights = W
-
-
-def _try_rep_in_worker(cfg, rep):
-    return _try_rep(cfg, rep, _worker_weights)
+    if cfg.track_realized_error and done:
+        realized_mse = {mask: s / len(done) for mask, s in sorted(realized_sum.items())}
+    return RunReport(cfg, len(done), failures, top1, [rankings for rankings, _ in done],
+                     realized_mse)
 
 
 def _psi(crit: CriterionSpec, data: Dataset) -> PsiWeights:
@@ -282,15 +266,15 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
     theta-free focus and sAFIC read the wide fit only: each FIC focus is
     evaluated once at the wide fit, and a subset's Jacobian is the
     (rho, sigma^2, beta_S) columns of that evaluation unless the focus depends
-    on theta.  delta_hat and the labels are computed once.  fic_terms and
-    safic_terms score all subsets with one stacked solve per subset size; each
-    score array is ranked once (_rank_order), and fic_score and safic_score
-    build each row from its terms and its rank, in rank order.  AIC rows are
-    FicRows whose score is the AIC (bias2 and variance are NaN).  Each distinct
-    warning of the focus evaluations is issued once, as a RuntimeWarning.
+    on theta.  delta_hat is computed once.  fic_terms and safic_terms score
+    all subsets with one stacked solve per subset size, and each score array
+    is ranked once (_rank_order).  Each distinct warning of the focus
+    evaluations is issued once, as a RuntimeWarning.
 
-    Returns ({criterion name: rows in rank order}, {mask: fit}), the fits in
-    ascending mask order.
+    Returns ({criterion name: (order, terms)}, {mask: fit}).  order lists the
+    subset indices (= masks) in rank order; terms, indexed by mask, are
+    (bias2, variance) for FIC, (bias2, penalty) for sAFIC and (aic,) for AIC,
+    and the score is their sum.  The fits are in ascending mask order.
     """
     submodels = enumerate_submodels(data.p)
     fit_all = fit_all or any(
@@ -299,14 +283,11 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
     fits = fit_subsets(data, submodels[:-1]) if fit_all else {}
     fit_wide = fits[submodels[-1].mask] = fit_mle(data, submodels[-1])
     D_n = delta_hat(fit_wide)
-    labels = [S.variable_names(data.names) for S in submodels]
     sizes = [len(S) for S in submodels]
     blocks, tables, messages = None, {}, {}
     for crit in criteria:
         if crit.kind == "aic":
-            score = np.array([aic(fits[S.mask]) for S in submodels])
-            rows = [FicRow(submodels[i], labels[i], np.nan, np.nan, float(score[i]), rank)
-                    for rank, i in enumerate(_rank_order(score, sizes), start=1)]
+            terms = (np.array([aic(fits[S.mask]) for S in submodels]),)
         elif crit.kind == "fic":
             theta_dependent = depends_on_theta(crit.focus)
             evals = [eval_focus(crit.focus, fits[S.mask].theta_hat, data, S,
@@ -315,17 +296,14 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
             J_wide = evals[-1].jacobian
             J = [ev.jacobian for ev in evals] if theta_dependent else J_wide
             messages.update(dict.fromkeys(msg for ev in evals for msg in ev.warnings))
-            bias2, variance = fic_terms(submodels, J, J_wide[:, 2:], fit_wide.info, D_n)
-            rows = [fic_score(submodels[i], bias2[i], variance[i], labels[i], rank)
-                    for rank, i in enumerate(_rank_order(bias2 + variance, sizes), start=1)]
+            terms = fic_terms(submodels, J, J_wide[:, 2:], fit_wide.info, D_n)
         else:  # safic
             if blocks is None:
                 blocks = rho_beta_blocks(fit_wide.info)
             psi = _psi(crit, data)
-            bias2, penalty = safic_terms(submodels, D_n, blocks, k_empirical(blocks, data, psi))
-            rows = [safic_score(submodels[i], bias2[i], penalty[i], labels[i], psi.scheme, rank)
-                    for rank, i in enumerate(_rank_order(bias2 + penalty, sizes), start=1)]
-        tables[crit.name] = rows
+            terms = safic_terms(submodels, D_n, blocks, k_empirical(blocks, data, psi))
+        score = terms[0] + terms[1] if len(terms) == 2 else terms[0]
+        tables[crit.name] = (_rank_order(score, sizes), terms)
     for msg in messages:
         warnings.warn(msg, RuntimeWarning)
     return tables, fits
@@ -337,13 +315,24 @@ def _rank_order(score: np.ndarray, sizes) -> list[int]:
     return np.lexsort((np.arange(len(sizes)), sizes, score)).tolist()
 
 
+def _table(data: Dataset, crit: CriterionSpec):
+    """Every subset's row of one fic or safic criterion, in rank order: one
+    fic_score or safic_score call per subset, from the sweep's two terms."""
+    order, (bias2, second) = _sweep(data, (crit,))[0][crit.name]
+    build, scheme = (fic_score, ()) if crit.kind == "fic" else (safic_score, (crit.scheme,))
+    rows = []
+    for rank, i in enumerate(order, start=1):
+        S = SubmodelId(i, data.p)
+        rows.append(build(S, bias2[i], second[i], S.variable_names(data.names), *scheme, rank))
+    return rows
+
+
 def fic_table(spec: FocusSpec, data: Dataset):
     """Exhaustive FIC sweep on a dataset: every subset's row, in rank order."""
-    crit = CriterionSpec(kind="fic", name="FIC", focus=spec)
-    return _sweep(data, (crit,))[0][crit.name]
+    return _table(data, CriterionSpec(kind="fic", name="FIC", focus=spec))
 
 
 def safic_table(data: Dataset, scheme: str = "uniform", z0=None, bandwidth=None):
     """Exhaustive sAFIC sweep on a dataset: every subset's row, in rank order."""
-    crit = CriterionSpec(kind="safic", name="sAFIC", scheme=scheme, z0=z0, bandwidth=bandwidth)
-    return _sweep(data, (crit,))[0][crit.name]
+    return _table(data, CriterionSpec(kind="safic", name="sAFIC", scheme=scheme, z0=z0,
+                                      bandwidth=bandwidth))

@@ -23,7 +23,7 @@ from conftest import random_dataset, random_symmetric_adjacency
 
 
 def write_csv(path, text):
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -260,7 +260,7 @@ class TestReportSerialization:
             ],
         }
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(raw))
+        path.write_text(json.dumps(raw), encoding="utf-8")
         cfg = config_from_json(str(path))
         assert cfg.n == 20
         assert cfg.criteria[0].focus.location == 1
@@ -282,7 +282,7 @@ class TestCli:
             ]
         )
         assert rc == 0
-        payload = json.loads(out.read_text())
+        payload = json.loads(out.read_text(encoding="utf-8"))
         assert set(payload) == {"submodel", "variables", "rho", "sigma2", "beta", "loglik",
                                 "aic", "iterations"}
         assert set(payload["beta"]) == {"a", "b"}
@@ -302,7 +302,7 @@ class TestCli:
             ]
         )
         assert rc == 0
-        assert list(json.loads(out.read_text())["beta"]) == ["b"]
+        assert list(json.loads(out.read_text(encoding="utf-8"))["beta"]) == ["b"]
 
     def test_fic_csv_to_stdout(self, small_files, capsys):
         data_path, weights_path = small_files
@@ -323,7 +323,7 @@ class TestCli:
     def test_csv_report_quotes_names_with_commas_and_quotes(self, small_files, tmp_path, capsys):
         """Covariate names that a quoted CSV header allows come back whole."""
         data_path, weights_path = small_files
-        text = open(data_path).read().replace("y,a,b", 'y,"a,b","q""x"', 1)
+        text = open(data_path, encoding="utf-8").read().replace("y,a,b", 'y,"a,b","q""x"', 1)
         data_path = write_csv(tmp_path / "quoted.csv", text)
         rc = main(["safic", "--data", data_path, "--weights", weights_path, "--response", "y",
                    "--row-normalize", "--format", "csv"])
@@ -352,7 +352,7 @@ class TestCli:
             ]
         )
         assert rc == 0
-        parsed = json.loads(out.read_text())
+        parsed = json.loads(out.read_text(encoding="utf-8"))
         assert all(d["scheme"] == "kernel" for d in parsed)
 
     def test_moran(self, small_files, capsys):
@@ -380,7 +380,7 @@ class TestCli:
             "seed": 11,
         }
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(cfg), encoding="utf-8")
         rc = main(["simulate", "--config", str(path)])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
@@ -390,7 +390,7 @@ class TestCli:
         # innovations of variance 1e-30 and no signal: every fit is degenerate
         cfg = {"n": 20, "p": 2, "beta_true": [0.0, 0.0], "sigma2_true": 1e-30, "reps": 3}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(cfg), encoding="utf-8")
         rc = main(["simulate", "--config", str(path)])
         assert rc == 2
         err = capsys.readouterr().err
@@ -401,7 +401,7 @@ class TestCli:
     def test_inadmissible_rho_true_is_input_error(self, tmp_path, capsys):
         cfg = {"n": 20, "p": 2, "rho_true": 1.5, "beta_true": [0.0, 0.4], "reps": 2}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(cfg), encoding="utf-8")
         rc = main(["simulate", "--config", str(path)])
         assert rc == 1
         err = capsys.readouterr().err
@@ -431,7 +431,7 @@ class TestCli:
     )
     def test_malformed_config_is_input_error(self, tmp_path, capsys, raw, named):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(raw))
+        path.write_text(json.dumps(raw), encoding="utf-8")
         rc = main(["simulate", "--config", str(path)])
         assert rc == 1
         err = capsys.readouterr().err
@@ -447,7 +447,7 @@ class TestCli:
                           "focus": {"kind": "conditional_mean", "location": location}}],
         }
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(cfg), encoding="utf-8")
         rc = main(["simulate", "--config", str(path)])
         assert rc == 1
         err = capsys.readouterr().err
@@ -474,7 +474,7 @@ class TestCli:
 
     def test_nan_response_is_input_error(self, small_files, tmp_path, capsys):
         data_path, weights_path = small_files
-        lines = open(data_path).read().splitlines()
+        lines = open(data_path, encoding="utf-8").read().splitlines()
         lines[3] = "nan," + lines[3].split(",", 1)[1]
         bad = write_csv(tmp_path / "nan.csv", "\n".join(lines) + "\n")
         rc = main(["fit", "--data", bad, "--weights", weights_path, "--response", "y"])
@@ -585,6 +585,14 @@ EXIT_CODES = {
 _BASES = (errors.SlmficError, InputError, NumericalError)
 
 
+def write_config(tmp_path, **changes):
+    """A 2-replication study config (n = 20, p = 2) with changes, as a UTF-8 file."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 20, "p": 2, "beta_true": [0.0, 0.4], "reps": 2, **changes}),
+                    encoding="utf-8")
+    return str(path)
+
+
 def _one_input_error(capsys, rc, named):
     """Exit 1 with a single `input error:` line that contains named."""
     captured = capsys.readouterr()
@@ -643,6 +651,21 @@ class TestFailureContract:
                    "--row-normalize", "--scheme", "kernel", *args])
         _one_input_error(capsys, rc, named)
 
+    @pytest.mark.parametrize("command", ["fit", "fic", "safic"])
+    @pytest.mark.parametrize(
+        "columns, named",
+        [("y,a", "the response 'y' is also listed as a covariate"),
+         ("a,b,a", "covariate 'a' is listed twice")],
+        ids=["response-as-covariate", "repeated-covariate"],
+    )
+    def test_covariate_list_error(self, small_files, capsys, command, columns, named):
+        # without the check: a numerical failure (residual variance below floor) or
+        # an unnamed "design matrix X is rank deficient"
+        data_path, weights_path = small_files
+        rc = main([command, "--data", data_path, "--weights", weights_path, "--response", "y",
+                   "--columns", columns])
+        _one_input_error(capsys, rc, f"{data_path}: {named}")
+
     @pytest.mark.parametrize("h", ["1e-200", "1e-300"])
     def test_tiny_bandwidth_is_numerical_failure(self, small_files, capsys, h):
         data_path, weights_path = small_files
@@ -692,31 +715,23 @@ class TestFailureContract:
              "negative-seed"],
     )
     def test_simulate_input_error(self, tmp_path, capsys, changes, named):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n": 20, "p": 2, "beta_true": [0.0, 0.4], "reps": 2, **changes}))
-        rc = main(["simulate", "--config", str(path)])
+        rc = main(["simulate", "--config", write_config(tmp_path, **changes)])
         _one_input_error(capsys, rc, named)
 
     def test_negative_seed_flag(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n": 20, "p": 2, "beta_true": [0.0, 0.4], "reps": 2}))
-        rc = main(["simulate", "--config", str(path), "--seed", "-1"])
+        rc = main(["simulate", "--config", write_config(tmp_path), "--seed", "-1"])
         _one_input_error(capsys, rc, "seed must be non-negative, got -1")
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_flag_below_one(self, tmp_path, capsys, jobs):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n": 20, "p": 2, "beta_true": [0.0, 0.4], "reps": 2}))
-        rc = main(["simulate", "--config", str(path), "--jobs", jobs])
+        rc = main(["simulate", "--config", write_config(tmp_path), "--jobs", jobs])
         _one_input_error(capsys, rc, f"jobs must be at least 1, got {jobs}")
 
     def test_weights_file_of_another_size(self, tmp_path, capsys):
         weights = tmp_path / "w.csv"
-        weights.write_text("i,j,w\n" + "".join(f"{i},{i + 1},1\n{i + 1},{i},1\n" for i in range(9)))
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n": 20, "p": 2, "beta_true": [0.0, 0.4], "reps": 2,
-                                    "weights_kind": str(weights)}))
-        rc = main(["simulate", "--config", str(path)])
+        weights.write_text("i,j,w\n" + "".join(f"{i},{i + 1},1\n{i + 1},{i},1\n" for i in range(9)),
+                           encoding="utf-8")
+        rc = main(["simulate", "--config", write_config(tmp_path, weights_kind=str(weights))])
         _one_input_error(capsys, rc, "weights file has n=10, config says n=20")
 
     @pytest.mark.parametrize(
@@ -744,9 +759,7 @@ class TestFailureContract:
         assert capsys.readouterr().out.startswith("usage: slmfic")
 
     def test_study_without_covariates(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n": 20, "p": 0, "beta_true": [], "reps": 2}))
-        assert main(["simulate", "--config", str(path)]) == 0
+        assert main(["simulate", "--config", write_config(tmp_path, p=0, beta_true=[])]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["reps_completed"] == 2
 

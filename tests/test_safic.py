@@ -38,6 +38,12 @@ from slmfic.slm import _certify
 from conftest import random_dataset, random_info
 
 
+def _q(blocks):
+    """Q, the symmetrized inverse of the beta Schur complement blocks.Q_inv."""
+    Q = np.linalg.inv(blocks.Q_inv)
+    return 0.5 * (Q + Q.T)
+
+
 def _row(S, delta, blocks, K, scheme="uniform"):
     """The safic_score row of S from safic_terms on S alone."""
     (bias2,), (penalty,) = safic_terms([S], delta, blocks, K)
@@ -134,20 +140,22 @@ class TestBlocks:
         assert blocks.I_rr == 2.0
         assert blocks.I_br[0, 0] == 1.0
         # schur = 1 - 1/2 = 0.5, so Q = 2
-        assert blocks.Q[0, 0] == pytest.approx(2.0, abs=1e-12)
+        assert blocks.Q_inv[0, 0] == 0.5
+        assert _q(blocks)[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_q_symmetric_psd(self, rng):
         blocks = rho_beta_blocks(random_info(rng, 4))
-        assert np.array_equal(blocks.Q, blocks.Q.T)
-        assert np.linalg.eigvalsh(blocks.Q)[0] > 0
+        assert np.array_equal(blocks.Q_inv, blocks.Q_inv.T)
+        assert np.linalg.eigvalsh(blocks.Q_inv)[0] > 0
+        assert np.array_equal(_q(blocks), _q(blocks).T)
 
     def test_sigma2_row_ignored(self, rng):
         info = random_info(rng, 3)
         M = info.matrix.copy()
         M[1, 1] = 999.0
         assert np.allclose(
-            rho_beta_blocks(FisherInfo(M, 10)).Q,
-            rho_beta_blocks(info).Q,
+            rho_beta_blocks(FisherInfo(M, 10)).Q_inv,
+            rho_beta_blocks(info).Q_inv,
             atol=1e-12,
         )
 
@@ -268,7 +276,7 @@ class TestRisk:
         delta = rng.standard_normal(2)
         w = omega_i(4, data, blocks)
         wy = float(data.W.matrix.toarray()[4] @ data.Y)
-        expected = wy * wy / blocks.I_rr + float(w @ blocks.Q @ w)
+        expected = wy * wy / blocks.I_rr + float(w @ _q(blocks) @ w)
         assert pointwise_risk(4, SubmodelId.wide(2), delta, blocks, data) == pytest.approx(
             expected, abs=1e-8
         )
@@ -297,7 +305,7 @@ class TestScore:
         K = k_empirical(blocks, data, psi_uniform(12))
         row = _row(SubmodelId.wide(3), rng.standard_normal(3), blocks, K)
         assert row.bias2 == pytest.approx(0.0, abs=1e-10)
-        assert row.variance == pytest.approx(float(np.trace(blocks.Q @ K)), rel=1e-8)
+        assert row.variance == pytest.approx(float(np.trace(_q(blocks) @ K)), rel=1e-8)
 
     def test_narrow_is_bias_only(self, rng):
         blocks = rho_beta_blocks(random_info(rng, 3))
@@ -318,7 +326,7 @@ class TestScore:
             G = g_matrix(blocks, S)
             IG = np.eye(4) - G
             bias2 = float(np.trace(IG @ np.outer(delta, delta) @ IG.T @ K))
-            penalty = float(np.trace(G @ blocks.Q @ G.T @ K))
+            penalty = float(np.trace(G @ _q(blocks) @ G.T @ K))
             row = _row(S, delta, blocks, K, scheme="kernel")
             assert row.bias2 == pytest.approx(bias2, rel=1e-10)
             assert row.variance == pytest.approx(penalty, rel=1e-10)
@@ -365,7 +373,7 @@ class TestConditioning:
         with pytest.raises(SingularInformationError, match="^beta Schur complement"):
             rho_beta_blocks(info)
         I_bb = np.diag([-1.0, 1.0, 1.0])
-        blocks = RhoBetaBlocks(1.0, np.zeros((3, 1)), I_bb, I_bb)
+        blocks = RhoBetaBlocks(1.0, np.zeros((3, 1)), I_bb)
         with pytest.raises(SingularInformationError, match="^beta Schur complement"):
             safic_terms(enumerate_submodels(3), np.ones(3), blocks, np.eye(3))
 
@@ -381,7 +389,7 @@ class TestConditioning:
         with pytest.raises(SingularInformationError, match="^wide information "):
             fic_terms([S], [np.ones((1, 4))], np.ones((1, 3)), info, np.ones(3))
         I_bb = I[2:, 2:]
-        blocks = RhoBetaBlocks(1.0, np.zeros((3, 1)), I_bb, I_bb)
+        blocks = RhoBetaBlocks(1.0, np.zeros((3, 1)), I_bb)
         with pytest.raises(SingularInformationError, match="^projected inverse-Q block for S4 "):
             g_matrix(blocks, S)
         with pytest.raises(SingularInformationError, match="^beta Schur complement"):
@@ -461,7 +469,8 @@ class TestStackedTerms:
         bias2, penalty = safic_terms(subsets, delta, blocks, K)
         G = [g_matrix(blocks, S) for S in subsets]
         r = [delta - g @ delta for g in G]
-        penalty_oracle = [np.trace(g @ blocks.Q @ g.T @ K) for g in G]
+        Q = _q(blocks)
+        penalty_oracle = [np.trace(g @ Q @ g.T @ K) for g in G]
         np.testing.assert_allclose(bias2, [v @ K @ v for v in r], rtol=1e-12,
                                    atol=1e-12 * (delta @ K @ delta))
         np.testing.assert_allclose(penalty, penalty_oracle, rtol=1e-12,

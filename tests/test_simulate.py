@@ -210,7 +210,8 @@ class TestMonteCarlo:
     def test_weights_file_matches_the_built_in_chain(self, tmp_path):
         """The 75-unit chain written as an i,j,w edge list runs the same study."""
         path = tmp_path / "chain.csv"
-        path.write_text("i,j,w\n" + "".join(f"{i},{i + 1},1\n{i + 1},{i},1\n" for i in range(74)))
+        path.write_text("i,j,w\n" + "".join(f"{i},{i + 1},1\n{i + 1},{i},1\n" for i in range(74)),
+                        encoding="utf-8")
 
         def report(cfg):
             return json.loads(run_report_to_json(monte_carlo(cfg)))
@@ -358,45 +359,70 @@ ALL_KINDS = (
 )
 
 
-def table_array(rows):
-    return np.array([(r.submodel.mask, r.bias2, r.variance, r.score, r.rank) for r in rows])
+def table_of(crit, data):
+    """The fic_table or safic_table of a fic or safic criterion."""
+    if crit.kind == "fic":
+        return fic_table(crit.focus, data)
+    return safic_table(data, crit.scheme, crit.z0, crit.bandwidth)
+
+
+def sweep_scores(terms):
+    """A criterion's score array from the sweep's terms, summed as _sweep sums them."""
+    return terms[0] + terms[1] if len(terms) == 2 else terms[0]
 
 
 class TestBatchedScoring:
     """The sweep scores every subset of a criterion with one fic_terms or
-    safic_terms call and builds each row with simulate.fic_score or
+    safic_terms call and returns the rank order and the terms as arrays;
+    fic_table and safic_table build each row with simulate.fic_score or
     simulate.safic_score, the per-row hooks that the benchmark's gates corrupt
     and its tracer counts."""
 
     def test_one_row_builder_call_per_subset(self, monkeypatch):
-        calls = {"fic_score": 0, "safic_score": 0}
+        calls = {"fic_score": [], "safic_score": []}
         for name in calls:
             original = getattr(simulate, name)
 
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+            def counting(S, *args, _name=name, _original=original, **kwargs):
+                calls[_name].append(S.mask)
+                return _original(S, *args, **kwargs)
 
             monkeypatch.setattr(simulate, name, counting)
         data = random_dataset(np.random.default_rng(7), n=30, p=4)
-        tables, _ = simulate._sweep(data, ALL_KINDS)
-        assert calls == {"fic_score": 4 * 2**4, "safic_score": 2 * 2**4}
-        assert all(len(rows) == 2**4 for rows in tables.values())
+        simulate._sweep(data, ALL_KINDS)  # the study's path builds no row
+        assert calls == {"fic_score": [], "safic_score": []}
+        for crit in ALL_KINDS[:-1]:
+            name = f"{crit.kind}_score"
+            before = len(calls[name])
+            rows = table_of(crit, data)
+            assert calls[name][before:] == ranked_masks(rows)  # every row, in rank order
+            assert sorted(ranked_masks(rows)) == list(range(2**4))
+        assert {k: len(v) for k, v in calls.items()} == {"fic_score": 4 * 2**4,
+                                                         "safic_score": 2 * 2**4}
 
     def test_every_table_is_built_in_rank_order(self):
         data = random_dataset(np.random.default_rng(10), n=30, p=4)
         tables, _ = simulate._sweep(data, ALL_KINDS)
         assert list(tables) == [c.name for c in ALL_KINDS]
-        for rows in tables.values():
+        for crit in ALL_KINDS:
+            order, terms = tables[crit.name]
+            assert len(terms) == (1 if crit.kind == "aic" else 2)
+            assert all(t.shape == (2**4,) for t in terms)
+            score = sweep_scores(terms)
+            assert order == sorted(range(2**4), key=lambda m: (score[m], bin(m).count("1"), m))
+            if crit.kind == "aic":
+                continue
+            rows = table_of(crit, data)
             assert [r.rank for r in rows] == list(range(1, 2**4 + 1))
-            tie_order = sorted(rows, key=lambda r: (r.score, len(r.submodel), r.submodel.mask))
-            assert ranked_masks(rows) == ranked_masks(tie_order)
+            assert ranked_masks(rows) == order
+            assert [(r.bias2, r.variance, r.score) for r in rows] == [
+                (float(terms[0][m]), float(terms[1][m]), float(score[m])) for m in order]
 
     @pytest.mark.parametrize("name, kind", [("fic_score", "fic"), ("safic_score", "safic")])
     def test_a_corrupted_row_builder_reaches_the_table(self, monkeypatch, name, kind):
         data = random_dataset(np.random.default_rng(8), n=30, p=4)
         crits = [c for c in ALL_KINDS if c.kind == kind]
-        clean, _ = simulate._sweep(data, crits)
+        clean = [table_of(crit, data) for crit in crits]
         original = getattr(simulate, name)
 
         def shifted(*args, **kwargs):
@@ -404,30 +430,31 @@ class TestBatchedScoring:
             return dataclasses.replace(row, score=row.score + 1e-3)
 
         monkeypatch.setattr(simulate, name, shifted)
-        corrupted, _ = simulate._sweep(data, crits)
-        for crit in crits:
-            before = {r.submodel.mask: r.score for r in clean[crit.name]}
-            after = {r.submodel.mask: r.score for r in corrupted[crit.name]}
+        for crit, rows in zip(crits, clean):
+            before = {r.submodel.mask: r.score for r in rows}
+            after = {r.submodel.mask: r.score for r in table_of(crit, data)}
             assert after.keys() == before.keys()
             assert all(after[m] == before[m] + 1e-3 for m in before)
 
     @pytest.mark.parametrize("chunk", [1, 100])
     def test_chunk_size_leaves_rows_bit_identical(self, monkeypatch, chunk):
+        """Every array of the sweep, and so every row built from them."""
         data = random_dataset(np.random.default_rng(9), n=30, p=5)
         default, _ = simulate._sweep(data, ALL_KINDS)
         monkeypatch.setattr(slm, "_CHUNK", chunk)
         chunked, _ = simulate._sweep(data, ALL_KINDS)
         for crit in ALL_KINDS:
-            assert np.array_equal(table_array(chunked[crit.name]),
-                                  table_array(default[crit.name]), equal_nan=True)
+            (order, terms), (order_c, terms_c) = default[crit.name], chunked[crit.name]
+            assert order_c == order
+            assert [t.tobytes() for t in terms_c] == [t.tobytes() for t in terms]
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.permutations(range(4)))
 def test_covariate_permutation_permutes_safic_and_aic_tables(seed, perm):
     """Column j of the permuted design is column perm[j] of the original, so
-    its subset mask m is the original subset {perm[j] : j in m}: each table's
-    ranked masks map onto the original's and the scores agree."""
+    its subset mask m is the original subset {perm[j] : j in m}: each
+    criterion's rank order maps onto the original's and the scores agree."""
     data = random_dataset(np.random.default_rng(seed), n=30, p=4)
     permuted = Dataset(Y=data.Y, X=data.X[:, list(perm)], W=data.W)
     crits = [c for c in ALL_KINDS if c.kind in ("safic", "aic")]
@@ -438,12 +465,64 @@ def test_covariate_permutation_permutes_safic_and_aic_tables(seed, perm):
         return sum(1 << perm[j] for j in range(4) if mask >> j & 1)
 
     for crit in crits:
-        scores = {r.submodel.mask: r.score for r in tables[crit.name]}
-        for r in tables_perm[crit.name]:
-            assert r.score == pytest.approx(scores[original_mask(r.submodel.mask)], rel=1e-10)
-        assert [original_mask(m) for m in ranked_masks(tables_perm[crit.name])] == ranked_masks(
-            tables[crit.name]
-        )
+        (order, terms), (order_perm, terms_perm) = tables[crit.name], tables_perm[crit.name]
+        score, score_perm = sweep_scores(terms), sweep_scores(terms_perm)
+        for m in range(2**4):
+            assert score_perm[m] == pytest.approx(score[original_mask(m)], rel=1e-10)
+        assert [original_mask(m) for m in order_perm] == order
+
+
+class TestReplication:
+    """monte_carlo maps one replication function over range(reps): serially,
+    or in one contiguous chunk of replications per worker process."""
+
+    def test_study_draws_what_generate_dataset_draws(self, monkeypatch):
+        drawn, filters = {}, []
+        draw, spatial_filter = simulate._draw, simulate._spatial_filter
+
+        def recording_draw(cfg, rep, W, A):
+            drawn[rep] = data = draw(cfg, rep, W, A)
+            return data
+
+        def recording_filter(cfg, W):
+            filters.append(spatial_filter(cfg, W))
+            return filters[-1]
+
+        monkeypatch.setattr(simulate, "_draw", recording_draw)
+        monkeypatch.setattr(simulate, "_spatial_filter", recording_filter)
+        cfg = small_config(reps=4)
+        assert monte_carlo(cfg).failures == []
+        assert len(filters) == 1  # one I - rho W per study
+        assert sorted(drawn) == list(range(4))
+        for rep, data in drawn.items():
+            alone = generate_dataset(cfg, rep)
+            assert np.array_equal(data.X, alone.X) and np.array_equal(data.Y, alone.Y)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_uneven_chunks_match_serial(self, jobs):
+        # 7 replications: chunks of 4 + 3 or 3 + 3 + 1
+        cfg = small_config(reps=7)
+        serial = run_report_to_json(monte_carlo(cfg, jobs=1))
+        assert run_report_to_json(monte_carlo(cfg, jobs=jobs)) == serial
+
+    def test_a_failure_in_a_worker_chunk_is_recorded_as_in_serial(self, monkeypatch):
+        # the patch reaches the workers because they are forked from this process
+        draw = simulate._draw
+
+        def degenerate_rep_5(cfg, rep, W, A):
+            data = draw(cfg, rep, W, A)
+            return Dataset(Y=2.0 * data.X[:, 1], X=data.X, W=W) if rep == 5 else data
+
+        monkeypatch.setattr(simulate, "_draw", degenerate_rep_5)
+        cfg = small_config(reps=10)
+        serial = monte_carlo(cfg, jobs=1)
+        assert [rep for rep, _msg in serial.failures] == [5]
+        assert serial.failures[0][1].startswith("DegenerateVarianceError: residual variance")
+        assert serial.reps_completed == 9
+        for jobs in (2, 3):
+            parallel = monte_carlo(cfg, jobs=jobs)
+            assert parallel.failures == serial.failures
+            assert run_report_to_json(parallel) == run_report_to_json(serial)
 
 
 class TestDeterminism:

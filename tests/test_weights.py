@@ -348,10 +348,12 @@ def test_moran_command_reads_no_spectrum(tmp_path):
     lattice = _rook_lattice(side)
     rows, cols = np.nonzero(lattice)
     weights_path = tmp_path / "w.csv"
-    weights_path.write_text("i,j,w\n" + "".join(f"{i},{j},1\n" for i, j in zip(rows, cols)))
+    weights_path.write_text("i,j,w\n" + "".join(f"{i},{j},1\n" for i, j in zip(rows, cols)),
+                            encoding="utf-8")
     rng = np.random.default_rng(0)
     data_path = tmp_path / "data.csv"
-    data_path.write_text("y,x1\n" + "".join(f"{y!r},{x!r}\n" for y, x in rng.standard_normal((n, 2)).tolist()))
+    data_path.write_text("y,x1\n" + "".join(f"{y!r},{x!r}\n" for y, x in rng.standard_normal((n, 2)).tolist()),
+                         encoding="utf-8")
     common = ["--data", str(data_path), "--weights", str(weights_path), "--response", "y",
               "--row-normalize"]
     with _counting_solvers() as calls:
@@ -362,11 +364,14 @@ def test_moran_command_reads_no_spectrum(tmp_path):
 
 
 class _PicklingExecutor:
-    """In-process stand-in for ProcessPoolExecutor: the initializer's arguments
-    go through pickle, as they do on their way to a worker process."""
+    """In-process stand-in for ProcessPoolExecutor: the mapped function goes
+    through pickle once per chunk, as it does on its way to a worker process.
+    `received` holds the worker count, then each chunk's unpickled copy."""
 
-    def __init__(self, max_workers, initializer, initargs):
-        self.initializer, self.initargs = initializer, pickle.loads(pickle.dumps(initargs))
+    received: list = []
+
+    def __init__(self, max_workers):
+        self.received.append(max_workers)
 
     def __enter__(self):
         return self
@@ -374,17 +379,34 @@ class _PicklingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        self.initializer(*self.initargs)
-        return list(map(fn, *iterables))
+    def map(self, fn, iterable, chunksize=1):
+        items = list(iterable)
+        for start in range(0, len(items), chunksize):
+            self.received.append(pickle.loads(pickle.dumps(fn)))
+            yield from map(self.received[-1], items[start:start + chunksize])
 
 
 def test_workers_receive_weights_with_their_spectrum(monkeypatch):
     cfg = SimConfig(n=40, p=3, rho_true=0.4, beta_true=(0.0, 0.3, 0.3), reps=4, seed=99)
     serial = run_report_to_json(monte_carlo(cfg, jobs=1))
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", _PicklingExecutor)
-    monkeypatch.setattr(simulate, "_worker_weights", None, raising=False)
+    monkeypatch.setattr(_PicklingExecutor, "received", [])
     with _counting_solvers() as calls:
         assert run_report_to_json(monte_carlo(cfg, jobs=2)) == serial
     assert sum(calls.values()) == 1  # read once, by build_weights, before the weights are sent
-    assert "spectrum" in vars(simulate._worker_weights)
+    workers, *chunks = _PicklingExecutor.received
+    assert workers == 2 and len(chunks) == 2  # one contiguous chunk per worker
+    for replicate in chunks:
+        _cfg, W, _A = replicate.args
+        assert "spectrum" in vars(W)
+
+
+@pytest.mark.parametrize("jobs, workers", [(4, 4), (5, 4), (64, 4)])
+def test_no_more_workers_than_replications(monkeypatch, jobs, workers):
+    # the stand-in starts no process, whatever the jobs count
+    cfg = SimConfig(n=40, p=3, rho_true=0.4, beta_true=(0.0, 0.3, 0.3), reps=4, seed=99)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _PicklingExecutor)
+    monkeypatch.setattr(_PicklingExecutor, "received", [])
+    assert monte_carlo(cfg, jobs=jobs).failures == []
+    assert _PicklingExecutor.received[0] == workers
+    assert len(_PicklingExecutor.received) == 1 + workers  # chunks of one replication
