@@ -8,6 +8,7 @@ import types
 import typing
 from dataclasses import MISSING, asdict, fields, is_dataclass
 from io import StringIO
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import scipy.sparse
@@ -141,44 +142,53 @@ def load_dataset(
 # report emission
 
 _REPORT_COLUMNS = ("rank", "label", "mask", "variables", "bias2", "variance", "score")
+_JSON_ROW = ('  {{\n    "bias2": {},\n    "label": {},\n    "mask": {},\n    "rank": {},\n{}'
+             '    "score": {},\n    "variables": {},\n    "variance": {}\n  }}')
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def json_text(value) -> str:
     """The JSON text of every report: keys sorted, two-space indent, one
-    final newline."""
+    final newline.  write_report renders the fixed-schema tables to the same
+    text without it."""
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
-def report_rows_to_dicts(rows) -> list[dict]:
-    out = []
-    for r in rows:
-        d = {
-            "rank": r.rank,
-            "label": r.submodel.label(),
-            "mask": r.submodel.mask,
-            "variables": list(r.labels),
-            "bias2": r.bias2,
-            "variance": r.variance,
-            "score": r.score,
-        }
-        if r.scheme is not None:
-            d["scheme"] = r.scheme
-        out.append(d)
-    return out
+def _json_float(x: float) -> str:
+    """json's spelling of a float: its repr, or NaN, Infinity, -Infinity."""
+    s = float.__repr__(x)
+    return _JSON_NONFINITE.get(s, s)
+
+
+def _json_row(r) -> str:
+    """One table row as json_text writes it inside the table's list."""
+    names = ",\n      ".join(map(encode_basestring_ascii, r.labels))
+    scheme = "" if r.scheme is None else f'    "scheme": {encode_basestring_ascii(r.scheme)},\n'
+    return _JSON_ROW.format(_json_float(r.bias2), encode_basestring_ascii(r.submodel.label()),
+                            r.submodel.mask, r.rank, scheme, _json_float(r.score),
+                            f"[\n      {names}\n    ]" if r.labels else "[]",
+                            _json_float(r.variance))
 
 
 def write_report(rows, out_path: str | None, fmt: str = "json") -> str:
     """Serialize a FIC/sAFIC table, rows in the order given (rank order from
-    a sweep); returns the text written.  CSV cells are quoted where needed."""
-    dicts = report_rows_to_dicts(rows)
+    a sweep); returns the text written.
+
+    JSON fills one fixed-schema template per row, byte for byte json_text of
+    the rows as dicts (keys bias2, label, mask, rank, scheme unless None,
+    score, variables, variance; json's NaN and Infinity, ASCII-escaped
+    strings).  CSV has the columns _REPORT_COLUMNS, plus scheme when the first
+    row has one, variables joined by "+", cells quoted where needed."""
     if fmt == "json":
-        text = json_text(dicts)
+        body = ",\n".join(map(_json_row, rows))
+        text = f"[\n{body}\n]\n" if body else "[]\n"
     elif fmt == "csv":
-        cols = list(_REPORT_COLUMNS) + (["scheme"] if dicts and "scheme" in dicts[0] else [])
+        scheme = bool(rows) and rows[0].scheme is not None
         buf = StringIO()
-        writer = csv.DictWriter(buf, cols, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(dict(d, variables="+".join(d["variables"])) for d in dicts)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(_REPORT_COLUMNS + ("scheme",) * scheme)
+        writer.writerows((r.rank, r.submodel.label(), r.submodel.mask, "+".join(r.labels),
+                          r.bias2, r.variance, r.score) + (r.scheme,) * scheme for r in rows)
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown format {fmt!r}")

@@ -36,7 +36,7 @@ from .safic import (
     safic_terms,
 )
 from .slm import Dataset, Theta, fit_mle, fit_subsets
-from .submodels import SubmodelId, enumerate_submodels
+from .submodels import enumerate_submodels
 from .weights import SpatialWeights, build_chain_lag1
 
 
@@ -170,13 +170,13 @@ def _replicate(cfg: SimConfig, W: SpatialWeights, A, rep: int):
     """
     try:
         data = _draw(cfg, rep, W, A)
-        tables, fits = _sweep(data, cfg.criteria, fit_all=cfg.track_realized_error)
+        submodels = enumerate_submodels(cfg.p)
+        tables, fits = _sweep(data, cfg.criteria, submodels, fit_all=cfg.track_realized_error)
         realized: dict[int, float] = {}
         if cfg.track_realized_error:
             focus = next(c.focus for c in cfg.criteria if c.kind == "fic")
-            wide = SubmodelId.wide(cfg.p)
             theta_true = Theta(cfg.rho_true, cfg.sigma2_true, np.asarray(cfg.beta_true))
-            mu_true = eval_focus(focus, theta_true, data, wide).value
+            mu_true = eval_focus(focus, theta_true, data, submodels[-1]).value
             for mask, fit in fits.items():
                 mu_hat = eval_focus(focus, fit.theta_hat, data, fit.submodel, info=fit.info).value
                 realized[mask] = float(np.sum((mu_hat - mu_true) ** 2))
@@ -257,8 +257,9 @@ def _psi(crit: CriterionSpec, data: Dataset) -> PsiWeights:
     return psi_kernel(data.X, z0, h)
 
 
-def _sweep(data: Dataset, criteria, fit_all: bool = False):
-    """Rank all 2^p subsets of a dataset by each criterion.
+def _sweep(data: Dataset, criteria, submodels, fit_all: bool = False):
+    """Rank all 2^p subsets of a dataset, submodels = enumerate_submodels(p),
+    by each criterion.
 
     fit_mle fits the wide model, with information; one fit_subsets call fits
     the others only when a score reads them: AIC the log-likelihood, FIC
@@ -276,14 +277,13 @@ def _sweep(data: Dataset, criteria, fit_all: bool = False):
     (bias2, variance) for FIC, (bias2, penalty) for sAFIC and (aic,) for AIC,
     and the score is their sum.  The fits are in ascending mask order.
     """
-    submodels = enumerate_submodels(data.p)
     fit_all = fit_all or any(
         c.kind == "aic" or (c.kind == "fic" and depends_on_theta(c.focus)) for c in criteria
     )
     fits = fit_subsets(data, submodels[:-1]) if fit_all else {}
     fit_wide = fits[submodels[-1].mask] = fit_mle(data, submodels[-1])
     D_n = delta_hat(fit_wide)
-    sizes = [len(S) for S in submodels]
+    sizes = (np.arange(len(submodels))[:, None] >> np.arange(data.p) & 1).sum(1)
     blocks, tables, messages = None, {}, {}
     for crit in criteria:
         if crit.kind == "aic":
@@ -317,14 +317,18 @@ def _rank_order(score: np.ndarray, sizes) -> list[int]:
 
 def _table(data: Dataset, crit: CriterionSpec):
     """Every subset's row of one fic or safic criterion, in rank order: one
-    fic_score or safic_score call per subset, from the sweep's two terms."""
-    order, (bias2, second) = _sweep(data, (crit,))[0][crit.name]
+    fic_score or safic_score call per subset, from the sweep's two terms, the
+    sweep's SubmodelIds and a label table built once, by doubling, so that
+    labels[m] == SubmodelId(m, p).variable_names(data.names)."""
+    submodels = enumerate_submodels(data.p)
+    order, (bias2, second) = _sweep(data, (crit,), submodels)[0][crit.name]
+    labels = [()]
+    for name in data.names:
+        labels += [lab + (name,) for lab in labels]
     build, scheme = (fic_score, ()) if crit.kind == "fic" else (safic_score, (crit.scheme,))
-    rows = []
-    for rank, i in enumerate(order, start=1):
-        S = SubmodelId(i, data.p)
-        rows.append(build(S, bias2[i], second[i], S.variable_names(data.names), *scheme, rank))
-    return rows
+    bias2, second = bias2.tolist(), second.tolist()
+    return [build(submodels[i], bias2[i], second[i], labels[i], *scheme, rank)
+            for rank, i in enumerate(order, start=1)]
 
 
 def fic_table(spec: FocusSpec, data: Dataset):

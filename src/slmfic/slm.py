@@ -64,13 +64,13 @@ def _size_groups(subsets, width: int):
     covariate indices, read from the masks.  width is what one subset adds to
     the largest stacked temporary, so none holds more than _CHUNK elements."""
     masks = np.array([S.mask for S in subsets], dtype=np.int64)
-    sizes = np.array([len(S) for S in subsets], dtype=int)
-    bits = np.arange(subsets[0].p if subsets else 0)
+    member = masks[:, None] >> np.arange(subsets[0].p if subsets else 0) & 1
+    sizes = member.sum(1)
     step = max(1, _CHUNK // max(1, width))
     for k in np.unique(sizes):
         same = np.flatnonzero(sizes == k)
         for idx in (same[i:i + step] for i in range(0, same.size, step)):
-            yield idx, np.nonzero(masks[idx, None] >> bits & 1)[1].reshape(idx.size, k)
+            yield idx, np.nonzero(member[idx])[1].reshape(idx.size, k)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slmfic import SimConfig, SpatialWeights, cli, errors, monte_carlo, morans_i
+from slmfic import FicRow, SimConfig, SpatialWeights, SubmodelId, cli, errors, monte_carlo, morans_i
 from slmfic.cli import main
 from slmfic.errors import DataFormatError, InputError, NumericalError
 from slmfic.io import (
+    _REPORT_COLUMNS,
     config_from_json,
+    json_text,
     load_dataset,
     load_weights,
     run_report_to_json,
@@ -218,7 +222,79 @@ class TestLoadDataset:
         assert np.array_equal(data.Y, expected.Y) and np.array_equal(data.X, expected.X)
 
 
+def rows_as_dicts(rows) -> list[dict]:
+    """The dict of each table row that write_report once built and
+    serialized: the oracle of its fixed-schema JSON and of its CSV."""
+    out = []
+    for r in rows:
+        d = {
+            "rank": r.rank,
+            "label": r.submodel.label(),
+            "mask": r.submodel.mask,
+            "variables": list(r.labels),
+            "bias2": r.bias2,
+            "variance": r.variance,
+            "score": r.score,
+        }
+        if r.scheme is not None:
+            d["scheme"] = r.scheme
+        out.append(d)
+    return out
+
+
+def csv_oracle(rows) -> str:
+    dicts = rows_as_dicts(rows)
+    cols = list(_REPORT_COLUMNS) + (["scheme"] if dicts and "scheme" in dicts[0] else [])
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, cols, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(dict(d, variables="+".join(d["variables"])) for d in dicts)
+    return buf.getvalue()
+
+
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
+                  0.1, 1e16, 1e-7, math.nan, math.inf, -math.inf)
+report_floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
+report_names = st.sampled_from(("", "x1", 'a"b', "c\\d", "e\x00\x1f\x7f", "\u00e9t\u00e9",
+                                "\u2603", "\U0001f600", "a,b", "l\nm\r")) | st.text(max_size=6)
+report_rows = st.integers(0, 7).flatmap(lambda p: st.builds(
+    FicRow,
+    submodel=st.builds(SubmodelId, st.integers(0, 2**p - 1), st.just(p)),
+    labels=st.lists(report_names, max_size=p).map(tuple),
+    bias2=report_floats,
+    variance=report_floats,
+    score=report_floats,
+    rank=st.integers(0, 2**20),
+    scheme=st.none() | report_names,
+))
+
+
 class TestReportSerialization:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(report_rows, max_size=8))
+    def test_json_table_equals_json_dumps(self, rows):
+        expected = json.dumps(rows_as_dicts(rows), indent=2, sort_keys=True) + "\n"
+        assert write_report(rows, None, fmt="json") == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(report_rows, max_size=8), st.none() | report_names)
+    def test_csv_table_equals_dict_writer(self, rows, scheme):
+        rows = [dataclasses.replace(r, scheme=scheme) for r in rows]  # one scheme per table
+        assert write_report(rows, None, fmt="csv") == csv_oracle(rows)
+
+    def test_special_floats_and_empty_tables(self):
+        S = SubmodelId(5, 3)
+        rows = [FicRow(S, (), x, y, z, 1, s) for x, y, z in
+                [(math.nan, 0.0, -0.0), (math.inf, -math.inf, 5e-324), (1e308, math.nan, math.inf)]
+                for s in (None, "kernel")]
+        text = write_report(rows, None)
+        assert text == json_text(rows_as_dicts(rows))
+        assert {"NaN", "Infinity", "-Infinity", "5e-324", "1e+308", "-0.0"} <= set(
+            text.replace(",", " ").split())
+        assert write_report([], None) == "[]\n" == json_text([])
+        header = ",".join(_REPORT_COLUMNS) + "\n"
+        assert write_report([], None, fmt="csv") == csv_oracle([]) == header
+
     def test_json_sorted_and_ranked(self, rng):
         from slmfic import FocusSpec, fic_table
 

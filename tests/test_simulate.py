@@ -379,17 +379,24 @@ class TestBatchedScoring:
     and its tracer counts."""
 
     def test_one_row_builder_call_per_subset(self, monkeypatch):
+        """One hook call per row, in rank order, with the row's SubmodelId and
+        its labels; one enumerate_submodels per table, the sweep's."""
         calls = {"fic_score": [], "safic_score": []}
         for name in calls:
             original = getattr(simulate, name)
 
-            def counting(S, *args, _name=name, _original=original, **kwargs):
+            def counting(S, bias2, second, labels, *args, _name=name, _original=original):
+                assert labels == S.variable_names(data.names)
                 calls[_name].append(S.mask)
-                return _original(S, *args, **kwargs)
+                return _original(S, bias2, second, labels, *args)
 
             monkeypatch.setattr(simulate, name, counting)
+        enumerated = []
+        enumerate_all = simulate.enumerate_submodels
+        monkeypatch.setattr(simulate, "enumerate_submodels",
+                            lambda p: enumerated.append(p) or enumerate_all(p))
         data = random_dataset(np.random.default_rng(7), n=30, p=4)
-        simulate._sweep(data, ALL_KINDS)  # the study's path builds no row
+        simulate._sweep(data, ALL_KINDS, enumerate_submodels(4))  # the study's path builds no row
         assert calls == {"fic_score": [], "safic_score": []}
         for crit in ALL_KINDS[:-1]:
             name = f"{crit.kind}_score"
@@ -399,10 +406,25 @@ class TestBatchedScoring:
             assert sorted(ranked_masks(rows)) == list(range(2**4))
         assert {k: len(v) for k, v in calls.items()} == {"fic_score": 4 * 2**4,
                                                          "safic_score": 2 * 2**4}
+        assert enumerated == [4] * len(ALL_KINDS[:-1])
+
+    @pytest.mark.parametrize("names", [(), ("\u00e9", 'a"b', "c,d", "", "x1", "e\\f")],
+                             ids=["default-names", "given-names"])
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_row_labels_are_the_submodels_variable_names(self, p, names):
+        base = random_dataset(np.random.default_rng(p), n=30, p=p)
+        data = Dataset(Y=base.Y, X=base.X, W=base.W, names=names[:p])
+        for rows in (fic_table(FocusSpec("conditional_mean", location=0), data),
+                     safic_table(data, "uniform")):
+            assert sorted(ranked_masks(rows)) == list(range(2**p))
+            for r in rows:
+                S = SubmodelId(r.submodel.mask, p)
+                assert r.submodel == S
+                assert r.labels == S.variable_names(names[:p])
 
     def test_every_table_is_built_in_rank_order(self):
         data = random_dataset(np.random.default_rng(10), n=30, p=4)
-        tables, _ = simulate._sweep(data, ALL_KINDS)
+        tables, _ = simulate._sweep(data, ALL_KINDS, enumerate_submodels(data.p))
         assert list(tables) == [c.name for c in ALL_KINDS]
         for crit in ALL_KINDS:
             order, terms = tables[crit.name]
@@ -440,9 +462,9 @@ class TestBatchedScoring:
     def test_chunk_size_leaves_rows_bit_identical(self, monkeypatch, chunk):
         """Every array of the sweep, and so every row built from them."""
         data = random_dataset(np.random.default_rng(9), n=30, p=5)
-        default, _ = simulate._sweep(data, ALL_KINDS)
+        default, _ = simulate._sweep(data, ALL_KINDS, enumerate_submodels(data.p))
         monkeypatch.setattr(slm, "_CHUNK", chunk)
-        chunked, _ = simulate._sweep(data, ALL_KINDS)
+        chunked, _ = simulate._sweep(data, ALL_KINDS, enumerate_submodels(data.p))
         for crit in ALL_KINDS:
             (order, terms), (order_c, terms_c) = default[crit.name], chunked[crit.name]
             assert order_c == order
@@ -458,8 +480,8 @@ def test_covariate_permutation_permutes_safic_and_aic_tables(seed, perm):
     data = random_dataset(np.random.default_rng(seed), n=30, p=4)
     permuted = Dataset(Y=data.Y, X=data.X[:, list(perm)], W=data.W)
     crits = [c for c in ALL_KINDS if c.kind in ("safic", "aic")]
-    tables, _ = simulate._sweep(data, crits)
-    tables_perm, _ = simulate._sweep(permuted, crits)
+    tables, _ = simulate._sweep(data, crits, enumerate_submodels(4))
+    tables_perm, _ = simulate._sweep(permuted, crits, enumerate_submodels(4))
 
     def original_mask(mask):
         return sum(1 << perm[j] for j in range(4) if mask >> j & 1)

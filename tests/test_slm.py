@@ -455,7 +455,7 @@ class TestFitSubsets:
             lambda d: fic_table(FocusSpec("conditional_mean", location=0), d),
             lambda d: fic_table(FocusSpec("spillover"), d),
             lambda d: safic_table(d),
-            lambda d: _sweep(d, (CriterionSpec("aic", "A"),)),
+            lambda d: _sweep(d, (CriterionSpec("aic", "A"),), enumerate_submodels(d.p)),
         ],
         ids=["fic-mean", "fic-spill", "safic", "aic"],
     )
