@@ -44,8 +44,10 @@ from .slm import (
     Dataset,
     FisherInfo,
     FitResult,
+    Fits,
     Theta,
     concentrated_loglik,
+    fit_batch,
     fit_mle,
     fit_subsets,
     full_loglik,

@@ -21,7 +21,7 @@ from scipy.spatial.distance import pdist
 
 from .errors import BandwidthError, ConfigError
 from .fic import FicRow
-from .slm import Dataset, FisherInfo, _certify, _size_groups
+from .slm import Dataset, FisherInfo, _certify, _gather, _of, _size_groups
 from .submodels import SubmodelId
 
 
@@ -101,12 +101,16 @@ class RhoBetaBlocks:
 
 def rho_beta_blocks(info_full: FisherInfo) -> RhoBetaBlocks:
     """Drop the sigma^2 row/column and certify the beta Schur complement."""
-    I = info_full.matrix
-    I_rr = float(I[0, 0])
-    I_br = I[2:, 0:1]
-    schur = I[2:, 2:] - (I_br @ I[0:1, 2:]) / I_rr
-    _certify(schur, "beta Schur complement of the wide information")
-    return RhoBetaBlocks(I_rr=I_rr, I_br=I_br, Q_inv=schur)
+    I_rr, I_br, schur = _rho_beta_blocks(info_full.matrix[None])
+    _certify(schur[0], "beta Schur complement of the wide information")
+    return RhoBetaBlocks(I_rr=float(I_rr[0]), I_br=I_br[0], Q_inv=schur[0])
+
+
+def _rho_beta_blocks(I: np.ndarray):
+    """I_rr (R,), I_br (R, p, 1) and the uncertified beta Schur complement
+    Q_inv (R, p, p) of a stack of informations I (R, p + 2, p + 2)."""
+    I_rr, I_br = I[:, 0, 0], I[:, 2:, 0:1]
+    return I_rr, I_br, I[:, 2:, 2:] - (I_br @ I[:, 0:1, 2:]) / I_rr[:, None, None]
 
 
 def g_matrix(blocks: RhoBetaBlocks, S: SubmodelId) -> np.ndarray:
@@ -138,9 +142,16 @@ def k_empirical(blocks: RhoBetaBlocks, data: Dataset, psi: PsiWeights) -> np.nda
     symmetrized to guard floating-point drift."""
     if len(psi.psi) != data.n:
         raise ValueError("weights length must equal the number of units")
-    Omega = np.outer(data.WY, blocks.I_br[:, 0] / blocks.I_rr) - data.X
-    K = Omega.T @ (psi.psi[:, None] * Omega)
-    return 0.5 * (K + K.T)
+    return _k_empirical(np.array([blocks.I_rr]), blocks.I_br[None], data.WY[None],
+                        data.X[None], psi.psi)[0]
+
+
+def _k_empirical(I_rr, I_br, WY, X, psi) -> np.ndarray:
+    """k_empirical of R datasets: I_rr (R,), I_br (R, p, 1), WY (R, n), X (R, n, p)
+    and psi (n,), shared, or (R, n) give K (R, p, p)."""
+    Omega = WY[:, :, None] * (I_br[:, :, 0] / I_rr[:, None])[:, None, :] - X
+    K = np.swapaxes(Omega, 1, 2) @ (psi[..., :, None] * Omega)
+    return 0.5 * (K + np.swapaxes(K, 1, 2))
 
 
 def pointwise_risk(
@@ -169,25 +180,33 @@ def pointwise_risk(
 def safic_terms(subsets, delta: np.ndarray, blocks: RhoBetaBlocks,
                 K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bias and penalty arrays of the weighted-average risk, one entry per subset,
-    the shared rho term excluded.
-
-    With M_S = Q^{-1}[S, S] the residual direction (I - G_S) delta is
-    r = delta - Pi_S' M_S^{-1} (Q^{-1} delta)_S, the bias term is r'K r and the
-    penalty tr(G_S Q G_S' K) is tr(M_S^{-1} K_SS).  Q^{-1} is certified once
-    (_certify), which certifies every block M_S; per subset size, one stacked
-    solve of the blocks M_S against [(Q^{-1} delta)_S | K_SS].
-    """
-    subsets, delta = list(subsets), np.asarray(delta, dtype=float)
+    the shared rho term excluded.  Q^{-1} is certified once (_certify), which
+    certifies every block M_S; the terms are those of _safic_terms on this one
+    dataset."""
     _certify(blocks.Q_inv, "beta Schur complement of the wide information")
-    bias2, penalty = np.empty(len(subsets)), np.empty(len(subsets))
-    for idx, cols in _size_groups(subsets, blocks.p * (blocks.p + 2)):
-        sq = (cols[:, :, None], cols[:, None, :])
-        rhs = np.concatenate(((blocks.Q_inv[cols] @ delta)[:, :, None], K[sq]), axis=2)
-        sol = np.linalg.solve(blocks.Q_inv[sq], rhs)
-        r = np.tile(delta, (idx.size, 1))
-        r[np.arange(idx.size)[:, None], cols] -= sol[:, :, 0]
-        penalty[idx] = np.trace(sol[:, :, 1:], axis1=1, axis2=2)
-        bias2[idx] = (r[:, None, :] @ K @ r[:, :, None])[:, 0, 0]
+    bias2, penalty = _safic_terms(list(subsets), np.asarray(delta, dtype=float)[None],
+                                  blocks.Q_inv[None], np.asarray(K)[None])
+    return bias2[0], penalty[0]
+
+
+def _safic_terms(subsets, delta: np.ndarray, Q_inv: np.ndarray, K: np.ndarray):
+    """safic_terms of R datasets at once, as (R, m) arrays: delta (R, p), the
+    certified Q_inv and K (R, p, p).  With M_S = Q^{-1}[S, S] the residual
+    direction (I - G_S) delta is r = delta - Pi_S' M_S^{-1} (Q^{-1} delta)_S, the
+    bias term is r'K r and the penalty tr(G_S Q G_S' K) is tr(M_S^{-1} K_SS).
+    Per subset size, one stacked solve over the (dataset, subset) pairs of the
+    blocks M_S against [(Q^{-1} delta)_S | K_SS]."""
+    reps, p = delta.shape
+    bias2, penalty = np.empty((reps, len(subsets))), np.empty((reps, len(subsets)))
+    for r, idx, cols in _size_groups(subsets, p * (p + 2), reps):
+        sq = (cols[:, :, None], cols[:, None])
+        rhs = np.concatenate((_gather(Q_inv, r, cols) @ _of(delta, r)[:, :, None],
+                              _gather(K, r, *sq)), axis=2)
+        sol = np.linalg.solve(_gather(Q_inv, r, *sq), rhs)
+        res = delta[r]
+        res[np.arange(idx.size)[:, None], cols] -= sol[:, :, 0]
+        penalty[r, idx] = np.trace(sol[:, :, 1:], axis1=1, axis2=2)
+        bias2[r, idx] = (res[:, None, :] @ _of(K, r) @ res[:, :, None])[:, 0, 0]
     return bias2, penalty
 
 

@@ -1,12 +1,15 @@
 """Monte-Carlo experiment driver: seeded replications, criterion sweeps, frequency tables.
 
-Each replication (_replicate) draws a fresh design matrix and innovation
-vector from an RNG stream keyed by (seed, rep), ranks all candidate submodels
-by the enabled criteria, and records the rank order.  One engine, _sweep,
-ranks the submodels for replications, fic_table and safic_table alike and
-returns arrays; only the two tables build rows.  Aggregation is an ordered
-reduction over replication index, so reports are byte-identical for a given
-config and seed regardless of worker count.
+Each replication draws a fresh design matrix and innovation vector from an
+RNG stream keyed by (seed, rep).  One batch function, _replicate, draws a
+contiguous range of replications and ranks all candidate submodels of all of
+them at once through one engine, _sweep, which carries a leading replication
+axis through the fits, the informations and the stacked scores, and records
+each replication's rank orders or the first error that stopped it.  fic_table
+and safic_table run the same engine on one dataset; only these two tables
+build rows.  Aggregation is an ordered reduction over replication index, and
+no replication's numbers depend on the others in its batch, so reports are
+byte-identical for a given config and seed regardless of worker count.
 """
 
 from __future__ import annotations
@@ -20,22 +23,29 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
-from .diagnostics import aic
+from . import slm
 from .errors import ConfigError, NumericalError, ReplicationFailureError
-from .fic import delta_hat, fic_score, fic_terms
+from .fic import _fic_terms, fic_score
 from .focus import FocusSpec, depends_on_theta, eval_focus
 from .safic import (
-    PsiWeights,
+    _k_empirical,
+    _rho_beta_blocks,
+    _safic_terms,
     check_kernel,
-    k_empirical,
     median_bandwidth,
     psi_kernel,
     psi_uniform,
-    rho_beta_blocks,
     safic_score,
-    safic_terms,
 )
-from .slm import Dataset, Theta, fit_mle, fit_subsets
+from .slm import (
+    Dataset,
+    FisherInfo,
+    Fits,
+    Theta,
+    _certificates,
+    _information,
+    fit_batch,
+)
 from .submodels import enumerate_submodels
 from .weights import SpatialWeights, build_chain_lag1
 
@@ -160,29 +170,52 @@ def _draw(cfg: SimConfig, rep: int, W: SpatialWeights, A) -> Dataset:
     return Dataset(Y=scipy.sparse.linalg.spsolve(A, rhs), X=X, W=W)
 
 
-def _replicate(cfg: SimConfig, W: SpatialWeights, A, rep: int):
-    """Draw replication rep and rank every criterion on it.
+def _replicate(cfg: SimConfig, W: SpatialWeights, A, reps: range) -> list:
+    """Draw replications reps and rank every criterion on them, in batches of
+    at most _CHUNK // (2^p max(n, (p + 2)^2)) replications, one _sweep each:
+    a replication adds 2^p n elements to the rho search's log-det terms and
+    about 2^p (p + 2)^2 to the stacked scores, so that a batch's largest
+    temporaries stay within slm._CHUNK elements and its working set small.
 
-    Returns ((rankings, realized), None), where rankings maps criterion name
-    to the masks in rank order and realized maps mask to the squared error of
-    the estimated focus at the truth (first fic criterion, track_realized_error
-    only); or (None, "Class: message") if a NumericalError stops it.
+    Returns, per replication, ((rankings, realized), None), where rankings maps
+    criterion name to the masks in rank order and realized maps mask to the
+    squared error of the estimated focus at the truth (first fic criterion,
+    track_realized_error only); or (None, "Class: message") if a NumericalError
+    stops it.
     """
-    try:
-        data = _draw(cfg, rep, W, A)
-        submodels = enumerate_submodels(cfg.p)
-        tables, fits = _sweep(data, cfg.criteria, submodels, fit_all=cfg.track_realized_error)
-        realized: dict[int, float] = {}
-        if cfg.track_realized_error:
-            focus = next(c.focus for c in cfg.criteria if c.kind == "fic")
-            theta_true = Theta(cfg.rho_true, cfg.sigma2_true, np.asarray(cfg.beta_true))
-            mu_true = eval_focus(focus, theta_true, data, submodels[-1]).value
-            for mask, fit in fits.items():
-                mu_hat = eval_focus(focus, fit.theta_hat, data, fit.submodel, info=fit.info).value
-                realized[mask] = float(np.sum((mu_hat - mu_true) ** 2))
-    except NumericalError as exc:
-        return None, f"{type(exc).__name__}: {exc}"
-    return ({name: order for name, (order, _terms) in tables.items()}, realized), None
+    submodels = enumerate_submodels(cfg.p)
+    size = max(1, slm._CHUNK // (len(submodels) * max(cfg.n, (cfg.p + 2) ** 2)))
+    results = []
+    for start in range(reps.start, reps.stop, size):
+        batch = [_draw(cfg, rep, W, A) for rep in range(start, min(start + size, reps.stop))]
+        tables, fits, errors = _sweep(batch, cfg.criteria, submodels,
+                                      fit_all=cfg.track_realized_error)
+        for r, (data, error) in enumerate(zip(batch, errors)):
+            realized: dict[int, float] = {}
+            if cfg.track_realized_error and error is None:
+                try:
+                    realized = _realized_error(cfg, data, fits, r)
+                except NumericalError as exc:
+                    error = exc
+            if error is not None:
+                results.append((None, f"{type(error).__name__}: {error}"))
+            else:
+                rankings = {name: orders[r] for name, (orders, _terms) in tables.items()}
+                results.append(((rankings, realized), None))
+    return results
+
+
+def _realized_error(cfg: SimConfig, data: Dataset, fits: Fits, r: int) -> dict[int, float]:
+    """Per mask, the squared error of the first fic criterion's focus at fit r
+    of each subset, against the focus at the true parameters."""
+    focus = next(c.focus for c in cfg.criteria if c.kind == "fic")
+    theta_true = Theta(cfg.rho_true, cfg.sigma2_true, np.asarray(cfg.beta_true))
+    mu_true = eval_focus(focus, theta_true, data, fits.subsets[-1]).value
+    realized = {}
+    for i, S in enumerate(fits.subsets):
+        mu_hat = eval_focus(focus, fits.result(r, i).theta_hat, data, S).value
+        realized[S.mask] = float(np.sum((mu_hat - mu_true) ** 2))
+    return realized
 
 
 @dataclass
@@ -206,10 +239,10 @@ def monte_carlo(cfg: SimConfig, jobs: int = 1) -> RunReport:
     skipped, more than 10% of them raise ReplicationFailureError, an InputError stops it.
 
     The weights and I - rho W are built once and carried, with the config, in
-    the one replication function mapped over range(reps): serially with
-    jobs = 1, else by a pool of min(jobs, reps) processes in which each worker
-    takes one contiguous chunk of replications, and so one pickled copy of W
-    with its spectrum.  jobs < 1 is a ConfigError.
+    the one batch function (_replicate) mapped over contiguous chunks of
+    range(reps): the whole range in this process with jobs = 1, else one
+    chunk per worker of a pool of min(jobs, reps) processes, each taking one
+    pickled copy of W with its spectrum.  jobs < 1 is a ConfigError.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -217,12 +250,17 @@ def monte_carlo(cfg: SimConfig, jobs: int = 1) -> RunReport:
     replicate = functools.partial(_replicate, cfg, W, _spatial_filter(cfg, W))
     workers = min(jobs, cfg.reps)  # no idle worker processes
     if workers == 1:
-        results = list(map(replicate, range(cfg.reps)))
+        results = replicate(range(cfg.reps))
     else:
+        size = math.ceil(cfg.reps / workers)
+        chunks = [range(i, min(i + size, cfg.reps)) for i in range(0, cfg.reps, size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(replicate, range(cfg.reps),
-                                    chunksize=math.ceil(cfg.reps / workers)))
+            results = [out for chunk in pool.map(replicate, chunks) for out in chunk]
+    return _report(cfg, results)
 
+
+def _report(cfg: SimConfig, results) -> RunReport:
+    """The RunReport of _replicate's results over range(reps), in replication order."""
     failures = [(rep, msg) for rep, (out, msg) in enumerate(results) if out is None]
     if len(failures) > 0.10 * cfg.reps:
         detail = "; ".join(f"rep {r}: {m}" for r, m in failures[:5])
@@ -245,90 +283,156 @@ def monte_carlo(cfg: SimConfig, jobs: int = 1) -> RunReport:
                      realized_mse)
 
 
-def _psi(crit: CriterionSpec, data: Dataset) -> PsiWeights:
+def _psi(crit: CriterionSpec, data: Dataset) -> np.ndarray:
     """sAFIC weights of a criterion: uniform, or a Gaussian kernel centred on
     z0 (default: the first unit's covariates) with the median-distance
     bandwidth unless one is given."""
     if crit.scheme == "uniform":
-        return psi_uniform(data.n)
+        return psi_uniform(data.n).psi
     check_kernel(crit.z0, crit.bandwidth, data.p)
     z0 = np.asarray(crit.z0, dtype=float) if crit.z0 is not None else data.X[0]
     h = crit.bandwidth if crit.bandwidth is not None else median_bandwidth(data.X)
-    return psi_kernel(data.X, z0, h)
+    return psi_kernel(data.X, z0, h).psi
 
 
-def _sweep(data: Dataset, criteria, submodels, fit_all: bool = False):
-    """Rank all 2^p subsets of a dataset, submodels = enumerate_submodels(p),
-    by each criterion.
+def _drop(errors: list, live: np.ndarray, found) -> np.ndarray:
+    """Record found[j], an error or None, as the error of dataset live[j] and
+    return the datasets of live still without one."""
+    for r, error in zip(live, found):
+        errors[r] = error
+    return live[[errors[r] is None for r in live]]
 
-    fit_mle fits the wide model, with information; one fit_subsets call fits
-    the others only when a score reads them: AIC the log-likelihood, FIC
-    theta_S when focus.depends_on_theta, and fit_all every fit.  FIC with a
-    theta-free focus and sAFIC read the wide fit only: each FIC focus is
-    evaluated once at the wide fit, and a subset's Jacobian is the
-    (rho, sigma^2, beta_S) columns of that evaluation unless the focus depends
-    on theta.  delta_hat is computed once.  fic_terms and safic_terms score
-    all subsets with one stacked solve per subset size, and each score array
-    is ranked once (_rank_order).  Each distinct warning of the focus
-    evaluations is issued once, as a RuntimeWarning.
 
-    Returns ({criterion name: (order, terms)}, {mask: fit}).  order lists the
-    subset indices (= masks) in rank order; terms, indexed by mask, are
+def _each(errors: list, live: np.ndarray, fn):
+    """fn(r) for each dataset r of live, a NumericalError it raises recorded as
+    r's error: the datasets of live still without one, and their values."""
+    values, found = [], []
+    for r in live:
+        try:
+            values.append(fn(r))
+            found.append(None)
+        except NumericalError as exc:
+            found.append(exc)
+    return _drop(errors, live, found), values
+
+
+def _sweep(batch, criteria, submodels, fit_all: bool = False):
+    """Rank all 2^p subsets of each dataset of a batch (datasets that share one
+    W and p), submodels = enumerate_submodels(p), by each criterion.
+
+    One fit_batch call fits the wide model of every dataset and, in the same
+    search, the other subsets when a score reads their fits: AIC the
+    log-likelihood, FIC theta_S when focus.depends_on_theta, and fit_all every
+    fit.  Each dataset's wide information (the closed form of observed_info)
+    and, once an sAFIC criterion needs it, its beta Schur complement are
+    certified once, by one stacked check per kind: by interlacing, that
+    certifies every block a subset solves against.  FIC
+    with a theta-free focus and sAFIC read the wide fit only: each FIC focus
+    is evaluated once per dataset at the wide fit, and a subset's Jacobian is
+    the (rho, sigma^2, beta_S) columns of that evaluation unless the focus
+    depends on theta.  delta_hat = sqrt(n) beta_wide is computed once.
+    _fic_terms and _safic_terms score every (dataset, subset) pair with one
+    stacked solve per subset size, AIC is one array expression, and each score
+    array is ranked once (_rank_order).  Each distinct warning of the focus
+    evaluations of the datasets that complete is issued once, as a
+    RuntimeWarning.
+
+    A NumericalError stops its dataset only, which keeps the first: the fits,
+    then the wide information, then each criterion in turn.
+
+    Returns (tables, fits, errors).  tables maps criterion name to
+    (orders, terms): orders[r] lists dataset r's subset indices (= masks) in
+    rank order; terms, (R, 2^p) arrays indexed by dataset and mask, are
     (bias2, variance) for FIC, (bias2, penalty) for sAFIC and (aic,) for AIC,
-    and the score is their sum.  The fits are in ascending mask order.
+    and the score is their sum.  fits is the Fits of the fitted subsets, in
+    ascending mask order, and errors the NumericalError or None of each
+    dataset; the rows of a dataset with an error are meaningless.
     """
     fit_all = fit_all or any(
         c.kind == "aic" or (c.kind == "fic" and depends_on_theta(c.focus)) for c in criteria
     )
-    fits = fit_subsets(data, submodels[:-1]) if fit_all else {}
-    fit_wide = fits[submodels[-1].mask] = fit_mle(data, submodels[-1])
-    D_n = delta_hat(fit_wide)
-    sizes = (np.arange(len(submodels))[:, None] >> np.arange(data.p) & 1).sum(1)
-    blocks, tables, messages = None, {}, {}
+    fits = fit_batch(batch, submodels if fit_all else submodels[-1:])
+    errors, wide, last = list(fits.errors), submodels[-1], len(fits.subsets) - 1
+    n, reps = batch[0].n, len(batch)
+    ok = [e is None for e in errors]
+    info = np.stack([_information(fits.result(r, last).theta_hat, data, wide) if ok[r]
+                     else np.eye(wide.p + 2) for r, data in enumerate(batch)])
+    live = _drop(errors, np.flatnonzero(ok),
+                 _certificates(info[ok], f"information of {wide.label()}"))
+    info[[e is not None for e in errors]] = np.eye(wide.p + 2)  # keeps every stacked step defined
+    D = np.sqrt(n) * fits.beta[:, -1]
+    sizes = (np.arange(len(submodels))[:, None] >> np.arange(batch[0].p) & 1).sum(1)
+    blocks, tables, messages = None, {}, []
     for crit in criteria:
+        terms = tuple(np.full((reps, len(submodels)), np.nan)
+                      for _ in range(1 if crit.kind == "aic" else 2))
         if crit.kind == "aic":
-            terms = (np.array([aic(fits[S.mask]) for S in submodels]),)
+            terms[0][:] = -2.0 * fits.loglik + 2.0 * (sizes + 2)
         elif crit.kind == "fic":
-            theta_dependent = depends_on_theta(crit.focus)
-            evals = [eval_focus(crit.focus, fits[S.mask].theta_hat, data, S,
-                                fit_wide.info if S.is_wide else None)
-                     for S in (submodels if theta_dependent else submodels[-1:])]
-            J_wide = evals[-1].jacobian
-            J = [ev.jacobian for ev in evals] if theta_dependent else J_wide
-            messages.update(dict.fromkeys(msg for ev in evals for msg in ev.warnings))
-            terms = fic_terms(submodels, J, J_wide[:, 2:], fit_wide.info, D_n)
+            live, evals = _each(errors, live, lambda r: _evaluate(
+                crit.focus, batch[r], fits, r, FisherInfo(info[r], n)))
+            messages += [(r, msg) for r, ev in zip(live, evals) for e in ev for msg in e.warnings]
+            if live.size:
+                J_wide = np.stack([ev[-1].jacobian for ev in evals])
+                J = ([[e.jacobian for e in ev] for ev in evals] if depends_on_theta(crit.focus)
+                     else J_wide)
+                found = _fic_terms(submodels, J, J_wide[:, :, 2:], info[live], D[live])
+                for t, f in zip(terms, found):
+                    t[live] = f
         else:  # safic
             if blocks is None:
-                blocks = rho_beta_blocks(fit_wide.info)
-            psi = _psi(crit, data)
-            terms = safic_terms(submodels, D_n, blocks, k_empirical(blocks, data, psi))
+                blocks = _rho_beta_blocks(info)
+                live = _drop(errors, live, _certificates(
+                    blocks[2][live], "beta Schur complement of the wide information"))
+            live, psi = _each(errors, live, lambda r: _psi(crit, batch[r]))
+            if live.size:
+                I_rr, I_br, Q_inv = (b[live] for b in blocks)
+                WY, X = (np.stack([getattr(batch[r], a) for r in live]) for a in ("WY", "X"))
+                K = _k_empirical(I_rr, I_br, WY, X, np.stack(psi))
+                found = _safic_terms(submodels, D[live], Q_inv, K)
+                for t, f in zip(terms, found):
+                    t[live] = f
         score = terms[0] + terms[1] if len(terms) == 2 else terms[0]
         tables[crit.name] = (_rank_order(score, sizes), terms)
-    for msg in messages:
+    for msg in dict.fromkeys(msg for r, msg in messages if errors[r] is None):
         warnings.warn(msg, RuntimeWarning)
-    return tables, fits
+    return tables, fits, errors
 
 
-def _rank_order(score: np.ndarray, sizes) -> list[int]:
-    """A sweep's subset indices (= masks) in rank order: ascending score, then
-    fewer covariates, then the smaller mask; NaN scores last, in that order."""
-    return np.lexsort((np.arange(len(sizes)), sizes, score)).tolist()
+def _evaluate(spec: FocusSpec, data: Dataset, fits: Fits, r: int, info_wide: FisherInfo):
+    """The focus evaluations of dataset r of a sweep: at the wide fit only,
+    with its information, for a theta-free focus, else at every subset's fit,
+    in subset order (the wide one last)."""
+    last = len(fits.subsets) - 1
+    return [eval_focus(spec, fits.result(r, i).theta_hat, data, fits.subsets[i],
+                       info_wide if i == last else None)
+            for i in (range(last + 1) if depends_on_theta(spec) else [last])]
+
+
+def _rank_order(score: np.ndarray, sizes) -> list:
+    """The subset indices (= masks) in rank order, as a list, or one list per row
+    of a 2-D score: ascending score, then fewer covariates, then the smaller
+    mask; NaN scores last, in that order."""
+    return np.lexsort(np.broadcast_arrays(np.arange(len(sizes)), sizes, score)).tolist()
 
 
 def _table(data: Dataset, crit: CriterionSpec):
     """Every subset's row of one fic or safic criterion, in rank order: one
-    fic_score or safic_score call per subset, from the sweep's two terms, the
-    sweep's SubmodelIds and a label table built once, by doubling, so that
-    labels[m] == SubmodelId(m, p).variable_names(data.names)."""
+    fic_score or safic_score call per subset, from the one-dataset sweep's two
+    terms, the sweep's SubmodelIds and a label table built once, by doubling,
+    so that labels[m] == SubmodelId(m, p).variable_names(data.names)."""
     submodels = enumerate_submodels(data.p)
-    order, (bias2, second) = _sweep(data, (crit,), submodels)[0][crit.name]
+    tables, _fits, (error,) = _sweep([data], (crit,), submodels)
+    if error is not None:
+        raise error
+    orders, (bias2, second) = tables[crit.name]
     labels = [()]
     for name in data.names:
         labels += [lab + (name,) for lab in labels]
     build, scheme = (fic_score, ()) if crit.kind == "fic" else (safic_score, (crit.scheme,))
-    bias2, second = bias2.tolist(), second.tolist()
+    bias2, second = bias2[0].tolist(), second[0].tolist()
     return [build(submodels[i], bias2[i], second[i], labels[i], *scheme, rank)
-            for rank, i in enumerate(order, start=1)]
+            for rank, i in enumerate(orders[0], start=1)]
 
 
 def fic_table(spec: FocusSpec, data: Dataset):

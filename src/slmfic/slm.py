@@ -2,18 +2,24 @@
 
 The model is Y = rho*W*Y + X*beta + eps with iid Gaussian innovations.  For a
 fixed rho the problem reduces to ordinary regression of (I - rho*W)Y on X, so
-beta and sigma^2 are profiled out in closed form; fit_subsets finds rho for
-many subsets at once, as the root of the profile score, from one QR of X and
-one vectorised Newton search.  The score and the observed information, ordered
-(rho, sigma^2, beta), are closed forms (Anselin 1988, *Spatial Econometrics*;
-Lee 2004, *Econometrica* 72(6)) built from WY, X_S, the residual and the
-spectrum of W, which the weights compute on its first read and keep.
+beta and sigma^2 are profiled out in closed form.  fit_batch fits a batch of
+datasets on one W, each on many subsets, with a leading dataset axis through
+every stage: one stacked QR of the designs, one stacked SVD per subset size
+for the profile regressions, and one vectorised Newton search that finds rho,
+the root of the profile score, for every (dataset, subset) pair.  A fit that
+fails marks its dataset with an error and leaves the others alone.
+fit_subsets and fit_mle are its one-dataset case.  The score and the observed
+information, ordered (rho, sigma^2, beta), are closed forms (Anselin 1988,
+*Spatial Econometrics*; Lee 2004, *Econometrica* 72(6)) built from WY, X_S,
+the residual and the spectrum of W, which the weights compute on its first
+read and keep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -35,10 +41,11 @@ _CHUNK = 1 << 16  # elements of one stacked temporary in a fit or scoring batch
 _COND_LIMIT = 1e12  # an information matrix whose condition number exceeds it counts as singular
 
 
-def _certify(M: np.ndarray, what: str) -> None:
-    """Raise SingularInformationError, naming `what`, unless the symmetric M is
-    finite and positive definite with lambda_max <= _COND_LIMIT * lambda_min, by
-    one eigvalsh.  An empty M (p = 0) has nothing to invert.
+def _certificates(M: np.ndarray, what: str) -> list:
+    """For each symmetric matrix of the stack M, of shape (R, k, k), the
+    SingularInformationError naming `what` unless it is finite and positive
+    definite with lambda_max <= _COND_LIMIT * lambda_min, else None: one
+    stacked eigvalsh.  Empty matrices (p = 0) have nothing to invert.
 
     One check per wide matrix serves every subset: each principal block of a
     symmetric positive-definite matrix, and each principal block of its Schur
@@ -46,31 +53,65 @@ def _certify(M: np.ndarray, what: str) -> None:
     the whole matrix's (Cauchy interlacing; Horn & Johnson, *Matrix Analysis*,
     2nd ed., Thm 4.3.28 and Cor. 7.3.6).  So the blocks I_S of the wide
     information and M_S of its beta Schur complement are solved unchecked."""
+    errors = [None] * len(M)
     if not M.size:
-        return
-    if not np.all(np.isfinite(M)):
-        raise SingularInformationError(f"{what} has a non-finite entry")
-    lo, hi = np.linalg.eigvalsh(M)[[0, -1]]
-    if not lo > 0:
-        raise SingularInformationError(
-            f"{what} is not positive definite: smallest eigenvalue {lo:.3e}")
-    if hi > _COND_LIMIT * lo:
-        raise SingularInformationError(f"{what} has condition number {hi / lo:.3e}")
+        return errors
+    finite = np.isfinite(M).all(axis=(1, 2))
+    lam = np.linalg.eigvalsh(M if finite.all() else
+                             np.where(finite[:, None, None], M, np.eye(M.shape[-1])))
+    for r, (ok, lo, hi) in enumerate(zip(finite.tolist(), lam[:, 0].tolist(),
+                                         lam[:, -1].tolist())):
+        if not ok:
+            message = f"{what} has a non-finite entry"
+        elif not lo > 0:
+            message = f"{what} is not positive definite: smallest eigenvalue {lo:.3e}"
+        elif hi > _COND_LIMIT * lo:
+            message = f"{what} has condition number {hi / lo:.3e}"
+        else:
+            continue
+        errors[r] = SingularInformationError(message)
+    return errors
 
 
-def _size_groups(subsets, width: int):
-    """The subsets by size k, ascending: (idx, cols), idx the positions of at
-    most _CHUNK // width subsets of size k and cols their (len(idx), k) sorted
-    covariate indices, read from the masks.  width is what one subset adds to
-    the largest stacked temporary, so none holds more than _CHUNK elements."""
+def _certify(M: np.ndarray, what: str) -> None:
+    """Raise the error _certificates finds in the one matrix M, if any."""
+    (error,) = _certificates(M[None], what)
+    if error:
+        raise error
+
+
+def _size_groups(subsets, width: int, reps: int = 1):
+    """The (dataset, subset) pairs of reps datasets and the subsets, by subset
+    size k ascending and dataset-major within a size: (r, idx, cols), r the
+    datasets and idx the subset positions of at most _CHUNK // width pairs of
+    size k, and cols their (len(idx), k) sorted covariate indices, read from the
+    masks.  width is what one pair adds to the largest stacked temporary, so
+    none holds more than _CHUNK elements."""
     masks = np.array([S.mask for S in subsets], dtype=np.int64)
     member = masks[:, None] >> np.arange(subsets[0].p if subsets else 0) & 1
     sizes = member.sum(1)
     step = max(1, _CHUNK // max(1, width))
     for k in np.unique(sizes):
         same = np.flatnonzero(sizes == k)
-        for idx in (same[i:i + step] for i in range(0, same.size, step)):
-            yield idx, np.nonzero(member[idx])[1].reshape(idx.size, k)
+        r, idx = np.repeat(np.arange(reps), same.size), np.tile(same, reps)
+        for i in range(0, r.size, step):
+            j = idx[i:i + step]
+            yield r[i:i + step], j, np.nonzero(member[j])[1].reshape(j.size, k)
+
+
+def _of(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """a[r] for the datasets r of a size group's pairs; a view of the one
+    dataset's entry, to broadcast, when the group lies in one dataset."""
+    return a[r[:1]] if r[0] == r[-1] else a[r]
+
+
+def _gather(M: np.ndarray, r: np.ndarray, rows: np.ndarray, cols=slice(None)) -> np.ndarray:
+    """M[r_j][rows_j, cols_j] for a size group's pairs j, rows and cols
+    broadcast against the group: with one index fewer when the group lies in
+    one dataset."""
+    if r[0] == r[-1]:
+        return M[r[0]][rows, cols]
+    return M[r.reshape((-1,) + (1,) * (rows.ndim - 1)), rows, cols]
 
 
 @dataclass(frozen=True)
@@ -167,6 +208,34 @@ class FitResult:
     iterations: int
 
 
+@dataclass(frozen=True)
+class Fits:
+    """Fits of each dataset of a batch on each of m subsets, as (R, m) arrays
+    over the R datasets: rho, sigma^2, the log-likelihood and the steps of the
+    rho search, and beta as (R, m, p), zero outside each subset.  errors holds,
+    per dataset, the first NumericalError of its fits or None; every entry of a
+    dataset with an error is NaN."""
+
+    subsets: tuple[SubmodelId, ...]
+    rho: np.ndarray
+    sigma2: np.ndarray
+    beta: np.ndarray
+    loglik: np.ndarray
+    steps: np.ndarray
+    errors: tuple
+
+    @cached_property
+    def _columns(self) -> list:
+        return [list(S.indices()) for S in self.subsets]
+
+    def result(self, r: int, i: int) -> FitResult:
+        """The FitResult, without information, of dataset r on subset i."""
+        theta = Theta(float(self.rho[r, i]), float(self.sigma2[r, i]),
+                      self.beta[r, i, self._columns[i]])
+        return FitResult(theta, float(self.loglik[r, i]), None, self.subsets[i],
+                         int(self.steps[r, i]))
+
+
 def _design(data: Dataset, S: SubmodelId) -> np.ndarray:
     return data.X[:, S.indices()]
 
@@ -178,21 +247,22 @@ def profile_beta(rho: float, data: Dataset, S: SubmodelId) -> np.ndarray:
     selected columns.
     """
     data.W.require_rho(rho)
-    _, (coef,) = _regressions(_project(data), [S])
+    coef = _regressions(_project([data]), [S])[1][0, 0, list(S.indices())]
     return coef[:, 0] - rho * coef[:, 1]
 
 
 def profile_sigma2(rho: float, data: Dataset, S: SubmodelId) -> float:
     """Profiled MLE of sigma^2 (divisor n) at a given rho."""
     data.W.require_rho(rho)
-    return float(_sigma2(_regressions(_project(data), [S])[0], rho, data.n, [S])[0])
+    s2 = _sigma2(_regressions(_project([data]), [S])[0][0], rho, data.n)
+    if s2[0] < _SIGMA2_FLOOR:
+        raise _fit_error(1, s2[0], S)
+    return float(s2[0])
 
 
 def concentrated_loglik(rho: float, data: Dataset, S: SubmodelId) -> float:
     """Profile log-likelihood of rho with beta and sigma^2 concentrated out."""
-    data.W.require_rho(rho)
-    gram, _ = _regressions(_project(data), [S])
-    return float(_loglik(data, _sigma2(gram, rho, data.n, [S]), rho)[0])
+    return float(_loglik(data.W, data.n, profile_sigma2(rho, data, S), rho))
 
 
 def full_loglik(theta: Theta, data: Dataset, S: SubmodelId) -> float:
@@ -210,77 +280,93 @@ def full_loglik(theta: Theta, data: Dataset, S: SubmodelId) -> float:
     )
 
 
-def _project(data: Dataset):
-    """One thin QR X = QR: R, z = Q'[Y, WY] and the residual Gram matrix of [Y, WY] on X."""
-    Z = np.column_stack((data.Y, data.WY))
-    Q, R = np.linalg.qr(data.X)
-    z = Q.T @ Z
+def _project(batch):
+    """One stacked thin QR X = QR of the batch's designs: R, z = Q'[Y, WY] and
+    the residual Gram matrix of [Y, WY] on X, each with a leading dataset axis."""
+    Z = np.stack([np.column_stack((d.Y, d.WY)) for d in batch])
+    Q, R = np.linalg.qr(np.stack([d.X for d in batch]))
+    z = np.swapaxes(Q, 1, 2) @ Z
     outside = Z - Q @ z
-    return R, z, outside.T @ outside
+    return R, z, np.swapaxes(outside, 1, 2) @ outside
 
 
 def _regressions(projection, subsets):
-    """Regressions of Y and WY on X_S = Q R_S: their residual is the residual on
-    X plus Q times that of z on R_S, a p-row problem with the singular values
-    of X_S, solved by one stacked SVD per subset size.  These interlace the
-    singular values of X, which Dataset holds to the rank rule, so no X_S is
-    checked again.  Returns the (m, 2, 2) residual Gram matrices
-    [[a, b], [b, c]], the residual sum of squares of (I - rho*W)Y being
-    a - 2*b*rho + c*rho^2, and each (|S|, 2) coefficient array."""
+    """Regressions of Y and WY on X_S = Q R_S for every dataset of a projection
+    and every subset: their residual is the residual on X plus Q times that of
+    z on R_S, a p-row problem with the singular values of X_S, solved by one
+    stacked SVD per subset size.  These interlace the singular values of X,
+    which Dataset holds to the rank rule, so no X_S is checked again.  Returns
+    the (R, m, 2, 2) residual Gram matrices [[a, b], [b, c]], the residual sum
+    of squares of (I - rho*W)Y being a - 2*b*rho + c*rho^2, and the
+    (R, m, p, 2) coefficients, zero outside each subset."""
     R, z, base = projection
-    gram, coefs = np.empty((len(subsets), 2, 2)), [None] * len(subsets)
-    for idx, cols in _size_groups(subsets, R.size):
+    reps, p = R.shape[0], R.shape[-1]
+    gram, coef = np.empty((reps, len(subsets), 2, 2)), np.zeros((reps, len(subsets), p, 2))
+    for r, idx, cols in _size_groups(subsets, p * p, reps):
         k = cols.shape[1]
-        U, sv, Vt = np.linalg.svd(np.moveaxis(R[:, cols], 0, 1))
-        Uz = np.swapaxes(U, 1, 2) @ z
-        gram[idx] = base + np.swapaxes(Uz[:, k:], 1, 2) @ Uz[:, k:]
-        for i, c in zip(idx, np.swapaxes(Vt, 1, 2) @ (Uz[:, :k] / sv[:, :, None])):
-            coefs[i] = c
-    return gram, coefs
+        U, sv, Vt = np.linalg.svd(_gather(R, r, np.arange(p)[None, :, None], cols[:, None]))
+        Uz = np.swapaxes(U, 1, 2) @ _of(z, r)
+        gram[r, idx] = _of(base, r) + np.swapaxes(Uz[:, k:], 1, 2) @ Uz[:, k:]
+        coef[r[:, None], idx[:, None], cols] = np.swapaxes(Vt, 1, 2) @ (Uz[:, :k] / sv[:, :, None])
+    return gram, coef
 
 
-def _sigma2(gram: np.ndarray, rho, n: int, subsets) -> np.ndarray:
-    """Profiled sigma^2 of each subset at its rho, none below the floor."""
-    s2 = (gram[:, 0, 0] - 2.0 * rho * gram[:, 0, 1] + rho * rho * gram[:, 1, 1]) / n
-    if np.any(low := s2 < _SIGMA2_FLOOR):
-        raise DegenerateVarianceError(f"residual variance {s2[low.argmax()]:.3e} below floor "
-                                      f"for submodel {subsets[low.argmax()].label()}")
-    return s2
+def _sigma2(gram: np.ndarray, rho, n: int) -> np.ndarray:
+    """Profiled sigma^2 of each fit at its rho."""
+    return (gram[:, 0, 0] - 2.0 * rho * gram[:, 0, 1] + rho * rho * gram[:, 1, 1]) / n
 
 
-def _loglik(data: Dataset, s2: np.ndarray, rho) -> np.ndarray:
-    return -(data.n / 2.0) * (1.0 + _LOG_2PI + np.log(s2)) + data.W.log_det_factor(rho)
+def _loglik(W: SpatialWeights, n: int, s2: np.ndarray, rho) -> np.ndarray:
+    return -(n / 2.0) * (1.0 + _LOG_2PI + np.log(s2)) + W.log_det_factor(rho)
 
 
-def _rho_hat(data: Dataset, gram: np.ndarray, subsets):
-    """rho-hat of every subset and its steps: the root of the profile score
+def _fit_error(stage: int, value: float, S: SubmodelId):
+    """The error of a fit that failed at a stage of _rho_hat: 2 a search that did
+    not converge (value its last rho), otherwise a variance (value) below the floor."""
+    if stage == 2:
+        return ConvergenceError(f"rho search for submodel {S.label()} did not converge in "
+                                f"{_MAX_ITER} steps", best_rho=float(value))
+    return DegenerateVarianceError(f"residual variance {value:.3e} below floor for submodel "
+                                   f"{S.label()}")
+
+
+def _rho_hat(W: SpatialWeights, n: int, gram: np.ndarray):
+    """rho-hat of every fit and its steps: the root of the profile score
     -(n/2) q'/q - sum_i w_i / (1 - rho*w_i) in the admissible interval shrunk by
     1e-6 of its range (the likelihood is singular at its ends).  Where the score
     does not fall from positive to negative over it, the upper end if the score
     is not negative there, else the lower end, after no step.  Safeguarded
     Newton keeps such a bracket and bisects it when the curvature is not
-    negative or a step leaves it."""
-    W, n = data.W, data.n
+    negative or a step leaves it.
+
+    q is smallest at b/c, so a variance below the floor there (clipped to the
+    bracket) is below it somewhere in the bracket: such a fit is degenerate and
+    not searched.  Returns (rho, steps, s2, stage), s2 the profiled variance at
+    rho and stage 0 for a fit found, 1 for a degenerate fit (rho NaN, s2 its
+    variance at b/c) and 2 for a search that did not converge in _MAX_ITER
+    steps (rho its last iterate)."""
     lo, hi = W.rho_interval
     if not (np.isfinite(lo) and np.isfinite(hi)):  # unbounded (e.g. spectrum all zero): a box
         lo, hi = max(lo, -1e6), min(hi, 1e6)
     lo, hi = lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo)
     a, b, c = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
-    # q is smallest at b/c: a variance below the floor anywhere in the bracket is degenerate
-    _sigma2(gram, np.clip(b / np.where(c > 0, c, 1.0), lo, hi), n, subsets)
+    s2 = _sigma2(gram, np.clip(b / np.where(c > 0, c, 1.0), lo, hi), n)
+    stage = (s2 < _SIGMA2_FLOOR).astype(np.int8)
+    ok = np.flatnonzero(stage == 0)
 
     def score(rho, i):
         q, dq = a[i] - 2.0 * b[i] * rho + c[i] * rho * rho, 2.0 * (c[i] * rho - b[i])
         return (W.log_det_rho_derivative(rho) - 0.5 * n * dq / q,
                 W.log_det_rho_derivative(rho, 2) - 0.5 * n * (2.0 * c[i] * q - dq * dq) / (q * q))
 
-    s_lo, s_hi = (score(np.full(len(a), r), np.arange(len(a)))[0] for r in (lo, hi))
-    rho, steps = np.where(s_hi >= 0, hi, lo), np.zeros(len(a), dtype=int)
-    active = np.flatnonzero((s_lo > 0) & (s_hi < 0))
+    s_lo, s_hi = (score(np.full(ok.size, r), ok)[0] for r in (lo, hi))
+    rho, steps = np.full(len(a), np.nan), np.zeros(len(a), dtype=int)
+    rho[ok] = np.where(s_hi >= 0, hi, lo)
+    active = ok[(s_lo > 0) & (s_hi < 0)]
     x, L, H = (np.full(active.size, r) for r in (0.5 * (lo + hi), lo, hi))
     for _ in range(_MAX_ITER):
         if not active.size:
-            return rho, steps
+            break
         steps[active] += 1
         s, ds = score(x, active)
         L, H = np.where(s > 0, x, L), np.where(s < 0, x, H)
@@ -289,25 +375,60 @@ def _rho_hat(data: Dataset, gram: np.ndarray, subsets):
         rho[active] = np.where(s == 0, x, nxt)
         going = (s != 0) & (np.abs(nxt - x) > _RHO_TOL * (hi - lo))
         active, x, L, H = active[going], nxt[going], L[going], H[going]
-    raise ConvergenceError(f"rho search for submodel {subsets[active[0]].label()} did not "
-                           f"converge in {_MAX_ITER} steps", best_rho=float(x[0]))
+    stage[active] = 2
+    s2[ok] = _sigma2(gram[ok], rho[ok], n)
+    return rho, steps, s2, stage
+
+
+def fit_batch(batch, subsets) -> Fits:
+    """Maximum-likelihood fits, without information, of each dataset of a batch
+    (datasets that share one SpatialWeights and p) restricted to each subset.
+    One stacked QR of the designs serves every regression (_regressions) and
+    one vectorised search every rho (_rho_hat; its steps are Fits.steps), taken
+    in chunks of fits so that no stacked temporary holds more than _CHUNK
+    elements; each fit is the same, bit for bit, in any batch or chunk.
+
+    A fit that fails gives its dataset an error and leaves the other datasets
+    alone: DegenerateVarianceError for a residual variance below the floor in
+    the bracket or at rho-hat, ConvergenceError for a search that does not
+    converge in _MAX_ITER steps.  A dataset keeps the first: the floor before
+    the search, then the search, then the floor at rho-hat, each in the order
+    of the subsets."""
+    batch, subsets = list(batch), tuple(subsets)
+    W, n, p = batch[0].W, batch[0].n, batch[0].p
+    if any(d.W is not W or d.p != p for d in batch):
+        raise ValueError("the datasets of a batch must share one SpatialWeights and p")
+    reps, m = len(batch), len(subsets)
+    gram, coef = _regressions(_project(batch), subsets)
+    gram = gram.reshape(reps * m, 2, 2)
+    rho, s2, ll = np.empty(reps * m), np.empty(reps * m), np.full(reps * m, np.nan)
+    steps, stage = np.empty(reps * m, dtype=int), np.empty(reps * m, dtype=np.int8)
+    step = max(1, _CHUNK // max(n, p * p))
+    for sl in (slice(i, i + step) for i in range(0, reps * m, step)):
+        rho[sl], steps[sl], s2[sl], stage[sl] = _rho_hat(W, n, gram[sl])
+        stage[sl][(stage[sl] == 0) & (s2[sl] < _SIGMA2_FLOOR)] = 3
+        fine = np.flatnonzero(stage[sl] == 0) + sl.start
+        ll[fine] = _loglik(W, n, s2[fine], rho[fine])
+    rho, s2, ll, steps, stage = (a.reshape(reps, m) for a in (rho, s2, ll, steps, stage))
+    beta = coef[..., 0] - rho[..., None] * coef[..., 1]
+    errors = [None] * reps
+    for r in np.flatnonzero(stage.any(axis=1)):
+        bad = np.flatnonzero(stage[r])
+        i = bad[np.argmin(stage[r, bad])]
+        errors[r] = _fit_error(stage[r, i], rho[r, i] if stage[r, i] == 2 else s2[r, i],
+                               subsets[i])
+        for a in (rho, s2, ll, beta):
+            a[r] = np.nan
+    return Fits(subsets, rho, s2, beta, ll, steps, tuple(errors))
 
 
 def fit_subsets(data: Dataset, subsets) -> dict[int, FitResult]:
-    """Maximum-likelihood fits, without information, of the model restricted to
-    each subset: {mask: FitResult} in the order given.  One QR of X serves every
-    regression (_regressions), one search every rho (_rho_hat; its steps are
-    FitResult.iterations); no stacked temporary holds more than _CHUNK elements."""
-    subsets, projection, fits = list(subsets), _project(data), {}
-    step = max(1, _CHUNK // max(data.n, data.p * data.p))
-    for chunk in (subsets[i:i + step] for i in range(0, len(subsets), step)):
-        gram, coefs = _regressions(projection, chunk)
-        rho, steps = _rho_hat(data, gram, chunk)
-        s2 = _sigma2(gram, rho, data.n, chunk)
-        for S, r, v, ll, coef, k in zip(chunk, rho, s2, _loglik(data, s2, rho), coefs, steps):
-            theta = Theta(float(r), float(v), coef[:, 0] - r * coef[:, 1])
-            fits[S.mask] = FitResult(theta, float(ll), None, S, iterations=int(k))
-    return fits
+    """fit_batch on one dataset: {mask: FitResult} in the order given, or the
+    dataset's error raised."""
+    fits = fit_batch([data], subsets)
+    if fits.errors[0]:
+        raise fits.errors[0]
+    return {S.mask: fits.result(0, i) for i, S in enumerate(fits.subsets)}
 
 
 def fit_mle(data: Dataset, S: SubmodelId, with_info: bool = True) -> FitResult:
@@ -329,6 +450,21 @@ def _derivative_terms(theta: Theta, data: Dataset, S: SubmodelId):
     return data.WY, Xs, e, w / (1.0 - theta.rho * w)
 
 
+def _information(theta: Theta, data: Dataset, S: SubmodelId) -> np.ndarray:
+    """observed_info's matrix, without the certificate."""
+    WY, Xs, e, g = _derivative_terms(theta, data, S)
+    s2 = theta.sigma2
+    H = np.empty((Xs.shape[1] + 2,) * 2)
+    H[0, 0] = -(g @ g) - (WY @ WY) / s2
+    H[0, 1] = H[1, 0] = -(WY @ e) / s2**2
+    H[1, 1] = data.n / (2.0 * s2**2) - (e @ e) / s2**3
+    H[0, 2:] = H[2:, 0] = -(Xs.T @ WY) / s2
+    H[1, 2:] = H[2:, 1] = -(Xs.T @ e) / s2**2
+    H[2:, 2:] = -(Xs.T @ Xs) / s2
+    H = 0.5 * (H + H.T)
+    return -H / data.n
+
+
 def observed_info(theta_hat: Theta, data: Dataset, S: SubmodelId) -> FisherInfo:
     """Per-observation observed information -H/n at theta_hat.
 
@@ -339,17 +475,7 @@ def observed_info(theta_hat: Theta, data: Dataset, S: SubmodelId) -> FisherInfo:
     H_sb = -X_S'e / s2^2, H_bb = -X_S'X_S / s2.  The result is certified
     (_certify): one that is not positive definite or well conditioned raises.
     """
-    WY, Xs, e, g = _derivative_terms(theta_hat, data, S)
-    s2 = theta_hat.sigma2
-    H = np.empty((Xs.shape[1] + 2,) * 2)
-    H[0, 0] = -(g @ g) - (WY @ WY) / s2
-    H[0, 1] = H[1, 0] = -(WY @ e) / s2**2
-    H[1, 1] = data.n / (2.0 * s2**2) - (e @ e) / s2**3
-    H[0, 2:] = H[2:, 0] = -(Xs.T @ WY) / s2
-    H[1, 2:] = H[2:, 1] = -(Xs.T @ e) / s2**2
-    H[2:, 2:] = -(Xs.T @ Xs) / s2
-    H = 0.5 * (H + H.T)
-    I_hat = -H / data.n
+    I_hat = _information(theta_hat, data, S)
     _certify(I_hat, f"information of {S.label()}")
     return FisherInfo(matrix=I_hat, n_obs=data.n)
 

@@ -245,10 +245,11 @@ class SpatialWeights:
         """
         self.require_rho(rho)
         if backend == "spectrum":
-            factors = 1.0 - np.multiply.outer(rho, self.spectrum)
+            factors = np.multiply.outer(rho, self.spectrum)  # one temporary, updated in place
+            np.subtract(1.0, factors, out=factors)
             if np.any(factors <= 0):
                 raise SingularFactorizationError(f"I - rho*W singular at rho={rho}")
-            out = np.sum(np.log(factors), axis=-1)
+            out = np.sum(np.log(factors, out=factors), axis=-1)
             return out if np.ndim(rho) else float(out)
         if backend == "lu":
             M = scipy.sparse.eye_array(self.n, format="csc") - rho * self.matrix  # CSC
@@ -263,5 +264,8 @@ class SpatialWeights:
         """The first (order 1) or second (order 2) derivative of log|I - rho*W| in
         rho, -sum_i g_i^order with g_i = w_i / (1 - rho*w_i); one per entry of an array rho."""
         self.require_rho(rho)
-        g = self.spectrum / (1.0 - np.multiply.outer(rho, self.spectrum))
-        return -np.sum(g**order, axis=-1) if np.ndim(rho) else float(-np.sum(g**order))
+        g = np.multiply.outer(rho, self.spectrum)  # one temporary, updated in place
+        np.subtract(1.0, g, out=g)
+        np.divide(self.spectrum, g, out=g)
+        g **= order
+        return -np.sum(g, axis=-1) if np.ndim(rho) else float(-np.sum(g))

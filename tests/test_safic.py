@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import slmfic.fic as fic
-import slmfic.safic as safic
+import slmfic.simulate as simulate
 import slmfic.slm as slm
 from slmfic import (
     Dataset,
     FisherInfo,
     FocusSpec,
     PsiWeights,
+    SimConfig,
     SpatialWeights,
     SubmodelId,
     delta_hat,
@@ -22,6 +22,7 @@ from slmfic import (
     k_empirical,
     m_matrix,
     median_bandwidth,
+    monte_carlo,
     omega_i,
     pointwise_risk,
     psi_kernel,
@@ -423,29 +424,44 @@ class TestConditioning:
                 _certify(M, what)
                 assert not M.size or cond(M) <= bound, (what, S.label())
 
-    def test_one_certificate_per_wide_matrix(self, monkeypatch):
-        """A theta-free FIC sweep and an sAFIC sweep certify the same number of
-        matrices at p = 3 (8 subsets) as at p = 10 (1,024 subsets): FIC the wide
-        fit's information and fic_terms' input, sAFIC the wide fit's
-        information, rho_beta_blocks' Schur complement and safic_terms' input."""
+    @pytest.fixture
+    def certified(self, monkeypatch):
+        """(what, number of matrices) of every stacked check, slm._certificates,
+        in call order: the one-matrix _certify and the sweep both call it."""
         calls = []
+        certificates = slm._certificates
 
-        def counting(M, what, certify=slm._certify):
-            calls.append(what)
-            certify(M, what)
+        def counting(M, what):
+            calls.append((what, len(M)))
+            return certificates(M, what)
 
-        for module in (slm, fic, safic):
-            monkeypatch.setattr(module, "_certify", counting)
+        for module in (slm, simulate):
+            monkeypatch.setattr(module, "_certificates", counting)
+        return calls
+
+    def test_one_certificate_per_wide_matrix(self, certified):
+        """A theta-free FIC sweep and an sAFIC sweep certify the same matrices
+        at p = 3 (8 subsets) as at p = 10 (1,024 subsets): FIC the wide
+        information, sAFIC the wide information and its beta Schur complement."""
         counts = {}
         for p in (3, 10):
             data = random_dataset(np.random.default_rng(p), n=40, p=p)
-            calls.clear()
+            certified.clear()
             fic_table(FocusSpec("conditional_mean", location=0), data)
-            n_fic = len(calls)
-            calls.clear()
+            n_fic = sum(k for _what, k in certified)
+            certified.clear()
             safic_table(data, "uniform")
-            counts[p] = (n_fic, len(calls))
-        assert counts[3] == counts[10] == (2, 3)
+            counts[p] = (n_fic, sum(k for _what, k in certified))
+        assert counts[3] == counts[10] == (1, 2)
+
+    def test_one_certificate_per_wide_matrix_per_replication(self, certified):
+        """The study (FIC, sAFIC and AIC) certifies each replication's wide
+        information and beta Schur complement once, by one stacked check of
+        each kind for the batch."""
+        cfg = SimConfig(n=30, p=3, rho_true=0.4, beta_true=(0.0, 0.5, 0.5), reps=6, seed=1)
+        assert monte_carlo(cfg).failures == []
+        assert certified == [("information of S8", 6),
+                             ("beta Schur complement of the wide information", 6)]
 
 
 class TestStackedTerms:

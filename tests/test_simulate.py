@@ -27,10 +27,10 @@ from slmfic import (
     monte_carlo,
     safic_table,
 )
-from slmfic.errors import ConfigError, RankError
+from slmfic.errors import ConfigError, ConvergenceError, RankError, SingularInformationError
 from slmfic.io import run_report_to_json
 
-from conftest import random_dataset
+from conftest import random_dataset, sweep_one
 
 
 def small_config(**kw):
@@ -232,22 +232,17 @@ def ranked_masks(rows):
 class TestSweepEngine:
     @pytest.fixture
     def fitted(self, monkeypatch):
-        """Masks of the submodels the sweep fits, in call order: those passed to
-        simulate.fit_subsets and the wide model's simulate.fit_mle call."""
+        """Masks of the submodels the sweep fits, in call order: the subsets
+        passed to simulate.fit_batch, once per dataset of the batch."""
         masks = []
-        fit, fit_many = simulate.fit_mle, simulate.fit_subsets
+        fit_batch = simulate.fit_batch
 
-        def counting_fit(data, S, with_info=True):
-            masks.append(S.mask)
-            return fit(data, S, with_info)
+        def counting_fit_batch(batch, subsets):
+            batch, subsets = list(batch), list(subsets)
+            masks.extend(S.mask for _data in batch for S in subsets)
+            return fit_batch(batch, subsets)
 
-        def counting_fit_many(data, subsets):
-            subsets = list(subsets)
-            masks.extend(S.mask for S in subsets)
-            return fit_many(data, subsets)
-
-        monkeypatch.setattr(simulate, "fit_mle", counting_fit)
-        monkeypatch.setattr(simulate, "fit_subsets", counting_fit_many)
+        monkeypatch.setattr(simulate, "fit_batch", counting_fit_batch)
         return masks
 
     @pytest.mark.parametrize(
@@ -396,7 +391,7 @@ class TestBatchedScoring:
         monkeypatch.setattr(simulate, "enumerate_submodels",
                             lambda p: enumerated.append(p) or enumerate_all(p))
         data = random_dataset(np.random.default_rng(7), n=30, p=4)
-        simulate._sweep(data, ALL_KINDS, enumerate_submodels(4))  # the study's path builds no row
+        simulate._sweep([data], ALL_KINDS, enumerate_submodels(4))  # the study's path builds no row
         assert calls == {"fic_score": [], "safic_score": []}
         for crit in ALL_KINDS[:-1]:
             name = f"{crit.kind}_score"
@@ -424,7 +419,7 @@ class TestBatchedScoring:
 
     def test_every_table_is_built_in_rank_order(self):
         data = random_dataset(np.random.default_rng(10), n=30, p=4)
-        tables, _ = simulate._sweep(data, ALL_KINDS, enumerate_submodels(data.p))
+        tables, _ = sweep_one(data, ALL_KINDS, enumerate_submodels(data.p))
         assert list(tables) == [c.name for c in ALL_KINDS]
         for crit in ALL_KINDS:
             order, terms = tables[crit.name]
@@ -462,9 +457,9 @@ class TestBatchedScoring:
     def test_chunk_size_leaves_rows_bit_identical(self, monkeypatch, chunk):
         """Every array of the sweep, and so every row built from them."""
         data = random_dataset(np.random.default_rng(9), n=30, p=5)
-        default, _ = simulate._sweep(data, ALL_KINDS, enumerate_submodels(data.p))
+        default, _ = sweep_one(data, ALL_KINDS, enumerate_submodels(data.p))
         monkeypatch.setattr(slm, "_CHUNK", chunk)
-        chunked, _ = simulate._sweep(data, ALL_KINDS, enumerate_submodels(data.p))
+        chunked, _ = sweep_one(data, ALL_KINDS, enumerate_submodels(data.p))
         for crit in ALL_KINDS:
             (order, terms), (order_c, terms_c) = default[crit.name], chunked[crit.name]
             assert order_c == order
@@ -480,8 +475,8 @@ def test_covariate_permutation_permutes_safic_and_aic_tables(seed, perm):
     data = random_dataset(np.random.default_rng(seed), n=30, p=4)
     permuted = Dataset(Y=data.Y, X=data.X[:, list(perm)], W=data.W)
     crits = [c for c in ALL_KINDS if c.kind in ("safic", "aic")]
-    tables, _ = simulate._sweep(data, crits, enumerate_submodels(4))
-    tables_perm, _ = simulate._sweep(permuted, crits, enumerate_submodels(4))
+    tables, _ = sweep_one(data, crits, enumerate_submodels(4))
+    tables_perm, _ = sweep_one(permuted, crits, enumerate_submodels(4))
 
     def original_mask(mask):
         return sum(1 << perm[j] for j in range(4) if mask >> j & 1)
@@ -547,6 +542,81 @@ class TestReplication:
             assert run_report_to_json(parallel) == run_report_to_json(serial)
 
 
+    @pytest.mark.parametrize("kind", ["convergence", "information"])
+    def test_a_failing_replication_reports_what_its_own_sweep_raises(self, monkeypatch, kind):
+        """Replication 5 of 10 fails in its rho search (ConvergenceError) or at
+        its wide information (SingularInformationError): the study records the
+        error a one-dataset _sweep raises on its data, the other replications
+        rank as in a clean study, and 1, 2 or 3 workers give one report."""
+        cfg = small_config(reps=10)
+        clean = monte_carlo(cfg)
+        draw = simulate._draw
+
+        def failing_rep_5(cfg, rep, W, A):
+            data = draw(cfg, rep, W, A)
+            if rep != 5:
+                return data
+            if kind == "convergence":  # rho-hat near 1: a longer rho search
+                return Dataset(Y=data.Y + 100.0, X=data.X, W=W)
+            return Dataset(Y=data.Y, X=data.X * [1.0, 1.0, 1e-7], W=W)  # cond(I) ~ 1e14
+
+        W = build_weights(cfg)
+        A = simulate._spatial_filter(cfg, W)
+        batch = [failing_rep_5(cfg, rep, W, A) for rep in range(cfg.reps)]
+        if kind == "convergence":
+            steps = slm.fit_batch(batch, enumerate_submodels(cfg.p)).steps.max(axis=1)
+            enough = int(np.delete(steps, 5).max())
+            assert steps[5] > enough
+            monkeypatch.setattr(slm, "_MAX_ITER", enough)  # too few for replication 5 only
+        _tables, _fits, (error,) = simulate._sweep([batch[5]], cfg.criteria,
+                                                   enumerate_submodels(cfg.p))
+        expected = ConvergenceError if kind == "convergence" else SingularInformationError
+        assert type(error) is expected
+        # the patch reaches the workers because they are forked from this process
+        monkeypatch.setattr(simulate, "_draw", failing_rep_5)
+        serial = monte_carlo(cfg, jobs=1)
+        assert serial.failures == [(5, f"{type(error).__name__}: {error}")]
+        assert serial.per_rep_rankings == clean.per_rep_rankings[:5] + clean.per_rep_rankings[6:]
+        for jobs in (2, 3):
+            assert run_report_to_json(monte_carlo(cfg, jobs=jobs)) == run_report_to_json(serial)
+
+
+BATCH_CRITERIA = (
+    CriterionSpec("fic", "spill", focus=FocusSpec("spillover")),
+    CriterionSpec("safic", "K", scheme="kernel"),
+)
+
+
+@pytest.mark.parametrize("criteria, track", [(default_criteria(), False), (BATCH_CRITERIA, True)],
+                         ids=["default", "kernel-spillover-realized"])
+def test_batch_size_leaves_the_study_bit_identical(criteria, track):
+    """Batches of 1, 7 and 100 replications give one report, and every
+    replication's rank orders and term arrays are those of a one-dataset
+    _sweep on its generate_dataset, byte for byte."""
+    cfg = SimConfig(reps=100, criteria=criteria, track_realized_error=track)
+    W = build_weights(cfg)
+    A = simulate._spatial_filter(cfg, W)
+    submodels = enumerate_submodels(cfg.p)
+    alone = [simulate._sweep([generate_dataset(cfg, rep)], criteria, submodels, fit_all=track)
+             for rep in range(cfg.reps)]
+    reports = set()
+    for size in (1, 7, 100):
+        chunks = [range(i, min(i + size, cfg.reps)) for i in range(0, cfg.reps, size)]
+        results = [out for reps in chunks for out in simulate._replicate(cfg, W, A, reps)]
+        reports.add(run_report_to_json(simulate._report(cfg, results)))
+        for reps in chunks:
+            batch = [generate_dataset(cfg, rep, W) for rep in reps]
+            tables, _fits, errors = simulate._sweep(batch, criteria, submodels, fit_all=track)
+            assert errors == [None] * len(reps)
+            for r, rep in enumerate(reps):
+                one, _one_fits, (error,) = alone[rep]
+                assert error is None
+                for name, (orders, terms) in tables.items():
+                    assert orders[r] == one[name][0][0]
+                    assert [t[r].tobytes() for t in terms] == [t[0].tobytes() for t in one[name][1]]
+    assert reports == {run_report_to_json(monte_carlo(cfg))}
+
+
 class TestDeterminism:
     def test_repeat_run_identical_json(self):
         cfg = small_config(reps=4)
@@ -580,3 +650,22 @@ class TestDeterminism:
         r1 = run_report_to_json(monte_carlo(small_config(seed=1)))
         r2 = run_report_to_json(monte_carlo(small_config(seed=2)))
         assert r1 != r2
+
+
+def test_every_stacked_solve_has_a_column_axis(monkeypatch):
+    """Every np.linalg.solve of a batched sweep gives b as many axes as a: numpy
+    2 reads a b with one axis fewer as one vector, numpy 1.24 as a stack of
+    them."""
+    solve = np.linalg.solve
+    shapes = []
+
+    def checked(a, b):
+        shapes.append((np.shape(a), np.shape(b)))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", checked)
+    cfg = small_config(p=4, beta_true=(0.0, 0.5, 0.5, 0.0))
+    W = build_weights(cfg)
+    batch = [generate_dataset(cfg, rep, W) for rep in range(3)]
+    simulate._sweep(batch, ALL_KINDS, enumerate_submodels(4))
+    assert shapes and all(len(a) == len(b) == 3 for a, b in shapes)

@@ -34,8 +34,7 @@ from slmfic.errors import (
     RhoOutOfRangeError,
 )
 
-from conftest import brent_profile_fit, fd_information, random_dataset
-from slmfic.simulate import _sweep
+from conftest import brent_profile_fit, fd_information, random_dataset, sweep_one
 
 
 def zero_w_dataset(rng, n=40, p=3):
@@ -122,7 +121,7 @@ class TestProfiles:
         W = SpatialWeights.from_adjacency(np.zeros((n, n)))
         data = Dataset(Y=rng.standard_normal(n), X=X, W=W)
         sv = np.linalg.svd(data.X, compute_uv=False)
-        R = slm._project(data)[0]
+        R = slm._project([data])[0][0]
         for S in enumerate_submodels(p)[1:]:
             sv_S = np.linalg.svd(R[:, S.indices()], compute_uv=False)
             assert sv_S[0] <= sv[0] * (1.0 + 1e-12)
@@ -455,7 +454,7 @@ class TestFitSubsets:
             lambda d: fic_table(FocusSpec("conditional_mean", location=0), d),
             lambda d: fic_table(FocusSpec("spillover"), d),
             lambda d: safic_table(d),
-            lambda d: _sweep(d, (CriterionSpec("aic", "A"),), enumerate_submodels(d.p)),
+            lambda d: sweep_one(d, (CriterionSpec("aic", "A"),), enumerate_submodels(d.p)),
         ],
         ids=["fic-mean", "fic-spill", "safic", "aic"],
     )
