@@ -44,10 +44,8 @@ from .slm import (
     Dataset,
     FisherInfo,
     FitResult,
-    Fits,
     Theta,
     concentrated_loglik,
-    fit_batch,
     fit_mle,
     fit_subsets,
     full_loglik,

@@ -37,15 +37,7 @@ from .safic import (
     psi_uniform,
     safic_score,
 )
-from .slm import (
-    Dataset,
-    FisherInfo,
-    Fits,
-    Theta,
-    _certificates,
-    _information,
-    fit_batch,
-)
+from .slm import Dataset, FisherInfo, Fits, Theta, _certificates, fit_mle
 from .submodels import enumerate_submodels
 from .weights import SpatialWeights, build_chain_lag1
 
@@ -320,13 +312,13 @@ def _sweep(batch, criteria, submodels, fit_all: bool = False):
     """Rank all 2^p subsets of each dataset of a batch (datasets that share one
     W and p), submodels = enumerate_submodels(p), by each criterion.
 
-    One fit_batch call fits the wide model of every dataset and, in the same
-    search, the other subsets when a score reads their fits: AIC the
-    log-likelihood, FIC theta_S when focus.depends_on_theta, and fit_all every
-    fit.  Each dataset's wide information (the closed form of observed_info)
-    and, once an sAFIC criterion needs it, its beta Schur complement are
-    certified once, by one stacked check per kind: by interlacing, that
-    certifies every block a subset solves against.  FIC
+    One fit_mle call on the batch fits the wide model of every dataset with
+    its information and, in the same search, the other subsets when a score
+    reads their fits: AIC the log-likelihood, FIC theta_S when
+    focus.depends_on_theta, and fit_all every fit.  Each dataset's wide
+    information and, once an sAFIC criterion needs it, its beta Schur
+    complement are certified once, by one stacked check per kind: by
+    interlacing, that certifies every block a subset solves against.  FIC
     with a theta-free focus and sAFIC read the wide fit only: each FIC focus
     is evaluated once per dataset at the wide fit, and a subset's Jacobian is
     the (rho, sigma^2, beta_S) columns of that evaluation unless the focus
@@ -337,8 +329,9 @@ def _sweep(batch, criteria, submodels, fit_all: bool = False):
     evaluations of the datasets that complete is issued once, as a
     RuntimeWarning.
 
-    A NumericalError stops its dataset only, which keeps the first: the fits,
-    then the wide information, then each criterion in turn.
+    A NumericalError stops its dataset only, which keeps the first, in the
+    order of the one-dataset sweep: the other subsets' fits, the wide fit, the
+    wide information, then each criterion in turn.
 
     Returns (tables, fits, errors).  tables maps criterion name to
     (orders, terms): orders[r] lists dataset r's subset indices (= masks) in
@@ -351,15 +344,10 @@ def _sweep(batch, criteria, submodels, fit_all: bool = False):
     fit_all = fit_all or any(
         c.kind == "aic" or (c.kind == "fic" and depends_on_theta(c.focus)) for c in criteria
     )
-    fits = fit_batch(batch, submodels if fit_all else submodels[-1:])
-    errors, wide, last = list(fits.errors), submodels[-1], len(fits.subsets) - 1
-    n, reps = batch[0].n, len(batch)
-    ok = [e is None for e in errors]
-    info = np.stack([_information(fits.result(r, last).theta_hat, data, wide) if ok[r]
-                     else np.eye(wide.p + 2) for r, data in enumerate(batch)])
-    live = _drop(errors, np.flatnonzero(ok),
-                 _certificates(info[ok], f"information of {wide.label()}"))
-    info[[e is not None for e in errors]] = np.eye(wide.p + 2)  # keeps every stacked step defined
+    wide = submodels[-1]
+    fits = fit_mle(batch, [submodels[:-1], [wide]] if fit_all else [[wide]])
+    errors, info, n, reps = list(fits.errors), fits.info, batch[0].n, len(batch)
+    live = np.flatnonzero([e is None for e in errors])
     D = np.sqrt(n) * fits.beta[:, -1]
     sizes = (np.arange(len(submodels))[:, None] >> np.arange(batch[0].p) & 1).sum(1)
     blocks, tables, messages = None, {}, []

@@ -2,17 +2,17 @@
 
 The model is Y = rho*W*Y + X*beta + eps with iid Gaussian innovations.  For a
 fixed rho the problem reduces to ordinary regression of (I - rho*W)Y on X, so
-beta and sigma^2 are profiled out in closed form.  fit_batch fits a batch of
+beta and sigma^2 are profiled out in closed form.  fit_mle fits a batch of
 datasets on one W, each on many subsets, with a leading dataset axis through
 every stage: one stacked QR of the designs, one stacked SVD per subset size
 for the profile regressions, and one vectorised Newton search that finds rho,
 the root of the profile score, for every (dataset, subset) pair.  A fit that
 fails marks its dataset with an error and leaves the others alone.
-fit_subsets and fit_mle are its one-dataset case.  The score and the observed
-information, ordered (rho, sigma^2, beta), are closed forms (Anselin 1988,
-*Spatial Econometrics*; Lee 2004, *Econometrica* 72(6)) built from WY, X_S,
-the residual and the spectrum of W, which the weights compute on its first
-read and keep.
+fit_subsets and fit_mle on one dataset are its batch of one.  The score and
+the observed information, ordered (rho, sigma^2, beta), are closed forms
+(Anselin 1988, *Spatial Econometrics*; Lee 2004, *Econometrica* 72(6)) built
+from WY, X_S, the residual and the spectrum of W, which the weights compute on
+its first read and keep.
 """
 
 from __future__ import annotations
@@ -214,7 +214,9 @@ class Fits:
     over the R datasets: rho, sigma^2, the log-likelihood and the steps of the
     rho search, and beta as (R, m, p), zero outside each subset.  errors holds,
     per dataset, the first NumericalError of its fits or None; every entry of a
-    dataset with an error is NaN."""
+    dataset with an error is NaN.  info, when asked for, holds each dataset's
+    (R, k + 2, k + 2) information at its fit on the last subset, the identity
+    for a dataset with an error."""
 
     subsets: tuple[SubmodelId, ...]
     rho: np.ndarray
@@ -223,6 +225,12 @@ class Fits:
     loglik: np.ndarray
     steps: np.ndarray
     errors: tuple
+    info: np.ndarray | None = None
+
+    @property
+    def iterations(self) -> int:
+        """Steps of every rho search of the batch, as FitResult.iterations counts one fit's."""
+        return int(self.steps.sum())
 
     @cached_property
     def _columns(self) -> list:
@@ -380,21 +388,26 @@ def _rho_hat(W: SpatialWeights, n: int, gram: np.ndarray):
     return rho, steps, s2, stage
 
 
-def fit_batch(batch, subsets) -> Fits:
-    """Maximum-likelihood fits, without information, of each dataset of a batch
-    (datasets that share one SpatialWeights and p) restricted to each subset.
+def _fit_batch(batch, groups, with_info: bool) -> Fits:
+    """fit_mle's batch form: the Fits of each dataset of a batch (datasets that
+    share one SpatialWeights and p) on every subset of the groups, in order.
     One stacked QR of the designs serves every regression (_regressions) and
     one vectorised search every rho (_rho_hat; its steps are Fits.steps), taken
     in chunks of fits so that no stacked temporary holds more than _CHUNK
-    elements; each fit is the same, bit for bit, in any batch or chunk.
+    elements; each fit is the same, bit for bit, in any batch or chunk.  With
+    with_info, each dataset's information at its fit on the last subset (the
+    closed form of observed_info), certified by one stacked check.
 
-    A fit that fails gives its dataset an error and leaves the other datasets
-    alone: DegenerateVarianceError for a residual variance below the floor in
-    the bracket or at rho-hat, ConvergenceError for a search that does not
-    converge in _MAX_ITER steps.  A dataset keeps the first: the floor before
-    the search, then the search, then the floor at rho-hat, each in the order
-    of the subsets."""
-    batch, subsets = list(batch), tuple(subsets)
+    A failure gives its dataset an error and leaves the other datasets alone:
+    DegenerateVarianceError for a residual variance below the floor in the
+    bracket or at rho-hat, ConvergenceError for a search that does not
+    converge in _MAX_ITER steps, and the certificate's SingularInformationError.
+    A dataset keeps the error that fitting the groups in turn, each by
+    fit_subsets, and then certifying the information would raise first: by
+    group, then by chunk of the one-dataset search, then the floor before the
+    search, the search and the floor at rho-hat, then by position."""
+    batch, groups = list(batch), [tuple(g) for g in groups]
+    subsets = tuple(S for g in groups for S in g)
     W, n, p = batch[0].W, batch[0].n, batch[0].p
     if any(d.W is not W or d.p != p for d in batch):
         raise ValueError("the datasets of a batch must share one SpatialWeights and p")
@@ -411,33 +424,58 @@ def fit_batch(batch, subsets) -> Fits:
         ll[fine] = _loglik(W, n, s2[fine], rho[fine])
     rho, s2, ll, steps, stage = (a.reshape(reps, m) for a in (rho, s2, ll, steps, stage))
     beta = coef[..., 0] - rho[..., None] * coef[..., 1]
+    # the chunk of each position in the search of its own group on one dataset
+    sizes = [len(g) for g in groups]
+    offsets = np.cumsum([0] + [-(-k // step) for k in sizes[:-1]])
+    chunk = np.concatenate([o + np.arange(k) // step for o, k in zip(offsets, sizes)])
     errors = [None] * reps
     for r in np.flatnonzero(stage.any(axis=1)):
         bad = np.flatnonzero(stage[r])
-        i = bad[np.argmin(stage[r, bad])]
+        i = bad[np.lexsort((bad, stage[r, bad], chunk[bad]))[0]]
         errors[r] = _fit_error(stage[r, i], rho[r, i] if stage[r, i] == 2 else s2[r, i],
                                subsets[i])
         for a in (rho, s2, ll, beta):
             a[r] = np.nan
-    return Fits(subsets, rho, s2, beta, ll, steps, tuple(errors))
+    fits = Fits(subsets, rho, s2, beta, ll, steps, tuple(errors))
+    if not with_info:
+        return fits
+    last, ok = subsets[-1], [e is None for e in errors]
+    info = np.stack([_information(fits.result(r, m - 1).theta_hat, data, last) if ok[r]
+                     else np.eye(len(last) + 2) for r, data in enumerate(batch)])
+    found = iter(_certificates(info[ok], f"information of {last.label()}"))
+    errors = [next(found) if fine else e for fine, e in zip(ok, errors)]
+    info[[e is not None for e in errors]] = np.eye(len(last) + 2)
+    return replace(fits, errors=tuple(errors), info=info)
 
 
 def fit_subsets(data: Dataset, subsets) -> dict[int, FitResult]:
-    """fit_batch on one dataset: {mask: FitResult} in the order given, or the
-    dataset's error raised."""
-    fits = fit_batch([data], subsets)
+    """Maximum-likelihood fits, without information, of the model restricted to
+    each subset: {mask: FitResult} in the order given, or the dataset's first
+    error raised.  The one-dataset case of fit_mle's batch form."""
+    fits = _fit_batch([data], [subsets], with_info=False)
     if fits.errors[0]:
         raise fits.errors[0]
     return {S.mask: fits.result(0, i) for i, S in enumerate(fits.subsets)}
 
 
-def fit_mle(data: Dataset, S: SubmodelId, with_info: bool = True) -> FitResult:
-    """Fit the spatial lag model restricted to submodel S by maximum likelihood:
-    fit_subsets on S alone, plus the observed information when with_info."""
-    fit = fit_subsets(data, [S])[S.mask]
-    if not with_info:
-        return fit
-    return replace(fit, info=observed_info(fit.theta_hat, data, S))
+def fit_mle(data: Dataset | list[Dataset], S: SubmodelId | list,
+            with_info: bool = True) -> FitResult | Fits:
+    """Fit the spatial lag model restricted to submodel S by maximum likelihood,
+    plus the certified observed information (observed_info) when with_info:
+    the FitResult, or the first error raised.
+
+    Given a batch instead, a list of datasets that share one SpatialWeights and
+    p, and for S a list of groups of subsets, the Fits of every dataset on
+    every subset, from one search, with each dataset's information at its fit
+    on the last subset when with_info; a failure stops its dataset only
+    (_fit_batch).  The one-dataset form is this batch of one."""
+    if not isinstance(data, Dataset):
+        return _fit_batch(data, S, with_info)
+    fits = _fit_batch([data], [[S]], with_info)
+    if fits.errors[0]:
+        raise fits.errors[0]
+    fit = fits.result(0, 0)
+    return replace(fit, info=FisherInfo(fits.info[0], data.n)) if with_info else fit
 
 
 def _derivative_terms(theta: Theta, data: Dataset, S: SubmodelId):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +29,13 @@ from slmfic import (
     monte_carlo,
     safic_table,
 )
-from slmfic.errors import ConfigError, ConvergenceError, RankError, SingularInformationError
+from slmfic.errors import (
+    ConfigError,
+    ConvergenceError,
+    DegenerateVarianceError,
+    RankError,
+    SingularInformationError,
+)
 from slmfic.io import run_report_to_json
 
 from conftest import random_dataset, sweep_one
@@ -233,16 +241,16 @@ class TestSweepEngine:
     @pytest.fixture
     def fitted(self, monkeypatch):
         """Masks of the submodels the sweep fits, in call order: the subsets
-        passed to simulate.fit_batch, once per dataset of the batch."""
+        of the groups passed to simulate.fit_mle, once per dataset of the batch."""
         masks = []
-        fit_batch = simulate.fit_batch
+        fit_mle = simulate.fit_mle
 
-        def counting_fit_batch(batch, subsets):
-            batch, subsets = list(batch), list(subsets)
-            masks.extend(S.mask for _data in batch for S in subsets)
-            return fit_batch(batch, subsets)
+        def counting_fit_mle(batch, groups, with_info=True):
+            batch, groups = list(batch), [list(g) for g in groups]
+            masks.extend(S.mask for _data in batch for g in groups for S in g)
+            return fit_mle(batch, groups, with_info)
 
-        monkeypatch.setattr(simulate, "fit_batch", counting_fit_batch)
+        monkeypatch.setattr(simulate, "fit_mle", counting_fit_mle)
         return masks
 
     @pytest.mark.parametrize(
@@ -564,7 +572,7 @@ class TestReplication:
         A = simulate._spatial_filter(cfg, W)
         batch = [failing_rep_5(cfg, rep, W, A) for rep in range(cfg.reps)]
         if kind == "convergence":
-            steps = slm.fit_batch(batch, enumerate_submodels(cfg.p)).steps.max(axis=1)
+            steps = slm.fit_mle(batch, [enumerate_submodels(cfg.p)]).steps.max(axis=1)
             enough = int(np.delete(steps, 5).max())
             assert steps[5] > enough
             monkeypatch.setattr(slm, "_MAX_ITER", enough)  # too few for replication 5 only
@@ -577,6 +585,44 @@ class TestReplication:
         serial = monte_carlo(cfg, jobs=1)
         assert serial.failures == [(5, f"{type(error).__name__}: {error}")]
         assert serial.per_rep_rankings == clean.per_rep_rankings[:5] + clean.per_rep_rankings[6:]
+        for jobs in (2, 3):
+            assert run_report_to_json(monte_carlo(cfg, jobs=jobs)) == run_report_to_json(serial)
+
+    def test_a_replication_failing_twice_reports_its_other_subsets_first(self, monkeypatch):
+        """Replication 5 of 10 is drawn without noise at rho = 0.99, so its wide
+        fit is degenerate and its other subsets need a longer rho search than any
+        other replication: the study records the ConvergenceError that
+        fit_subsets on the other subsets raises, as when the wide model was
+        fitted after them, not the wide model's DegenerateVarianceError."""
+        cfg = small_config(reps=10, seed=1)
+        draw = simulate._draw
+
+        def failing_rep_5(cfg, rep, W, A):
+            data = draw(cfg, rep, W, A)
+            if rep != 5:
+                return data
+            A_99 = scipy.sparse.eye_array(cfg.n, format="csc") - 0.99 * W.matrix
+            return Dataset(Y=scipy.sparse.linalg.spsolve(A_99, data.X @ [1.0, 0.01, 0.01]),
+                           X=data.X, W=W)
+
+        W = build_weights(cfg)
+        A = simulate._spatial_filter(cfg, W)
+        batch = [failing_rep_5(cfg, rep, W, A) for rep in range(cfg.reps)]
+        submodels = enumerate_submodels(cfg.p)
+        steps = slm.fit_mle(batch, [submodels]).steps
+        enough = int(np.delete(steps, 5, axis=0).max())
+        assert steps[5, :-1].max() > enough
+        monkeypatch.setattr(slm, "_MAX_ITER", enough)  # too few for replication 5 only
+        with pytest.raises(DegenerateVarianceError):
+            slm.fit_mle(batch[5], submodels[-1])
+        with pytest.raises(ConvergenceError) as first:
+            slm.fit_subsets(batch[5], submodels[:-1])
+        expected = f"ConvergenceError: {first.value}"
+        _tables, _fits, (error,) = simulate._sweep([batch[5]], cfg.criteria, submodels)
+        assert f"{type(error).__name__}: {error}" == expected
+        monkeypatch.setattr(simulate, "_draw", failing_rep_5)
+        serial = monte_carlo(cfg, jobs=1)
+        assert serial.failures == [(5, expected)]
         for jobs in (2, 3):
             assert run_report_to_json(monte_carlo(cfg, jobs=jobs)) == run_report_to_json(serial)
 

@@ -30,6 +30,7 @@ from slmfic.errors import (
     ConvergenceError,
     DataFormatError,
     DegenerateVarianceError,
+    NumericalError,
     RankError,
     RhoOutOfRangeError,
 )
@@ -474,6 +475,32 @@ class TestFitSubsets:
                 as exc:
             fit_subsets(data, enumerate_submodels(2))
         assert lo < exc.value.best_rho < hi
+
+    def test_a_search_that_converges_on_its_last_step_is_a_fit(self, rng, monkeypatch):
+        data = random_dataset(rng, n=40, p=2)
+        fits = fit_subsets(data, enumerate_submodels(2))
+        monkeypatch.setattr(slm, "_MAX_ITER", max(f.iterations for f in fits.values()))
+        again = fit_subsets(data, enumerate_submodels(2))
+        assert [(f.theta_hat.rho, f.iterations) for f in again.values()] == \
+            [(f.theta_hat.rho, f.iterations) for f in fits.values()]
+
+    @pytest.mark.parametrize("chunk, error", [(1 << 16, "DegenerateVarianceError: residual "),
+                                              (60, "ConvergenceError: rho search for "
+                                                   "submodel S2 did not converge")])
+    def test_the_first_chunk_of_the_search_fails_first(self, rng, monkeypatch, chunk, error):
+        """Y drawn without noise at rho = 0.99: the wide fit is degenerate and no
+        other converges in one step.  Within a chunk of the search the floor
+        before the search fails first; at n = 30 a _CHUNK of 60 puts two fits
+        in a chunk, so S2 and S3 fail in the search before S8 is reached."""
+        W = SpatialWeights.from_adjacency(build_chain_lag1(30), row_normalize=True)
+        X = rng.standard_normal((30, 3))
+        Y = np.linalg.solve(np.eye(30) - 0.99 * W.matrix.toarray(), X @ [1.0, 0.01, 0.01])
+        data = Dataset(Y=Y, X=X, W=W)
+        monkeypatch.setattr(slm, "_MAX_ITER", 1)
+        monkeypatch.setattr(slm, "_CHUNK", chunk)
+        with pytest.raises(NumericalError) as exc:
+            fit_subsets(data, [SubmodelId(1, 3), SubmodelId(2, 3), SubmodelId.wide(3)])
+        assert f"{type(exc.value).__name__}: {exc.value}".startswith(error)
 
     @pytest.mark.parametrize("chunk", [1, 100, 1 << 16])
     def test_each_fit_is_independent_of_the_batch(self, rng, monkeypatch, chunk):
