@@ -47,7 +47,6 @@ from .slm import (
     Theta,
     concentrated_loglik,
     fit_mle,
-    fit_subsets,
     full_loglik,
     observed_info,
     profile_beta,

@@ -61,42 +61,31 @@ def delta_hat(fit_wide: FitResult) -> np.ndarray:
     return np.sqrt(fit_wide.info.n_obs) * fit_wide.theta_hat.beta
 
 
-def fic_terms(subsets, J, J_beta_wide: np.ndarray, info_wide: FisherInfo,
-              D_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared-bias and variance arrays of the criterion, one entry per subset.
+def fic_terms(subsets, J: np.ndarray, J_beta_wide: np.ndarray, I: np.ndarray,
+              D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared-bias and variance arrays, (R, m), of R datasets on m subsets.
 
-    J is the (d, p + 2) wide-model focus Jacobian, whose (rho, sigma^2, beta_S)
-    columns are each subset's Jacobian J_S (a theta-free focus), or a sequence
-    of each subset's own (d, |S| + 2) Jacobian.  info_wide is certified once
-    (_certify), which certifies every block I_S; the terms are those of
-    _fic_terms on this one dataset.
-    """
-    _certify(info_wide.matrix, "wide information")
-    J = J[None] if isinstance(J, np.ndarray) else [list(J)]
-    bias2, variance = _fic_terms(list(subsets), J, np.asarray(J_beta_wide)[None],
-                                 info_wide.matrix[None], np.asarray(D_n, dtype=float)[None])
-    return bias2[0], variance[0]
-
-
-def _fic_terms(subsets, J, J_beta_wide: np.ndarray, I: np.ndarray, D: np.ndarray):
-    """fic_terms of R datasets at once, as (R, m) arrays: J is (R, d, p + 2) or,
-    per dataset, a sequence of each subset's Jacobian; J_beta_wide is (R, d, p),
-    the certified wide informations I (R, p + 2, p + 2) and D (R, p).  Per
-    subset size, one stacked solve over the (dataset, subset) pairs gives every
+    J is (R, 1, d, p + 2), the wide-model Jacobian of a theta-free focus, whose
+    (rho, sigma^2, beta_S) columns are each subset's Jacobian J_S, or
+    (R, m, d, p + 2), each subset's J_S in those columns and zeros elsewhere;
+    any other shape raises ValueError.  J_beta_wide is (R, d, p), D (R, p) and
+    I (R, p + 2, p + 2) the wide informations, certified by the caller
+    (fit_mle does): by interlacing that certifies every block I_S.  Per subset
+    size, one stacked solve over the (dataset, subset) pairs gives every
     A = J_S I_S^{-1}: the bias matrix is A B_S - J_beta_wide, B_S the rows of
     (rho, sigma^2, beta_S) against the wide beta with the sigma^2 row zeroed
     (beta and sigma^2 are orthogonal), centered so that the wide model is
     asymptotically unbiased, and the variance tr(J_S I_S^{-1} J_S') = sum(A * J_S).
     """
     reps, k = I.shape[0], I.shape[-1]
-    d = J_beta_wide.shape[1]
+    d = J.shape[2]
+    J = np.broadcast_to(J, (reps, len(subsets), d, k))  # a (R, 1, ...) J serves every subset
     bias2, variance = np.empty((reps, len(subsets))), np.empty((reps, len(subsets)))
     for r, idx, cols in _size_groups(subsets, k * (k + d), reps):
         ii = np.column_stack((np.zeros_like(idx), np.ones_like(idx), cols + 2))
         B = _gather(I, r, ii, slice(2, None))
         B[:, 1] = 0.0
-        J_S = (_gather(J, r, np.arange(d)[None, :, None], ii[:, None]) if isinstance(J, np.ndarray)
-               else np.stack([J[a][b] for a, b in zip(r, idx)]))
+        J_S = J[r[:, None, None], idx[:, None, None], np.arange(d)[:, None], ii[:, None]]
         I_S = _gather(I, r, ii[:, :, None], ii[:, None])
         A = np.swapaxes(np.linalg.solve(I_S, np.swapaxes(J_S, 1, 2)), 1, 2)
         bD = ((A @ B - _of(J_beta_wide, r)) @ _of(D, r)[:, :, None])[:, :, 0]

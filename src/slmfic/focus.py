@@ -47,9 +47,10 @@ class FocusSpec:
         if self.kind == "conditional_mean" and self.location is None:
             raise FocusSpecError("conditional_mean focus requires a location index")
         if self.coeff_subset is not None:
-            object.__setattr__(self, "coeff_subset", tuple(self.coeff_subset))
-            if any(j < 0 for j in self.coeff_subset):
-                raise FocusSpecError(f"coeff_subset {list(self.coeff_subset)} has a negative index")
+            subset = tuple(self.coeff_subset)
+            if any(j < 0 for j in subset):
+                raise FocusSpecError(f"coeff_subset {list(subset)} has a negative index")
+            object.__setattr__(self, "coeff_subset", subset or None)  # () selects every coefficient
 
 
 @dataclass(frozen=True)

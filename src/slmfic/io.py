@@ -251,8 +251,7 @@ def config_from_json(path: str) -> SimConfig:
             c = _checked_fields(path, f"criteria[{i}]", c, CriterionSpec)
             if c.get("focus") is not None:
                 focus = _checked_fields(path, f"criteria[{i}].focus", c["focus"], FocusSpec)
-                subset = focus.get("coeff_subset") or None  # empty selects every coefficient
-                c["focus"] = FocusSpec(**{**focus, "coeff_subset": subset})
+                c["focus"] = FocusSpec(**focus)
             if c.get("z0") is not None:
                 c["z0"] = tuple(c["z0"])
             raw["criteria"].append(CriterionSpec(**c))

@@ -137,18 +137,12 @@ def omega_i(i: int, data: Dataset, blocks: RhoBetaBlocks) -> np.ndarray:
     return (blocks.I_br[:, 0] / blocks.I_rr) * wy_i - data.X[i]
 
 
-def k_empirical(blocks: RhoBetaBlocks, data: Dataset, psi: PsiWeights) -> np.ndarray:
-    """Second-moment matrix K = sum_i psi_i omega_i omega_i' of the omega vectors,
-    symmetrized to guard floating-point drift."""
-    if len(psi.psi) != data.n:
-        raise ValueError("weights length must equal the number of units")
-    return _k_empirical(np.array([blocks.I_rr]), blocks.I_br[None], data.WY[None],
-                        data.X[None], psi.psi)[0]
-
-
-def _k_empirical(I_rr, I_br, WY, X, psi) -> np.ndarray:
-    """k_empirical of R datasets: I_rr (R,), I_br (R, p, 1), WY (R, n), X (R, n, p)
-    and psi (n,), shared, or (R, n) give K (R, p, p)."""
+def k_empirical(I_rr: np.ndarray, I_br: np.ndarray, WY: np.ndarray, X: np.ndarray,
+                psi: np.ndarray) -> np.ndarray:
+    """Second-moment matrices K = sum_i psi_i omega_i omega_i' of the omega
+    vectors of R datasets, symmetrized to guard floating-point drift: I_rr
+    (R,), I_br (R, p, 1), WY (R, n), X (R, n, p) and psi (n,), shared, or
+    (R, n) give K (R, p, p)."""
     Omega = WY[:, :, None] * (I_br[:, :, 0] / I_rr[:, None])[:, None, :] - X
     K = np.swapaxes(Omega, 1, 2) @ (psi[..., :, None] * Omega)
     return 0.5 * (K + np.swapaxes(K, 1, 2))
@@ -177,24 +171,16 @@ def pointwise_risk(
     return bias + rho_term + penalty
 
 
-def safic_terms(subsets, delta: np.ndarray, blocks: RhoBetaBlocks,
+def safic_terms(subsets, delta: np.ndarray, Q_inv: np.ndarray,
                 K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bias and penalty arrays of the weighted-average risk, one entry per subset,
-    the shared rho term excluded.  Q^{-1} is certified once (_certify), which
-    certifies every block M_S; the terms are those of _safic_terms on this one
-    dataset."""
-    _certify(blocks.Q_inv, "beta Schur complement of the wide information")
-    bias2, penalty = _safic_terms(list(subsets), np.asarray(delta, dtype=float)[None],
-                                  blocks.Q_inv[None], np.asarray(K)[None])
-    return bias2[0], penalty[0]
-
-
-def _safic_terms(subsets, delta: np.ndarray, Q_inv: np.ndarray, K: np.ndarray):
-    """safic_terms of R datasets at once, as (R, m) arrays: delta (R, p), the
-    certified Q_inv and K (R, p, p).  With M_S = Q^{-1}[S, S] the residual
-    direction (I - G_S) delta is r = delta - Pi_S' M_S^{-1} (Q^{-1} delta)_S, the
-    bias term is r'K r and the penalty tr(G_S Q G_S' K) is tr(M_S^{-1} K_SS).
-    Per subset size, one stacked solve over the (dataset, subset) pairs of the
+    """Bias and penalty arrays of the weighted-average risk for R datasets, as
+    (R, m) arrays over the m subsets, the shared rho term excluded: delta
+    (R, p), K (R, p, p) and the beta Schur complements Q_inv (R, p, p),
+    certified by the caller (rho_beta_blocks does): by interlacing that
+    certifies every block M_S = Q^{-1}[S, S].  The residual direction
+    (I - G_S) delta is r = delta - Pi_S' M_S^{-1} (Q^{-1} delta)_S, the bias
+    term is r'K r and the penalty tr(G_S Q G_S' K) is tr(M_S^{-1} K_SS).  Per
+    subset size, one stacked solve over the (dataset, subset) pairs of the
     blocks M_S against [(Q^{-1} delta)_S | K_SS]."""
     reps, p = delta.shape
     bias2, penalty = np.empty((reps, len(subsets))), np.empty((reps, len(subsets)))

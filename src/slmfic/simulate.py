@@ -5,11 +5,13 @@ RNG stream keyed by (seed, rep).  One batch function, _replicate, draws a
 contiguous range of replications and ranks all candidate submodels of all of
 them at once through one engine, _sweep, which carries a leading replication
 axis through the fits, the informations and the stacked scores, and records
-each replication's rank orders or the first error that stopped it.  fic_table
-and safic_table run the same engine on one dataset; only these two tables
-build rows.  Aggregation is an ordered reduction over replication index, and
-no replication's numbers depend on the others in its batch, so reports are
-byte-identical for a given config and seed regardless of worker count.
+each replication's rank orders or the first error that stopped it.  Each
+stage has one form, over the batch (fit_mle, fic_terms, k_empirical,
+safic_terms); fic_table and safic_table run the engine on a batch of one
+dataset, and only these two tables build rows.  Aggregation is an ordered
+reduction over replication index, and no replication's numbers depend on the
+others in its batch, so reports are byte-identical for a given config and
+seed regardless of worker count.
 """
 
 from __future__ import annotations
@@ -25,17 +27,17 @@ import scipy.sparse.linalg
 
 from . import slm
 from .errors import ConfigError, NumericalError, ReplicationFailureError
-from .fic import _fic_terms, fic_score
+from .fic import fic_score, fic_terms
 from .focus import FocusSpec, depends_on_theta, eval_focus
 from .safic import (
-    _k_empirical,
     _rho_beta_blocks,
-    _safic_terms,
     check_kernel,
+    k_empirical,
     median_bandwidth,
     psi_kernel,
     psi_uniform,
     safic_score,
+    safic_terms,
 )
 from .slm import Dataset, FisherInfo, Fits, Theta, _certificates, fit_mle
 from .submodels import enumerate_submodels
@@ -109,6 +111,8 @@ class SimConfig:
         if not np.all(np.isfinite(self.beta_true)):
             raise ConfigError(f"beta_true {list(self.beta_true)} has a non-finite entry")
         object.__setattr__(self, "criteria", tuple(self.criteria))
+        if not self.criteria:
+            raise ConfigError("criteria is empty: the study needs at least one criterion")
         if self.track_realized_error and not any(c.kind == "fic" for c in self.criteria):
             raise ConfigError("track_realized_error requires a fic criterion")
         for i, c in enumerate(self.criteria):
@@ -322,16 +326,16 @@ def _sweep(batch, criteria, submodels, fit_all: bool = False):
     with a theta-free focus and sAFIC read the wide fit only: each FIC focus
     is evaluated once per dataset at the wide fit, and a subset's Jacobian is
     the (rho, sigma^2, beta_S) columns of that evaluation unless the focus
-    depends on theta.  delta_hat = sqrt(n) beta_wide is computed once.
-    _fic_terms and _safic_terms score every (dataset, subset) pair with one
-    stacked solve per subset size, AIC is one array expression, and each score
-    array is ranked once (_rank_order).  Each distinct warning of the focus
-    evaluations of the datasets that complete is issued once, as a
+    depends on theta (_evaluate).  delta_hat = sqrt(n) beta_wide is computed
+    once.  fic_terms and safic_terms score every (dataset, subset) pair with
+    one stacked solve per subset size, AIC is one array expression, and each
+    score array is ranked once (_rank_order).  Each distinct warning of the
+    focus evaluations of the datasets that complete is issued once, as a
     RuntimeWarning.
 
-    A NumericalError stops its dataset only, which keeps the first, in the
-    order of the one-dataset sweep: the other subsets' fits, the wide fit, the
-    wide information, then each criterion in turn.
+    A NumericalError stops its dataset only, which keeps the first: its first
+    failing fit in subset order (the wide model last), the wide information,
+    then each criterion in turn.
 
     Returns (tables, fits, errors).  tables maps criterion name to
     (orders, terms): orders[r] lists dataset r's subset indices (= masks) in
@@ -345,7 +349,7 @@ def _sweep(batch, criteria, submodels, fit_all: bool = False):
         c.kind == "aic" or (c.kind == "fic" and depends_on_theta(c.focus)) for c in criteria
     )
     wide = submodels[-1]
-    fits = fit_mle(batch, [submodels[:-1], [wide]] if fit_all else [[wide]])
+    fits = fit_mle(batch, submodels if fit_all else [wide])
     errors, info, n, reps = list(fits.errors), fits.info, batch[0].n, len(batch)
     live = np.flatnonzero([e is None for e in errors])
     D = np.sqrt(n) * fits.beta[:, -1]
@@ -359,14 +363,11 @@ def _sweep(batch, criteria, submodels, fit_all: bool = False):
         elif crit.kind == "fic":
             live, evals = _each(errors, live, lambda r: _evaluate(
                 crit.focus, batch[r], fits, r, FisherInfo(info[r], n)))
-            messages += [(r, msg) for r, ev in zip(live, evals) for e in ev for msg in e.warnings]
+            messages += [(r, msg) for r, (_J, warned) in zip(live, evals) for msg in warned]
             if live.size:
-                J_wide = np.stack([ev[-1].jacobian for ev in evals])
-                J = ([[e.jacobian for e in ev] for ev in evals] if depends_on_theta(crit.focus)
-                     else J_wide)
-                found = _fic_terms(submodels, J, J_wide[:, :, 2:], info[live], D[live])
-                for t, f in zip(terms, found):
-                    t[live] = f
+                J = np.stack([J for J, _warned in evals])
+                found = fic_terms(submodels, J, J[:, -1, :, 2:], info[live], D[live])
+                terms[0][live], terms[1][live] = found
         else:  # safic
             if blocks is None:
                 blocks = _rho_beta_blocks(info)
@@ -376,10 +377,9 @@ def _sweep(batch, criteria, submodels, fit_all: bool = False):
             if live.size:
                 I_rr, I_br, Q_inv = (b[live] for b in blocks)
                 WY, X = (np.stack([getattr(batch[r], a) for r in live]) for a in ("WY", "X"))
-                K = _k_empirical(I_rr, I_br, WY, X, np.stack(psi))
-                found = _safic_terms(submodels, D[live], Q_inv, K)
-                for t, f in zip(terms, found):
-                    t[live] = f
+                K = k_empirical(I_rr, I_br, WY, X, np.stack(psi))
+                found = safic_terms(submodels, D[live], Q_inv, K)
+                terms[0][live], terms[1][live] = found
         score = terms[0] + terms[1] if len(terms) == 2 else terms[0]
         tables[crit.name] = (_rank_order(score, sizes), terms)
     for msg in dict.fromkeys(msg for r, msg in messages if errors[r] is None):
@@ -388,13 +388,19 @@ def _sweep(batch, criteria, submodels, fit_all: bool = False):
 
 
 def _evaluate(spec: FocusSpec, data: Dataset, fits: Fits, r: int, info_wide: FisherInfo):
-    """The focus evaluations of dataset r of a sweep: at the wide fit only,
-    with its information, for a theta-free focus, else at every subset's fit,
-    in subset order (the wide one last)."""
+    """The focus Jacobians of dataset r of a sweep, as fic_terms reads them,
+    and the warnings of their evaluations: for a theta-free focus, (1, d, p + 2),
+    the focus at the wide fit with its information; else (m, d, p + 2), the
+    focus at every subset's fit, in subset order (the wide one last), each in
+    its subset's (rho, sigma^2, beta_S) columns."""
     last = len(fits.subsets) - 1
-    return [eval_focus(spec, fits.result(r, i).theta_hat, data, fits.subsets[i],
-                       info_wide if i == last else None)
-            for i in (range(last + 1) if depends_on_theta(spec) else [last])]
+    at = range(last + 1) if depends_on_theta(spec) else [last]
+    evals = [eval_focus(spec, fits.result(r, i).theta_hat, data, fits.subsets[i],
+                        info_wide if i == last else None) for i in at]
+    J = np.zeros((len(evals), evals[-1].jacobian.shape[0], data.p + 2))
+    for J_S, i, ev in zip(J, at, evals):
+        J_S[:, [0, 1, *(2 + j for j in fits.subsets[i].indices())]] = ev.jacobian
+    return J, tuple(msg for ev in evals for msg in ev.warnings)
 
 
 def _rank_order(score: np.ndarray, sizes) -> list:

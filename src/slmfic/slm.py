@@ -7,8 +7,8 @@ datasets on one W, each on many subsets, with a leading dataset axis through
 every stage: one stacked QR of the designs, one stacked SVD per subset size
 for the profile regressions, and one vectorised Newton search that finds rho,
 the root of the profile score, for every (dataset, subset) pair.  A fit that
-fails marks its dataset with an error and leaves the others alone.
-fit_subsets and fit_mle on one dataset are its batch of one.  The score and
+fails marks its dataset with an error and leaves the others alone.  fit_mle
+on one dataset and one subset is its batch of one.  The score and
 the observed information, ordered (rho, sigma^2, beta), are closed forms
 (Anselin 1988, *Spatial Econometrics*; Lee 2004, *Econometrica* 72(6)) built
 from WY, X_S, the residual and the spectrum of W, which the weights compute on
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -232,14 +231,10 @@ class Fits:
         """Steps of every rho search of the batch, as FitResult.iterations counts one fit's."""
         return int(self.steps.sum())
 
-    @cached_property
-    def _columns(self) -> list:
-        return [list(S.indices()) for S in self.subsets]
-
     def result(self, r: int, i: int) -> FitResult:
         """The FitResult, without information, of dataset r on subset i."""
         theta = Theta(float(self.rho[r, i]), float(self.sigma2[r, i]),
-                      self.beta[r, i, self._columns[i]])
+                      self.beta[r, i, list(self.subsets[i].indices())])
         return FitResult(theta, float(self.loglik[r, i]), None, self.subsets[i],
                          int(self.steps[r, i]))
 
@@ -350,9 +345,9 @@ def _rho_hat(W: SpatialWeights, n: int, gram: np.ndarray):
     q is smallest at b/c, so a variance below the floor there (clipped to the
     bracket) is below it somewhere in the bracket: such a fit is degenerate and
     not searched.  Returns (rho, steps, s2, stage), s2 the profiled variance at
-    rho and stage 0 for a fit found, 1 for a degenerate fit (rho NaN, s2 its
-    variance at b/c) and 2 for a search that did not converge in _MAX_ITER
-    steps (rho its last iterate)."""
+    rho and stage 0 for a fit found, 1 for a degenerate fit (a variance below
+    the floor at b/c, rho NaN and s2 that variance, or at rho-hat) and 2 for a
+    search that did not converge in _MAX_ITER steps (rho its last iterate)."""
     lo, hi = W.rho_interval
     if not (np.isfinite(lo) and np.isfinite(hi)):  # unbounded (e.g. spectrum all zero): a box
         lo, hi = max(lo, -1e6), min(hi, 1e6)
@@ -385,29 +380,27 @@ def _rho_hat(W: SpatialWeights, n: int, gram: np.ndarray):
         active, x, L, H = active[going], nxt[going], L[going], H[going]
     stage[active] = 2
     s2[ok] = _sigma2(gram[ok], rho[ok], n)
+    stage[(stage == 0) & (s2 < _SIGMA2_FLOOR)] = 1
     return rho, steps, s2, stage
 
 
-def _fit_batch(batch, groups, with_info: bool) -> Fits:
+def _fit_batch(batch, subsets, with_info: bool) -> Fits:
     """fit_mle's batch form: the Fits of each dataset of a batch (datasets that
-    share one SpatialWeights and p) on every subset of the groups, in order.
-    One stacked QR of the designs serves every regression (_regressions) and
-    one vectorised search every rho (_rho_hat; its steps are Fits.steps), taken
-    in chunks of fits so that no stacked temporary holds more than _CHUNK
-    elements; each fit is the same, bit for bit, in any batch or chunk.  With
-    with_info, each dataset's information at its fit on the last subset (the
-    closed form of observed_info), certified by one stacked check.
+    share one SpatialWeights and p) on every subset, in order.  One stacked QR
+    of the designs serves every regression (_regressions) and one vectorised
+    search every rho (_rho_hat; its steps are Fits.steps), taken in chunks of
+    fits so that no stacked temporary holds more than _CHUNK elements; each
+    fit is the same, bit for bit, in any batch or chunk.  With with_info, each
+    dataset's information at its fit on the last subset (the closed form of
+    observed_info), certified by one stacked check.
 
     A failure gives its dataset an error and leaves the other datasets alone:
     DegenerateVarianceError for a residual variance below the floor in the
     bracket or at rho-hat, ConvergenceError for a search that does not
     converge in _MAX_ITER steps, and the certificate's SingularInformationError.
-    A dataset keeps the error that fitting the groups in turn, each by
-    fit_subsets, and then certifying the information would raise first: by
-    group, then by chunk of the one-dataset search, then the floor before the
-    search, the search and the floor at rho-hat, then by position."""
-    batch, groups = list(batch), [tuple(g) for g in groups]
-    subsets = tuple(S for g in groups for S in g)
+    A dataset keeps the error of its first failing fit in subset order, else
+    that of its information."""
+    batch, subsets = list(batch), tuple(subsets)
     W, n, p = batch[0].W, batch[0].n, batch[0].p
     if any(d.W is not W or d.p != p for d in batch):
         raise ValueError("the datasets of a batch must share one SpatialWeights and p")
@@ -419,19 +412,13 @@ def _fit_batch(batch, groups, with_info: bool) -> Fits:
     step = max(1, _CHUNK // max(n, p * p))
     for sl in (slice(i, i + step) for i in range(0, reps * m, step)):
         rho[sl], steps[sl], s2[sl], stage[sl] = _rho_hat(W, n, gram[sl])
-        stage[sl][(stage[sl] == 0) & (s2[sl] < _SIGMA2_FLOOR)] = 3
         fine = np.flatnonzero(stage[sl] == 0) + sl.start
         ll[fine] = _loglik(W, n, s2[fine], rho[fine])
     rho, s2, ll, steps, stage = (a.reshape(reps, m) for a in (rho, s2, ll, steps, stage))
     beta = coef[..., 0] - rho[..., None] * coef[..., 1]
-    # the chunk of each position in the search of its own group on one dataset
-    sizes = [len(g) for g in groups]
-    offsets = np.cumsum([0] + [-(-k // step) for k in sizes[:-1]])
-    chunk = np.concatenate([o + np.arange(k) // step for o, k in zip(offsets, sizes)])
     errors = [None] * reps
     for r in np.flatnonzero(stage.any(axis=1)):
-        bad = np.flatnonzero(stage[r])
-        i = bad[np.lexsort((bad, stage[r, bad], chunk[bad]))[0]]
+        i = np.flatnonzero(stage[r])[0]
         errors[r] = _fit_error(stage[r, i], rho[r, i] if stage[r, i] == 2 else s2[r, i],
                                subsets[i])
         for a in (rho, s2, ll, beta):
@@ -448,16 +435,6 @@ def _fit_batch(batch, groups, with_info: bool) -> Fits:
     return replace(fits, errors=tuple(errors), info=info)
 
 
-def fit_subsets(data: Dataset, subsets) -> dict[int, FitResult]:
-    """Maximum-likelihood fits, without information, of the model restricted to
-    each subset: {mask: FitResult} in the order given, or the dataset's first
-    error raised.  The one-dataset case of fit_mle's batch form."""
-    fits = _fit_batch([data], [subsets], with_info=False)
-    if fits.errors[0]:
-        raise fits.errors[0]
-    return {S.mask: fits.result(0, i) for i, S in enumerate(fits.subsets)}
-
-
 def fit_mle(data: Dataset | list[Dataset], S: SubmodelId | list,
             with_info: bool = True) -> FitResult | Fits:
     """Fit the spatial lag model restricted to submodel S by maximum likelihood,
@@ -465,13 +442,13 @@ def fit_mle(data: Dataset | list[Dataset], S: SubmodelId | list,
     the FitResult, or the first error raised.
 
     Given a batch instead, a list of datasets that share one SpatialWeights and
-    p, and for S a list of groups of subsets, the Fits of every dataset on
-    every subset, from one search, with each dataset's information at its fit
-    on the last subset when with_info; a failure stops its dataset only
-    (_fit_batch).  The one-dataset form is this batch of one."""
+    p, and for S a list of subsets, the Fits of every dataset on every subset,
+    from one search, with each dataset's information at its fit on the last
+    subset when with_info; a failure stops its dataset only (_fit_batch).  The
+    one-dataset form is this batch of one."""
     if not isinstance(data, Dataset):
         return _fit_batch(data, S, with_info)
-    fits = _fit_batch([data], [[S]], with_info)
+    fits = _fit_batch([data], [S], with_info)
     if fits.errors[0]:
         raise fits.errors[0]
     fit = fits.result(0, 0)

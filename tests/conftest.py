@@ -211,6 +211,26 @@ def oracle_top1_counts(cfg):
     return counts
 
 
+def fit_each(data, subsets):
+    """fit_mle's batch form on the one dataset data, without information, its
+    error raised: {mask: FitResult} in the order of subsets."""
+    from slmfic import fit_mle
+
+    fits = fit_mle([data], subsets, with_info=False)
+    if fits.errors[0]:
+        raise fits.errors[0]
+    return {S.mask: fits.result(0, i) for i, S in enumerate(fits.subsets)}
+
+
+def k_one(blocks, data, psi):
+    """k_empirical on the one dataset data: K (p, p) of the RhoBetaBlocks
+    blocks and the PsiWeights psi."""
+    from slmfic import k_empirical
+
+    return k_empirical(np.array([blocks.I_rr]), blocks.I_br[None], data.WY[None],
+                       data.X[None], psi.psi)[0]
+
+
 def sweep_one(data, criteria, submodels):
     """simulate._sweep on the one dataset data, its error raised: the tables as
     {name: (order, terms)}, order a list and terms 1-D arrays, and the Fits."""

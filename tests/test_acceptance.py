@@ -24,7 +24,6 @@ from slmfic import (
     g_matrix,
     generate_dataset,
     jacobian_fd,
-    k_empirical,
     m_matrix,
     monte_carlo,
     omega_i,
@@ -37,6 +36,7 @@ from slmfic import (
 from slmfic.io import run_report_to_json
 
 from conftest import (
+    k_one,
     oracle_top1_counts,
     random_dataset,
     random_info,
@@ -202,7 +202,7 @@ class TestCriterion4:
         data = random_dataset(rng, n=25, p=4)
         psi = psi_uniform(25)
         blocks = rho_beta_blocks(random_info(rng, 4))
-        K = k_empirical(blocks, data, psi)
+        K = k_one(blocks, data, psi)
 
         # (b) K equals the weighted outer-product sum
         direct = sum(
@@ -218,7 +218,7 @@ class TestCriterion4:
         risk_gap = 0.0
         idem_gap = 0.0
         subsets = enumerate_submodels(4)
-        scores = np.add(*safic_terms(subsets, delta, blocks, K))
+        scores = np.add(*safic_terms(subsets, delta[None], blocks.Q_inv[None], K[None]))[0]
         for S, score in zip(subsets, scores):
             avg = sum(
                 psi.psi[i] * pointwise_risk(i, S, delta, blocks, data)
@@ -273,7 +273,8 @@ class TestCriterion5:
         D_n = rng.standard_normal(3)
         for spec in specs:
             J = eval_focus(spec, fit.theta_hat, data, wide, info=fit.info).jacobian
-            (bias2,), _ = fic_terms([wide], J, J[:, 2:], info, D_n)
+            ((bias2,),), _ = fic_terms([wide], J[None, None], J[None, :, 2:], info.matrix[None],
+                                       D_n[None])
             worst[spec.kind] = bias2
         ok = m_gap < 1e-10 and all(b < 1e-10 for b in worst.values())
         report(

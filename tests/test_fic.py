@@ -12,7 +12,6 @@ from slmfic import (
     fic_table,
     fic_terms,
     fit_mle,
-    fit_subsets,
     m_matrix,
     submodel_info,
     wide_beta_jacobian,
@@ -20,7 +19,7 @@ from slmfic import (
 from slmfic.errors import SweepTooLargeError
 from slmfic.simulate import _rank_order
 
-from conftest import random_dataset, random_info
+from conftest import fit_each, random_dataset, random_info
 
 
 class TestSubmodels:
@@ -101,9 +100,31 @@ class TestDelta:
             delta_hat(fit)
 
 
+def _columns(S):
+    """Columns (rho, sigma^2, beta_S) of a wide-model Jacobian."""
+    return [0, 1] + [2 + j for j in S.indices()]
+
+
+def _placed(subsets, Js):
+    """Each subset's own Jacobian in its (rho, sigma^2, beta_S) columns and
+    zeros elsewhere: the (1, m, d, p + 2) J of one dataset that fic_terms
+    reads for a theta-dependent focus."""
+    J = np.zeros((1, len(subsets), Js[0].shape[0], subsets[0].p + 2))
+    for J_S, S, own in zip(J[0], subsets, Js):
+        J_S[:, _columns(S)] = own
+    return J
+
+
+def _one(subsets, J, J_w, info, D_n):
+    """fic_terms on one dataset, J its (1, 1 or m, d, p + 2) Jacobians: the
+    bias2 and variance arrays over the subsets."""
+    bias2, variance = fic_terms(subsets, J, J_w[None], info.matrix[None], np.asarray(D_n)[None])
+    return bias2[0], variance[0]
+
+
 def _terms(J_S, J_w, info, S, D_n):
-    """fic_terms on the one subset S, as two floats."""
-    (bias2,), (variance,) = fic_terms([S], [J_S], J_w, info, D_n)
+    """fic_terms on the one subset S, given its own Jacobian J_S, as two floats."""
+    (bias2,), (variance,) = _one([S], _placed([S], [J_S]), J_w, info, D_n)
     return bias2, variance
 
 
@@ -164,11 +185,6 @@ class TestComponents:
             assert variance >= 0
 
 
-def _columns(S):
-    """Columns (rho, sigma^2, beta_S) of a wide-model Jacobian."""
-    return [0, 1] + [2 + j for j in S.indices()]
-
-
 def _row(data, spec, S, fit_S, fit_w):
     """FIC row of S with its Jacobian evaluated at the subset's own fit."""
     J_S = eval_focus(spec, fit_S.theta_hat, data, S, info=fit_S.info).jacobian
@@ -223,7 +239,8 @@ class TestScoreSweep:
             for theta in (fit_S.theta_hat, away):
                 J_S = eval_focus(spec, theta, data, S).jacobian
                 assert np.array_equal(J_slice, J_S)
-                (bias2,), (variance,) = fic_terms([S], J_wide, J_wide[:, 2:], fit_w.info, D_n)
+                (bias2,), (variance,) = _one([S], J_wide[None, None], J_wide[:, 2:], fit_w.info,
+                                             D_n)
                 assert (bias2, variance) == _terms(J_S, J_wide[:, 2:], fit_w.info, S, D_n)
 
     @pytest.mark.parametrize("kind", ["spillover", "max_eigen"])
@@ -263,7 +280,7 @@ def _fitted_sweep(seed, p):
     """A random n = 30 dataset, its wide fit and every subset's fit."""
     data = random_dataset(np.random.default_rng([seed, p]), n=30, p=p)
     subsets = enumerate_submodels(p)
-    fits = fit_subsets(data, subsets[:-1])
+    fits = fit_each(data, subsets[:-1])
     fits[subsets[-1].mask] = fit_mle(data, subsets[-1])
     return data, subsets, fits
 
@@ -286,9 +303,10 @@ class TestStackedTerms:
             J_w = J_wide[:, 2:]
             Js = [J_wide if S.is_wide else eval_focus(spec, fits[S.mask].theta_hat, data, S).jacobian
                   for S in subsets]
-            bias2, variance = fic_terms(subsets, Js, J_w, info, D_n)
+            bias2, variance = _one(subsets, _placed(subsets, Js), J_w, info, D_n)
             if spec.kind in ("conditional_mean", "beta_coeffs"):  # theta-free: the same Jacobians
-                assert np.array_equal(fic_terms(subsets, J_wide, J_w, info, D_n), (bias2, variance))
+                assert np.array_equal(_one(subsets, J_wide[None, None], J_w, info, D_n),
+                                      (bias2, variance))
             bD = [(J_S @ m_matrix(info, S) - J_w) @ D_n for S, J_S in zip(subsets, Js)]
             variance_oracle = [np.trace(J_S @ np.linalg.inv(submodel_info(info, S).matrix) @ J_S.T)
                                for S, J_S in zip(subsets, Js)]
@@ -297,15 +315,25 @@ class TestStackedTerms:
             np.testing.assert_allclose(variance, variance_oracle, rtol=1e-12,
                                        atol=1e-12 * max(variance_oracle))
 
+    @pytest.mark.parametrize("count", [2, 5])
+    def test_one_jacobian_per_subset_or_one_for_all(self, rng, count):
+        """J holds one Jacobian for every subset or one per subset, never
+        another count, which would read another subset's or dataset's."""
+        info = random_info(rng, 2)
+        J = rng.standard_normal((1, count, 1, 4))
+        with pytest.raises(ValueError, match="broadcast"):
+            _one(enumerate_submodels(2), J, J[0, -1, :, 2:], info, np.ones(2))
+
     def test_subset_order_and_duplicates(self, rng):
         """Each entry belongs to its subset whatever the order of the list."""
         info = random_info(rng, 3)
         J_wide, D_n = rng.standard_normal((2, 5)), rng.standard_normal(3)
         subsets = enumerate_submodels(3)
-        terms = np.array(fic_terms(subsets, J_wide, J_wide[:, 2:], info, D_n))
+        terms = np.array(_one(subsets, J_wide[None, None], J_wide[:, 2:], info, D_n))
         order = [5, 0, 7, 5, 2]
         picked = [subsets[i] for i in order]
-        assert np.array_equal(fic_terms(picked, J_wide, J_wide[:, 2:], info, D_n), terms[:, order])
+        assert np.array_equal(_one(picked, J_wide[None, None], J_wide[:, 2:], info, D_n),
+                              terms[:, order])
 
 
 from hypothesis import given

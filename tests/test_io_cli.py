@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from slmfic import FicRow, SimConfig, SpatialWeights, SubmodelId, cli, errors, monte_carlo, morans_i
 from slmfic.cli import main
-from slmfic.errors import DataFormatError, InputError, NumericalError
+from slmfic.errors import ConfigError, DataFormatError, InputError, NumericalError
 from slmfic.io import (
     _REPORT_COLUMNS,
     config_from_json,
@@ -342,6 +342,23 @@ class TestReportSerialization:
         assert cfg.criteria[0].focus.location == 1
         assert cfg.criteria[1].kind == "aic"
 
+    def test_empty_coeff_subset_selects_every_coefficient(self, tmp_path):
+        """FocusSpec("beta_coeffs", coeff_subset=()) and a config's
+        "coeff_subset": [] are the spec without a subset, so they rank the
+        subsets as it does, not by the tie order of a zero-dimensional focus
+        whose every score is 0."""
+        from slmfic import FocusSpec, fic_table
+
+        path = write_config(tmp_path, p=3, beta_true=[0.0, 0.4, 0.2], criteria=[
+            {"kind": "fic", "name": "F", "focus": {"kind": "beta_coeffs", "coeff_subset": []}}])
+        specs = [config_from_json(path).criteria[0].focus,
+                 FocusSpec("beta_coeffs", coeff_subset=()), FocusSpec("beta_coeffs")]
+        assert specs[0] == specs[1] == specs[2] and specs[1].coeff_subset is None
+        data = random_dataset(np.random.default_rng(4), n=40, p=3)
+        tables = [fic_table(spec, data) for spec in specs]
+        assert tables[0] == tables[1] == tables[2]
+        assert all(row.score > 0 for row in tables[0])
+
 
 class TestCli:
     def test_fit(self, small_files, tmp_path, capsys):
@@ -483,6 +500,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("input error: rho_true=1.5 outside admissible interval")
         assert "Traceback" not in err
+
+    def test_empty_criteria_is_input_error(self, tmp_path, capsys):
+        """A study without a criterion ranks nothing: it is refused, naming
+        criteria, before any replication is drawn."""
+        with pytest.raises(ConfigError, match="^criteria is empty"):
+            SimConfig(criteria=())
+        path = write_config(tmp_path, criteria=[])
+        with pytest.raises(ConfigError, match="^criteria is empty"):
+            config_from_json(path)
+        rc = main(["simulate", "--config", path])
+        _one_input_error(capsys, rc, "criteria is empty")
 
     @pytest.mark.parametrize(
         "raw, named",

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import warnings
@@ -38,7 +39,7 @@ from slmfic.errors import (
 )
 from slmfic.io import run_report_to_json
 
-from conftest import random_dataset, sweep_one
+from conftest import fit_each, random_dataset, sweep_one
 
 
 def small_config(**kw):
@@ -241,14 +242,14 @@ class TestSweepEngine:
     @pytest.fixture
     def fitted(self, monkeypatch):
         """Masks of the submodels the sweep fits, in call order: the subsets
-        of the groups passed to simulate.fit_mle, once per dataset of the batch."""
+        passed to simulate.fit_mle, once per dataset of the batch."""
         masks = []
         fit_mle = simulate.fit_mle
 
-        def counting_fit_mle(batch, groups, with_info=True):
-            batch, groups = list(batch), [list(g) for g in groups]
-            masks.extend(S.mask for _data in batch for g in groups for S in g)
-            return fit_mle(batch, groups, with_info)
+        def counting_fit_mle(batch, subsets, with_info=True):
+            batch, subsets = list(batch), list(subsets)
+            masks.extend(S.mask for _data in batch for S in subsets)
+            return fit_mle(batch, subsets, with_info)
 
         monkeypatch.setattr(simulate, "fit_mle", counting_fit_mle)
         return masks
@@ -572,7 +573,7 @@ class TestReplication:
         A = simulate._spatial_filter(cfg, W)
         batch = [failing_rep_5(cfg, rep, W, A) for rep in range(cfg.reps)]
         if kind == "convergence":
-            steps = slm.fit_mle(batch, [enumerate_submodels(cfg.p)]).steps.max(axis=1)
+            steps = slm.fit_mle(batch, enumerate_submodels(cfg.p)).steps.max(axis=1)
             enough = int(np.delete(steps, 5).max())
             assert steps[5] > enough
             monkeypatch.setattr(slm, "_MAX_ITER", enough)  # too few for replication 5 only
@@ -591,9 +592,9 @@ class TestReplication:
     def test_a_replication_failing_twice_reports_its_other_subsets_first(self, monkeypatch):
         """Replication 5 of 10 is drawn without noise at rho = 0.99, so its wide
         fit is degenerate and its other subsets need a longer rho search than any
-        other replication: the study records the ConvergenceError that
-        fit_subsets on the other subsets raises, as when the wide model was
-        fitted after them, not the wide model's DegenerateVarianceError."""
+        other replication: the study records the ConvergenceError of its first
+        failing fit in subset order, an other subset's, not the
+        DegenerateVarianceError of the wide model, last in mask order."""
         cfg = small_config(reps=10, seed=1)
         draw = simulate._draw
 
@@ -609,14 +610,14 @@ class TestReplication:
         A = simulate._spatial_filter(cfg, W)
         batch = [failing_rep_5(cfg, rep, W, A) for rep in range(cfg.reps)]
         submodels = enumerate_submodels(cfg.p)
-        steps = slm.fit_mle(batch, [submodels]).steps
+        steps = slm.fit_mle(batch, submodels).steps
         enough = int(np.delete(steps, 5, axis=0).max())
         assert steps[5, :-1].max() > enough
         monkeypatch.setattr(slm, "_MAX_ITER", enough)  # too few for replication 5 only
         with pytest.raises(DegenerateVarianceError):
             slm.fit_mle(batch[5], submodels[-1])
         with pytest.raises(ConvergenceError) as first:
-            slm.fit_subsets(batch[5], submodels[:-1])
+            fit_each(batch[5], submodels[:-1])
         expected = f"ConvergenceError: {first.value}"
         _tables, _fits, (error,) = simulate._sweep([batch[5]], cfg.criteria, submodels)
         assert f"{type(error).__name__}: {error}" == expected
@@ -715,3 +716,11 @@ def test_every_stacked_solve_has_a_column_axis(monkeypatch):
     batch = [generate_dataset(cfg, rep, W) for rep in range(3)]
     simulate._sweep(batch, ALL_KINDS, enumerate_submodels(4))
     assert shapes and all(len(a) == len(b) == 3 for a, b in shapes)
+
+
+@pytest.mark.parametrize("seed, digest", [(0, "88f4e68d991ba975"), (1, "d353209dfa4004eb")])
+def test_the_default_study_report_is_pinned(seed, digest):
+    """The default study's report, byte for byte, by the sha256 of its JSON: a
+    change to the draws, the fits, the scores or the ranking shows here."""
+    text = run_report_to_json(monte_carlo(SimConfig(seed=seed)))
+    assert hashlib.sha256(text.encode()).hexdigest().startswith(digest)
