@@ -17,12 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
-from .errors import BandwidthError, ConfigError
+from .errors import BandwidthError, ConfigError, DataFormatError
 from .fic import FicRow
 from .slm import Dataset, FisherInfo, _certify, _gather, _of, _size_groups
 from .submodels import SubmodelId
+
+_BLOCK = 1 << 16  # distances median_bandwidth holds at once: one block, or those it keeps
+_BIN_BITS = 14  # a counting pass of median_bandwidth has 2^_BIN_BITS bins
 
 
 @dataclass(frozen=True)
@@ -78,11 +81,72 @@ def psi_kernel(X: np.ndarray, z0: np.ndarray, h: float) -> PsiWeights:
 
 
 def median_bandwidth(X: np.ndarray) -> float:
-    """Median pairwise Euclidean distance among the rows of X."""
-    h = float(np.median(pdist(np.asarray(X, dtype=float))))
+    """Median pairwise Euclidean distance among the rows of X: np.median(pdist(X))
+    bit for bit, in O(n^2) time and O(_BLOCK + 2^_BIN_BITS + n) memory.
+
+    Nonnegative floats order as their bit patterns do.  The bracket of patterns
+    [lo, lo + span) holds order statistic (m - 1) // 2 of the m distances, with
+    `below` distances under it and n_in in it.  While n_in > _BLOCK, a pass
+    counts the distances in 2^_BIN_BITS bins over the bracket (the first over
+    the top 8 binades under a bound, bin 0 taking all below) and the bracket
+    becomes the statistic's bin.  A last pass keeps the bracket's distances;
+    a bracket of one pattern needs only its count."""
+    X = np.asarray(X, dtype=float)
+    if len(X) < 2:
+        raise DataFormatError(f"the median-distance bandwidth needs at least 2 rows, got {len(X)}")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"row {bad[0]} of X has a non-finite entry")
+    m, nb = len(X) * (len(X) - 1) // 2, 1 << _BIN_BITS
+    ks = np.unique([(m - 1) // 2, m // 2])
+    # twice the largest distance to the mean bounds them all (the triangle
+    # inequality), widened past rounding and underflow; 2^52 patterns a binade
+    r = 2.0 * np.sqrt(np.max(np.sum((X - X.mean(axis=0)) ** 2, axis=1))) * (1 + 2.0 ** -20) + 1e-150
+    top = int(np.float64(r).view(np.int64)) + 1
+    lo, span, below, n_in = 0, top, 0, m
+    while n_in > _BLOCK and span > 1:
+        w0 = max(lo, top - (1 << 55)) if lo + span == top else lo
+        shift = max(0, (lo + span - w0 - 1).bit_length() - _BIN_BITS)
+        counts = np.zeros(nb + 2, np.intp)  # bin 0 under w0, nb + 1 above the bins
+        for d in _pair_blocks(X):
+            i = d.view(np.int64)  # in place: a new array per step costs as much as the step
+            i -= w0 - (1 << shift)
+            i >>= shift
+            counts += np.bincount(np.clip(i, 0, nb + 1, out=i), minlength=nb + 2)
+        cum = np.cumsum(counts)
+        j = int(np.searchsorted(cum, ks[0], side="right"))
+        if j:  # else the bracket's part under w0
+            lo, span, below = w0 + ((j - 1) << shift), 1 << shift, cum[j - 1]
+        else:
+            span = w0 - lo
+        n_in = cum[j] - below
+    a, b = np.array([lo, lo + span - 1]).view(np.float64)
+    kept, above, rank = [], np.inf, ks - below
+    for d in _pair_blocks(X):
+        if n_in <= _BLOCK:
+            kept.append(d[(d >= a) & (d <= b)])
+        if rank[-1] == n_in:  # the upper statistic is the least distance above
+            above = d[d > b].min(initial=above)
+    if n_in <= _BLOCK:
+        vals = np.partition(np.concatenate(kept + [[above]]), rank)[rank]
+    else:
+        vals = np.where(rank < n_in, a, above)
+    h = float(np.mean(vals))  # as np.median takes the mean of the one or two
     if h <= 0:
         raise BandwidthError("median pairwise distance is zero; supply a bandwidth")
     return h
+
+
+def _pair_blocks(X: np.ndarray):
+    """The distances of the row pairs i < j of X, flat, from cdist (and pdist
+    within a block), bit for bit pdist's; a block of rows holds at most _BLOCK
+    pairs, or is one row."""
+    i0, n = 0, len(X)
+    while i0 < n:
+        i1 = i0 + max(1, min(n - i0, _BLOCK // (n - i0)))
+        yield pdist(X[i0:i1])
+        yield cdist(X[i0:i1], X[i1:]).ravel()
+        i0 = i1
 
 
 @dataclass(frozen=True)

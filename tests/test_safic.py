@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
+import slmfic.safic as safic
 import slmfic.simulate as simulate
 import slmfic.slm as slm
 from slmfic import (
@@ -30,7 +34,7 @@ from slmfic import (
     safic_table,
     safic_terms,
 )
-from slmfic.errors import BandwidthError, ConfigError, SingularInformationError
+from slmfic.errors import BandwidthError, ConfigError, DataFormatError, SingularInformationError
 from slmfic.safic import RhoBetaBlocks
 from slmfic.slm import _certify
 
@@ -129,7 +133,101 @@ class TestPsi:
         X = rng.standard_normal((200, 4))
         iu = np.triu_indices(200, k=1)
         pairs = np.sqrt(np.sum((X[iu[0]] - X[iu[1]]) ** 2, axis=1))
-        assert median_bandwidth(X) == pytest.approx(float(np.median(pairs)), rel=1e-14)
+        assert median_bandwidth(X) == float(np.median(pairs))
+
+
+class TestMedianBandwidth:
+    """median_bandwidth streams the distances; it must return np.median(pdist(X))
+    to the bit, with any block and bin budget, in bounded memory."""
+
+    @staticmethod
+    def _with_budget(X, block, bin_bits):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(safic, "_BLOCK", block)
+            mp.setattr(safic, "_BIN_BITS", bin_bits)
+            return median_bandwidth(X)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=300),
+           st.integers(min_value=1, max_value=8),
+           st.sampled_from(["normal", "integer", "duplicates", "outlier"]),
+           st.floats(min_value=-3.0, max_value=3.0),
+           st.sampled_from([(1, 2), (64, 3), (1000, 5), (1 << 16, 14)]))
+    def test_equals_numpy_median(self, seed, n, p, kind, log_scale, budget):
+        """Odd and even pair counts, duplicate rows, integer tie-heavy X, one far
+        row that puts the median below the first bins, scales 1e-3 to 1e3; the
+        small budgets run many blocks, count passes and one-value brackets."""
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, p))
+        if kind == "integer":
+            X = rng.integers(-2, 3, (n, p)).astype(float)
+        elif kind == "duplicates":
+            X[rng.integers(0, n, n // 2)] = X[0]
+        elif kind == "outlier":
+            X[0] *= 1e6
+        X *= 10.0 ** log_scale
+        expected = float(np.median(pdist(X)))
+        if expected > 0:
+            assert self._with_budget(X, *budget) == expected
+        else:
+            with pytest.raises(BandwidthError, match="zero"):
+                self._with_budget(X, *budget)
+
+    @pytest.mark.parametrize("X, h", [
+        ([[0.0], [1.0], [3.0], [7.0]], 3.5),  # the upper middle distance lies above the bracket
+        ([[0.0], [1.0], [2.0], [3.0]], 1.5),  # a bracket of one value, three times 1.0
+        ([[0.0], [1e-3], [3e-3], [6e-3], [1e-2], [1e3]], 7e-3),  # far below the first bins
+    ], ids=["above", "tied", "far-below"])
+    @pytest.mark.parametrize("bin_bits", [2, 14])
+    def test_one_distance_at_a_time(self, X, h, bin_bits):
+        X = np.array(X)
+        assert self._with_budget(X, 1, bin_bits) == float(np.median(pdist(X)))
+        assert float(np.median(pdist(X))) == pytest.approx(h)
+
+    @pytest.mark.parametrize("X", [
+        [[33.54, -18.9, -10.53, 97.4, 76.82, 37.88, -61.7, 77.76],
+         [18.12, -74.78, -57.69, 122.86, 184.54, -52.97, -207.81, 58.75]],
+        [[0.0], [3e-162]],
+    ], ids=["rounding", "underflow"])
+    def test_bound_covers_every_distance(self, X):
+        """The distance exceeds twice the largest computed distance to the mean:
+        by one ulp from rounding, or from 0 where the distances to the mean
+        square to 0 and the distance itself squares to a subnormal."""
+        X = np.array(X)
+        assert median_bandwidth(X) == float(np.median(pdist(X)))
+
+    def test_two_passes_over_the_distances(self, monkeypatch):
+        """At n = 2,000 (2 M distances) one count pass over the top 8 binades
+        leaves under _BLOCK distances in the median's bin: one more pass selects."""
+        passes = []
+        blocks = safic._pair_blocks
+        monkeypatch.setattr(safic, "_pair_blocks", lambda X: passes.append(1) or blocks(X))
+        X = np.random.default_rng(5).standard_normal((2000, 3))
+        assert median_bandwidth(X) == float(np.median(pdist(X)))
+        assert len(passes) == 2
+
+    @pytest.mark.parametrize("X, match", [
+        (np.zeros((0, 2)), "at least 2 rows, got 0"),
+        (np.zeros((1, 2)), "at least 2 rows, got 1"),
+        (np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [np.nan, 0.0]]), "row 3 "),
+        (np.array([[0.0, 1.0], [1.0, np.inf], [2.0, -np.inf]]), "row 1 "),
+    ], ids=["empty", "one-row", "nan", "inf"])
+    def test_input_errors(self, X, match):
+        with pytest.raises(DataFormatError, match=match):
+            median_bandwidth(X)
+
+    def test_memory_is_bounded(self):
+        """At n = 4,000 pdist alone holds 8 M distances (64 MB); the streamed
+        median keeps its traced peak under 4 MB."""
+        X = np.random.default_rng(4).standard_normal((4000, 5))
+        tracemalloc.start()
+        try:
+            h = median_bandwidth(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert h == float(np.median(pdist(X)))
 
 
 class TestBlocks:
