@@ -50,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="maximum-likelihood fit of one submodel")
     _add_data_args(p_fit)
-    p_fit.add_argument("--subset", help="comma-separated covariate names to include (default: all)")
+    p_fit.add_argument("--subset", help="comma-separated covariate names to include "
+                       "(default: all; '' for none)")
 
     p_fic = sub.add_parser("fic", help="rank all submodels by the focused criterion")
     _add_data_args(p_fic, table=True)
@@ -97,14 +98,14 @@ def _emit(text: str, out_path):
 
 def _cmd_fit(args) -> int:
     data = _dataset_from_args(args)
-    if args.subset:
-        wanted = args.subset.split(",")
+    if args.subset is None:
+        S = SubmodelId.wide(data.p)
+    else:
+        wanted = args.subset.split(",") if args.subset else []  # '' is the narrow model S1
         missing = [c for c in wanted if c not in data.names]
         if missing:
             raise InputError(f"unknown covariates in --subset: {missing}")
         S = SubmodelId.from_indices([data.names.index(c) for c in wanted], data.p)
-    else:
-        S = SubmodelId.wide(data.p)
     fit = fit_mle(data, S)
     payload = {
         "submodel": S.label(),

@@ -65,17 +65,17 @@ def fic_terms(subsets, J: np.ndarray, J_beta_wide: np.ndarray, I: np.ndarray,
               D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Squared-bias and variance arrays, (R, m), of R datasets on m subsets.
 
-    J is (R, 1, d, p + 2), the wide-model Jacobian of a theta-free focus, whose
-    (rho, sigma^2, beta_S) columns are each subset's Jacobian J_S, or
-    (R, m, d, p + 2), each subset's J_S in those columns and zeros elsewhere;
-    any other shape raises ValueError.  J_beta_wide is (R, d, p), D (R, p) and
-    I (R, p + 2, p + 2) the wide informations, certified by the caller
-    (fit_mle does): by interlacing that certifies every block I_S.  Per subset
-    size, one stacked solve over the (dataset, subset) pairs gives every
-    A = J_S I_S^{-1}: the bias matrix is A B_S - J_beta_wide, B_S the rows of
-    (rho, sigma^2, beta_S) against the wide beta with the sigma^2 row zeroed
-    (beta and sigma^2 are orthogonal), centered so that the wide model is
-    asymptotically unbiased, and the variance tr(J_S I_S^{-1} J_S') = sum(A * J_S).
+    J is what focus.eval_focus_batch returns at the wide fits of a theta-free
+    focus, (R, 1, d, p + 2), whose (rho, sigma^2, beta_S) columns are each
+    subset's J_S, or at every fit, (R, m, d, p + 2), each J_S in its subset's
+    columns and zeros elsewhere; any other shape raises ValueError.  J_beta_wide
+    is (R, d, p), D (R, p) and I (R, p + 2, p + 2) the wide informations,
+    certified by the caller (fit_mle does): by interlacing that certifies every
+    block I_S.  Per subset size, one stacked solve over the (dataset, subset)
+    pairs gives every A = J_S I_S^{-1}: the bias matrix is A B_S - J_beta_wide,
+    B_S the rows of (rho, sigma^2, beta_S) against the wide beta with the
+    sigma^2 row zeroed (beta and sigma^2 are orthogonal), centered so that the
+    wide model is asymptotically unbiased, and the variance tr(J_S I_S^{-1} J_S') = sum(A * J_S).
     """
     reps, k = I.shape[0], I.shape[-1]
     d = J.shape[2]

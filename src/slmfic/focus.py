@@ -7,7 +7,7 @@ Four focus kinds are supported:
 ``max_eigen``
     The largest eigenvalue of the inverse estimated information, a summary of
     estimator variability.  Its Jacobian is eigenvalue perturbation through the
-    closed-form third derivatives of the log-likelihood.
+    third derivatives of the log-likelihood, in closed form in the eigenpair.
 ``beta_coeffs``
     The regression coefficients themselves (optionally a subset).
 ``spillover``
@@ -16,7 +16,8 @@ Four focus kinds are supported:
 
 Coefficients absent from the submodel S are treated as fixed at zero, both in
 the focus value and in its Jacobian, so the focus dimension k does not depend
-on S and wide-model centering is well defined.
+on S and wide-model centering is well defined.  eval_focus_batch evaluates a
+focus at every fit of a batch at once; eval_focus is its one-fit case.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FocusSpecError, StencilError
-from .slm import Dataset, FisherInfo, Theta, _derivative_terms, observed_info
+from .slm import _CHUNK, Dataset, Theta, _certificates, _dot, _information, _size_groups
 from .submodels import SubmodelId
 
 _EPS_THIRD = np.finfo(float).eps ** (1.0 / 3.0)
 _EIGEN_GAP_TOL = 1e-8
+GAP_WARNING = "top eigenvalue nearly repeated; max_eigen focus Jacobian is unreliable"
 
 FOCUS_KINDS = ("conditional_mean", "max_eigen", "beta_coeffs", "spillover")
 
@@ -58,13 +60,6 @@ class FocusEval:
     value: np.ndarray
     jacobian: np.ndarray  # k x (|S| + 2), columns ordered (rho, sigma^2, beta_S)
     warnings: tuple[str, ...] = field(default_factory=tuple)
-
-
-def _embed_beta(theta: Theta, S: SubmodelId) -> np.ndarray:
-    """Full p-vector with theta.beta in the S positions and zeros elsewhere."""
-    beta = np.zeros(S.p)
-    beta[list(S.indices())] = theta.beta
-    return beta
 
 
 def jacobian_fd(f, theta: Theta, lower=None, upper=None) -> np.ndarray:
@@ -103,86 +98,90 @@ def depends_on_theta(spec: FocusSpec) -> bool:
     return spec.kind in ("spillover", "max_eigen")
 
 
-def eval_focus(
-    spec: FocusSpec,
-    theta: Theta,
-    data: Dataset,
-    S: SubmodelId,
-    info: FisherInfo | None = None,
-) -> FocusEval:
-    """Evaluate a focus function and its Jacobian at theta under submodel S."""
-    m = len(S) + 2
-    sel = list(S.indices())
+def eval_focus_batch(spec: FocusSpec, batch, subsets, rho: np.ndarray, sigma2: np.ndarray,
+                     beta: np.ndarray):
+    """The focus at every fit of a batch (datasets on one W and p): rho and
+    sigma2 are (R, m) over the datasets and the m subsets, beta (R, m, p),
+    zero outside each subset.  Returns the (R, m, d) values; the read-only
+    (R, m, d, p + 2) Jacobians in each subset's (rho, sigma^2, beta_S)
+    columns, zero elsewhere, as fic_terms reads them; the mask of max_eigen fits
+    whose top eigenvalue is nearly repeated (the Jacobian is unreliable
+    there); and per dataset the first NumericalError of its fits in subset
+    order, or None.
 
+    max_eigen: lambda = 1/mu, mu the smallest eigenvalue of I = -H/n with unit
+    eigenvector u, and d(lambda) = (lambda^2 / n) d(u'Hu) with u held fixed
+    (Magnus 1985).  H depends on theta through the residual, s2 = sigma^2 and
+    g_i = w_i / (1 - rho*w_i), with dg_i/drho = g_i^2, so each third
+    derivative of the log-likelihood (Lee 2004) is an entry of H over s2 or a
+    sum of g^2 or g^3.  As Hu = -(n / lambda) u, with G2 = sum g_i^2, G3 =
+    sum g_i^3 and c = lambda^2 / n the contraction is
+        d/drho    = 2 lambda u_r u_s / s2 - 2 c u_r (u_s G2 / s2 + u_r G3),
+        d/ds2     = lambda (1 + 2 u_s^2) / s2 - c u_r^2 G2 / s2 + c n u_s^2 / (2 s2^3),
+        d/dbeta_S = 2 lambda u_s u_beta / s2.
+    Each subset's information is its block of slm._information; per subset
+    size, one stacked certificate, inverse and eigh serve every pair."""
+    W, n, p = batch[0].W, batch[0].n, batch[0].p
+    reps, m = rho.shape
+    bits = np.array([S.mask << 2 | 3 for S in subsets])  # bit j: coordinate j of theta in S
+    in_S = (bits[:, None] >> np.arange(p + 2) & 1)[:, None]
+    gap, failed = np.zeros((reps, m), dtype=bool), np.full((reps, m), None)
     if spec.kind == "conditional_mean":
         i = spec.location
-        if not 0 <= i < data.n:
-            raise FocusSpecError(f"location {i} out of range for n={data.n}")
-        wy_i = float(data.WY[i])
-        x_iS = data.X[i, sel]
-        value = np.array([theta.rho * wy_i + float(x_iS @ theta.beta)])
-        jac = np.concatenate(([wy_i, 0.0], x_iS))[None, :]
-        return FocusEval(value, jac)
-
-    if spec.kind == "beta_coeffs":
-        subset = spec.coeff_subset if spec.coeff_subset is not None else tuple(range(S.p))
-        if any(j >= S.p for j in subset):
-            raise FocusSpecError(f"coeff_subset {list(subset)} out of range for p={S.p}")
-        beta_full = _embed_beta(theta, S)
-        value = beta_full[list(subset)]
-        jac = np.zeros((len(subset), m))
-        pos = {j: 2 + r for r, j in enumerate(sel)}
-        for row, j in enumerate(subset):
-            if j in pos:
-                jac[row, pos[j]] = 1.0
-        return FocusEval(value, jac)
-
-    if spec.kind == "spillover":
-        beta_full = _embed_beta(theta, S)
-        value = np.concatenate(
-            ([data.W.log_det_factor(theta.rho), theta.sigma2], beta_full)
-        )
-        jac = np.zeros((S.p + 2, m))
-        jac[0, 0] = data.W.log_det_rho_derivative(theta.rho)
-        jac[1, 1] = 1.0
-        for r, j in enumerate(sel):
-            jac[2 + j, 2 + r] = 1.0
-        return FocusEval(value, jac)
-
-    # max_eigen: lambda = 1/mu, mu the smallest eigenvalue of I = -H/n with unit
-    # eigenvector u.  For a simple eigenvalue d(lambda) = (lambda^2 / n) d(u'Hu) with
-    # u held fixed (Magnus 1985); the gradient of u'Hu contracts the third derivatives
-    # of the log-likelihood (Lee 2004) twice with u.
-    if info is None:
-        info = observed_info(theta, data, S)
-    eigs, vecs = np.linalg.eigh(np.linalg.inv(info.matrix))
-    lam, (ur, us), ub = eigs[-1], vecs[:2, -1], vecs[2:, -1]
-    warnings: tuple[str, ...] = ()
-    if len(eigs) > 1 and eigs[-1] - eigs[-2] < _EIGEN_GAP_TOL:
-        warnings = (
-            "top eigenvalue nearly repeated; max_eigen focus Jacobian is unreliable",
-        )
-    WY, Xs, e, g = _derivative_terms(theta, data, S)
-    s2 = theta.sigma2
-    a = ur * WY + Xs @ ub
-    t = (2.0 * us / s2**2) * a + (2.0 * us**2 / s2**3) * e
-    d_s2 = (a @ a) / s2**2 + 4.0 * us * (a @ e) / s2**3
-    d_s2 += us**2 * (3.0 * (e @ e) / s2**4 - data.n / s2**3)
-    grad = np.concatenate(([WY @ t - 2.0 * ur**2 * (g**3).sum(), d_s2], Xs.T @ t))
-    return FocusEval(np.array([lam]), (lam**2 / data.n) * grad[None, :], warnings)
+        if not 0 <= i < n:
+            raise FocusSpecError(f"location {i} out of range for n={n}")
+        wy_i, x_i = np.array([d.WY[i] for d in batch]), np.stack([d.X[i] for d in batch])
+        value = (rho * wy_i[:, None] + _dot(beta, x_i[:, None]))[..., None]
+        jac = np.column_stack((wy_i, np.zeros(reps), x_i))[:, None, None]
+    elif spec.kind == "beta_coeffs":
+        subset = np.array(spec.coeff_subset or range(p), dtype=int)
+        if np.any(subset >= p):
+            raise FocusSpecError(f"coeff_subset {subset.tolist()} out of range for p={p}")
+        value, jac = beta[..., subset], np.eye(p + 2)[subset + 2]
+    elif spec.kind == "spillover":  # in pieces of fits whose log-det terms stay within _CHUNK
+        step, flat = max(1, _CHUNK // n), rho.reshape(-1)
+        log_det, slope = (np.concatenate([f(flat[i:i + step]) for i in range(0, flat.size, step)])
+                          .reshape(rho.shape) for f in (W.log_det_factor, W.log_det_rho_derivative))
+        value = np.concatenate((log_det[..., None], sigma2[..., None], beta), axis=-1)
+        jac = np.tile(np.eye(p + 2), (reps, m, 1, 1))
+        jac[..., 0, 0] = slope
+    else:
+        info = _information(batch, rho, sigma2, beta)
+        value, jac = np.full((reps, m, 1), np.nan), np.zeros((reps, m, 1, p + 2))
+        for r, idx, cols in _size_groups(subsets, max(n, (p + 2) ** 2), reps):
+            ii = np.column_stack((np.zeros_like(idx), np.ones_like(idx), cols + 2))
+            I_S = info[r[:, None, None], idx[:, None, None], ii[:, :, None], ii[:, None]]
+            failed[r, idx] = _certificates(I_S, [f"information of {subsets[i].label()}"
+                                                 for i in idx])
+            I_S[failed[r, idx].astype(bool)] = np.eye(ii.shape[1])
+            eigs, vecs = np.linalg.eigh(np.linalg.inv(I_S))
+            lam, u = eigs[:, -1], vecs[:, :, -1]
+            gap[r, idx] = eigs[:, -1] - eigs[:, -2] < _EIGEN_GAP_TOL
+            ur, us, s2, c = u[:, 0], u[:, 1], sigma2[r, idx], lam * lam / n
+            G2, G3 = (-W.log_det_rho_derivative(rho[r, idx], k) for k in (2, 3))
+            value[r, idx, 0] = lam
+            jac[r[:, None], idx[:, None], 0, ii] = np.column_stack((
+                2.0 * lam * ur * us / s2 - 2.0 * c * ur * (us * G2 / s2 + ur * G3),
+                lam * (1.0 + 2.0 * us * us) / s2 - c * ur * ur * G2 / s2
+                + c * n * us * us / (2.0 * s2 * s2 * s2),
+                (2.0 * lam * us / s2)[:, None] * u[:, 2:]))
+    errors = [next(filter(None, row), None) for row in failed.tolist()]
+    return value, np.broadcast_to(jac * in_S, value.shape + (p + 2,)), gap, errors
 
 
-def wide_beta_jacobian(
-    spec: FocusSpec,
-    theta_wide: Theta,
-    data: Dataset,
-    info_wide: FisherInfo | None = None,
-) -> np.ndarray:
-    """k x p Jacobian of the focus with respect to the full beta at the wide fit.
+def eval_focus(spec: FocusSpec, theta: Theta, data: Dataset, S: SubmodelId) -> FocusEval:
+    """A focus and its Jacobian over (rho, sigma^2, beta_S) at theta under S:
+    eval_focus_batch's one-fit case, whose error it raises."""
+    cols, beta = [0, 1, *(2 + j for j in S.indices())], np.zeros((1, 1, S.p))
+    beta[0, 0, list(S.indices())] = theta.beta
+    value, jac, gap, (error,) = eval_focus_batch(
+        spec, [data], [S], np.array([[theta.rho]]), np.array([[theta.sigma2]]), beta)
+    if error:
+        raise error
+    return FocusEval(value[0, 0], jac[0, 0][:, cols], (GAP_WARNING,) if gap[0, 0] else ())
 
-    This is the centering term of the FIC bias: the beta columns of the wide
-    model Jacobian, the other coordinates held fixed.
-    """
-    wide = SubmodelId.wide(data.p)
-    ev = eval_focus(spec, theta_wide, data, wide, info=info_wide)
-    return ev.jacobian[:, 2:]
+
+def wide_beta_jacobian(spec: FocusSpec, theta_wide: Theta, data: Dataset) -> np.ndarray:
+    """k x p Jacobian of the focus in the full beta at the wide fit, the other
+    coordinates held fixed: the centering term of the FIC bias."""
+    return eval_focus(spec, theta_wide, data, SubmodelId.wide(data.p)).jacobian[:, 2:]

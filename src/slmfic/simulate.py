@@ -6,9 +6,9 @@ contiguous range of replications and ranks all candidate submodels of all of
 them at once through one engine, _sweep, which carries a leading replication
 axis through the fits, the informations and the stacked scores, and records
 each replication's rank orders or the first error that stopped it.  Each
-stage has one form, over the batch (fit_mle, fic_terms, k_empirical,
-safic_terms); fic_table and safic_table run the engine on a batch of one
-dataset, and only these two tables build rows.  Aggregation is an ordered
+stage has one form, over the batch (fit_mle, eval_focus_batch, fic_terms,
+k_empirical, safic_terms); fic_table and safic_table run the engine on a
+batch of one dataset, and only they build rows.  Aggregation is an ordered
 reduction over replication index, and no replication's numbers depend on the
 others in its batch, so reports are byte-identical for a given config and
 seed regardless of worker count.
@@ -28,7 +28,7 @@ import scipy.sparse.linalg
 from . import slm
 from .errors import ConfigError, NumericalError, ReplicationFailureError
 from .fic import fic_score, fic_terms
-from .focus import FocusSpec, depends_on_theta, eval_focus
+from .focus import GAP_WARNING, FocusSpec, depends_on_theta, eval_focus_batch
 from .safic import (
     _rho_beta_blocks,
     check_kernel,
@@ -39,7 +39,7 @@ from .safic import (
     safic_score,
     safic_terms,
 )
-from .slm import Dataset, FisherInfo, Fits, Theta, _certificates, fit_mle
+from .slm import Dataset, Fits, _certificates, fit_mle
 from .submodels import enumerate_submodels
 from .weights import SpatialWeights, build_chain_lag1
 
@@ -186,31 +186,31 @@ def _replicate(cfg: SimConfig, W: SpatialWeights, A, reps: range) -> list:
         batch = [_draw(cfg, rep, W, A) for rep in range(start, min(start + size, reps.stop))]
         tables, fits, errors = _sweep(batch, cfg.criteria, submodels,
                                       fit_all=cfg.track_realized_error)
-        for r, (data, error) in enumerate(zip(batch, errors)):
-            realized: dict[int, float] = {}
-            if cfg.track_realized_error and error is None:
-                try:
-                    realized = _realized_error(cfg, data, fits, r)
-                except NumericalError as exc:
-                    error = exc
+        realized = (_realized_error(cfg, batch, fits, errors) if cfg.track_realized_error
+                    else np.empty((len(batch), 0)))
+        for r, error in enumerate(errors):
             if error is not None:
                 results.append((None, f"{type(error).__name__}: {error}"))
             else:
                 rankings = {name: orders[r] for name, (orders, _terms) in tables.items()}
-                results.append(((rankings, realized), None))
+                results.append(((rankings, dict(enumerate(realized[r].tolist()))), None))
     return results
 
 
-def _realized_error(cfg: SimConfig, data: Dataset, fits: Fits, r: int) -> dict[int, float]:
-    """Per mask, the squared error of the first fic criterion's focus at fit r
-    of each subset, against the focus at the true parameters."""
+def _realized_error(cfg: SimConfig, batch, fits: Fits, errors: list) -> np.ndarray:
+    """Per dataset without an error and per subset (= mask), the squared error
+    of the first fic criterion's focus at the subset's fit against the focus
+    at the truth: one eval_focus_batch over both, whose NumericalError, the
+    truth's first, becomes its dataset's error."""
     focus = next(c.focus for c in cfg.criteria if c.kind == "fic")
-    theta_true = Theta(cfg.rho_true, cfg.sigma2_true, np.asarray(cfg.beta_true))
-    mu_true = eval_focus(focus, theta_true, data, fits.subsets[-1]).value
-    realized = {}
-    for i, S in enumerate(fits.subsets):
-        mu_hat = eval_focus(focus, fits.result(r, i).theta_hat, data, S).value
-        realized[S.mask] = float(np.sum((mu_hat - mu_true) ** 2))
+    live, realized = np.flatnonzero([e is None for e in errors]), np.full(fits.rho.shape, np.nan)
+    if live.size:
+        value, _J, _gap, found = eval_focus_batch(
+            focus, [batch[r] for r in live], fits.subsets[-1:] + fits.subsets,
+            *(np.insert(getattr(fits, a)[live], 0, getattr(cfg, f"{a}_true"), axis=1)
+              for a in ("rho", "sigma2", "beta")))
+        realized[live] = np.sum((value[:, 1:] - value[:, :1]) ** 2, axis=-1)
+        _drop(errors, live, found)
     return realized
 
 
@@ -299,19 +299,6 @@ def _drop(errors: list, live: np.ndarray, found) -> np.ndarray:
     return live[[errors[r] is None for r in live]]
 
 
-def _each(errors: list, live: np.ndarray, fn):
-    """fn(r) for each dataset r of live, a NumericalError it raises recorded as
-    r's error: the datasets of live still without one, and their values."""
-    values, found = [], []
-    for r in live:
-        try:
-            values.append(fn(r))
-            found.append(None)
-        except NumericalError as exc:
-            found.append(exc)
-    return _drop(errors, live, found), values
-
-
 def _sweep(batch, criteria, submodels, fit_all: bool = False):
     """Rank all 2^p subsets of each dataset of a batch (datasets that share one
     W and p), submodels = enumerate_submodels(p), by each criterion.
@@ -322,16 +309,16 @@ def _sweep(batch, criteria, submodels, fit_all: bool = False):
     focus.depends_on_theta, and fit_all every fit.  Each dataset's wide
     information and, once an sAFIC criterion needs it, its beta Schur
     complement are certified once, by one stacked check per kind: by
-    interlacing, that certifies every block a subset solves against.  FIC
-    with a theta-free focus and sAFIC read the wide fit only: each FIC focus
-    is evaluated once per dataset at the wide fit, and a subset's Jacobian is
-    the (rho, sigma^2, beta_S) columns of that evaluation unless the focus
-    depends on theta (_evaluate).  delta_hat = sqrt(n) beta_wide is computed
-    once.  fic_terms and safic_terms score every (dataset, subset) pair with
-    one stacked solve per subset size, AIC is one array expression, and each
-    score array is ranked once (_rank_order).  Each distinct warning of the
-    focus evaluations of the datasets that complete is issued once, as a
-    RuntimeWarning.
+    interlacing, that certifies every block a subset solves against.  Each
+    FIC criterion is one eval_focus_batch call: at the wide fits for a
+    theta-free focus, whose (rho, sigma^2, beta_S) columns are each subset's
+    Jacobian, else at every fit (max_eigen certifies each subset's
+    information, by one stacked check per subset size); sAFIC reads the wide
+    fit only.  delta_hat = sqrt(n) beta_wide is computed once.  fic_terms and
+    safic_terms score every (dataset, subset) pair with one stacked solve per
+    subset size, AIC is one array expression, and each score array is ranked
+    once (_rank_order).  GAP_WARNING is issued once, as a RuntimeWarning, if
+    a dataset that completes has a flagged fit.
 
     A NumericalError stops its dataset only, which keeps the first: its first
     failing fit in subset order (the wide model last), the wide information,
@@ -348,32 +335,40 @@ def _sweep(batch, criteria, submodels, fit_all: bool = False):
     fit_all = fit_all or any(
         c.kind == "aic" or (c.kind == "fic" and depends_on_theta(c.focus)) for c in criteria
     )
-    wide = submodels[-1]
-    fits = fit_mle(batch, submodels if fit_all else [wide])
-    errors, info, n, reps = list(fits.errors), fits.info, batch[0].n, len(batch)
+    fits = fit_mle(batch, submodels if fit_all else submodels[-1:])
+    errors, info, reps = list(fits.errors), fits.info, len(batch)
     live = np.flatnonzero([e is None for e in errors])
-    D = np.sqrt(n) * fits.beta[:, -1]
+    D = np.sqrt(batch[0].n) * fits.beta[:, -1]
     sizes = (np.arange(len(submodels))[:, None] >> np.arange(batch[0].p) & 1).sum(1)
-    blocks, tables, messages = None, {}, []
+    blocks, tables, flagged = None, {}, []
     for crit in criteria:
         terms = tuple(np.full((reps, len(submodels)), np.nan)
                       for _ in range(1 if crit.kind == "aic" else 2))
         if crit.kind == "aic":
             terms[0][:] = -2.0 * fits.loglik + 2.0 * (sizes + 2)
-        elif crit.kind == "fic":
-            live, evals = _each(errors, live, lambda r: _evaluate(
-                crit.focus, batch[r], fits, r, FisherInfo(info[r], n)))
-            messages += [(r, msg) for r, (_J, warned) in zip(live, evals) for msg in warned]
+        elif crit.kind == "fic" and live.size:
+            at = slice(None) if depends_on_theta(crit.focus) else slice(-1, None)
+            _value, J, gap, found = eval_focus_batch(
+                crit.focus, [batch[r] for r in live], fits.subsets[at],
+                *(a[live, at] for a in (fits.rho, fits.sigma2, fits.beta)))
+            flagged += live[gap.any(axis=1)].tolist()
+            J = J[[e is None for e in found]]
+            live = _drop(errors, live, found)
             if live.size:
-                J = np.stack([J for J, _warned in evals])
                 found = fic_terms(submodels, J, J[:, -1, :, 2:], info[live], D[live])
                 terms[0][live], terms[1][live] = found
-        else:  # safic
+        elif crit.kind == "safic":
             if blocks is None:
                 blocks = _rho_beta_blocks(info)
                 live = _drop(errors, live, _certificates(
                     blocks[2][live], "beta Schur complement of the wide information"))
-            live, psi = _each(errors, live, lambda r: _psi(crit, batch[r]))
+            psi = []
+            for r in live:
+                try:
+                    psi.append(_psi(crit, batch[r]))
+                except NumericalError as exc:  # a bandwidth of zero
+                    errors[r] = exc
+            live = live[[errors[r] is None for r in live]]
             if live.size:
                 I_rr, I_br, Q_inv = (b[live] for b in blocks)
                 WY, X = (np.stack([getattr(batch[r], a) for r in live]) for a in ("WY", "X"))
@@ -382,25 +377,9 @@ def _sweep(batch, criteria, submodels, fit_all: bool = False):
                 terms[0][live], terms[1][live] = found
         score = terms[0] + terms[1] if len(terms) == 2 else terms[0]
         tables[crit.name] = (_rank_order(score, sizes), terms)
-    for msg in dict.fromkeys(msg for r, msg in messages if errors[r] is None):
-        warnings.warn(msg, RuntimeWarning)
+    if any(errors[r] is None for r in flagged):
+        warnings.warn(GAP_WARNING, RuntimeWarning)
     return tables, fits, errors
-
-
-def _evaluate(spec: FocusSpec, data: Dataset, fits: Fits, r: int, info_wide: FisherInfo):
-    """The focus Jacobians of dataset r of a sweep, as fic_terms reads them,
-    and the warnings of their evaluations: for a theta-free focus, (1, d, p + 2),
-    the focus at the wide fit with its information; else (m, d, p + 2), the
-    focus at every subset's fit, in subset order (the wide one last), each in
-    its subset's (rho, sigma^2, beta_S) columns."""
-    last = len(fits.subsets) - 1
-    at = range(last + 1) if depends_on_theta(spec) else [last]
-    evals = [eval_focus(spec, fits.result(r, i).theta_hat, data, fits.subsets[i],
-                        info_wide if i == last else None) for i in at]
-    J = np.zeros((len(evals), evals[-1].jacobian.shape[0], data.p + 2))
-    for J_S, i, ev in zip(J, at, evals):
-        J_S[:, [0, 1, *(2 + j for j in fits.subsets[i].indices())]] = ev.jacobian
-    return J, tuple(msg for ev in evals for msg in ev.warnings)
 
 
 def _rank_order(score: np.ndarray, sizes) -> list:

@@ -40,11 +40,11 @@ _CHUNK = 1 << 16  # elements of one stacked temporary in a fit or scoring batch
 _COND_LIMIT = 1e12  # an information matrix whose condition number exceeds it counts as singular
 
 
-def _certificates(M: np.ndarray, what: str) -> list:
-    """For each symmetric matrix of the stack M, of shape (R, k, k), the
-    SingularInformationError naming `what` unless it is finite and positive
-    definite with lambda_max <= _COND_LIMIT * lambda_min, else None: one
-    stacked eigvalsh.  Empty matrices (p = 0) have nothing to invert.
+def _certificates(M: np.ndarray, what) -> list:
+    """For each symmetric matrix of the stack M, (R, k, k), the error naming
+    `what` (or what[r]) unless it is finite and positive definite with
+    lambda_max <= _COND_LIMIT * lambda_min, else None: one stacked eigvalsh.
+    Empty matrices (p = 0) have nothing to invert.
 
     One check per wide matrix serves every subset: each principal block of a
     symmetric positive-definite matrix, and each principal block of its Schur
@@ -60,12 +60,13 @@ def _certificates(M: np.ndarray, what: str) -> list:
                              np.where(finite[:, None, None], M, np.eye(M.shape[-1])))
     for r, (ok, lo, hi) in enumerate(zip(finite.tolist(), lam[:, 0].tolist(),
                                          lam[:, -1].tolist())):
+        name = what if isinstance(what, str) else what[r]
         if not ok:
-            message = f"{what} has a non-finite entry"
+            message = f"{name} has a non-finite entry"
         elif not lo > 0:
-            message = f"{what} is not positive definite: smallest eigenvalue {lo:.3e}"
+            message = f"{name} is not positive definite: smallest eigenvalue {lo:.3e}"
         elif hi > _COND_LIMIT * lo:
-            message = f"{what} has condition number {hi / lo:.3e}"
+            message = f"{name} has condition number {hi / lo:.3e}"
         else:
             continue
         errors[r] = SingularInformationError(message)
@@ -111,6 +112,11 @@ def _gather(M: np.ndarray, r: np.ndarray, rows: np.ndarray, cols=slice(None)) ->
     if r[0] == r[-1]:
         return M[r[0]][rows, cols]
     return M[r.reshape((-1,) + (1,) * (rows.ndim - 1)), rows, cols]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes of a and b, one BLAS dot each, as a @ b."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -391,8 +397,7 @@ def _fit_batch(batch, subsets, with_info: bool) -> Fits:
     search every rho (_rho_hat; its steps are Fits.steps), taken in chunks of
     fits so that no stacked temporary holds more than _CHUNK elements; each
     fit is the same, bit for bit, in any batch or chunk.  With with_info, each
-    dataset's information at its fit on the last subset (the closed form of
-    observed_info), certified by one stacked check.
+    dataset's information at its last fit (_information), certified by one stacked check.
 
     A failure gives its dataset an error and leaves the other datasets alone:
     DegenerateVarianceError for a residual variance below the floor in the
@@ -426,12 +431,15 @@ def _fit_batch(batch, subsets, with_info: bool) -> Fits:
     fits = Fits(subsets, rho, s2, beta, ll, steps, tuple(errors))
     if not with_info:
         return fits
-    last, ok = subsets[-1], [e is None for e in errors]
-    info = np.stack([_information(fits.result(r, m - 1).theta_hat, data, last) if ok[r]
-                     else np.eye(len(last) + 2) for r, data in enumerate(batch)])
-    found = iter(_certificates(info[ok], f"information of {last.label()}"))
-    errors = [next(found) if fine else e for fine, e in zip(ok, errors)]
-    info[[e is not None for e in errors]] = np.eye(len(last) + 2)
+    last, ok = subsets[-1], np.flatnonzero([e is None for e in errors])
+    cols = [0, 1, *(2 + j for j in last.indices())]
+    info = np.tile(np.eye(len(cols)), (reps, 1, 1))
+    if ok.size:
+        full = _information([batch[r] for r in ok], rho[ok, -1:], s2[ok, -1:], beta[ok, -1:])
+        info[ok] = full[:, 0, cols][..., cols]
+    for r, error in zip(ok, _certificates(info[ok], f"information of {last.label()}")):
+        errors[r] = error
+    info[[e is not None for e in errors]] = np.eye(len(cols))
     return replace(fits, errors=tuple(errors), info=info)
 
 
@@ -455,51 +463,63 @@ def fit_mle(data: Dataset | list[Dataset], S: SubmodelId | list,
     return replace(fit, info=FisherInfo(fits.info[0], data.n)) if with_info else fit
 
 
-def _derivative_terms(theta: Theta, data: Dataset, S: SubmodelId):
-    """WY, X_S, the residual e = Y - rho*WY - X_S beta and g_i = w_i / (1 - rho*w_i)
-    over the spectrum of W, the ingredients of the score and the Hessian."""
-    data.W.require_rho(theta.rho)
-    Xs = _design(data, S)
-    e = data.Y - theta.rho * data.WY - Xs @ theta.beta
-    w = data.W.spectrum
-    return data.WY, Xs, e, w / (1.0 - theta.rho * w)
-
-
-def _information(theta: Theta, data: Dataset, S: SubmodelId) -> np.ndarray:
-    """observed_info's matrix, without the certificate."""
-    WY, Xs, e, g = _derivative_terms(theta, data, S)
-    s2 = theta.sigma2
-    H = np.empty((Xs.shape[1] + 2,) * 2)
-    H[0, 0] = -(g @ g) - (WY @ WY) / s2
-    H[0, 1] = H[1, 0] = -(WY @ e) / s2**2
-    H[1, 1] = data.n / (2.0 * s2**2) - (e @ e) / s2**3
-    H[0, 2:] = H[2:, 0] = -(Xs.T @ WY) / s2
-    H[1, 2:] = H[2:, 1] = -(Xs.T @ e) / s2**2
-    H[2:, 2:] = -(Xs.T @ Xs) / s2
-    H = 0.5 * (H + H.T)
-    return -H / data.n
+def _information(batch, rho: np.ndarray, sigma2: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The information -H/n (observed_info) of each dataset of a batch at each
+    fit, (R, m, p + 2, p + 2), for (R, m) rho and sigma2 and the (R, m, p)
+    beta, zero outside each fit's subset S: its (rho, sigma^2, beta_S) block
+    is the information of S.  Fits go in pieces whose temporaries stay within
+    _CHUNK elements; each product is a stacked matmul, the BLAS call of the
+    product on one fit, and powers are libm's, as of a Python float, so each
+    matrix is the same, bit for bit, in any batch."""
+    W, n, p = batch[0].W, batch[0].n, batch[0].p
+    W.require_rho(rho)
+    Y, WY = (np.stack([getattr(d, a) for d in batch]) for a in ("Y", "WY"))
+    Xt = np.ascontiguousarray(np.swapaxes(np.stack([d.X for d in batch]), 1, 2))
+    X = np.swapaxes(Xt, 1, 2)  # column-major, as the column selection X[:, S] of one fit
+    XtX, XtWY, WYWY = Xt @ X, (Xt @ WY[..., None])[..., 0], _dot(WY, WY)
+    rho, s2, beta = rho.reshape(-1), sigma2.reshape(-1), beta.reshape(rho.size, p)
+    info = np.empty((rho.size, p + 2, p + 2))
+    step = max(1, _CHUNK // max(n, (p + 2) ** 2))
+    for sl in (slice(i, i + step) for i in range(0, rho.size, step)):
+        r = np.arange(rho.size)[sl] // sigma2.shape[1]
+        c, Xr, WYr = s2[sl], _of(X, r), _of(WY, r)
+        c2, c3 = np.float_power(c, 2), np.float_power(c, 3)
+        e = _of(Y, r) - rho[sl, None] * WYr - (Xr @ beta[sl, :, None])[..., 0]
+        g = W.spectrum / (1.0 - rho[sl, None] * W.spectrum)
+        H = np.empty((r.size, p + 2, p + 2))
+        H[:, 0, 0] = -_dot(g, g) - _of(WYWY, r) / c
+        H[:, 0, 1] = H[:, 1, 0] = -_dot(WYr, e) / c2
+        H[:, 1, 1] = n / (2.0 * c2) - _dot(e, e) / c3
+        H[:, 0, 2:] = H[:, 2:, 0] = -_of(XtWY, r) / c[:, None]
+        H[:, 1, 2:] = H[:, 2:, 1] = -(np.swapaxes(Xr, 1, 2) @ e[..., None])[..., 0] / c2[:, None]
+        H[:, 2:, 2:] = -_of(XtX, r) / c[:, None, None]
+        info[sl] = -(0.5 * (H + np.swapaxes(H, 1, 2))) / n
+    return info.reshape(sigma2.shape + (p + 2, p + 2))
 
 
 def observed_info(theta_hat: Theta, data: Dataset, S: SubmodelId) -> FisherInfo:
     """Per-observation observed information -H/n at theta_hat.
 
     H is the Hessian of the full log-likelihood over (rho, sigma^2, beta_S) in
-    closed form (Anselin 1988; Lee 2004), with s2 = sigma^2:
+    closed form (Anselin 1988; Lee 2004), with s2 = sigma^2, e the residual
+    Y - rho*WY - X_S beta and g_i = w_i / (1 - rho*w_i) over the spectrum of W:
     H_rr = -sum g_i^2 - WY'WY / s2, H_rs = -WY'e / s2^2,
     H_ss = n / (2 s2^2) - e'e / s2^3, H_rb = -X_S'WY / s2,
-    H_sb = -X_S'e / s2^2, H_bb = -X_S'X_S / s2.  The result is certified
-    (_certify): one that is not positive definite or well conditioned raises.
+    H_sb = -X_S'e / s2^2, H_bb = -X_S'X_S / s2: _information's one-fit case,
+    certified (_certify): one not positive definite or well conditioned raises.
     """
-    I_hat = _information(theta_hat, data, S)
+    cols, beta = [0, 1, *(2 + j for j in S.indices())], np.zeros((1, 1, S.p))
+    beta[0, 0, list(S.indices())] = theta_hat.beta
+    full = _information([data], np.array([[theta_hat.rho]]), np.array([[theta_hat.sigma2]]), beta)
+    I_hat = full[0, 0][np.ix_(cols, cols)]
     _certify(I_hat, f"information of {S.label()}")
     return FisherInfo(matrix=I_hat, n_obs=data.n)
 
 
 def score_vector(theta: Theta, data: Dataset, S: SubmodelId) -> np.ndarray:
     """Gradient of the full log-likelihood over (rho, sigma^2, beta_S) in closed
-    form: (WY'e / s2 - sum g_i, (e'e / s2 - n) / (2 s2), X_S'e / s2)."""
-    WY, Xs, e, g = _derivative_terms(theta, data, S)
-    s2 = theta.sigma2
-    return np.concatenate(
-        ([(WY @ e) / s2 - g.sum(), ((e @ e) / s2 - data.n) / (2.0 * s2)], (Xs.T @ e) / s2)
-    )
+    form, e the residual: (WY'e / s2 - sum g_i, (e'e / s2 - n) / (2 s2), X_S'e / s2)."""
+    Xs, s2 = _design(data, S), theta.sigma2
+    e = data.Y - theta.rho * data.WY - Xs @ theta.beta
+    return np.concatenate(([(data.WY @ e) / s2 + data.W.log_det_rho_derivative(theta.rho),
+                            ((e @ e) / s2 - data.n) / (2.0 * s2)], (Xs.T @ e) / s2))

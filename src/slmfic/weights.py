@@ -261,8 +261,8 @@ class SpatialWeights:
         raise ValueError(f"unknown backend {backend!r}")
 
     def log_det_rho_derivative(self, rho, order: int = 1):
-        """The first (order 1) or second (order 2) derivative of log|I - rho*W| in
-        rho, -sum_i g_i^order with g_i = w_i / (1 - rho*w_i); one per entry of an array rho."""
+        """-sum_i g_i^order, g_i = w_i / (1 - rho*w_i), per entry of an array rho: the first and
+        second rho-derivative of log|I - rho*W| for order 1 and 2, half the third for order 3."""
         self.require_rho(rho)
         g = np.multiply.outer(rho, self.spectrum)  # one temporary, updated in place
         np.subtract(1.0, g, out=g)

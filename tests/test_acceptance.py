@@ -272,7 +272,7 @@ class TestCriterion5:
         ]
         D_n = rng.standard_normal(3)
         for spec in specs:
-            J = eval_focus(spec, fit.theta_hat, data, wide, info=fit.info).jacobian
+            J = eval_focus(spec, fit.theta_hat, data, wide).jacobian
             ((bias2,),), _ = fic_terms([wide], J[None, None], J[None, :, 2:], info.matrix[None],
                                        D_n[None])
             worst[spec.kind] = bias2

@@ -187,8 +187,8 @@ class TestComponents:
 
 def _row(data, spec, S, fit_S, fit_w):
     """FIC row of S with its Jacobian evaluated at the subset's own fit."""
-    J_S = eval_focus(spec, fit_S.theta_hat, data, S, info=fit_S.info).jacobian
-    J_w = wide_beta_jacobian(spec, fit_w.theta_hat, data, fit_w.info)
+    J_S = eval_focus(spec, fit_S.theta_hat, data, S).jacobian
+    J_w = wide_beta_jacobian(spec, fit_w.theta_hat, data)
     return fic_score(S, *_terms(J_S, J_w, fit_w.info, S, delta_hat(fit_w)))
 
 
@@ -230,7 +230,7 @@ class TestScoreSweep:
         Jacobian scores it as given the subset's own."""
         data = random_dataset(rng, n=40, p=3)
         fit_w = fit_mle(data, SubmodelId.wide(3))
-        J_wide = eval_focus(spec, fit_w.theta_hat, data, fit_w.submodel, info=fit_w.info).jacobian
+        J_wide = eval_focus(spec, fit_w.theta_hat, data, fit_w.submodel).jacobian
         D_n = delta_hat(fit_w)
         for S in enumerate_submodels(3):
             J_slice = np.take(J_wide, _columns(S), axis=1)
@@ -249,7 +249,7 @@ class TestScoreSweep:
         data = random_dataset(rng, n=40, p=3)
         fit_w = fit_mle(data, SubmodelId.wide(3))
         spec = FocusSpec(kind)
-        J_wide = eval_focus(spec, fit_w.theta_hat, data, fit_w.submodel, info=fit_w.info).jacobian
+        J_wide = eval_focus(spec, fit_w.theta_hat, data, fit_w.submodel).jacobian
         for S in enumerate_submodels(3)[:-1]:
             fit_S = fit_mle(data, S, with_info=False)
             J_S = eval_focus(spec, fit_S.theta_hat, data, S).jacobian
@@ -299,7 +299,7 @@ class TestStackedTerms:
         specs = [FocusSpec("conditional_mean", location=seed), FocusSpec("beta_coeffs"),
                  FocusSpec("spillover"), FocusSpec("max_eigen")]
         for spec in specs:
-            J_wide = eval_focus(spec, fit_w.theta_hat, data, fit_w.submodel, info=info).jacobian
+            J_wide = eval_focus(spec, fit_w.theta_hat, data, fit_w.submodel).jacobian
             J_w = J_wide[:, 2:]
             Js = [J_wide if S.is_wide else eval_focus(spec, fits[S.mask].theta_hat, data, S).jacobian
                   for S in subsets]

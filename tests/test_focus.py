@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from slmfic import (
+    Dataset,
     FocusSpec,
     SubmodelId,
     Theta,
+    enumerate_submodels,
     eval_focus,
     fit_mle,
     jacobian_fd,
     wide_beta_jacobian,
 )
+from slmfic import focus
 from slmfic.errors import FocusSpecError
-from slmfic.focus import depends_on_theta
+from slmfic.focus import depends_on_theta, eval_focus_batch
 
 from conftest import closed_form_information, random_dataset
 
@@ -150,7 +153,7 @@ class TestMaxEigen:
     def test_value_is_top_inverse_eigenvalue(self, rng):
         data = random_dataset(rng, n=40)
         fit = fit_mle(data, SubmodelId.wide(data.p))
-        ev = eval_focus(FocusSpec("max_eigen"), fit.theta_hat, data, fit.submodel, info=fit.info)
+        ev = eval_focus(FocusSpec("max_eigen"), fit.theta_hat, data, fit.submodel)
         direct = np.max(np.linalg.eigvalsh(np.linalg.inv(fit.info.matrix)))
         assert ev.value[0] == pytest.approx(direct, abs=1e-12)
 
@@ -221,15 +224,14 @@ class TestMaxEigen:
             got = eval_focus(spec, theta, data, S).jacobian
             assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(fd))
 
-    def test_repeated_top_eigenvalue_warns(self, rng):
-        from slmfic import FisherInfo
-
+    def test_repeated_top_eigenvalue_warns(self, rng, monkeypatch):
         data = random_dataset(rng, n=20, p=2)
         S = SubmodelId.wide(2)
-        fit = fit_mle(data, S, with_info=False)
-        flat = FisherInfo(np.eye(4), data.n)
-        ev = eval_focus(FocusSpec("max_eigen"), fit.theta_hat, data, S, info=flat)
-        assert ev.warnings
+        theta = fit_mle(data, S, with_info=False).theta_hat
+        assert eval_focus(FocusSpec("max_eigen"), theta, data, S).warnings == ()
+        monkeypatch.setattr(focus, "_EIGEN_GAP_TOL", np.inf)  # every gap counts as repeated
+        ev = eval_focus(FocusSpec("max_eigen"), theta, data, S)
+        assert ev.warnings == (focus.GAP_WARNING,)
 
 
 class TestFdOracle:
@@ -270,7 +272,7 @@ class TestWideCentering:
         data = random_dataset(rng, p=3)
         fit = fit_mle(data, SubmodelId.wide(3))
         spec = FocusSpec("conditional_mean", location=2)
-        J = wide_beta_jacobian(spec, fit.theta_hat, data, info_wide=fit.info)
+        J = wide_beta_jacobian(spec, fit.theta_hat, data)
         assert J.shape == (1, 3)
         assert np.allclose(J[0], data.X[2], atol=1e-12)
 
@@ -279,3 +281,68 @@ class TestWideCentering:
         fit = fit_mle(data, SubmodelId.wide(4))
         J = wide_beta_jacobian(FocusSpec("beta_coeffs"), fit.theta_hat, data)
         assert np.array_equal(J, np.eye(4))
+
+
+def _value_oracle(spec, data, S, w):
+    """The focus value at theta_S from numpy and scipy alone: the max_eigen
+    focus through closed_form_information, the spillover log-det by LU."""
+    sel = list(S.indices())
+
+    def f(theta):
+        beta = np.zeros(data.p)
+        beta[sel] = theta.beta
+        if spec.kind == "conditional_mean":
+            i = spec.location
+            return np.array([theta.rho * data.WY[i] + data.X[i] @ beta])
+        if spec.kind == "beta_coeffs":
+            return beta[list(spec.coeff_subset)]
+        if spec.kind == "spillover":
+            log_det = data.W.log_det_factor(theta.rho, backend="lu")
+            return np.concatenate(([log_det, theta.sigma2], beta))
+        info = closed_form_information(theta.rho, theta.sigma2, theta.beta, data.X[:, sel],
+                                       data.Y, data.WY, w)
+        return np.array([np.max(np.linalg.eigvalsh(np.linalg.inv(info)))])
+
+    return f
+
+
+class TestBatch:
+    """eval_focus_batch over a batch of 3 datasets on one W, at every subset's
+    fit, against oracles that share no code with it."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        rng = np.random.default_rng(2024)
+        first = random_dataset(rng, n=30, p=3)
+        A = np.eye(30) - 0.3 * first.W.matrix.toarray()
+        batch = [first]
+        for _ in range(2):
+            X = rng.standard_normal((30, 3))
+            batch.append(Dataset(Y=np.linalg.solve(A, X @ rng.normal(size=3)
+                                                   + rng.standard_normal(30)), X=X, W=first.W))
+        subsets = enumerate_submodels(3)
+        return batch, subsets, fit_mle(batch, subsets, with_info=False)
+
+    @pytest.mark.parametrize("spec", [FocusSpec("conditional_mean", location=4),
+                                      FocusSpec("beta_coeffs", coeff_subset=(2, 0)),
+                                      FocusSpec("spillover"), FocusSpec("max_eigen")],
+                             ids=lambda spec: spec.kind)
+    def test_matches_the_oracles_at_every_fit(self, fitted, spec):
+        batch, subsets, fits = fitted
+        value, jac, gap, errors = eval_focus_batch(spec, batch, subsets, fits.rho, fits.sigma2,
+                                                   fits.beta)
+        assert errors == [None] * 3 and not gap.any()
+        w = np.linalg.eigvals(batch[0].W.matrix.toarray()).real
+        lo, hi = batch[0].W.rho_interval
+        for r, data in enumerate(batch):
+            for i, S in enumerate(subsets):
+                theta = fits.result(r, i).theta_hat
+                cols = [0, 1] + [2 + j for j in S.indices()]
+                oracle = _value_oracle(spec, data, S, w)
+                np.testing.assert_allclose(value[r, i], oracle(theta), rtol=1e-12, atol=1e-12)
+                m = len(cols)
+                fd = jacobian_fd(oracle, theta, lower=[lo] + [-np.inf] * (m - 1),
+                                 upper=[hi] + [np.inf] * (m - 1))
+                scale = max(1.0, np.max(np.abs(fd)))
+                assert np.max(np.abs(jac[r, i][:, cols] - fd)) <= 1e-6 * scale
+                assert not np.delete(jac[r, i], cols, axis=1).any()

@@ -397,6 +397,15 @@ class TestCli:
         assert rc == 0
         assert list(json.loads(out.read_text(encoding="utf-8"))["beta"]) == ["b"]
 
+    def test_fit_empty_subset_is_the_narrow_model(self, small_files, tmp_path):
+        data_path, weights_path = small_files
+        out = tmp_path / "fit.json"
+        rc = main(["fit", "--data", data_path, "--weights", weights_path, "--response", "y",
+                   "--row-normalize", "--subset", "", "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert (payload["submodel"], payload["variables"], payload["beta"]) == ("S1", [], {})
+
     def test_fic_csv_to_stdout(self, small_files, capsys):
         data_path, weights_path = small_files
         rc = main(

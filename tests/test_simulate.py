@@ -28,6 +28,7 @@ from slmfic import (
     fit_mle,
     generate_dataset,
     monte_carlo,
+    observed_info,
     safic_table,
 )
 from slmfic.errors import (
@@ -212,7 +213,7 @@ class TestMonteCarlo:
         fit = fit_mle(data, wide)
         theta_true = Theta(cfg.rho_true, cfg.sigma2_true, np.asarray(cfg.beta_true))
         mu_true = eval_focus(spec, theta_true, data, wide).value
-        mu_hat = eval_focus(spec, fit.theta_hat, data, wide, info=fit.info).value
+        mu_hat = eval_focus(spec, fit.theta_hat, data, wide).value
         assert report.realized_mse[7] > 0
         assert report.realized_mse[7] == pytest.approx(float(np.sum((mu_hat - mu_true) ** 2)))
 
@@ -287,19 +288,34 @@ class TestSweepEngine:
         ],
         ids=lambda spec: spec.kind,
     )
-    def test_focus_evaluations_per_sweep(self, monkeypatch, spec):
-        """A theta-free focus is evaluated once, at the wide fit; a theta-dependent
-        one once per subset, the wide Jacobian serving as the wide subset's."""
+    def test_one_focus_batch_per_criterion(self, monkeypatch, spec):
+        """No sweep calls eval_focus, the one-fit case: each fic criterion is one
+        eval_focus_batch call per batch, at the wide fits for a theta-free focus
+        and at every fit for a theta-dependent one."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval_focus is the one-fit case, not a production path")
+
+        monkeypatch.setattr(focus, "eval_focus", refuse)
         calls = []
-        original = simulate.eval_focus
+        original = simulate.eval_focus_batch
 
-        def counting(*args, **kwargs):
-            calls.append(args[3].mask)
-            return original(*args, **kwargs)
+        def counting(focus_spec, batch, subsets, *fits):
+            calls.append((focus_spec.kind, len(batch), [S.mask for S in subsets]))
+            return original(focus_spec, batch, subsets, *fits)
 
-        monkeypatch.setattr(simulate, "eval_focus", counting)
+        monkeypatch.setattr(simulate, "eval_focus_batch", counting)
+        at = list(range(8)) if focus.depends_on_theta(spec) else [7]
         fic_table(spec, generate_dataset(small_config(), 0))
-        assert sorted(calls) == (list(range(8)) if focus.depends_on_theta(spec) else [7])
+        assert calls == [(spec.kind, 1, at)]
+        calls.clear()
+        monkeypatch.setattr(slm, "_CHUNK", 2 * 8 * 30)  # batches of 2, 2 and 1 replications
+        criteria = (CriterionSpec("fic", "F", focus=spec),
+                    CriterionSpec("fic", "G", focus=FocusSpec("spillover")),
+                    CriterionSpec("safic", "A"))
+        report = monte_carlo(small_config(reps=5, criteria=criteria))
+        assert report.reps_completed == 5
+        assert calls == [call for size in (2, 2, 1)
+                         for call in ((spec.kind, size, at), ("spillover", size, list(range(8))))]
 
     def test_focus_warnings_are_issued_once_per_sweep(self, monkeypatch):
         data = generate_dataset(small_config(), 0)
@@ -628,9 +644,43 @@ class TestReplication:
             assert run_report_to_json(monte_carlo(cfg, jobs=jobs)) == run_report_to_json(serial)
 
 
+def test_a_failing_subset_information_stops_its_dataset_only(monkeypatch):
+    """In a max_eigen sweep, a dataset whose subset information fails its
+    certificate reports the first failing subset in mask order, as the one-fit
+    path finds it, and the other datasets of the batch rank as they do alone."""
+    cfg = small_config()
+    W = build_weights(cfg)
+    batch = [generate_dataset(cfg, rep, W) for rep in (0, 2, 1)]
+    submodels = enumerate_submodels(cfg.p)
+    fits = fit_mle(batch, submodels, with_info=False)
+    cond = np.array([[np.linalg.cond(observed_info(fits.result(r, i).theta_hat, data, S).matrix)
+                      for i, S in enumerate(submodels)] for r, data in enumerate(batch)])
+    limit = 12.0  # between the subset informations of the second dataset
+    assert cond[1, -1] < limit < cond[1].max() and cond[[0, 2]].max() < limit
+    first = np.flatnonzero(cond[1] > limit)[0]
+    assert first != np.argmax(cond[1])  # the first in mask order, not the worst
+    monkeypatch.setattr(slm, "_COND_LIMIT", limit)
+    with pytest.raises(SingularInformationError) as one:
+        for i, S in enumerate(submodels):
+            observed_info(fits.result(1, i).theta_hat, batch[1], S)
+    assert str(one.value).startswith(f"information of {submodels[first].label()} ")
+    criteria = (CriterionSpec("fic", "M", focus=FocusSpec("max_eigen")),
+                CriterionSpec("safic", "U"), CriterionSpec("aic", "A"))
+    tables, _fits, errors = simulate._sweep(batch, criteria, submodels)
+    assert errors[0] is None and errors[2] is None
+    assert type(errors[1]) is SingularInformationError and str(errors[1]) == str(one.value)
+    for r in (0, 2):
+        alone, _fits, (error,) = simulate._sweep([batch[r]], criteria, submodels)
+        assert error is None
+        for name, (orders, terms) in tables.items():
+            assert orders[r] == alone[name][0][0]
+            assert [t[r].tobytes() for t in terms] == [t[0].tobytes() for t in alone[name][1]]
+
+
 BATCH_CRITERIA = (
     CriterionSpec("fic", "spill", focus=FocusSpec("spillover")),
     CriterionSpec("safic", "K", scheme="kernel"),
+    CriterionSpec("fic", "maxvar", focus=FocusSpec("max_eigen")),
 )
 
 
