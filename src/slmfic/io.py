@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 import scipy.sparse
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, InputError
 from .focus import FocusSpec
 from .simulate import CriterionSpec, RunReport, SimConfig
 from .slm import Dataset
@@ -61,6 +61,8 @@ def load_weights(path: str, row_normalize: bool = False) -> SpatialWeights:
     """Load spatial weights from a dense n x n CSV or an `i,j,w` edge list.
 
     Edge lists have a header row, zero-based indices and each pair i,j once.
+    Every InputError, the checks of SpatialWeights.from_adjacency too, names
+    the file.
     """
     records = _read_table(path)
     if not records:
@@ -73,12 +75,11 @@ def load_weights(path: str, row_normalize: bool = False) -> SpatialWeights:
             if len(cells) != n:
                 raise DataFormatError(f"{path}: line {line} has {len(cells)} columns, expected {n}")
         A = _numbers(path, records, range(n), range(n))
-    if np.any(A.diagonal() != 0):
-        bad = int(np.flatnonzero(A.diagonal())[0])
-        raise DataFormatError(
-            f"{path}: nonzero diagonal at unit {bad}; self-neighbors are not allowed"
-        )
-    return SpatialWeights.from_adjacency(A, row_normalize=row_normalize)
+    try:
+        return SpatialWeights.from_adjacency(A, row_normalize=row_normalize)
+    except InputError as exc:  # the same class, its message naming the file
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _edge_list_matrix(path: str, edges) -> scipy.sparse.csr_array:

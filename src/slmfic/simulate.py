@@ -39,7 +39,7 @@ from .safic import (
     safic_score,
     safic_terms,
 )
-from .slm import Dataset, Fits, _certificates, fit_mle
+from .slm import Dataset, _certificates, fit_mle
 from .submodels import enumerate_submodels
 from .weights import SpatialWeights, build_chain_lag1
 
@@ -174,44 +174,24 @@ def _replicate(cfg: SimConfig, W: SpatialWeights, A, reps: range) -> list:
     temporaries stay within slm._CHUNK elements and its working set small.
 
     Returns, per replication, ((rankings, realized), None), where rankings maps
-    criterion name to the masks in rank order and realized maps mask to the
-    squared error of the estimated focus at the truth (first fic criterion,
-    track_realized_error only); or (None, "Class: message") if a NumericalError
-    stops it.
+    criterion name to the masks in rank order and realized is the sweep's row
+    of realized errors by mask, empty unless track_realized_error; or (None,
+    "Class: message") if a NumericalError stops it.
     """
     submodels = enumerate_submodels(cfg.p)
     size = max(1, slm._CHUNK // (len(submodels) * max(cfg.n, (cfg.p + 2) ** 2)))
+    truth = (cfg.rho_true, cfg.sigma2_true, cfg.beta_true) if cfg.track_realized_error else None
     results = []
     for start in range(reps.start, reps.stop, size):
         batch = [_draw(cfg, rep, W, A) for rep in range(start, min(start + size, reps.stop))]
-        tables, fits, errors = _sweep(batch, cfg.criteria, submodels,
-                                      fit_all=cfg.track_realized_error)
-        realized = (_realized_error(cfg, batch, fits, errors) if cfg.track_realized_error
-                    else np.empty((len(batch), 0)))
+        tables, realized, errors = _sweep(batch, cfg.criteria, submodels, truth)
         for r, error in enumerate(errors):
             if error is not None:
                 results.append((None, f"{type(error).__name__}: {error}"))
             else:
                 rankings = {name: orders[r] for name, (orders, _terms) in tables.items()}
-                results.append(((rankings, dict(enumerate(realized[r].tolist()))), None))
+                results.append(((rankings, realized[r]), None))
     return results
-
-
-def _realized_error(cfg: SimConfig, batch, fits: Fits, errors: list) -> np.ndarray:
-    """Per dataset without an error and per subset (= mask), the squared error
-    of the first fic criterion's focus at the subset's fit against the focus
-    at the truth: one eval_focus_batch over both, whose NumericalError, the
-    truth's first, becomes its dataset's error."""
-    focus = next(c.focus for c in cfg.criteria if c.kind == "fic")
-    live, realized = np.flatnonzero([e is None for e in errors]), np.full(fits.rho.shape, np.nan)
-    if live.size:
-        value, _J, _gap, found = eval_focus_batch(
-            focus, [batch[r] for r in live], fits.subsets[-1:] + fits.subsets,
-            *(np.insert(getattr(fits, a)[live], 0, getattr(cfg, f"{a}_true"), axis=1)
-              for a in ("rho", "sigma2", "beta")))
-        realized[live] = np.sum((value[:, 1:] - value[:, :1]) ** 2, axis=-1)
-        _drop(errors, live, found)
-    return realized
 
 
 @dataclass
@@ -266,15 +246,13 @@ def _report(cfg: SimConfig, results) -> RunReport:
 
     done = [out for out, _msg in results if out is not None]
     top1: dict[str, dict[int, int]] = {c.name: {} for c in cfg.criteria}
-    realized_sum: dict[int, float] = {}
-    for rankings, realized in done:
+    for rankings, _realized in done:
         for name, masks in rankings.items():
             top1[name][masks[0]] = top1[name].get(masks[0], 0) + 1
-        for mask, err in realized.items():
-            realized_sum[mask] = realized_sum.get(mask, 0.0) + err
     realized_mse = None
     if cfg.track_realized_error and done:
-        realized_mse = {mask: s / len(done) for mask, s in sorted(realized_sum.items())}
+        total = sum(realized for _rankings, realized in done)  # in replication order
+        realized_mse = {mask: s / len(done) for mask, s in enumerate(total.tolist())}
     return RunReport(cfg, len(done), failures, top1, [rankings for rankings, _ in done],
                      realized_mse)
 
@@ -299,40 +277,44 @@ def _drop(errors: list, live: np.ndarray, found) -> np.ndarray:
     return live[[errors[r] is None for r in live]]
 
 
-def _sweep(batch, criteria, submodels, fit_all: bool = False):
+def _sweep(batch, criteria, submodels, truth=None):
     """Rank all 2^p subsets of each dataset of a batch (datasets that share one
-    W and p), submodels = enumerate_submodels(p), by each criterion.
+    W and p), submodels = enumerate_submodels(p), by each criterion and, given
+    the data-generating truth = (rho, sigma^2, beta), score the realized error.
 
     One fit_mle call on the batch fits the wide model of every dataset with
     its information and, in the same search, the other subsets when a score
     reads their fits: AIC the log-likelihood, FIC theta_S when
-    focus.depends_on_theta, and fit_all every fit.  Each dataset's wide
+    focus.depends_on_theta, and truth every fit.  Each dataset's wide
     information and, once an sAFIC criterion needs it, its beta Schur
     complement are certified once, by one stacked check per kind: by
     interlacing, that certifies every block a subset solves against.  Each
-    FIC criterion is one eval_focus_batch call: at the wide fits for a
-    theta-free focus, whose (rho, sigma^2, beta_S) columns are each subset's
-    Jacobian, else at every fit (max_eigen certifies each subset's
-    information, by one stacked check per subset size); sAFIC reads the wide
-    fit only.  delta_hat = sqrt(n) beta_wide is computed once.  fic_terms and
-    safic_terms score every (dataset, subset) pair with one stacked solve per
-    subset size, AIC is one array expression, and each score array is ranked
-    once (_rank_order).  GAP_WARNING is issued once, as a RuntimeWarning, if
-    a dataset that completes has a flagged fit.
+    FIC criterion is one eval_focus_batch call at the fits made: the wide
+    fits alone, whose (rho, sigma^2, beta_S) columns are each subset's
+    Jacobian for a theta-free focus, or every fit (max_eigen certifies each
+    subset's information, by one stacked check per subset size); sAFIC reads
+    the wide fit only.  delta_hat = sqrt(n) beta_wide is computed once.
+    fic_terms and safic_terms score every (dataset, subset) pair with one
+    stacked solve per subset size, AIC is one array expression, and each
+    score array is ranked once (_rank_order).  With truth, one more call
+    evaluates the first fic criterion's focus at the truth, and a fit's
+    realized error is the squared distance of that criterion's value at the
+    fit from it.  GAP_WARNING is issued once, as a RuntimeWarning, if a
+    dataset that completes has a flagged fit; the truth's flags are not read.
 
     A NumericalError stops its dataset only, which keeps the first: its first
     failing fit in subset order (the wide model last), the wide information,
-    then each criterion in turn.
+    each criterion in turn, then the truth.
 
-    Returns (tables, fits, errors).  tables maps criterion name to
+    Returns (tables, realized, errors).  tables maps criterion name to
     (orders, terms): orders[r] lists dataset r's subset indices (= masks) in
     rank order; terms, (R, 2^p) arrays indexed by dataset and mask, are
     (bias2, variance) for FIC, (bias2, penalty) for sAFIC and (aic,) for AIC,
-    and the score is their sum.  fits is the Fits of the fitted subsets, in
-    ascending mask order, and errors the NumericalError or None of each
-    dataset; the rows of a dataset with an error are meaningless.
+    and the score is their sum.  realized is (R, 2^p) likewise with truth,
+    else (R, 0), and errors the NumericalError or None of each dataset; the
+    rows of a dataset with an error are meaningless.
     """
-    fit_all = fit_all or any(
+    fit_all = truth is not None or any(
         c.kind == "aic" or (c.kind == "fic" and depends_on_theta(c.focus)) for c in criteria
     )
     fits = fit_mle(batch, submodels if fit_all else submodels[-1:])
@@ -340,17 +322,20 @@ def _sweep(batch, criteria, submodels, fit_all: bool = False):
     live = np.flatnonzero([e is None for e in errors])
     D = np.sqrt(batch[0].n) * fits.beta[:, -1]
     sizes = (np.arange(len(submodels))[:, None] >> np.arange(batch[0].p) & 1).sum(1)
-    blocks, tables, flagged = None, {}, []
+    blocks, tables, flagged, kept = None, {}, [], None
+    realized = np.full((reps, len(submodels) if truth is not None else 0), np.nan)
     for crit in criteria:
         terms = tuple(np.full((reps, len(submodels)), np.nan)
                       for _ in range(1 if crit.kind == "aic" else 2))
         if crit.kind == "aic":
             terms[0][:] = -2.0 * fits.loglik + 2.0 * (sizes + 2)
         elif crit.kind == "fic" and live.size:
-            at = slice(None) if depends_on_theta(crit.focus) else slice(-1, None)
-            _value, J, gap, found = eval_focus_batch(
-                crit.focus, [batch[r] for r in live], fits.subsets[at],
-                *(a[live, at] for a in (fits.rho, fits.sigma2, fits.beta)))
+            value, J, gap, found = eval_focus_batch(
+                crit.focus, [batch[r] for r in live], fits.subsets,
+                *(a[live] for a in (fits.rho, fits.sigma2, fits.beta)))
+            if kept is None:  # the first fic criterion: the values the realized error reads
+                kept = (crit.focus, np.full((reps,) + value.shape[1:], np.nan))
+                kept[1][live] = value
             flagged += live[gap.any(axis=1)].tolist()
             J = J[[e is None for e in found]]
             live = _drop(errors, live, found)
@@ -377,9 +362,16 @@ def _sweep(batch, criteria, submodels, fit_all: bool = False):
                 terms[0][live], terms[1][live] = found
         score = terms[0] + terms[1] if len(terms) == 2 else terms[0]
         tables[crit.name] = (_rank_order(score, sizes), terms)
+    if truth is not None and live.size:
+        rho, sigma2, beta = truth
+        value, _J, _gap, found = eval_focus_batch(
+            kept[0], [batch[r] for r in live], submodels[-1:], np.full((live.size, 1), rho),
+            np.full((live.size, 1), sigma2), np.tile(beta, (live.size, 1, 1)))
+        realized[live] = np.sum((kept[1][live] - value) ** 2, axis=-1)
+        _drop(errors, live, found)
     if any(errors[r] is None for r in flagged):
         warnings.warn(GAP_WARNING, RuntimeWarning)
-    return tables, fits, errors
+    return tables, realized, errors
 
 
 def _rank_order(score: np.ndarray, sizes) -> list:
@@ -395,7 +387,7 @@ def _table(data: Dataset, crit: CriterionSpec):
     terms, the sweep's SubmodelIds and a label table built once, by doubling,
     so that labels[m] == SubmodelId(m, p).variable_names(data.names)."""
     submodels = enumerate_submodels(data.p)
-    tables, _fits, (error,) = _sweep([data], (crit,), submodels)
+    tables, _realized, (error,) = _sweep([data], (crit,), submodels)
     if error is not None:
         raise error
     orders, (bias2, second) = tables[crit.name]

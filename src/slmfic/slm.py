@@ -276,8 +276,6 @@ def concentrated_loglik(rho: float, data: Dataset, S: SubmodelId) -> float:
 
 def full_loglik(theta: Theta, data: Dataset, S: SubmodelId) -> float:
     """Gaussian log-likelihood of the spatial lag model at an arbitrary theta (fit_mle's oracle)."""
-    if theta.sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
     n = data.n
     z = data.Y - theta.rho * data.WY
     Xs = _design(data, S)

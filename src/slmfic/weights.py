@@ -60,15 +60,19 @@ def validate_adjacency(A) -> scipy.sparse.csr_array:
     A.eliminate_zeros()
     bad = np.flatnonzero(~np.isfinite(A.data))
     if bad.size:
-        k = bad[0]
-        raise DataFormatError(f"non-finite adjacency entry {A.data[k]} at row "
-                              f"{A.tocoo().row[k]}, column {A.indices[k]}")
-    if np.any(A.data < 0):
-        raise InvalidSizeError("adjacency entries must be nonnegative")
+        raise DataFormatError(f"non-finite adjacency entry {_where(A, bad[0])}")
+    bad = np.flatnonzero(A.data < 0)
+    if bad.size:
+        raise InvalidSizeError(f"negative adjacency entry {_where(A, bad[0])}")
     if np.any(A.diagonal() != 0):
         bad = int(np.flatnonzero(A.diagonal())[0])
         raise InvalidSizeError(f"diagonal must be zero, unit {bad} has a self-loop")
     return A
+
+
+def _where(A: scipy.sparse.csr_array, k: int) -> str:
+    """The k-th stored entry of the canonical CSR A, with its row and column."""
+    return f"{A.data[k]} at row {A.tocoo().row[k]}, column {A.indices[k]}"
 
 
 def build_chain_lag1(n: int) -> scipy.sparse.csr_array:

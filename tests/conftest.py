@@ -233,14 +233,14 @@ def k_one(blocks, data, psi):
 
 def sweep_one(data, criteria, submodels):
     """simulate._sweep on the one dataset data, its error raised: the tables as
-    {name: (order, terms)}, order a list and terms 1-D arrays, and the Fits."""
+    {name: (order, terms)}, order a list and terms 1-D arrays."""
     from slmfic.simulate import _sweep
 
-    tables, fits, (error,) = _sweep([data], criteria, submodels)
+    tables, _realized, (error,) = _sweep([data], criteria, submodels)
     if error is not None:
         raise error
     return {name: (orders[0], tuple(t[0] for t in terms))
-            for name, (orders, terms) in tables.items()}, fits
+            for name, (orders, terms) in tables.items()}
 
 
 def random_info(rng, p, n_obs=50, zero_sigma_beta=False):

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from slmfic import FicRow, SimConfig, SpatialWeights, SubmodelId, cli, errors, monte_carlo, morans_i
 from slmfic.cli import main
-from slmfic.errors import ConfigError, DataFormatError, InputError, NumericalError
+from slmfic.errors import (
+    ConfigError,
+    DataFormatError,
+    InputError,
+    InvalidSizeError,
+    IsolatedUnitError,
+    NumericalError,
+)
 from slmfic.io import (
     _REPORT_COLUMNS,
     config_from_json,
@@ -67,8 +74,31 @@ class TestLoadWeights:
 
     def test_nonzero_diagonal_reported(self, tmp_path):
         path = write_csv(tmp_path / "w.csv", "1,1\n1,0\n")
-        with pytest.raises(DataFormatError, match="unit 0"):
+        with pytest.raises(InvalidSizeError) as exc:
             load_weights(path)
+        assert str(exc.value).startswith(f"{path}: diagonal must be zero, unit 0 ")
+
+    @pytest.mark.parametrize("text, row_normalize, error, message", [
+        ("0,1,0\n-1,0,1\n0,1,0\n", False, InvalidSizeError,
+         "negative adjacency entry -1.0 at row 1, column 0"),
+        ("i,j,w\n0,1,1\n1,0,-1\n1,2,1\n2,1,1\n", False, InvalidSizeError,
+         "negative adjacency entry -1.0 at row 1, column 0"),
+        ("i,j,w\n0,1,1\n1,0,nan\n1,2,1\n2,1,1\n", False, DataFormatError,
+         "non-finite adjacency entry nan at row 1, column 0"),
+        ("0,1,0\n1,0,0\n0,0,0\n", True, IsolatedUnitError, "unit 2 has no neighbors"),
+    ], ids=["dense-negative", "edge-negative", "edge-nan", "isolated"])
+    def test_adjacency_errors_name_the_file(self, tmp_path, capsys, text, row_normalize,
+                                            error, message):
+        """The checks of SpatialWeights.from_adjacency keep their class and
+        gain the path, in load_weights and in the CLI (exit 1)."""
+        path = write_csv(tmp_path / "w.csv", text)
+        with pytest.raises(error) as exc:
+            load_weights(path, row_normalize=row_normalize)
+        assert str(exc.value).startswith(f"{path}: {message}")
+        data = write_csv(tmp_path / "data.csv", "y,a\n1,0.5\n2,-1\n0.3,2\n")
+        flags = ["--row-normalize"] if row_normalize else []
+        assert main(["fit", "--data", data, "--weights", path, "--response", "y", *flags]) == 1
+        assert f"input error: {path}: {message}" in capsys.readouterr().err
 
     def test_ragged_rows(self, tmp_path):
         path = write_csv(tmp_path / "w.csv", "0,1\n1,0,1\n")
@@ -282,6 +312,10 @@ class TestReportSerialization:
         rows = [dataclasses.replace(r, scheme=scheme) for r in rows]  # one scheme per table
         assert write_report(rows, None, fmt="csv") == csv_oracle(rows)
 
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            write_report([], None, fmt="xml")
+
     def test_special_floats_and_empty_tables(self):
         S = SubmodelId(5, 3)
         rows = [FicRow(S, (), x, y, z, 1, s) for x, y, z in
@@ -487,6 +521,8 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["reps_completed"] == 2
+        assert main(["simulate", "--config", str(path), "--reps", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["reps_completed"] == 3
 
     def test_failed_replications_exit_2(self, tmp_path, capsys):
         # innovations of variance 1e-30 and no signal: every fit is degenerate

@@ -290,8 +290,9 @@ class TestSweepEngine:
     )
     def test_one_focus_batch_per_criterion(self, monkeypatch, spec):
         """No sweep calls eval_focus, the one-fit case: each fic criterion is one
-        eval_focus_batch call per batch, at the wide fits for a theta-free focus
-        and at every fit for a theta-dependent one."""
+        eval_focus_batch call per batch, at the fits the sweep made: the wide
+        fits alone in a theta-free focus's table, every fit in a study that
+        fits every subset."""
         def refuse(*args, **kwargs):
             raise AssertionError("eval_focus is the one-fit case, not a production path")
 
@@ -307,15 +308,19 @@ class TestSweepEngine:
         at = list(range(8)) if focus.depends_on_theta(spec) else [7]
         fic_table(spec, generate_dataset(small_config(), 0))
         assert calls == [(spec.kind, 1, at)]
-        calls.clear()
         monkeypatch.setattr(slm, "_CHUNK", 2 * 8 * 30)  # batches of 2, 2 and 1 replications
         criteria = (CriterionSpec("fic", "F", focus=spec),
                     CriterionSpec("fic", "G", focus=FocusSpec("spillover")),
                     CriterionSpec("safic", "A"))
-        report = monte_carlo(small_config(reps=5, criteria=criteria))
-        assert report.reps_completed == 5
-        assert calls == [call for size in (2, 2, 1)
-                         for call in ((spec.kind, size, at), ("spillover", size, list(range(8))))]
+        for track, truth in ((False, []), (True, [(spec.kind, [7])])):
+            calls.clear()
+            report = monte_carlo(small_config(reps=5, criteria=criteria,
+                                              track_realized_error=track))
+            assert report.reps_completed == 5
+            assert calls == [call for size in (2, 2, 1)
+                             for call in [(spec.kind, size, list(range(8))),
+                                          ("spillover", size, list(range(8))),
+                                          *((kind, size, masks) for kind, masks in truth)]]
 
     def test_focus_warnings_are_issued_once_per_sweep(self, monkeypatch):
         data = generate_dataset(small_config(), 0)
@@ -444,7 +449,7 @@ class TestBatchedScoring:
 
     def test_every_table_is_built_in_rank_order(self):
         data = random_dataset(np.random.default_rng(10), n=30, p=4)
-        tables, _ = sweep_one(data, ALL_KINDS, enumerate_submodels(data.p))
+        tables = sweep_one(data, ALL_KINDS, enumerate_submodels(data.p))
         assert list(tables) == [c.name for c in ALL_KINDS]
         for crit in ALL_KINDS:
             order, terms = tables[crit.name]
@@ -482,9 +487,9 @@ class TestBatchedScoring:
     def test_chunk_size_leaves_rows_bit_identical(self, monkeypatch, chunk):
         """Every array of the sweep, and so every row built from them."""
         data = random_dataset(np.random.default_rng(9), n=30, p=5)
-        default, _ = sweep_one(data, ALL_KINDS, enumerate_submodels(data.p))
+        default = sweep_one(data, ALL_KINDS, enumerate_submodels(data.p))
         monkeypatch.setattr(slm, "_CHUNK", chunk)
-        chunked, _ = sweep_one(data, ALL_KINDS, enumerate_submodels(data.p))
+        chunked = sweep_one(data, ALL_KINDS, enumerate_submodels(data.p))
         for crit in ALL_KINDS:
             (order, terms), (order_c, terms_c) = default[crit.name], chunked[crit.name]
             assert order_c == order
@@ -500,8 +505,8 @@ def test_covariate_permutation_permutes_safic_and_aic_tables(seed, perm):
     data = random_dataset(np.random.default_rng(seed), n=30, p=4)
     permuted = Dataset(Y=data.Y, X=data.X[:, list(perm)], W=data.W)
     crits = [c for c in ALL_KINDS if c.kind in ("safic", "aic")]
-    tables, _ = sweep_one(data, crits, enumerate_submodels(4))
-    tables_perm, _ = sweep_one(permuted, crits, enumerate_submodels(4))
+    tables = sweep_one(data, crits, enumerate_submodels(4))
+    tables_perm = sweep_one(permuted, crits, enumerate_submodels(4))
 
     def original_mask(mask):
         return sum(1 << perm[j] for j in range(4) if mask >> j & 1)
@@ -593,7 +598,7 @@ class TestReplication:
             enough = int(np.delete(steps, 5).max())
             assert steps[5] > enough
             monkeypatch.setattr(slm, "_MAX_ITER", enough)  # too few for replication 5 only
-        _tables, _fits, (error,) = simulate._sweep([batch[5]], cfg.criteria,
+        _tables, _realized, (error,) = simulate._sweep([batch[5]], cfg.criteria,
                                                    enumerate_submodels(cfg.p))
         expected = ConvergenceError if kind == "convergence" else SingularInformationError
         assert type(error) is expected
@@ -635,11 +640,48 @@ class TestReplication:
         with pytest.raises(ConvergenceError) as first:
             fit_each(batch[5], submodels[:-1])
         expected = f"ConvergenceError: {first.value}"
-        _tables, _fits, (error,) = simulate._sweep([batch[5]], cfg.criteria, submodels)
+        _tables, _realized, (error,) = simulate._sweep([batch[5]], cfg.criteria, submodels)
         assert f"{type(error).__name__}: {error}" == expected
         monkeypatch.setattr(simulate, "_draw", failing_rep_5)
         serial = monte_carlo(cfg, jobs=1)
         assert serial.failures == [(5, expected)]
+        for jobs in (2, 3):
+            assert run_report_to_json(monte_carlo(cfg, jobs=jobs)) == run_report_to_json(serial)
+
+    def test_a_failing_truth_information_stops_its_replication_last(self, monkeypatch):
+        """Replication 5 of 10 is drawn with a tenth of the noise, so that at
+        theta_true e'e/n is far below sigma2_true / 2 and the max_eigen focus's
+        information there is indefinite, while every fit absorbs the noise in
+        sigma^2-hat: a tracked study records the SingularInformationError that
+        the focus at the truth raises, the untracked sweep ranks the
+        replication, and 1, 2 or 3 workers give one report."""
+        maxvar = FocusSpec("max_eigen")
+        cfg = small_config(reps=10, track_realized_error=True,
+                           criteria=(CriterionSpec("fic", "M", focus=maxvar),
+                                     CriterionSpec("safic", "U"), CriterionSpec("aic", "A")))
+        draw = simulate._draw
+
+        def quiet_rep_5(cfg, rep, W, A):
+            data = draw(cfg, rep, W, A)
+            if rep != 5:
+                return data
+            mean = data.X @ cfg.beta_true
+            return Dataset(Y=scipy.sparse.linalg.spsolve(A, mean + 0.1 * (A @ data.Y - mean)),
+                           X=data.X, W=W)
+
+        W = build_weights(cfg)
+        data = quiet_rep_5(cfg, 5, W, simulate._spatial_filter(cfg, W))
+        truth = Theta(cfg.rho_true, cfg.sigma2_true, np.asarray(cfg.beta_true))
+        with pytest.raises(SingularInformationError) as at_truth:
+            eval_focus(maxvar, truth, data, SubmodelId.wide(cfg.p))
+        _tables, _realized, (error,) = simulate._sweep([data], cfg.criteria,
+                                                       enumerate_submodels(cfg.p))
+        assert error is None
+        # the patch reaches the workers because they are forked from this process
+        monkeypatch.setattr(simulate, "_draw", quiet_rep_5)
+        serial = monte_carlo(cfg, jobs=1)
+        assert serial.failures == [(5, f"SingularInformationError: {at_truth.value}")]
+        assert serial.reps_completed == 9 and set(serial.realized_mse) == set(range(8))
         for jobs in (2, 3):
             assert run_report_to_json(monte_carlo(cfg, jobs=jobs)) == run_report_to_json(serial)
 
@@ -666,11 +708,11 @@ def test_a_failing_subset_information_stops_its_dataset_only(monkeypatch):
     assert str(one.value).startswith(f"information of {submodels[first].label()} ")
     criteria = (CriterionSpec("fic", "M", focus=FocusSpec("max_eigen")),
                 CriterionSpec("safic", "U"), CriterionSpec("aic", "A"))
-    tables, _fits, errors = simulate._sweep(batch, criteria, submodels)
+    tables, _realized, errors = simulate._sweep(batch, criteria, submodels)
     assert errors[0] is None and errors[2] is None
     assert type(errors[1]) is SingularInformationError and str(errors[1]) == str(one.value)
     for r in (0, 2):
-        alone, _fits, (error,) = simulate._sweep([batch[r]], criteria, submodels)
+        alone, _realized, (error,) = simulate._sweep([batch[r]], criteria, submodels)
         assert error is None
         for name, (orders, terms) in tables.items():
             assert orders[r] == alone[name][0][0]
@@ -688,13 +730,14 @@ BATCH_CRITERIA = (
                          ids=["default", "kernel-spillover-realized"])
 def test_batch_size_leaves_the_study_bit_identical(criteria, track):
     """Batches of 1, 7 and 100 replications give one report, and every
-    replication's rank orders and term arrays are those of a one-dataset
-    _sweep on its generate_dataset, byte for byte."""
+    replication's rank orders, term arrays and realized errors are those of
+    a one-dataset _sweep on its generate_dataset, byte for byte."""
     cfg = SimConfig(reps=100, criteria=criteria, track_realized_error=track)
+    truth = (cfg.rho_true, cfg.sigma2_true, cfg.beta_true) if track else None
     W = build_weights(cfg)
     A = simulate._spatial_filter(cfg, W)
     submodels = enumerate_submodels(cfg.p)
-    alone = [simulate._sweep([generate_dataset(cfg, rep)], criteria, submodels, fit_all=track)
+    alone = [simulate._sweep([generate_dataset(cfg, rep)], criteria, submodels, truth)
              for rep in range(cfg.reps)]
     reports = set()
     for size in (1, 7, 100):
@@ -703,11 +746,13 @@ def test_batch_size_leaves_the_study_bit_identical(criteria, track):
         reports.add(run_report_to_json(simulate._report(cfg, results)))
         for reps in chunks:
             batch = [generate_dataset(cfg, rep, W) for rep in reps]
-            tables, _fits, errors = simulate._sweep(batch, criteria, submodels, fit_all=track)
+            tables, realized, errors = simulate._sweep(batch, criteria, submodels, truth)
             assert errors == [None] * len(reps)
+            assert realized.shape == (len(reps), len(submodels) if track else 0)
             for r, rep in enumerate(reps):
-                one, _one_fits, (error,) = alone[rep]
+                one, one_realized, (error,) = alone[rep]
                 assert error is None
+                assert realized[r].tobytes() == one_realized[0].tobytes()
                 for name, (orders, terms) in tables.items():
                     assert orders[r] == one[name][0][0]
                     assert [t[r].tobytes() for t in terms] == [t[0].tobytes() for t in one[name][1]]
@@ -726,6 +771,15 @@ class TestDeterminism:
         serial = run_report_to_json(monte_carlo(cfg, jobs=1))
         parallel = run_report_to_json(monte_carlo(cfg, jobs=2))
         assert serial == parallel
+
+    def test_tracked_max_eigen_study_matches_for_any_worker_count(self):
+        cfg = small_config(reps=7, track_realized_error=True,
+                           criteria=(CriterionSpec("fic", "M", focus=FocusSpec("max_eigen")),
+                                     CriterionSpec("aic", "A")))
+        serial = run_report_to_json(monte_carlo(cfg, jobs=1))
+        assert json.loads(serial)["realized_focus_mse"].keys() == {str(m) for m in range(8)}
+        for jobs in (2, 3):
+            assert run_report_to_json(monte_carlo(cfg, jobs=jobs)) == serial
 
     def test_workers_do_not_rebuild_weights(self, monkeypatch):
         # the patch reaches the workers because they are forked from this process

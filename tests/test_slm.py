@@ -516,3 +516,22 @@ class TestFitSubsets:
             assert np.array_equal(fit.theta_hat.beta, one.theta_hat.beta)
             assert fit.loglik == one.loglik and fit.iterations == one.iterations
             assert aic(fit) == aic(one)
+
+    def test_batch_iterations_count_every_search_step(self, rng):
+        """Fits.iterations, which the benchmark's slm.fit_mle.nfev sums, is the
+        sum of the one-fit FitResult.iterations."""
+        W = random_dataset(rng, n=40, p=3).W
+        batch = [Dataset(Y=rng.standard_normal(40), X=rng.standard_normal((40, 3)), W=W)
+                 for _ in range(3)]
+        fits = fit_mle(batch, enumerate_submodels(3), with_info=False)
+        assert fits.iterations > 0
+        assert fits.iterations == sum(fit_mle(data, S, with_info=False).iterations
+                                      for data in batch for S in enumerate_submodels(3))
+
+    @pytest.mark.parametrize("other", ["W", "p"])
+    def test_a_batch_shares_one_weights_and_p(self, rng, other):
+        data = random_dataset(rng, n=30, p=3)
+        odd = (random_dataset(rng, n=30, p=3) if other == "W"
+               else Dataset(Y=data.Y, X=data.X[:, :2], W=data.W))
+        with pytest.raises(ValueError, match="must share one SpatialWeights and p"):
+            fit_mle([data, odd], [SubmodelId.wide(3)])
