@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import ZeroVarianceError
 from .slm import FitResult
@@ -41,7 +41,7 @@ def morans_i(x: np.ndarray, W: SpatialWeights) -> MoranResult:
     EI = -1.0 / (n - 1)
     var = (n * n * S1 - n * S2 + 3.0 * S0 * S0) / ((n * n - 1.0) * S0 * S0) - EI * EI
     z = (I - EI) / np.sqrt(var)
-    p = 2.0 * norm.sf(abs(z))
+    p = 2.0 * ndtr(-abs(z))  # the normal upper tail, as scipy.stats.norm.sf computes it
     return MoranResult(I=float(I), expected=EI, z=float(z), p_value=float(p))
 
 

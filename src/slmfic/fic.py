@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .slm import FisherInfo, FitResult, _certify, _gather, _of, _size_groups
+from .slm import FisherInfo, FitResult, _certify, _gather, _size_groups
 from .submodels import SubmodelId
 
 
@@ -71,26 +71,27 @@ def fic_terms(subsets, J: np.ndarray, J_beta_wide: np.ndarray, I: np.ndarray,
     columns and zeros elsewhere; any other shape raises ValueError.  J_beta_wide
     is (R, d, p), D (R, p) and I (R, p + 2, p + 2) the wide informations,
     certified by the caller (fit_mle does): by interlacing that certifies every
-    block I_S.  Per subset size, one stacked solve over the (dataset, subset)
-    pairs gives every A = J_S I_S^{-1}: the bias matrix is A B_S - J_beta_wide,
-    B_S the rows of (rho, sigma^2, beta_S) against the wide beta with the
-    sigma^2 row zeroed (beta and sigma^2 are orthogonal), centered so that the
-    wide model is asymptotically unbiased, and the variance tr(J_S I_S^{-1} J_S') = sum(A * J_S).
+    block I_S.  Per chunk of same-size subsets, one stacked solve of their
+    (R, s) blocks gives every A = J_S I_S^{-1}: the bias matrix is A B_S -
+    J_beta_wide, B_S the rows of (rho, sigma^2, beta_S) against the wide beta
+    with the sigma^2 row zeroed (beta and sigma^2 are orthogonal), centered so
+    that the wide model is asymptotically unbiased, and the variance
+    tr(J_S I_S^{-1} J_S') = sum(A * J_S).
     """
     reps, k = I.shape[0], I.shape[-1]
     d = J.shape[2]
     J = np.broadcast_to(J, (reps, len(subsets), d, k))  # a (R, 1, ...) J serves every subset
     bias2, variance = np.empty((reps, len(subsets))), np.empty((reps, len(subsets)))
-    for r, idx, cols in _size_groups(subsets, k * (k + d), reps):
+    for idx, cols in _size_groups(subsets, k * (k + d), reps):
         ii = np.column_stack((np.zeros_like(idx), np.ones_like(idx), cols + 2))
-        B = _gather(I, r, ii, slice(2, None))
-        B[:, 1] = 0.0
-        J_S = J[r[:, None, None], idx[:, None, None], np.arange(d)[:, None], ii[:, None]]
-        I_S = _gather(I, r, ii[:, :, None], ii[:, None])
-        A = np.swapaxes(np.linalg.solve(I_S, np.swapaxes(J_S, 1, 2)), 1, 2)
-        bD = ((A @ B - _of(J_beta_wide, r)) @ _of(D, r)[:, :, None])[:, :, 0]
-        bias2[r, idx] = (bD[:, None, :] @ bD[:, :, None])[:, 0, 0]
-        variance[r, idx] = np.sum((A * J_S).reshape(idx.size, -1), axis=1)
+        B = _gather(I, ii, slice(2, None))
+        B[..., 1, :] = 0.0
+        J_S = _gather(J, idx[:, None, None], np.arange(d)[:, None], ii[:, None])
+        I_S = _gather(I, ii[:, :, None], ii[:, None])
+        A = np.swapaxes(np.linalg.solve(I_S, np.swapaxes(J_S, -1, -2)), -1, -2)
+        bD = ((A @ B - J_beta_wide[:, None]) @ D[:, None, :, None])[..., 0]
+        bias2[:, idx] = (bD[..., None, :] @ bD[..., :, None])[..., 0, 0]
+        variance[:, idx] = np.sum((A * J_S).reshape(reps, idx.size, -1), axis=-1)
     return bias2, variance
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FocusSpecError, StencilError
-from .slm import _CHUNK, Dataset, Theta, _certificates, _dot, _information, _size_groups
+from .slm import _CHUNK, Dataset, Theta, _certificates, _dot, _gather, _information, _size_groups
 from .submodels import SubmodelId
 
 _EPS_THIRD = np.finfo(float).eps ** (1.0 / 3.0)
@@ -119,8 +119,9 @@ def eval_focus_batch(spec: FocusSpec, batch, subsets, rho: np.ndarray, sigma2: n
         d/drho    = 2 lambda u_r u_s / s2 - 2 c u_r (u_s G2 / s2 + u_r G3),
         d/ds2     = lambda (1 + 2 u_s^2) / s2 - c u_r^2 G2 / s2 + c n u_s^2 / (2 s2^3),
         d/dbeta_S = 2 lambda u_s u_beta / s2.
-    Each subset's information is its block of slm._information; per subset
-    size, one stacked certificate, inverse and eigh serve every pair."""
+    Each subset's information is its block of slm._information; per chunk of
+    same-size subsets, one stacked certificate, inverse and eigh serve their
+    (R, s) blocks."""
     W, n, p = batch[0].W, batch[0].n, batch[0].p
     reps, m = rho.shape
     bits = np.array([S.mask << 2 | 3 for S in subsets])  # bit j: coordinate j of theta in S
@@ -148,23 +149,23 @@ def eval_focus_batch(spec: FocusSpec, batch, subsets, rho: np.ndarray, sigma2: n
     else:
         info = _information(batch, rho, sigma2, beta)
         value, jac = np.full((reps, m, 1), np.nan), np.zeros((reps, m, 1, p + 2))
-        for r, idx, cols in _size_groups(subsets, max(n, (p + 2) ** 2), reps):
+        for idx, cols in _size_groups(subsets, max(n, (p + 2) ** 2), reps):
             ii = np.column_stack((np.zeros_like(idx), np.ones_like(idx), cols + 2))
-            I_S = info[r[:, None, None], idx[:, None, None], ii[:, :, None], ii[:, None]]
-            failed[r, idx] = _certificates(I_S, [f"information of {subsets[i].label()}"
-                                                 for i in idx])
-            I_S[failed[r, idx].astype(bool)] = np.eye(ii.shape[1])
+            I_S = _gather(info, idx[:, None, None], ii[:, :, None], ii[:, None])
+            names = [f"information of {subsets[i].label()}" for i in idx] * reps
+            certs = _certificates(I_S.reshape((-1,) + I_S.shape[2:]), names)
+            failed[:, idx] = np.reshape(certs, (reps, idx.size))
+            I_S[failed[:, idx].astype(bool)] = np.eye(ii.shape[1])
             eigs, vecs = np.linalg.eigh(np.linalg.inv(I_S))
-            lam, u = eigs[:, -1], vecs[:, :, -1]
-            gap[r, idx] = eigs[:, -1] - eigs[:, -2] < _EIGEN_GAP_TOL
-            ur, us, s2, c = u[:, 0], u[:, 1], sigma2[r, idx], lam * lam / n
-            G2, G3 = (-W.log_det_rho_derivative(rho[r, idx], k) for k in (2, 3))
-            value[r, idx, 0] = lam
-            jac[r[:, None], idx[:, None], 0, ii] = np.column_stack((
-                2.0 * lam * ur * us / s2 - 2.0 * c * ur * (us * G2 / s2 + ur * G3),
-                lam * (1.0 + 2.0 * us * us) / s2 - c * ur * ur * G2 / s2
-                + c * n * us * us / (2.0 * s2 * s2 * s2),
-                (2.0 * lam * us / s2)[:, None] * u[:, 2:]))
+            lam, u = eigs[..., -1], vecs[..., -1]
+            gap[:, idx] = eigs[..., -1] - eigs[..., -2] < _EIGEN_GAP_TOL
+            ur, us, s2, c = u[..., 0], u[..., 1], sigma2[:, idx], lam * lam / n
+            G2, G3 = (-W.log_det_rho_derivative(rho[:, idx], k) for k in (2, 3))
+            value[:, idx, 0] = lam
+            jac[:, idx, 0, 0] = 2.0 * lam * ur * us / s2 - 2.0 * c * ur * (us * G2 / s2 + ur * G3)
+            jac[:, idx, 0, 1] = (lam * (1.0 + 2.0 * us * us) / s2 - c * ur * ur * G2 / s2
+                                 + c * n * us * us / (2.0 * s2 * s2 * s2))
+            jac[:, idx[:, None], 0, cols + 2] = (2.0 * lam * us / s2)[..., None] * u[..., 2:]
     errors = [next(filter(None, row), None) for row in failed.tolist()]
     return value, np.broadcast_to(jac * in_S, value.shape + (p + 2,)), gap, errors
 

@@ -21,7 +21,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from .errors import BandwidthError, ConfigError, DataFormatError
 from .fic import FicRow
-from .slm import Dataset, FisherInfo, _certify, _gather, _of, _size_groups
+from .slm import Dataset, FisherInfo, _certify, _gather, _size_groups
 from .submodels import SubmodelId
 
 _BLOCK = 1 << 16  # distances median_bandwidth holds at once: one block, or those it keeps
@@ -244,19 +244,19 @@ def safic_terms(subsets, delta: np.ndarray, Q_inv: np.ndarray,
     certifies every block M_S = Q^{-1}[S, S].  The residual direction
     (I - G_S) delta is r = delta - Pi_S' M_S^{-1} (Q^{-1} delta)_S, the bias
     term is r'K r and the penalty tr(G_S Q G_S' K) is tr(M_S^{-1} K_SS).  Per
-    subset size, one stacked solve over the (dataset, subset) pairs of the
-    blocks M_S against [(Q^{-1} delta)_S | K_SS]."""
+    chunk of same-size subsets, one stacked solve of their (R, s) blocks M_S
+    against [(Q^{-1} delta)_S | K_SS]."""
     reps, p = delta.shape
     bias2, penalty = np.empty((reps, len(subsets))), np.empty((reps, len(subsets)))
-    for r, idx, cols in _size_groups(subsets, p * (p + 2), reps):
+    for idx, cols in _size_groups(subsets, p * (p + 2), reps):
         sq = (cols[:, :, None], cols[:, None])
-        rhs = np.concatenate((_gather(Q_inv, r, cols) @ _of(delta, r)[:, :, None],
-                              _gather(K, r, *sq)), axis=2)
-        sol = np.linalg.solve(_gather(Q_inv, r, *sq), rhs)
-        res = delta[r]
-        res[np.arange(idx.size)[:, None], cols] -= sol[:, :, 0]
-        penalty[r, idx] = np.trace(sol[:, :, 1:], axis1=1, axis2=2)
-        bias2[r, idx] = (res[:, None, :] @ _of(K, r) @ res[:, :, None])[:, 0, 0]
+        rhs = np.concatenate((_gather(Q_inv, cols) @ delta[:, None, :, None],
+                              _gather(K, *sq)), axis=-1)
+        sol = np.linalg.solve(_gather(Q_inv, *sq), rhs)
+        res = np.repeat(delta[:, None], idx.size, axis=1)
+        res[:, np.arange(idx.size)[:, None], cols] -= sol[..., 0]
+        penalty[:, idx] = np.trace(sol[..., 1:], axis1=-2, axis2=-1)
+        bias2[:, idx] = (res[..., None, :] @ K[:, None] @ res[..., :, None])[..., 0, 0]
     return bias2, penalty
 
 

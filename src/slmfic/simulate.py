@@ -292,10 +292,10 @@ def _sweep(batch, criteria, submodels, truth=None):
     FIC criterion is one eval_focus_batch call at the fits made: the wide
     fits alone, whose (rho, sigma^2, beta_S) columns are each subset's
     Jacobian for a theta-free focus, or every fit (max_eigen certifies each
-    subset's information, by one stacked check per subset size); sAFIC reads
-    the wide fit only.  delta_hat = sqrt(n) beta_wide is computed once.
-    fic_terms and safic_terms score every (dataset, subset) pair with one
-    stacked solve per subset size, AIC is one array expression, and each
+    subset's information, by one stacked check per chunk); sAFIC reads the
+    wide fit only.  delta_hat = sqrt(n) beta_wide is computed once.
+    fic_terms and safic_terms score every dataset with one stacked solve
+    per chunk of same-size subsets, AIC is one array expression, and each
     score array is ranked once (_rank_order).  With truth, one more call
     evaluates the first fic criterion's focus at the truth, and a fit's
     realized error is the squared distance of that criterion's value at the

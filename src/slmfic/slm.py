@@ -4,15 +4,15 @@ The model is Y = rho*W*Y + X*beta + eps with iid Gaussian innovations.  For a
 fixed rho the problem reduces to ordinary regression of (I - rho*W)Y on X, so
 beta and sigma^2 are profiled out in closed form.  fit_mle fits a batch of
 datasets on one W, each on many subsets, with a leading dataset axis through
-every stage: one stacked QR of the designs, one stacked SVD per subset size
-for the profile regressions, and one vectorised Newton search that finds rho,
-the root of the profile score, for every (dataset, subset) pair.  A fit that
-fails marks its dataset with an error and leaves the others alone.  fit_mle
-on one dataset and one subset is its batch of one.  The score and
-the observed information, ordered (rho, sigma^2, beta), are closed forms
-(Anselin 1988, *Spatial Econometrics*; Lee 2004, *Econometrica* 72(6)) built
-from WY, X_S, the residual and the spectrum of W, which the weights compute on
-its first read and keep.
+every stage: one stacked QR of the designs, one stacked SVD per chunk of
+same-size subsets for the profile regressions, and one vectorised Newton
+search that finds rho, the root of the profile score, for every (dataset,
+subset) pair.  A fit that fails marks its dataset with an error and leaves
+the others alone.  fit_mle on one dataset and one subset is its batch of
+one.  The score and the observed information, ordered (rho, sigma^2, beta),
+are closed forms (Anselin 1988, *Spatial Econometrics*; Lee 2004,
+*Econometrica* 72(6)) built from WY, X_S, the residual and the spectrum of W,
+which the weights compute on its first read and keep.
 """
 
 from __future__ import annotations
@@ -80,38 +80,31 @@ def _certify(M: np.ndarray, what: str) -> None:
         raise error
 
 
-def _size_groups(subsets, width: int, reps: int = 1):
-    """The (dataset, subset) pairs of reps datasets and the subsets, by subset
-    size k ascending and dataset-major within a size: (r, idx, cols), r the
-    datasets and idx the subset positions of at most _CHUNK // width pairs of
-    size k, and cols their (len(idx), k) sorted covariate indices, read from the
-    masks.  width is what one pair adds to the largest stacked temporary, so
-    none holds more than _CHUNK elements."""
+def _size_groups(subsets, width: int, reps: int):
+    """The subsets by size k ascending, in chunks of one size: (idx, cols), idx
+    the positions of at most max(1, _CHUNK // (reps * width)) subsets and cols
+    their (len(idx), k) sorted covariate indices, read from the masks.  A stage
+    takes a chunk on all reps datasets at once, as (reps, len(idx), ...)
+    blocks; width is what one subset of one dataset adds to its largest
+    stacked temporary, so none holds more than _CHUNK elements, or one
+    subset's across the batch when reps * width is larger."""
     masks = np.array([S.mask for S in subsets], dtype=np.int64)
     member = masks[:, None] >> np.arange(subsets[0].p if subsets else 0) & 1
     sizes = member.sum(1)
-    step = max(1, _CHUNK // max(1, width))
+    step = max(1, _CHUNK // max(1, reps * width))
     for k in np.unique(sizes):
         same = np.flatnonzero(sizes == k)
-        r, idx = np.repeat(np.arange(reps), same.size), np.tile(same, reps)
-        for i in range(0, r.size, step):
-            j = idx[i:i + step]
-            yield r[i:i + step], j, np.nonzero(member[j])[1].reshape(j.size, k)
+        for i in range(0, same.size, step):
+            idx = same[i:i + step]
+            yield idx, np.nonzero(member[idx])[1].reshape(idx.size, k)
 
 
-def _of(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """a[r] for the datasets r of a size group's pairs; a view of the one
-    dataset's entry, to broadcast, when the group lies in one dataset."""
-    return a[r[:1]] if r[0] == r[-1] else a[r]
-
-
-def _gather(M: np.ndarray, r: np.ndarray, rows: np.ndarray, cols=slice(None)) -> np.ndarray:
-    """M[r_j][rows_j, cols_j] for a size group's pairs j, rows and cols
-    broadcast against the group: with one index fewer when the group lies in
-    one dataset."""
-    if r[0] == r[-1]:
-        return M[r[0]][rows, cols]
-    return M[r.reshape((-1,) + (1,) * (rows.ndim - 1)), rows, cols]
+def _gather(M: np.ndarray, *index) -> np.ndarray:
+    """M[r][index] for every dataset r of the stack M, as one (R, ...) array:
+    the dataset axis is a leading fancy index broadcast against the others, so
+    each stacked matrix of the result is contiguous, as that of one dataset."""
+    r = np.arange(len(M)).reshape((-1,) + (1,) * max(np.ndim(i) for i in index))
+    return M[(r,) + index]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -309,12 +302,12 @@ def _regressions(projection, subsets):
     R, z, base = projection
     reps, p = R.shape[0], R.shape[-1]
     gram, coef = np.empty((reps, len(subsets), 2, 2)), np.zeros((reps, len(subsets), p, 2))
-    for r, idx, cols in _size_groups(subsets, p * p, reps):
+    for idx, cols in _size_groups(subsets, p * p, reps):
         k = cols.shape[1]
-        U, sv, Vt = np.linalg.svd(_gather(R, r, np.arange(p)[None, :, None], cols[:, None]))
-        Uz = np.swapaxes(U, 1, 2) @ _of(z, r)
-        gram[r, idx] = _of(base, r) + np.swapaxes(Uz[:, k:], 1, 2) @ Uz[:, k:]
-        coef[r[:, None], idx[:, None], cols] = np.swapaxes(Vt, 1, 2) @ (Uz[:, :k] / sv[:, :, None])
+        U, sv, Vt = np.linalg.svd(_gather(R, np.arange(p)[None, :, None], cols[:, None]))
+        Uz = np.swapaxes(U, -1, -2) @ z[:, None]
+        gram[:, idx] = base[:, None] + np.swapaxes(Uz[..., k:, :], -1, -2) @ Uz[..., k:, :]
+        coef[:, idx[:, None], cols] = np.swapaxes(Vt, -1, -2) @ (Uz[..., :k, :] / sv[..., None])
     return gram, coef
 
 
@@ -465,34 +458,33 @@ def _information(batch, rho: np.ndarray, sigma2: np.ndarray, beta: np.ndarray) -
     """The information -H/n (observed_info) of each dataset of a batch at each
     fit, (R, m, p + 2, p + 2), for (R, m) rho and sigma2 and the (R, m, p)
     beta, zero outside each fit's subset S: its (rho, sigma^2, beta_S) block
-    is the information of S.  Fits go in pieces whose temporaries stay within
-    _CHUNK elements; each product is a stacked matmul, the BLAS call of the
+    is the information of S.  The subsets go in chunks, each on every dataset
+    at once, whose temporaries hold at most _CHUNK elements, or one subset's
+    across the batch; each product is a stacked matmul, the BLAS call of the
     product on one fit, and powers are libm's, as of a Python float, so each
-    matrix is the same, bit for bit, in any batch."""
+    matrix is the same, bit for bit, in any batch or chunk."""
     W, n, p = batch[0].W, batch[0].n, batch[0].p
     W.require_rho(rho)
-    Y, WY = (np.stack([getattr(d, a) for d in batch]) for a in ("Y", "WY"))
-    Xt = np.ascontiguousarray(np.swapaxes(np.stack([d.X for d in batch]), 1, 2))
-    X = np.swapaxes(Xt, 1, 2)  # column-major, as the column selection X[:, S] of one fit
+    Y, WY = (np.stack([getattr(d, a) for d in batch])[:, None] for a in ("Y", "WY"))
+    Xt = np.ascontiguousarray(np.swapaxes(np.stack([d.X for d in batch]), 1, 2))[:, None]
+    X = np.swapaxes(Xt, -1, -2)  # column-major, as the column selection X[:, S] of one fit
     XtX, XtWY, WYWY = Xt @ X, (Xt @ WY[..., None])[..., 0], _dot(WY, WY)
-    rho, s2, beta = rho.reshape(-1), sigma2.reshape(-1), beta.reshape(rho.size, p)
-    info = np.empty((rho.size, p + 2, p + 2))
-    step = max(1, _CHUNK // max(n, (p + 2) ** 2))
-    for sl in (slice(i, i + step) for i in range(0, rho.size, step)):
-        r = np.arange(rho.size)[sl] // sigma2.shape[1]
-        c, Xr, WYr = s2[sl], _of(X, r), _of(WY, r)
+    info = np.empty(sigma2.shape + (p + 2, p + 2))
+    step = max(1, _CHUNK // (len(batch) * max(n, (p + 2) ** 2)))
+    for sl in (slice(i, i + step) for i in range(0, sigma2.shape[1], step)):
+        c, r = sigma2[:, sl], rho[:, sl, None]
         c2, c3 = np.float_power(c, 2), np.float_power(c, 3)
-        e = _of(Y, r) - rho[sl, None] * WYr - (Xr @ beta[sl, :, None])[..., 0]
-        g = W.spectrum / (1.0 - rho[sl, None] * W.spectrum)
-        H = np.empty((r.size, p + 2, p + 2))
-        H[:, 0, 0] = -_dot(g, g) - _of(WYWY, r) / c
-        H[:, 0, 1] = H[:, 1, 0] = -_dot(WYr, e) / c2
-        H[:, 1, 1] = n / (2.0 * c2) - _dot(e, e) / c3
-        H[:, 0, 2:] = H[:, 2:, 0] = -_of(XtWY, r) / c[:, None]
-        H[:, 1, 2:] = H[:, 2:, 1] = -(np.swapaxes(Xr, 1, 2) @ e[..., None])[..., 0] / c2[:, None]
-        H[:, 2:, 2:] = -_of(XtX, r) / c[:, None, None]
-        info[sl] = -(0.5 * (H + np.swapaxes(H, 1, 2))) / n
-    return info.reshape(sigma2.shape + (p + 2, p + 2))
+        e = Y - r * WY - (X @ beta[:, sl, :, None])[..., 0]
+        g = W.spectrum / (1.0 - r * W.spectrum)
+        H = np.empty(c.shape + (p + 2, p + 2))
+        H[..., 0, 0] = -_dot(g, g) - WYWY / c
+        H[..., 0, 1] = H[..., 1, 0] = -_dot(WY, e) / c2
+        H[..., 1, 1] = n / (2.0 * c2) - _dot(e, e) / c3
+        H[..., 0, 2:] = H[..., 2:, 0] = -XtWY / c[..., None]
+        H[..., 1, 2:] = H[..., 2:, 1] = -(Xt @ e[..., None])[..., 0] / c2[..., None]
+        H[..., 2:, 2:] = -XtX / c[..., None, None]
+        info[:, sl] = -(0.5 * (H + np.swapaxes(H, -1, -2))) / n
+    return info
 
 
 def observed_info(theta_hat: Theta, data: Dataset, S: SubmodelId) -> FisherInfo:

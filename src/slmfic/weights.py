@@ -47,8 +47,9 @@ def validate_adjacency(A) -> scipy.sparse.csr_array:
     """Check the adjacency-matrix invariants and return a float CSR copy.
 
     A is dense or any scipy.sparse matrix.  Requires a square matrix with n >= 2,
-    finite nonnegative stored entries and an exactly zero diagonal.  The copy
-    sums duplicate entries and drops explicit zeros.
+    finite nonnegative stored entries and an exactly zero diagonal: a bad shape
+    raises InvalidSizeError, a bad entry DataFormatError.  The copy sums
+    duplicate entries and drops explicit zeros.
     """
     shape = np.shape(A)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -63,10 +64,10 @@ def validate_adjacency(A) -> scipy.sparse.csr_array:
         raise DataFormatError(f"non-finite adjacency entry {_where(A, bad[0])}")
     bad = np.flatnonzero(A.data < 0)
     if bad.size:
-        raise InvalidSizeError(f"negative adjacency entry {_where(A, bad[0])}")
+        raise DataFormatError(f"negative adjacency entry {_where(A, bad[0])}")
     if np.any(A.diagonal() != 0):
         bad = int(np.flatnonzero(A.diagonal())[0])
-        raise InvalidSizeError(f"diagonal must be zero, unit {bad} has a self-loop")
+        raise DataFormatError(f"diagonal must be zero, unit {bad} has a self-loop")
     return A
 
 

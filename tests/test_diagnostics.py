@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import slmfic
 from slmfic import (
     SpatialWeights,
     SubmodelId,
@@ -82,6 +88,26 @@ class TestMoran:
         assert res.I == I  # bit for bit
         assert res.z == pytest.approx(z, rel=1e-12, abs=0)
         assert res.p_value == pytest.approx(2.0 * norm.sf(abs(z)), rel=1e-12, abs=0)
+
+    def test_p_value_is_the_normal_tail_bit_for_bit(self, chain75):
+        """At z from -2.9 to 8.3: iid draws and, for the far tail, lagged ones."""
+        lag = np.linalg.inv(np.eye(75) - 0.9 * chain75.matrix.toarray())
+        for rep in range(200):
+            x = np.random.default_rng([5, rep]).standard_normal(75)
+            res = morans_i(lag @ x if rep % 2 else x, chain75)
+            assert res.p_value == 2.0 * norm.sf(abs(res.z))
+
+
+def test_import_leaves_scipy_stats_out():
+    """Importing the package, in a fresh interpreter, loads no scipy.stats:
+    morans_i takes its normal tail from scipy.special."""
+    src = str(Path(slmfic.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, slmfic; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestAic:

@@ -74,14 +74,14 @@ class TestLoadWeights:
 
     def test_nonzero_diagonal_reported(self, tmp_path):
         path = write_csv(tmp_path / "w.csv", "1,1\n1,0\n")
-        with pytest.raises(InvalidSizeError) as exc:
+        with pytest.raises(DataFormatError) as exc:
             load_weights(path)
         assert str(exc.value).startswith(f"{path}: diagonal must be zero, unit 0 ")
 
     @pytest.mark.parametrize("text, row_normalize, error, message", [
-        ("0,1,0\n-1,0,1\n0,1,0\n", False, InvalidSizeError,
+        ("0,1,0\n-1,0,1\n0,1,0\n", False, DataFormatError,
          "negative adjacency entry -1.0 at row 1, column 0"),
-        ("i,j,w\n0,1,1\n1,0,-1\n1,2,1\n2,1,1\n", False, InvalidSizeError,
+        ("i,j,w\n0,1,1\n1,0,-1\n1,2,1\n2,1,1\n", False, DataFormatError,
          "negative adjacency entry -1.0 at row 1, column 0"),
         ("i,j,w\n0,1,1\n1,0,nan\n1,2,1\n2,1,1\n", False, DataFormatError,
          "non-finite adjacency entry nan at row 1, column 0"),

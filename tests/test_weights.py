@@ -79,7 +79,7 @@ class TestRowNormalize:
 
     def test_nonzero_diagonal_rejected(self):
         A = np.eye(3)
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(DataFormatError, match="unit 0 has a self-loop"):
             SpatialWeights.from_adjacency(A)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
