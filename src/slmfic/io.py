@@ -17,6 +17,7 @@ from .errors import ConfigError, DataFormatError, InputError
 from .focus import FocusSpec
 from .simulate import CriterionSpec, RunReport, SimConfig
 from .slm import Dataset
+from .submodels import SubmodelId
 from .weights import SpatialWeights
 
 
@@ -199,8 +200,9 @@ def write_report(rows, out_path: str | None, fmt: str = "json") -> str:
     return text
 
 
-def run_report_to_json(report: RunReport, top_k: int = 5) -> str:
-    """Deterministic JSON rendering of a Monte-Carlo run."""
+def run_report_to_json(report: RunReport) -> str:
+    """Deterministic JSON rendering of a Monte-Carlo run, with each criterion's
+    five most frequent winners (RunReport.top_models)."""
     cfg = report.config
     payload = {
         "config": _config_to_dict(cfg),
@@ -210,11 +212,11 @@ def run_report_to_json(report: RunReport, top_k: int = 5) -> str:
             name: {
                 "top_models": [
                     {
-                        "label": f"S{mask + 1}",
+                        "label": SubmodelId(mask, cfg.p).label(),
                         "mask": mask,
                         "count": count,
                     }
-                    for mask, count in report.top_models(name, top_k)
+                    for mask, count in report.top_models(name)
                 ],
                 "top1_counts": {str(k): v for k, v in sorted(counts.items())},
             }

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from . import slm
-from .errors import ConfigError, NumericalError, ReplicationFailureError
+from .errors import BandwidthError, ConfigError, ReplicationFailureError
 from .fic import fic_score, fic_terms
 from .focus import GAP_WARNING, FocusSpec, depends_on_theta, eval_focus_batch
 from .safic import (
@@ -257,24 +257,20 @@ def _report(cfg: SimConfig, results) -> RunReport:
                      realized_mse)
 
 
-def _psi(crit: CriterionSpec, data: Dataset) -> np.ndarray:
-    """sAFIC weights of a criterion: uniform, or a Gaussian kernel centred on
-    z0 (default: the first unit's covariates) with the median-distance
-    bandwidth unless one is given."""
+def _psi(crit: CriterionSpec, data: Dataset):
+    """sAFIC weights of a criterion and None: uniform, or a Gaussian kernel
+    centred on z0 (default: the first unit's covariates) with the
+    median-distance bandwidth unless one is given.  Where the bandwidth fails,
+    uniform stand-in weights and the BandwidthError."""
     if crit.scheme == "uniform":
-        return psi_uniform(data.n).psi
+        return psi_uniform(data.n).psi, None
     check_kernel(crit.z0, crit.bandwidth, data.p)
     z0 = np.asarray(crit.z0, dtype=float) if crit.z0 is not None else data.X[0]
-    h = crit.bandwidth if crit.bandwidth is not None else median_bandwidth(data.X)
-    return psi_kernel(data.X, z0, h).psi
-
-
-def _drop(errors: list, live: np.ndarray, found) -> np.ndarray:
-    """Record found[j], an error or None, as the error of dataset live[j] and
-    return the datasets of live still without one."""
-    for r, error in zip(live, found):
-        errors[r] = error
-    return live[[errors[r] is None for r in live]]
+    try:
+        h = crit.bandwidth if crit.bandwidth is not None else median_bandwidth(data.X)
+        return psi_kernel(data.X, z0, h).psi, None
+    except BandwidthError as exc:
+        return psi_uniform(data.n).psi, exc
 
 
 def _sweep(batch, criteria, submodels, truth=None):
@@ -302,9 +298,15 @@ def _sweep(batch, criteria, submodels, truth=None):
     fit from it.  GAP_WARNING is issued once, as a RuntimeWarning, if a
     dataset that completes has a flagged fit; the truth's flags are not read.
 
-    A NumericalError stops its dataset only, which keeps the first: its first
-    failing fit in subset order (the wide model last), the wide information,
-    each criterion in turn, then the truth.
+    Every stage runs on the whole batch, a dataset that has failed too, so
+    that each stage sees every input error; each returns one error or None
+    per dataset, and a dataset keeps the first of its errors in stage order:
+    its first failing fit in subset order (the wide model last), the wide
+    information, each criterion in turn, then the truth.  A failed stage
+    leaves stand-ins that keep the next stage finite and raising nothing: a
+    failed fit's NaN rho enters as 0, inside every admissible interval; a
+    matrix that fails its certificate is replaced by the identity; and a
+    kernel whose bandwidth fails by uniform weights.
 
     Returns (tables, realized, errors).  tables maps criterion name to
     (orders, terms): orders[r] lists dataset r's subset indices (= masks) in
@@ -312,64 +314,49 @@ def _sweep(batch, criteria, submodels, truth=None):
     (bias2, variance) for FIC, (bias2, penalty) for sAFIC and (aic,) for AIC,
     and the score is their sum.  realized is (R, 2^p) likewise with truth,
     else (R, 0), and errors the NumericalError or None of each dataset; the
-    rows of a dataset with an error are meaningless.
+    rows of a dataset with an error are meaningless and never read.
     """
     fit_all = truth is not None or any(
         c.kind == "aic" or (c.kind == "fic" and depends_on_theta(c.focus)) for c in criteria
     )
     fits = fit_mle(batch, submodels if fit_all else submodels[-1:])
-    errors, info, reps = list(fits.errors), fits.info, len(batch)
-    live = np.flatnonzero([e is None for e in errors])
+    reps, p = len(batch), batch[0].p
+    rho = np.nan_to_num(fits.rho)
     D = np.sqrt(batch[0].n) * fits.beta[:, -1]
-    sizes = (np.arange(len(submodels))[:, None] >> np.arange(batch[0].p) & 1).sum(1)
-    blocks, tables, flagged, kept = None, {}, [], None
-    realized = np.full((reps, len(submodels) if truth is not None else 0), np.nan)
+    sizes = (np.arange(len(submodels))[:, None] >> np.arange(p) & 1).sum(1)
+    found, tables, flagged, blocks, kept = [fits.errors], {}, np.zeros(reps, bool), None, None
+    realized = np.empty((reps, 0))
     for crit in criteria:
-        terms = tuple(np.full((reps, len(submodels)), np.nan)
-                      for _ in range(1 if crit.kind == "aic" else 2))
         if crit.kind == "aic":
-            terms[0][:] = -2.0 * fits.loglik + 2.0 * (sizes + 2)
-        elif crit.kind == "fic" and live.size:
-            value, J, gap, found = eval_focus_batch(
-                crit.focus, [batch[r] for r in live], fits.subsets,
-                *(a[live] for a in (fits.rho, fits.sigma2, fits.beta)))
-            if kept is None:  # the first fic criterion: the values the realized error reads
-                kept = (crit.focus, np.full((reps,) + value.shape[1:], np.nan))
-                kept[1][live] = value
-            flagged += live[gap.any(axis=1)].tolist()
-            J = J[[e is None for e in found]]
-            live = _drop(errors, live, found)
-            if live.size:
-                found = fic_terms(submodels, J, J[:, -1, :, 2:], info[live], D[live])
-                terms[0][live], terms[1][live] = found
-        elif crit.kind == "safic":
+            terms = (-2.0 * fits.loglik + 2.0 * (sizes + 2),)
+        elif crit.kind == "fic":
+            value, J, gap, errors = eval_focus_batch(crit.focus, batch, fits.subsets, rho,
+                                                     fits.sigma2, fits.beta)
+            kept = kept or (crit.focus, value)  # the first fic criterion's, read by the truth
+            flagged |= gap.any(axis=1)
+            found.append(errors)
+            terms = fic_terms(submodels, J, J[:, -1, :, 2:], fits.info, D)
+        else:
             if blocks is None:
-                blocks = _rho_beta_blocks(info)
-                live = _drop(errors, live, _certificates(
-                    blocks[2][live], "beta Schur complement of the wide information"))
-            psi = []
-            for r in live:
-                try:
-                    psi.append(_psi(crit, batch[r]))
-                except NumericalError as exc:  # a bandwidth of zero
-                    errors[r] = exc
-            live = live[[errors[r] is None for r in live]]
-            if live.size:
-                I_rr, I_br, Q_inv = (b[live] for b in blocks)
-                WY, X = (np.stack([getattr(batch[r], a) for r in live]) for a in ("WY", "X"))
-                K = k_empirical(I_rr, I_br, WY, X, np.stack(psi))
-                found = safic_terms(submodels, D[live], Q_inv, K)
-                terms[0][live], terms[1][live] = found
+                blocks = _rho_beta_blocks(fits.info)
+                found.append(_certificates(
+                    blocks[2], "beta Schur complement of the wide information"))
+                blocks[2][[e is not None for e in found[-1]]] = np.eye(p)
+            psi, errors = zip(*(_psi(crit, data) for data in batch))
+            found.append(errors)
+            WY, X = (np.stack([getattr(data, a) for data in batch]) for a in ("WY", "X"))
+            K = k_empirical(blocks[0], blocks[1], WY, X, np.stack(psi))
+            terms = safic_terms(submodels, D, blocks[2], K)
         score = terms[0] + terms[1] if len(terms) == 2 else terms[0]
         tables[crit.name] = (_rank_order(score, sizes), terms)
-    if truth is not None and live.size:
-        rho, sigma2, beta = truth
-        value, _J, _gap, found = eval_focus_batch(
-            kept[0], [batch[r] for r in live], submodels[-1:], np.full((live.size, 1), rho),
-            np.full((live.size, 1), sigma2), np.tile(beta, (live.size, 1, 1)))
-        realized[live] = np.sum((kept[1][live] - value) ** 2, axis=-1)
-        _drop(errors, live, found)
-    if any(errors[r] is None for r in flagged):
+    if truth is not None:
+        value, _J, _gap, errors = eval_focus_batch(
+            kept[0], batch, submodels[-1:], np.full((reps, 1), truth[0]),
+            np.full((reps, 1), truth[1]), np.tile(truth[2], (reps, 1, 1)))
+        found.append(errors)
+        realized = np.sum((kept[1] - value) ** 2, axis=-1)
+    errors = [next(filter(None, row), None) for row in zip(*found)]
+    if any(f and e is None for f, e in zip(flagged.tolist(), errors)):
         warnings.warn(GAP_WARNING, RuntimeWarning)
     return tables, realized, errors
 

@@ -211,10 +211,11 @@ class Fits:
     """Fits of each dataset of a batch on each of m subsets, as (R, m) arrays
     over the R datasets: rho, sigma^2, the log-likelihood and the steps of the
     rho search, and beta as (R, m, p), zero outside each subset.  errors holds,
-    per dataset, the first NumericalError of its fits or None; every entry of a
-    dataset with an error is NaN.  info, when asked for, holds each dataset's
-    (R, k + 2, k + 2) information at its fit on the last subset, the identity
-    for a dataset with an error."""
+    per dataset, the first NumericalError of its fits, else of its information,
+    or None.  info, when asked for, holds each dataset's (R, k + 2, k + 2)
+    information at its fit on the last subset.  A dataset with an error keeps
+    its place: NaN in every entry and the identity as its info, stand-ins on
+    which later stages run the whole batch and whose results are never read."""
 
     subsets: tuple[SubmodelId, ...]
     rho: np.ndarray
@@ -395,7 +396,9 @@ def _fit_batch(batch, subsets, with_info: bool) -> Fits:
     bracket or at rho-hat, ConvergenceError for a search that does not
     converge in _MAX_ITER steps, and the certificate's SingularInformationError.
     A dataset keeps the error of its first failing fit in subset order, else
-    that of its information."""
+    that of its information.  The information runs on the whole batch: a
+    failed fit's NaN rho enters it as 0, inside every admissible interval, and
+    the information of a dataset with an error is replaced by the identity."""
     batch, subsets = list(batch), tuple(subsets)
     W, n, p = batch[0].W, batch[0].n, batch[0].p
     if any(d.W is not W or d.p != p for d in batch):
@@ -422,14 +425,12 @@ def _fit_batch(batch, subsets, with_info: bool) -> Fits:
     fits = Fits(subsets, rho, s2, beta, ll, steps, tuple(errors))
     if not with_info:
         return fits
-    last, ok = subsets[-1], np.flatnonzero([e is None for e in errors])
+    last = subsets[-1]
     cols = [0, 1, *(2 + j for j in last.indices())]
-    info = np.tile(np.eye(len(cols)), (reps, 1, 1))
-    if ok.size:
-        full = _information([batch[r] for r in ok], rho[ok, -1:], s2[ok, -1:], beta[ok, -1:])
-        info[ok] = full[:, 0, cols][..., cols]
-    for r, error in zip(ok, _certificates(info[ok], f"information of {last.label()}")):
-        errors[r] = error
+    full = _information(batch, np.nan_to_num(rho[:, -1:]), s2[:, -1:], beta[:, -1:])
+    info = full[:, 0, cols][..., cols]
+    certs = _certificates(info, f"information of {last.label()}")
+    errors = [error or cert for error, cert in zip(errors, certs)]
     info[[e is not None for e in errors]] = np.eye(len(cols))
     return replace(fits, errors=tuple(errors), info=info)
 

@@ -10,11 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slmfic import FicRow, SimConfig, SpatialWeights, SubmodelId, cli, errors, monte_carlo, morans_i
+from slmfic import (
+    FicRow,
+    FocusSpec,
+    SimConfig,
+    SpatialWeights,
+    SubmodelId,
+    cli,
+    errors,
+    fic_table,
+    monte_carlo,
+    morans_i,
+    safic_table,
+    slm,
+)
 from slmfic.cli import main
 from slmfic.errors import (
     ConfigError,
+    ConvergenceError,
     DataFormatError,
+    FocusSpecError,
     InputError,
     InvalidSizeError,
     IsolatedUnitError,
@@ -814,6 +829,32 @@ class TestFailureContract:
         rc = main([command, "--data", data_path, "--weights", weights_path, "--response", "y",
                    "--columns", columns])
         _one_input_error(capsys, rc, f"{data_path}: {named}")
+
+    @pytest.mark.parametrize(
+        "command, args, table, error, named",
+        [("fic", ["--location", "5"],
+          lambda data: fic_table(FocusSpec("conditional_mean", location=5), data),
+          FocusSpecError, "location 5 out of range for n=5"),
+         ("safic", ["--scheme", "kernel", "--z0", "1"],
+          lambda data: safic_table(data, "kernel", z0=[1.0]),
+          ConfigError, "kernel center has 1 entries, X has 2 columns")],
+        ids=["fic-location", "safic-kernel-center"],
+    )
+    def test_an_input_error_beats_a_failing_fit(self, small_files, capsys, monkeypatch,
+                                                command, args, table, error, named):
+        """With the rho search cut to one step every fit fails, yet a focus
+        location or a kernel centre that does not fit the data is an input
+        error, from the table and from the CLI, not a ConvergenceError."""
+        data_path, weights_path = small_files
+        data = load_dataset(data_path, weights_path, "y")
+        monkeypatch.setattr(slm, "_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError):
+            slm.fit_mle(data, SubmodelId.wide(data.p))
+        with pytest.raises(error, match=named):
+            table(data)
+        rc = main([command, "--data", data_path, "--weights", weights_path, "--response", "y",
+                   *args])
+        _one_input_error(capsys, rc, named)
 
     @pytest.mark.parametrize("h", ["1e-200", "1e-300"])
     def test_tiny_bandwidth_is_numerical_failure(self, small_files, capsys, h):

@@ -32,6 +32,7 @@ from slmfic import (
     safic_table,
 )
 from slmfic.errors import (
+    BandwidthError,
     ConfigError,
     ConvergenceError,
     DegenerateVarianceError,
@@ -729,6 +730,52 @@ def test_a_failing_subset_information_stops_its_dataset_only(monkeypatch):
         for name, (orders, terms) in tables.items():
             assert orders[r] == alone[name][0][0]
             assert [t[r].tobytes() for t in terms] == [t[0].tobytes() for t in alone[name][1]]
+
+
+@pytest.mark.parametrize("stage", ["bandwidth", "schur"])
+def test_a_failing_safic_stage_stops_its_dataset_only(monkeypatch, stage):
+    """The second dataset of a batch of 3 fails in the sAFIC stages: its
+    kernel's median bandwidth is 0 (24 of its 30 rows are one row, so most
+    row pairs are at distance 0, and X keeps full rank), or its beta Schur
+    complement, patched to zero, fails its certificate.  It reports the
+    error its one-dataset _sweep raises, and the other datasets, scored
+    beside its stand-ins (uniform weights, the identity), rank as alone."""
+    rng = np.random.default_rng(23)
+    W = random_dataset(rng, n=30, p=3).W
+    lag = np.eye(30) - 0.3 * W.matrix.toarray()
+    batch = []
+    for r in range(3):
+        X = rng.standard_normal((30, 3))
+        if r == 1 and stage == "bandwidth":
+            X[:24] = X[0]  # 276 of the 435 row pairs
+        Y = np.linalg.solve(lag, X @ [0.5, 0.5, 0.0] + rng.standard_normal(30))
+        batch.append(Dataset(Y=Y, X=X, W=W))
+    submodels = enumerate_submodels(3)
+    if stage == "schur":  # the wide information, bit for bit the same in any batch, marks it
+        target = fit_mle(batch[1], submodels[-1]).info.matrix
+        blocks = simulate._rho_beta_blocks
+
+        def singular(info):
+            I_rr, I_br, Q_inv = blocks(info)
+            Q_inv[(info == target).all(axis=(1, 2))] = 0.0
+            return I_rr, I_br, Q_inv
+
+        monkeypatch.setattr(simulate, "_rho_beta_blocks", singular)
+    criteria = (CriterionSpec("fic", "F", focus=FocusSpec("conditional_mean", location=0)),
+                CriterionSpec("safic", "K", scheme="kernel"), CriterionSpec("safic", "U"),
+                CriterionSpec("aic", "A"))
+    alone = [simulate._sweep([data], criteria, submodels) for data in batch]
+    (error,) = alone[1][2]
+    expected = BandwidthError if stage == "bandwidth" else SingularInformationError
+    assert type(error) is expected
+    tables, _realized, errors = simulate._sweep(batch, criteria, submodels)
+    assert type(errors[1]) is expected and str(errors[1]) == str(error)
+    for r in (0, 2):
+        one, _realized, (error,) = alone[r]
+        assert error is None and errors[r] is None
+        for name, (orders, terms) in tables.items():
+            assert orders[r] == one[name][0][0]
+            assert [t[r].tobytes() for t in terms] == [t[0].tobytes() for t in one[name][1]]
 
 
 BATCH_CRITERIA = (

@@ -535,3 +535,38 @@ class TestFitSubsets:
                else Dataset(Y=data.Y, X=data.X[:, :2], W=data.W))
         with pytest.raises(ValueError, match="must share one SpatialWeights and p"):
             fit_mle([data, odd], [SubmodelId.wide(3)])
+
+
+def _gather_cases():
+    """The index forms the stacked stages pass to slm._gather, on 3 datasets,
+    p = 4 and a chunk of the size-2 subsets: (M shape, index)."""
+    R, p, q, d = 3, 4, 6, 2
+    ((idx, cols),) = [g for g in slm._size_groups(enumerate_submodels(p), 1, R)
+                      if g[1].shape[1] == 2]
+    ii = np.column_stack((np.zeros_like(idx), np.ones_like(idx), cols + 2))
+    return {
+        "regressions-R": ((R, p, p), (np.arange(p)[None, :, None], cols[:, None])),
+        "safic-rows": ((R, p, p), (cols,)),
+        "safic-blocks": ((R, p, p), (cols[:, :, None], cols[:, None])),
+        "fic-B": ((R, q, q), (ii, slice(2, None))),
+        "fic-J": ((R, 16, d, q), (idx[:, None, None], np.arange(d)[:, None], ii[:, None])),
+        "fic-I_S": ((R, q, q), (ii[:, :, None], ii[:, None])),
+        "max-eigen-I_S": ((R, 16, q, q), (idx[:, None, None], ii[:, :, None], ii[:, None])),
+    }
+
+
+@pytest.mark.parametrize("name", list(_gather_cases()))
+def test_gather_gives_each_dataset_its_own_contiguous_block(name):
+    """Each dataset's part of _gather(M, *index) is M[r][index], C-contiguous
+    with its strides, as a one-dataset stage would index it: BLAS and LAPACK
+    then see the same layout in any batch.  A leading slice, M[:, *index],
+    gives the same values in another layout."""
+    shape, index = _gather_cases()[name]
+    M = np.arange(np.prod(shape), dtype=float).reshape(shape)
+    out = slm._gather(M, *index)
+    assert out.shape[0] == shape[0]
+    for r in range(shape[0]):
+        one = M[r][index]
+        assert out[r].flags.c_contiguous and one.flags.c_contiguous
+        assert out[r].strides == one.strides
+        assert np.array_equal(out[r], one)
