@@ -115,7 +115,8 @@ def eval_focus_batch(spec: FocusSpec, batch, subsets, rho: np.ndarray, sigma2: n
     g_i = w_i / (1 - rho*w_i), with dg_i/drho = g_i^2, so each third
     derivative of the log-likelihood (Lee 2004) is an entry of H over s2 or a
     sum of g^2 or g^3.  As Hu = -(n / lambda) u, with G2 = sum g_i^2, G3 =
-    sum g_i^3 and c = lambda^2 / n the contraction is
+    sum g_i^3 (both from one pass over the spectrum) and c = lambda^2 / n
+    the contraction is
         d/drho    = 2 lambda u_r u_s / s2 - 2 c u_r (u_s G2 / s2 + u_r G3),
         d/ds2     = lambda (1 + 2 u_s^2) / s2 - c u_r^2 G2 / s2 + c n u_s^2 / (2 s2^3),
         d/dbeta_S = 2 lambda u_s u_beta / s2.
@@ -160,7 +161,7 @@ def eval_focus_batch(spec: FocusSpec, batch, subsets, rho: np.ndarray, sigma2: n
             lam, u = eigs[..., -1], vecs[..., -1]
             gap[:, idx] = eigs[..., -1] - eigs[..., -2] < _EIGEN_GAP_TOL
             ur, us, s2, c = u[..., 0], u[..., 1], sigma2[:, idx], lam * lam / n
-            G2, G3 = (-W.log_det_rho_derivative(rho[:, idx], k) for k in (2, 3))
+            G2, G3 = (-d for d in W.log_det_rho_derivative(rho[:, idx], (2, 3)))
             value[:, idx, 0] = lam
             jac[:, idx, 0, 0] = 2.0 * lam * ur * us / s2 - 2.0 * c * ur * (us * G2 / s2 + ur * G3)
             jac[:, idx, 0, 1] = (lam * (1.0 + 2.0 * us * us) / s2 - c * ur * ur * G2 / s2

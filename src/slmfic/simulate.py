@@ -146,29 +146,37 @@ def build_weights(cfg: SimConfig) -> SpatialWeights:
 
 def generate_dataset(cfg: SimConfig, rep: int, W: SpatialWeights | None = None) -> Dataset:
     """Draw one replication: iid standard normal X, Gaussian innovations,
-    Y solved from (I - rho*W) Y = X beta + eps.  W defaults to build_weights(cfg)."""
+    Y solved from (I - rho*W) Y = X beta + eps by a sparse LU factor of
+    I - rho*W built for this draw (a study builds one per batch call, see
+    _replicate).  W defaults to build_weights(cfg)."""
     if W is None:
         W = build_weights(cfg)
     return _draw(cfg, rep, W, _spatial_filter(cfg, W))
 
 
 def _spatial_filter(cfg: SimConfig, W: SpatialWeights):
-    """The CSC operator I - rho_true * W, built once per study."""
-    return scipy.sparse.eye_array(cfg.n, format="csc") - cfg.rho_true * W.matrix
+    """The SuperLU factor (scipy.sparse.linalg.splu) of the CSC operator
+    I - rho_true * W.  splu and spsolve factor with the same default options,
+    so its solve gives spsolve's solution bit for bit.  A SuperLU object
+    cannot be pickled: each process builds its own."""
+    return scipy.sparse.linalg.splu(scipy.sparse.eye_array(cfg.n, format="csc")
+                                   - cfg.rho_true * W.matrix)
 
 
-def _draw(cfg: SimConfig, rep: int, W: SpatialWeights, A) -> Dataset:
-    """generate_dataset's body, with A = _spatial_filter(cfg, W) given."""
+def _draw(cfg: SimConfig, rep: int, W: SpatialWeights, lu) -> Dataset:
+    """generate_dataset's body, with lu = _spatial_filter(cfg, W) given."""
     rng = np.random.default_rng([cfg.seed, rep])
     X = rng.standard_normal((cfg.n, cfg.p))
     eps = np.sqrt(cfg.sigma2_true) * rng.standard_normal(cfg.n)
     rhs = X @ np.asarray(cfg.beta_true) + eps
-    return Dataset(Y=scipy.sparse.linalg.spsolve(A, rhs), X=X, W=W)
+    return Dataset(Y=lu.solve(rhs), X=X, W=W)
 
 
-def _replicate(cfg: SimConfig, W: SpatialWeights, A, reps: range) -> list:
-    """Draw replications reps and rank every criterion on them, in batches of
-    at most _CHUNK // (2^p max(n, (p + 2)^2)) replications, one _sweep each:
+def _replicate(cfg: SimConfig, W: SpatialWeights, reps: range) -> list:
+    """Draw replications reps and rank every criterion on them.  I - rho W is
+    factored once, here, in the process that uses the factor (it cannot be
+    pickled), and each draw is one solve with it.  The replications go in
+    batches of at most _CHUNK // (2^p max(n, (p + 2)^2)), one _sweep each:
     a replication adds 2^p n elements to the rho search's log-det terms and
     about 2^p (p + 2)^2 to the stacked scores, so that a batch's largest
     temporaries stay within slm._CHUNK elements and its working set small.
@@ -181,9 +189,9 @@ def _replicate(cfg: SimConfig, W: SpatialWeights, A, reps: range) -> list:
     submodels = enumerate_submodels(cfg.p)
     size = max(1, slm._CHUNK // (len(submodels) * max(cfg.n, (cfg.p + 2) ** 2)))
     truth = (cfg.rho_true, cfg.sigma2_true, cfg.beta_true) if cfg.track_realized_error else None
-    results = []
+    lu, results = _spatial_filter(cfg, W), []
     for start in range(reps.start, reps.stop, size):
-        batch = [_draw(cfg, rep, W, A) for rep in range(start, min(start + size, reps.stop))]
+        batch = [_draw(cfg, rep, W, lu) for rep in range(start, min(start + size, reps.stop))]
         tables, realized, errors = _sweep(batch, cfg.criteria, submodels, truth)
         for r, error in enumerate(errors):
             if error is not None:
@@ -214,16 +222,17 @@ def monte_carlo(cfg: SimConfig, jobs: int = 1) -> RunReport:
     """Run the full experiment; a NumericalError in a replication is recorded and
     skipped, more than 10% of them raise ReplicationFailureError, an InputError stops it.
 
-    The weights and I - rho W are built once and carried, with the config, in
-    the one batch function (_replicate) mapped over contiguous chunks of
-    range(reps): the whole range in this process with jobs = 1, else one
-    chunk per worker of a pool of min(jobs, reps) processes, each taking one
-    pickled copy of W with its spectrum.  jobs < 1 is a ConfigError.
+    The weights are built once and carried, with the config, in the one
+    batch function (_replicate) mapped over contiguous chunks of range(reps):
+    the whole range in this process with jobs = 1, else one chunk per worker
+    of a pool of min(jobs, reps) processes, each taking one pickled copy of W
+    with its spectrum.  Each call of the batch function, one per worker,
+    factors I - rho W once for all its draws.  jobs < 1 is a ConfigError.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     W = build_weights(cfg)
-    replicate = functools.partial(_replicate, cfg, W, _spatial_filter(cfg, W))
+    replicate = functools.partial(_replicate, cfg, W)
     workers = min(jobs, cfg.reps)  # no idle worker processes
     if workers == 1:
         results = replicate(range(cfg.reps))

@@ -338,7 +338,10 @@ def _rho_hat(W: SpatialWeights, n: int, gram: np.ndarray):
     does not fall from positive to negative over it, the upper end if the score
     is not negative there, else the lower end, after no step.  Safeguarded
     Newton keeps such a bracket and bisects it when the curvature is not
-    negative or a step leaves it.
+    negative or a step leaves it.  Each step takes the first and second
+    log-det derivatives of every active fit from one pass over the spectrum,
+    which builds g_i = w_i / (1 - rho*w_i) once; each bracket end, one rho
+    for every fit, takes one scalar pass, O(n), broadcast over the fits.
 
     q is smallest at b/c, so a variance below the floor there (clipped to the
     bracket) is below it somewhere in the bracket: such a fit is degenerate and
@@ -355,12 +358,12 @@ def _rho_hat(W: SpatialWeights, n: int, gram: np.ndarray):
     stage = (s2 < _SIGMA2_FLOOR).astype(np.int8)
     ok = np.flatnonzero(stage == 0)
 
-    def score(rho, i):
+    def score(rho, i):  # the score of the fits i at rho and its slope: one spectrum pass
         q, dq = a[i] - 2.0 * b[i] * rho + c[i] * rho * rho, 2.0 * (c[i] * rho - b[i])
-        return (W.log_det_rho_derivative(rho) - 0.5 * n * dq / q,
-                W.log_det_rho_derivative(rho, 2) - 0.5 * n * (2.0 * c[i] * q - dq * dq) / (q * q))
+        d1, d2 = W.log_det_rho_derivative(rho, (1, 2))
+        return d1 - 0.5 * n * dq / q, d2 - 0.5 * n * (2.0 * c[i] * q - dq * dq) / (q * q)
 
-    s_lo, s_hi = (score(np.full(ok.size, r), ok)[0] for r in (lo, hi))
+    s_lo, s_hi = (score(r, ok)[0] for r in (lo, hi))
     rho, steps = np.full(len(a), np.nan), np.zeros(len(a), dtype=int)
     rho[ok] = np.where(s_hi >= 0, hi, lo)
     active = ok[(s_lo > 0) & (s_hi < 0)]

@@ -265,12 +265,23 @@ class SpatialWeights:
             return float(np.sum(np.log(np.abs(U.diagonal()))))
         raise ValueError(f"unknown backend {backend!r}")
 
-    def log_det_rho_derivative(self, rho, order: int = 1):
+    def log_det_rho_derivative(self, rho, order: int | tuple[int, ...] = 1):
         """-sum_i g_i^order, g_i = w_i / (1 - rho*w_i), per entry of an array rho: the first and
-        second rho-derivative of log|I - rho*W| for order 1 and 2, half the third for order 3."""
+        second rho-derivative of log|I - rho*W| for order 1 and 2, half the third for order 3.
+
+        Given a tuple of orders (each at least 1), one such sum per order, all
+        from one pass that builds g once; g^2 is g*g and a higher power
+        np.power(g, k), the values g **= k gives, so each sum is the one its
+        order alone returns, bit for bit."""
+        if not isinstance(order, tuple):
+            return self.log_det_rho_derivative(rho, (order,))[0]
         self.require_rho(rho)
         g = np.multiply.outer(rho, self.spectrum)  # one temporary, updated in place
         np.subtract(1.0, g, out=g)
         np.divide(self.spectrum, g, out=g)
-        g **= order
-        return -np.sum(g, axis=-1) if np.ndim(rho) else float(-np.sum(g))
+        sums = {k: np.sum(np.power(g, k), axis=-1) for k in set(order) - {1, 2}}
+        if 1 in order:
+            sums[1] = np.sum(g, axis=-1)
+        if 2 in order:  # the last read of g: squared in place
+            sums[2] = np.sum(np.multiply(g, g, out=g), axis=-1)
+        return tuple(-sums[k] if np.ndim(rho) else float(-sums[k]) for k in order)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,12 +256,12 @@ class TestLoadDataset:
     def test_byte_order_mark(self, small_files, tmp_path):
         data_path, weights_path = small_files
         bom = tmp_path / "bom.csv"
-        bom.write_bytes(b"\xef\xbb\xbf" + open(data_path, "rb").read())
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(data_path).read_bytes())
         assert load_dataset(str(bom), weights_path, response="y").names == ("a", "b")
 
     def test_blank_lines_skipped(self, small_files, tmp_path):
         data_path, weights_path = small_files
-        lines = open(data_path, encoding="utf-8").read().splitlines()
+        lines = Path(data_path).read_text(encoding="utf-8").splitlines()
         spaced = write_csv(tmp_path / "spaced.csv", "\n".join(lines[:3] + ["", " , ,"] + lines[3:]))
         data = load_dataset(spaced, weights_path, response="y")
         expected = load_dataset(data_path, weights_path, response="y")
@@ -474,7 +475,7 @@ class TestCli:
     def test_csv_report_quotes_names_with_commas_and_quotes(self, small_files, tmp_path, capsys):
         """Covariate names that a quoted CSV header allows come back whole."""
         data_path, weights_path = small_files
-        text = open(data_path, encoding="utf-8").read().replace("y,a,b", 'y,"a,b","q""x"', 1)
+        text = Path(data_path).read_text(encoding="utf-8").replace("y,a,b", 'y,"a,b","q""x"', 1)
         data_path = write_csv(tmp_path / "quoted.csv", text)
         rc = main(["safic", "--data", data_path, "--weights", weights_path, "--response", "y",
                    "--row-normalize", "--format", "csv"])
@@ -638,7 +639,7 @@ class TestCli:
 
     def test_nan_response_is_input_error(self, small_files, tmp_path, capsys):
         data_path, weights_path = small_files
-        lines = open(data_path, encoding="utf-8").read().splitlines()
+        lines = Path(data_path).read_text(encoding="utf-8").splitlines()
         lines[3] = "nan," + lines[3].split(",", 1)[1]
         bad = write_csv(tmp_path / "nan.csv", "\n".join(lines) + "\n")
         rc = main(["fit", "--data", bad, "--weights", weights_path, "--response", "y"])
@@ -718,7 +719,7 @@ class TestCli:
 
     def test_kernel_safic_without_covariates_is_input_error(self, small_files, tmp_path, capsys):
         data_path, weights_path = small_files
-        lines = open(data_path, encoding="utf-8").read().splitlines()
+        lines = Path(data_path).read_text(encoding="utf-8").splitlines()
         y_only = write_csv(tmp_path / "y.csv", "".join(ln.split(",")[0] + "\n" for ln in lines))
         rc = main(["safic", "--data", y_only, "--weights", weights_path, "--response", "y",
                    "--scheme", "kernel"])

@@ -540,8 +540,8 @@ class TestReplication:
         drawn, filters = {}, []
         draw, spatial_filter = simulate._draw, simulate._spatial_filter
 
-        def recording_draw(cfg, rep, W, A):
-            drawn[rep] = data = draw(cfg, rep, W, A)
+        def recording_draw(cfg, rep, W, lu):
+            drawn[rep] = data = draw(cfg, rep, W, lu)
             return data
 
         def recording_filter(cfg, W):
@@ -552,7 +552,7 @@ class TestReplication:
         monkeypatch.setattr(simulate, "_spatial_filter", recording_filter)
         cfg = small_config(reps=4)
         assert monte_carlo(cfg).failures == []
-        assert len(filters) == 1  # one I - rho W per study
+        assert len(filters) == 1  # one factor of I - rho W per study
         assert sorted(drawn) == list(range(4))
         for rep, data in drawn.items():
             alone = generate_dataset(cfg, rep)
@@ -569,8 +569,8 @@ class TestReplication:
         # the patch reaches the workers because they are forked from this process
         draw = simulate._draw
 
-        def degenerate_rep_5(cfg, rep, W, A):
-            data = draw(cfg, rep, W, A)
+        def degenerate_rep_5(cfg, rep, W, lu):
+            data = draw(cfg, rep, W, lu)
             return Dataset(Y=2.0 * data.X[:, 1], X=data.X, W=W) if rep == 5 else data
 
         monkeypatch.setattr(simulate, "_draw", degenerate_rep_5)
@@ -595,8 +595,8 @@ class TestReplication:
         clean = monte_carlo(cfg)
         draw = simulate._draw
 
-        def failing_rep_5(cfg, rep, W, A):
-            data = draw(cfg, rep, W, A)
+        def failing_rep_5(cfg, rep, W, lu):
+            data = draw(cfg, rep, W, lu)
             if rep != 5:
                 return data
             if kind == "convergence":  # rho-hat near 1: a longer rho search
@@ -604,8 +604,8 @@ class TestReplication:
             return Dataset(Y=data.Y, X=data.X * [1.0, 1.0, 1e-7], W=W)  # cond(I) ~ 1e14
 
         W = build_weights(cfg)
-        A = simulate._spatial_filter(cfg, W)
-        batch = [failing_rep_5(cfg, rep, W, A) for rep in range(cfg.reps)]
+        lu = simulate._spatial_filter(cfg, W)
+        batch = [failing_rep_5(cfg, rep, W, lu) for rep in range(cfg.reps)]
         if kind == "convergence":
             steps = slm.fit_mle(batch, enumerate_submodels(cfg.p)).steps.max(axis=1)
             enough = int(np.delete(steps, 5).max())
@@ -632,8 +632,8 @@ class TestReplication:
         cfg = small_config(reps=10, seed=1)
         draw = simulate._draw
 
-        def failing_rep_5(cfg, rep, W, A):
-            data = draw(cfg, rep, W, A)
+        def failing_rep_5(cfg, rep, W, lu):
+            data = draw(cfg, rep, W, lu)
             if rep != 5:
                 return data
             A_99 = scipy.sparse.eye_array(cfg.n, format="csc") - 0.99 * W.matrix
@@ -641,8 +641,8 @@ class TestReplication:
                            X=data.X, W=W)
 
         W = build_weights(cfg)
-        A = simulate._spatial_filter(cfg, W)
-        batch = [failing_rep_5(cfg, rep, W, A) for rep in range(cfg.reps)]
+        lu = simulate._spatial_filter(cfg, W)
+        batch = [failing_rep_5(cfg, rep, W, lu) for rep in range(cfg.reps)]
         submodels = enumerate_submodels(cfg.p)
         steps = slm.fit_mle(batch, submodels).steps
         enough = int(np.delete(steps, 5, axis=0).max())
@@ -674,11 +674,12 @@ class TestReplication:
                                      CriterionSpec("safic", "U"), CriterionSpec("aic", "A")))
         draw = simulate._draw
 
-        def quiet_rep_5(cfg, rep, W, A):
-            data = draw(cfg, rep, W, A)
+        def quiet_rep_5(cfg, rep, W, lu):
+            data = draw(cfg, rep, W, lu)
             if rep != 5:
                 return data
             mean = data.X @ cfg.beta_true
+            A = scipy.sparse.eye_array(cfg.n, format="csc") - cfg.rho_true * W.matrix
             return Dataset(Y=scipy.sparse.linalg.spsolve(A, mean + 0.1 * (A @ data.Y - mean)),
                            X=data.X, W=W)
 
@@ -794,14 +795,13 @@ def test_batch_size_leaves_the_study_bit_identical(criteria, track):
     cfg = SimConfig(reps=100, criteria=criteria, track_realized_error=track)
     truth = (cfg.rho_true, cfg.sigma2_true, cfg.beta_true) if track else None
     W = build_weights(cfg)
-    A = simulate._spatial_filter(cfg, W)
     submodels = enumerate_submodels(cfg.p)
     alone = [simulate._sweep([generate_dataset(cfg, rep)], criteria, submodels, truth)
              for rep in range(cfg.reps)]
     reports = set()
     for size in (1, 7, 100):
         chunks = [range(i, min(i + size, cfg.reps)) for i in range(0, cfg.reps, size)]
-        results = [out for reps in chunks for out in simulate._replicate(cfg, W, A, reps)]
+        results = [out for reps in chunks for out in simulate._replicate(cfg, W, reps)]
         reports.add(run_report_to_json(simulate._report(cfg, results)))
         for reps in chunks:
             batch = [generate_dataset(cfg, rep, W) for rep in reps]
@@ -887,3 +887,61 @@ def test_the_default_study_report_is_pinned(seed, digest):
     change to the draws, the fits, the scores or the ranking shows here."""
     text = run_report_to_json(monte_carlo(SimConfig(seed=seed)))
     assert hashlib.sha256(text.encode()).hexdigest().startswith(digest)
+
+
+LATTICE_STUDIES = [(False, 0.2, "d061f709183009fa"), (True, 0.5, "ed10aff04c7e7b38")]
+
+
+def lattice_config(monkeypatch, tmp_path, row_normalize, rho_true):
+    """A 20-replication study on an 8 x 8 rook lattice read from an i,j,w edge
+    list, written under a fixed relative name so that the report, which
+    carries the path, has the same bytes in every run."""
+    side = 8
+    idx = np.arange(side * side).reshape(side, side)
+    pairs = [(a, b) for x, y in ((idx[:, :-1], idx[:, 1:]), (idx[:-1, :], idx[1:, :]))
+             for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rook.csv").write_text(
+        "i,j,w\n" + "".join(f"{i},{j},1\n{j},{i},1\n" for i, j in pairs), encoding="utf-8")
+    return SimConfig(n=side * side, p=3, rho_true=rho_true, beta_true=(0.0, 0.5, 0.5), reps=20,
+                     seed=3, weights_kind="rook.csv", row_normalize=row_normalize)
+
+
+@pytest.mark.parametrize("row_normalize, rho_true, digest", LATTICE_STUDIES,
+                         ids=["binary", "row-normalized"])
+class TestLatticeStudy:
+    """The draws of a study solve with one LU factor of I - rho W per batch
+    call; on a lattice, whose factor has fill-in, they are spsolve's bits."""
+
+    def test_the_draws_are_spsolves_bit_for_bit(self, monkeypatch, tmp_path, row_normalize,
+                                                rho_true, digest):
+        cfg = lattice_config(monkeypatch, tmp_path, row_normalize, rho_true)
+        drawn, draw = {}, simulate._draw
+
+        def recording_draw(cfg, rep, W, lu):
+            drawn[rep] = data = draw(cfg, rep, W, lu)
+            return data
+
+        monkeypatch.setattr(simulate, "_draw", recording_draw)
+        assert monte_carlo(cfg).failures == []
+        assert sorted(drawn) == list(range(cfg.reps))
+        W = build_weights(cfg)
+        A = scipy.sparse.eye_array(cfg.n, format="csc") - cfg.rho_true * W.matrix
+        for rep, data in drawn.items():
+            rng = np.random.default_rng([cfg.seed, rep])
+            X = rng.standard_normal((cfg.n, cfg.p))
+            eps = np.sqrt(cfg.sigma2_true) * rng.standard_normal(cfg.n)
+            rhs = X @ np.asarray(cfg.beta_true) + eps
+            assert data.X.tobytes() == X.tobytes()
+            assert data.Y.tobytes() == scipy.sparse.linalg.spsolve(A, rhs).tobytes()
+
+    def test_two_workers_give_the_serial_bytes(self, monkeypatch, tmp_path, row_normalize,
+                                               rho_true, digest):
+        """Each worker factors I - rho W itself: a factor cannot be pickled."""
+        cfg = lattice_config(monkeypatch, tmp_path, row_normalize, rho_true)
+        assert run_report_to_json(monte_carlo(cfg, jobs=2)) == run_report_to_json(monte_carlo(cfg))
+
+    def test_the_report_is_pinned(self, monkeypatch, tmp_path, row_normalize, rho_true, digest):
+        cfg = lattice_config(monkeypatch, tmp_path, row_normalize, rho_true)
+        text = run_report_to_json(monte_carlo(cfg))
+        assert hashlib.sha256(text.encode()).hexdigest().startswith(digest)

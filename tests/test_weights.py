@@ -164,6 +164,42 @@ class TestLogDet:
         assert W.log_det_rho_derivative(rho) == pytest.approx(fd, abs=1e-6)
 
 
+def _per_order_sum(W, rho, k):
+    """-sum_i g_i^k over the spectrum of W, one pass per order, g **= k in place."""
+    g = np.multiply.outer(rho, W.spectrum)
+    np.subtract(1.0, g, out=g)
+    np.divide(W.spectrum, g, out=g)
+    g **= k
+    return -np.sum(g, axis=-1)
+
+
+@pytest.mark.parametrize("graph", ["chain75", "lattice55"])
+def test_one_pass_derivative_sums_equal_the_per_order_sums(graph):
+    """The derivative sums of several orders from one pass over the spectrum
+    are the per-order sums bit for bit, for a scalar rho and an (m,) array;
+    and one scalar rho gives the bits of each entry of an array of it, as a
+    bracket end of the rho search takes one sum for every fit."""
+    if graph == "chain75":
+        W = SpatialWeights.from_adjacency(build_chain_lag1(75), row_normalize=True)
+    else:  # the 55 x 55 rook lattice: paths along the rows plus paths along the columns
+        path, eye = build_chain_lag1(55), scipy.sparse.eye_array(55)
+        W = SpatialWeights.from_adjacency(scipy.sparse.kron(eye, path) + scipy.sparse.kron(path, eye))
+    lo, hi = W.rho_interval
+    rhos = lo + (hi - lo) * np.array([1e-6, 0.1, 0.37, 0.5, 0.8, 1.0 - 1e-6])
+    for rho in (rhos, *rhos):
+        together = W.log_det_rho_derivative(rho, (1, 2, 3))
+        assert len(together) == 3
+        for k, value in zip((1, 2, 3), together):
+            reference = _per_order_sum(W, rho, k)
+            assert np.asarray(value).tobytes() == reference.tobytes()
+            assert np.asarray(W.log_det_rho_derivative(rho, k)).tobytes() == reference.tobytes()
+        assert type(together[0]) is (float if np.ndim(rho) == 0 else np.ndarray)
+    for rho in rhos:
+        each = W.log_det_rho_derivative(np.full(7, rho), (1, 2))
+        for scalar, row in zip(W.log_det_rho_derivative(rho, (1, 2)), each):
+            assert row.tobytes() == np.full(7, scalar).tobytes()
+
+
 def _rook_lattice(side):
     """Binary rook-contiguity adjacency of a side x side grid, row-major units."""
     n = side * side
@@ -391,14 +427,22 @@ def test_workers_receive_weights_with_their_spectrum(monkeypatch):
     serial = run_report_to_json(monte_carlo(cfg, jobs=1))
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", _PicklingExecutor)
     monkeypatch.setattr(_PicklingExecutor, "received", [])
+    factors, spatial_filter = [], simulate._spatial_filter
+
+    def counting_filter(cfg, W):
+        factors.append(W)
+        return spatial_filter(cfg, W)
+
+    monkeypatch.setattr(simulate, "_spatial_filter", counting_filter)
     with _counting_solvers() as calls:
         assert run_report_to_json(monte_carlo(cfg, jobs=2)) == serial
     assert sum(calls.values()) == 1  # read once, by build_weights, before the weights are sent
     workers, *chunks = _PicklingExecutor.received
     assert workers == 2 and len(chunks) == 2  # one contiguous chunk per worker
     for replicate in chunks:
-        _cfg, W, _A = replicate.args
+        _cfg, W = replicate.args  # no factor of I - rho W: each worker builds its own
         assert "spectrum" in vars(W)
+    assert [id(W) for W in factors] == [id(replicate.args[1]) for replicate in chunks]
 
 
 @pytest.mark.parametrize("jobs, workers", [(4, 4), (5, 4), (64, 4)])
