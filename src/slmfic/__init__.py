@@ -2,30 +2,20 @@
 
 Fits Y = rho*W*Y + X*beta + eps by maximum likelihood and ranks all candidate
 covariate subsets by the focused information criterion (FIC) or its spatially
-averaged form (sAFIC).
+averaged form (sAFIC).  The one-fit oracles the batch engine is checked
+against (slm.full_loglik, slm.observed_info, focus.jacobian_fd,
+safic.pointwise_risk, ...) live at their module paths and are not exported here.
 """
 
 from .diagnostics import MoranResult, aic, morans_i
-from .fic import (
-    FicRow,
-    delta_hat,
-    fic_score,
-    fic_terms,
-    m_matrix,
-    submodel_info,
-)
-from .focus import FocusEval, FocusSpec, eval_focus, jacobian_fd, wide_beta_jacobian
+from .fic import FicRow, fic_score, fic_terms
+from .focus import FocusSpec
 from .safic import (
     PsiWeights,
-    RhoBetaBlocks,
-    g_matrix,
     k_empirical,
     median_bandwidth,
-    omega_i,
-    pointwise_risk,
     psi_kernel,
     psi_uniform,
-    rho_beta_blocks,
     safic_score,
     safic_terms,
 )
@@ -40,19 +30,7 @@ from .simulate import (
     monte_carlo,
     safic_table,
 )
-from .slm import (
-    Dataset,
-    FisherInfo,
-    FitResult,
-    Theta,
-    concentrated_loglik,
-    fit_mle,
-    full_loglik,
-    observed_info,
-    profile_beta,
-    profile_sigma2,
-    score_vector,
-)
+from .slm import Dataset, FisherInfo, FitResult, Theta, fit_mle
 from .submodels import SubmodelId, enumerate_submodels
 from .weights import SpatialWeights, build_chain_lag1
 

@@ -32,12 +32,6 @@ class FicRow:
     scheme: str | None = None
 
 
-def submodel_info(info_full: FisherInfo, S: SubmodelId) -> FisherInfo:
-    """Keep the (rho, sigma^2) rows/columns and the beta entries selected by S."""
-    idx = [0, 1] + [2 + j for j in S.indices()]
-    return FisherInfo(matrix=info_full.matrix[np.ix_(idx, idx)], n_obs=info_full.n_obs)
-
-
 def m_matrix(info_full: FisherInfo, S: SubmodelId) -> np.ndarray:
     """Mean-shift matrix m_S = I_S^{-1} B_S of the submodel MLE under local
     misspecification, B_S the information rows of (rho, sigma^2, beta_S)

@@ -193,14 +193,6 @@ def g_matrix(blocks: RhoBetaBlocks, S: SubmodelId) -> np.ndarray:
     return G
 
 
-def omega_i(i: int, data: Dataset, blocks: RhoBetaBlocks) -> np.ndarray:
-    """Sensitivity vector of unit i: I_br * I_rr^{-1} * (WY)_i - x_i."""
-    if not 0 <= i < data.n:
-        raise ValueError(f"unit index {i} out of range for n={data.n}")
-    wy_i = float(data.WY[i])
-    return (blocks.I_br[:, 0] / blocks.I_rr) * wy_i - data.X[i]
-
-
 def k_empirical(I_rr: np.ndarray, I_br: np.ndarray, WY: np.ndarray, X: np.ndarray,
                 psi: np.ndarray) -> np.ndarray:
     """Second-moment matrices K = sum_i psi_i omega_i omega_i' of the omega
@@ -220,15 +212,18 @@ def pointwise_risk(
     data: Dataset,
 ) -> float:
     """AMSE of the estimated linear predictor at unit i under submodel S; Q is
-    the symmetrized inverse of blocks.Q_inv."""
+    the symmetrized inverse of blocks.Q_inv and w = omega_i =
+    I_br * I_rr^{-1} * (WY)_i - x_i the sensitivity vector of unit i."""
+    if not 0 <= i < data.n:
+        raise ValueError(f"unit index {i} out of range for n={data.n}")
     Q = np.linalg.inv(blocks.Q_inv)
     Q = 0.5 * (Q + Q.T)
-    w = omega_i(i, data, blocks)
+    wy_i = float(data.WY[i])
+    w = (blocks.I_br[:, 0] / blocks.I_rr) * wy_i - data.X[i]
     G = g_matrix(blocks, S)
     p = blocks.p
     resid_dir = (np.eye(p) - G).T @ w
     bias = float(resid_dir @ delta) ** 2
-    wy_i = float(data.WY[i])
     rho_term = wy_i * wy_i / blocks.I_rr
     Gw = G.T @ w
     penalty = float(Gw @ Q @ Gw)

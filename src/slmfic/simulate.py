@@ -43,6 +43,8 @@ from .slm import Dataset, _certificates, fit_mle
 from .submodels import enumerate_submodels
 from .weights import SpatialWeights, build_chain_lag1
 
+_TOP_MODELS = 5  # winners per criterion that RunReport.top_models lists
+
 
 @dataclass(frozen=True)
 class CriterionSpec:
@@ -213,9 +215,11 @@ class RunReport:
     per_rep_rankings: list[dict[str, list[int]]]    # in replication order
     realized_mse: dict[int, float] | None = None    # mask -> mean squared error
 
-    def top_models(self, criterion: str, k: int = 5) -> list[tuple[int, int]]:
+    def top_models(self, criterion: str) -> list[tuple[int, int]]:
+        """The criterion's _TOP_MODELS most frequent winners as (mask, count),
+        most frequent first, ties by the smaller mask."""
         counts = self.top1_counts[criterion]
-        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:_TOP_MODELS]
 
 
 def monte_carlo(cfg: SimConfig, jobs: int = 1) -> RunReport:

@@ -9,10 +9,10 @@ same-size subsets for the profile regressions, and one vectorised Newton
 search that finds rho, the root of the profile score, for every (dataset,
 subset) pair.  A fit that fails marks its dataset with an error and leaves
 the others alone.  fit_mle on one dataset and one subset is its batch of
-one.  The score and the observed information, ordered (rho, sigma^2, beta),
-are closed forms (Anselin 1988, *Spatial Econometrics*; Lee 2004,
-*Econometrica* 72(6)) built from WY, X_S, the residual and the spectrum of W,
-which the weights compute on its first read and keep.
+one.  The profile score of rho and the observed information, ordered
+(rho, sigma^2, beta), are closed forms (Anselin 1988, *Spatial Econometrics*;
+Lee 2004, *Econometrica* 72(6)) built from WY, X_S, the residual and the
+spectrum of W, which the weights compute on its first read and keep.
 """
 
 from __future__ import annotations
@@ -239,10 +239,6 @@ class Fits:
                          int(self.steps[r, i]))
 
 
-def _design(data: Dataset, S: SubmodelId) -> np.ndarray:
-    return data.X[:, S.indices()]
-
-
 def profile_beta(rho: float, data: Dataset, S: SubmodelId) -> np.ndarray:
     """Profiled MLE of beta_S at a given rho: regress (I - rho*W)Y on X_S.
 
@@ -254,25 +250,11 @@ def profile_beta(rho: float, data: Dataset, S: SubmodelId) -> np.ndarray:
     return coef[:, 0] - rho * coef[:, 1]
 
 
-def profile_sigma2(rho: float, data: Dataset, S: SubmodelId) -> float:
-    """Profiled MLE of sigma^2 (divisor n) at a given rho."""
-    data.W.require_rho(rho)
-    s2 = _sigma2(_regressions(_project([data]), [S])[0][0], rho, data.n)
-    if s2[0] < _SIGMA2_FLOOR:
-        raise _fit_error(1, s2[0], S)
-    return float(s2[0])
-
-
-def concentrated_loglik(rho: float, data: Dataset, S: SubmodelId) -> float:
-    """Profile log-likelihood of rho with beta and sigma^2 concentrated out."""
-    return float(_loglik(data.W, data.n, profile_sigma2(rho, data, S), rho))
-
-
 def full_loglik(theta: Theta, data: Dataset, S: SubmodelId) -> float:
     """Gaussian log-likelihood of the spatial lag model at an arbitrary theta (fit_mle's oracle)."""
     n = data.n
     z = data.Y - theta.rho * data.WY
-    Xs = _design(data, S)
+    Xs = data.X[:, S.indices()]
     resid = z - Xs @ theta.beta if Xs.shape[1] else z
     return (
         -(n / 2.0) * math.log(2.0 * math.pi * theta.sigma2)
@@ -509,11 +491,3 @@ def observed_info(theta_hat: Theta, data: Dataset, S: SubmodelId) -> FisherInfo:
     _certify(I_hat, f"information of {S.label()}")
     return FisherInfo(matrix=I_hat, n_obs=data.n)
 
-
-def score_vector(theta: Theta, data: Dataset, S: SubmodelId) -> np.ndarray:
-    """Gradient of the full log-likelihood over (rho, sigma^2, beta_S) in closed
-    form, e the residual: (WY'e / s2 - sum g_i, (e'e / s2 - n) / (2 s2), X_S'e / s2)."""
-    Xs, s2 = _design(data, S), theta.sigma2
-    e = data.Y - theta.rho * data.WY - Xs @ theta.beta
-    return np.concatenate(([(data.WY @ e) / s2 + data.W.log_det_rho_derivative(theta.rho),
-                            ((e @ e) / s2 - data.n) / (2.0 * s2)], (Xs.T @ e) / s2))

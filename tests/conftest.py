@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from slmfic import Dataset, SpatialWeights, Theta, build_chain_lag1, full_loglik
+from slmfic import Dataset, SpatialWeights, Theta, build_chain_lag1
+from slmfic.focus import jacobian_fd
+from slmfic.slm import full_loglik
 
 
 def random_symmetric_adjacency(rng, n, density=0.4):
@@ -85,6 +87,16 @@ def fd_information(theta, data, S):
                 f(v + ei + ej) - f(v + ei - ej) - f(v - ei + ej) + f(v - ei - ej)
             ) / (4.0 * h[i] * h[j])
     return -H / data.n
+
+
+def score_fd(theta, data, S):
+    """The score of full_loglik over (rho, sigma2, beta_S) at theta: the
+    central differences of jacobian_fd, the rho stencil kept inside the
+    admissible interval."""
+    lo, hi = data.W.rho_interval
+    k = len(S) + 1
+    return jacobian_fd(lambda th: full_loglik(th, data, S), theta,
+                       lower=[lo] + [-np.inf] * k, upper=[hi] + [np.inf] * k)[0]
 
 
 def brent_profile_fit(Xs, Y, WY, w, lo, hi):

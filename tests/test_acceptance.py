@@ -17,23 +17,18 @@ from slmfic import (
     SubmodelId,
     build_chain_lag1,
     enumerate_submodels,
-    eval_focus,
     fic_table,
     fic_terms,
     fit_mle,
-    g_matrix,
     generate_dataset,
-    jacobian_fd,
-    m_matrix,
     monte_carlo,
-    omega_i,
-    pointwise_risk,
     psi_uniform,
-    rho_beta_blocks,
     safic_terms,
-    score_vector,
 )
+from slmfic.fic import m_matrix
+from slmfic.focus import eval_focus, jacobian_fd
 from slmfic.io import run_report_to_json
+from slmfic.safic import g_matrix, pointwise_risk, rho_beta_blocks
 
 from conftest import (
     k_one,
@@ -41,6 +36,7 @@ from conftest import (
     random_dataset,
     random_info,
     random_symmetric_adjacency,
+    score_fd,
 )
 
 
@@ -204,16 +200,14 @@ class TestCriterion4:
         blocks = rho_beta_blocks(random_info(rng, 4))
         K = k_one(blocks, data, psi)
 
-        # (b) K equals the weighted outer-product sum
-        direct = sum(
-            psi.psi[i] * np.outer(omega_i(i, data, blocks), omega_i(i, data, blocks))
-            for i in range(25)
-        )
+        # (b) K equals the weighted outer-product sum of omega_i = I_br I_rr^{-1} (WY)_i - x_i
+        WY = data.W.matrix @ data.Y
+        omega = [blocks.I_br[:, 0] / blocks.I_rr * WY[i] - data.X[i] for i in range(25)]
+        direct = sum(psi.psi[i] * np.outer(omega[i], omega[i]) for i in range(25))
         k_gap = float(np.max(np.abs(K - direct)))
 
         # (c) averaged pointwise risk equals score plus the shared rho term
         delta = rng.standard_normal(4)
-        WY = data.W.matrix @ data.Y
         shared = float(psi.psi @ (WY * WY)) / blocks.I_rr
         risk_gap = 0.0
         idem_gap = 0.0
@@ -315,7 +309,7 @@ class TestCriterion6:
             data = random_dataset(rng, n=50, p=3)
             for S in (SubmodelId.wide(3), SubmodelId.narrow(3), SubmodelId(0b101, 3)):
                 fit = fit_mle(data, S, with_info=False)
-                g = score_vector(fit.theta_hat, data, S)
+                g = score_fd(fit.theta_hat, data, S)
                 worst_score = max(
                     worst_score, float(np.max(np.abs(g))) / (1 + abs(fit.loglik))
                 )

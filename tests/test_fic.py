@@ -5,18 +5,15 @@ from slmfic import (
     FocusSpec,
     SubmodelId,
     Theta,
-    delta_hat,
     enumerate_submodels,
-    eval_focus,
     fic_score,
     fic_table,
     fic_terms,
     fit_mle,
-    m_matrix,
-    submodel_info,
-    wide_beta_jacobian,
 )
 from slmfic.errors import SweepTooLargeError
+from slmfic.fic import delta_hat, m_matrix
+from slmfic.focus import eval_focus, wide_beta_jacobian
 from slmfic.simulate import _rank_order
 
 from conftest import fit_each, random_dataset, random_info
@@ -44,24 +41,6 @@ class TestSubmodels:
         S = SubmodelId.from_indices([1, 3], 5)
         assert S.indices() == (1, 3)
         assert len(S) == 2
-
-
-class TestSubmodelInfo:
-    def test_wide_is_identity_selection(self, rng):
-        info = random_info(rng, 3)
-        assert np.array_equal(submodel_info(info, SubmodelId.wide(3)).matrix, info.matrix)
-
-    def test_narrow_keeps_rho_sigma(self, rng):
-        info = random_info(rng, 3)
-        M = submodel_info(info, SubmodelId.narrow(3)).matrix
-        assert M.shape == (2, 2)
-        assert np.array_equal(M, info.matrix[:2, :2])
-
-    def test_index_selection_oracle(self, rng):
-        info = random_info(rng, 4)
-        S = SubmodelId.from_indices([1, 3], 4)
-        expected = info.matrix[np.ix_([0, 1, 3, 5], [0, 1, 3, 5])]
-        assert np.array_equal(submodel_info(info, S).matrix, expected)
 
 
 class TestMeanShift:
@@ -168,7 +147,8 @@ class TestComponents:
             J_S = rng.standard_normal((2, len(S) + 2))
             bias2, variance = _terms(J_S, J_w, info, S, D_n)
             bD = (J_S @ m_matrix(info, S) - J_w) @ D_n
-            I_S = submodel_info(info, S).matrix
+            idx = [0, 1, *(2 + j for j in S.indices())]
+            I_S = info.matrix[np.ix_(idx, idx)]
             assert bias2 == pytest.approx(float(bD @ bD), rel=1e-10)
             assert variance == pytest.approx(
                 float(np.trace(J_S @ np.linalg.inv(I_S) @ J_S.T)), rel=1e-10
@@ -308,8 +288,9 @@ class TestStackedTerms:
                 assert np.array_equal(_one(subsets, J_wide[None, None], J_w, info, D_n),
                                       (bias2, variance))
             bD = [(J_S @ m_matrix(info, S) - J_w) @ D_n for S, J_S in zip(subsets, Js)]
-            variance_oracle = [np.trace(J_S @ np.linalg.inv(submodel_info(info, S).matrix) @ J_S.T)
-                               for S, J_S in zip(subsets, Js)]
+            blocks = [[0, 1, *(2 + j for j in S.indices())] for S in subsets]
+            variance_oracle = [np.trace(J_S @ np.linalg.inv(info.matrix[np.ix_(i, i)]) @ J_S.T)
+                               for i, J_S in zip(blocks, Js)]
             scale = np.sum((J_w @ D_n) ** 2)
             np.testing.assert_allclose(bias2, [b @ b for b in bD], rtol=1e-12, atol=1e-12 * scale)
             np.testing.assert_allclose(variance, variance_oracle, rtol=1e-12,

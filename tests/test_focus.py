@@ -7,14 +7,17 @@ from slmfic import (
     SubmodelId,
     Theta,
     enumerate_submodels,
-    eval_focus,
     fit_mle,
-    jacobian_fd,
-    wide_beta_jacobian,
 )
 from slmfic import focus
 from slmfic.errors import FocusSpecError
-from slmfic.focus import depends_on_theta, eval_focus_batch
+from slmfic.focus import (
+    depends_on_theta,
+    eval_focus,
+    eval_focus_batch,
+    jacobian_fd,
+    wide_beta_jacobian,
+)
 
 from conftest import closed_form_information, random_dataset
 

@@ -17,25 +17,20 @@ from slmfic import (
     SimConfig,
     SpatialWeights,
     SubmodelId,
-    delta_hat,
     enumerate_submodels,
     fic_table,
     fit_mle,
-    g_matrix,
-    m_matrix,
     median_bandwidth,
     monte_carlo,
-    omega_i,
-    pointwise_risk,
     psi_kernel,
     psi_uniform,
-    rho_beta_blocks,
     safic_score,
     safic_table,
     safic_terms,
 )
 from slmfic.errors import BandwidthError, ConfigError, DataFormatError, SingularInformationError
-from slmfic.safic import RhoBetaBlocks
+from slmfic.fic import delta_hat, m_matrix
+from slmfic.safic import RhoBetaBlocks, g_matrix, pointwise_risk, rho_beta_blocks
 from slmfic.slm import _certify
 
 from conftest import k_one, random_dataset, random_info
@@ -45,6 +40,12 @@ def _q(blocks):
     """Q, the symmetrized inverse of the beta Schur complement blocks.Q_inv."""
     Q = np.linalg.inv(blocks.Q_inv)
     return 0.5 * (Q + Q.T)
+
+
+def _omega(i, data, blocks):
+    """The sensitivity vector omega_i = I_br I_rr^{-1} (WY)_i - x_i, WY from the dense W."""
+    wy_i = float(data.W.matrix.toarray()[i] @ data.Y)
+    return blocks.I_br[:, 0] / blocks.I_rr * wy_i - data.X[i]
 
 
 def _row(S, delta, blocks, K, scheme="uniform"):
@@ -331,7 +332,7 @@ class TestMoments:
         K = k_one(blocks, data, psi)
         expected = np.zeros((3, 3))
         for i in range(20):
-            w = omega_i(i, data, blocks)
+            w = _omega(i, data, blocks)
             expected += psi.psi[i] * np.outer(w, w)
         assert np.max(np.abs(K - expected)) < 1e-10
 
@@ -342,17 +343,21 @@ class TestMoments:
         assert np.linalg.eigvalsh(K)[0] > -1e-10
 
     def test_omega_zero_weights(self, rng):
+        # with W = 0, omega_i = -x_i and the rho term vanishes: the narrow risk is (x_i' delta)^2
         W = SpatialWeights.from_adjacency(np.zeros((5, 5)))
         X = rng.standard_normal((5, 2))
         data = Dataset(Y=rng.standard_normal(5), X=X, W=W)
         blocks = rho_beta_blocks(random_info(rng, 2))
-        assert np.allclose(omega_i(3, data, blocks), -X[3], atol=1e-12)
+        delta = rng.standard_normal(2)
+        risk = pointwise_risk(3, SubmodelId.narrow(2), delta, blocks, data)
+        assert risk == pytest.approx(float(X[3] @ delta) ** 2, abs=1e-12)
 
     def test_omega_index_checked(self, rng):
         data = random_dataset(rng, n=5, p=2)
         blocks = rho_beta_blocks(random_info(rng, 2))
-        with pytest.raises(ValueError):
-            omega_i(5, data, blocks)
+        for i in (-1, 5):
+            with pytest.raises(ValueError, match=f"unit index {i} out of range for n=5"):
+                pointwise_risk(i, SubmodelId.wide(2), np.zeros(2), blocks, data)
 
 
 class TestRisk:
@@ -360,7 +365,7 @@ class TestRisk:
         data = random_dataset(rng, n=10, p=2)
         blocks = rho_beta_blocks(random_info(rng, 2))
         delta = rng.standard_normal(2)
-        w = omega_i(2, data, blocks)
+        w = _omega(2, data, blocks)
         wy = float(data.W.matrix.toarray()[2] @ data.Y)
         expected = float(w @ delta) ** 2 + wy * wy / blocks.I_rr
         assert pointwise_risk(2, SubmodelId.narrow(2), delta, blocks, data) == pytest.approx(
@@ -371,7 +376,7 @@ class TestRisk:
         data = random_dataset(rng, n=10, p=2)
         blocks = rho_beta_blocks(random_info(rng, 2))
         delta = rng.standard_normal(2)
-        w = omega_i(4, data, blocks)
+        w = _omega(4, data, blocks)
         wy = float(data.W.matrix.toarray()[4] @ data.Y)
         expected = wy * wy / blocks.I_rr + float(w @ _q(blocks) @ w)
         assert pointwise_risk(4, SubmodelId.wide(2), delta, blocks, data) == pytest.approx(

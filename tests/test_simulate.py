@@ -23,12 +23,10 @@ from slmfic import (
     build_weights,
     default_criteria,
     enumerate_submodels,
-    eval_focus,
     fic_table,
     fit_mle,
     generate_dataset,
     monte_carlo,
-    observed_info,
     safic_table,
 )
 from slmfic.errors import (
@@ -39,7 +37,9 @@ from slmfic.errors import (
     RankError,
     SingularInformationError,
 )
+from slmfic.focus import eval_focus
 from slmfic.io import run_report_to_json
+from slmfic.slm import observed_info
 
 from conftest import fit_each, random_dataset, sweep_one
 

@@ -12,17 +12,10 @@ from slmfic import (
     Theta,
     aic,
     build_chain_lag1,
-    concentrated_loglik,
     enumerate_submodels,
     fic_table,
     fit_mle,
-    full_loglik,
-    jacobian_fd,
-    observed_info,
-    profile_beta,
-    profile_sigma2,
     safic_table,
-    score_vector,
     slm,
 )
 from slmfic.errors import (
@@ -33,8 +26,16 @@ from slmfic.errors import (
     RankError,
     RhoOutOfRangeError,
 )
+from slmfic.slm import full_loglik, observed_info, profile_beta
 
-from conftest import brent_profile_fit, fd_information, fit_each, random_dataset, sweep_one
+from conftest import (
+    brent_profile_fit,
+    fd_information,
+    fit_each,
+    random_dataset,
+    score_fd,
+    sweep_one,
+)
 
 
 def zero_w_dataset(rng, n=40, p=3):
@@ -71,26 +72,25 @@ class TestProfiles:
         Y = X @ np.array([1.0, 2.0])  # exact fit
         data = Dataset(Y=Y, X=X, W=W)
         with pytest.raises(DegenerateVarianceError):
-            profile_sigma2(0.0, data, SubmodelId.wide(2))
+            fit_mle(data, SubmodelId.wide(2))
 
     def test_sigma2_classical_at_zero(self, rng):
+        # at rho = 0 the log-determinant vanishes: the OLS log-likelihood
         data = random_dataset(rng)
         S = SubmodelId.wide(data.p)
         beta = profile_beta(0.0, data, S)
-        resid = data.Y - data.X @ beta
-        assert profile_sigma2(0.0, data, S) == pytest.approx(
-            float(resid @ resid) / data.n, abs=1e-12
-        )
+        s2 = float(np.sum((data.Y - data.X @ beta) ** 2)) / data.n
+        classical = -data.n / 2.0 * (1.0 + np.log(2.0 * np.pi) + np.log(s2))
+        assert full_loglik(Theta(0.0, s2, beta), data, S) == pytest.approx(classical, abs=1e-10)
 
     def test_sigma2_direct_oracle(self, rng):
+        # the fit's sigma^2 is the residual mean square at its rho, e = (I - rho W)Y - X beta
         data = random_dataset(rng)
         S = SubmodelId.wide(data.p)
-        rho = 0.25
-        z = data.Y - rho * (data.W.matrix @ data.Y)
-        resid = z - data.X @ profile_beta(rho, data, S)
-        assert profile_sigma2(rho, data, S) == pytest.approx(
-            float(resid @ resid) / data.n, abs=1e-10
-        )
+        theta = fit_mle(data, S, with_info=False).theta_hat
+        z = data.Y - theta.rho * (data.W.matrix @ data.Y)
+        resid = z - data.X @ profile_beta(theta.rho, data, S)
+        assert theta.sigma2 == pytest.approx(float(resid @ resid) / data.n, abs=1e-10)
 
     def test_rank_deficient_design(self, rng):
         W = SpatialWeights.from_adjacency(build_chain_lag1(10), row_normalize=True)
@@ -151,31 +151,23 @@ class TestProfiles:
 
 
 class TestLikelihoods:
-    def test_concentrated_equals_full_at_profile(self, rng):
-        for _ in range(5):
-            data = random_dataset(rng)
-            S = SubmodelId.wide(data.p)
-            rho = rng.uniform(-0.6, 0.6)
-            theta = Theta(rho, profile_sigma2(rho, data, S), profile_beta(rho, data, S))
-            assert concentrated_loglik(rho, data, S) == pytest.approx(
-                full_loglik(theta, data, S), abs=1e-10
-            )
-
     def test_edge_rho_rejected(self, rng):
         data = random_dataset(rng)
         with pytest.raises(RhoOutOfRangeError):
-            concentrated_loglik(1.0, data, SubmodelId.wide(data.p))
+            full_loglik(Theta(1.0, 1.0, np.zeros(data.p)), data, SubmodelId.wide(data.p))
 
     def test_profile_is_max_over_nuisance(self, rng):
         data = random_dataset(rng)
         S = SubmodelId.wide(data.p)
         rho = 0.2
-        best = concentrated_loglik(rho, data, S)
+        beta = profile_beta(rho, data, S)  # the profile sigma^2 is the residual mean square
+        s2 = float(np.sum((data.Y - rho * data.WY - data.X @ beta) ** 2)) / data.n
+        best = full_loglik(Theta(rho, s2, beta), data, S)
         for _ in range(20):
             theta = Theta(
                 rho,
-                profile_sigma2(rho, data, S) * rng.uniform(0.5, 2.0),
-                profile_beta(rho, data, S) + 0.1 * rng.standard_normal(data.p),
+                s2 * rng.uniform(0.5, 2.0),
+                beta + 0.1 * rng.standard_normal(data.p),
             )
             assert full_loglik(theta, data, S) <= best + 1e-8
 
@@ -194,7 +186,7 @@ class TestFit:
     def test_score_small_at_optimum(self, rng):
         data = random_dataset(rng, n=60)
         fit = fit_mle(data, SubmodelId.wide(data.p))
-        g = score_vector(fit.theta_hat, data, fit.submodel)
+        g = score_fd(fit.theta_hat, data, fit.submodel)
         assert np.max(np.abs(g)) < 1e-4 * (1 + abs(fit.loglik))
 
     def test_local_maximum(self, rng):
@@ -312,8 +304,7 @@ def fitted_and_away(rng, data, S):
 
 
 class TestClosedForms:
-    """The closed-form information and score against finite differences of
-    full_loglik."""
+    """The closed-form information against finite differences of full_loglik."""
 
     @pytest.mark.parametrize("mask", CLOSED_FORM_MASKS)
     def test_information_matches_fd_hessian(self, rng, mask):
@@ -324,23 +315,6 @@ class TestClosedForms:
                 got = observed_info(theta, data, S).matrix
                 want = fd_information(theta, data, S)
                 assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("mask", CLOSED_FORM_MASKS)
-    def test_score_matches_fd_gradient(self, rng, mask):
-        S = SubmodelId(mask, 3)
-        for _ in range(5):
-            data = random_dataset(rng, n=int(rng.integers(20, 80)), p=3)
-            _, theta = fitted_and_away(rng, data, S)
-            lo, hi = data.W.rho_interval
-            want = jacobian_fd(
-                lambda th: full_loglik(th, data, S),
-                theta,
-                lower=[lo] + [-np.inf] * (len(S) + 1),
-                upper=[hi] + [np.inf] * (len(S) + 1),
-            )[0]
-            assert np.max(np.abs(want)) > 1e-2  # away from the optimum
-            got = score_vector(theta, data, S)
-            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
 
 def search_bracket(W):
