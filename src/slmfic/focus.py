@@ -22,12 +22,12 @@ focus at every fit of a batch at once; eval_focus is its one-fit case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FocusSpecError, StencilError
-from .slm import _CHUNK, Dataset, Theta, _certificates, _dot, _gather, _information, _size_groups
+from .slm import Dataset, Theta, _certificates, _dot, _gather, _information, _size_groups
 from .submodels import SubmodelId
 
 _EPS_THIRD = np.finfo(float).eps ** (1.0 / 3.0)
@@ -59,7 +59,6 @@ class FocusSpec:
 class FocusEval:
     value: np.ndarray
     jacobian: np.ndarray  # k x (|S| + 2), columns ordered (rho, sigma^2, beta_S)
-    warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
 def jacobian_fd(f, theta: Theta, lower=None, upper=None) -> np.ndarray:
@@ -120,9 +119,10 @@ def eval_focus_batch(spec: FocusSpec, batch, subsets, rho: np.ndarray, sigma2: n
         d/drho    = 2 lambda u_r u_s / s2 - 2 c u_r (u_s G2 / s2 + u_r G3),
         d/ds2     = lambda (1 + 2 u_s^2) / s2 - c u_r^2 G2 / s2 + c n u_s^2 / (2 s2^3),
         d/dbeta_S = 2 lambda u_s u_beta / s2.
-    Each subset's information is its block of slm._information; per chunk of
-    same-size subsets, one stacked certificate, inverse and eigh serve their
-    (R, s) blocks."""
+    Each subset's information is its block of slm._information, which holds
+    that of every fit at once, R m (p + 2)^2 elements that no chunk bounds;
+    per chunk of same-size subsets, one stacked certificate, inverse and eigh
+    serve their (R, s) blocks."""
     W, n, p = batch[0].W, batch[0].n, batch[0].p
     reps, m = rho.shape
     bits = np.array([S.mask << 2 | 3 for S in subsets])  # bit j: coordinate j of theta in S
@@ -140,17 +140,14 @@ def eval_focus_batch(spec: FocusSpec, batch, subsets, rho: np.ndarray, sigma2: n
         if np.any(subset >= p):
             raise FocusSpecError(f"coeff_subset {subset.tolist()} out of range for p={p}")
         value, jac = beta[..., subset], np.eye(p + 2)[subset + 2]
-    elif spec.kind == "spillover":  # in pieces of fits whose log-det terms stay within _CHUNK
-        step, flat = max(1, _CHUNK // n), rho.reshape(-1)
-        log_det, slope = (np.concatenate([f(flat[i:i + step]) for i in range(0, flat.size, step)])
-                          .reshape(rho.shape) for f in (W.log_det_factor, W.log_det_rho_derivative))
-        value = np.concatenate((log_det[..., None], sigma2[..., None], beta), axis=-1)
+    elif spec.kind == "spillover":
+        value = np.concatenate((W.log_det_factor(rho)[..., None], sigma2[..., None], beta), axis=-1)
         jac = np.tile(np.eye(p + 2), (reps, m, 1, 1))
-        jac[..., 0, 0] = slope
+        jac[..., 0, 0] = W.log_det_rho_derivative(rho)
     else:
         info = _information(batch, rho, sigma2, beta)
         value, jac = np.full((reps, m, 1), np.nan), np.zeros((reps, m, 1, p + 2))
-        for idx, cols in _size_groups(subsets, max(n, (p + 2) ** 2), reps):
+        for idx, cols in _size_groups(subsets, (p + 2) ** 2, reps):
             ii = np.column_stack((np.zeros_like(idx), np.ones_like(idx), cols + 2))
             I_S = _gather(info, idx[:, None, None], ii[:, :, None], ii[:, None])
             names = [f"information of {subsets[i].label()}" for i in idx] * reps
@@ -173,14 +170,15 @@ def eval_focus_batch(spec: FocusSpec, batch, subsets, rho: np.ndarray, sigma2: n
 
 def eval_focus(spec: FocusSpec, theta: Theta, data: Dataset, S: SubmodelId) -> FocusEval:
     """A focus and its Jacobian over (rho, sigma^2, beta_S) at theta under S:
-    eval_focus_batch's one-fit case, whose error it raises."""
+    eval_focus_batch's one-fit case, whose error it raises; a nearly repeated
+    top eigenvalue is flagged by eval_focus_batch only."""
     cols, beta = [0, 1, *(2 + j for j in S.indices())], np.zeros((1, 1, S.p))
     beta[0, 0, list(S.indices())] = theta.beta
-    value, jac, gap, (error,) = eval_focus_batch(
+    value, jac, _, (error,) = eval_focus_batch(
         spec, [data], [S], np.array([[theta.rho]]), np.array([[theta.sigma2]]), beta)
     if error:
         raise error
-    return FocusEval(value[0, 0], jac[0, 0][:, cols], (GAP_WARNING,) if gap[0, 0] else ())
+    return FocusEval(value[0, 0], jac[0, 0][:, cols])
 
 
 def wide_beta_jacobian(spec: FocusSpec, theta_wide: Theta, data: Dataset) -> np.ndarray:

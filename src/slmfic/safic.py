@@ -33,7 +33,6 @@ class PsiWeights:
     """Finite nonnegative unit-sum weights over the spatial units."""
 
     psi: np.ndarray
-    scheme: str = "uniform"
 
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=float).reshape(-1)
@@ -48,7 +47,7 @@ class PsiWeights:
 def psi_uniform(n: int) -> PsiWeights:
     if n < 1:
         raise ValueError("need at least one unit")
-    return PsiWeights(np.full(n, 1.0 / n), scheme="uniform")
+    return PsiWeights(np.full(n, 1.0 / n))
 
 
 def check_kernel(z0, h: float | None, p: int, where: str = "") -> None:
@@ -77,7 +76,7 @@ def psi_kernel(X: np.ndarray, z0: np.ndarray, h: float) -> PsiWeights:
     total = raw.sum()
     if not np.isfinite(total) or total < 1e-300:  # h*h underflows to 0: 0/0 is NaN
         raise BandwidthError(f"bandwidth h={h} too small: kernel weights underflow")
-    return PsiWeights(raw / total, scheme="kernel")
+    return PsiWeights(raw / total)
 
 
 def median_bandwidth(X: np.ndarray) -> float:

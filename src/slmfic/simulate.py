@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
-from . import slm
+from . import weights
 from .errors import BandwidthError, ConfigError, ReplicationFailureError
 from .fic import fic_score, fic_terms
 from .focus import GAP_WARNING, FocusSpec, depends_on_theta, eval_focus_batch
@@ -179,9 +179,9 @@ def _replicate(cfg: SimConfig, W: SpatialWeights, reps: range) -> list:
     factored once, here, in the process that uses the factor (it cannot be
     pickled), and each draw is one solve with it.  The replications go in
     batches of at most _CHUNK // (2^p max(n, (p + 2)^2)), one _sweep each:
-    a replication adds 2^p n elements to the rho search's log-det terms and
-    about 2^p (p + 2)^2 to the stacked scores, so that a batch's largest
-    temporaries stay within slm._CHUNK elements and its working set small.
+    a replication adds up to 2^p n to slm._information's (R, chunk, n)
+    residuals, split no finer than one subset on every dataset, and about
+    2^p (p + 2)^2 to the stacked scores: within weights._CHUNK elements.
 
     Returns, per replication, ((rankings, realized), None), where rankings maps
     criterion name to the masks in rank order and realized is the sweep's row
@@ -189,7 +189,7 @@ def _replicate(cfg: SimConfig, W: SpatialWeights, reps: range) -> list:
     "Class: message") if a NumericalError stops it.
     """
     submodels = enumerate_submodels(cfg.p)
-    size = max(1, slm._CHUNK // (len(submodels) * max(cfg.n, (cfg.p + 2) ** 2)))
+    size = max(1, weights._CHUNK // (len(submodels) * max(cfg.n, (cfg.p + 2) ** 2)))
     truth = (cfg.rho_true, cfg.sigma2_true, cfg.beta_true) if cfg.track_realized_error else None
     lu, results = _spatial_filter(cfg, W), []
     for start in range(reps.start, reps.stop, size):

@@ -7,12 +7,13 @@ datasets on one W, each on many subsets, with a leading dataset axis through
 every stage: one stacked QR of the designs, one stacked SVD per chunk of
 same-size subsets for the profile regressions, and one vectorised Newton
 search that finds rho, the root of the profile score, for every (dataset,
-subset) pair.  A fit that fails marks its dataset with an error and leaves
-the others alone.  fit_mle on one dataset and one subset is its batch of
-one.  The profile score of rho and the observed information, ordered
-(rho, sigma^2, beta), are closed forms (Anselin 1988, *Spatial Econometrics*;
-Lee 2004, *Econometrica* 72(6)) built from WY, X_S, the residual and the
-spectrum of W, which the weights compute on its first read and keep.
+subset) pair at once, its log-det sums from SpatialWeights' spectrum pass;
+weights._CHUNK bounds every stacked temporary.  A failed fit marks its
+dataset with an error and leaves the others alone; fit_mle on one dataset
+and one subset is its batch of one.  The profile score of rho and the
+observed information, ordered (rho, sigma^2, beta), are closed forms
+(Anselin 1988, *Spatial Econometrics*; Lee 2004, *Econometrica* 72(6)) in
+WY, X_S, the residual and the spectrum of W, which the weights read once.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import weights
 from .errors import (
     ConvergenceError,
     DataFormatError,
@@ -36,7 +38,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _SIGMA2_FLOOR = 1e-12
 _MAX_ITER = 500
 _RHO_TOL = 1e-12  # step size, relative to the bracket, that ends the rho search
-_CHUNK = 1 << 16  # elements of one stacked temporary in a fit or scoring batch
 _COND_LIMIT = 1e12  # an information matrix whose condition number exceeds it counts as singular
 
 
@@ -82,16 +83,16 @@ def _certify(M: np.ndarray, what: str) -> None:
 
 def _size_groups(subsets, width: int, reps: int):
     """The subsets by size k ascending, in chunks of one size: (idx, cols), idx
-    the positions of at most max(1, _CHUNK // (reps * width)) subsets and cols
+    the positions of at most max(1, weights._CHUNK // (reps * width)) subsets and cols
     their (len(idx), k) sorted covariate indices, read from the masks.  A stage
     takes a chunk on all reps datasets at once, as (reps, len(idx), ...)
     blocks; width is what one subset of one dataset adds to its largest
-    stacked temporary, so none holds more than _CHUNK elements, or one
+    stacked temporary, so none holds more than weights._CHUNK elements, or one
     subset's across the batch when reps * width is larger."""
     masks = np.array([S.mask for S in subsets], dtype=np.int64)
     member = masks[:, None] >> np.arange(subsets[0].p if subsets else 0) & 1
     sizes = member.sum(1)
-    step = max(1, _CHUNK // max(1, reps * width))
+    step = max(1, weights._CHUNK // max(1, reps * width))
     for k in np.unique(sizes):
         same = np.flatnonzero(sizes == k)
         for i in range(0, same.size, step):
@@ -321,9 +322,9 @@ def _rho_hat(W: SpatialWeights, n: int, gram: np.ndarray):
     is not negative there, else the lower end, after no step.  Safeguarded
     Newton keeps such a bracket and bisects it when the curvature is not
     negative or a step leaves it.  Each step takes the first and second
-    log-det derivatives of every active fit from one pass over the spectrum,
-    which builds g_i = w_i / (1 - rho*w_i) once; each bracket end, one rho
-    for every fit, takes one scalar pass, O(n), broadcast over the fits.
+    log-det derivatives of every active fit from one spectrum pass, which
+    builds g_i = w_i / (1 - rho*w_i) once, piece by piece; each bracket end,
+    one rho for every fit, takes one scalar pass, O(n), broadcast over them.
 
     q is smallest at b/c, so a variance below the floor there (clipped to the
     bracket) is below it somewhere in the bracket: such a fit is degenerate and
@@ -371,9 +372,9 @@ def _fit_batch(batch, subsets, with_info: bool) -> Fits:
     """fit_mle's batch form: the Fits of each dataset of a batch (datasets that
     share one SpatialWeights and p) on every subset, in order.  One stacked QR
     of the designs serves every regression (_regressions) and one vectorised
-    search every rho (_rho_hat; its steps are Fits.steps), taken in chunks of
-    fits so that no stacked temporary holds more than _CHUNK elements; each
-    fit is the same, bit for bit, in any batch or chunk.  With with_info, each
+    search every rho (_rho_hat; its steps are Fits.steps), on all R * m fits
+    at once, as is the log-likelihood; each fit is the same, bit for bit, in
+    any batch or piece of the spectrum pass.  With with_info, each
     dataset's information at its last fit (_information), certified by one stacked check.
 
     A failure gives its dataset an error and leaves the other datasets alone:
@@ -390,14 +391,9 @@ def _fit_batch(batch, subsets, with_info: bool) -> Fits:
         raise ValueError("the datasets of a batch must share one SpatialWeights and p")
     reps, m = len(batch), len(subsets)
     gram, coef = _regressions(_project(batch), subsets)
-    gram = gram.reshape(reps * m, 2, 2)
-    rho, s2, ll = np.empty(reps * m), np.empty(reps * m), np.full(reps * m, np.nan)
-    steps, stage = np.empty(reps * m, dtype=int), np.empty(reps * m, dtype=np.int8)
-    step = max(1, _CHUNK // max(n, p * p))
-    for sl in (slice(i, i + step) for i in range(0, reps * m, step)):
-        rho[sl], steps[sl], s2[sl], stage[sl] = _rho_hat(W, n, gram[sl])
-        fine = np.flatnonzero(stage[sl] == 0) + sl.start
-        ll[fine] = _loglik(W, n, s2[fine], rho[fine])
+    rho, steps, s2, stage = _rho_hat(W, n, gram.reshape(reps * m, 2, 2))
+    ll, fine = np.full(reps * m, np.nan), stage == 0
+    ll[fine] = _loglik(W, n, s2[fine], rho[fine])
     rho, s2, ll, steps, stage = (a.reshape(reps, m) for a in (rho, s2, ll, steps, stage))
     beta = coef[..., 0] - rho[..., None] * coef[..., 1]
     errors = [None] * reps
@@ -445,7 +441,7 @@ def _information(batch, rho: np.ndarray, sigma2: np.ndarray, beta: np.ndarray) -
     fit, (R, m, p + 2, p + 2), for (R, m) rho and sigma2 and the (R, m, p)
     beta, zero outside each fit's subset S: its (rho, sigma^2, beta_S) block
     is the information of S.  The subsets go in chunks, each on every dataset
-    at once, whose temporaries hold at most _CHUNK elements, or one subset's
+    at once, whose temporaries hold at most weights._CHUNK elements, or one subset's
     across the batch; each product is a stacked matmul, the BLAS call of the
     product on one fit, and powers are libm's, as of a Python float, so each
     matrix is the same, bit for bit, in any batch or chunk."""
@@ -456,7 +452,7 @@ def _information(batch, rho: np.ndarray, sigma2: np.ndarray, beta: np.ndarray) -
     X = np.swapaxes(Xt, -1, -2)  # column-major, as the column selection X[:, S] of one fit
     XtX, XtWY, WYWY = Xt @ X, (Xt @ WY[..., None])[..., 0], _dot(WY, WY)
     info = np.empty(sigma2.shape + (p + 2, p + 2))
-    step = max(1, _CHUNK // (len(batch) * max(n, (p + 2) ** 2)))
+    step = max(1, weights._CHUNK // (len(batch) * max(n, (p + 2) ** 2)))
     for sl in (slice(i, i + step) for i in range(0, sigma2.shape[1], step)):
         c, r = sigma2[:, sl], rho[:, sl, None]
         c2, c3 = np.float_power(c, 2), np.float_power(c, 3)

@@ -9,7 +9,7 @@ from .errors import SweepTooLargeError
 _SWEEP_CAP = 20
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class SubmodelId:
     """A subset S of the p covariate indices, encoded as a p-bit mask."""
 
@@ -30,10 +30,6 @@ class SubmodelId:
         return cls(mask, p)
 
     @classmethod
-    def narrow(cls, p: int) -> "SubmodelId":
-        return cls(0, p)
-
-    @classmethod
     def wide(cls, p: int) -> "SubmodelId":
         return cls((1 << p) - 1, p)
 
@@ -51,9 +47,7 @@ class SubmodelId:
         """Submodel label S1..S{2^p}: narrow is S1, wide is S{2^p}."""
         return f"S{self.mask + 1}"
 
-    def variable_names(self, names=None) -> tuple[str, ...]:
-        if not names:
-            names = tuple(f"x{j + 1}" for j in range(self.p))
+    def variable_names(self, names) -> tuple[str, ...]:
         return tuple(names[j] for j in self.indices())
 
 

@@ -41,6 +41,7 @@ from .errors import (
 )
 
 _IMAG_TOL = 1e-8
+_CHUNK = 1 << 16  # elements of one stacked temporary, in the spectrum pass and every batch stage
 
 
 def validate_adjacency(A) -> scipy.sparse.csr_array:
@@ -245,18 +246,14 @@ class SpatialWeights:
         """log|I_n - rho*W| via the eigenvalue product or an LU factorization.
 
         The spectrum backend uses the identity |I - rho*W| = prod(1 - rho*w_i)
-        and takes an array of rho too, giving one log-det per entry; the LU
-        backend accumulates log|pivot| of a sparse LU and is kept as its oracle.
+        and takes an array of rho too, one log-det per entry (_spectrum_sums);
+        the LU backend accumulates log|pivot| of a sparse LU, its oracle.
         """
-        self.require_rho(rho)
         if backend == "spectrum":
-            factors = np.multiply.outer(rho, self.spectrum)  # one temporary, updated in place
-            np.subtract(1.0, factors, out=factors)
-            if np.any(factors <= 0):
-                raise SingularFactorizationError(f"I - rho*W singular at rho={rho}")
-            out = np.sum(np.log(factors, out=factors), axis=-1)
+            (out,) = self._spectrum_sums(rho, (0,))
             return out if np.ndim(rho) else float(out)
         if backend == "lu":
+            self.require_rho(rho)
             M = scipy.sparse.eye_array(self.n, format="csc") - rho * self.matrix  # CSC
             try:
                 U = scipy.sparse.linalg.splu(M).U  # L has a unit diagonal
@@ -270,18 +267,34 @@ class SpatialWeights:
         second rho-derivative of log|I - rho*W| for order 1 and 2, half the third for order 3.
 
         Given a tuple of orders (each at least 1), one such sum per order, all
-        from one pass that builds g once; g^2 is g*g and a higher power
-        np.power(g, k), the values g **= k gives, so each sum is the one its
-        order alone returns, bit for bit."""
+        from one pass (_spectrum_sums), each the bits its order alone gives."""
         if not isinstance(order, tuple):
             return self.log_det_rho_derivative(rho, (order,))[0]
+        return tuple(-s if np.ndim(rho) else float(-s) for s in self._spectrum_sums(rho, order))
+
+    def _spectrum_sums(self, rho, orders: tuple[int, ...]) -> list:
+        """Per order, at each entry of rho (any shape), sum_i log(1 - rho*w_i) for
+        order 0, sum_i g_i^k, g_i = w_i / (1 - rho*w_i), for k >= 1: in pieces of
+        at most _CHUNK // n entries, at least 1, each one temporary updated in
+        place, and each sum one row's, the same bits in any piece."""
+        step = max(1, _CHUNK // self.n)
+        if np.size(rho) > step:
+            flat = np.reshape(rho, -1)
+            pieces = [self._spectrum_sums(flat[i:i + step], orders)
+                      for i in range(0, flat.size, step)]
+            return [np.concatenate(s).reshape(np.shape(rho)) for s in zip(*pieces)]
         self.require_rho(rho)
-        g = np.multiply.outer(rho, self.spectrum)  # one temporary, updated in place
-        np.subtract(1.0, g, out=g)
-        np.divide(self.spectrum, g, out=g)
-        sums = {k: np.sum(np.power(g, k), axis=-1) for k in set(order) - {1, 2}}
-        if 1 in order:
-            sums[1] = np.sum(g, axis=-1)
-        if 2 in order:  # the last read of g: squared in place
-            sums[2] = np.sum(np.multiply(g, g, out=g), axis=-1)
-        return tuple(-sums[k] if np.ndim(rho) else float(-sums[k]) for k in order)
+        t = np.multiply.outer(rho, self.spectrum)  # one temporary, updated in place
+        np.subtract(1.0, t, out=t)
+        if 0 in orders and np.any(t <= 0):
+            raise SingularFactorizationError(f"I - rho*W singular at rho={rho}")
+        powers = set(orders) - {0}  # a log-det alone takes its log in place and no division
+        sums = {0: np.sum(np.log(t, out=None if powers else t), axis=-1)} if 0 in orders else {}
+        if powers:
+            np.divide(self.spectrum, t, out=t)
+        sums.update((k, np.sum(np.power(t, k), axis=-1)) for k in powers - {1, 2})
+        if 1 in powers:
+            sums[1] = np.sum(t, axis=-1)
+        if 2 in powers:  # the last read of g: squared in place
+            sums[2] = np.sum(np.multiply(t, t, out=t), axis=-1)
+        return [sums[k] for k in orders]

@@ -224,7 +224,7 @@ class TestCriterion4:
 
         # (e) exact boundary projections
         G_wide = g_matrix(blocks, SubmodelId.wide(4))
-        G_narrow = g_matrix(blocks, SubmodelId.narrow(4))
+        G_narrow = g_matrix(blocks, SubmodelId(0, 4))
         boundary_ok = np.allclose(G_wide, np.eye(4), atol=1e-10) and np.all(
             G_narrow == 0
         )
@@ -307,7 +307,7 @@ class TestCriterion6:
         worst_score = 0.0
         for trial in range(10):
             data = random_dataset(rng, n=50, p=3)
-            for S in (SubmodelId.wide(3), SubmodelId.narrow(3), SubmodelId(0b101, 3)):
+            for S in (SubmodelId.wide(3), SubmodelId(0, 3), SubmodelId(0b101, 3)):
                 fit = fit_mle(data, S, with_info=False)
                 g = score_fd(fit.theta_hat, data, S)
                 worst_score = max(

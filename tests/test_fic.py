@@ -33,7 +33,7 @@ class TestSubmodels:
             enumerate_submodels(21)
 
     def test_labels(self):
-        assert SubmodelId.narrow(5).label() == "S1"
+        assert SubmodelId(0, 5).label() == "S1"
         assert SubmodelId.wide(5).label() == "S32"
         assert SubmodelId.from_indices([0], 5).label() == "S2"
 
@@ -74,7 +74,7 @@ class TestDelta:
 
     def test_requires_wide(self, rng):
         data = random_dataset(rng, p=2)
-        fit = fit_mle(data, SubmodelId.narrow(2))
+        fit = fit_mle(data, SubmodelId(0, 2))
         with pytest.raises(ValueError):
             delta_hat(fit)
 

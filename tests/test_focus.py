@@ -228,13 +228,14 @@ class TestMaxEigen:
             assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_repeated_top_eigenvalue_warns(self, rng, monkeypatch):
+        """eval_focus_batch's gap mask, which the sweep turns into GAP_WARNING."""
         data = random_dataset(rng, n=20, p=2)
         S = SubmodelId.wide(2)
-        theta = fit_mle(data, S, with_info=False).theta_hat
-        assert eval_focus(FocusSpec("max_eigen"), theta, data, S).warnings == ()
+        fits = fit_mle([data], [S], with_info=False)
+        args = (FocusSpec("max_eigen"), [data], [S], fits.rho, fits.sigma2, fits.beta)
+        assert focus.eval_focus_batch(*args)[2].tolist() == [[False]]
         monkeypatch.setattr(focus, "_EIGEN_GAP_TOL", np.inf)  # every gap counts as repeated
-        ev = eval_focus(FocusSpec("max_eigen"), theta, data, S)
-        assert ev.warnings == (focus.GAP_WARNING,)
+        assert focus.eval_focus_batch(*args)[2].tolist() == [[True]]
 
 
 class TestFdOracle:

@@ -102,7 +102,8 @@ class TestLoadWeights:
         ("i,j,w\n0,1,1\n1,0,nan\n1,2,1\n2,1,1\n", False, DataFormatError,
          "non-finite adjacency entry nan at row 1, column 0"),
         ("0,1,0\n1,0,0\n0,0,0\n", True, IsolatedUnitError, "unit 2 has no neighbors"),
-    ], ids=["dense-negative", "edge-negative", "edge-nan", "isolated"])
+        ("0\n", False, InvalidSizeError, "need at least 2 spatial units, got 1"),
+    ], ids=["dense-negative", "edge-negative", "edge-nan", "isolated", "one-unit"])
     def test_adjacency_errors_name_the_file(self, tmp_path, capsys, text, row_normalize,
                                             error, message):
         """The checks of SpatialWeights.from_adjacency keep their class and
@@ -243,6 +244,15 @@ class TestLoadDataset:
         w3 = write_csv(tmp_path / "w3.csv", "0,1,0\n1,0,1\n0,1,0\n")
         with pytest.raises(DataFormatError, match="5 rows"):
             load_dataset(data_path, w3, response="y")
+
+    def test_empty_file(self, small_files, tmp_path, capsys):
+        _, weights_path = small_files
+        empty = write_csv(tmp_path / "empty.csv", "")
+        with pytest.raises(DataFormatError) as exc:
+            load_dataset(empty, weights_path, response="y")
+        assert str(exc.value) == f"{empty}: empty file"
+        rc = main(["fit", "--data", empty, "--weights", weights_path, "--response", "y"])
+        _one_input_error(capsys, rc, f"{empty}: empty file")
 
     def test_non_numeric_cell_located(self, small_files, tmp_path):
         _, weights_path = small_files
@@ -591,8 +601,13 @@ class TestCli:
                 {"n": "20", "p": 2, "beta_true": [0.0, 0.4]},
                 "'n' in the config must be int, not \"20\"",
             ),
+            (
+                {"n": True, "p": 2, "beta_true": [0.0, 0.4]},
+                "'n' in the config must be int, not true",
+            ),
         ],
-        ids=["misspelt-key", "focus-without-kind", "not-an-object", "scalar-beta", "string-n"],
+        ids=["misspelt-key", "focus-without-kind", "not-an-object", "scalar-beta", "string-n",
+             "bool-n"],
     )
     def test_malformed_config_is_input_error(self, tmp_path, capsys, raw, named):
         path = tmp_path / "cfg.json"
@@ -820,8 +835,9 @@ class TestFailureContract:
     @pytest.mark.parametrize(
         "columns, named",
         [("y,a", "the response 'y' is also listed as a covariate"),
-         ("a,b,a", "covariate 'a' is listed twice")],
-        ids=["response-as-covariate", "repeated-covariate"],
+         ("a,b,a", "covariate 'a' is listed twice"),
+         ("a,zz", "missing columns ['zz']")],
+        ids=["response-as-covariate", "repeated-covariate", "missing-column"],
     )
     def test_covariate_list_error(self, small_files, capsys, command, columns, named):
         # without the check: a numerical failure (residual variance below floor) or
@@ -899,11 +915,13 @@ class TestFailureContract:
             ({"sigma2_true": float("nan")}, "sigma2_true must be finite and positive, got nan"),
             ({"beta_true": [float("inf"), 0.0]}, "beta_true [inf, 0.0] has a non-finite entry"),
             ({"seed": -1}, "seed must be non-negative, got -1"),
+            ({"criteria": [{"kind": "safic", "name": "S", "scheme": "bogus"}]},
+             "criterion 'S': unknown scheme 'bogus'"),
         ],
         ids=["z0-wrong-length", "zero-bandwidth", "infinite-bandwidth", "nan-z0",
              "p0-kernel-without-bandwidth", "coeff-subset-5", "coeff-subset-negative",
              "fewer-rows-than-columns", "p21", "duplicate-names", "nan-sigma2", "infinite-beta",
-             "negative-seed"],
+             "negative-seed", "unknown-scheme"],
     )
     def test_simulate_input_error(self, tmp_path, capsys, changes, named):
         rc = main(["simulate", "--config", write_config(tmp_path, **changes)])

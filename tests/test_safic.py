@@ -58,7 +58,6 @@ class TestPsi:
     def test_uniform(self):
         psi = psi_uniform(4)
         assert psi.psi.tolist() == [0.25] * 4
-        assert psi.scheme == "uniform"
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -97,7 +96,6 @@ class TestPsi:
         e = np.exp(-0.5)
         assert psi.psi[0] == pytest.approx(1 / (1 + e), abs=1e-12)
         assert psi.psi[1] == pytest.approx(e / (1 + e), abs=1e-12)
-        assert psi.scheme == "kernel"
 
     def test_kernel_peaks_at_center(self, rng):
         X = rng.standard_normal((20, 2))
@@ -261,7 +259,7 @@ class TestBlocks:
 class TestG:
     def test_narrow_zero(self, rng):
         blocks = rho_beta_blocks(random_info(rng, 3))
-        assert np.array_equal(g_matrix(blocks, SubmodelId.narrow(3)), np.zeros((3, 3)))
+        assert np.array_equal(g_matrix(blocks, SubmodelId(0, 3)), np.zeros((3, 3)))
 
     def test_wide_identity(self, rng):
         blocks = rho_beta_blocks(random_info(rng, 3))
@@ -349,7 +347,7 @@ class TestMoments:
         data = Dataset(Y=rng.standard_normal(5), X=X, W=W)
         blocks = rho_beta_blocks(random_info(rng, 2))
         delta = rng.standard_normal(2)
-        risk = pointwise_risk(3, SubmodelId.narrow(2), delta, blocks, data)
+        risk = pointwise_risk(3, SubmodelId(0, 2), delta, blocks, data)
         assert risk == pytest.approx(float(X[3] @ delta) ** 2, abs=1e-12)
 
     def test_omega_index_checked(self, rng):
@@ -368,7 +366,7 @@ class TestRisk:
         w = _omega(2, data, blocks)
         wy = float(data.W.matrix.toarray()[2] @ data.Y)
         expected = float(w @ delta) ** 2 + wy * wy / blocks.I_rr
-        assert pointwise_risk(2, SubmodelId.narrow(2), delta, blocks, data) == pytest.approx(
+        assert pointwise_risk(2, SubmodelId(0, 2), delta, blocks, data) == pytest.approx(
             expected, abs=1e-10
         )
 
@@ -414,7 +412,7 @@ class TestScore:
         data = random_dataset(rng, n=12, p=3)
         K = k_one(blocks, data, psi_uniform(12))
         delta = rng.standard_normal(3)
-        row = _row(SubmodelId.narrow(3), delta, blocks, K)
+        row = _row(SubmodelId(0, 3), delta, blocks, K)
         assert row.variance == 0.0
         assert row.bias2 == pytest.approx(float(delta @ K @ delta), rel=1e-8)
 

@@ -11,7 +11,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slmfic import focus, simulate, slm
+from slmfic import focus, simulate, slm, weights
 from slmfic import (
     CriterionSpec,
     Dataset,
@@ -309,7 +309,7 @@ class TestSweepEngine:
         at = list(range(8)) if focus.depends_on_theta(spec) else [7]
         fic_table(spec, generate_dataset(small_config(), 0))
         assert calls == [(spec.kind, 1, at)]
-        monkeypatch.setattr(slm, "_CHUNK", 2 * 8 * 30)  # batches of 2, 2 and 1 replications
+        monkeypatch.setattr(weights, "_CHUNK", 2 * 8 * 30)  # batches of 2, 2 and 1 replications
         criteria = (CriterionSpec("fic", "F", focus=spec),
                     CriterionSpec("fic", "G", focus=FocusSpec("spillover")),
                     CriterionSpec("safic", "A"))
@@ -440,13 +440,14 @@ class TestBatchedScoring:
     def test_row_labels_are_the_submodels_variable_names(self, p, names):
         base = random_dataset(np.random.default_rng(p), n=30, p=p)
         data = Dataset(Y=base.Y, X=base.X, W=base.W, names=names[:p])
+        assert data.names == (names[:p] or tuple(f"x{j + 1}" for j in range(p)))
         for rows in (fic_table(FocusSpec("conditional_mean", location=0), data),
                      safic_table(data, "uniform")):
             assert sorted(ranked_masks(rows)) == list(range(2**p))
             for r in rows:
                 S = SubmodelId(r.submodel.mask, p)
                 assert r.submodel == S
-                assert r.labels == S.variable_names(names[:p])
+                assert r.labels == S.variable_names(data.names)
 
     def test_every_table_is_built_in_rank_order(self):
         data = random_dataset(np.random.default_rng(10), n=30, p=4)
@@ -499,7 +500,7 @@ class TestBatchedScoring:
         submodels = enumerate_submodels(5)
         alone = [sweep_one(data, ALL_KINDS, submodels) for data in batch]
         if chunk is not None:
-            monkeypatch.setattr(slm, "_CHUNK", chunk)
+            monkeypatch.setattr(weights, "_CHUNK", chunk)
         tables, _realized, errors = simulate._sweep(batch, ALL_KINDS, submodels)
         assert errors == [None] * 3
         for r, one in enumerate(alone):

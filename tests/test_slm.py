@@ -17,6 +17,7 @@ from slmfic import (
     fit_mle,
     safic_table,
     slm,
+    weights,
 )
 from slmfic.errors import (
     ConvergenceError,
@@ -135,6 +136,17 @@ class TestProfiles:
         with pytest.raises(DataFormatError, match="response nan at row 4"):
             Dataset(Y=Y, X=data.X, W=data.W)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"X": np.ones(10)}, "X must be 2-dimensional"),
+        ({"Y": np.ones(9)}, "dimension mismatch: len(Y)=9, rows(X)=10, n(W)=10"),
+        ({"names": ("a",)}, "number of names must match columns of X"),
+    ], ids=["1d-X", "length-mismatch", "names-count"])
+    def test_malformed_dataset_rejected(self, rng, change, message):
+        data = random_dataset(rng, n=10, p=3)
+        with pytest.raises(DataFormatError) as exc:
+            Dataset(**{"Y": data.Y, "X": data.X, "W": data.W, **change})
+        assert str(exc.value) == message
+
     def test_non_finite_covariate_named(self, rng):
         data = random_dataset(rng, n=10)
         X = data.X.copy()
@@ -221,7 +233,7 @@ class TestFit:
 
     def test_narrow_model_fits(self, rng):
         data = random_dataset(rng)
-        fit = fit_mle(data, SubmodelId.narrow(data.p), with_info=False)
+        fit = fit_mle(data, SubmodelId(0, data.p), with_info=False)
         assert np.isfinite(fit.loglik)
         assert fit.theta_hat.beta.size == 0
 
@@ -461,14 +473,15 @@ class TestFitSubsets:
     def test_the_first_chunk_of_the_search_fails_first(self, rng, monkeypatch, chunk):
         """Y drawn without noise at rho = 0.99: the wide fit is degenerate and no
         other converges in one step.  The first failing fit in subset order
-        gives the error, whatever the chunks of the search: at n = 30 a _CHUNK
-        of 1 puts one fit in a chunk, 60 two and 2^16 all three."""
+        gives the error, whatever the pieces of the search's spectrum passes:
+        at n = 30 a _CHUNK of 1 puts one fit in a piece, 60 two and 2^16 all
+        three."""
         W = SpatialWeights.from_adjacency(build_chain_lag1(30), row_normalize=True)
         X = rng.standard_normal((30, 3))
         Y = np.linalg.solve(np.eye(30) - 0.99 * W.matrix.toarray(), X @ [1.0, 0.01, 0.01])
         data = Dataset(Y=Y, X=X, W=W)
         monkeypatch.setattr(slm, "_MAX_ITER", 1)
-        monkeypatch.setattr(slm, "_CHUNK", chunk)
+        monkeypatch.setattr(weights, "_CHUNK", chunk)
         with pytest.raises(NumericalError) as exc:
             fit_each(data, [SubmodelId(1, 3), SubmodelId(2, 3), SubmodelId.wide(3)])
         assert f"{type(exc.value).__name__}: {exc.value}".startswith(
@@ -476,11 +489,11 @@ class TestFitSubsets:
 
     @pytest.mark.parametrize("chunk", [1, 100, 1 << 16])
     def test_each_fit_is_independent_of_the_batch(self, rng, monkeypatch, chunk):
-        """fit_mle, the one-subset call, and any chunking give every subset the
-        same fit, bit for bit."""
+        """fit_mle, the one-subset call, and any pieces of the spectrum passes
+        and chunks of the regressions give every subset the same fit, bit for bit."""
         data = random_dataset(rng, n=40, p=4)
         alone = {S.mask: fit_mle(data, S, with_info=False) for S in enumerate_submodels(4)}
-        monkeypatch.setattr(slm, "_CHUNK", chunk)
+        monkeypatch.setattr(weights, "_CHUNK", chunk)
         batch = fit_each(data, enumerate_submodels(4)[::-1])
         assert list(batch) == list(range(15, -1, -1))
         for mask, fit in batch.items():

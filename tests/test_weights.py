@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from slmfic import SimConfig, SpatialWeights, build_chain_lag1, cli, monte_carlo, simulate
 from slmfic import weights as weights_module
+from slmfic.weights import validate_adjacency
 from slmfic.io import run_report_to_json
 from slmfic.errors import (
     ComplexSpectrumError,
@@ -39,6 +40,10 @@ class TestChain:
     def test_too_small(self):
         with pytest.raises(InvalidSizeError):
             build_chain_lag1(1)
+
+    def test_non_square_adjacency_rejected(self):
+        with pytest.raises(InvalidSizeError, match=r"adjacency must be square, got shape \(2, 3\)"):
+            validate_adjacency(np.zeros((2, 3)))
 
 
 class TestRowNormalize:
@@ -165,20 +170,24 @@ class TestLogDet:
 
 
 def _per_order_sum(W, rho, k):
-    """-sum_i g_i^k over the spectrum of W, one pass per order, g **= k in place."""
+    """The log-det sum_i log(1 - rho*w_i) for k = 0, else -sum_i g_i^k over the
+    spectrum of W, g **= k in place: one whole pass per order, in no pieces."""
     g = np.multiply.outer(rho, W.spectrum)
     np.subtract(1.0, g, out=g)
+    if k == 0:
+        return np.sum(np.log(g), axis=-1)
     np.divide(W.spectrum, g, out=g)
     g **= k
     return -np.sum(g, axis=-1)
 
 
 @pytest.mark.parametrize("graph", ["chain75", "lattice55"])
-def test_one_pass_derivative_sums_equal_the_per_order_sums(graph):
-    """The derivative sums of several orders from one pass over the spectrum
-    are the per-order sums bit for bit, for a scalar rho and an (m,) array;
-    and one scalar rho gives the bits of each entry of an array of it, as a
-    bracket end of the rho search takes one sum for every fit."""
+def test_one_pass_derivative_sums_equal_the_per_order_sums(graph, monkeypatch):
+    """The log-det and the derivative sums of several orders, from one spectrum
+    pass, are the per-order sums bit for bit, for a scalar rho, an (m,) array
+    and a (2, m) array, in pieces of 1, 2, 7 and all entries; and one scalar
+    rho gives the bits of each entry of an array of it, as a bracket end of
+    the rho search takes one sum for every fit."""
     if graph == "chain75":
         W = SpatialWeights.from_adjacency(build_chain_lag1(75), row_normalize=True)
     else:  # the 55 x 55 rook lattice: paths along the rows plus paths along the columns
@@ -186,18 +195,25 @@ def test_one_pass_derivative_sums_equal_the_per_order_sums(graph):
         W = SpatialWeights.from_adjacency(scipy.sparse.kron(eye, path) + scipy.sparse.kron(path, eye))
     lo, hi = W.rho_interval
     rhos = lo + (hi - lo) * np.array([1e-6, 0.1, 0.37, 0.5, 0.8, 1.0 - 1e-6])
-    for rho in (rhos, *rhos):
-        together = W.log_det_rho_derivative(rho, (1, 2, 3))
-        assert len(together) == 3
-        for k, value in zip((1, 2, 3), together):
-            reference = _per_order_sum(W, rho, k)
-            assert np.asarray(value).tobytes() == reference.tobytes()
-            assert np.asarray(W.log_det_rho_derivative(rho, k)).tobytes() == reference.tobytes()
-        assert type(together[0]) is (float if np.ndim(rho) == 0 else np.ndarray)
-    for rho in rhos:
-        each = W.log_det_rho_derivative(np.full(7, rho), (1, 2))
-        for scalar, row in zip(W.log_det_rho_derivative(rho, (1, 2)), each):
-            assert row.tobytes() == np.full(7, scalar).tobytes()
+    for piece in (1, 2, 7, rhos.size * 2):
+        monkeypatch.setattr(weights_module, "_CHUNK", piece * W.n + W.n - 1)
+        for rho in (rhos, np.stack([rhos, rhos[::-1]]), *rhos):
+            reference = [_per_order_sum(W, rho, k) for k in (0, 1, 2, 3)]
+            for k, value in zip((0, 1, 2, 3), W._spectrum_sums(rho, (0, 1, 2, 3))):
+                assert value.tobytes() == (reference[k] * (-1 if k else 1)).tobytes()
+            assert np.asarray(W.log_det_factor(rho)).tobytes() == reference[0].tobytes()
+            together = W.log_det_rho_derivative(rho, (1, 2, 3))
+            assert len(together) == 3
+            for k, value in zip((1, 2, 3), together):
+                assert np.asarray(value).tobytes() == reference[k].tobytes()
+                assert np.asarray(W.log_det_rho_derivative(rho, k)).tobytes() == \
+                    reference[k].tobytes()
+            assert type(together[0]) is (float if np.ndim(rho) == 0 else np.ndarray)
+            assert type(W.log_det_factor(rho)) is type(together[0])
+        for rho in rhos:
+            each = W.log_det_rho_derivative(np.full(7, rho), (1, 2))
+            for scalar, row in zip(W.log_det_rho_derivative(rho, (1, 2)), each):
+                assert row.tobytes() == np.full(7, scalar).tobytes()
 
 
 def _rook_lattice(side):
