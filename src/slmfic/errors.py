@@ -26,10 +26,6 @@ class IsolatedUnitError(InputError):
         super().__init__(f"unit {index} has no neighbors (zero row)")
 
 
-class ComplexSpectrumError(InputError):
-    """Eigenvalues of the weights matrix have non-negligible imaginary parts."""
-
-
 class RhoOutOfRangeError(InputError):
     """Spatial autoregression parameter outside the admissible interval."""
 
@@ -47,7 +43,8 @@ class DegenerateVarianceError(NumericalError, ValueError):
 
 
 class ConvergenceError(NumericalError, RuntimeError):
-    """Scalar optimizer failed to converge; carries the best iterate found."""
+    """The rho search did not converge, or ended on an end of the interval that
+    complex eigenvalues set; carries its last rho."""
 
     def __init__(self, message, best_rho=None):
         self.best_rho = best_rho

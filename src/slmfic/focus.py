@@ -122,7 +122,8 @@ def eval_focus_batch(spec: FocusSpec, batch, subsets, rho: np.ndarray, sigma2: n
     Each subset's information is its block of slm._information, which holds
     that of every fit at once, R m (p + 2)^2 elements that no chunk bounds;
     per chunk of same-size subsets, one stacked certificate, inverse and eigh
-    serve their (R, s) blocks."""
+    serve their (R, s) blocks.  spillover holds two unbounded arrays of that
+    size: the tiled identity and its product with the subsets' column mask."""
     W, n, p = batch[0].W, batch[0].n, batch[0].p
     reps, m = rho.shape
     bits = np.array([S.mask << 2 | 3 for S in subsets])  # bit j: coordinate j of theta in S

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
+from . import weights
 from .errors import BandwidthError, ConfigError, DataFormatError
 from .fic import FicRow
 from .slm import Dataset, FisherInfo, _certify, _gather, _size_groups
 from .submodels import SubmodelId
 
-_BLOCK = 1 << 16  # distances median_bandwidth holds at once: one block, or those it keeps
 _BIN_BITS = 14  # a counting pass of median_bandwidth has 2^_BIN_BITS bins
 
 
@@ -81,14 +81,14 @@ def psi_kernel(X: np.ndarray, z0: np.ndarray, h: float) -> PsiWeights:
 
 def median_bandwidth(X: np.ndarray) -> float:
     """Median pairwise Euclidean distance among the rows of X: np.median(pdist(X))
-    bit for bit, in O(n^2) time and O(_BLOCK + 2^_BIN_BITS + n) memory.
+    bit for bit, in O(n^2) time and O(weights._CHUNK + 2^_BIN_BITS + n) memory.
 
     Nonnegative floats order as their bit patterns do.  The bracket of patterns
     [lo, lo + span) holds order statistic (m - 1) // 2 of the m distances, with
-    `below` distances under it and n_in in it.  While n_in > _BLOCK, a pass
-    counts the distances in 2^_BIN_BITS bins over the bracket (the first over
-    the top 8 binades under a bound, bin 0 taking all below) and the bracket
-    becomes the statistic's bin.  A last pass keeps the bracket's distances;
+    `below` distances under it and n_in in it.  While n_in > weights._CHUNK, a
+    pass counts the distances in 2^_BIN_BITS bins over the bracket (the first
+    over the top 8 binades under a bound, bin 0 taking all below) and the
+    bracket becomes the statistic's bin.  A last pass keeps the bracket's distances;
     a bracket of one pattern needs only its count."""
     X = np.asarray(X, dtype=float)
     if len(X) < 2:
@@ -103,7 +103,7 @@ def median_bandwidth(X: np.ndarray) -> float:
     r = 2.0 * np.sqrt(np.max(np.sum((X - X.mean(axis=0)) ** 2, axis=1))) * (1 + 2.0 ** -20) + 1e-150
     top = int(np.float64(r).view(np.int64)) + 1
     lo, span, below, n_in = 0, top, 0, m
-    while n_in > _BLOCK and span > 1:
+    while n_in > weights._CHUNK and span > 1:
         w0 = max(lo, top - (1 << 55)) if lo + span == top else lo
         shift = max(0, (lo + span - w0 - 1).bit_length() - _BIN_BITS)
         counts = np.zeros(nb + 2, np.intp)  # bin 0 under w0, nb + 1 above the bins
@@ -122,11 +122,11 @@ def median_bandwidth(X: np.ndarray) -> float:
     a, b = np.array([lo, lo + span - 1]).view(np.float64)
     kept, above, rank = [], np.inf, ks - below
     for d in _pair_blocks(X):
-        if n_in <= _BLOCK:
+        if n_in <= weights._CHUNK:
             kept.append(d[(d >= a) & (d <= b)])
         if rank[-1] == n_in:  # the upper statistic is the least distance above
             above = d[d > b].min(initial=above)
-    if n_in <= _BLOCK:
+    if n_in <= weights._CHUNK:
         vals = np.partition(np.concatenate(kept + [[above]]), rank)[rank]
     else:
         vals = np.where(rank < n_in, a, above)
@@ -138,11 +138,11 @@ def median_bandwidth(X: np.ndarray) -> float:
 
 def _pair_blocks(X: np.ndarray):
     """The distances of the row pairs i < j of X, flat, from cdist (and pdist
-    within a block), bit for bit pdist's; a block of rows holds at most _BLOCK
-    pairs, or is one row."""
+    within a block), bit for bit pdist's; a block of rows holds at most
+    weights._CHUNK pairs, or is one row."""
     i0, n = 0, len(X)
     while i0 < n:
-        i1 = i0 + max(1, min(n - i0, _BLOCK // (n - i0)))
+        i1 = i0 + max(1, min(n - i0, weights._CHUNK // (n - i0)))
         yield pdist(X[i0:i1])
         yield cdist(X[i0:i1], X[i1:]).ravel()
         i0 = i1

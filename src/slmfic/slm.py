@@ -37,6 +37,7 @@ from .weights import SpatialWeights
 _LOG_2PI = math.log(2.0 * math.pi)
 _SIGMA2_FLOOR = 1e-12
 _MAX_ITER = 500
+_GRID = 64  # points of the profile likelihood that pick rho-hat when the score does not fall
 _RHO_TOL = 1e-12  # step size, relative to the bracket, that ends the rho search
 _COND_LIMIT = 1e12  # an information matrix whose condition number exceeds it counts as singular
 
@@ -305,11 +306,13 @@ def _loglik(W: SpatialWeights, n: int, s2: np.ndarray, rho) -> np.ndarray:
 
 
 def _fit_error(stage: int, value: float, S: SubmodelId):
-    """The error of a fit that failed at a stage of _rho_hat: 2 a search that did
-    not converge (value its last rho), otherwise a variance (value) below the floor."""
-    if stage == 2:
-        return ConvergenceError(f"rho search for submodel {S.label()} did not converge in "
-                                f"{_MAX_ITER} steps", best_rho=float(value))
+    """The error of a fit that failed at a stage of _rho_hat: 2 or 3 a search that
+    did not converge or ended on a complex lower end (value its rho), otherwise a
+    variance (value) below the floor."""
+    if stage > 1:
+        why = (f"did not converge in {_MAX_ITER} steps" if stage == 2 else
+               f"ended at {value:.6g}, the lower end of the rho interval that complex eigenvalues set")
+        return ConvergenceError(f"rho search for submodel {S.label()} {why}", best_rho=float(value))
     return DegenerateVarianceError(f"residual variance {value:.3e} below floor for submodel "
                                    f"{S.label()}")
 
@@ -317,21 +320,23 @@ def _fit_error(stage: int, value: float, S: SubmodelId):
 def _rho_hat(W: SpatialWeights, n: int, gram: np.ndarray):
     """rho-hat of every fit and its steps: the root of the profile score
     -(n/2) q'/q - sum_i w_i / (1 - rho*w_i) in the admissible interval shrunk by
-    1e-6 of its range (the likelihood is singular at its ends).  Where the score
-    does not fall from positive to negative over it, the upper end if the score
-    is not negative there, else the lower end, after no step.  Safeguarded
-    Newton keeps such a bracket and bisects it when the curvature is not
-    negative or a step leaves it.  Each step takes the first and second
-    log-det derivatives of every active fit from one spectrum pass, which
-    builds g_i = w_i / (1 - rho*w_i) once, piece by piece; each bracket end,
-    one rho for every fit, takes one scalar pass, O(n), broadcast over them.
+    1e-6 of its range.  Where the score does not fall from positive to negative
+    over it (an end of finite likelihood: the row-normalized clip, or one that
+    complex eigenvalues set), the best of _GRID even points of the profile
+    likelihood is rho-hat if it is an end, after no step, else its neighbours
+    bracket the search.  Safeguarded Newton keeps a bracket and bisects it
+    when the curvature is not negative or a step leaves it.  Each step takes
+    the first and second log-det derivatives of every active fit from one
+    spectrum pass, which builds g_i = w_i / (1 - rho*w_i) once, piece by piece;
+    each bracket end, and the grid, takes one pass, broadcast over every fit.
 
     q is smallest at b/c, so a variance below the floor there (clipped to the
     bracket) is below it somewhere in the bracket: such a fit is degenerate and
     not searched.  Returns (rho, steps, s2, stage), s2 the profiled variance at
     rho and stage 0 for a fit found, 1 for a degenerate fit (a variance below
-    the floor at b/c, rho NaN and s2 that variance, or at rho-hat) and 2 for a
-    search that did not converge in _MAX_ITER steps (rho its last iterate)."""
+    the floor at b/c, rho NaN and s2 that variance, or at rho-hat), 2 for a
+    search that did not converge in _MAX_ITER steps (rho its last iterate) and
+    3 for rho-hat at the lower end when SpatialWeights.complex_lower_end."""
     lo, hi = W.rho_interval
     if not (np.isfinite(lo) and np.isfinite(hi)):  # unbounded (e.g. spectrum all zero): a box
         lo, hi = max(lo, -1e6), min(hi, 1e6)
@@ -348,9 +353,16 @@ def _rho_hat(W: SpatialWeights, n: int, gram: np.ndarray):
 
     s_lo, s_hi = (score(r, ok)[0] for r in (lo, hi))
     rho, steps = np.full(len(a), np.nan), np.zeros(len(a), dtype=int)
-    rho[ok] = np.where(s_hi >= 0, hi, lo)
-    active = ok[(s_lo > 0) & (s_hi < 0)]
-    x, L, H = (np.full(active.size, r) for r in (0.5 * (lo + hi), lo, hi))
+    search, L, H = (s_lo > 0) & (s_hi < 0), np.full(ok.size, lo), np.full(ok.size, hi)
+    if not search.all():  # the score does not fall over the bracket: a grid decides
+        kept, grid = np.flatnonzero(~search), np.linspace(hi, lo, _GRID)  # a tie takes the larger
+        i = ok[kept, None]
+        k = np.argmax(W.log_det_factor(grid)
+                      - 0.5 * n * np.log(a[i] - 2.0 * b[i] * grid + c[i] * grid * grid), axis=1)
+        rho[ok[kept]], L[kept], H[kept] = grid[k], grid[(k + 1) % _GRID], grid[k - 1]
+        search[kept] = (0 < k) & (k < _GRID - 1)
+    active, L, H = ok[search], L[search], H[search]
+    x = 0.5 * (L + H)
     for _ in range(_MAX_ITER):
         if not active.size:
             break
@@ -365,6 +377,7 @@ def _rho_hat(W: SpatialWeights, n: int, gram: np.ndarray):
     stage[active] = 2
     s2[ok] = _sigma2(gram[ok], rho[ok], n)
     stage[(stage == 0) & (s2 < _SIGMA2_FLOOR)] = 1
+    stage[(stage == 0) & (rho == lo) & W.complex_lower_end] = 3
     return rho, steps, s2, stage
 
 
@@ -399,7 +412,7 @@ def _fit_batch(batch, subsets, with_info: bool) -> Fits:
     errors = [None] * reps
     for r in np.flatnonzero(stage.any(axis=1)):
         i = np.flatnonzero(stage[r])[0]
-        errors[r] = _fit_error(stage[r, i], rho[r, i] if stage[r, i] == 2 else s2[r, i],
+        errors[r] = _fit_error(stage[r, i], rho[r, i] if stage[r, i] > 1 else s2[r, i],
                                subsets[i])
         for a in (rho, s2, ll, beta):
             a[r] = np.nan
@@ -459,7 +472,7 @@ def _information(batch, rho: np.ndarray, sigma2: np.ndarray, beta: np.ndarray) -
         e = Y - r * WY - (X @ beta[:, sl, :, None])[..., 0]
         g = W.spectrum / (1.0 - r * W.spectrum)
         H = np.empty(c.shape + (p + 2, p + 2))
-        H[..., 0, 0] = -_dot(g, g) - WYWY / c
+        H[..., 0, 0] = -_dot(g, g).real - WYWY / c
         H[..., 0, 1] = H[..., 1, 0] = -_dot(WY, e) / c2
         H[..., 1, 1] = n / (2.0 * c2) - _dot(e, e) / c3
         H[..., 0, 2:] = H[..., 2:, 0] = -XtWY / c[..., None]

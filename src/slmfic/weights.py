@@ -1,24 +1,26 @@
 """Spatial weights matrices and the log-determinant term log|I - rho*W|.
 
 A :class:`SpatialWeights` wraps a zero-diagonal adjacency matrix A, optionally
-row-normalized, together with its (real) spectrum and the open interval of
+row-normalized, together with its spectrum and the open interval of
 admissible values for the spatial autoregression parameter rho;
-log|I - rho*W| and its derivatives in rho are sums over the spectrum.
+log|I - rho*W| and its derivatives in rho are sums over the spectrum.  W is
+real, so its non-real eigenvalues come in conjugate pairs and every such sum
+is real: each is returned as the real part of its sum.
 
 W is one scipy.sparse CSR array from the weights file to the fit.  Only three
 places build a dense n x n matrix: the parse of a dense CSV file, which holds
 n^2 numbers anyway, the spectrum of a W that is not symmetric, and that of a
 band wider than n / _BAND_RATIO.
 
-When the spectrum is real by construction (A symmetric, or W = D^-1 A
-row-normalized from a symmetric A), it is computed on first read from a symmetric
-CSR matrix similar to W.  Reordered by reverse Cuthill-McKee, a contiguity
-graph is a narrow band matrix, whose eigenvalues LAPACK's banded solver finds
-in O(n^2 bw) time; a band wider than n / _BAND_RATIO goes to the dense solver
-instead.  Any other W gets its spectrum at construction, so a complex
-spectrum is an error there.  Instances are immutable and safe to share across
-threads: two first reads compute the same spectrum, and a pickled instance
-carries the spectrum it has read.
+Every spectrum is computed on first read.  When it is real by construction
+(A symmetric, or W = D^-1 A row-normalized from a symmetric A), it comes from
+a symmetric CSR matrix similar to W.  Reordered by reverse Cuthill-McKee, a
+contiguity graph is a narrow band matrix, whose eigenvalues LAPACK's banded
+solver finds in O(n^2 bw) time; a band wider than n / _BAND_RATIO goes to the
+dense solver instead.  Any other W, such as k-nearest-neighbour weights, goes
+to the dense general solver, O(n^3).  Instances are immutable and safe to
+share across threads: two first reads compute the same spectrum, and a
+pickled instance carries the spectrum it has read.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import scipy.sparse.linalg
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import (
-    ComplexSpectrumError,
     DataFormatError,
     InvalidSizeError,
     IsolatedUnitError,
@@ -40,7 +41,6 @@ from .errors import (
     SingularFactorizationError,
 )
 
-_IMAG_TOL = 1e-8
 _CHUNK = 1 << 16  # elements of one stacked temporary, in the spectrum pass and every batch stage
 
 
@@ -144,25 +144,26 @@ def _symmetric_spectrum(S) -> np.ndarray:
     return np.sort(scipy.linalg.eig_banded(band, lower=True, eigvals_only=True, check_finite=False))
 
 
-def _real_spectrum(W) -> np.ndarray:
-    """Eigenvalues of a W that is not symmetric; ComplexSpectrumError if they are not real."""
+def _general_spectrum(W) -> np.ndarray:
+    """Eigenvalues of a W that is not symmetric: real and ascending when every
+    one is real, else complex, the non-real ones in conjugate pairs."""
     ev = scipy.linalg.eigvals(W.toarray())  # no sparse solver returns a full general spectrum
-    if np.max(np.abs(ev.imag)) > _IMAG_TOL:
-        raise ComplexSpectrumError(
-            f"weights matrix has complex eigenvalues "
-            f"(max imaginary part {np.max(np.abs(ev.imag)):.3e})"
-        )
-    return np.sort(ev.real)
+    return ev if ev.imag.any() else np.sort(ev.real)
 
 
 def _rho_interval(spectrum: np.ndarray, row_normalized: bool) -> tuple[float, float]:
-    """Open interval on which 1 - rho*omega_i > 0 for every eigenvalue.
+    """Open interval on which every factor 1 - rho*omega_i has a positive real part.
 
-    Zero eigenvalues contribute no bound.  Row-normalized matrices are always
-    clipped to (-1, 1).
+    Its ends come from the real parts of the eigenvalues; zero real parts
+    contribute no bound.  For a real spectrum the factors themselves are
+    positive there, and for a nonnegative W the upper end is 1 / (Perron root).
+    For a complex spectrum the lower end can be conservative: the directed
+    3-cycle, spectrum {1, -1/2 +- i sqrt(3)/2}, gets (-2, 1), although
+    |I - rho*W| = 1 - rho^3 > 0 for every rho < 1.  Row-normalized matrices
+    are always clipped to (-1, 1).
     """
     lo, hi = -np.inf, np.inf
-    wmin, wmax = spectrum[0], spectrum[-1]
+    wmin, wmax = np.min(spectrum.real), np.max(spectrum.real)
     if wmin < 0:
         lo = 1.0 / wmin
     if wmax > 0:
@@ -187,12 +188,13 @@ class SpatialWeights:
     symmetric_form : (n, n) scipy.sparse.csr_array or None
         A symmetric matrix similar to ``matrix`` (D^-1/2 A D^-1/2 for
         row-normalized weights from a symmetric A, else ``matrix`` itself),
-        from which ``spectrum`` is computed on first read; None when
-        ``matrix`` is not symmetric, and then ``from_adjacency`` reads the
-        spectrum at construction.
+        from which ``spectrum`` is computed; None when ``matrix`` is not
+        similar to a symmetric matrix by construction.
     spectrum : (n,) ndarray
-        Real eigenvalues sorted ascending, computed once.
+        The eigenvalues, computed once, on first read: float and ascending
+        when all are real, else complex, the non-real ones in conjugate pairs.
     rho_interval : (float, float)
+    complex_lower_end : bool
     """
 
     matrix: scipy.sparse.csr_array
@@ -206,12 +208,20 @@ class SpatialWeights:
     @cached_property
     def spectrum(self) -> np.ndarray:
         if self.symmetric_form is None:
-            return _real_spectrum(self.matrix)
+            return _general_spectrum(self.matrix)
         return _symmetric_spectrum(self.symmetric_form)
 
     @cached_property
     def rho_interval(self) -> tuple[float, float]:
         return _rho_interval(self.spectrum, self.row_normalized)
+
+    @cached_property
+    def complex_lower_end(self) -> bool:
+        """Whether non-real eigenvalues alone set the lower end of rho_interval, past
+        which |I - rho*W| then stays positive; the upper end is the Perron root's."""
+        w, lo = self.spectrum, self.rho_interval[0]
+        x = np.min(w.real)
+        return bool(lo > -np.inf and lo == 1.0 / x and w[w.real == x].imag.all())
 
     @classmethod
     def from_adjacency(cls, A, row_normalize: bool = False) -> "SpatialWeights":
@@ -227,10 +237,7 @@ class SpatialWeights:
                                         A.indptr), shape=A.shape)
         for part in (W.data, W.indices, W.indptr):
             part.setflags(write=False)
-        weights = cls(W, row_normalize, _symmetric_form(A, W, sums))
-        if weights.symmetric_form is None:
-            _ = weights.spectrum  # not real by construction: a complex spectrum fails here
-        return weights
+        return cls(W, row_normalize, _symmetric_form(A, W, sums))
 
     def contains_rho(self, rho) -> bool:
         """Whether rho, or every entry of an array of rho, lies in the admissible interval."""
@@ -246,8 +253,9 @@ class SpatialWeights:
         """log|I_n - rho*W| via the eigenvalue product or an LU factorization.
 
         The spectrum backend uses the identity |I - rho*W| = prod(1 - rho*w_i)
-        and takes an array of rho too, one log-det per entry (_spectrum_sums);
-        the LU backend accumulates log|pivot| of a sparse LU, its oracle.
+        and takes an array of rho too, one log-det per entry (_spectrum_sums),
+        real for every W; the LU backend accumulates log|pivot| of a sparse
+        LU, its oracle.
         """
         if backend == "spectrum":
             (out,) = self._spectrum_sums(rho, (0,))
@@ -266,17 +274,19 @@ class SpatialWeights:
         """-sum_i g_i^order, g_i = w_i / (1 - rho*w_i), per entry of an array rho: the first and
         second rho-derivative of log|I - rho*W| for order 1 and 2, half the third for order 3.
 
-        Given a tuple of orders (each at least 1), one such sum per order, all
-        from one pass (_spectrum_sums), each the bits its order alone gives."""
+        Each sum is real for every W.  Given a tuple of orders (each at least
+        1), one such sum per order, all from one pass (_spectrum_sums), each
+        the bits its order alone gives."""
         if not isinstance(order, tuple):
             return self.log_det_rho_derivative(rho, (order,))[0]
         return tuple(-s if np.ndim(rho) else float(-s) for s in self._spectrum_sums(rho, order))
 
     def _spectrum_sums(self, rho, orders: tuple[int, ...]) -> list:
         """Per order, at each entry of rho (any shape), sum_i log(1 - rho*w_i) for
-        order 0, sum_i g_i^k, g_i = w_i / (1 - rho*w_i), for k >= 1: in pieces of
-        at most _CHUNK // n entries, at least 1, each one temporary updated in
-        place, and each sum one row's, the same bits in any piece."""
+        order 0, sum_i g_i^k, g_i = w_i / (1 - rho*w_i), for k >= 1, each the
+        real part of its sum: in pieces of at most _CHUNK // n entries, at least
+        1, each one temporary updated in place, and each sum one row's, the same
+        bits in any piece."""
         step = max(1, _CHUNK // self.n)
         if np.size(rho) > step:
             flat = np.reshape(rho, -1)
@@ -286,7 +296,7 @@ class SpatialWeights:
         self.require_rho(rho)
         t = np.multiply.outer(rho, self.spectrum)  # one temporary, updated in place
         np.subtract(1.0, t, out=t)
-        if 0 in orders and np.any(t <= 0):
+        if 0 in orders and np.any(t.real <= 0):
             raise SingularFactorizationError(f"I - rho*W singular at rho={rho}")
         powers = set(orders) - {0}  # a log-det alone takes its log in place and no division
         sums = {0: np.sum(np.log(t, out=None if powers else t), axis=-1)} if 0 in orders else {}
@@ -297,4 +307,4 @@ class SpatialWeights:
             sums[1] = np.sum(t, axis=-1)
         if 2 in powers:  # the last read of g: squared in place
             sums[2] = np.sum(np.multiply(t, t, out=t), axis=-1)
-        return [sums[k] for k in orders]
+        return [sums[k].real for k in orders]

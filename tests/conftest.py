@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.spatial.distance import cdist
 
 from slmfic import Dataset, SpatialWeights, Theta, build_chain_lag1
 from slmfic.focus import jacobian_fd
@@ -19,8 +20,40 @@ def random_symmetric_adjacency(rng, n, density=0.4):
     return A + A.T
 
 
-def random_dataset(rng, n=30, p=3, rho=0.3, beta=None, sigma2=1.0, row_normalize=True):
-    A = random_symmetric_adjacency(rng, n)
+def knn_adjacency(rng, n, k=4):
+    """Binary k-nearest-neighbour adjacency of n uniform random points in the
+    unit square: row i marks the k points nearest to point i (all others when
+    n <= k), so A is not symmetric and the row-normalized W has complex
+    eigenvalues."""
+    k = min(k, n - 1)
+    points = rng.random((n, 2))
+    d = cdist(points, points)
+    np.fill_diagonal(d, np.inf)
+    A = np.zeros((n, n))
+    A[np.repeat(np.arange(n), k), np.argsort(d, axis=1)[:, :k].ravel()] = 1.0
+    return A
+
+
+def directed_cycles(rng, n):
+    """n // 3 disjoint directed 3-cycles (rng unused): spectrum {1, -1/2 +- i sqrt(3)/2},
+    each n // 3 times, and rho interval (-2, 1) unnormalized."""
+    return np.kron(np.eye(n // 3), np.roll(np.eye(3), 1, axis=1))
+
+
+def rook_adjacency(rng, n):
+    """Binary rook contiguity of a square lattice of n units, n a square (rng unused)."""
+    side = math.isqrt(n)
+    path, eye = build_chain_lag1(side).toarray(), np.eye(side)
+    return np.kron(eye, path) + np.kron(path, eye)
+
+
+# graphs whose weights are not symmetric, by name
+ASYMMETRIC = {"knn": knn_adjacency, "cycles": directed_cycles}
+
+
+def random_dataset(rng, n=30, p=3, rho=0.3, beta=None, sigma2=1.0, row_normalize=True,
+                   adjacency=random_symmetric_adjacency):
+    A = adjacency(rng, n)
     W = SpatialWeights.from_adjacency(A, row_normalize=row_normalize)
     if beta is None:
         beta = rng.normal(size=p)
@@ -104,7 +137,7 @@ def brent_profile_fit(Xs, Y, WY, w, lo, hi):
     numpy and scipy alone: (rho, sigma2, beta, loglik).
 
     w holds the eigenvalues of W.  The concentrated log-likelihood is
-    -n/2 (1 + log 2 pi + log(e'e / n)) + sum_i log(1 - rho w_i), with e the
+    -n/2 (1 + log 2 pi + log(e'e / n)) + Re sum_i log(1 - rho w_i), with e the
     least-squares residual of (I - rho W) Y on Xs.  It is maximized over
     [lo, hi] by a grid search over _ORACLE_GRID points refined with a bounded
     scalar search (Brent) between the grid neighbours of the best point.
@@ -123,9 +156,9 @@ def brent_profile_fit(Xs, Y, WY, w, lo, hi):
 
     grid = np.linspace(lo, hi, _ORACLE_GRID)
     step = grid[1] - grid[0]
-    k = int(np.argmax(loglik(grid, np.log1p(-np.outer(grid, w)).sum(axis=1))))
+    k = int(np.argmax(loglik(grid, np.log1p(-np.outer(grid, w)).sum(axis=1).real)))
     res = minimize_scalar(
-        lambda r: -loglik(r, np.log1p(-r * w).sum()),
+        lambda r: -loglik(r, np.log1p(-r * w).sum().real),
         bounds=(max(grid[k] - step, lo), min(grid[k] + step, hi)),
         method="bounded",
         options={"xatol": 1e-12},

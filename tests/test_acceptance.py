@@ -32,6 +32,7 @@ from slmfic.safic import g_matrix, pointwise_risk, rho_beta_blocks
 
 from conftest import (
     k_one,
+    knn_adjacency,
     oracle_top1_counts,
     random_dataset,
     random_info,
@@ -175,15 +176,24 @@ class TestCriterion3:
         )
 
 
+# Criteria 4-6 run on random symmetric graphs and on k-nearest-neighbour graphs,
+# whose row-normalized W is not symmetric and has complex eigenvalues.
 class TestCriterion4:
     def test_oracle_equivalences(self):
+        self.check(random_symmetric_adjacency, "")
+
+    def test_oracle_equivalences_on_knn_weights(self):
+        self.check(knn_adjacency, "kNN weights: ")
+
+    @staticmethod
+    def check(adjacency, label):
         rng = np.random.default_rng(404)
 
         # (a) log-determinant backend agreement
         worst_logdet = 0.0
         for _ in range(100):
             n = int(rng.integers(4, 25))
-            A = random_symmetric_adjacency(rng, n)
+            A = adjacency(rng, n)
             W = SpatialWeights.from_adjacency(A, row_normalize=True)
             lo, hi = W.rho_interval
             rho = rng.uniform(lo + 1e-3, hi - 1e-3)
@@ -195,7 +205,7 @@ class TestCriterion4:
                 ),
             )
 
-        data = random_dataset(rng, n=25, p=4)
+        data = random_dataset(rng, n=25, p=4, adjacency=adjacency)
         psi = psi_uniform(25)
         blocks = rho_beta_blocks(random_info(rng, 4))
         K = k_one(blocks, data, psi)
@@ -239,7 +249,7 @@ class TestCriterion4:
         report(
             4,
             ok,
-            f"logdet backends {worst_logdet:.2e} (<1e-8); K identity {k_gap:.2e} "
+            f"{label}logdet backends {worst_logdet:.2e} (<1e-8); K identity {k_gap:.2e} "
             f"(<1e-10); risk decomposition {risk_gap:.2e} (<1e-10); G idempotence "
             f"{idem_gap:.2e} (<1e-8); boundary projections exact: {boundary_ok}",
         )
@@ -247,8 +257,15 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_wide_model_unbiased(self):
+        self.check(random_symmetric_adjacency, "")
+
+    def test_wide_model_unbiased_on_knn_weights(self):
+        self.check(knn_adjacency, "kNN weights: ")
+
+    @staticmethod
+    def check(adjacency, label):
         rng = np.random.default_rng(505)
-        data = random_dataset(rng, n=30, p=3)
+        data = random_dataset(rng, n=30, p=3, adjacency=adjacency)
         wide = SubmodelId.wide(3)
         fit = fit_mle(data, wide)
         info = random_info(rng, 3, zero_sigma_beta=True)
@@ -274,7 +291,7 @@ class TestCriterion5:
         report(
             5,
             ok,
-            "wide-model bias2 per focus kind: "
+            f"{label}wide-model bias2 per focus kind: "
             + ", ".join(f"{k}={v:.2e}" for k, v in worst.items())
             + f" (<1e-10 each); m_wide beta block vs identity {m_gap:.2e} (<1e-10)",
         )
@@ -282,12 +299,19 @@ class TestCriterion5:
 
 class TestCriterion6:
     def test_jacobians_and_scores(self):
+        self.check(random_symmetric_adjacency, "")
+
+    def test_jacobians_and_scores_on_knn_weights(self):
+        self.check(knn_adjacency, "kNN weights: ")
+
+    @staticmethod
+    def check(adjacency, label):
         rng = np.random.default_rng(606)
         worst_jac = 0.0
         for trial in range(50):
             n = int(rng.integers(15, 35))
             p = int(rng.integers(2, 5))
-            data = random_dataset(rng, n=n, p=p)
+            data = random_dataset(rng, n=n, p=p, adjacency=adjacency)
             S = SubmodelId(int(rng.integers(0, 2**p)), p)
             kind = ("conditional_mean", "beta_coeffs", "spillover")[trial % 3]
             spec = FocusSpec(
@@ -306,7 +330,7 @@ class TestCriterion6:
 
         worst_score = 0.0
         for trial in range(10):
-            data = random_dataset(rng, n=50, p=3)
+            data = random_dataset(rng, n=50, p=3, adjacency=adjacency)
             for S in (SubmodelId.wide(3), SubmodelId(0, 3), SubmodelId(0b101, 3)):
                 fit = fit_mle(data, S, with_info=False)
                 g = score_fd(fit.theta_hat, data, S)
@@ -317,7 +341,7 @@ class TestCriterion6:
         report(
             6,
             ok,
-            f"analytic vs finite-difference Jacobians, worst gap {worst_jac:.2e} "
+            f"{label}analytic vs finite-difference Jacobians, worst gap {worst_jac:.2e} "
             f"(<1e-6 over 50 instances); normalized score at converged fits "
             f"{worst_score:.2e} (<1e-4)",
         )

@@ -20,6 +20,7 @@ from slmfic import (
     cli,
     errors,
     fic_table,
+    fit_mle,
     monte_carlo,
     morans_i,
     safic_table,
@@ -46,7 +47,7 @@ from slmfic.io import (
     write_report,
 )
 
-from conftest import random_dataset, random_symmetric_adjacency
+from conftest import knn_adjacency, random_dataset, random_symmetric_adjacency
 
 
 def write_csv(path, text):
@@ -532,6 +533,28 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert {"I", "expected", "z", "p_value"} <= set(payload)
 
+    @pytest.mark.parametrize("command", [["fit"], ["fic", "--focus", "maxvar"],
+                                         ["safic", "--scheme", "kernel"], ["moran"]],
+                             ids=["fit", "fic", "safic", "moran"])
+    def test_knn_edge_list(self, tmp_path, capsys, command):
+        """Row-normalized k-nearest-neighbour weights, whose spectrum is complex,
+        from an i,j,w file: every command runs, and fit prints the library's rho."""
+        rng = np.random.default_rng(3)
+        A = knn_adjacency(rng, 60)
+        i, j = np.nonzero(A)
+        weights_path = write_csv(tmp_path / "w.csv",
+                                 "i,j,w\n" + "".join(f"{a},{b},1\n" for a, b in zip(i, j)))
+        data = random_dataset(rng, n=60, p=2, rho=0.5, adjacency=lambda rng, n: A)
+        data_path = write_csv(tmp_path / "data.csv", "y,a,b\n" + "".join(
+            f"{y!r},{a!r},{b!r}\n" for y, (a, b) in zip(data.Y.tolist(), data.X.tolist())))
+        rc = main([*command, "--data", data_path, "--weights", weights_path, "--response", "y",
+                   "--row-normalize"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        if command == ["fit"]:
+            fit = fit_mle(data, SubmodelId.wide(2), with_info=False)
+            assert payload["rho"] == fit.theta_hat.rho
+
     def test_simulate_with_config(self, tmp_path, capsys):
         cfg = {
             "n": 20,
@@ -746,7 +769,6 @@ class TestCli:
 EXIT_CODES = {
     "InvalidSizeError": 1,
     "IsolatedUnitError": 1,
-    "ComplexSpectrumError": 1,
     "RhoOutOfRangeError": 1,
     "SingularFactorizationError": 2,
     "RankError": 1,

@@ -9,6 +9,7 @@ from scipy.spatial.distance import pdist
 import slmfic.safic as safic
 import slmfic.simulate as simulate
 import slmfic.slm as slm
+import slmfic.weights as weights
 from slmfic import (
     Dataset,
     FisherInfo,
@@ -142,7 +143,7 @@ class TestMedianBandwidth:
     @staticmethod
     def _with_budget(X, block, bin_bits):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(safic, "_BLOCK", block)
+            mp.setattr(weights, "_CHUNK", block)
             mp.setattr(safic, "_BIN_BITS", bin_bits)
             return median_bandwidth(X)
 
@@ -197,7 +198,7 @@ class TestMedianBandwidth:
 
     def test_two_passes_over_the_distances(self, monkeypatch):
         """At n = 2,000 (2 M distances) one count pass over the top 8 binades
-        leaves under _BLOCK distances in the median's bin: one more pass selects."""
+        leaves under weights._CHUNK distances in the median's bin: one more pass selects."""
         passes = []
         blocks = safic._pair_blocks
         monkeypatch.setattr(safic, "_pair_blocks", lambda X: passes.append(1) or blocks(X))

@@ -17,6 +17,7 @@ from slmfic import (
     Dataset,
     FocusSpec,
     SimConfig,
+    SpatialWeights,
     SubmodelId,
     Theta,
     aic,
@@ -41,7 +42,7 @@ from slmfic.focus import eval_focus
 from slmfic.io import run_report_to_json
 from slmfic.slm import observed_info
 
-from conftest import fit_each, random_dataset, sweep_one
+from conftest import fit_each, knn_adjacency, random_dataset, rook_adjacency, sweep_one
 
 
 def small_config(**kw):
@@ -531,6 +532,101 @@ def test_covariate_permutation_permutes_safic_and_aic_tables(seed, perm):
         for m in range(2**4):
             assert score_perm[m] == pytest.approx(score[original_mask(m)], rel=1e-10)
         assert [original_mask(m) for m in order_perm] == order
+
+
+def _property_dataset(graph, seed, p):
+    """A row-normalized rook lattice (16, 25 or 36 units) or kNN graph (12-40
+    units), its adjacency and a spatial lag dataset on it at rho = 0.4."""
+    rng = np.random.default_rng(seed)
+    if graph == "rook":
+        n, adjacency = int(rng.integers(4, 7)) ** 2, rook_adjacency
+    else:
+        n, adjacency = int(rng.integers(12, 41)), knn_adjacency
+    A = adjacency(rng, n)
+    return A, random_dataset(rng, n=n, p=p, rho=0.4, adjacency=lambda rng, n: A)
+
+
+def _scores(data, location):
+    """{criterion name: score array over the masks} of the FIC of the conditional
+    mean at location, uniform sAFIC and AIC."""
+    kinds = (CriterionSpec("fic", "mean", focus=FocusSpec("conditional_mean", location=location)),
+             CriterionSpec("safic", "U", scheme="uniform"), CriterionSpec("aic", "AIC"))
+    tables = sweep_one(data, kinds, enumerate_submodels(data.p))
+    return {name: sweep_scores(terms) for name, (_order, terms) in tables.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["rook", "knn"]), st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=1, max_value=3))
+def test_permuting_units_with_w_leaves_fits_and_scores(graph, seed, p):
+    """Unit i of the permuted data is unit order[i]: Y, the rows of X and the
+    rows and columns of W move together, and the FIC's location with its unit.
+    Every subset's rho, sigma^2 and beta, and every score, stay the same;
+    scores are compared, not rank orders, so near-ties cannot flip."""
+    A, data = _property_dataset(graph, seed, p)
+    order = np.random.default_rng(seed + 1).permutation(data.n)
+    W = SpatialWeights.from_adjacency(A[np.ix_(order, order)], row_normalize=True)
+    permuted = Dataset(Y=data.Y[order], X=data.X[order], W=W)
+    subsets = enumerate_submodels(p)
+    fits, fits_perm = fit_each(data, subsets), fit_each(permuted, subsets)
+    for m, fit in fits.items():
+        got, want = fits_perm[m].theta_hat, fit.theta_hat
+        assert got.rho == pytest.approx(want.rho, rel=1e-9, abs=1e-12)
+        assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-9)
+        np.testing.assert_allclose(got.beta, want.beta, rtol=1e-9, atol=1e-12)
+    location = int(np.random.default_rng(seed + 2).integers(data.n))
+    scores = _scores(data, location)
+    scores_perm = _scores(permuted, int(np.argsort(order)[location]))
+    for name, score in scores.items():
+        np.testing.assert_allclose(scores_perm[name], score, rtol=1e-9,
+                                   atol=1e-9 * np.max(np.abs(score)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["rook", "knn"]), st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=1, max_value=3), st.floats(min_value=-3.0, max_value=3.0))
+def test_scaling_y_scales_fits_and_scores(graph, seed, p, log_c):
+    """Y -> cY, c in [1e-3, 1e3]: every subset's rho-hat stays, beta-hat scales
+    by c and sigma^2-hat by c^2.  The FIC (conditional mean) and sAFIC scores
+    scale by c^2 and AIC shifts by the one constant 2n log c, checked for
+    c in [1e-2, 1e2]: beyond, the information's condition number, whose
+    sigma^2 entry scales by 1/c^4, can pass the certificate's absolute limit
+    of 1e12, and the sweep raises SingularInformationError
+    (test_scaling_y_down_by_1000_scales_the_scores pins it)."""
+    c = 10.0 ** log_c
+    _, data = _property_dataset(graph, seed, p)
+    scaled = Dataset(Y=c * data.Y, X=data.X, W=data.W)
+    subsets = enumerate_submodels(p)
+    fits, fits_scaled = fit_each(data, subsets), fit_each(scaled, subsets)
+    for m, fit in fits.items():
+        got, want = fits_scaled[m].theta_hat, fit.theta_hat
+        assert got.rho == pytest.approx(want.rho, rel=1e-9, abs=1e-12)
+        assert got.sigma2 == pytest.approx(c * c * want.sigma2, rel=1e-9)
+        np.testing.assert_allclose(got.beta, c * want.beta, rtol=1e-9,
+                                   atol=1e-12 * c * np.max(np.abs(want.beta), initial=0))
+    if abs(log_c) > 2:
+        return
+    scores, scores_scaled = _scores(data, 0), _scores(scaled, 0)
+    for name in ("mean", "U"):
+        np.testing.assert_allclose(scores_scaled[name], c * c * scores[name], rtol=1e-9,
+                                   atol=1e-9 * c * c * np.max(np.abs(scores[name])))
+    np.testing.assert_allclose(scores_scaled["AIC"] - scores["AIC"], 2 * data.n * np.log(c),
+                               rtol=0, atol=1e-9 * np.max(np.abs(scores["AIC"])))
+
+
+@pytest.mark.xfail(strict=True, raises=SingularInformationError,
+                   reason="ROADMAP item 13: the certificate's condition limit of 1e12 is not "
+                          "invariant to the units of Y")
+@pytest.mark.parametrize("seed", range(3))
+def test_scaling_y_down_by_1000_scales_the_scores(seed):
+    """The scores of test_scaling_y_scales_fits_and_scores at c = 1e-3, which
+    its property leaves out: the sigma^2 entry of the information scales by
+    1/c^4, its condition number passes 1e12, and the sweep raises."""
+    data = random_dataset(np.random.default_rng(seed), n=30, p=3)
+    scaled = Dataset(Y=1e-3 * data.Y, X=data.X, W=data.W)
+    scores, scores_scaled = _scores(data, 0), _scores(scaled, 0)
+    for name in ("mean", "U"):
+        np.testing.assert_allclose(scores_scaled[name], 1e-6 * scores[name], rtol=1e-9)
 
 
 class TestReplication:

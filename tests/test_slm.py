@@ -30,6 +30,7 @@ from slmfic.errors import (
 from slmfic.slm import full_loglik, observed_info, profile_beta
 
 from conftest import (
+    ASYMMETRIC,
     brent_profile_fit,
     fd_information,
     fit_each,
@@ -328,6 +329,40 @@ class TestClosedForms:
                 want = fd_information(theta, data, S)
                 assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("kind", sorted(ASYMMETRIC))
+    def test_information_matches_fd_hessian_on_complex_spectra(self, rng, kind):
+        """H_rho,rho takes the real part of sum g_i^2 over a spectrum with conjugate
+        pairs: checked at the fit's sigma^2 and beta with rho across the interval,
+        whose ends the finite-difference stencil cannot straddle.  Away from the
+        fit the information need not be positive definite, so the closed form is
+        read uncertified, from the batch form observed_info slices."""
+        for mask in CLOSED_FORM_MASKS:
+            S = SubmodelId(mask, 3)
+            cols = [0, 1, *(2 + j for j in S.indices())]
+            data = asymmetric_dataset(rng, kind)
+            fit = fit_mle(data, S, with_info=False).theta_hat
+            beta = np.zeros((1, 1, 3))
+            beta[0, 0, list(S.indices())] = fit.beta
+            lo, hi = data.W.rho_interval
+            for rho in lo + (hi - lo) * np.array([0.2, 0.5, 0.8]):
+                info = slm._information([data], np.array([[rho]]), np.array([[fit.sigma2]]), beta)
+                got = info[0, 0][np.ix_(cols, cols)]
+                want = fd_information(Theta(rho=rho, sigma2=fit.sigma2, beta=fit.beta), data, S)
+                assert got.dtype == float
+                assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+
+def asymmetric_dataset(rng, kind, rho=0.3):
+    """n = 60 on row-normalized kNN weights (k = 4) or on 20 unnormalized directed 3-cycles."""
+    return random_dataset(rng, n=60, p=3, rho=rho, adjacency=ASYMMETRIC[kind],
+                          row_normalize=kind == "knn")
+
+
+LOCAL_MAXIMUM = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 11: at true rho -0.9 the score of S5 falls over the bracket, and "
+           "Newton from its middle finds a local maximum 0.19 below the global one")
+
 
 def search_bracket(W):
     """The rho search's bracket for the weights used here: the admissible
@@ -389,6 +424,70 @@ class TestFitSubsets:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_the_oracle(self, seed, rho):
         self.check_against_oracle(random_dataset(np.random.default_rng(seed), n=40, p=4, rho=rho))
+
+    @pytest.mark.parametrize("rho", [0.5, -0.6])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_knn_weights_match_the_oracle(self, seed, rho):
+        self.check_against_oracle(asymmetric_dataset(np.random.default_rng(seed), "knn", rho))
+
+    @pytest.mark.parametrize("seed, row_normalize", [
+        pytest.param(seed, row_normalize, id=f"{seed}-{'normalized' if row_normalize else 'raw'}",
+                     marks=[LOCAL_MAXIMUM] if (seed, row_normalize) == (104, False) else [])
+        for seed in range(100, 110) for row_normalize in (True, False)])
+    def test_directed_cycles_match_the_oracle(self, seed, row_normalize):
+        """20 disjoint directed 3-cycles, row-normalized (interval (-1, 1)) or raw
+        ((-2, 1), its lower end set by the pair -1/2 +- i sqrt(3)/2, past which
+        |I - rho*W| = (1 - rho^3)^20 stays positive).  Re log(1 - rho*w) is not
+        concave for a non-real w, so the profile score need not fall from
+        positive to negative over the bracket; those fits take the grid.  For
+        five true rho, every subset's fit against the oracle: where rho-hat
+        differs, the maxima tie (the likelihood of the empty model S1 is the
+        same at rho and 1/rho); a raw fit whose maximum is the lower end raises
+        ConvergenceError there, where the oracle stops too.  The known miss
+        (the xfail) is at the last rho, so the others of its case are checked."""
+        rng = np.random.default_rng(seed)
+        for true_rho in (0.9, 0.5, 0.0, -0.5, -0.9):
+            data = random_dataset(rng, n=60, p=3, rho=true_rho, adjacency=ASYMMETRIC["cycles"],
+                                  row_normalize=row_normalize)
+            lo, hi = search_bracket(data.W)
+            for S in enumerate_submodels(3):
+                rho, _, _, ll = brent_profile_fit(data.X[:, S.indices()], data.Y, data.WY,
+                                                  data.W.spectrum, lo, hi)
+                try:
+                    fit = fit_mle(data, S, with_info=False)
+                except ConvergenceError as error:
+                    assert not row_normalize and error.best_rho == lo and rho - lo <= 1e-7, S
+                    continue
+                if fit.theta_hat.rho in (lo, hi):
+                    assert abs(fit.theta_hat.rho - rho) <= 1e-7 and fit.loglik >= ll, S
+                else:
+                    assert abs(fit.loglik - ll) <= 1e-10 * abs(ll), (true_rho, S)
+                    assert abs(fit.theta_hat.rho - rho) <= 1e-7 or S.mask == 0, (true_rho, S)
+
+    @pytest.mark.parametrize("row_normalize", [True, False], ids=["normalized", "raw"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_maximum_past_the_lower_end(self, seed, row_normalize):
+        """Data drawn at rho = -5, sigma^2 = 0.01, on directed 3-cycles, whose row
+        sums are 1: the likelihood of the wide model rises to the lower end (that of a narrow
+        one has a twin maximum near -1/5).  Row-normalized, that end is the clip
+        at -1, and rho-hat is the end, after no step, as for the complete graph;
+        raw, it is the end -2 that the complex pair sets, and the fit raises
+        ConvergenceError there rather than report a maximum the interval cuts off."""
+        data = random_dataset(np.random.default_rng(seed), n=60, p=3, rho=-5.0, sigma2=0.01,
+                              adjacency=ASYMMETRIC["cycles"], row_normalize=row_normalize)
+        lo, hi = search_bracket(data.W)
+        wide = SubmodelId.wide(3)
+        assert data.W.complex_lower_end is not row_normalize
+        rho, _, _, ll = brent_profile_fit(data.X, data.Y, data.WY, data.W.spectrum, lo, hi)
+        assert rho - lo <= 1e-7
+        if row_normalize:
+            fit = fit_mle(data, wide, with_info=False)
+            assert fit.theta_hat.rho == lo and fit.iterations == 0 and fit.loglik >= ll
+            return
+        with pytest.raises(ConvergenceError, match=r"^rho search for submodel S8 ended at -2, "
+                           r"the lower end of the rho interval that complex eigenvalues set$") as exc:
+            fit_mle(data, wide, with_info=False)
+        assert exc.value.best_rho == lo
 
     @pytest.mark.parametrize("seed", range(3))
     def test_near_boundary_chain(self, seed):

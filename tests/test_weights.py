@@ -13,14 +13,13 @@ from slmfic import weights as weights_module
 from slmfic.weights import validate_adjacency
 from slmfic.io import run_report_to_json
 from slmfic.errors import (
-    ComplexSpectrumError,
     DataFormatError,
     InvalidSizeError,
     IsolatedUnitError,
     RhoOutOfRangeError,
 )
 
-from conftest import random_symmetric_adjacency
+from conftest import ASYMMETRIC, directed_cycles, random_symmetric_adjacency
 
 
 class TestChain:
@@ -103,18 +102,30 @@ class TestSpectrum:
     def test_zero_matrix(self):
         W = SpatialWeights.from_adjacency(np.zeros((4, 4)))
         assert np.allclose(W.spectrum, 0.0)
-        assert W.rho_interval == (-np.inf, np.inf)
+        assert W.rho_interval == (-np.inf, np.inf) and not W.complex_lower_end
 
     def test_two_cycle(self):
         W = SpatialWeights.from_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(W.spectrum, [-1.0, 1.0])
+        assert not W.complex_lower_end  # the real eigenvalue -1 sets it
 
-    def test_complex_spectrum_rejected(self):
-        # directed 3-cycle has complex eigenvalues
-        A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(ComplexSpectrumError,
-                           match=r"^weights matrix has complex eigenvalues \(max imaginary part 8\.660e-01\)$"):
-            SpatialWeights.from_adjacency(A)
+    def test_directed_three_cycle(self):
+        """Spectrum {1, -1/2 +- i sqrt(3)/2}: the interval comes from the real parts,
+        (-2, 1), and the log-det is log(1 - rho^3), a float."""
+        W = SpatialWeights.from_adjacency(directed_cycles(None, 3))
+        assert "spectrum" not in vars(W)
+        spectrum = W.spectrum
+        assert np.iscomplexobj(spectrum)
+        assert np.allclose(np.sort_complex(spectrum), [-0.5 - 0.75 ** 0.5 * 1j,
+                                                       -0.5 + 0.75 ** 0.5 * 1j, 1.0])
+        assert np.allclose(W.rho_interval, (-2.0, 1.0), rtol=1e-15, atol=0)
+        # only the complex pair sets -2; row-normalized, the clip at -1 is the end
+        assert W.complex_lower_end
+        assert not SpatialWeights.from_adjacency(directed_cycles(None, 3), True).complex_lower_end
+        for rho in (-1.9, -1.0, 0.0, 0.5, 0.99):
+            value = W.log_det_factor(rho)
+            assert type(value) is float
+            assert abs(value - np.log1p(-rho**3)) <= 1e-12 * max(1.0, abs(value))
 
     def test_row_normalized_bounded(self, rng):
         for _ in range(10):
@@ -167,6 +178,59 @@ class TestLogDet:
         rho, h = 0.3, 1e-6
         fd = (W.log_det_factor(rho + h) - W.log_det_factor(rho - h)) / (2 * h)
         assert W.log_det_rho_derivative(rho) == pytest.approx(fd, abs=1e-6)
+
+
+def _asymmetric_weights(kind):
+    """Row-normalized kNN weights (k = 4, n = 80), or 27 unnormalized directed 3-cycles."""
+    A = ASYMMETRIC[kind](np.random.default_rng(7), 80 if kind == "knn" else 81)
+    return SpatialWeights.from_adjacency(A, row_normalize=kind == "knn")
+
+
+@pytest.mark.parametrize("kind", sorted(ASYMMETRIC))
+class TestComplexSpectrum:
+    """Weights whose spectrum has conjugate pairs: the log-det against the LU oracle
+    and its rho-derivatives against central differences, each a float."""
+
+    def test_the_spectrum_is_complex_and_the_interval_its_real_parts(self, kind):
+        W = _asymmetric_weights(kind)
+        assert np.iscomplexobj(W.spectrum) and np.max(np.abs(W.spectrum.imag)) > 0.1
+        # the non-real eigenvalues come in conjugate pairs
+        upper, lower = (np.sort_complex(W.spectrum[sign * W.spectrum.imag > 0]) for sign in (1, -1))
+        assert np.allclose(upper, np.sort_complex(np.conj(lower)), atol=1e-12)
+        expected = (-1.0, 1.0) if kind == "knn" else (-2.0, 1.0)
+        assert np.allclose(W.rho_interval, expected, rtol=1e-14, atol=0)
+        assert W.complex_lower_end is (kind == "cycles")
+        # unnormalized, the ends are the reciprocals of the extreme real parts
+        raw = SpatialWeights.from_adjacency(W.matrix.toarray() > 0)
+        real = np.linalg.eigvals(raw.matrix.toarray()).real
+        assert np.allclose(raw.rho_interval, 1.0 / np.array([real.min(), real.max()]), rtol=1e-12)
+
+    def test_log_det_matches_lu_across_the_interval(self, kind):
+        W = _asymmetric_weights(kind)
+        lo, hi = W.rho_interval
+        rhos = lo + (hi - lo) * np.array([1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999])
+        for rho in rhos:
+            value = W.log_det_factor(rho)
+            assert type(value) is float
+            assert abs(value - W.log_det_factor(rho, backend="lu")) <= 1e-12 * max(1.0, abs(value))
+        values = W.log_det_factor(rhos)
+        assert values.dtype == float and values.shape == rhos.shape
+
+    def test_derivatives_match_central_differences(self, kind):
+        """Order k is -sum g^k: the first and second derivative of the log-det for
+        k = 1, 2, and half the third for k = 3."""
+        W = _asymmetric_weights(kind)
+        lo, hi = W.rho_interval
+        h = 1e-5
+        for rho in lo + (hi - lo) * np.array([0.05, 0.3, 0.5, 0.7, 0.95]):
+            d1, d2, d3 = W.log_det_rho_derivative(rho, (1, 2, 3))
+            assert all(type(d) is float for d in (d1, d2, d3))
+            for got, f, scale in [(d1, W.log_det_factor, 1.0), (d2, W.log_det_rho_derivative, 1.0),
+                                  (d3, lambda r: W.log_det_rho_derivative(r, 2), 0.5)]:
+                fd = scale * (f(rho + h) - f(rho - h)) / (2 * h)
+                assert abs(got - fd) <= 1e-6 * max(1.0, abs(fd))
+            together = W.log_det_rho_derivative(np.full(3, rho), (1, 2, 3))
+            assert all(d.dtype == float for d in together)
 
 
 def _per_order_sum(W, rho, k):
@@ -343,11 +407,14 @@ class TestBandedSpectrum:
         assert again is first and sum(calls.values()) == 0
         assert W.rho_interval is W.rho_interval
 
-    def test_non_symmetric_weights_read_at_construction(self):
+    def test_non_symmetric_weights_read_on_first_read(self):
         A = np.triu(np.ones((4, 4)), k=1)  # a DAG: not symmetric, spectrum all zero
         W = SpatialWeights.from_adjacency(A)
-        assert W.symmetric_form is None and "spectrum" in vars(W)
-        assert np.array_equal(W.spectrum, np.zeros(4))
+        assert W.symmetric_form is None and "spectrum" not in vars(W)
+        with _counting_solvers() as calls:
+            spectrum = W.spectrum
+        assert calls == {"eig_banded": 0, "eigvalsh": 0, "eigvals": 1}
+        assert spectrum.dtype == float and np.array_equal(spectrum, np.zeros(4))
 
     def test_symmetric_row_normalized_weights_from_non_symmetric_adjacency(self):
         # D^-1 A is symmetric although A is not: W itself is the symmetric form
