@@ -62,7 +62,7 @@ def fic_terms(subsets, J: np.ndarray, J_beta_wide: np.ndarray, I: np.ndarray,
     J is what focus.eval_focus_batch returns at the wide fits of a theta-free
     focus, (R, 1, d, p + 2), whose (rho, sigma^2, beta_S) columns are each
     subset's J_S, or at every fit, (R, m, d, p + 2), each J_S in its subset's
-    columns and zeros elsewhere; any other shape raises ValueError.  J_beta_wide
+    columns, the others never read; any other shape raises ValueError.  J_beta_wide
     is (R, d, p), D (R, p) and I (R, p + 2, p + 2) the wide informations,
     certified by the caller (fit_mle does): by interlacing that certifies every
     block I_S.  Per chunk of same-size subsets, one stacked solve of their

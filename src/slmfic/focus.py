@@ -102,8 +102,8 @@ def eval_focus_batch(spec: FocusSpec, batch, subsets, rho: np.ndarray, sigma2: n
     """The focus at every fit of a batch (datasets on one W and p): rho and
     sigma2 are (R, m) over the datasets and the m subsets, beta (R, m, p),
     zero outside each subset.  Returns the (R, m, d) values; the read-only
-    (R, m, d, p + 2) Jacobians in each subset's (rho, sigma^2, beta_S)
-    columns, zero elsewhere, as fic_terms reads them; the mask of max_eigen fits
+    (R, m, d, p + 2) Jacobians, each subset's in its (rho, sigma^2, beta_S)
+    columns, the only ones fic_terms reads; the mask of max_eigen fits
     whose top eigenvalue is nearly repeated (the Jacobian is unreliable
     there); and per dataset the first NumericalError of its fits in subset
     order, or None.
@@ -122,12 +122,9 @@ def eval_focus_batch(spec: FocusSpec, batch, subsets, rho: np.ndarray, sigma2: n
     Each subset's information is its block of slm._information, which holds
     that of every fit at once, R m (p + 2)^2 elements that no chunk bounds;
     per chunk of same-size subsets, one stacked certificate, inverse and eigh
-    serve their (R, s) blocks.  spillover holds two unbounded arrays of that
-    size: the tiled identity and its product with the subsets' column mask."""
+    serve their (R, s) blocks; spillover's tiled identity is as large."""
     W, n, p = batch[0].W, batch[0].n, batch[0].p
     reps, m = rho.shape
-    bits = np.array([S.mask << 2 | 3 for S in subsets])  # bit j: coordinate j of theta in S
-    in_S = (bits[:, None] >> np.arange(p + 2) & 1)[:, None]
     gap, failed = np.zeros((reps, m), dtype=bool), np.full((reps, m), None)
     if spec.kind == "conditional_mean":
         i = spec.location
@@ -166,7 +163,7 @@ def eval_focus_batch(spec: FocusSpec, batch, subsets, rho: np.ndarray, sigma2: n
                                  + c * n * us * us / (2.0 * s2 * s2 * s2))
             jac[:, idx[:, None], 0, cols + 2] = (2.0 * lam * us / s2)[..., None] * u[..., 2:]
     errors = [next(filter(None, row), None) for row in failed.tolist()]
-    return value, np.broadcast_to(jac * in_S, value.shape + (p + 2,)), gap, errors
+    return value, np.broadcast_to(jac, value.shape + (p + 2,)), gap, errors
 
 
 def eval_focus(spec: FocusSpec, theta: Theta, data: Dataset, S: SubmodelId) -> FocusEval:

@@ -37,7 +37,7 @@ from .weights import SpatialWeights
 _LOG_2PI = math.log(2.0 * math.pi)
 _SIGMA2_FLOOR = 1e-12
 _MAX_ITER = 500
-_GRID = 64  # points of the profile likelihood that pick rho-hat when the score does not fall
+_GRID = 64  # points of the profile likelihood whose best brackets every rho search
 _RHO_TOL = 1e-12  # step size, relative to the bracket, that ends the rho search
 _COND_LIMIT = 1e12  # an information matrix whose condition number exceeds it counts as singular
 
@@ -318,17 +318,15 @@ def _fit_error(stage: int, value: float, S: SubmodelId):
 
 
 def _rho_hat(W: SpatialWeights, n: int, gram: np.ndarray):
-    """rho-hat of every fit and its steps: the root of the profile score
-    -(n/2) q'/q - sum_i w_i / (1 - rho*w_i) in the admissible interval shrunk by
-    1e-6 of its range.  Where the score does not fall from positive to negative
-    over it (an end of finite likelihood: the row-normalized clip, or one that
-    complex eigenvalues set), the best of _GRID even points of the profile
-    likelihood is rho-hat if it is an end, after no step, else its neighbours
-    bracket the search.  Safeguarded Newton keeps a bracket and bisects it
-    when the curvature is not negative or a step leaves it.  Each step takes
-    the first and second log-det derivatives of every active fit from one
-    spectrum pass, which builds g_i = w_i / (1 - rho*w_i) once, piece by piece;
-    each bracket end, and the grid, takes one pass, broadcast over every fit.
+    """rho-hat of every fit and its steps: the maximizer of the profile likelihood
+    over the admissible interval shrunk by 1e-6 of its range.  The best of _GRID
+    even points of it (Pace & Barry 1997), from one log-det pass and in pieces of
+    weights._CHUNK // _GRID fits, brackets every search by its two neighbours; a
+    best end is rho-hat, after no step, unless the profile score -(n/2) q'/q -
+    sum_i w_i / (1 - rho*w_i) points inward there, which only such fits read.
+    Safeguarded Newton from the middle finds the score's root, bisecting when the
+    curvature is not negative or a step leaves the bracket; each step takes the
+    first two log-det derivatives of its fits from one spectrum pass.
 
     q is smallest at b/c, so a variance below the floor there (clipped to the
     bracket) is below it somewhere in the bracket: such a fit is degenerate and
@@ -351,17 +349,19 @@ def _rho_hat(W: SpatialWeights, n: int, gram: np.ndarray):
         d1, d2 = W.log_det_rho_derivative(rho, (1, 2))
         return d1 - 0.5 * n * dq / q, d2 - 0.5 * n * (2.0 * c[i] * q - dq * dq) / (q * q)
 
-    s_lo, s_hi = (score(r, ok)[0] for r in (lo, hi))
+    grid = np.linspace(hi, lo, _GRID)  # descending: a tie takes the larger rho
+    log_det, k, step = W.log_det_factor(grid), np.empty_like(ok), max(1, weights._CHUNK // _GRID)
+    for j in range(0, ok.size, step):
+        i = ok[j:j + step, None]
+        t = c[i] * grid  # q = (c*rho - 2b)*rho + a, then the profile likelihood, in place
+        np.add(np.multiply(np.subtract(t, 2.0 * b[i], out=t), grid, out=t), a[i], out=t)
+        np.multiply(0.5 * n, np.log(t, out=t), out=t)
+        k[j:j + step] = np.argmax(np.subtract(log_det, t, out=t), axis=1)
+    top, bottom, search = k == 0, k == _GRID - 1, np.ones(ok.size, dtype=bool)
+    search[top], search[bottom] = score(hi, ok[top])[0] < 0, score(lo, ok[bottom])[0] > 0
     rho, steps = np.full(len(a), np.nan), np.zeros(len(a), dtype=int)
-    search, L, H = (s_lo > 0) & (s_hi < 0), np.full(ok.size, lo), np.full(ok.size, hi)
-    if not search.all():  # the score does not fall over the bracket: a grid decides
-        kept, grid = np.flatnonzero(~search), np.linspace(hi, lo, _GRID)  # a tie takes the larger
-        i = ok[kept, None]
-        k = np.argmax(W.log_det_factor(grid)
-                      - 0.5 * n * np.log(a[i] - 2.0 * b[i] * grid + c[i] * grid * grid), axis=1)
-        rho[ok[kept]], L[kept], H[kept] = grid[k], grid[(k + 1) % _GRID], grid[k - 1]
-        search[kept] = (0 < k) & (k < _GRID - 1)
-    active, L, H = ok[search], L[search], H[search]
+    rho[ok], cell = grid[k], k[search]
+    active, L, H = ok[search], grid[np.minimum(cell + 1, _GRID - 1)], grid[np.maximum(cell - 1, 0)]
     x = 0.5 * (L + H)
     for _ in range(_MAX_ITER):
         if not active.size:

@@ -274,8 +274,8 @@ class SpatialWeights:
         """-sum_i g_i^order, g_i = w_i / (1 - rho*w_i), per entry of an array rho: the first and
         second rho-derivative of log|I - rho*W| for order 1 and 2, half the third for order 3.
 
-        Each sum is real for every W.  Given a tuple of orders (each at least
-        1), one such sum per order, all from one pass (_spectrum_sums), each
+        Each sum is real for every W.  Given a tuple of orders (each 1, 2 or
+        3), one such sum per order, all from one pass (_spectrum_sums), each
         the bits its order alone gives."""
         if not isinstance(order, tuple):
             return self.log_det_rho_derivative(rho, (order,))[0]
@@ -283,10 +283,10 @@ class SpatialWeights:
 
     def _spectrum_sums(self, rho, orders: tuple[int, ...]) -> list:
         """Per order, at each entry of rho (any shape), sum_i log(1 - rho*w_i) for
-        order 0, sum_i g_i^k, g_i = w_i / (1 - rho*w_i), for k >= 1, each the
-        real part of its sum: in pieces of at most _CHUNK // n entries, at least
-        1, each one temporary updated in place, and each sum one row's, the same
-        bits in any piece."""
+        order 0, sum_i g_i^k, g_i = w_i / (1 - rho*w_i), for k = 1, 2, 3 (g^3 as
+        g^2 * g), each the real part of its sum: in pieces of at most _CHUNK // n
+        entries, at least 1, each one temporary updated in place (and a second
+        for order 3), and each sum one row's, the same bits in any piece."""
         step = max(1, _CHUNK // self.n)
         if np.size(rho) > step:
             flat = np.reshape(rho, -1)
@@ -302,9 +302,11 @@ class SpatialWeights:
         sums = {0: np.sum(np.log(t, out=None if powers else t), axis=-1)} if 0 in orders else {}
         if powers:
             np.divide(self.spectrum, t, out=t)
-        sums.update((k, np.sum(np.power(t, k), axis=-1)) for k in powers - {1, 2})
         if 1 in powers:
             sums[1] = np.sum(t, axis=-1)
-        if 2 in powers:  # the last read of g: squared in place
-            sums[2] = np.sum(np.multiply(t, t, out=t), axis=-1)
+        if powers - {1}:  # g^2, in place unless g^3 = g^2 * g reads g again
+            g2 = np.multiply(t, t, out=None if 3 in powers else t)
+            sums[2] = np.sum(g2, axis=-1)
+            if 3 in powers:
+                sums[3] = np.sum(np.multiply(g2, t, out=g2), axis=-1)
         return [sums[k].real for k in orders]

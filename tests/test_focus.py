@@ -7,6 +7,7 @@ from slmfic import (
     SubmodelId,
     Theta,
     enumerate_submodels,
+    fic_terms,
     fit_mle,
 )
 from slmfic import focus
@@ -349,4 +350,22 @@ class TestBatch:
                                  upper=[hi] + [np.inf] * (m - 1))
                 scale = max(1.0, np.max(np.abs(fd)))
                 assert np.max(np.abs(jac[r, i][:, cols] - fd)) <= 1e-6 * scale
-                assert not np.delete(jac[r, i], cols, axis=1).any()
+
+    @pytest.mark.parametrize("spec", [FocusSpec("conditional_mean", location=4),
+                                      FocusSpec("spillover"), FocusSpec("max_eigen")],
+                             ids=lambda spec: spec.kind)
+    def test_fic_terms_read_only_each_subsets_columns(self, fitted, spec):
+        """fic_terms reads each subset's J_S from its (rho, sigma^2, beta_S)
+        columns alone: NaN in every other column of the Jacobians
+        eval_focus_batch returns leaves bias^2 and variance the same, bit for bit."""
+        batch, subsets, fits = fitted
+        jac = eval_focus_batch(spec, batch, subsets, fits.rho, fits.sigma2, fits.beta)[1]
+        wide = fit_mle(batch, [subsets[-1]])
+        D = np.sqrt(batch[0].n) * wide.beta[:, 0]
+        terms = fic_terms(subsets, jac, jac[:, -1, :, 2:], wide.info, D)
+        poisoned = np.array(jac)
+        for i, S in enumerate(subsets):
+            poisoned[:, i, :, [2 + j for j in range(S.p) if j not in S.indices()]] = np.nan
+        assert np.isnan(poisoned).any()
+        again = fic_terms(subsets, poisoned, jac[:, -1, :, 2:], wide.info, D)
+        assert np.asarray(again).tobytes() == np.asarray(terms).tobytes()

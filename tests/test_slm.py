@@ -358,12 +358,6 @@ def asymmetric_dataset(rng, kind, rho=0.3):
                           row_normalize=kind == "knn")
 
 
-LOCAL_MAXIMUM = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 11: at true rho -0.9 the score of S5 falls over the bracket, and "
-           "Newton from its middle finds a local maximum 0.19 below the global one")
-
-
 def search_bracket(W):
     """The rho search's bracket for the weights used here: the admissible
     interval, within a +-1e6 box, shrunk by 1e-6 of its width at both ends."""
@@ -376,6 +370,17 @@ def search_bracket(W):
 def lag_data(W, X, rho, beta, rng):
     Y = np.linalg.solve(np.eye(W.n) - rho * W.matrix.toarray(), X @ beta + rng.standard_normal(W.n))
     return Dataset(Y=Y, X=X, W=W)
+
+
+def profile_loglik(data, S, rho):
+    """The concentrated log-likelihood of S at each entry of rho, less its
+    constant, with numpy alone: log|I - rho W| - (n/2) log e'e, e the
+    least-squares residual of (I - rho W) Y on X_S."""
+    Xs = data.X[:, S.indices()]
+    Z = np.column_stack((data.Y, data.WY))
+    e = Z - Xs @ np.linalg.lstsq(Xs, Z, rcond=None)[0] if Xs.shape[1] else Z
+    q = np.sum((e[:, :1] - np.multiply.outer(e[:, 1], rho)) ** 2, axis=0)
+    return np.log1p(-np.outer(rho, data.W.spectrum)).sum(axis=1).real - 0.5 * data.n * np.log(q)
 
 
 def complete_graph_data(seed, n=30, rho=-5.0):
@@ -431,20 +436,19 @@ class TestFitSubsets:
         self.check_against_oracle(asymmetric_dataset(np.random.default_rng(seed), "knn", rho))
 
     @pytest.mark.parametrize("seed, row_normalize", [
-        pytest.param(seed, row_normalize, id=f"{seed}-{'normalized' if row_normalize else 'raw'}",
-                     marks=[LOCAL_MAXIMUM] if (seed, row_normalize) == (104, False) else [])
+        pytest.param(seed, row_normalize, id=f"{seed}-{'normalized' if row_normalize else 'raw'}")
         for seed in range(100, 110) for row_normalize in (True, False)])
     def test_directed_cycles_match_the_oracle(self, seed, row_normalize):
         """20 disjoint directed 3-cycles, row-normalized (interval (-1, 1)) or raw
         ((-2, 1), its lower end set by the pair -1/2 +- i sqrt(3)/2, past which
         |I - rho*W| = (1 - rho^3)^20 stays positive).  Re log(1 - rho*w) is not
-        concave for a non-real w, so the profile score need not fall from
-        positive to negative over the bracket; those fits take the grid.  For
+        concave for a non-real w, so the profile likelihood can have two peaks
+        (raw, seed 104, true rho -0.9, S5 has a local maximum 0.19 below the
+        global one), which the grid that brackets every search tells apart.  For
         five true rho, every subset's fit against the oracle: where rho-hat
         differs, the maxima tie (the likelihood of the empty model S1 is the
         same at rho and 1/rho); a raw fit whose maximum is the lower end raises
-        ConvergenceError there, where the oracle stops too.  The known miss
-        (the xfail) is at the last rho, so the others of its case are checked."""
+        ConvergenceError there, where the oracle stops too."""
         rng = np.random.default_rng(seed)
         for true_rho in (0.9, 0.5, 0.0, -0.5, -0.9):
             data = random_dataset(rng, n=60, p=3, rho=true_rho, adjacency=ASYMMETRIC["cycles"],
@@ -507,6 +511,28 @@ class TestFitSubsets:
         fits = self.check_against_oracle(data)
         for f in fits.values():
             assert f.theta_hat.rho == lo and f.iterations == 0
+
+    @pytest.mark.parametrize("end", ["upper", "lower"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_an_end_whose_score_points_inward_brackets_its_cell(self, seed, end):
+        """Y shifted by 50 (by +-150, alternating) on a row-normalized chain, far
+        from what X explains, puts every subset's rho-hat in the grid's last
+        cell at the upper (lower) end: the profile likelihood is higher at that
+        end than at any other grid point, but the score there points inward,
+        so the end is not rho-hat: its cell brackets the search, and every fit
+        matches the oracle after at least one step."""
+        rng = np.random.default_rng(seed)
+        W = SpatialWeights.from_adjacency(build_chain_lag1(75), row_normalize=True)
+        X = rng.standard_normal((75, 2))
+        shift = 50.0 if end == "upper" else 150.0 * (-1.0) ** np.arange(75)
+        data = Dataset(Y=lag_data(W, X, 0.5, np.array([1.0, 0.5]), rng).Y + shift, X=X, W=W)
+        lo, hi = search_bracket(W)
+        grid = np.linspace(hi, lo, slm._GRID)
+        best = 0 if end == "upper" else slm._GRID - 1
+        cell = grid[[1, 0]] if end == "upper" else grid[[-1, -2]]
+        for mask, fit in self.check_against_oracle(data).items():
+            assert np.argmax(profile_loglik(data, SubmodelId(mask, 2), grid)) == best
+            assert fit.iterations > 0 and cell[0] < fit.theta_hat.rho < cell[1]
 
     def test_zero_weights_is_ols(self, rng):
         data = zero_w_dataset(rng, p=3)

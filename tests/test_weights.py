@@ -235,14 +235,14 @@ class TestComplexSpectrum:
 
 def _per_order_sum(W, rho, k):
     """The log-det sum_i log(1 - rho*w_i) for k = 0, else -sum_i g_i^k over the
-    spectrum of W, g **= k in place: one whole pass per order, in no pieces."""
+    spectrum of W, g^k as g, g * g or (g * g) * g: one whole pass per order, in
+    no pieces."""
     g = np.multiply.outer(rho, W.spectrum)
     np.subtract(1.0, g, out=g)
     if k == 0:
         return np.sum(np.log(g), axis=-1)
     np.divide(W.spectrum, g, out=g)
-    g **= k
-    return -np.sum(g, axis=-1)
+    return -np.sum(g if k == 1 else g * g if k == 2 else g * g * g, axis=-1)
 
 
 @pytest.mark.parametrize("graph", ["chain75", "lattice55"])
@@ -278,6 +278,20 @@ def test_one_pass_derivative_sums_equal_the_per_order_sums(graph, monkeypatch):
             each = W.log_det_rho_derivative(np.full(7, rho), (1, 2))
             for scalar, row in zip(W.log_det_rho_derivative(rho, (1, 2)), each):
                 assert row.tobytes() == np.full(7, scalar).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["chain75", "cycles"])
+def test_the_third_order_sum_is_the_power_sum(kind):
+    """Order 3 takes g^3 as g^2 * g; against np.power(g, 3) it differs in the
+    last bits only, on a real and on a complex spectrum: within 1e-15 of
+    sum |g_i|^3, the scale of the sum's terms (the chain's sum is 0 at rho = 0)."""
+    W = (SpatialWeights.from_adjacency(build_chain_lag1(75), row_normalize=True)
+         if kind == "chain75" else _asymmetric_weights(kind))
+    lo, hi = W.rho_interval
+    rhos = lo + (hi - lo) * np.array([1e-6, 0.1, 0.37, 0.5, 0.8, 1.0 - 1e-6])
+    g = W.spectrum / (1.0 - np.multiply.outer(rhos, W.spectrum))
+    power, scale = np.sum(np.power(g, 3), axis=-1).real, np.sum(np.abs(g) ** 3, axis=-1)
+    assert np.all(np.abs(-W.log_det_rho_derivative(rhos, 3) - power) <= 1e-15 * scale)
 
 
 def _rook_lattice(side):
