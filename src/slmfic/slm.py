@@ -39,27 +39,32 @@ _SIGMA2_FLOOR = 1e-12
 _MAX_ITER = 500
 _GRID = 64  # points of the profile likelihood whose best brackets every rho search
 _RHO_TOL = 1e-12  # step size, relative to the bracket, that ends the rho search
-_COND_LIMIT = 1e12  # an information matrix whose condition number exceeds it counts as singular
+_COND_LIMIT = 1e12  # an information matrix whose Jacobi-scaled condition number exceeds it is singular
 
 
 def _certificates(M: np.ndarray, what) -> list:
     """For each symmetric matrix of the stack M, (R, k, k), the error naming
-    `what` (or what[r]) unless it is finite and positive definite with
-    lambda_max <= _COND_LIMIT * lambda_min, else None: one stacked eigvalsh.
-    Empty matrices (p = 0) have nothing to invert.
+    `what` (or what[r]) unless it is finite and its Jacobi scaling
+    D^-1/2 M D^-1/2, D = diag(M), free of the units of Y and X, is positive
+    definite with lambda_max <= _COND_LIMIT * lambda_min, else None: one stacked
+    eigvalsh.  The scaling is congruent to M (a diagonal entry that is not
+    positive stays unscaled).  Empty matrices (p = 0) have nothing to invert.
 
     One check per wide matrix serves every subset: each principal block of a
-    symmetric positive-definite matrix, and each principal block of its Schur
-    complements, is positive definite with a condition number no larger than
-    the whole matrix's (Cauchy interlacing; Horn & Johnson, *Matrix Analysis*,
-    2nd ed., Thm 4.3.28 and Cor. 7.3.6).  So the blocks I_S of the wide
-    information and M_S of its beta Schur complement are solved unchecked."""
+    symmetric positive-definite matrix is positive definite with a condition
+    number no larger than the whole matrix's (Cauchy interlacing; Horn &
+    Johnson, *Matrix Analysis*, 2nd ed., Thm 4.3.28), and the scaled matrix's
+    blocks are the blocks' own scalings.  So the blocks I_S of the wide
+    information, and M_S of its beta Schur complement, which has its own
+    check, are solved unchecked."""
     errors = [None] * len(M)
     if not M.size:
         return errors
     finite = np.isfinite(M).all(axis=(1, 2))
-    lam = np.linalg.eigvalsh(M if finite.all() else
-                             np.where(finite[:, None, None], M, np.eye(M.shape[-1])))
+    M = M if finite.all() else np.where(finite[:, None, None], M, np.eye(M.shape[-1]))
+    d = M.diagonal(0, 1, 2)
+    s = np.sqrt(d, out=np.ones_like(d), where=d > 0)
+    lam = np.linalg.eigvalsh(M / (s[:, :, None] * s[:, None, :]))
     for r, (ok, lo, hi) in enumerate(zip(finite.tolist(), lam[:, 0].tolist(),
                                          lam[:, -1].tolist())):
         name = what if isinstance(what, str) else what[r]

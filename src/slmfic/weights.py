@@ -14,13 +14,19 @@ band wider than n / _BAND_RATIO.
 
 Every spectrum is computed on first read.  When it is real by construction
 (A symmetric, or W = D^-1 A row-normalized from a symmetric A), it comes from
-a symmetric CSR matrix similar to W.  Reordered by reverse Cuthill-McKee, a
-contiguity graph is a narrow band matrix, whose eigenvalues LAPACK's banded
-solver finds in O(n^2 bw) time; a band wider than n / _BAND_RATIO goes to the
-dense solver instead.  Any other W, such as k-nearest-neighbour weights, goes
-to the dense general solver, O(n^3).  Instances are immutable and safe to
-share across threads: two first reads compute the same spectrum, and a
-pickled instance carries the spectrum it has read.
+a symmetric CSR matrix S similar to W; for a two-colourable graph (a chain, a
+rook lattice), from B'B, a block of S^2 of half the size (_form_spectrum),
+whose eigenvalues are the squares.  They are good to eps max|w|^2, so an
+eigenvalue near 0 is good to about sqrt(eps) only; every sum the model reads
+is even in each +-sigma pair (log(1 - rho sigma) + log(1 + rho sigma) =
+log(1 - rho^2 sigma^2)) and keeps the squares' accuracy.  Reordered by reverse
+Cuthill-McKee, a contiguity graph is a narrow band matrix, whose eigenvalues
+LAPACK's banded solver finds in O(n^2 bw) time; a band wider than
+n / _BAND_RATIO goes to the dense solver instead.  Any other W, such as
+k-nearest-neighbour weights, goes to the dense general solver, O(n^3).
+Instances are immutable and safe to share across threads: two first reads
+compute the same spectrum, and a pickled instance carries the spectrum it has
+read.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .errors import (
     DataFormatError,
@@ -86,7 +92,8 @@ def build_chain_lag1(n: int) -> scipy.sparse.csr_array:
 
 _ALLCLOSE_RTOL, _ALLCLOSE_ATOL = 1e-5, 1e-8  # the defaults of np.allclose
 # The banded solver wins while the RCM bandwidth is at most about n/25: measured
-# crossovers with 2 BLAS threads are n/17 at n = 1,000, n/20 at 2,000 and n/25 at 3,025.
+# crossovers with 2 BLAS threads are n/17 at n = 1,000, n/20 at 2,000 and n/25 at 3,025,
+# and n/16 to n/25 for the B'B of rook grids at n = 500 to 1,250.
 _BAND_RATIO = 25
 
 
@@ -123,7 +130,8 @@ def _symmetric_form(A, W, row_sums: np.ndarray | None):
 
 
 def _symmetric_spectrum(S) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric CSR matrix S.
+    """Ascending eigenvalues of the symmetric CSR matrix S: a form of W, or the
+    B'B of a two-colourable one (_form_spectrum).
 
     S is reordered by reverse Cuthill-McKee and handed to the banded solver
     as its lower band; a bandwidth above n / _BAND_RATIO goes to the dense
@@ -142,6 +150,31 @@ def _symmetric_spectrum(S) -> np.ndarray:
     band = np.zeros((bw + 1, n))
     band[offset[lower], j[lower]] = S.data[lower]
     return np.sort(scipy.linalg.eig_banded(band, lower=True, eigvals_only=True, check_finite=False))
+
+
+def _form_spectrum(S) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric CSR matrix S.  When its graph is
+    two-colourable, with classes a and b, |a| >= |b|, S = [[0, B], [B', 0]] and
+    they are -sqrt(lambda), |a| - |b| zeros and sqrt(lambda), lambda those of
+    M = B'B clipped at 0 (Cvetkovic, Doob & Sachs, *Spectra of Graphs*).  M is
+    the b block of S^2, exactly symmetric as S is.  Any other S takes one solve."""
+    n, nnz = S.shape[0], S.nnz
+    # the double cover: v's copy 0 joins u's copy 1 for each entry (v, u); an odd cycle joins v's copies
+    cover = scipy.sparse.csr_array((np.ones(2 * nnz), np.concatenate([S.indices + n, S.indices]),
+                                    np.concatenate([S.indptr, nnz + S.indptr[1:]])), shape=(2 * n, 2 * n))
+    label = connected_components(cover, connection="strong")[1]
+    if np.any(label[:n] == label[n:]):
+        return _symmetric_spectrum(S)
+    b = label[:n] < label[n:]
+    if 2 * np.count_nonzero(b) > n:
+        b = ~b
+    S2, m = S @ S, np.count_nonzero(b)  # the rows of b in S^2 hold columns of b only
+    keep, length = np.repeat(b, np.diff(S2.indptr)), np.diff(S2.indptr)[b]
+    M = scipy.sparse.csr_array((S2.data[keep], (np.cumsum(b) - 1)[S2.indices[keep]],
+                                np.concatenate([[0], np.cumsum(length)])), shape=(m, m))
+    lam = _symmetric_spectrum(M) if m else np.empty(0)
+    sigma = np.sqrt(np.maximum(lam, 0.0))
+    return np.concatenate([-sigma[::-1], np.zeros(n - 2 * m), sigma])
 
 
 def _general_spectrum(W) -> np.ndarray:
@@ -193,6 +226,7 @@ class SpatialWeights:
     spectrum : (n,) ndarray
         The eigenvalues, computed once, on first read: float and ascending
         when all are real, else complex, the non-real ones in conjugate pairs.
+        For a two-colourable graph, exactly +- symmetric, from B'B (see above).
     rho_interval : (float, float)
     complex_lower_end : bool
     """
@@ -209,7 +243,7 @@ class SpatialWeights:
     def spectrum(self) -> np.ndarray:
         if self.symmetric_form is None:
             return _general_spectrum(self.matrix)
-        return _symmetric_spectrum(self.symmetric_form)
+        return _form_spectrum(self.symmetric_form)
 
     @cached_property
     def rho_interval(self) -> tuple[float, float]:

@@ -447,20 +447,38 @@ class TestScore:
 class TestConditioning:
     """One check, _certify, per wide matrix: it raises SingularInformationError
     naming the matrix unless the matrix is finite and positive definite with a
-    condition number of at most 1e12.  Interlacing certifies every block."""
+    Jacobi-scaled condition number of at most 1e12.  Interlacing certifies
+    every block."""
 
-    def test_threshold(self):
-        _certify(np.diag([1.0, 1.01e-12]), "M")
+    @pytest.mark.parametrize("scale", [(1.0, 1.0), (1e-6, 1e3), (1e4, 1e-8)])
+    def test_threshold(self, scale):
+        """The correlation matrix [[1, r], [r, 1]], condition number (1 + r) / (1 - r),
+        passes at 0.99e12 and fails at 1.01e12, with any positive diagonal D
+        around it (D M D), while a diagonal matrix of any spread passes."""
+        D = np.array(scale)
+
+        def correlation(cond):
+            r = 1.0 - 2.0 / (1.0 + cond)
+            return D[:, None] * np.array([[1.0, r], [r, 1.0]]) * D[None, :]
+
+        _certify(correlation(0.99e12), "M")
         with pytest.raises(SingularInformationError, match=r"^M has condition number 1\.010e\+12$"):
-            _certify(np.diag([1.0, 0.99e-12]), "M")
+            _certify(correlation(1.01e12), "M")
+        _certify(np.diag(D**2 * [1.0, 1e-20]), "M")
         with pytest.raises(SingularInformationError, match="^M is not positive definite"):
             _certify(np.zeros((2, 2)), "M")
         _certify(np.empty((0, 0)), "M")  # p = 0: nothing to invert
 
     def test_indefinite(self):
+        """A diagonal entry that is not positive is left unscaled; the smallest
+        eigenvalue named is the scaled matrix's, here -1 for D [[1, 2], [2, 1]] D."""
         with pytest.raises(SingularInformationError,
                            match=r"^M is not positive definite: smallest eigenvalue -1\.000e\+00$"):
             _certify(np.diag([1.0, -1.0]), "M")
+        D = np.array([2.0, 0.5])
+        with pytest.raises(SingularInformationError,
+                           match=r"^M is not positive definite: smallest eigenvalue -1\.000e\+00$"):
+            _certify(D[:, None] * np.array([[1.0, 2.0], [2.0, 1.0]]) * D[None, :], "M")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite(self, bad):

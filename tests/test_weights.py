@@ -294,14 +294,11 @@ def test_the_third_order_sum_is_the_power_sum(kind):
     assert np.all(np.abs(-W.log_det_rho_derivative(rhos, 3) - power) <= 1e-15 * scale)
 
 
-def _rook_lattice(side):
-    """Binary rook-contiguity adjacency of a side x side grid, row-major units."""
-    n = side * side
-    A = np.zeros((n, n))
-    idx = np.arange(n).reshape(side, side)
-    for a, b in ((idx[:, :-1], idx[:, 1:]), (idx[:-1, :], idx[1:, :])):
-        A[a.ravel(), b.ravel()] = A[b.ravel(), a.ravel()] = 1.0
-    return A
+def _grid(rows, cols):
+    """Binary rook-contiguity adjacency of a rows x cols grid, row-major units."""
+    along, across = build_chain_lag1(cols), build_chain_lag1(rows)
+    return (scipy.sparse.kron(scipy.sparse.eye_array(rows), along)
+            + scipy.sparse.kron(across, scipy.sparse.eye_array(cols))).toarray()
 
 
 def _sparse_graph(rng, n, degree=3.0):
@@ -323,7 +320,7 @@ def _graph(kind, rng):
     if kind == "sparse":
         return _sparse_graph(rng, int(rng.integers(2, 90)))
     if kind == "lattice":
-        return _permuted(rng, _rook_lattice(12))
+        return _permuted(rng, _grid(12, 12))
     if kind == "disconnected":
         A = np.zeros((60, 60))
         A[:25, :25] = _sparse_graph(rng, 25)
@@ -341,6 +338,37 @@ def _dense_oracle(A, row_normalized):
         s = 1.0 / np.sqrt(A.sum(axis=1))
         A = (s[:, None] * A) * s[None, :]
     return np.sort(scipy.linalg.eigvalsh(A))
+
+
+def _two_colourable(A) -> bool:
+    """Whether the graph of A has a 2-colouring, by a search from each uncoloured unit."""
+    adjacent = np.asarray(A) != 0
+    colour = np.full(len(adjacent), -1)
+    for root in range(len(adjacent)):
+        if colour[root] >= 0:
+            continue
+        colour[root], stack = 0, [root]
+        while stack:
+            v = stack.pop()
+            for u in np.flatnonzero(adjacent[v]):
+                if colour[u] == colour[v]:
+                    return False
+                if colour[u] < 0:
+                    colour[u] = 1 - colour[v]
+                    stack.append(u)
+    return True
+
+
+def _assert_near_dense(spectrum, oracle, two_colourable):
+    """The spectrum within 1e-12 max|w| of the dense oracle's; for a two-colourable
+    graph, exactly +- symmetric and its squares within 1e-12 max|w|^2 of the
+    oracle's, as each eigenvalue near 0 comes from its square."""
+    scale = np.max(np.abs(oracle))
+    if two_colourable:
+        assert np.array_equal(spectrum, -spectrum[::-1])
+        assert np.max(np.abs(spectrum**2 - oracle**2)) <= 1e-12 * scale**2
+    else:
+        assert np.max(np.abs(spectrum - oracle)) <= 1e-12 * scale
 
 
 @contextlib.contextmanager
@@ -375,14 +403,14 @@ class TestBandedSpectrum:
         A = _graph(kind, np.random.default_rng(seed))
         row_normalized = row_normalized and kind != "zero"
         oracle = _dense_oracle(A, row_normalized)
-        tol = 1e-12 * np.max(np.abs(oracle))
+        two_colourable = _two_colourable(A)
         W = SpatialWeights.from_adjacency(A, row_normalize=row_normalized)
         assert "spectrum" not in vars(W)  # nothing computed before the first read
         with _counting_solvers() as calls:
             spectrum = W.spectrum
-        assert np.max(np.abs(spectrum - oracle)) <= tol
-        assert sum(calls.values()) == 1
-        if kind == "complete":
+        _assert_near_dense(spectrum, oracle, two_colourable)
+        assert sum(calls.values()) == (kind != "zero")  # the zero matrix needs no solve
+        if kind == "complete" and len(A) > 2:  # K_2 is two-colourable
             assert calls["eigvalsh"] == 1
         # a sparse adjacency gives the same weights and spectrum as the dense one
         from_sparse = SpatialWeights.from_adjacency(scipy.sparse.csr_array(A),
@@ -401,20 +429,28 @@ class TestBandedSpectrum:
         fresh = SpatialWeights.from_adjacency(A, row_normalize=row_normalized)
         with _counting_solvers(_BAND_RATIO=0) as calls:
             banded = fresh.spectrum
-        assert calls["eig_banded"] == 1
-        assert np.max(np.abs(banded - oracle)) <= tol
+        assert calls["eig_banded"] == (kind != "zero")
+        _assert_near_dense(banded, oracle, two_colourable)
 
     @pytest.mark.parametrize("row_normalized", [False, True])
-    def test_chain75_is_bit_identical_to_dense(self, row_normalized):
+    def test_chain75_is_symmetric_and_near_its_closed_form(self, row_normalized):
+        """The chain's spectrum, from B'B of 37 columns, is exactly +- symmetric,
+        and its squares lie within 1e-15 max|w|^2 of the closed form's:
+        2 cos(k pi / 76), k = 1..75, raw, and cos(k pi / 74), k = 0..74,
+        row-normalized.  The eigenvalues themselves are good to about
+        eps ||M|| / (2 |w|): 6e-15 at the raw +-0.083 pair."""
         A = build_chain_lag1(75).toarray()
         W = SpatialWeights.from_adjacency(A, row_normalize=row_normalized)
         with _counting_solvers() as calls:
             spectrum = W.spectrum
-        assert calls["eig_banded"] == 1
-        assert spectrum.tobytes() == _dense_oracle(A, row_normalized).tobytes()
+        assert calls == {"eig_banded": 1, "eigvalsh": 0, "eigvals": 0}
+        assert np.array_equal(spectrum, -spectrum[::-1])
+        k = np.arange(75)
+        exact = np.sort(np.cos(k * np.pi / 74) if row_normalized else 2 * np.cos((k + 1) * np.pi / 76))
+        assert np.max(np.abs(spectrum**2 - exact**2)) <= 1e-15 * np.max(exact**2)
 
     def test_read_once_and_cached(self):
-        W = SpatialWeights.from_adjacency(_rook_lattice(4), row_normalize=True)
+        W = SpatialWeights.from_adjacency(_grid(4, 4), row_normalize=True)
         first = W.spectrum
         with _counting_solvers() as calls:
             again = W.spectrum
@@ -476,9 +512,110 @@ class TestBandedSpectrum:
         assert (weights_module._symmetric_form(S, S, None) is not None) == np.allclose(A, A.T)
 
 
+def _two_colourable_graph(kind, row_normalized):
+    """A two-colourable adjacency.  Disconnected: a weighted 4 x 5 grid and a
+    7-chain, plus 3 isolated units when raw (row normalization has none), in
+    a shuffled unit order."""
+    rng = np.random.default_rng(11)
+    if kind.startswith("grid"):
+        return _grid(*map(int, kind[4:].split("x")))
+    if kind.startswith("chain"):
+        return build_chain_lag1(int(kind[5:])).toarray()
+    if kind == "zero":
+        return np.zeros((6, 6))
+    grid = _grid(4, 5) * rng.uniform(0.5, 2.0, (20, 20))
+    parts = [np.triu(grid) + np.triu(grid, 1).T, build_chain_lag1(7).toarray()]
+    parts += [] if row_normalized else [np.zeros((3, 3))]
+    return _permuted(rng, scipy.linalg.block_diag(*parts))
+
+
+TWO_COLOURABLE = ["grid6x6", "grid7x7", "grid5x8", "grid3x8", "chain2", "chain10", "chain11",
+                  "disconnected", "zero"]
+
+
+class TestTwoColourableSpectrum:
+    """A two-colourable graph's spectrum is +-sqrt(eig(B'B)) plus |a| - |b| zeros:
+    exactly +- symmetric, its squares near the dense ones, and every sum the
+    model reads (orders 0-3) near the dense oracle's and the LU log-det."""
+
+    @pytest.mark.parametrize("kind, row_normalized", [
+        (kind, row_normalized) for kind in TWO_COLOURABLE for row_normalized in (False, True)
+        if not (row_normalized and kind == "zero")])  # the zero matrix has no row normalization
+    def test_matches_the_dense_oracle_and_lu(self, kind, row_normalized):
+        A = _two_colourable_graph(kind, row_normalized)
+        assert _two_colourable(A)
+        W = SpatialWeights.from_adjacency(A, row_normalize=row_normalized)
+        oracle = _dense_oracle(A, row_normalized)
+        assert W.spectrum.shape == (len(A),)
+        _assert_near_dense(W.spectrum, oracle, True)
+        lo, hi = np.clip(W.rho_interval, -1.0, 1.0)
+        rhos = lo + (hi - lo) * np.array([0.05, 0.2, 0.5, 0.8, 0.95])
+        t = 1.0 - np.multiply.outer(rhos, oracle)
+        g = oracle / t
+        for k, got in zip(range(4), W._spectrum_sums(rhos, (0, 1, 2, 3))):
+            terms = np.log(t) if k == 0 else g**k
+            # relative to the sum of the terms' sizes: the odd sums are 0 at rho = 0
+            scale = np.sum(np.abs(terms), axis=-1)
+            assert np.all(np.abs(got - np.sum(terms, axis=-1)) <= 1e-12 * scale), k
+            if k == 0:
+                lu = [W.log_det_factor(rho, backend="lu") for rho in rhos]
+                assert np.all(np.abs(got - lu) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("row_normalized", [False, True])
+    def test_the_half_size_problem_of_the_55_lattice(self, row_normalized):
+        """The 3,025 units split 1,513 / 1,512: eig_banded receives the band of
+        M = B'B, 1,512 columns, and M is exactly symmetric."""
+        path, eye = build_chain_lag1(55), scipy.sparse.eye_array(55)
+        W = SpatialWeights.from_adjacency(scipy.sparse.kron(eye, path) + scipy.sparse.kron(path, eye),
+                                          row_normalize=row_normalized)
+        handed, symmetric_spectrum = [], weights_module._symmetric_spectrum
+
+        def recording(M):
+            handed.append(M)
+            return symmetric_spectrum(M)
+
+        bands, eig_banded = [], scipy.linalg.eig_banded
+
+        def banded(band, *args, **kwargs):
+            bands.append(band.shape)
+            return eig_banded(band, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weights_module, "_symmetric_spectrum", recording)
+            mp.setattr(scipy.linalg, "eig_banded", banded)
+            spectrum = W.spectrum
+        (M,) = handed
+        assert M.shape == (1512, 1512) and len(bands) == 1 and bands[0][1] == 1512
+        assert (M != M.T).nnz == 0
+        assert np.array_equal(spectrum, -spectrum[::-1]) and spectrum[1512] == 0.0
+
+    @pytest.mark.parametrize("row_normalized", [False, True])
+    @pytest.mark.parametrize("kind", ["triangle", "queen"])
+    def test_an_odd_cycle_keeps_the_one_solve(self, kind, row_normalized):
+        """A triangle, and a queen lattice (rook plus diagonal neighbours), take
+        one solve on the whole symmetric form, bit for bit."""
+        if kind == "triangle":
+            A = np.ones((3, 3)) - np.eye(3)
+        else:
+            diagonal = scipy.sparse.kron(build_chain_lag1(6), build_chain_lag1(6)).toarray()
+            A = _grid(6, 6) + diagonal
+        assert not _two_colourable(A)
+        W = SpatialWeights.from_adjacency(A, row_normalize=row_normalized)
+        handed, symmetric_spectrum = [], weights_module._symmetric_spectrum
+
+        def recording(S):
+            handed.append(S)
+            return symmetric_spectrum(S)
+
+        with _counting_solvers(_symmetric_spectrum=recording) as calls:
+            spectrum = W.spectrum
+        assert sum(calls.values()) == 1 and len(handed) == 1 and handed[0] is W.symmetric_form
+        assert spectrum.tobytes() == symmetric_spectrum(W.symmetric_form).tobytes()
+
+
 def test_moran_command_reads_no_spectrum(tmp_path):
     side, n = 6, 36
-    lattice = _rook_lattice(side)
+    lattice = _grid(side, side)
     rows, cols = np.nonzero(lattice)
     weights_path = tmp_path / "w.csv"
     weights_path.write_text("i,j,w\n" + "".join(f"{i},{j},1\n" for i, j in zip(rows, cols)),
