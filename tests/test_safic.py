@@ -450,21 +450,20 @@ class TestConditioning:
     Jacobi-scaled condition number of at most 1e12.  Interlacing certifies
     every block."""
 
-    @pytest.mark.parametrize("scale", [(1.0, 1.0), (1e-6, 1e3), (1e4, 1e-8)])
-    def test_threshold(self, scale):
+    def test_threshold(self):
         """The correlation matrix [[1, r], [r, 1]], condition number (1 + r) / (1 - r),
         passes at 0.99e12 and fails at 1.01e12, with any positive diagonal D
         around it (D M D), while a diagonal matrix of any spread passes."""
-        D = np.array(scale)
-
-        def correlation(cond):
+        def correlation(D, cond):
             r = 1.0 - 2.0 / (1.0 + cond)
             return D[:, None] * np.array([[1.0, r], [r, 1.0]]) * D[None, :]
 
-        _certify(correlation(0.99e12), "M")
-        with pytest.raises(SingularInformationError, match=r"^M has condition number 1\.010e\+12$"):
-            _certify(correlation(1.01e12), "M")
-        _certify(np.diag(D**2 * [1.0, 1e-20]), "M")
+        for D in map(np.array, [(1.0, 1.0), (1e-6, 1e3), (1e4, 1e-8)]):
+            _certify(correlation(D, 0.99e12), "M")
+            with pytest.raises(SingularInformationError,
+                               match=r"^M has condition number 1\.010e\+12$"):
+                _certify(correlation(D, 1.01e12), "M")
+            _certify(np.diag(D**2 * [1.0, 1e-20]), "M")
         with pytest.raises(SingularInformationError, match="^M is not positive definite"):
             _certify(np.zeros((2, 2)), "M")
         _certify(np.empty((0, 0)), "M")  # p = 0: nothing to invert
