@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ZeroVarianceError
+from .errors import DataFormatError, ZeroVarianceError
 from .slm import FitResult
 from .weights import SpatialWeights
 
@@ -21,7 +21,8 @@ class MoranResult:
 
 
 def morans_i(x: np.ndarray, W: SpatialWeights) -> MoranResult:
-    """Moran's I with z-score and two-sided p-value under the normal approximation."""
+    """Moran's I with z-score and two-sided p-value under the normal approximation.
+    Weights with no positive entry (S0 = 0) define none: DataFormatError."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if len(x) != W.n:
         raise ValueError(f"vector length {len(x)} does not match n={W.n}")
@@ -32,6 +33,8 @@ def morans_i(x: np.ndarray, W: SpatialWeights) -> MoranResult:
     w = W.matrix
     n = W.n
     S0 = float(w.sum())
+    if S0 == 0:
+        raise DataFormatError("weights have no positive entry; Moran's I undefined")
     I = (n / S0) * float(xt @ (w @ xt)) / denom
 
     # moments under the normality assumption, from the stored entries of W:

@@ -114,15 +114,17 @@ def eval_focus_batch(spec: FocusSpec, batch, subsets, rho: np.ndarray, sigma2: n
     g_i = w_i / (1 - rho*w_i), with dg_i/drho = g_i^2, so each third
     derivative of the log-likelihood (Lee 2004) is an entry of H over s2 or a
     sum of g^2 or g^3.  As Hu = -(n / lambda) u, with G2 = sum g_i^2, G3 =
-    sum g_i^3 (both from one pass over the spectrum) and c = lambda^2 / n
-    the contraction is
+    sum g_i^3 (both from one pass over the spectrum for every fit) and
+    c = lambda^2 / n the contraction is
         d/drho    = 2 lambda u_r u_s / s2 - 2 c u_r (u_s G2 / s2 + u_r G3),
         d/ds2     = lambda (1 + 2 u_s^2) / s2 - c u_r^2 G2 / s2 + c n u_s^2 / (2 s2^3),
         d/dbeta_S = 2 lambda u_s u_beta / s2.
-    Each subset's information is its block of slm._information, which holds
-    that of every fit at once, R m (p + 2)^2 elements that no chunk bounds;
-    per chunk of same-size subsets, one stacked certificate, inverse and eigh
-    serve their (R, s) blocks; spillover's tiled identity is as large."""
+    Per chunk of same-size subsets (slm._size_groups, each subset of each
+    dataset a width of max(n, (p + 2)^2): its residual or its information),
+    slm._information builds the chunk's fits' information only, and one
+    stacked certificate and eigh of the (R, s) blocks I_S give mu and u, so
+    no stage holds every fit's information; spillover's tiled identity is
+    the one (R, m, p + 2, p + 2) array left."""
     W, n, p = batch[0].W, batch[0].n, batch[0].p
     reps, m = rho.shape
     gap, failed = np.zeros((reps, m), dtype=bool), np.full((reps, m), None)
@@ -143,23 +145,24 @@ def eval_focus_batch(spec: FocusSpec, batch, subsets, rho: np.ndarray, sigma2: n
         jac = np.tile(np.eye(p + 2), (reps, m, 1, 1))
         jac[..., 0, 0] = W.log_det_rho_derivative(rho)
     else:
-        info = _information(batch, rho, sigma2, beta)
+        G2, G3 = (-d for d in W.log_det_rho_derivative(rho, (2, 3)))
         value, jac = np.full((reps, m, 1), np.nan), np.zeros((reps, m, 1, p + 2))
-        for idx, cols in _size_groups(subsets, (p + 2) ** 2, reps):
+        for idx, cols in _size_groups(subsets, max(n, (p + 2) ** 2), reps):
             ii = np.column_stack((np.zeros_like(idx), np.ones_like(idx), cols + 2))
-            I_S = _gather(info, idx[:, None, None], ii[:, :, None], ii[:, None])
+            info = _information(batch, rho[:, idx], sigma2[:, idx], beta[:, idx])
+            I_S = _gather(info, np.arange(idx.size)[:, None, None], ii[:, :, None], ii[:, None])
             names = [f"information of {subsets[i].label()}" for i in idx] * reps
             certs = _certificates(I_S.reshape((-1,) + I_S.shape[2:]), names)
             failed[:, idx] = np.reshape(certs, (reps, idx.size))
             I_S[failed[:, idx].astype(bool)] = np.eye(ii.shape[1])
-            eigs, vecs = np.linalg.eigh(np.linalg.inv(I_S))
-            lam, u = eigs[..., -1], vecs[..., -1]
-            gap[:, idx] = eigs[..., -1] - eigs[..., -2] < _EIGEN_GAP_TOL
+            mu, vecs = np.linalg.eigh(I_S)
+            lam, u = 1.0 / mu[..., 0], vecs[..., 0]
+            gap[:, idx] = lam - 1.0 / mu[..., 1] < _EIGEN_GAP_TOL
             ur, us, s2, c = u[..., 0], u[..., 1], sigma2[:, idx], lam * lam / n
-            G2, G3 = (-d for d in W.log_det_rho_derivative(rho[:, idx], (2, 3)))
+            g2, g3 = G2[:, idx], G3[:, idx]
             value[:, idx, 0] = lam
-            jac[:, idx, 0, 0] = 2.0 * lam * ur * us / s2 - 2.0 * c * ur * (us * G2 / s2 + ur * G3)
-            jac[:, idx, 0, 1] = (lam * (1.0 + 2.0 * us * us) / s2 - c * ur * ur * G2 / s2
+            jac[:, idx, 0, 0] = 2.0 * lam * ur * us / s2 - 2.0 * c * ur * (us * g2 / s2 + ur * g3)
+            jac[:, idx, 0, 1] = (lam * (1.0 + 2.0 * us * us) / s2 - c * ur * ur * g2 / s2
                                  + c * n * us * us / (2.0 * s2 * s2 * s2))
             jac[:, idx[:, None], 0, cols + 2] = (2.0 * lam * us / s2)[..., None] * u[..., 2:]
     errors = [next(filter(None, row), None) for row in failed.tolist()]

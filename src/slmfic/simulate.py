@@ -179,9 +179,10 @@ def _replicate(cfg: SimConfig, W: SpatialWeights, reps: range) -> list:
     factored once, here, in the process that uses the factor (it cannot be
     pickled), and each draw is one solve with it.  The replications go in
     batches of at most _CHUNK // (2^p max(n, (p + 2)^2)), one _sweep each:
-    a replication adds up to 2^p n to slm._information's (R, chunk, n)
-    residuals, split no finer than one subset on every dataset, and about
-    2^p (p + 2)^2 to the stacked scores: within weights._CHUNK elements.
+    a replication adds up to 2^p n to the (R, chunk, n) residuals of the
+    information the max_eigen focus builds per size-group chunk, split no
+    finer than one subset on every dataset, and about 2^p (p + 2)^2 to the
+    stacked scores: within weights._CHUNK elements.
 
     Returns, per replication, ((rankings, realized), None), where rankings maps
     criterion name to the masks in rank order and realized is the sweep's row

@@ -13,7 +13,8 @@ dataset with an error and leaves the others alone; fit_mle on one dataset
 and one subset is its batch of one.  The profile score of rho and the
 observed information, ordered (rho, sigma^2, beta), are closed forms
 (Anselin 1988, *Spatial Econometrics*; Lee 2004, *Econometrica* 72(6)) in
-WY, X_S, the residual and the spectrum of W, which the weights read once.
+WY, X_S, the residual and sums over the spectrum of W, which only
+SpatialWeights reads (its log-det and log-det derivative methods).
 """
 
 from __future__ import annotations
@@ -458,33 +459,27 @@ def _information(batch, rho: np.ndarray, sigma2: np.ndarray, beta: np.ndarray) -
     """The information -H/n (observed_info) of each dataset of a batch at each
     fit, (R, m, p + 2, p + 2), for (R, m) rho and sigma2 and the (R, m, p)
     beta, zero outside each fit's subset S: its (rho, sigma^2, beta_S) block
-    is the information of S.  The subsets go in chunks, each on every dataset
-    at once, whose temporaries hold at most weights._CHUNK elements, or one subset's
-    across the batch; each product is a stacked matmul, the BLAS call of the
-    product on one fit, and powers are libm's, as of a Python float, so each
-    matrix is the same, bit for bit, in any batch or chunk."""
+    is the information of S.  Its largest arrays are the (R, m, n) residual
+    and the result, so its caller bounds its memory by the fits it passes
+    (the max_eigen focus, one size-group chunk at a time).  The sum
+    of g_i^2 in H_rr is SpatialWeights.log_det_rho_derivative's, which checks
+    rho and bounds its own pass.  Each product is a stacked matmul, the BLAS
+    call of the product on one fit, and powers are libm's, as of a Python
+    float, so each matrix is the same, bit for bit, in any batch."""
     W, n, p = batch[0].W, batch[0].n, batch[0].p
-    W.require_rho(rho)
     Y, WY = (np.stack([getattr(d, a) for d in batch])[:, None] for a in ("Y", "WY"))
     Xt = np.ascontiguousarray(np.swapaxes(np.stack([d.X for d in batch]), 1, 2))[:, None]
     X = np.swapaxes(Xt, -1, -2)  # column-major, as the column selection X[:, S] of one fit
-    XtX, XtWY, WYWY = Xt @ X, (Xt @ WY[..., None])[..., 0], _dot(WY, WY)
-    info = np.empty(sigma2.shape + (p + 2, p + 2))
-    step = max(1, weights._CHUNK // (len(batch) * max(n, (p + 2) ** 2)))
-    for sl in (slice(i, i + step) for i in range(0, sigma2.shape[1], step)):
-        c, r = sigma2[:, sl], rho[:, sl, None]
-        c2, c3 = np.float_power(c, 2), np.float_power(c, 3)
-        e = Y - r * WY - (X @ beta[:, sl, :, None])[..., 0]
-        g = W.spectrum / (1.0 - r * W.spectrum)
-        H = np.empty(c.shape + (p + 2, p + 2))
-        H[..., 0, 0] = -_dot(g, g).real - WYWY / c
-        H[..., 0, 1] = H[..., 1, 0] = -_dot(WY, e) / c2
-        H[..., 1, 1] = n / (2.0 * c2) - _dot(e, e) / c3
-        H[..., 0, 2:] = H[..., 2:, 0] = -XtWY / c[..., None]
-        H[..., 1, 2:] = H[..., 2:, 1] = -(Xt @ e[..., None])[..., 0] / c2[..., None]
-        H[..., 2:, 2:] = -XtX / c[..., None, None]
-        info[:, sl] = -(0.5 * (H + np.swapaxes(H, -1, -2))) / n
-    return info
+    c, c2, c3 = sigma2, np.float_power(sigma2, 2), np.float_power(sigma2, 3)
+    e = Y - rho[..., None] * WY - (X @ beta[..., None])[..., 0]
+    H = np.empty(c.shape + (p + 2, p + 2))
+    H[..., 0, 0] = W.log_det_rho_derivative(rho, 2) - _dot(WY, WY) / c
+    H[..., 0, 1] = H[..., 1, 0] = -_dot(WY, e) / c2
+    H[..., 1, 1] = n / (2.0 * c2) - _dot(e, e) / c3
+    H[..., 0, 2:] = H[..., 2:, 0] = -(Xt @ WY[..., None])[..., 0] / c[..., None]
+    H[..., 1, 2:] = H[..., 2:, 1] = -(Xt @ e[..., None])[..., 0] / c2[..., None]
+    H[..., 2:, 2:] = -(Xt @ X) / c[..., None, None]
+    return -(0.5 * (H + np.swapaxes(H, -1, -2))) / n
 
 
 def observed_info(theta_hat: Theta, data: Dataset, S: SubmodelId) -> FisherInfo:

@@ -16,7 +16,7 @@ from slmfic import (
     fit_mle,
     morans_i,
 )
-from slmfic.errors import ZeroVarianceError
+from slmfic.errors import DataFormatError, ZeroVarianceError
 
 from conftest import random_dataset, random_symmetric_adjacency
 
@@ -25,6 +25,11 @@ class TestMoran:
     def test_constant_rejected(self, chain75):
         with pytest.raises(ZeroVarianceError):
             morans_i(np.ones(75), chain75)
+
+    def test_weights_without_a_positive_entry_rejected(self):
+        W = SpatialWeights.from_adjacency(np.zeros((3, 3)))
+        with pytest.raises(DataFormatError, match="no positive entry"):
+            morans_i(np.array([1.0, 2.0, 0.5]), W)
 
     def test_length_mismatch(self, chain75):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from slmfic import (
     SubmodelId,
     Theta,
     enumerate_submodels,
+    fic_table,
     fic_terms,
     fit_mle,
 )
@@ -237,6 +240,25 @@ class TestMaxEigen:
         assert focus.eval_focus_batch(*args)[2].tolist() == [[False]]
         monkeypatch.setattr(focus, "_EIGEN_GAP_TOL", np.inf)  # every gap counts as repeated
         assert focus.eval_focus_batch(*args)[2].tolist() == [[True]]
+
+    def test_a_sweep_holds_no_information_of_every_fit(self):
+        """A max_eigen table builds the information of one size-group chunk at
+        a time, so its traced peak (tracemalloc sees numpy's buffers) exceeds
+        a conditional-mean table's on the same data by less than half of the
+        (2^p, p + 2, p + 2) information of every fit."""
+        data = random_dataset(np.random.default_rng(13), n=75, p=13)
+
+        def peak(spec):
+            tracemalloc.start()
+            try:
+                fic_table(spec, data)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        every_fit = 2 ** data.p * (data.p + 2) ** 2 * 8
+        extra = peak(FocusSpec("max_eigen")) - peak(FocusSpec("conditional_mean", location=0))
+        assert extra < every_fit / 2
 
 
 class TestFdOracle:

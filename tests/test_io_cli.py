@@ -533,6 +533,12 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert {"I", "expected", "z", "p_value"} <= set(payload)
 
+    def test_moran_on_weights_without_a_positive_entry(self, small_files, tmp_path, capsys):
+        data_path, _ = small_files
+        weights_path = write_csv(tmp_path / "zero.csv", "0,0,0,0,0\n" * 5)
+        rc = main(["moran", "--data", data_path, "--weights", weights_path, "--response", "y"])
+        _one_input_error(capsys, rc, "weights have no positive entry")
+
     @pytest.mark.parametrize("command", [["fit"], ["fic", "--focus", "maxvar"],
                                          ["safic", "--scheme", "kernel"], ["moran"]],
                              ids=["fit", "fic", "safic", "moran"])

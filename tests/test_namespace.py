@@ -73,9 +73,8 @@ def test_the_package_exports_the_pinned_names():
 def test_only_the_weights_read_the_spectrum():
     """SpatialWeights.spectrum may be complex, and the sums over it that the
     model reads are the real parts SpatialWeights' own methods return.  So no
-    module of src/ but weights.py reads `.spectrum`, except slm._information,
-    which takes the real part of its sum of g_i^2 itself.  A new reader goes
-    through a SpatialWeights method, or is allowed here on purpose."""
+    module of src/ but weights.py reads `.spectrum`: a new reader goes through
+    a SpatialWeights method."""
     readers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "weights.py":
@@ -84,4 +83,4 @@ def test_only_the_weights_read_the_spectrum():
             if any(isinstance(sub, ast.Attribute) and sub.attr == "spectrum"
                    for sub in ast.walk(node)):
                 readers.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
-    assert readers == {"slm._information"}
+    assert readers == set()
