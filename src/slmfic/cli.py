@@ -105,6 +105,9 @@ def _cmd_fit(args) -> int:
         missing = [c for c in wanted if c not in data.names]
         if missing:
             raise InputError(f"unknown covariates in --subset: {missing}")
+        for k, c in enumerate(wanted):
+            if c in wanted[:k]:
+                raise InputError(f"--subset: covariate {c!r} is listed twice")
         S = SubmodelId.from_indices([data.names.index(c) for c in wanted], data.p)
     fit = fit_mle(data, S)
     payload = {
@@ -131,6 +134,9 @@ def _cmd_fic(args) -> int:
 
 
 def _cmd_safic(args) -> int:
+    for flag, value in (("--z0", args.z0), ("--bandwidth", args.bandwidth)):
+        if args.scheme == "uniform" and value is not None:
+            raise InputError(f"{flag} applies to --scheme kernel only")
     data = _dataset_from_args(args)
     if args.z0:
         try:

@@ -2,10 +2,11 @@
 
 Each replication draws a fresh design matrix and innovation vector from an
 RNG stream keyed by (seed, rep).  One batch function, _replicate, draws a
-contiguous range of replications and ranks all candidate submodels of all of
-them at once through one engine, _sweep, which carries a leading replication
-axis through the fits, the informations and the stacked scores, and records
-each replication's rank orders or the first error that stopped it.  Each
+contiguous range of replications and ranks all candidate submodels of them,
+in even batches sized by what a replication holds, through one engine,
+_sweep, which carries a leading replication axis through the fits, the
+informations and the stacked scores, and records each replication's rank
+orders or the first error that stopped it.  Each
 stage has one form, over the batch (fit_mle, eval_focus_batch, fic_terms,
 k_empirical, safic_terms); fic_table and safic_table run the engine on a
 batch of one dataset, and only they build rows.  Aggregation is an ordered
@@ -178,11 +179,15 @@ def _replicate(cfg: SimConfig, W: SpatialWeights, reps: range) -> list:
     """Draw replications reps and rank every criterion on them.  I - rho W is
     factored once, here, in the process that uses the factor (it cannot be
     pickled), and each draw is one solve with it.  The replications go in
-    batches of at most _CHUNK // (2^p max(n, (p + 2)^2)), one _sweep each:
-    a replication adds up to 2^p n to the (R, chunk, n) residuals of the
-    information the max_eigen focus builds per size-group chunk, split no
-    finer than one subset on every dataset, and about 2^p (p + 2)^2 to the
-    stacked scores: within weights._CHUNK elements.
+    even batches, one _sweep each, of at most
+    weights._CHUNK // max(n (p + 2), 2^p (3p + 8)): a replication adds n (p + 2)
+    to the inputs and per-dataset temporaries (its X, Y and WY; the
+    projection's Q; k_empirical's Omega) and 2^p (3p + 8) to the per-subset
+    arrays the sweep keeps (each fit's rho, sigma^2, log-likelihood, steps and
+    beta, and its regressions' coefficients and 2 x 2 Gram matrix).  Each
+    stage's share per subset of one dataset is no larger, so every stage
+    chunks itself within weights._CHUNK elements; spillover's tiled
+    (R, 2^p, p + 2, p + 2) Jacobian is the one array beyond it.
 
     Returns, per replication, ((rankings, realized), None), where rankings maps
     criterion name to the masks in rank order and realized is the sweep's row
@@ -190,11 +195,11 @@ def _replicate(cfg: SimConfig, W: SpatialWeights, reps: range) -> list:
     "Class: message") if a NumericalError stops it.
     """
     submodels = enumerate_submodels(cfg.p)
-    size = max(1, weights._CHUNK // (len(submodels) * max(cfg.n, (cfg.p + 2) ** 2)))
+    most = max(1, weights._CHUNK // max(cfg.n * (cfg.p + 2), len(submodels) * (3 * cfg.p + 8)))
     truth = (cfg.rho_true, cfg.sigma2_true, cfg.beta_true) if cfg.track_realized_error else None
     lu, results = _spatial_filter(cfg, W), []
-    for start in range(reps.start, reps.stop, size):
-        batch = [_draw(cfg, rep, W, lu) for rep in range(start, min(start + size, reps.stop))]
+    for part in np.array_split(np.arange(reps.start, reps.stop), -(-len(reps) // most)):
+        batch = [_draw(cfg, rep, W, lu) for rep in part.tolist()]
         tables, realized, errors = _sweep(batch, cfg.criteria, submodels, truth)
         for r, error in enumerate(errors):
             if error is not None:
@@ -232,7 +237,9 @@ def monte_carlo(cfg: SimConfig, jobs: int = 1) -> RunReport:
     the whole range in this process with jobs = 1, else one chunk per worker
     of a pool of min(jobs, reps) processes, each taking one pickled copy of W
     with its spectrum.  Each call of the batch function, one per worker,
-    factors I - rho W once for all its draws.  jobs < 1 is a ConfigError.
+    factors I - rho W once for all its draws and ranks them in _replicate's
+    even batches: two _sweep calls for the default study with jobs = 1.
+    jobs < 1 is a ConfigError.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -271,20 +278,26 @@ def _report(cfg: SimConfig, results) -> RunReport:
                      realized_mse)
 
 
-def _psi(crit: CriterionSpec, data: Dataset):
-    """sAFIC weights of a criterion and None: uniform, or a Gaussian kernel
-    centred on z0 (default: the first unit's covariates) with the
-    median-distance bandwidth unless one is given.  Where the bandwidth fails,
-    uniform stand-in weights and the BandwidthError."""
+def _psi(crit: CriterionSpec, batch):
+    """sAFIC weights of a criterion on a batch and each dataset's error or None:
+    uniform, one (n,) array that every dataset shares, or per dataset, (R, n),
+    a Gaussian kernel centred on z0 (default: the dataset's first unit's
+    covariates) with the median-distance bandwidth unless one is given.  Where
+    the bandwidth fails, uniform stand-in weights and the BandwidthError."""
     if crit.scheme == "uniform":
-        return psi_uniform(data.n).psi, None
-    check_kernel(crit.z0, crit.bandwidth, data.p)
-    z0 = np.asarray(crit.z0, dtype=float) if crit.z0 is not None else data.X[0]
-    try:
-        h = crit.bandwidth if crit.bandwidth is not None else median_bandwidth(data.X)
-        return psi_kernel(data.X, z0, h).psi, None
-    except BandwidthError as exc:
-        return psi_uniform(data.n).psi, exc
+        return psi_uniform(batch[0].n).psi, [None] * len(batch)
+    check_kernel(crit.z0, crit.bandwidth, batch[0].p)
+    rows, errors = [], []
+    for data in batch:
+        z0 = np.asarray(crit.z0, dtype=float) if crit.z0 is not None else data.X[0]
+        try:
+            h = crit.bandwidth if crit.bandwidth is not None else median_bandwidth(data.X)
+            rows.append(psi_kernel(data.X, z0, h).psi)
+            errors.append(None)
+        except BandwidthError as exc:
+            rows.append(psi_uniform(data.n).psi)
+            errors.append(exc)
+    return np.stack(rows), errors
 
 
 def _sweep(batch, criteria, submodels, truth=None):
@@ -356,10 +369,10 @@ def _sweep(batch, criteria, submodels, truth=None):
                 found.append(_certificates(
                     blocks[2], "beta Schur complement of the wide information"))
                 blocks[2][[e is not None for e in found[-1]]] = np.eye(p)
-            psi, errors = zip(*(_psi(crit, data) for data in batch))
+            psi, errors = _psi(crit, batch)
             found.append(errors)
             WY, X = (np.stack([getattr(data, a) for data in batch]) for a in ("WY", "X"))
-            K = k_empirical(blocks[0], blocks[1], WY, X, np.stack(psi))
+            K = k_empirical(blocks[0], blocks[1], WY, X, psi)
             terms = safic_terms(submodels, D, blocks[2], K)
         score = terms[0] + terms[1] if len(terms) == 2 else terms[0]
         tables[crit.name] = (_rank_order(score, sizes), terms)

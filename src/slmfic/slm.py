@@ -4,8 +4,8 @@ The model is Y = rho*W*Y + X*beta + eps with iid Gaussian innovations.  For a
 fixed rho the problem reduces to ordinary regression of (I - rho*W)Y on X, so
 beta and sigma^2 are profiled out in closed form.  fit_mle fits a batch of
 datasets on one W, each on many subsets, with a leading dataset axis through
-every stage: one stacked QR of the designs, one stacked SVD per chunk of
-same-size subsets for the profile regressions, and one vectorised Newton
+every stage: one stacked QR of the designs, one stacked R-only QR per chunk
+of same-size subsets for the profile regressions, and one vectorised Newton
 search that finds rho, the root of the profile score, for every (dataset,
 subset) pair at once, its log-det sums from SpatialWeights' spectrum pass;
 weights._CHUNK bounds every stacked temporary.  A failed fit marks its
@@ -284,21 +284,27 @@ def _project(batch):
 def _regressions(projection, subsets):
     """Regressions of Y and WY on X_S = Q R_S for every dataset of a projection
     and every subset: their residual is the residual on X plus Q times that of
-    z on R_S, a p-row problem with the singular values of X_S, solved by one
-    stacked SVD per subset size.  These interlace the singular values of X,
-    which Dataset holds to the rank rule, so no X_S is checked again.  Returns
-    the (R, m, 2, 2) residual Gram matrices [[a, b], [b, c]], the residual sum
-    of squares of (I - rho*W)Y being a - 2*b*rho + c*rho^2, and the
-    (R, m, p, 2) coefficients, zero outside each subset."""
+    z on R_S, a p-row problem.  Per subset size k, one stacked R-only QR of
+    [R_S | z] gives the triangle T: T[:k, :k] is the R factor of R_S, so it has
+    the singular values of X_S, which interlace those of X that Dataset holds
+    to the rank rule, and no X_S is checked again; the coefficients solve
+    T[:k, :k] b = T[:k, k:] and the residual of z on R_S has the Gram matrix
+    T[k:, k:]' T[k:, k:].  Householder QR is backward stable, as the SVD is
+    (Golub & Van Loan, *Matrix Computations*, 5.3).  Returns the (R, m, 2, 2)
+    residual Gram matrices [[a, b], [b, c]], the residual sum of squares of
+    (I - rho*W)Y being a - 2*b*rho + c*rho^2, and the (R, m, p, 2)
+    coefficients, zero outside each subset."""
     R, z, base = projection
     reps, p = R.shape[0], R.shape[-1]
+    Rz = np.concatenate((R, z), axis=-1)  # columns p and p + 1 are z
     gram, coef = np.empty((reps, len(subsets), 2, 2)), np.zeros((reps, len(subsets), p, 2))
-    for idx, cols in _size_groups(subsets, p * p, reps):
+    for idx, cols in _size_groups(subsets, p * (p + 2), reps):
         k = cols.shape[1]
-        U, sv, Vt = np.linalg.svd(_gather(R, np.arange(p)[None, :, None], cols[:, None]))
-        Uz = np.swapaxes(U, -1, -2) @ z[:, None]
-        gram[:, idx] = base[:, None] + np.swapaxes(Uz[..., k:, :], -1, -2) @ Uz[..., k:, :]
-        coef[:, idx[:, None], cols] = np.swapaxes(Vt, -1, -2) @ (Uz[..., :k, :] / sv[..., None])
+        ext = np.column_stack((cols, np.full((idx.size, 2), [p, p + 1])))
+        T = np.linalg.qr(_gather(Rz, np.arange(p)[None, :, None], ext[:, None]), mode="r")
+        t = T[..., k:, k:]
+        gram[:, idx] = base[:, None] + np.swapaxes(t, -1, -2) @ t
+        coef[:, idx[:, None], cols] = np.linalg.solve(T[..., :k, :k], T[..., :k, k:])
     return gram, coef
 
 

@@ -859,6 +859,32 @@ class TestFailureContract:
                    "--row-normalize", "--scheme", "kernel", *args])
         _one_input_error(capsys, rc, named)
 
+    @pytest.mark.parametrize("scheme", [[], ["--scheme", "uniform"]], ids=["default", "uniform"])
+    @pytest.mark.parametrize(
+        "args, flag",
+        [(["--bandwidth", "-1"], "--bandwidth"),
+         (["--bandwidth", "2.0"], "--bandwidth"),
+         (["--z0", "1,2"], "--z0"),
+         (["--z0", "0,0", "--bandwidth", "2.0"], "--z0")],
+        ids=["negative-bandwidth", "bandwidth", "z0", "z0-and-bandwidth"],
+    )
+    def test_kernel_flags_under_the_uniform_scheme_are_input_errors(self, small_files, capsys,
+                                                                    scheme, args, flag):
+        """--z0 and --bandwidth set the kernel only: under the uniform scheme
+        they were ignored, even where --scheme kernel rejects the value."""
+        data_path, weights_path = small_files
+        rc = main(["safic", "--data", data_path, "--weights", weights_path, "--response", "y",
+                   *scheme, *args])
+        _one_input_error(capsys, rc, f"{flag} applies to --scheme kernel only")
+
+    @pytest.mark.parametrize("subset", ["a,a", "a,b,a"])
+    def test_repeated_subset_name_is_input_error(self, small_files, capsys, subset):
+        """As --columns a,a is: a repeated name was fitted once, silently."""
+        data_path, weights_path = small_files
+        rc = main(["fit", "--data", data_path, "--weights", weights_path, "--response", "y",
+                   "--subset", subset])
+        _one_input_error(capsys, rc, "--subset: covariate 'a' is listed twice")
+
     @pytest.mark.parametrize("command", ["fit", "fic", "safic"])
     @pytest.mark.parametrize(
         "columns, named",

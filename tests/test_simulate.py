@@ -310,7 +310,9 @@ class TestSweepEngine:
         at = list(range(8)) if focus.depends_on_theta(spec) else [7]
         fic_table(spec, generate_dataset(small_config(), 0))
         assert calls == [(spec.kind, 1, at)]
-        monkeypatch.setattr(weights, "_CHUNK", 2 * 8 * 30)  # batches of 2, 2 and 1 replications
+        # two replications of n (p + 2) = 30 * 5 inputs, above 2^p (3p + 8) = 8 * 17:
+        # batches of 2, 2 and 1 replications
+        monkeypatch.setattr(weights, "_CHUNK", 2 * 30 * 5)
         criteria = (CriterionSpec("fic", "F", focus=spec),
                     CriterionSpec("fic", "G", focus=FocusSpec("spillover")),
                     CriterionSpec("safic", "A"))
@@ -881,6 +883,67 @@ def test_a_failing_safic_stage_stops_its_dataset_only(monkeypatch, stage):
         for name, (orders, terms) in tables.items():
             assert orders[r] == one[name][0][0]
             assert [t[r].tobytes() for t in terms] == [t[0].tobytes() for t in one[name][1]]
+
+
+def _batch_footprints(monkeypatch):
+    """Record, per _sweep call of a study, its batch size, the elements of its
+    inputs (each dataset's X, Y and WY) and those of the per-subset arrays the
+    sweep keeps: the fits' rho, sigma^2, log-likelihood, steps and beta and
+    the regressions' coefficients and Gram matrices."""
+    batches = []
+    sweep, fit, regressions = simulate._sweep, simulate.fit_mle, slm._regressions
+
+    def counting_sweep(batch, *args):
+        batches.append([len(batch), sum(d.X.size + d.Y.size + d.WY.size for d in batch), 0])
+        return sweep(batch, *args)
+
+    def counting_fit(*args):
+        fits = fit(*args)
+        batches[-1][2] += sum(a.size for a in (fits.rho, fits.sigma2, fits.loglik, fits.steps,
+                                               fits.beta))
+        return fits
+
+    def counting_regressions(*args):
+        gram, coef = regressions(*args)
+        batches[-1][2] += gram.size + coef.size
+        return gram, coef
+
+    monkeypatch.setattr(simulate, "_sweep", counting_sweep)
+    monkeypatch.setattr(simulate, "fit_mle", counting_fit)
+    monkeypatch.setattr(slm, "_regressions", counting_regressions)
+    return batches
+
+
+@pytest.mark.parametrize("n, p", [(10, 0), (40, 1), (12, 2), (200, 3), (16, 4), (30, 5), (12, 7)])
+def test_study_batches_keep_what_they_hold_within_the_chunk(monkeypatch, n, p):
+    """At weights._CHUNK = 2^10, each batch of a study's replications holds at
+    most _CHUNK elements of inputs and at most _CHUNK of kept per-subset
+    arrays, or is one replication (at p = 7 one replication keeps 3,712).
+    Batches differ in size by at most one, and are as few as that allows:
+    with one batch fewer, the largest would pass _CHUNK."""
+    monkeypatch.setattr(weights, "_CHUNK", 1 << 10)
+    batches = _batch_footprints(monkeypatch)
+    cfg = SimConfig(n=n, p=p, beta_true=(0.3,) * p, reps=10, seed=3)
+    assert monte_carlo(cfg).reps_completed == 10
+    sizes = [size for size, _inputs, _kept in batches]
+    assert sum(sizes) == 10 and max(sizes) - min(sizes) <= 1
+    for size, inputs, kept in batches:
+        assert inputs == size * n * (p + 2)
+        assert size == 1 or max(inputs, kept) <= weights._CHUNK
+    size, inputs, kept = max(batches)
+    if len(batches) > 1:
+        fewer = -(-cfg.reps // (len(batches) - 1))  # the largest of one batch fewer
+        assert fewer * max(inputs, kept) > size * weights._CHUNK
+
+
+def test_the_default_study_makes_two_sweeps(monkeypatch):
+    """The default study (n = 75, p = 5, 100 replications) keeps 2^5 (3 * 5 + 8)
+    = 736 elements per replication, above n (p + 2) = 525: two even batches
+    of 50 under weights._CHUNK = 2^16, where a cap of 89 alone would split
+    89 + 11."""
+    batches = _batch_footprints(monkeypatch)
+    monte_carlo(SimConfig())
+    assert [(size, kept) for size, _inputs, kept in batches] == [(50, 50 * 736)] * 2
 
 
 BATCH_CRITERIA = (

@@ -130,6 +130,39 @@ class TestProfiles:
             assert sv_S[-1] >= sv[-1] * (1.0 - 1e-6)
             assert sv_S[-1] > 1e-10 * sv_S[0]
 
+    def test_regressions_match_lstsq_at_the_rank_rule_edge(self):
+        """_regressions against one np.linalg.lstsq (an SVD) per subset on
+        designs of cond(X) = 1e9, just inside Dataset's rank rule: the
+        coefficients and the residual Gram matrix of [Y, WY] on every X_S agree
+        within 1e-7, relative to the coefficients' norm and to [Y, WY]'s norms.
+        Here the QR route and the stacked SVD it replaced both read 1.0e-9 and
+        5.4e-9; normal equations, whose error grows as cond^2, fail (Cholesky
+        finds X_S'X_S not positive definite)."""
+        n, p = 40, 4
+        W = SpatialWeights.from_adjacency(build_chain_lag1(n), row_normalize=True)
+        subsets = enumerate_submodels(p)
+        rng = np.random.default_rng(20261020)
+        batch = []
+        for _ in range(3):
+            U = np.linalg.qr(rng.standard_normal((n, p)))[0]
+            V = np.linalg.qr(rng.standard_normal((p, p)))[0]
+            X = (U * np.logspace(0.0, -9.0, p)) @ V.T
+            batch.append(Dataset(Y=10.0 * X @ rng.standard_normal(p) + rng.standard_normal(n),
+                                 X=X, W=W))
+        gram, coef = slm._regressions(slm._project(batch), subsets)
+        for r, data in enumerate(batch):
+            Z = np.column_stack((data.Y, data.WY))
+            norms = np.linalg.norm(Z, axis=0)
+            for i, S in enumerate(subsets):
+                cols = list(S.indices())
+                b = np.linalg.lstsq(data.X[:, cols], Z, rcond=None)[0]
+                e = Z - data.X[:, cols] @ b
+                assert np.all(np.abs(gram[r, i] - e.T @ e) <= 1e-7 * np.outer(norms, norms))
+                assert np.all(coef[r, i, [j for j in range(p) if j not in cols]] == 0.0)
+                if cols:
+                    err = np.linalg.norm(coef[r, i, cols] - b, axis=0)
+                    assert np.all(err <= 1e-7 * np.linalg.norm(b, axis=0))
+
     def test_non_finite_response_named(self, rng):
         data = random_dataset(rng, n=10)
         Y = data.Y.copy()
