@@ -10,15 +10,7 @@ safic.pointwise_risk, ...) live at their module paths and are not exported here.
 from .diagnostics import MoranResult, aic, morans_i
 from .fic import FicRow, fic_score, fic_terms
 from .focus import FocusSpec
-from .safic import (
-    PsiWeights,
-    k_empirical,
-    median_bandwidth,
-    psi_kernel,
-    psi_uniform,
-    safic_score,
-    safic_terms,
-)
+from .safic import PsiWeights, median_bandwidth, psi_kernel, psi_uniform, safic_score
 from .simulate import (
     CriterionSpec,
     RunReport,

@@ -56,13 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fic = sub.add_parser("fic", help="rank all submodels by the focused criterion")
     _add_data_args(p_fic, table=True)
     p_fic.add_argument("--focus", choices=tuple(_FOCUS_BY_FLAG), default="mean")
-    p_fic.add_argument("--location", type=int, default=0, help="unit index for --focus mean")
+    p_fic.add_argument("--location", type=int, help="unit index for --focus mean (default: 0)")
 
     p_saf = sub.add_parser("safic", help="rank all submodels by the spatially averaged criterion")
     _add_data_args(p_saf, table=True)
     p_saf.add_argument("--scheme", choices=("uniform", "kernel"), default="uniform")
     p_saf.add_argument("--z0", help="comma-separated kernel center (default: row of --location)")
-    p_saf.add_argument("--location", type=int, default=0)
+    p_saf.add_argument("--location", type=int, help="row that centres the kernel (default: 0)")
     p_saf.add_argument("--bandwidth", type=float)
 
     p_sim = sub.add_parser("simulate", help="seeded Monte-Carlo experiment")
@@ -124,10 +124,24 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _location(args, data, used: bool, where: str) -> int | None:
+    """The unit of --location (default 0) if used, else None: an input error
+    if it is out of range, or given where nothing reads it."""
+    if not used:
+        if args.location is not None:
+            raise InputError(f"--location applies to {where} only")
+        return None
+    i = 0 if args.location is None else args.location
+    if not 0 <= i < data.n:
+        raise InputError(f"--location {i} out of range for n={data.n}")
+    return i
+
+
 def _cmd_fic(args) -> int:
     data = _dataset_from_args(args)
     kind = _FOCUS_BY_FLAG[args.focus]
-    spec = FocusSpec(kind, location=args.location if kind == "conditional_mean" else None)
+    spec = FocusSpec(kind, location=_location(args, data, kind == "conditional_mean",
+                                              "--focus mean"))
     rows = fic_table(spec, data)
     _emit(write_report(rows, None, fmt=args.format), args.out)
     return 0
@@ -138,15 +152,14 @@ def _cmd_safic(args) -> int:
         if args.scheme == "uniform" and value is not None:
             raise InputError(f"{flag} applies to --scheme kernel only")
     data = _dataset_from_args(args)
-    if args.z0:
+    i = _location(args, data, args.scheme == "kernel" and args.z0 is None,
+                  "--scheme kernel without --z0")
+    z0 = None if i is None else data.X[i]
+    if args.z0 is not None:
         try:
             z0 = [float(v) for v in args.z0.split(",")]
         except ValueError as exc:
             raise InputError(f"--z0 {args.z0!r}: {exc}") from None
-    elif 0 <= args.location < data.n:
-        z0 = data.X[args.location]
-    else:
-        raise InputError(f"--location {args.location} out of range for n={data.n}")
     rows = safic_table(data, scheme=args.scheme, z0=z0, bandwidth=args.bandwidth)
     _emit(write_report(rows, None, fmt=args.format), args.out)
     return 0

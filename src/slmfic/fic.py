@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .slm import FisherInfo, FitResult, _certify, _gather, _size_groups
+from .slm import FisherInfo, FitResult, _certify, _dot, _gather, _size_groups
 from .submodels import SubmodelId
 
 
@@ -65,28 +65,38 @@ def fic_terms(subsets, J: np.ndarray, J_beta_wide: np.ndarray, I: np.ndarray,
     columns, the others never read; any other shape raises ValueError.  J_beta_wide
     is (R, d, p), D (R, p) and I (R, p + 2, p + 2) the wide informations,
     certified by the caller (fit_mle does): by interlacing that certifies every
-    block I_S.  Per chunk of same-size subsets, one stacked solve of their
-    (R, s) blocks gives every A = J_S I_S^{-1}: the bias matrix is A B_S -
-    J_beta_wide, B_S the rows of (rho, sigma^2, beta_S) against the wide beta
-    with the sigma^2 row zeroed (beta and sigma^2 are orthogonal), centered so
-    that the wide model is asymptotically unbiased, and the variance
-    tr(J_S I_S^{-1} J_S') = sum(A * J_S).
-    """
-    reps, k = I.shape[0], I.shape[-1]
-    d = J.shape[2]
-    J = np.broadcast_to(J, (reps, len(subsets), d, k))  # a (R, 1, ...) J serves every subset
-    bias2, variance = np.empty((reps, len(subsets))), np.empty((reps, len(subsets)))
-    for idx, cols in _size_groups(subsets, k * (k + d), reps):
-        ii = np.column_stack((np.zeros_like(idx), np.ones_like(idx), cols + 2))
-        B = _gather(I, ii, slice(2, None))
-        B[..., 1, :] = 0.0
-        J_S = _gather(J, idx[:, None, None], np.arange(d)[:, None], ii[:, None])
-        I_S = _gather(I, ii[:, :, None], ii[:, None])
-        A = np.swapaxes(np.linalg.solve(I_S, np.swapaxes(J_S, -1, -2)), -1, -2)
-        bD = ((A @ B - J_beta_wide[:, None]) @ D[:, None, :, None])[..., 0]
-        bias2[:, idx] = (bD[..., None, :] @ bD[..., :, None])[..., 0, 0]
-        variance[:, idx] = np.sum((A * J_S).reshape(reps, idx.size, -1), axis=-1)
-    return bias2, variance
+    block I_S.  The risk kernel, rho and sigma^2 always kept, gives the bias
+    J_S I_S^{-1} B_S D - J_beta_wide D, B_S the rows of (rho, sigma^2, beta_S)
+    against the wide beta with the sigma^2 row zeroed (beta and sigma^2 are
+    orthogonal), centered so that the wide model is asymptotically unbiased,
+    and the variance tr(J_S I_S^{-1} J_S')."""
+    b = _dot(I[:, :, 2:], D[:, None])
+    b[:, 1] = 0.0
+    return _risk_terms(subsets, 2, I, b, np.swapaxes(J, -1, -2), _dot(J_beta_wide, D[:, None]))
+
+
+def _risk_terms(subsets, keep: int, M: np.ndarray, b: np.ndarray, G: np.ndarray,
+                c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two risk terms, (R, m) arrays, of R datasets on m subsets, of FIC
+    (fic_terms) and sAFIC (simulate._sweep) alike: M (R, k, k), certified by
+    the caller, b (R, k), G (R, 1 or m, k, q), one for every subset or one per
+    subset, and c (R, q).  Subset S keeps the coordinates T = 0..keep - 1 and
+    keep + S; with x = M_TT^{-1} b_T and Y = M_TT^{-1} G_T, its squared bias is
+    |G_T' x - c|^2 and its second term sum(G_T * Y) = tr(G_T' M_TT^{-1} G_T).
+    Per chunk of same-size subsets, one stacked solve of their (R, |T|)
+    blocks M_TT against [b_T | G_T]."""
+    (reps, k), q = M.shape[:2], G.shape[-1]
+    G = np.broadcast_to(G, (reps, len(subsets), k, q))  # a (R, 1, ...) G serves every subset
+    bias2, second = np.empty((reps, len(subsets))), np.empty((reps, len(subsets)))
+    for idx, cols in _size_groups(subsets, k * max(k, q + 1), reps):
+        T = np.column_stack((np.tile(np.arange(keep), (idx.size, 1)), cols + keep))
+        G_T = _gather(G, idx[:, None, None], T[:, :, None], np.arange(q))
+        sol = np.linalg.solve(_gather(M, T[:, :, None], T[:, None]),
+                              np.concatenate((_gather(b, T)[..., None], G_T), axis=-1))
+        r = (np.swapaxes(G_T, -1, -2) @ sol[..., :1])[..., 0] - c[:, None]
+        bias2[:, idx] = _dot(r, r)
+        second[:, idx] = np.sum((G_T * sol[..., 1:]).reshape(reps, idx.size, -1), axis=-1)
+    return bias2, second
 
 
 def fic_score(S: SubmodelId, bias2: float, variance: float, labels: tuple[str, ...] = (),

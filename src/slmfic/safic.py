@@ -4,9 +4,11 @@ The pointwise AMSE of the linear predictor at unit i decomposes into a
 misspecification (deviance) term, a shared rho term, and an overfitting
 penalty.  Averaging over units with weights psi turns the sum into two traces
 against the empirical second-moment matrix K of the omega vectors; the shared
-rho term is constant across submodels and dropped from the score.  Both traces
-reduce to one solve against the subset's block of the beta Schur complement,
-which is certified once for every subset.
+rho term is constant across submodels and dropped from the score.  With a
+factor F F' = K (_k_factor), the bias r'K r is |F'r|^2 and the penalty
+tr(M_S^{-1} K_SS) is sum(F_S * M_S^{-1} F_S): FIC's risk kernel,
+fic._risk_terms, solving against the subset's block M_S of the beta Schur
+complement, which is certified once for every subset.
 
 All (rho, beta) information blocks are taken from the wide-model estimate with
 the sigma^2 coordinate removed by deletion.
@@ -22,7 +24,7 @@ from scipy.spatial.distance import cdist, pdist
 from . import weights
 from .errors import BandwidthError, ConfigError, DataFormatError
 from .fic import FicRow
-from .slm import Dataset, FisherInfo, _certify, _gather, _size_groups
+from .slm import Dataset, FisherInfo, _certify
 from .submodels import SubmodelId
 
 _BIN_BITS = 14  # a counting pass of median_bandwidth has 2^_BIN_BITS bins
@@ -157,10 +159,6 @@ class RhoBetaBlocks:
     I_br: np.ndarray  # p x 1
     Q_inv: np.ndarray  # p x p
 
-    @property
-    def p(self) -> int:
-        return self.Q_inv.shape[0]
-
 
 def rho_beta_blocks(info_full: FisherInfo) -> RhoBetaBlocks:
     """Drop the sigma^2 row/column and certify the beta Schur complement."""
@@ -180,10 +178,10 @@ def g_matrix(blocks: RhoBetaBlocks, S: SubmodelId) -> np.ndarray:
     """Submodel projection G_S = Pi_S' M_S^{-1} Pi_S Q^{-1} with M_S = Q^{-1}[S, S];
     zero for the narrow model.
 
-    Not used in the sweep: safic_terms reads M_S without forming G_S.  This is
-    the form pointwise_risk and the tests check it against.
+    Not used in the sweep: its risk kernel (fic._risk_terms) reads M_S without
+    forming G_S.  This is the form pointwise_risk and the tests check it against.
     """
-    G = np.zeros((blocks.p, blocks.p))
+    G = np.zeros_like(blocks.Q_inv)
     sel = list(S.indices())
     if sel:
         M = blocks.Q_inv[np.ix_(sel, sel)]
@@ -192,69 +190,33 @@ def g_matrix(blocks: RhoBetaBlocks, S: SubmodelId) -> np.ndarray:
     return G
 
 
-def k_empirical(I_rr: np.ndarray, I_br: np.ndarray, WY: np.ndarray, X: np.ndarray,
-                psi: np.ndarray) -> np.ndarray:
-    """Second-moment matrices K = sum_i psi_i omega_i omega_i' of the omega
-    vectors of R datasets, symmetrized to guard floating-point drift: I_rr
-    (R,), I_br (R, p, 1), WY (R, n), X (R, n, p) and psi (n,), shared, or
-    (R, n) give K (R, p, p)."""
+def _k_factor(I_rr: np.ndarray, I_br: np.ndarray, WY: np.ndarray, X: np.ndarray,
+              psi: np.ndarray) -> np.ndarray:
+    """A factor F, F F' = K = sum_i psi_i omega_i omega_i', of the second-moment
+    matrices of the omega vectors of R datasets: the transposed R of one stacked
+    R-only QR of psi^{1/2} Omega.  I_rr (R,), I_br (R, p, 1), WY (R, n), X (R, n, p)
+    and psi (n,), shared, or (R, n) give F (R, p, min(n, p))."""
     Omega = WY[:, :, None] * (I_br[:, :, 0] / I_rr[:, None])[:, None, :] - X
-    K = np.swapaxes(Omega, 1, 2) @ (psi[..., :, None] * Omega)
-    return 0.5 * (K + np.swapaxes(K, 1, 2))
+    return np.swapaxes(np.linalg.qr(np.sqrt(psi)[..., :, None] * Omega, mode="r"), 1, 2)
 
 
-def pointwise_risk(
-    i: int,
-    S: SubmodelId,
-    delta: np.ndarray,
-    blocks: RhoBetaBlocks,
-    data: Dataset,
-) -> float:
-    """AMSE of the estimated linear predictor at unit i under submodel S; Q is
-    the symmetrized inverse of blocks.Q_inv and w = omega_i =
-    I_br * I_rr^{-1} * (WY)_i - x_i the sensitivity vector of unit i."""
+def pointwise_risk(i: int, S: SubmodelId, delta: np.ndarray, blocks: RhoBetaBlocks,
+                   data: Dataset) -> float:
+    """AMSE of the estimated linear predictor at unit i under submodel S: the
+    bias ((I - G_S)' w)' delta squared, the rho term (WY)_i^2 / I_rr and the
+    penalty (G_S' w)' Q (G_S' w), Q the symmetrized inverse of blocks.Q_inv and
+    w = omega_i = I_br * I_rr^{-1} * (WY)_i - x_i the sensitivity vector of unit i."""
     if not 0 <= i < data.n:
         raise ValueError(f"unit index {i} out of range for n={data.n}")
     Q = np.linalg.inv(blocks.Q_inv)
-    Q = 0.5 * (Q + Q.T)
     wy_i = float(data.WY[i])
     w = (blocks.I_br[:, 0] / blocks.I_rr) * wy_i - data.X[i]
-    G = g_matrix(blocks, S)
-    p = blocks.p
-    resid_dir = (np.eye(p) - G).T @ w
-    bias = float(resid_dir @ delta) ** 2
-    rho_term = wy_i * wy_i / blocks.I_rr
-    Gw = G.T @ w
-    penalty = float(Gw @ Q @ Gw)
-    return bias + rho_term + penalty
-
-
-def safic_terms(subsets, delta: np.ndarray, Q_inv: np.ndarray,
-                K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bias and penalty arrays of the weighted-average risk for R datasets, as
-    (R, m) arrays over the m subsets, the shared rho term excluded: delta
-    (R, p), K (R, p, p) and the beta Schur complements Q_inv (R, p, p),
-    certified by the caller (rho_beta_blocks does): by interlacing that
-    certifies every block M_S = Q^{-1}[S, S].  The residual direction
-    (I - G_S) delta is r = delta - Pi_S' M_S^{-1} (Q^{-1} delta)_S, the bias
-    term is r'K r and the penalty tr(G_S Q G_S' K) is tr(M_S^{-1} K_SS).  Per
-    chunk of same-size subsets, one stacked solve of their (R, s) blocks M_S
-    against [(Q^{-1} delta)_S | K_SS]."""
-    reps, p = delta.shape
-    bias2, penalty = np.empty((reps, len(subsets))), np.empty((reps, len(subsets)))
-    for idx, cols in _size_groups(subsets, p * (p + 2), reps):
-        sq = (cols[:, :, None], cols[:, None])
-        rhs = np.concatenate((_gather(Q_inv, cols) @ delta[:, None, :, None],
-                              _gather(K, *sq)), axis=-1)
-        sol = np.linalg.solve(_gather(Q_inv, *sq), rhs)
-        res = np.repeat(delta[:, None], idx.size, axis=1)
-        res[:, np.arange(idx.size)[:, None], cols] -= sol[..., 0]
-        penalty[:, idx] = np.trace(sol[..., 1:], axis1=-2, axis2=-1)
-        bias2[:, idx] = (res[..., None, :] @ K[:, None] @ res[..., :, None])[..., 0, 0]
-    return bias2, penalty
+    Gw = g_matrix(blocks, S).T @ w
+    penalty = float(Gw @ (0.5 * (Q + Q.T)) @ Gw)
+    return float((w - Gw) @ delta) ** 2 + wy_i * wy_i / blocks.I_rr + penalty
 
 
 def safic_score(S: SubmodelId, bias2: float, penalty: float, labels: tuple[str, ...] = (),
                 scheme: str = "uniform", rank: int = 0) -> FicRow:
-    """The ranked row of S from its two terms of safic_terms; the score is their sum."""
+    """The ranked row of S from its two terms of the sweep; the score is their sum."""
     return FicRow(S, labels, float(bias2), float(penalty), float(bias2 + penalty), rank, scheme)

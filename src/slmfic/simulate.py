@@ -6,13 +6,13 @@ contiguous range of replications and ranks all candidate submodels of them,
 in even batches sized by what a replication holds, through one engine,
 _sweep, which carries a leading replication axis through the fits, the
 informations and the stacked scores, and records each replication's rank
-orders or the first error that stopped it.  Each
-stage has one form, over the batch (fit_mle, eval_focus_batch, fic_terms,
-k_empirical, safic_terms); fic_table and safic_table run the engine on a
-batch of one dataset, and only they build rows.  Aggregation is an ordered
-reduction over replication index, and no replication's numbers depend on the
-others in its batch, so reports are byte-identical for a given config and
-seed regardless of worker count.
+orders or the first error that stopped it.  Each stage has one form, over
+the batch (fit_mle, eval_focus_batch, and FIC's and sAFIC's one risk kernel,
+fic._risk_terms); fic_table and safic_table run the engine on a batch of one
+dataset, and only they build rows.  Aggregation is an ordered reduction over
+replication index, and no replication's numbers depend on the others in its
+batch, so reports are byte-identical for a given config and seed regardless
+of worker count.
 """
 
 from __future__ import annotations
@@ -28,19 +28,18 @@ import scipy.sparse.linalg
 
 from . import weights
 from .errors import BandwidthError, ConfigError, ReplicationFailureError
-from .fic import fic_score, fic_terms
+from .fic import _risk_terms, fic_score, fic_terms
 from .focus import GAP_WARNING, FocusSpec, depends_on_theta, eval_focus_batch
 from .safic import (
+    _k_factor,
     _rho_beta_blocks,
     check_kernel,
-    k_empirical,
     median_bandwidth,
     psi_kernel,
     psi_uniform,
     safic_score,
-    safic_terms,
 )
-from .slm import Dataset, _certificates, fit_mle
+from .slm import Dataset, _certificates, _dot, fit_mle
 from .submodels import enumerate_submodels
 from .weights import SpatialWeights, build_chain_lag1
 
@@ -182,7 +181,7 @@ def _replicate(cfg: SimConfig, W: SpatialWeights, reps: range) -> list:
     even batches, one _sweep each, of at most
     weights._CHUNK // max(n (p + 2), 2^p (3p + 8)): a replication adds n (p + 2)
     to the inputs and per-dataset temporaries (its X, Y and WY; the
-    projection's Q; k_empirical's Omega) and 2^p (3p + 8) to the per-subset
+    projection's Q; sAFIC's psi^{1/2} Omega) and 2^p (3p + 8) to the per-subset
     arrays the sweep keeps (each fit's rho, sigma^2, log-likelihood, steps and
     beta, and its regressions' coefficients and 2 x 2 Gram matrix).  Each
     stage's share per subset of one dataset is no larger, so every stage
@@ -316,13 +315,14 @@ def _sweep(batch, criteria, submodels, truth=None):
     fits alone, whose (rho, sigma^2, beta_S) columns are each subset's
     Jacobian for a theta-free focus, or every fit (max_eigen certifies each
     subset's information, by one stacked check per chunk); sAFIC reads the
-    wide fit only.  delta_hat = sqrt(n) beta_wide is computed once.
-    fic_terms and safic_terms score every dataset with one stacked solve
-    per chunk of same-size subsets, AIC is one array expression, and each
-    score array is ranked once (_rank_order).  With truth, one more call
-    evaluates the first fic criterion's focus at the truth, and a fit's
-    realized error is the squared distance of that criterion's value at the
-    fit from it.  GAP_WARNING is issued once, as a RuntimeWarning, if a
+    wide fit only.  delta_hat = sqrt(n) beta_wide is computed once.  FIC
+    (fic_terms) and sAFIC (M = Q^{-1}, b = Q^{-1} delta, G = F, F F' = K from
+    safic._k_factor) score every dataset through one risk kernel,
+    fic._risk_terms, one stacked solve per chunk of same-size subsets; AIC is
+    one array expression, and each score array is ranked once (_rank_order).
+    With truth, one more call evaluates the first fic criterion's focus at the
+    truth, and a fit's realized error is the squared distance of that
+    criterion's value at the fit from it.  GAP_WARNING is issued once, as a RuntimeWarning, if a
     dataset that completes has a flagged fit; the truth's flags are not read.
 
     Every stage runs on the whole batch, a dataset that has failed too, so
@@ -369,11 +369,12 @@ def _sweep(batch, criteria, submodels, truth=None):
                 found.append(_certificates(
                     blocks[2], "beta Schur complement of the wide information"))
                 blocks[2][[e is not None for e in found[-1]]] = np.eye(p)
+                WY, X = (np.stack([getattr(data, a) for data in batch]) for a in ("WY", "X"))
             psi, errors = _psi(crit, batch)
             found.append(errors)
-            WY, X = (np.stack([getattr(data, a) for data in batch]) for a in ("WY", "X"))
-            K = k_empirical(blocks[0], blocks[1], WY, X, psi)
-            terms = safic_terms(submodels, D, blocks[2], K)
+            F = _k_factor(blocks[0], blocks[1], WY, X, psi)
+            terms = _risk_terms(submodels, 0, blocks[2], _dot(blocks[2], D[:, None]), F[:, None],
+                                _dot(np.swapaxes(F, 1, 2), D[:, None]))
         score = terms[0] + terms[1] if len(terms) == 2 else terms[0]
         tables[crit.name] = (_rank_order(score, sizes), terms)
     if truth is not None:

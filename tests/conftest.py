@@ -267,13 +267,31 @@ def fit_each(data, subsets):
     return {S.mask: fits.result(0, i) for i, S in enumerate(fits.subsets)}
 
 
-def k_one(blocks, data, psi):
-    """k_empirical on the one dataset data: K (p, p) of the RhoBetaBlocks
-    blocks and the PsiWeights psi."""
-    from slmfic import k_empirical
+def k_factor_one(blocks, data, psi):
+    """safic._k_factor on the one dataset data: F (p, min(n, p)), F F' = K, of
+    the RhoBetaBlocks blocks and the PsiWeights psi."""
+    from slmfic.safic import _k_factor
 
-    return k_empirical(np.array([blocks.I_rr]), blocks.I_br[None], data.WY[None],
-                       data.X[None], psi.psi)[0]
+    return _k_factor(np.array([blocks.I_rr]), blocks.I_br[None], data.WY[None],
+                     data.X[None], psi.psi)[0]
+
+
+def k_one(blocks, data, psi):
+    """K = F F' (p, p) of k_factor_one, the second-moment matrix the sweep's
+    sAFIC reads through its factor."""
+    F = k_factor_one(blocks, data, psi)
+    return F @ F.T
+
+
+def safic_kernel_one(subsets, delta, Q_inv, F):
+    """The sAFIC (bias2, penalty) arrays, (m,) each, of one dataset on subsets
+    from the risk kernel fic._risk_terms, as simulate._sweep calls it: delta
+    (p,), the beta Schur complement Q_inv (p, p) and a factor F (p, q) of K."""
+    from slmfic.fic import _risk_terms
+
+    bias2, penalty = _risk_terms(subsets, 0, Q_inv[None], (Q_inv @ delta)[None], F[None, None],
+                                 (F.T @ delta)[None])
+    return bias2[0], penalty[0]
 
 
 def sweep_one(data, criteria, submodels):

@@ -23,7 +23,6 @@ from slmfic import (
     generate_dataset,
     monte_carlo,
     psi_uniform,
-    safic_terms,
 )
 from slmfic.fic import m_matrix
 from slmfic.focus import eval_focus, jacobian_fd
@@ -31,12 +30,13 @@ from slmfic.io import run_report_to_json
 from slmfic.safic import g_matrix, pointwise_risk, rho_beta_blocks
 
 from conftest import (
-    k_one,
+    k_factor_one,
     knn_adjacency,
     oracle_top1_counts,
     random_dataset,
     random_info,
     random_symmetric_adjacency,
+    safic_kernel_one,
     score_fd,
 )
 
@@ -208,7 +208,8 @@ class TestCriterion4:
         data = random_dataset(rng, n=25, p=4, adjacency=adjacency)
         psi = psi_uniform(25)
         blocks = rho_beta_blocks(random_info(rng, 4))
-        K = k_one(blocks, data, psi)
+        F = k_factor_one(blocks, data, psi)
+        K = F @ F.T
 
         # (b) K equals the weighted outer-product sum of omega_i = I_br I_rr^{-1} (WY)_i - x_i
         WY = data.W.matrix @ data.Y
@@ -222,7 +223,7 @@ class TestCriterion4:
         risk_gap = 0.0
         idem_gap = 0.0
         subsets = enumerate_submodels(4)
-        scores = np.add(*safic_terms(subsets, delta[None], blocks.Q_inv[None], K[None]))[0]
+        scores = np.add(*safic_kernel_one(subsets, delta, blocks.Q_inv, F))
         for S, score in zip(subsets, scores):
             avg = sum(
                 psi.psi[i] * pointwise_risk(i, S, delta, blocks, data)

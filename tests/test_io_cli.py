@@ -847,11 +847,13 @@ class TestFailureContract:
         "args, named",
         [
             (["--z0", "a,b"], "--z0 'a,b': could not convert string to float: 'a'"),
+            (["--z0", ""], "--z0 '': could not convert string to float: ''"),
             (["--z0", "1,2,3"], "kernel center has 3 entries, X has 2 columns"),
             (["--bandwidth", "-1"], "bandwidth must be finite and positive, got -1.0"),
             (["--bandwidth", "0"], "bandwidth must be finite and positive, got 0.0"),
         ],
-        ids=["z0-not-a-number", "z0-wrong-length", "negative-bandwidth", "zero-bandwidth"],
+        ids=["z0-not-a-number", "z0-empty", "z0-wrong-length", "negative-bandwidth",
+             "zero-bandwidth"],
     )
     def test_safic_input_error(self, small_files, capsys, args, named):
         data_path, weights_path = small_files
@@ -876,6 +878,45 @@ class TestFailureContract:
         rc = main(["safic", "--data", data_path, "--weights", weights_path, "--response", "y",
                    *scheme, *args])
         _one_input_error(capsys, rc, f"{flag} applies to --scheme kernel only")
+
+    @pytest.mark.parametrize(
+        "command, args, named",
+        [("safic", ["--location", "3"], "--location applies to --scheme kernel without --z0"),
+         ("safic", ["--scheme", "uniform", "--location", "999"],
+          "--location applies to --scheme kernel without --z0"),
+         ("safic", ["--scheme", "kernel", "--z0", "0,0", "--location", "1"],
+          "--location applies to --scheme kernel without --z0"),
+         ("fic", ["--focus", "maxvar", "--location", "1"], "--location applies to --focus mean"),
+         ("fic", ["--focus", "beta", "--location", "1"], "--location applies to --focus mean"),
+         ("fic", ["--focus", "spill", "--location", "0"], "--location applies to --focus mean"),
+         ("fic", ["--location", "5"], "--location 5 out of range for n=5"),
+         ("fic", ["--focus", "mean", "--location", "-1"], "--location -1 out of range for n=5")],
+        ids=["safic-uniform", "safic-uniform-out-of-range", "safic-z0", "fic-maxvar",
+             "fic-beta", "fic-spill", "fic-mean-out-of-range", "fic-mean-negative"],
+    )
+    def test_location_where_nothing_reads_it_is_input_error(self, small_files, capsys,
+                                                             command, args, named):
+        """--location picks the unit of --focus mean and the row that centres a
+        kernel without --z0; elsewhere it was ignored (or range-checked while
+        ignored), and the focus's range error did not name the flag."""
+        data_path, weights_path = small_files
+        rc = main([command, "--data", data_path, "--weights", weights_path, "--response", "y",
+                   *args])
+        _one_input_error(capsys, rc, named)
+
+    @pytest.mark.parametrize(
+        "command, args, same",
+        [("fic", ["--location", "0"], []),
+         ("safic", ["--scheme", "kernel", "--location", "0"], ["--scheme", "kernel"])],
+        ids=["fic", "safic"],
+    )
+    def test_location_defaults_to_unit_zero(self, small_files, capsys, command, args, same):
+        data_path, weights_path = small_files
+        common = [command, "--data", data_path, "--weights", weights_path, "--response", "y"]
+        assert main(common + args) == 0
+        given = capsys.readouterr().out
+        assert main(common + same) == 0
+        assert capsys.readouterr().out == given
 
     @pytest.mark.parametrize("subset", ["a,a", "a,b,a"])
     def test_repeated_subset_name_is_input_error(self, small_files, capsys, subset):

@@ -16,8 +16,8 @@ EXPORTS = {
     "MoranResult", "PsiWeights", "RunReport", "SimConfig", "SpatialWeights", "SubmodelId",
     "Theta", "aic", "build_chain_lag1", "build_weights", "default_criteria",
     "enumerate_submodels", "fic_score", "fic_table", "fic_terms", "fit_mle",
-    "generate_dataset", "k_empirical", "median_bandwidth", "monte_carlo", "morans_i",
-    "psi_kernel", "psi_uniform", "safic_score", "safic_table", "safic_terms",
+    "generate_dataset", "median_bandwidth", "monte_carlo", "morans_i",
+    "psi_kernel", "psi_uniform", "safic_score", "safic_table",
 }
 
 
@@ -67,7 +67,7 @@ def test_the_package_exports_the_pinned_names():
     public = {name for name, value in vars(slmfic).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == EXPORTS
-    assert len(EXPORTS) == 32
+    assert len(EXPORTS) == 30
 
 
 def test_only_the_weights_read_the_spectrum():
@@ -84,3 +84,22 @@ def test_only_the_weights_read_the_spectrum():
                    for sub in ast.walk(node)):
                 readers.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
     assert readers == set()
+
+
+def test_only_the_risk_kernel_scores_subsets():
+    """FIC and sAFIC score their subsets through one kernel, fic._risk_terms:
+    no other function of src/ loops over slm._size_groups calling a solve,
+    except slm._regressions, the profile regressions of the fits.  A second
+    scoring engine goes through the kernel instead."""
+    solvers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for loop in ast.walk(node):
+                if (isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call)
+                        and getattr(loop.iter.func, "id", None) == "_size_groups"
+                        and any(isinstance(sub, ast.Attribute) and sub.attr == "solve"
+                                for sub in ast.walk(loop))):
+                    solvers.add(f"{path.stem}.{node.name}")
+    assert solvers == {"fic._risk_terms", "slm._regressions"}

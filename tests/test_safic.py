@@ -27,14 +27,20 @@ from slmfic import (
     psi_uniform,
     safic_score,
     safic_table,
-    safic_terms,
 )
 from slmfic.errors import BandwidthError, ConfigError, DataFormatError, SingularInformationError
 from slmfic.fic import delta_hat, m_matrix
 from slmfic.safic import RhoBetaBlocks, g_matrix, pointwise_risk, rho_beta_blocks
 from slmfic.slm import _certify
 
-from conftest import k_one, random_dataset, random_info
+from conftest import (
+    k_factor_one,
+    k_one,
+    random_dataset,
+    random_info,
+    safic_kernel_one,
+    sweep_one,
+)
 
 
 def _q(blocks):
@@ -49,9 +55,9 @@ def _omega(i, data, blocks):
     return blocks.I_br[:, 0] / blocks.I_rr * wy_i - data.X[i]
 
 
-def _row(S, delta, blocks, K, scheme="uniform"):
-    """The safic_score row of S from safic_terms on S alone."""
-    ((bias2,),), ((penalty,),) = safic_terms([S], delta[None], blocks.Q_inv[None], K[None])
+def _row(S, delta, blocks, F, scheme="uniform"):
+    """The safic_score row of S from the risk kernel on S alone, F a factor of K."""
+    (bias2,), (penalty,) = safic_kernel_one([S], delta, blocks.Q_inv, F)
     return safic_score(S, bias2, penalty, scheme=scheme)
 
 
@@ -388,14 +394,14 @@ class TestRisk:
         psi = psi_uniform(15)
         blocks = rho_beta_blocks(random_info(rng, 3))
         delta = rng.standard_normal(3)
-        K = k_one(blocks, data, psi)
+        F = k_factor_one(blocks, data, psi)
         WY = data.W.matrix @ data.Y
         shared = float(psi.psi @ (WY * WY)) / blocks.I_rr
         for S in enumerate_submodels(3):
             avg = sum(
                 psi.psi[i] * pointwise_risk(i, S, delta, blocks, data) for i in range(15)
             )
-            row = _row(S, delta, blocks, K)
+            row = _row(S, delta, blocks, F)
             assert abs(avg - (row.score + shared)) < 1e-10
 
 
@@ -403,44 +409,59 @@ class TestScore:
     def test_wide_is_penalty_only(self, rng):
         blocks = rho_beta_blocks(random_info(rng, 3))
         data = random_dataset(rng, n=12, p=3)
-        K = k_one(blocks, data, psi_uniform(12))
-        row = _row(SubmodelId.wide(3), rng.standard_normal(3), blocks, K)
+        F = k_factor_one(blocks, data, psi_uniform(12))
+        row = _row(SubmodelId.wide(3), rng.standard_normal(3), blocks, F)
         assert row.bias2 == pytest.approx(0.0, abs=1e-10)
-        assert row.variance == pytest.approx(float(np.trace(_q(blocks) @ K)), rel=1e-8)
+        assert row.variance == pytest.approx(float(np.trace(_q(blocks) @ F @ F.T)), rel=1e-8)
 
     def test_narrow_is_bias_only(self, rng):
         blocks = rho_beta_blocks(random_info(rng, 3))
         data = random_dataset(rng, n=12, p=3)
-        K = k_one(blocks, data, psi_uniform(12))
+        F = k_factor_one(blocks, data, psi_uniform(12))
         delta = rng.standard_normal(3)
-        row = _row(SubmodelId(0, 3), delta, blocks, K)
+        row = _row(SubmodelId(0, 3), delta, blocks, F)
         assert row.variance == 0.0
-        assert row.bias2 == pytest.approx(float(delta @ K @ delta), rel=1e-8)
+        assert row.bias2 == pytest.approx(float(delta @ F @ F.T @ delta), rel=1e-8)
 
     def test_matches_projection_oracle(self, rng):
         # every subset at p = 4 against the traces through G = g_matrix
         data = random_dataset(rng, n=20, p=4)
         blocks = rho_beta_blocks(random_info(rng, 4))
-        K = k_one(blocks, data, psi_kernel(data.X, data.X[3], h=1.0))
+        F = k_factor_one(blocks, data, psi_kernel(data.X, data.X[3], h=1.0))
+        K = F @ F.T
         delta = rng.standard_normal(4)
         for S in enumerate_submodels(4):
             G = g_matrix(blocks, S)
             IG = np.eye(4) - G
             bias2 = float(np.trace(IG @ np.outer(delta, delta) @ IG.T @ K))
             penalty = float(np.trace(G @ _q(blocks) @ G.T @ K))
-            row = _row(S, delta, blocks, K, scheme="kernel")
+            row = _row(S, delta, blocks, F, scheme="kernel")
             assert row.bias2 == pytest.approx(bias2, rel=1e-10)
             assert row.variance == pytest.approx(penalty, rel=1e-10)
             assert row.scheme == "kernel"
 
+    def test_any_factor_of_k_gives_the_same_terms(self, rng):
+        """The kernel reads K only through F F': the QR factor, the Cholesky
+        factor and a wider factor with orthogonally mixed columns agree."""
+        data = random_dataset(rng, n=20, p=4)
+        blocks = rho_beta_blocks(random_info(rng, 4))
+        F = k_factor_one(blocks, data, psi_uniform(20))
+        Qm, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        wide = np.hstack([F, np.zeros((4, 2))]) @ Qm
+        delta, subsets = rng.standard_normal(4), enumerate_submodels(4)
+        terms = np.array(safic_kernel_one(subsets, delta, blocks.Q_inv, F))
+        for other in (np.linalg.cholesky(F @ F.T), wide):
+            np.testing.assert_allclose(safic_kernel_one(subsets, delta, blocks.Q_inv, other),
+                                       terms, rtol=1e-10, atol=1e-12 * terms.max())
+
     def test_scores_nonnegative(self, rng):
         data = random_dataset(rng, n=20, p=4)
         blocks = rho_beta_blocks(random_info(rng, 4))
-        K = k_one(blocks, data, psi_uniform(20))
+        F = k_factor_one(blocks, data, psi_uniform(20))
         delta = rng.standard_normal(4)
         for S in enumerate_submodels(4):
-            row = _row(S, delta, blocks, K)
-            assert row.bias2 >= -1e-10
+            row = _row(S, delta, blocks, F)
+            assert row.bias2 >= 0.0
             assert row.variance >= -1e-10
 
 
@@ -566,9 +587,19 @@ class TestConditioning:
                              ("beta Schur complement of the wide information", 6)]
 
 
+def _k_oracle(data, blocks, psi):
+    """K = sum_i psi_i omega_i omega_i', unit by unit."""
+    K = np.zeros((data.p, data.p))
+    for i in range(data.n):
+        w = _omega(i, data, blocks)
+        K += psi[i] * np.outer(w, w)
+    return K
+
+
 class TestStackedTerms:
-    """safic_terms, one stacked solve per subset size, against the traces
-    through G = g_matrix, within 1e-12 relative (bias2 near zero, as at the
+    """The sweep's sAFIC terms, one stacked solve of the risk kernel per subset
+    size through the factor of K, against the traces through G = g_matrix and
+    K summed unit by unit, within 1e-12 relative (bias2 near zero, as at the
     wide model, on the scale of the narrow model's delta'K delta)."""
 
     @pytest.mark.parametrize("scheme", ["uniform", "kernel"])
@@ -578,13 +609,17 @@ class TestStackedTerms:
         data = random_dataset(np.random.default_rng([seed, p]), n=30, p=p)
         fit_w = fit_mle(data, SubmodelId.wide(p))
         blocks, delta = rho_beta_blocks(fit_w.info), delta_hat(fit_w)
+        crit = simulate.CriterionSpec("safic", "sAFIC")
         if scheme == "uniform":
             psi = psi_uniform(data.n)
         else:
-            psi = psi_kernel(data.X, data.X[seed], median_bandwidth(data.X) if p else 1.0)
-        K = k_one(blocks, data, psi)
+            h = median_bandwidth(data.X) if p else 1.0
+            psi = psi_kernel(data.X, data.X[seed], h)
+            crit = simulate.CriterionSpec("safic", "sAFIC", scheme="kernel",
+                                          z0=tuple(data.X[seed]), bandwidth=h)
+        K = _k_oracle(data, blocks, psi.psi)
         subsets = enumerate_submodels(p)
-        (bias2,), (penalty,) = safic_terms(subsets, delta[None], blocks.Q_inv[None], K[None])
+        _order, (bias2, penalty) = sweep_one(data, (crit,), subsets)["sAFIC"]
         G = [g_matrix(blocks, S) for S in subsets]
         r = [delta - g @ delta for g in G]
         Q = _q(blocks)
@@ -593,3 +628,26 @@ class TestStackedTerms:
                                    atol=1e-12 * (delta @ K @ delta))
         np.testing.assert_allclose(penalty, penalty_oracle, rtol=1e-12,
                                    atol=1e-12 * max(penalty_oracle))
+
+    def test_a_kernel_on_two_units_gives_the_averaged_pointwise_risk(self):
+        """A kernel centred between the two closest units, narrow enough that
+        every other weight underflows to 0, makes K of rank 2 < p = 4.  The
+        sweep's sAFIC score plus the shared rho term still equals the
+        psi-average of pointwise_risk, subset by subset."""
+        data = random_dataset(np.random.default_rng(3), n=12, p=4)
+        d = np.linalg.norm(data.X[:, None] - data.X[None], axis=-1) + np.diag([np.inf] * 12)
+        i, j = np.unravel_index(np.argmin(d), d.shape)
+        z0, h = 0.5 * (data.X[i] + data.X[j]), 0.5 * d[i, j] / np.sqrt(1200.0)
+        psi = psi_kernel(data.X, z0, h).psi
+        assert np.flatnonzero(psi).tolist() == sorted([i, j])
+        fit_w = fit_mle(data, SubmodelId.wide(4))
+        blocks, delta = rho_beta_blocks(fit_w.info), delta_hat(fit_w)
+        assert np.linalg.matrix_rank(_k_oracle(data, blocks, psi)) == 2
+        crit = simulate.CriterionSpec("safic", "sAFIC", scheme="kernel", z0=tuple(z0),
+                                      bandwidth=h)
+        subsets = enumerate_submodels(4)
+        _order, (bias2, penalty) = sweep_one(data, (crit,), subsets)["sAFIC"]
+        shared = float(psi @ data.WY ** 2) / blocks.I_rr
+        avg = [sum(psi[u] * pointwise_risk(u, S, delta, blocks, data) for u in (i, j))
+               for S in subsets]
+        np.testing.assert_allclose(bias2 + penalty + shared, avg, rtol=1e-10)

@@ -401,8 +401,8 @@ def sweep_scores(terms):
 
 
 class TestBatchedScoring:
-    """The sweep scores every subset of a criterion with one fic_terms or
-    safic_terms call and returns the rank order and the terms as arrays;
+    """The sweep scores every subset of a criterion with one call of the risk
+    kernel, fic._risk_terms, and returns the rank order and the terms as arrays;
     fic_table and safic_table build each row with simulate.fic_score or
     simulate.safic_score, the per-row hooks that the benchmark's gates corrupt
     and its tracer counts."""
