@@ -8,7 +8,7 @@ import json
 import sys
 
 from .diagnostics import aic, morans_i
-from .errors import InputError, NumericalError
+from .errors import BandwidthError, InputError, NumericalError
 from .focus import FocusSpec
 from .io import config_from_json, json_text, load_dataset, run_report_to_json, write_report
 from .simulate import fic_table, monte_carlo, safic_table
@@ -160,7 +160,12 @@ def _cmd_safic(args) -> int:
             z0 = [float(v) for v in args.z0.split(",")]
         except ValueError as exc:
             raise InputError(f"--z0 {args.z0!r}: {exc}") from None
-    rows = safic_table(data, scheme=args.scheme, z0=z0, bandwidth=args.bandwidth)
+    try:
+        rows = safic_table(data, scheme=args.scheme, z0=z0, bandwidth=args.bandwidth)
+    except BandwidthError as exc:  # a given bandwidth so small that the weights underflow
+        if args.bandwidth is None:
+            raise
+        raise InputError(f"--bandwidth {args.bandwidth!r}: {exc}") from None
     _emit(write_report(rows, None, fmt=args.format), args.out)
     return 0
 

@@ -6,9 +6,10 @@ penalty.  Averaging over units with weights psi turns the sum into two traces
 against the empirical second-moment matrix K of the omega vectors; the shared
 rho term is constant across submodels and dropped from the score.  With a
 factor F F' = K (_k_factor), the bias r'K r is |F'r|^2 and the penalty
-tr(M_S^{-1} K_SS) is sum(F_S * M_S^{-1} F_S): FIC's risk kernel,
-fic._risk_terms, solving against the subset's block M_S of the beta Schur
-complement, which is certified once for every subset.
+tr(M_S^{-1} K_SS) is |R_S F_S|_F^2, R_S the inverse Cholesky factor of the
+subset's block M_S of the beta Schur complement, which is certified once for
+every subset: FIC's risk kernel, fic._risk_terms, borders each R_S from its
+parent's by one row.
 
 All (rho, beta) information blocks are taken from the wide-model estimate with
 the sigma^2 coordinate removed by deletion.
@@ -178,8 +179,8 @@ def g_matrix(blocks: RhoBetaBlocks, S: SubmodelId) -> np.ndarray:
     """Submodel projection G_S = Pi_S' M_S^{-1} Pi_S Q^{-1} with M_S = Q^{-1}[S, S];
     zero for the narrow model.
 
-    Not used in the sweep: its risk kernel (fic._risk_terms) reads M_S without
-    forming G_S.  This is the form pointwise_risk and the tests check it against.
+    Not used in the sweep: its risk kernel (fic._risk_terms) factors M_S
+    without forming G_S.  This is the form pointwise_risk and the tests check it against.
     """
     G = np.zeros_like(blocks.Q_inv)
     sel = list(S.indices())

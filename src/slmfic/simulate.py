@@ -8,7 +8,8 @@ _sweep, which carries a leading replication axis through the fits, the
 informations and the stacked scores, and records each replication's rank
 orders or the first error that stopped it.  Each stage has one form, over
 the batch (fit_mle, eval_focus_batch, and FIC's and sAFIC's one risk kernel,
-fic._risk_terms); fic_table and safic_table run the engine on a batch of one
+fic._risk_terms, which extends each subset's Cholesky factor from its
+parent's); fic_table and safic_table run the engine on a batch of one
 dataset, and only they build rows.  Aggregation is an ordered reduction over
 replication index, and no replication's numbers depend on the others in its
 batch, so reports are byte-identical for a given config and seed regardless
@@ -318,7 +319,8 @@ def _sweep(batch, criteria, submodels, truth=None):
     wide fit only.  delta_hat = sqrt(n) beta_wide is computed once.  FIC
     (fic_terms) and sAFIC (M = Q^{-1}, b = Q^{-1} delta, G = F, F F' = K from
     safic._k_factor) score every dataset through one risk kernel,
-    fic._risk_terms, one stacked solve per chunk of same-size subsets; AIC is
+    fic._risk_terms, which borders each subset's Cholesky factor from its
+    parent's by one row, all 2^p of them in a few arrays; AIC is
     one array expression, and each score array is ranked once (_rank_order).
     With truth, one more call evaluates the first fic criterion's focus at the
     truth, and a fit's realized error is the squared distance of that

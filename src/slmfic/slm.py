@@ -57,7 +57,7 @@ def _certificates(M: np.ndarray, what) -> list:
     Johnson, *Matrix Analysis*, 2nd ed., Thm 4.3.28), and the scaled matrix's
     blocks are the blocks' own scalings.  So the blocks I_S of the wide
     information, and M_S of its beta Schur complement, which has its own
-    check, are solved unchecked."""
+    check, are factored unchecked by the risk kernel (fic._risk_terms)."""
     errors = [None] * len(M)
     if not M.size:
         return errors

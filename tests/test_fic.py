@@ -1,3 +1,6 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from slmfic import (
     fit_mle,
 )
 from slmfic.errors import SweepTooLargeError
+from slmfic import fic, weights
 from slmfic.fic import delta_hat, m_matrix
 from slmfic.focus import eval_focus, wide_beta_jacobian
 from slmfic.simulate import _rank_order
@@ -316,6 +320,109 @@ class TestStackedTerms:
         assert np.array_equal(_one(picked, J_wide[None, None], J_wide[:, 2:], info, D_n),
                               terms[:, order])
 
+
+
+def _conditioned(rng, k, cond):
+    """An exactly symmetric (k, k) matrix whose Jacobi scaling has condition
+    number near cond, its diagonal spread over four decades, and the
+    scaling's actual condition number."""
+    Q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    C = (Q * np.geomspace(1.0, 1.0 / cond, k)) @ Q.T
+    C /= np.sqrt(np.outer(C.diagonal(), C.diagonal()))
+    scale = 10.0 ** rng.uniform(-2.0, 2.0, k)
+    M = C * np.outer(scale, scale)
+    M = (M + M.T) / 2.0
+    d = np.sqrt(M.diagonal())
+    lam = np.linalg.eigvalsh(M / np.outer(d, d))
+    return M, lam[-1] / lam[0]
+
+
+def _exact_terms(M, b, G, c, T):
+    """The two risk terms of the coordinates T, exactly: Gauss-Jordan
+    elimination of M_TT [x | Y] = [b_T | G_T] over fractions (M_TT positive
+    definite needs no pivoting), then |G_T' x - c|^2 and sum(G_T * Y), each
+    rounded once to a float."""
+    n, q = len(T), G.shape[-1]
+    A = [[Fraction(M[i, j]) for j in T] + [Fraction(b[i])] + [Fraction(v) for v in G[i]]
+         for i in T]
+    for col in range(n):
+        A[col] = [v / A[col][col] for v in A[col]]
+        for row in range(n):
+            if row != col and A[row][col]:
+                f = A[row][col]
+                A[row] = [u - f * v for u, v in zip(A[row], A[col])]
+    G_T = [[Fraction(v) for v in G[i]] for i in T]
+    r = [sum(G_T[i][t] * A[i][n] for i in range(n)) - Fraction(c[t]) for t in range(q)]
+    second = sum(G_T[i][t] * A[i][n + 1 + t] for i in range(n) for t in range(q))
+    return float(sum(v * v for v in r)), float(second)
+
+
+class TestRiskKernel:
+    """fic._risk_terms against exact rational arithmetic and within its
+    stated memory."""
+
+    P = 5
+
+    @pytest.mark.parametrize("cond", [1e4, 1e8, 1e11])
+    @pytest.mark.parametrize("keep", [0, 2])
+    @pytest.mark.parametrize("shared", [True, False], ids=["one-G", "G-per-subset"])
+    def test_every_term_within_its_condition_number_of_exact(self, cond, keep, shared):
+        """Every term of the full list, [wide], [S] and an unsorted list with
+        a repeat, on two datasets, lies within 10 cond eps of its exact value,
+        relative, cond the Jacobi-scaled condition number of the dataset's M.
+        A per-subset G holds NaN outside each subset's rows, which the kernel
+        never reads."""
+        rng = np.random.default_rng([int(np.log10(cond)), keep, shared])
+        k, q, reps = keep + self.P, 2, 2
+        subsets = enumerate_submodels(self.P)
+        made = [_conditioned(rng, k, cond) for _ in range(reps)]
+        M, conds = np.array([m for m, _ in made]), [c for _, c in made]
+        b, c = rng.standard_normal((reps, k)), rng.standard_normal((reps, q))
+        G = rng.standard_normal((reps, 1 if shared else len(subsets), k, q))
+        T = [list(range(keep)) + [keep + j for j in S.indices()] for S in subsets]
+        if not shared:
+            for i, rows in enumerate(T):
+                G[:, i, [j for j in range(k) if j not in rows]] = np.nan
+        exact = np.array([[_exact_terms(M[r], b[r], G[r, 0 if shared else i], c[r], T[i])
+                           for i in range(len(subsets))] for r in range(reps)])
+        for order in (range(32), [31], [S.mask for S in subsets if len(S) == 2][:1],
+                      [19, 0, 7, 30, 19, 1]):
+            order = list(order)
+            picked = [subsets[i] for i in order]
+            bias2, second = fic._risk_terms(picked, keep, M, b, G if shared else G[:, order], c)
+            for r in range(reps):
+                got = np.stack((bias2[r], second[r]), axis=-1)
+                want = exact[r, order]  # the empty T of keep = 0 has second term 0
+                error = np.abs(got - want) / np.where(want == 0.0, 1.0, np.abs(want))
+                assert error.max() <= 10 * conds[r] * np.finfo(float).eps, (r, order)
+
+    @pytest.mark.parametrize("keep, q, shared", [(0, 14, True), (2, 1, False)],
+                             ids=["sAFIC", "G-per-subset"])
+    def test_memory_stays_within_the_stated_bound(self, keep, q, shared):
+        """At p = 14, with sAFIC's shapes (keep = 0, q = p) and with a FIC G
+        per subset, the kernel's peak allocation beyond its inputs stays within
+        its docstring's bound: 4 weights._CHUNK elements beside its outputs
+        and indices, here allowed 128 bytes per subset.  Holding every
+        subset's factor would take 2^14 k^2 elements, over 5x the bound, and
+        a copy of the per-subset G 2^14 k q more."""
+        p, rng = 14, np.random.default_rng(14)
+        k = keep + p
+        M = _conditioned(rng, k, 1e3)[0][None]
+        b, c = rng.standard_normal((1, k)), rng.standard_normal((1, q))
+        subsets = enumerate_submodels(p)
+        G = rng.standard_normal((1, 1 if shared else len(subsets), k, q))
+        fic._risk_terms(subsets[:2], keep, M, b, G if shared else G[:, :2], c)  # numpy's first calls
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            terms = fic._risk_terms(subsets, keep, M, b, G, c)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(terms).all()
+        bound = 8 * 4 * weights._CHUNK + 128 * len(subsets)
+        assert peak <= bound
+        assert 8 * len(subsets) * k * k > 5 * bound
 
 from hypothesis import given
 from hypothesis import strategies as st

@@ -28,6 +28,7 @@ from slmfic import (
 )
 from slmfic.cli import main
 from slmfic.errors import (
+    BandwidthError,
     ConfigError,
     ConvergenceError,
     DataFormatError,
@@ -969,15 +970,17 @@ class TestFailureContract:
         _one_input_error(capsys, rc, named)
 
     @pytest.mark.parametrize("h", ["1e-200", "1e-300"])
-    def test_tiny_bandwidth_is_numerical_failure(self, small_files, capsys, h):
+    def test_tiny_bandwidth_is_input_error(self, small_files, capsys, h):
+        """A given bandwidth so small that the kernel weights underflow is bad
+        input that names --bandwidth; safic_table, which names no flag, still
+        raises the numerical BandwidthError, as a study's replication does."""
         data_path, weights_path = small_files
+        with pytest.raises(BandwidthError, match="kernel weights underflow"):
+            safic_table(load_dataset(data_path, weights_path, "y"), "kernel", bandwidth=float(h))
         rc = main(["safic", "--data", data_path, "--weights", weights_path, "--response", "y",
                    "--row-normalize", "--scheme", "kernel", "--bandwidth", h])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.err == f"numerical failure: bandwidth h={float(h)} too small: " \
-                               "kernel weights underflow\n"
-        assert "NaN" not in captured.out
+        _one_input_error(capsys, rc, f"--bandwidth {float(h)}: bandwidth h={float(h)} too small: "
+                                     "kernel weights underflow")
 
     @pytest.mark.parametrize(
         "changes, named",

@@ -87,19 +87,29 @@ def test_only_the_weights_read_the_spectrum():
 
 
 def test_only_the_risk_kernel_scores_subsets():
-    """FIC and sAFIC score their subsets through one kernel, fic._risk_terms:
-    no other function of src/ loops over slm._size_groups calling a solve,
-    except slm._regressions, the profile regressions of the fits.  A second
-    scoring engine goes through the kernel instead."""
-    solvers = set()
+    """FIC and sAFIC score their subsets through one kernel, fic._risk_terms,
+    which borders each subset's Cholesky factor from its parent's with
+    fic._border: no other top-level function or method of src/ calls
+    _border, and the one that loops over slm._size_groups calling a solve is
+    slm._regressions, the profile regressions of the fits.  A second scoring
+    engine goes through the kernel instead."""
+    solvers, borderers = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(parse(path)):
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            for loop in ast.walk(node):
-                if (isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call)
-                        and getattr(loop.iter.func, "id", None) == "_size_groups"
-                        and any(isinstance(sub, ast.Attribute) and sub.attr == "solve"
-                                for sub in ast.walk(loop))):
-                    solvers.add(f"{path.stem}.{node.name}")
-    assert solvers == {"fic._risk_terms", "slm._regressions"}
+        tree = parse(path)
+        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for node in cls.body
+                 if isinstance(node, ast.FunctionDef)]
+        for name, node in defs:  # a nested function counts as its enclosing one
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Call)
+                        and "_border" in (getattr(sub.func, "id", None),
+                                          getattr(sub.func, "attr", None))):
+                    borderers.add(f"{path.stem}.{name}")
+                if (isinstance(sub, ast.For) and isinstance(sub.iter, ast.Call)
+                        and getattr(sub.iter.func, "id", None) == "_size_groups"
+                        and any(isinstance(part, ast.Attribute) and part.attr == "solve"
+                                for part in ast.walk(sub))):
+                    solvers.add(f"{path.stem}.{name}")
+    assert solvers == {"slm._regressions"}
+    assert borderers == {"fic._risk_terms"}

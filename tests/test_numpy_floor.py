@@ -16,7 +16,7 @@ NEW_NAMES = {
         "pow", "acos", "acosh", "asin", "asinh", "atan", "atanh", "atan2", "bitwise_invert",
         "bitwise_left_shift", "bitwise_right_shift", "unique_all", "unique_counts",
         "unique_inverse", "unique_values", "cumulative_sum", "cumulative_prod", "matvec",
-        "vecmat",
+        "vecmat", "bitwise_count",
     }),
     "numpy.linalg": frozenset({
         "vecdot", "matrix_transpose", "matrix_norm", "vector_norm", "svdvals", "diagonal",
@@ -78,6 +78,7 @@ def test_no_numpy2_only_names(path):
     ("import numpy as np\nnp.concatenate([a]); np.linalg.inv(a); np.outer(a, b); np.trace(a)", []),
     ("import numpy as np\nnp.linalg.outer(a, b)", ["numpy.linalg.outer"]),
     ("other.vecdot(a, b)", []),
+    ("import numpy as np\nnp.bitwise_count(masks)", ["numpy.bitwise_count"]),
 ])
 def test_the_scan_finds_numpy2_names(source, found):
     assert numpy2_uses(source) == found
