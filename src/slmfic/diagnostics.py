@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DataFormatError, ZeroVarianceError
 from .slm import FitResult
@@ -23,6 +22,8 @@ class MoranResult:
 def morans_i(x: np.ndarray, W: SpatialWeights) -> MoranResult:
     """Moran's I with z-score and two-sided p-value under the normal approximation.
     Weights with no positive entry (S0 = 0) define none: DataFormatError."""
+    from scipy.special import ndtr  # not at import: nothing else in slmfic reads scipy.special
+
     x = np.asarray(x, dtype=float).reshape(-1)
     if len(x) != W.n:
         raise ValueError(f"vector length {len(x)} does not match n={W.n}")

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import types
 import typing
 from dataclasses import MISSING, asdict, fields, is_dataclass
 from io import StringIO
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -144,8 +146,15 @@ def load_dataset(
 # report emission
 
 _REPORT_COLUMNS = ("rank", "label", "mask", "variables", "bias2", "variance", "score")
-_JSON_ROW = ('  {{\n    "bias2": {},\n    "label": {},\n    "mask": {},\n    "rank": {},\n{}'
-             '    "score": {},\n    "variables": {},\n    "variance": {}\n  }}')
+_JSON_BLOCK = 512  # rows rendered at once: the columns of one block are the transient text
+_JSON_FIELDS = operator.attrgetter("bias2", "submodel.mask", "rank", "scheme", "score",
+                                   "labels", "variance")
+# The text between the columns of a table row, in json_text's key order (the
+# label is SubmodelId.label(), "S" and mask + 1); every row starts ",\n" and
+# write_report drops the first row's.
+_JSON_KEYS = (',\n  {\n    "bias2": ', ',\n    "label": "S', '",\n    "mask": ', ',\n    "rank": ',
+              ',\n', '    "score": ', ',\n    "variables": [\n      ', '\n    ],\n    "variance": ',
+              '\n  }')
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -156,34 +165,47 @@ def json_text(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
-def _json_float(x: float) -> str:
-    """json's spelling of a float: its repr, or NaN, Infinity, -Infinity."""
-    s = float.__repr__(x)
-    return _JSON_NONFINITE.get(s, s)
+def _json_floats(xs) -> list[str]:
+    """json's spelling of each float: its repr, or NaN, Infinity, -Infinity.
+    Only these reprs hold an "n", so a finite column is not looked up."""
+    texts = list(map(float.__repr__, xs))
+    if "n" in "".join(texts):
+        texts = list(map(_JSON_NONFINITE.get, texts, texts))
+    return texts
 
 
-def _json_row(r) -> str:
-    """One table row as json_text writes it inside the table's list."""
-    names = ",\n      ".join(map(encode_basestring_ascii, r.labels))
-    scheme = "" if r.scheme is None else f'    "scheme": {encode_basestring_ascii(r.scheme)},\n'
-    return _JSON_ROW.format(_json_float(r.bias2), encode_basestring_ascii(r.submodel.label()),
-                            r.submodel.mask, r.rank, scheme, _json_float(r.score),
-                            f"[\n      {names}\n    ]" if r.labels else "[]",
-                            _json_float(r.variance))
+def _json_block(rows) -> str:
+    """The rows as json_text writes them inside a table's list, each row
+    starting ",\n": every field read once, each column turned to text by one
+    map, and the columns zipped with the _JSON_KEYS between them."""
+    bias2, masks, ranks, schemes, scores, labels, variances = zip(*map(_JSON_FIELDS, rows))
+    scheme = {s: "" if s is None else f'    "scheme": {encode_basestring_ascii(s)},\n'
+              for s in set(schemes)}
+    names = map(",\n      ".join, map(map, repeat(encode_basestring_ascii), labels))
+    key = list(map(repeat, _JSON_KEYS))
+    text = "".join(map("".join, zip(
+        key[0], _json_floats(bias2), key[1], map(int.__repr__, map((1).__add__, masks)),
+        key[2], map(int.__repr__, masks), key[3], map(int.__repr__, ranks),
+        key[4], map(scheme.__getitem__, schemes), key[5], _json_floats(scores),
+        key[6], names, key[7], _json_floats(variances), key[8])))
+    # An encoded name never holds a raw newline, so this pattern is an empty list.
+    return text if all(labels) else text.replace("[\n      \n    ]", "[]")
 
 
 def write_report(rows, out_path: str | None, fmt: str = "json") -> str:
     """Serialize a FIC/sAFIC table, rows in the order given (rank order from
     a sweep); returns the text written.
 
-    JSON fills one fixed-schema template per row, byte for byte json_text of
-    the rows as dicts (keys bias2, label, mask, rank, scheme unless None,
-    score, variables, variance; json's NaN and Infinity, ASCII-escaped
-    strings).  CSV has the columns _REPORT_COLUMNS, plus scheme when the first
-    row has one, variables joined by "+", cells quoted where needed."""
+    JSON renders the rows by columns, _JSON_BLOCK rows at a time, byte for
+    byte json_text of the rows as dicts (keys bias2, label, mask, rank, scheme
+    unless None, score, variables, variance; json's NaN and Infinity,
+    ASCII-escaped strings).  CSV has the columns _REPORT_COLUMNS, plus scheme
+    when the first row has one, variables joined by "+", cells quoted where
+    needed."""
     if fmt == "json":
-        body = ",\n".join(map(_json_row, rows))
-        text = f"[\n{body}\n]\n" if body else "[]\n"
+        body = "".join(_json_block(rows[i:i + _JSON_BLOCK])
+                       for i in range(0, len(rows), _JSON_BLOCK))
+        text = f"[{body[1:]}\n]\n" if body else "[]\n"
     elif fmt == "csv":
         scheme = bool(rows) and rows[0].scheme is not None
         buf = StringIO()

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from . import weights
 from .errors import BandwidthError, ConfigError, DataFormatError
@@ -143,6 +142,8 @@ def _pair_blocks(X: np.ndarray):
     """The distances of the row pairs i < j of X, flat, from cdist (and pdist
     within a block), bit for bit pdist's; a block of rows holds at most
     weights._CHUNK pairs, or is one row."""
+    from scipy.spatial.distance import cdist, pdist  # not at import: only kernel weights need it
+
     i0, n = 0, len(X)
     while i0 < n:
         i1 = i0 + max(1, min(n - i0, weights._CHUNK // (n - i0)))

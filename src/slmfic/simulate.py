@@ -23,6 +23,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import count, repeat
 
 import numpy as np
 import scipy.sparse.linalg
@@ -312,12 +313,13 @@ def _sweep(batch, criteria, submodels, truth=None):
     information and, once an sAFIC criterion needs it, its beta Schur
     complement are certified once, by one stacked check per kind: by
     interlacing, that certifies every block a subset solves against.  Each
-    FIC criterion is one eval_focus_batch call at the fits made: the wide
-    fits alone, whose (rho, sigma^2, beta_S) columns are each subset's
-    Jacobian for a theta-free focus, or every fit (max_eigen certifies each
-    subset's information, by one stacked check per chunk); sAFIC reads the
-    wide fit only.  delta_hat = sqrt(n) beta_wide is computed once.  FIC
-    (fic_terms) and sAFIC (M = Q^{-1}, b = Q^{-1} delta, G = F, F F' = K from
+    FIC criterion is one eval_focus_batch call at the fits made.  A theta-free
+    focus scores every subset from the wide fit's Jacobian, whose (rho,
+    sigma^2, beta_S) columns are each subset's, even where every subset was
+    fitted; a focus that depends on theta from each fit's (max_eigen
+    certifies each subset's information, by one stacked check per chunk).
+    sAFIC reads the wide fit only.  delta_hat = sqrt(n) beta_wide is computed
+    once.  FIC (fic_terms) and sAFIC (M = Q^{-1}, b = Q^{-1} delta, G = F, F F' = K from
     safic._k_factor) score every dataset through one risk kernel,
     fic._risk_terms, which borders each subset's Cholesky factor from its
     parent's by one row, all 2^p of them in a few arrays; AIC is
@@ -364,7 +366,9 @@ def _sweep(batch, criteria, submodels, truth=None):
             kept = kept or (crit.focus, value)  # the first fic criterion's, read by the truth
             flagged |= gap.any(axis=1)
             found.append(errors)
-            terms = fic_terms(submodels, J, J[:, -1, :, 2:], fits.info, D)
+            # a theta-free focus: one Jacobian, the wide fit's, serves every subset
+            J_S = J if depends_on_theta(crit.focus) else J[:, -1:]
+            terms = fic_terms(submodels, J_S, J[:, -1, :, 2:], fits.info, D)
         else:
             if blocks is None:
                 blocks = _rho_beta_blocks(fits.info)
@@ -402,7 +406,8 @@ def _table(data: Dataset, crit: CriterionSpec):
     """Every subset's row of one fic or safic criterion, in rank order: one
     fic_score or safic_score call per subset, from the one-dataset sweep's two
     terms, the sweep's SubmodelIds and a label table built once, by doubling,
-    so that labels[m] == SubmodelId(m, p).variable_names(data.names)."""
+    so that labels[m] == SubmodelId(m, p).variable_names(data.names); each is
+    picked in rank order by one map."""
     submodels = enumerate_submodels(data.p)
     tables, _realized, (error,) = _sweep([data], (crit,), submodels)
     if error is not None:
@@ -411,10 +416,10 @@ def _table(data: Dataset, crit: CriterionSpec):
     labels = [()]
     for name in data.names:
         labels += [lab + (name,) for lab in labels]
-    build, scheme = (fic_score, ()) if crit.kind == "fic" else (safic_score, (crit.scheme,))
-    bias2, second = bias2[0].tolist(), second[0].tolist()
-    return [build(submodels[i], bias2[i], second[i], labels[i], *scheme, rank)
-            for rank, i in enumerate(orders[0], start=1)]
+    build, scheme = (fic_score, ()) if crit.kind == "fic" else (safic_score, (repeat(crit.scheme),))
+    columns = (submodels, bias2[0].tolist(), second[0].tolist(), labels)
+    return list(map(build, *(map(col.__getitem__, orders[0]) for col in columns), *scheme,
+                    count(1)))
 
 
 def fic_table(spec: FocusSpec, data: Dataset):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import SweepTooLargeError
 
@@ -57,5 +58,5 @@ def enumerate_submodels(p: int) -> list[SubmodelId]:
         raise SweepTooLargeError(
             f"exhaustive sweep over 2^{p} submodels refused (cap p={_SWEEP_CAP})"
         )
-    return [SubmodelId(mask, p) for mask in range(1 << p)]
+    return list(map(SubmodelId, range(1 << p), repeat(p)))
 

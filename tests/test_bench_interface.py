@@ -65,3 +65,29 @@ def test_workload_read_resolves(module, attr):
     owner = importlib.import_module(module)
     for part in attr.split("."):
         owner = getattr(owner, part)
+
+
+@pytest.mark.parametrize("score_fn", ["fic_score", "safic_score"])
+def test_tables_build_their_rows_through_the_module_score(monkeypatch, score_fn):
+    """perfbench/test_bench.py corrupts table rows by patching simulate.fic_score
+    and simulate.safic_score, so each table looks its score function up when
+    it runs, calls it once per subset and returns the rows it made."""
+    import numpy as np
+
+    from conftest import random_dataset
+    from slmfic import FocusSpec, simulate
+
+    original, made = getattr(simulate, score_fn), []
+
+    def counting(*args, **kwargs):
+        made.append(original(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(simulate, score_fn, counting)
+    data = random_dataset(np.random.default_rng(6), n=30, p=4)
+    if score_fn == "fic_score":
+        rows = simulate.fic_table(FocusSpec("conditional_mean", location=0), data)
+    else:
+        rows = simulate.safic_table(data, "kernel")
+    assert len(made) == 2 ** 4
+    assert len(rows) == len(made) and all(row is m for row, m in zip(rows, made))

@@ -104,15 +104,18 @@ class TestMoran:
 
 
 def test_import_leaves_scipy_stats_out():
-    """Importing the package, in a fresh interpreter, loads no scipy.stats:
-    morans_i takes its normal tail from scipy.special."""
+    """Importing the package and its CLI, in a fresh interpreter, loads no
+    scipy.stats, scipy.special or scipy.spatial: morans_i takes its normal
+    tail from scipy.special and the kernel bandwidth its distances from
+    scipy.spatial, each imported where it is used."""
     src = str(Path(slmfic.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, slmfic; print('scipy.stats' in sys.modules)"
+    code = ("import sys, slmfic, slmfic.cli; print([m for m in "
+            "('scipy.stats', 'scipy.special', 'scipy.spatial') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          encoding="utf-8", check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 class TestAic:

@@ -39,6 +39,7 @@ from slmfic.errors import (
     NumericalError,
 )
 from slmfic.io import (
+    _JSON_BLOCK,
     _REPORT_COLUMNS,
     config_from_json,
     json_text,
@@ -356,6 +357,32 @@ class TestReportSerialization:
         assert write_report([], None) == "[]\n" == json_text([])
         header = ",".join(_REPORT_COLUMNS) + "\n"
         assert write_report([], None, fmt="csv") == csv_oracle([]) == header
+
+    def test_json_across_blocks(self):
+        """Two full blocks of the writer and a partial one: non-finite values in
+        the second block only, escaped and non-ASCII names and scheme, and a
+        row without variables."""
+        names = ("x1", 'q"u', "b\\s", "\u00e9t\u00e9", "\U0001f600", "t\tab", "n\x00l")
+        special = (math.nan, math.inf, -math.inf)
+        rows = []
+        for i in range(2 * _JSON_BLOCK + _JSON_BLOCK // 3):
+            S = SubmodelId(i % 128, 7)
+            x = special[i % 3] if _JSON_BLOCK <= i < 2 * _JSON_BLOCK and i % 5 == 0 else i / 7
+            rows.append(FicRow(S, S.variable_names(names), x, -1e-300 * i, 1e16 + i, i + 1,
+                               (None, "k\u00e9r\"nel")[i % 2]))
+        blocks = [rows[i:i + _JSON_BLOCK] for i in range(0, len(rows), _JSON_BLOCK)]
+        assert [any(not math.isfinite(r.bias2) for r in b) for b in blocks] == [False, True, False]
+        assert any(not r.labels for r in rows)
+        expected = json.dumps(rows_as_dicts(rows), indent=2, sort_keys=True) + "\n"
+        assert write_report(rows, None) == expected
+
+    @pytest.mark.parametrize("table", ["fic", "safic"])
+    def test_json_of_a_p12_table(self, table):
+        data = random_dataset(np.random.default_rng(12), n=40, p=12)
+        rows = (fic_table(FocusSpec("conditional_mean", location=0), data) if table == "fic"
+                else safic_table(data, "kernel"))
+        assert len(rows) > 2 * _JSON_BLOCK
+        assert write_report(rows, None) == json_text(rows_as_dicts(rows))
 
     def test_json_sorted_and_ranked(self, rng):
         from slmfic import FocusSpec, fic_table

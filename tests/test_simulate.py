@@ -11,7 +11,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slmfic import focus, simulate, slm, weights
+from slmfic import fic, focus, simulate, slm, weights
 from slmfic import (
     CriterionSpec,
     Dataset,
@@ -1054,6 +1054,24 @@ def test_the_default_study_report_is_pinned(seed, digest):
     change to the draws, the fits, the scores or the ranking shows here."""
     text = run_report_to_json(monte_carlo(SimConfig(seed=seed)))
     assert hashlib.sha256(text.encode()).hexdigest().startswith(digest)
+
+
+def test_a_theta_free_focus_is_scored_from_the_wide_jacobian(monkeypatch):
+    """AIC in the default criteria has every subset fitted, yet the
+    conditional-mean FIC hands the risk kernel the wide fit's Jacobian alone,
+    one G for every subset, and the report keeps the bytes it had when each
+    subset's own Jacobian went in."""
+    risk_terms, shapes = fic._risk_terms, []
+
+    def recorded(subsets, keep, M, b, G, c):
+        if keep == 2:  # fic_terms' call: sAFIC keeps no coordinate
+            shapes.append(G.shape)
+        return risk_terms(subsets, keep, M, b, G, c)
+
+    monkeypatch.setattr(fic, "_risk_terms", recorded)
+    text = run_report_to_json(monte_carlo(SimConfig(reps=6, seed=5)))
+    assert shapes and all(shape[1] == 1 for shape in shapes)
+    assert hashlib.sha256(text.encode()).hexdigest().startswith("17d9279a3dce3c8e")
 
 
 LATTICE_STUDIES = [(False, 0.2, "d061f709183009fa"), (True, 0.5, "ed10aff04c7e7b38")]
